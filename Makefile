@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race ci chaos chaos-full scenarios bench bench-nn bench-pipeline bench-obs bench-serving bench-json figures
+.PHONY: build test test-race ci chaos chaos-full scenarios bench-smoke bench bench-nn bench-pipeline bench-obs bench-serving bench-json figures
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,13 @@ scenarios:
 	$(GO) run ./cmd/nfvscen validate scenarios/
 	$(GO) run ./cmd/nfvscen run scenarios/
 
+# The wire-to-warning benchmark (bench/, BENCHMARK.json) is a nested
+# module, so `go test ./...` at the root never compiles it: this runs its
+# smoke (all four workloads at -quick scale, oracle on), trainer-parity
+# and compare tests.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
 # Full gate: what a CI job runs. Vet, build, the whole test suite, the
 # race pass over the concurrent packages (which covers the shard
 # lifecycle tests), the scenario-harness library (lint + end-to-end run
@@ -57,9 +64,21 @@ scenarios:
 # are the tracing-overhead gate: a smoke run of the traced/untraced
 # HandleMessage pair plus TestSpanOverhead, which fails ci if span
 # instrumentation costs more than 5% on the serving hot path.
+#
+# The matvec kernels are assembly on amd64 with a portable fallback:
+# `vet ./...` runs asmdecl over the assembly frames and the second vet
+# line checks the fallback files, which the default tags never compile
+# here; the purego test line runs the kernel's differential sweep, the
+# trainer golden and the nn/detect suites through the fallback on this
+# box, and the arm64 build proves the fallback is what every other
+# architecture gets.
 ci: build
 	$(GO) vet ./...
+	$(GO) vet -tags purego ./internal/mat
 	$(GO) test ./...
+	$(GO) test -tags purego ./internal/mat ./internal/nn ./internal/detect
+	GOARCH=arm64 $(GO) build ./...
+	$(MAKE) bench-smoke
 	$(MAKE) test-race
 	$(MAKE) chaos
 	$(MAKE) scenarios

@@ -487,14 +487,7 @@ func (m *Monitor) HandleMessage(msg logfmt.Message) {
 	}
 	sh := m.shards[m.shardFor(msg.Host)]
 	var sp spanInfo
-	if tr.Sampled {
-		// On the synchronous path the queue stage is just the lock wait.
-		lockStart := time.Now()
-		sh.mu.Lock()
-		sp.queueNS = int64(time.Since(lockStart))
-	} else {
-		sh.mu.Lock()
-	}
+	sh.mu.Lock()
 	sh.handleLocked(msg, &sp)
 	sh.mu.Unlock()
 	if tr.Sampled {

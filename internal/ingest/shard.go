@@ -116,7 +116,13 @@ func (sh *shard) handleLocked(msg logfmt.Message, sp *spanInfo) {
 	t0 := m.learnSeconds.Start()
 	var s0 time.Time
 	if sampled {
+		// Stage boundaries on this path are contiguous, so the stages sum
+		// to the span total by construction: queue runs from accept to
+		// here (the lock wait, minus the decode time attributed upstream),
+		// sigtree ends where score starts (hostFor counts into it), and
+		// verdict runs from score end to the span's emit.
 		s0 = time.Now()
+		sp.queueNS = int64(s0.Sub(msg.Trace.Accept)) - msg.Trace.DecodeNS
 	}
 	// m.tree is stable while sh.mu is held: SwapModel replaces it only
 	// with every shard mutex locked, so the unlocked pointer read cannot
@@ -135,9 +141,6 @@ func (sh *shard) handleLocked(msg logfmt.Message, sp *spanInfo) {
 		tpl = tree.LearnTokens(toks)
 		m.treeMu.Unlock()
 	}
-	if sampled {
-		sp.sigtreeNS = int64(time.Since(s0))
-	}
 	m.learnSeconds.ObserveDuration(t0)
 	if m.DegradeMode() == resilience.ModeShedScoring {
 		// Shed-scoring: the template was learned (the tree stays warm for
@@ -152,6 +155,7 @@ func (sh *shard) handleLocked(msg logfmt.Message, sp *spanInfo) {
 	var p0 time.Time
 	if sampled {
 		p0 = time.Now()
+		sp.sigtreeNS = int64(p0.Sub(s0))
 	}
 	score := hs.stream.Push(features.Event{Time: msg.Time, Template: tpl.ID})
 	if sampled {

@@ -42,7 +42,7 @@ func spanMonitorConfig(t *testing.T, sampleM int) (MonitorConfig, *obs.Registry,
 // TestMonitorDecisionSpansSync drives the synchronous path with
 // sample-everything tracing and checks the acceptance criteria end to end:
 // every message gets a decision span, sampled stage durations sum to the
-// span total within 10%, the warning verdict's span is marked, the handle
+// span total within 1%, the warning verdict's span is marked, the handle
 // histogram carries an exemplar whose trace ID resolves in the span ring,
 // and the latency SLO saw every verdict.
 func TestMonitorDecisionSpansSync(t *testing.T) {
@@ -81,11 +81,13 @@ func TestMonitorDecisionSpansSync(t *testing.T) {
 		sumStages += s.Stages.Sum()
 		sumTotal += s.TotalNS
 	}
-	// The stage decomposition must cover the accept→verdict latency: in
-	// aggregate the named stages account for at least 90% of total span
-	// time (the remainder is the unclocked slack between stage boundaries).
-	if sumStages < sumTotal*9/10 {
-		t.Fatalf("stages cover %d of %d ns (%.1f%%), want >= 90%%",
+	// The stage decomposition must cover the accept→verdict latency. On
+	// this path the stage boundaries are contiguous, so the named stages
+	// account for all of it whatever the model costs; 99% leaves room for
+	// a boundary that is not shared without going back to a ratio that
+	// depends on how fast scoring is.
+	if sumStages < sumTotal/100*99 {
+		t.Fatalf("stages cover %d of %d ns (%.1f%%), want >= 99%%",
 			sumStages, sumTotal, 100*float64(sumStages)/float64(sumTotal))
 	}
 

@@ -103,16 +103,27 @@ func TestWatchdogKicksStuckWorker(t *testing.T) {
 // TestWatchdogClockSkewFault injects a skewed watchdog clock and checks a
 // healthy-but-idle-looking worker is kicked — the chaos drill for the
 // watchdog machinery itself — and that the kick is harmless.
+//
+// The watchdog only kicks a worker whose beat stood still across a tick
+// (25 ms here), and a healthy worker beats every few microseconds, so the
+// skew alone kicks nothing unless the scheduler happens to park the worker
+// for a whole tick. A 35 ms slow batch makes the beat stand still across a
+// tick every few batches while staying under the 50 ms deadline: without
+// the skew no kick is possible, with it the next stalled tick kicks.
 func TestWatchdogClockSkewFault(t *testing.T) {
 	mon, faults := superviseMonitor(t, 1, 50*time.Millisecond)
 	mon.Start()
 	defer mon.Stop()
+	if err := faults.Arm("shard.score", faultinject.Arming{Mode: faultinject.ModeSlow, Delay: 35 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	if err := faults.Arm("heartbeat.skew", faultinject.Arming{Mode: faultinject.ModeSkew, Skew: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	// Keep the queue non-empty so the skewed age check applies.
 	feedUntil(t, mon, func() bool { return mon.Stats().WatchdogKicks >= 1 }, 10*time.Second)
 	faults.Disarm("heartbeat.skew")
+	faults.Disarm("shard.score")
 	// The monitor still consumes after the spurious kick.
 	before := mon.Stats().Messages
 	feedUntil(t, mon, func() bool { return mon.Stats().Messages > before+8 }, 10*time.Second)

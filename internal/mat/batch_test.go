@@ -6,19 +6,6 @@ import (
 	"testing"
 )
 
-// naiveMulVecAdd is the reference rolled kernel the unrolled fast paths
-// must reproduce bit for bit.
-func naiveMulVecAdd(m *Matrix, dst, v Vector) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, x := range row {
-			s += x * v[j]
-		}
-		dst[i] += s
-	}
-}
-
 func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := range m.Data {
@@ -35,11 +22,11 @@ func randVector(rng *rand.Rand, n int) Vector {
 	return v
 }
 
-// TestMulVecAddUnrollBitIdentical exercises every tail length of the
-// 4x-unrolled loop (cols 1..9 plus larger shapes) against the rolled
-// reference. Bit identity, not tolerance: the unroll must not change the
-// summation order.
-func TestMulVecAddUnrollBitIdentical(t *testing.T) {
+// TestMulVecAddBitIdentical pins MulVecAdd to the rolled reference
+// across column tails (cols 1..9 plus larger shapes) and a row count that
+// leaves a row tail. Bit identity, not tolerance: row blocking must not
+// change any row's summation order.
+func TestMulVecAddBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 128} {
 		m := randMatrix(rng, 17, cols)
@@ -47,7 +34,7 @@ func TestMulVecAddUnrollBitIdentical(t *testing.T) {
 		got := randVector(rng, 17) // nonzero dst: the += must also agree
 		want := got.Clone()
 		m.MulVecAdd(got, v)
-		naiveMulVecAdd(m, want, v)
+		gemv64Ref(want, m.Data, v, m.Rows, m.Cols)
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("cols=%d row %d: %v != %v", cols, i, got[i], want[i])
@@ -131,29 +118,44 @@ func TestMulMatAddShapePanics(t *testing.T) {
 	}
 }
 
-// BenchmarkMulVecAdd measures the unrolled single-lane kernel at the
-// serving model's gate shape (4H×In with H=32, vocab 80 + gap).
+// servedShapes are the dense f64 products of one served step at
+// detect.DefaultLSTMConfig (32×32, vocab 80): the gate product 4H×H and
+// the output projection V×H.
+var servedShapes = []struct {
+	name       string
+	rows, cols int
+}{{"128x32", 128, 32}, {"80x32", 80, 32}}
+
+// BenchmarkMulVecAdd measures the single-lane kernel at the served shapes.
 func BenchmarkMulVecAdd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := randMatrix(rng, 128, 81)
-	v := randVector(rng, 81)
-	dst := NewVector(128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.MulVecAdd(dst, v)
+	for _, sh := range servedShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			m := randMatrix(rng, sh.rows, sh.cols)
+			v := randVector(rng, sh.cols)
+			dst := NewVector(sh.rows)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.MulVecAdd(dst, v)
+			}
+		})
 	}
 }
 
 // BenchmarkMulMatAdd8 measures the batched kernel at 8 lanes against the
-// same weights; compare ns/op per lane with BenchmarkMulVecAdd to see the
-// cache win of reusing each weight row across the batch.
+// same weights; ns/op per lane should equal BenchmarkMulVecAdd's, since
+// each lane is one call of the same core.
 func BenchmarkMulMatAdd8(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := randMatrix(rng, 128, 81)
-	x := randMatrix(rng, 8, 81)
-	dst := NewMatrix(8, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.MulMatAdd(dst, x)
+	for _, sh := range servedShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			m := randMatrix(rng, sh.rows, sh.cols)
+			x := randMatrix(rng, 8, sh.cols)
+			dst := NewMatrix(8, sh.rows)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.MulMatAdd(dst, x)
+			}
+		})
 	}
 }

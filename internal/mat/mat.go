@@ -308,77 +308,26 @@ func (m *Matrix) MulVec(v Vector) Vector {
 // MulVecAdd sets dst = dst + m·v without allocating. dst's length must equal
 // m.Rows; v's length must equal m.Cols.
 //
-// The inner loop is 4x-unrolled with a single accumulator and strictly
-// sequential adds, so the summation order — and therefore every result
-// bit — is identical to the plain rolled loop; the unroll only amortizes
-// loop and bounds-check overhead.
+// Every dst[i] sums j = 0..Cols-1 strictly in order, one rounded product
+// at a time, so every result bit is that of the plain rolled loop — on the
+// SSE2 kernel and the portable one alike (see gemv64).
 func (m *Matrix) MulVecAdd(dst, v Vector) {
 	mustSameLen(m.Cols, len(v), "Matrix.MulVecAdd input")
 	mustSameLen(m.Rows, len(dst), "Matrix.MulVecAdd output")
-	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*n : i*n+n]
-		dst[i] += dotUnrolled(row, v, n)
-	}
-}
-
-// dotUnrolled is the shared 4x-unrolled dot product of the matvec kernels.
-// One accumulator, sequential adds: bit-identical to the naive loop for
-// every n, including the tail.
-func dotUnrolled(row []float64, v Vector, n int) float64 {
-	var s float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		s += row[j] * v[j]
-		s += row[j+1] * v[j+1]
-		s += row[j+2] * v[j+2]
-		s += row[j+3] * v[j+3]
-	}
-	for ; j < n; j++ {
-		s += row[j] * v[j]
-	}
-	return s
+	gemv64(dst, m.Data, v, m.Rows, m.Cols)
 }
 
 // MulMatAdd sets dst[b][i] += Σ_j m[i][j]·x[b][j] for every lane b — the
 // batched form of MulVecAdd, evaluating B concurrent inputs (the rows of x)
 // against the same weight matrix in one call. dst is [B×Rows], x is
-// [B×Cols].
-//
-// Iteration is blocked weight-row-major with 4-lane register blocking:
-// each weight row m[i] streams through the cache once per batch (instead of
-// once per lane), and within the row each element is loaded once and fed to
-// four lanes' accumulators. Each lane keeps its own accumulator and sums j
-// strictly sequentially — exactly MulVecAdd's order — so the batched result
-// is bit-identical to B separate MulVecAdd calls.
+// [B×Cols]. Each lane goes through the same gemv64 core as MulVecAdd, so
+// the batched result is bit-identical to B separate MulVecAdd calls.
 func (m *Matrix) MulMatAdd(dst, x *Matrix) {
 	mustSameLen(m.Cols, x.Cols, "Matrix.MulMatAdd input cols")
 	mustSameLen(m.Rows, dst.Cols, "Matrix.MulMatAdd output cols")
 	mustSameLen(x.Rows, dst.Rows, "Matrix.MulMatAdd lanes")
-	n, B, oc := m.Cols, x.Rows, dst.Cols
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*n : i*n+n]
-		b := 0
-		for ; b+4 <= B; b += 4 {
-			x0 := x.Data[b*n : b*n+n]
-			x1 := x.Data[(b+1)*n : (b+1)*n+n]
-			x2 := x.Data[(b+2)*n : (b+2)*n+n]
-			x3 := x.Data[(b+3)*n : (b+3)*n+n]
-			var s0, s1, s2, s3 float64
-			for j, r := range row {
-				s0 += r * x0[j]
-				s1 += r * x1[j]
-				s2 += r * x2[j]
-				s3 += r * x3[j]
-			}
-			dst.Data[b*oc+i] += s0
-			dst.Data[(b+1)*oc+i] += s1
-			dst.Data[(b+2)*oc+i] += s2
-			dst.Data[(b+3)*oc+i] += s3
-		}
-		for ; b < B; b++ {
-			dst.Data[b*oc+i] += dotUnrolled(row, Vector(x.Data[b*n:b*n+n]), n)
-		}
+	for b := 0; b < x.Rows; b++ {
+		gemv64(dst.Row(b), m.Data, x.Row(b), m.Rows, m.Cols)
 	}
 }
 

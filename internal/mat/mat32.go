@@ -5,13 +5,14 @@
 // These kernels serve a different contract than the float64 ones. The f64
 // kernels are bit-compatibility-bound: training, checkpoints, and the
 // batched scoring path all promise results identical to the naive rolled
-// loop, which forces a single sequential accumulator and leaves every dot
-// product latency-bound on the FP add chain. The serving-path quantized
-// engine only promises bounded error against the f64 reference (the
-// warning decision thresholds a log-probability; it does not need exact
-// bits), so the f32 kernels are free to reorder the summation: wide
-// register blocking on the portable path, 4-wide SSE with four vector
-// accumulators on amd64 (mat32_amd64.s).
+// loop, which forces a single sequential accumulator per row (gemv64 hides
+// the add latency by advancing several rows together, never by splitting
+// a row's sum). The serving-path quantized engine only promises bounded
+// error against the f64 reference (the warning decision thresholds a
+// log-probability; it does not need exact bits), so the f32 kernels are
+// free to reorder the summation: wide register blocking on the portable
+// path, 4-wide SSE with four vector accumulators on amd64
+// (mat32_amd64.s).
 //
 // What IS promised: one fixed summation schedule per platform, shared by
 // the single-stream and batched kernels. MulMatAdd32 evaluates each lane

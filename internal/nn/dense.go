@@ -90,10 +90,9 @@ func (d *Dense) InferInto(dst, x mat.Vector) mat.Vector {
 }
 
 // InferBatchInto is InferInto over a batch: dst[b] = f(W·x[b] + b) for every
-// row b of x, evaluated as one MulMatAdd GEMM so the weight matrix streams
-// through the cache once per batch instead of once per lane. dst is
-// [B×Out], x is [B×In]. Each lane's arithmetic is bit-identical to
-// InferInto on the same input.
+// row b of x, evaluated as one MulMatAdd call. dst is [B×Out], x is
+// [B×In]. Each lane's arithmetic is bit-identical to InferInto on the same
+// input.
 func (d *Dense) InferBatchInto(dst, x *mat.Matrix) *mat.Matrix {
 	bias := d.Bp.W.Row(0)
 	for b := 0; b < dst.Rows; b++ {
