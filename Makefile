@@ -57,19 +57,21 @@ bench-smoke:
 # smoke (f32 warning-sequence parity, int8 FAR-delta gate, and the
 # invalidate/re-pack staleness invariants), and benchmark smoke runs:
 # the metrics hot path and the scoring kernels at every serving
-# precision (f64/f32/int8 LSTM step, blocked matvec, packed f32 and
-# int8 matvec). The hard 0 allocs/op assertions are
-# TestHotPathAllocFree, TestScoringHotPathAllocFree, and
-# TestQuantStepAllocFree, which run with the suite. The last two lines
-# are the tracing-overhead gate: a smoke run of the traced/untraced
-# HandleMessage pair plus TestSpanOverhead, which fails ci if span
-# instrumentation costs more than 5% on the serving hot path.
+# precision (f64/f32/int8 LSTM step and gate fold, blocked matvec, the
+# exp kernel, packed f32 and int8 matvec). The hard 0 allocs/op
+# assertions are TestHotPathAllocFree, TestScoringHotPathAllocFree,
+# TestPushBatchAlternatingModelsAllocFree and TestQuantStepAllocFree,
+# which run with the suite. The last two lines are the tracing-overhead
+# gate: a smoke run of the traced/untraced HandleMessage pair plus
+# TestSpanOverhead, which fails ci if span instrumentation costs more
+# than 150 ns a message on the serving hot path.
 #
-# The matvec kernels are assembly on amd64 with a portable fallback:
-# `vet ./...` runs asmdecl over the assembly frames and the second vet
-# line checks the fallback files, which the default tags never compile
-# here; the purego test line runs the kernel's differential sweep, the
-# trainer golden and the nn/detect suites through the fallback on this
+# The matvec and exp kernels are assembly on amd64 with a portable
+# fallback: `vet ./...` runs asmdecl over the assembly frames and the
+# second vet line checks the fallback files, which the default tags
+# never compile here; the purego test line runs the kernels'
+# differential sweeps, the trainer golden and the nn/detect suites
+# (the numeric-contract tests among them) through the fallback on this
 # box, and the arm64 build proves the fallback is what every other
 # architecture gets.
 ci: build
@@ -86,8 +88,8 @@ ci: build
 	$(GO) test ./internal/ingest/ -run 'TestQuantF32WarningParity|TestQuantInt8FARDelta' -count=1
 	$(GO) test ./internal/detect/ -run 'TestSetPrecision|TestClonePropagatesPrecision|TestUpdateRepacks|TestAdaptRepacks' -count=1
 	$(GO) test ./internal/obs/ -run XXX -bench Registry -benchtime=1x -benchmem
-	$(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs' -benchtime=1x -benchmem
-	$(GO) test ./internal/mat/ -run XXX -bench 'MulMatAdd|MulVecAdd' -benchtime=1x -benchmem
+	$(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs|GateFold' -benchtime=1x -benchmem
+	$(GO) test ./internal/mat/ -run XXX -bench 'MulMatAdd|MulVecAdd|ExpNeg' -benchtime=1x -benchmem
 	$(GO) test ./internal/ingest/ -run XXX -bench 'MonitorHandleMessage$$|MonitorHandleMessageSpans$$' -benchtime=1x -benchmem
 	$(GO) test ./internal/ingest/ -run TestServingPathAllocGate -count=1 -v
 	NFV_SPAN_GATE=1 $(GO) test ./internal/ingest/ -run TestSpanOverhead -count=1 -v
@@ -108,17 +110,18 @@ bench-serving:
 	$(GO) test ./internal/ingest/ -run XXX -bench 'MonitorHandleMessage|MonitorParallel|ShardSerialSection|ShardTokenize' -benchmem
 
 # Machine-readable serving benchmarks: runs the scoring-path benchmarks
-# (monitor, tokenize-and-match old vs interned, batched LSTM step, matvec
-# kernels) and converts the output to BENCH_serving.json via cmd/benchjson
-# (ns/op, B/op, allocs/op, a derived msgs_per_sec = 1e9/ns for the
-# per-message benchmarks, and b_per_op_delta against the committed
+# (monitor, tokenize-and-match old vs interned, the LSTM step at every
+# precision and batched, gate fold, matvec and exp kernels) and converts
+# the output to BENCH_serving.json via cmd/benchjson (ns/op, B/op,
+# allocs/op, a derived msgs_per_sec = 1e9/ns for the per-message
+# benchmarks, and b_per_op_delta against the committed
 # BENCH_serving.json). The result lands in a temp file first so the old
 # artifact is still readable as the baseline while the new one is built.
 bench-json:
 	{ $(GO) test ./internal/ingest/ -run XXX -bench 'MonitorHandleMessage|MonitorParallel|ShardSerialSection' -benchmem ; \
 	  $(GO) test ./internal/sigtree/ -run XXX -bench 'PrepareTokens|SigtreeMatch' -benchmem ; \
-	  $(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs' -benchmem ; \
-	  $(GO) test ./internal/mat/ -run XXX -bench 'MulVecAdd|MulMatAdd' -benchmem ; \
+	  $(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs|GateFold' -benchmem ; \
+	  $(GO) test ./internal/mat/ -run XXX -bench 'MulVecAdd|MulMatAdd|ExpNeg' -benchmem ; \
 	  $(GO) test ./internal/lifecycle/ -run XXX -bench 'AdaptationCycle' -benchmem -benchtime 5x ; \
 	  $(GO) test ./internal/chaos/ -run XXX -bench 'ChaosSoak' -benchtime 1x ; } \
 	| $(GO) run ./cmd/benchjson -baseline BENCH_serving.json > BENCH_serving.json.tmp

@@ -92,7 +92,7 @@ func main() {
 	flag.IntVar(&o.year, "year", time.Now().Year(), "year for RFC 3164 timestamps")
 	flag.Int64Var(&o.seed, "seed", 1, "bootstrap-simulation seed (when no -model)")
 	flag.IntVar(&o.shards, "shards", 0, "scoring shards: hosts are hashed onto shards, each owning its vPEs' LSTM streams and scored by its own worker (0 = GOMAXPROCS)")
-	flag.StringVar(&o.precision, "precision", "f64", "serving inference precision: f64 (reference), f32 (packed float32 kernels), or int8 (row-quantized GEMMs); training and checkpoints stay float64")
+	flag.StringVar(&o.precision, "precision", "f64", "serving inference precision: f64 (reference), f32 (packed float32 kernels; same warnings as f64 on every scenario measured, anomaly verdicts may differ near the threshold), or int8 (row-quantized GEMMs; false-alarm rate within 0.02 of f64); training and checkpoints stay float64")
 	flag.StringVar(&o.model, "model", "", "trained bundle from cmd/nfvtrain (empty: bootstrap on simulation); SIGHUP hot-reloads it")
 	flag.StringVar(&o.ckpt, "checkpoint", "", "checkpoint file: online state is saved here periodically and restored at startup (empty disables)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-interval", time.Minute, "how often to write the checkpoint")

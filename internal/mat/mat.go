@@ -200,34 +200,56 @@ func CosineSimilarity(v, w Vector) float64 {
 // Softmax returns the softmax of v computed with the max-subtraction trick
 // for numerical stability. The result sums to 1 for any finite input.
 func Softmax(v Vector) Vector {
-	if len(v) == 0 {
-		return Vector{}
-	}
-	m := v.Max()
 	out := make(Vector, len(v))
-	var sum float64
-	for i := range v {
-		e := math.Exp(v[i] - m)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
+	if len(v) > 0 {
+		SoftmaxInto(out, v)
 	}
 	return out
 }
 
-// LogSumExp returns log(Σ exp(v_i)) computed stably.
+// SoftmaxInto writes the softmax of v (non-empty) into dst, which may be
+// v itself, and returns LogSumExp(v) — the same bits, from the same terms
+// summed in the same order — so a caller that needs both pays for one set
+// of exponentials.
+func SoftmaxInto(dst, v Vector) (lse float64) {
+	mustSameLen(len(dst), len(v), "SoftmaxInto")
+	m := v.Max()
+	sum := addExpNeg(0, dst, v, m)
+	for i := range dst {
+		dst[i] /= sum
+	}
+	return m + math.Log(sum)
+}
+
+// LogSumExp returns log(Σ exp(v_i)) computed stably. The terms are taken
+// a stack buffer at a time, so the call needs no scratch from its caller.
 func LogSumExp(v Vector) float64 {
 	if len(v) == 0 {
 		return math.Inf(-1)
 	}
 	m := v.Max()
+	var buf [128]float64
 	var sum float64
-	for i := range v {
-		sum += math.Exp(v[i] - m)
+	for rest := v; len(rest) > 0; {
+		n := min(len(rest), len(buf))
+		sum = addExpNeg(sum, buf[:n], rest[:n], m)
+		rest = rest[n:]
 	}
 	return m + math.Log(sum)
+}
+
+// addExpNeg sets dst[i] = e^−(m − v[i]) through ExpNeg and returns sum
+// plus those terms, added one at a time in index order: the one place the
+// softmax family's sum is formed. dst may be v.
+func addExpNeg(sum float64, dst, v Vector, m float64) float64 {
+	for i, x := range v {
+		dst[i] = m - x
+	}
+	ExpNeg(dst, dst)
+	for _, e := range dst {
+		sum += e
+	}
+	return sum
 }
 
 // Matrix is a dense row-major float64 matrix.

@@ -114,7 +114,7 @@ func TestInferBatchIntoBitIdentical(t *testing.T) {
 // per-stream path; pair with BenchmarkStepLogProbsBatch8 for the batching
 // win at the serving model's default shape.
 func BenchmarkStepLogProbsSequential8(b *testing.B) {
-	m := NewSequenceModel(SeqModelConfig{Vocab: 80, Hidden: []int{32, 32}, UseGap: true, Seed: 1})
+	m := NewSequenceModel(servedShape)
 	const B = 8
 	sts := make([]*StreamState, B)
 	toks := make([]Token, B)
@@ -134,7 +134,7 @@ func BenchmarkStepLogProbsSequential8(b *testing.B) {
 // BenchmarkStepLogProbsBatch8 is the batched counterpart: one GEMM per
 // gate across 8 lanes.
 func BenchmarkStepLogProbsBatch8(b *testing.B) {
-	m := NewSequenceModel(SeqModelConfig{Vocab: 80, Hidden: []int{32, 32}, UseGap: true, Seed: 1})
+	m := NewSequenceModel(servedShape)
 	const B = 8
 	sts := make([]*StreamState, B)
 	toks := make([]Token, B)

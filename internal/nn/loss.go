@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"nfvpredict/internal/mat"
-)
+import "nfvpredict/internal/mat"
 
 // SoftmaxCrossEntropy returns the categorical cross-entropy loss of logits
 // against the integer target class, together with ∂loss/∂logits. The loss
@@ -23,18 +19,9 @@ func SoftmaxCrossEntropyInto(dst, logits mat.Vector, target int) (loss float64) 
 	if target < 0 || target >= len(logits) {
 		panic("nn: SoftmaxCrossEntropy target out of range")
 	}
-	lse := mat.LogSumExp(logits)
-	loss = lse - logits[target]
-	m := logits.Max()
-	var sum float64
-	for i, x := range logits {
-		e := math.Exp(x - m)
-		dst[i] = e
-		sum += e
-	}
-	for i := range dst {
-		dst[i] /= sum
-	}
+	// One set of exponentials gives both the softmax and, bit for bit,
+	// the LogSumExp that LogSoftmaxInto scores with.
+	loss = mat.SoftmaxInto(dst, logits) - logits[target]
 	dst[target] -= 1
 	return loss
 }

@@ -93,7 +93,8 @@ type lstmStep struct {
 	x            mat.Vector // dense input; nil when the step was sparse
 	in           oneHot     // sparse input, used when x == nil
 	hPrev, cPrev mat.Vector
-	i, f, g, o   mat.Vector
+	gates        mat.Vector // the 4H gate block: pre-activations, then outputs
+	i, f, g, o   mat.Vector // the four quarters of gates
 	c, tanhC, h  mat.Vector
 }
 
@@ -119,10 +120,8 @@ func (c *LSTMCache) nextStep(h int) *lstmStep {
 		c.steps = append(c.steps, lstmStep{})
 	}
 	s := &c.steps[len(c.steps)-1]
-	s.i = ensureVec(s.i, h)
-	s.f = ensureVec(s.f, h)
-	s.g = ensureVec(s.g, h)
-	s.o = ensureVec(s.o, h)
+	s.gates = ensureVec(s.gates, 4*h)
+	s.i, s.f, s.g, s.o = s.gates[:h], s.gates[h:2*h], s.gates[2*h:3*h], s.gates[3*h:]
 	s.c = ensureVec(s.c, h)
 	s.tanhC = ensureVec(s.tanhC, h)
 	s.h = ensureVec(s.h, h)
@@ -157,8 +156,15 @@ func (l *LSTM) StepOneHot(in oneHot, st *LSTMState, cache *LSTMCache) mat.Vector
 
 func (l *LSTM) step(x mat.Vector, in oneHot, st *LSTMState, cache *LSTMCache) mat.Vector {
 	H := l.Hidden
-	st.z = ensureVec(st.z, 4*H)
-	z := st.z
+	var s *lstmStep
+	var z mat.Vector
+	if cache == nil {
+		st.z = ensureVec(st.z, 4*H)
+		z = st.z
+	} else {
+		s = cache.nextStep(H)
+		z = s.gates
+	}
 	copy(z, l.Bp.W.Row(0))
 	switch {
 	case x != nil:
@@ -171,31 +177,77 @@ func (l *LSTM) step(x mat.Vector, in oneHot, st *LSTMState, cache *LSTMCache) ma
 	l.Whp.W.MulVecAdd(z, st.H)
 	if cache == nil {
 		// Inference: fold the gates straight into the state, in place.
-		for j := 0; j < H; j++ {
-			i := sigmoid(z[j])
-			f := sigmoid(z[H+j])
-			g := math.Tanh(z[2*H+j])
-			o := sigmoid(z[3*H+j])
-			c := f*st.C[j] + i*g
-			st.C[j] = c
-			st.H[j] = o * math.Tanh(c)
-		}
+		foldGates(z, st.C, st.C, st.H, st.H)
 		return st.H
 	}
-	s := cache.nextStep(H)
 	s.x, s.in = x, in
 	s.hPrev, s.cPrev = st.H, st.C
-	for j := 0; j < H; j++ {
-		s.i[j] = sigmoid(z[j])
-		s.f[j] = sigmoid(z[H+j])
-		s.g[j] = math.Tanh(z[2*H+j])
-		s.o[j] = sigmoid(z[3*H+j])
-		s.c[j] = s.f[j]*s.cPrev[j] + s.i[j]*s.g[j]
-		s.tanhC[j] = math.Tanh(s.c[j])
-		s.h[j] = s.o[j] * s.tanhC[j]
-	}
+	foldGates(z, s.cPrev, s.c, s.tanhC, s.h)
 	st.H, st.C = s.h, s.c
 	return s.h
+}
+
+// foldGates is the one definition of the LSTM cell's nonlinear half, under
+// inference, the BPTT tape and the batched step alike. It overwrites the
+// gate pre-activations z = [i f g o] (4H) with the gate outputs σ(i),
+// σ(f), tanh(g), σ(o), and advances the cell:
+//
+//	c = σ(f)⊙cPrev + σ(i)⊙tanh(g),  tanhC = tanh(c),  h = σ(o)⊙tanhC
+//
+// c may be cPrev and tanhC may be h, which is how the inference step
+// updates its state in place with no scratch beyond z.
+//
+// Every exponential comes from mat.ExpNeg, one call over the whole gate
+// block and one over c: with t = e^(−|z|), σ(z) is 1/(1+t) for z ≥ 0 and
+// t/(1+t) below, and with t = e^(−2|z|), tanh(z) is ±(1−t)/(1+t). ExpNeg
+// carries z's sign bit on t, which is where the second halves of those
+// read it, so no copy of z is kept. Against math.Exp and math.Tanh the
+// gate outputs, c and h move by at most 2e-15 (TestFoldGatesWithinContract).
+func foldGates(z, cPrev, c, tanhC, h mat.Vector) {
+	H := len(h)
+	zi, zf, zg, zo := z[:H], z[H:2*H], z[2*H:3*H], z[3*H:4*H]
+	cPrev, c, tanhC = cPrev[:H], c[:H], tanhC[:H]
+	for j, v := range zg {
+		zg[j] = v + v
+	}
+	mat.ExpNeg(z, z)
+	for j := range h {
+		i, f, g, o := sigmoidOf(zi[j]), sigmoidOf(zf[j]), tanhOf(zg[j]), sigmoidOf(zo[j])
+		zi[j], zf[j], zg[j], zo[j] = i, f, g, o
+		cj := f*cPrev[j] + i*g
+		c[j] = cj
+		tanhC[j] = cj + cj
+	}
+	mat.ExpNeg(tanhC, tanhC)
+	for j, t := range tanhC {
+		t = tanhOf(t)
+		tanhC[j] = t
+		h[j] = zo[j] * t
+	}
+}
+
+const (
+	signBit = 1 << 63
+	oneBits = 0x3ff0000000000000 // math.Float64bits(1)
+)
+
+// sigmoidOf finishes σ(z) from t = e^(−|z|) carrying z's sign bit: 1/(1+t)
+// for z ≥ 0 and t/(1+t) for z < 0. The numerator is picked by the sign bit
+// without a branch — gate signs are as good as random.
+func sigmoidOf(t float64) float64 {
+	bits := math.Float64bits(t)
+	abs := bits &^ signBit
+	neg := uint64(int64(bits) >> 63)   // all ones when z < 0
+	num := oneBits ^ (oneBits^abs)&neg // z < 0 ? t : 1
+	return math.Float64frombits(num) / (1 + math.Float64frombits(abs))
+}
+
+// tanhOf finishes tanh(z) from t = e^(−2|z|) carrying z's sign bit:
+// (1−t)/(1+t), with z's sign.
+func tanhOf(t float64) float64 {
+	bits := math.Float64bits(t)
+	t = math.Float64frombits(bits &^ signBit)
+	return math.Float64frombits(math.Float64bits((1-t)/(1+t)) | bits&signBit)
 }
 
 // stepBatch advances B independent recurrent states by one inference
@@ -211,7 +263,6 @@ func (l *LSTM) step(x mat.Vector, in oneHot, st *LSTMState, cache *LSTMCache) ma
 // j-summation order inside each dot product, so batched outputs are
 // bit-identical to B sequential steps.
 func (l *LSTM) stepBatch(ins []oneHot, xs *mat.Matrix, states []*LSTMState, z, hp *mat.Matrix) {
-	H := l.Hidden
 	B := len(states)
 	bias := l.Bp.W.Row(0)
 	for b := 0; b < B; b++ {
@@ -233,18 +284,8 @@ func (l *LSTM) stepBatch(ins []oneHot, xs *mat.Matrix, states []*LSTMState, z, h
 		copy(hp.Row(b), states[b].H)
 	}
 	l.Whp.W.MulMatAdd(z, hp)
-	for b := 0; b < B; b++ {
-		st := states[b]
-		zr := z.Row(b)
-		for j := 0; j < H; j++ {
-			i := sigmoid(zr[j])
-			f := sigmoid(zr[H+j])
-			g := math.Tanh(zr[2*H+j])
-			o := sigmoid(zr[3*H+j])
-			c := f*st.C[j] + i*g
-			st.C[j] = c
-			st.H[j] = o * math.Tanh(c)
-		}
+	for b, st := range states {
+		foldGates(z.Row(b), st.C, st.C, st.H, st.H)
 	}
 }
 

@@ -485,13 +485,18 @@ func BenchmarkTrainWindow(b *testing.B) {
 	}
 }
 
+// servedShape is the model the detector ships (detect.DefaultLSTMConfig:
+// two 32-unit layers over an 80-template vocabulary plus the gap column),
+// the shape the StepLogProbs rows of every precision are measured at.
+var servedShape = SeqModelConfig{Vocab: 80, Hidden: []int{32, 32}, UseGap: true, Seed: 1}
+
 func BenchmarkStepLogProbs(b *testing.B) {
-	m := NewSequenceModel(SeqModelConfig{Vocab: 64, Hidden: []int{48, 48}, UseGap: true, Seed: 1})
+	m := NewSequenceModel(servedShape)
 	st := m.NewStreamState()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.StepLogProbs(Token{ID: i % 64, Gap: 5}, st)
+		m.StepLogProbs(Token{ID: i % 80, Gap: 5}, st)
 	}
 }
 

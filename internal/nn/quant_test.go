@@ -204,10 +204,10 @@ func TestQuantStepAllocFree(t *testing.T) {
 	}
 }
 
-// benchModel32 mirrors BenchmarkStepLogProbs's model shape exactly so the
+// benchQuantModel mirrors BenchmarkStepLogProbs's model exactly so the
 // F32/Int8 rows in BENCH_serving.json are directly comparable.
 func benchQuantModel(b *testing.B, p Precision) (*SequenceModel, *StreamState) {
-	m := NewSequenceModel(SeqModelConfig{Vocab: 64, Hidden: []int{48, 48}, UseGap: true, Seed: 1})
+	m := NewSequenceModel(servedShape)
 	m.SetPrecision(p)
 	return m, m.NewStreamState()
 }
@@ -217,7 +217,7 @@ func BenchmarkStepLogProbsF32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.StepLogProbs(Token{ID: i % 64, Gap: 5}, st)
+		m.StepLogProbs(Token{ID: i % 80, Gap: 5}, st)
 	}
 }
 
@@ -226,6 +226,6 @@ func BenchmarkStepLogProbsInt8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.StepLogProbs(Token{ID: i % 64, Gap: 5}, st)
+		m.StepLogProbs(Token{ID: i % 80, Gap: 5}, st)
 	}
 }
