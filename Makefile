@@ -50,17 +50,12 @@ bench-smoke:
 # Full gate: what a CI job runs. Vet, build, the whole test suite, the
 # race pass over the concurrent packages (which covers the shard
 # lifecycle tests), the scenario-harness library (lint + end-to-end run
-# of every shipped scenario with its assertions), the lifecycle soaks
-# under -race (f64 and the
-# quantized f32 engine — the latter proves the atomic engine swap on
-# promotion is safe against concurrent scorers), the quantized-parity
-# smoke (f32 warning-sequence parity, int8 FAR-delta gate, and the
-# invalidate/re-pack staleness invariants), and benchmark smoke runs:
-# the metrics hot path and the scoring kernels at every serving
-# precision (f64/f32/int8 LSTM step and gate fold, blocked matvec, the
-# exp kernel, packed f32 and int8 matvec). The hard 0 allocs/op
-# assertions are TestHotPathAllocFree, TestScoringHotPathAllocFree,
-# TestPushBatchAlternatingModelsAllocFree and TestQuantStepAllocFree,
+# of every shipped scenario with its assertions), and benchmark smoke
+# runs: the metrics hot path and the scoring kernels (LSTM step and gate
+# fold, blocked matvec, the exp kernel). The race pass includes
+# TestLifecycleSoakSmoke, which promotes a candidate against concurrent
+# scorers. The hard 0 allocs/op assertions are TestHotPathAllocFree,
+# TestScoringHotPathAllocFree and TestPushBatchAlternatingModelsAllocFree,
 # which run with the suite. The last two lines are the tracing-overhead
 # gate: a smoke run of the traced/untraced HandleMessage pair plus
 # TestSpanOverhead, which fails ci if span instrumentation costs more
@@ -84,9 +79,6 @@ ci: build
 	$(MAKE) test-race
 	$(MAKE) chaos
 	$(MAKE) scenarios
-	$(GO) test ./internal/lifecycle/ -run 'TestLifecycleSoakSmoke|TestLifecycleSoakQuantized' -race -count=1
-	$(GO) test ./internal/ingest/ -run 'TestQuantF32WarningParity|TestQuantInt8FARDelta' -count=1
-	$(GO) test ./internal/detect/ -run 'TestSetPrecision|TestClonePropagatesPrecision|TestUpdateRepacks|TestAdaptRepacks' -count=1
 	$(GO) test ./internal/obs/ -run XXX -bench Registry -benchtime=1x -benchmem
 	$(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs|GateFold' -benchtime=1x -benchmem
 	$(GO) test ./internal/mat/ -run XXX -bench 'MulMatAdd|MulVecAdd|ExpNeg' -benchtime=1x -benchmem
@@ -110,8 +102,8 @@ bench-serving:
 	$(GO) test ./internal/ingest/ -run XXX -bench 'MonitorHandleMessage|MonitorParallel|ShardSerialSection|ShardTokenize' -benchmem
 
 # Machine-readable serving benchmarks: runs the scoring-path benchmarks
-# (monitor, tokenize-and-match old vs interned, the LSTM step at every
-# precision and batched, gate fold, matvec and exp kernels) and converts
+# (monitor, tokenize-and-match old vs interned, the LSTM step sequential
+# and batched, gate fold, matvec and exp kernels) and converts
 # the output to BENCH_serving.json via cmd/benchjson (ns/op, B/op,
 # allocs/op, a derived msgs_per_sec = 1e9/ns for the per-message
 # benchmarks, and b_per_op_delta against the committed

@@ -59,12 +59,11 @@ import (
 
 // options collects the flag values.
 type options struct {
-	udp, tcp  string
-	threshold float64
-	year      int
-	seed      int64
-	shards    int
-	precision string
+	udp, tcp   string
+	threshold  float64
+	year       int
+	seed       int64
+	shards     int
 	model      string
 	ckpt       string
 	ckptEvery  time.Duration
@@ -84,31 +83,35 @@ type options struct {
 	adaptSpool    string
 }
 
+// registerFlags declares every nfvmonitor flag on fs, bound to o.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.udp, "udp", "127.0.0.1:5514", "UDP listen address (empty disables)")
+	fs.StringVar(&o.tcp, "tcp", "", "TCP listen address (empty disables)")
+	fs.Float64Var(&o.threshold, "threshold", 6, "anomaly threshold (negative log-likelihood; overridden by a bundle's recommendation)")
+	fs.IntVar(&o.year, "year", time.Now().Year(), "year for RFC 3164 timestamps")
+	fs.Int64Var(&o.seed, "seed", 1, "bootstrap-simulation seed (when no -model)")
+	fs.IntVar(&o.shards, "shards", 0, "scoring shards: hosts are hashed onto shards, each owning its vPEs' LSTM streams and scored by its own worker (0 = GOMAXPROCS)")
+	fs.StringVar(&o.model, "model", "", "trained bundle from cmd/nfvtrain (empty: bootstrap on simulation); SIGHUP hot-reloads it")
+	fs.StringVar(&o.ckpt, "checkpoint", "", "checkpoint file: online state is saved here periodically and restored at startup (empty disables)")
+	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", time.Minute, "how often to write the checkpoint")
+	fs.StringVar(&o.admin, "admin", "", "admin HTTP listen address serving /metrics, /statusz, /traces, /healthz, /readyz, /debug/pprof (empty disables)")
+	fs.IntVar(&o.traceBuf, "trace-buffer", 256, "decision traces retained for /traces")
+	fs.IntVar(&o.spanBuf, "span-buffer", 512, "pipeline spans retained for /spans")
+	fs.IntVar(&o.spanSample, "span-sample", 16, "stage-clock sampling: 1 in N accepted messages carries a full span stage breakdown (warnings always get a span); 0 disables sampling — and with it the accept_verdict_latency SLO, which only observes sampled verdicts (/slo marks it inactive)")
+	fs.DurationVar(&o.sloLatency, "slo-latency", 250*time.Millisecond, "accept→verdict latency bound for the accept_verdict_latency SLO")
+	fs.StringVar(&o.burnDir, "profile-on-burn", "", "directory for CPU profiles captured when an SLO fast window starts burning (empty disables)")
+	fs.BoolVar(&o.verbose, "v", false, "verbose (debug-level) logging")
+	fs.DurationVar(&o.watchdog, "watchdog", 30*time.Second, "stuck-shard-worker deadline: a worker with queued work and no heartbeat progress for this long is abandoned and replaced (0 disables)")
+	fs.BoolVar(&o.chaos, "chaos", false, "enable runtime fault injection: registers the process-wide fault points and mounts the /chaos admin endpoint (drills only — never in production)")
+	fs.BoolVar(&o.adapt, "adapt", false, "enable the online model lifecycle: drift detection, background fine-tuning, shadow-gated promotion (adds /models to the admin surface)")
+	fs.DurationVar(&o.adaptInterval, "adapt-interval", 10*time.Minute, "lifecycle cycle period (drift check + possible adaptation)")
+	fs.Float64Var(&o.adaptGate, "adapt-gate", 0.02, "promotion gate: max false-alarm rate a candidate may show on held-out spooled traffic")
+	fs.StringVar(&o.adaptSpool, "adapt-spool", "", "spool file: recent normal windows are persisted here with the checkpoint and restored at startup (empty disables)")
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.udp, "udp", "127.0.0.1:5514", "UDP listen address (empty disables)")
-	flag.StringVar(&o.tcp, "tcp", "", "TCP listen address (empty disables)")
-	flag.Float64Var(&o.threshold, "threshold", 6, "anomaly threshold (negative log-likelihood; overridden by a bundle's recommendation)")
-	flag.IntVar(&o.year, "year", time.Now().Year(), "year for RFC 3164 timestamps")
-	flag.Int64Var(&o.seed, "seed", 1, "bootstrap-simulation seed (when no -model)")
-	flag.IntVar(&o.shards, "shards", 0, "scoring shards: hosts are hashed onto shards, each owning its vPEs' LSTM streams and scored by its own worker (0 = GOMAXPROCS)")
-	flag.StringVar(&o.precision, "precision", "f64", "serving inference precision: f64 (reference), f32 (packed float32 kernels; same warnings as f64 on every scenario measured, anomaly verdicts may differ near the threshold), or int8 (row-quantized GEMMs; false-alarm rate within 0.02 of f64); training and checkpoints stay float64")
-	flag.StringVar(&o.model, "model", "", "trained bundle from cmd/nfvtrain (empty: bootstrap on simulation); SIGHUP hot-reloads it")
-	flag.StringVar(&o.ckpt, "checkpoint", "", "checkpoint file: online state is saved here periodically and restored at startup (empty disables)")
-	flag.DurationVar(&o.ckptEvery, "checkpoint-interval", time.Minute, "how often to write the checkpoint")
-	flag.StringVar(&o.admin, "admin", "", "admin HTTP listen address serving /metrics, /statusz, /traces, /healthz, /readyz, /debug/pprof (empty disables)")
-	flag.IntVar(&o.traceBuf, "trace-buffer", 256, "decision traces retained for /traces")
-	flag.IntVar(&o.spanBuf, "span-buffer", 512, "pipeline spans retained for /spans")
-	flag.IntVar(&o.spanSample, "span-sample", 16, "stage-clock sampling: 1 in N accepted messages carries a full span stage breakdown (warnings always get a span); 0 disables sampling — and with it the accept_verdict_latency SLO, which only observes sampled verdicts (/slo marks it inactive)")
-	flag.DurationVar(&o.sloLatency, "slo-latency", 250*time.Millisecond, "accept→verdict latency bound for the accept_verdict_latency SLO")
-	flag.StringVar(&o.burnDir, "profile-on-burn", "", "directory for CPU profiles captured when an SLO fast window starts burning (empty disables)")
-	flag.BoolVar(&o.verbose, "v", false, "verbose (debug-level) logging")
-	flag.DurationVar(&o.watchdog, "watchdog", 30*time.Second, "stuck-shard-worker deadline: a worker with queued work and no heartbeat progress for this long is abandoned and replaced (0 disables)")
-	flag.BoolVar(&o.chaos, "chaos", false, "enable runtime fault injection: registers the process-wide fault points and mounts the /chaos admin endpoint (drills only — never in production)")
-	flag.BoolVar(&o.adapt, "adapt", false, "enable the online model lifecycle: drift detection, background fine-tuning, shadow-gated promotion (adds /models to the admin surface)")
-	flag.DurationVar(&o.adaptInterval, "adapt-interval", 10*time.Minute, "lifecycle cycle period (drift check + possible adaptation)")
-	flag.Float64Var(&o.adaptGate, "adapt-gate", 0.02, "promotion gate: max false-alarm rate a candidate may show on held-out spooled traffic")
-	flag.StringVar(&o.adaptSpool, "adapt-spool", "", "spool file: recent normal windows are persisted here with the checkpoint and restored at startup (empty disables)")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -154,19 +157,10 @@ type app struct {
 	reloadFailures *obs.Counter
 	ckptFailures   *obs.Counter
 	lastCkptUnix   *obs.Gauge
-	packedBytesG   *obs.Gauge
-
-	// precision is the serving inference mode every generation of
-	// detectors is packed to (-precision flag); immutable after run starts.
-	precision detect.Precision
 
 	mu     sync.Mutex
 	bundle bundleStatus
 	ckpt   ckptStatus
-	// dets is the currently serving detector set, for packed-memory
-	// accounting; with the lifecycle enabled its Serving() set wins (it
-	// changes on promotions the app never sees).
-	dets []*detect.LSTMDetector
 }
 
 // bundleStatus describes the serving model for /statusz.
@@ -220,11 +214,6 @@ type statusDoc struct {
 	SLOs       []obs.SLOStatus     `json:"slos,omitempty"`
 	Lifecycle  *lifecycle.Status   `json:"lifecycle,omitempty"`
 	Resilience resilienceStatus    `json:"resilience"`
-	// Precision is the active serving inference mode (f64/f32/int8);
-	// ModelPackedBytes is the total packed-weight footprint of the
-	// quantized serving engines (0 at f64).
-	Precision        string `json:"precision"`
-	ModelPackedBytes int    `json:"model_packed_bytes"`
 }
 
 // newApp builds the observability plumbing shared by every code path.
@@ -278,32 +267,6 @@ func newApp(log *obs.Logger, traceBuf, spanBuf, spanSample int) *app {
 	return a
 }
 
-// packedBytes sums the packed-weight footprint of the serving detectors,
-// preferring the lifecycle's live serving set (promotions replace
-// detectors behind the app's back).
-func (a *app) packedBytes() int {
-	var dets []*detect.LSTMDetector
-	if a.life != nil {
-		if ms := a.life.Serving(); ms != nil {
-			dets = ms.Detectors
-		}
-	} else {
-		a.mu.Lock()
-		dets = a.dets
-		a.mu.Unlock()
-	}
-	total := 0
-	for _, d := range dets {
-		if d != nil {
-			total += d.PackedBytes()
-		}
-	}
-	if a.packedBytesG != nil {
-		a.packedBytesG.SetInt(total)
-	}
-	return total
-}
-
 // status builds the /statusz document.
 func (a *app) status() any {
 	a.mu.Lock()
@@ -348,8 +311,6 @@ func (a *app) status() any {
 			doc.Resilience.DegradeReason = a.degrader.Reason()
 		}
 	}
-	doc.Precision = a.precision.String()
-	doc.ModelPackedBytes = a.packedBytes()
 	return doc
 }
 
@@ -461,13 +422,6 @@ func (a *app) reload(model string) error {
 		a.log.Error("hot-reload rejected, keeping serving bundle", "model", model, "err", err)
 		return err
 	}
-	// Pack the incoming detectors to the serving precision before any
-	// message can score against them; the outgoing generation's engines go
-	// with it. Bundles never carry a packed engine — precision is runtime
-	// state, re-derived from the float64 weights on every load.
-	for _, d := range b.Detectors {
-		d.SetPrecision(a.precision)
-	}
 	a.mon.SwapModel(b.Tree, b.DetectorFor, b.Threshold)
 	a.mon.SetClusterOf(func(host string) int {
 		if ci, ok := b.Assign[host]; ok {
@@ -475,10 +429,6 @@ func (a *app) reload(model string) error {
 		}
 		return 0
 	})
-	a.mu.Lock()
-	a.dets = append([]*detect.LSTMDetector(nil), b.Detectors...)
-	a.mu.Unlock()
-	a.packedBytes()
 	if a.life != nil {
 		// The monitor is already swapped; realign the lifecycle (new
 		// template lineage: spools rebuilt, drift references reset,
@@ -627,32 +577,10 @@ func run(o options) error {
 		a.profiler.Export(a.reg)
 	}
 
-	prec, err := detect.ParsePrecision(o.precision)
-	if err != nil {
-		return err
-	}
-	a.precision = prec
-	a.reg.Gauge(obs.LabelName("serving_precision_info", "mode", prec.String()),
-		"Active serving inference precision (the labelled mode is 1).").SetInt(1)
-	a.packedBytesG = a.reg.Gauge("model_packed_bytes",
-		"Packed-weight footprint of the quantized serving engines (0 at f64).")
-
 	tree, resolve, clusterOf, threshold, ms, err := loadServing(a, o.model, o.threshold, o.seed)
 	if err != nil {
 		return err
 	}
-	// Pack the bootstrap/bundle detectors once at startup; every later
-	// generation (hot reload, lifecycle promotion/rollback) re-packs on its
-	// own path. The resolver serves the same detector objects, so packing
-	// the ModelSet covers both.
-	for _, d := range ms.Detectors {
-		if d != nil {
-			d.SetPrecision(prec)
-		}
-	}
-	a.dets = append([]*detect.LSTMDetector(nil), ms.Detectors...)
-	a.packedBytes()
-
 	mcfg := ingest.DefaultMonitorConfig()
 	mcfg.Threshold = threshold
 	mcfg.Metrics = a.reg
@@ -661,7 +589,6 @@ func run(o options) error {
 	mcfg.LatencySLO = a.sloLatency
 	mcfg.LatencyBound = o.sloLatency
 	mcfg.ClusterOf = clusterOf
-	mcfg.Precision = prec
 	mcfg.Shards = o.shards
 	if mcfg.Shards <= 0 {
 		mcfg.Shards = runtime.GOMAXPROCS(0)
@@ -829,7 +756,6 @@ func run(o options) error {
 		case <-degradeTick.C:
 			a.sampleDegrade()
 		case <-status.C:
-			a.packedBytes() // refresh the gauge after lifecycle promotions
 			mst := a.mon.Stats()
 			sst := srv.Stats()
 			a.log.Info("status",

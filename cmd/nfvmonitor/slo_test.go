@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"strings"
@@ -114,6 +115,35 @@ func TestStatuszObservabilitySections(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("statusz slos missing %q: %v", want, names)
 		}
+	}
+}
+
+// TestOneInferenceEngineSurface pins that serving precision is not a
+// setting: /statusz and /metrics report no precision or packed-weight
+// figure, and -precision is an undefined flag, not an accepted no-op.
+func TestOneInferenceEngineSurface(t *testing.T) {
+	_, mux := testApp(t)
+	_, body := get(t, mux, "/statusz")
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("statusz JSON: %v\n%s", err, body)
+	}
+	for _, key := range []string{"precision", "model_packed_bytes"} {
+		if _, ok := doc[key]; ok {
+			t.Errorf("statusz still carries %q", key)
+		}
+	}
+	_, metrics := get(t, mux, "/metrics")
+	for _, series := range []string{"serving_precision_info", "model_packed_bytes"} {
+		if strings.Contains(metrics, series) {
+			t.Errorf("/metrics still exports %s", series)
+		}
+	}
+	fs := flag.NewFlagSet("nfvmonitor", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	registerFlags(fs, new(options))
+	if err := fs.Parse([]string{"-precision", "f64"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-precision f64 must fail as an undefined flag, got: %v", err)
 	}
 }
 

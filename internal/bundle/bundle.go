@@ -147,23 +147,17 @@ func (b *Bundle) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reconstructs and validates a bundle saved with Save. Unframed input
-// (a pre-versioning bundle, which starts with a gob header rather than the
-// magic) is accepted for compatibility; framed input with a bad magic,
-// unknown version, short payload, or checksum mismatch is rejected with an
-// error naming the failure.
+// Load reconstructs and validates a bundle saved with Save. Input with a
+// missing or damaged magic, unknown version, short payload, or checksum
+// mismatch is rejected with an error naming the failure.
 func Load(r io.Reader) (*Bundle, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("bundle: reading: %w", err)
 	}
-	payload, framed, err := wireframe.Decode(data, Magic, Version)
+	payload, err := wireframe.Decode(data, Magic, Version)
 	if err != nil {
 		return nil, fmt.Errorf("bundle: %w", err)
-	}
-	if !framed {
-		// Pre-versioning bundles are raw gob with no frame.
-		payload = data
 	}
 	var wf wire
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {

@@ -14,6 +14,7 @@ import (
 	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/sigtree"
+	"nfvpredict/internal/wireframe"
 )
 
 func trainedBundle(t *testing.T) *Bundle {
@@ -179,13 +180,9 @@ func TestValidateRejectsNegativeThreshold(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsBadAssignInPayload corrupts the payload the way a buggy
-// trainer would (bad index, valid checksum): Load must reject it at load
-// time rather than serving cluster-0 fallbacks silently.
-func TestLoadRejectsBadAssignInPayload(t *testing.T) {
-	b := trainedBundle(t)
-	b.Assign["vpe-evil"] = 7
-	// Bypass Save's validation by writing the legacy (unframed) payload.
+// gobPayload gob-encodes b's wire form without Save's validation or frame.
+func gobPayload(t *testing.T, b *Bundle) []byte {
+	t.Helper()
 	var wf wire
 	var tb bytes.Buffer
 	if err := b.Tree.Save(&tb); err != nil {
@@ -201,6 +198,20 @@ func TestLoadRejectsBadAssignInPayload(t *testing.T) {
 	wf.Threshold = b.Threshold
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&wf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsBadAssignInPayload corrupts the payload the way a buggy
+// trainer would (bad index, valid checksum): Load must reject it at load
+// time rather than serving cluster-0 fallbacks silently.
+func TestLoadRejectsBadAssignInPayload(t *testing.T) {
+	b := trainedBundle(t)
+	b.Assign["vpe-evil"] = 7
+	// Bypass Save's validation by framing the payload directly.
+	var buf bytes.Buffer
+	if err := wireframe.Encode(&buf, Magic, Version, gobPayload(t, b)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "cluster") {
@@ -208,33 +219,13 @@ func TestLoadRejectsBadAssignInPayload(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyUnframed ensures pre-versioning bundles (raw gob, no magic
-// header) still load.
+// TestLoadLegacyUnframed ensures a raw gob payload with no frame (the
+// pre-versioning format, or a bundle whose magic bytes are damaged) is
+// rejected by name instead of being decoded without its checksum.
 func TestLoadLegacyUnframed(t *testing.T) {
-	b := trainedBundle(t)
-	var wf wire
-	var tb bytes.Buffer
-	if err := b.Tree.Save(&tb); err != nil {
-		t.Fatal(err)
-	}
-	wf.Tree = tb.Bytes()
-	var db bytes.Buffer
-	if err := b.Detectors[0].Save(&db); err != nil {
-		t.Fatal(err)
-	}
-	wf.Detectors = [][]byte{db.Bytes()}
-	wf.Assign = b.Assign
-	wf.Threshold = b.Threshold
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Threshold != b.Threshold || loaded.Tree.Len() != b.Tree.Len() {
-		t.Fatalf("legacy load mismatch: %+v", loaded)
+	_, err := Load(bytes.NewReader(gobPayload(t, trainedBundle(t))))
+	if err == nil || !strings.Contains(err.Error(), "missing") || !strings.Contains(err.Error(), Magic) {
+		t.Fatalf("unframed bundle must be rejected naming the %q magic, got: %v", Magic, err)
 	}
 }
 

@@ -110,34 +110,29 @@ func TestScoringHotPathAllocFree(t *testing.T) {
 
 // TestPushBatchAlternatingModelsAllocFree is the allocation gate on a wave
 // that mixes cluster models: one StreamBatch scores the lanes of two
-// detectors, so the model-level scratch serves two engines in turn on
-// every call, and at every serving precision that must cost nothing after
-// warm-up. (Keyed on the engine, the packed engines' scratch was rebuilt
-// at each switch: 7 allocations a message at f32 on the fleet benchmark.)
+// detectors, so the model-level scratch serves two models in turn on every
+// call, and that must cost nothing after warm-up.
 func TestPushBatchAlternatingModelsAllocFree(t *testing.T) {
 	dets := []*LSTMDetector{batchDetector(t, 1), batchDetector(t, 2)}
 	base := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	for _, prec := range []Precision{PrecisionF64, PrecisionF32, PrecisionInt8} {
-		const B = 8
-		streams := make([]*LSTMStream, B)
-		events := make([]features.Event, B)
-		scores := make([]float64, B)
-		for b := 0; b < B; b++ {
-			dets[b%2].SetPrecision(prec)
-			streams[b] = dets[b%2].NewStream()
-			events[b] = features.Event{Time: base, Template: b % 5}
+	const B = 8
+	streams := make([]*LSTMStream, B)
+	events := make([]features.Event, B)
+	scores := make([]float64, B)
+	for b := 0; b < B; b++ {
+		streams[b] = dets[b%2].NewStream()
+		events[b] = features.Event{Time: base, Template: b % 5}
+	}
+	var bs StreamBatch
+	for warm := 0; warm < 2; warm++ { // the first push only starts the streams
+		PushBatch(&bs, streams, events, scores)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for b := range events {
+			events[b].Time = events[b].Time.Add(30 * time.Second)
 		}
-		var bs StreamBatch
-		for warm := 0; warm < 2; warm++ { // the first push only starts the streams
-			PushBatch(&bs, streams, events, scores)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			for b := range events {
-				events[b].Time = events[b].Time.Add(30 * time.Second)
-			}
-			PushBatch(&bs, streams, events, scores)
-		}); n != 0 {
-			t.Errorf("%v: PushBatch over two models allocates %v per run, want 0", prec, n)
-		}
+		PushBatch(&bs, streams, events, scores)
+	}); n != 0 {
+		t.Errorf("PushBatch over two models allocates %v per run, want 0", n)
 	}
 }

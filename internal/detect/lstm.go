@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nfvpredict/internal/features"
@@ -87,13 +86,6 @@ type LSTMDetector struct {
 	trainer *nn.BatchTrainer
 	rng     *rand.Rand
 	met     lstmMetrics
-	// precision is the serving-path inference mode (see precision.go),
-	// stored atomically: the lifecycle re-packs serving sets (promotion,
-	// rollback, reload) while in-flight cycles Clone the same detectors.
-	// The float64 master model is authoritative regardless; reduced
-	// precisions pack a read-only serving mirror after every training
-	// entry point.
-	precision atomic.Uint32
 }
 
 // lstmMetrics holds the detector's observability handles. All fields are
@@ -213,10 +205,6 @@ func (d *LSTMDetector) Clone() *LSTMDetector {
 	out.vocab = d.vocab.Clone()
 	out.opt = nn.NewAdam(d.cfg.LR, d.cfg.Clip)
 	out.rebuildTrainer()
-	// The clone inherits the precision setting but no packed engine
-	// (model.Clone never copies one): clones exist to be fine-tuned, and
-	// Update/Adapt re-pack on completion. At f64 this whole path is free.
-	out.precision.Store(d.precision.Load())
 	return out
 }
 
@@ -281,7 +269,6 @@ func (d *LSTMDetector) Train(streams [][]features.Event) error {
 		d.trainEpoch(wins)
 	}
 	d.overSampleLoop(wins)
-	d.repack()
 	return nil
 }
 
@@ -296,12 +283,10 @@ func (d *LSTMDetector) Update(streams [][]features.Event) error {
 	if d.model == nil {
 		return d.Train(streams)
 	}
-	d.invalidatePacked()
 	wins := d.windows(streams)
 	for e := 0; e < d.cfg.UpdateEpochs; e++ {
 		d.trainEpoch(wins)
 	}
-	d.repack()
 	return nil
 }
 
@@ -312,7 +297,6 @@ func (d *LSTMDetector) Adapt(streams [][]features.Event) error {
 	if d.model == nil {
 		return d.Train(streams)
 	}
-	d.invalidatePacked()
 	d.vocab.Assign(streams)
 	student := d.model.Clone()
 	// Never freeze the whole recurrent stack: fine-tuning needs at least
@@ -345,7 +329,6 @@ func (d *LSTMDetector) Adapt(streams [][]features.Event) error {
 		d.trainEpoch(wins)
 	}
 	d.model.Unfreeze()
-	d.repack()
 	return nil
 }
 

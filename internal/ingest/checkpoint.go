@@ -149,12 +149,9 @@ func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *d
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: reading: %w", err)
 	}
-	payload, framed, err := wireframe.Decode(data, CheckpointMagic, CheckpointVersion)
+	payload, err := wireframe.Decode(data, CheckpointMagic, CheckpointVersion)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if !framed {
-		return nil, fmt.Errorf("checkpoint: not a checkpoint file (missing %q magic)", CheckpointMagic)
 	}
 	var wf checkpointWire
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {

@@ -71,14 +71,6 @@ type MonitorConfig struct {
 	// fault points (zero overhead beyond a nil check per batch).
 	Faults *faultinject.Registry
 
-	// Precision selects the serving-path inference engine (f64 reference,
-	// packed f32, or row-quantized int8) — see internal/nn's quantized
-	// serving path. NewMonitor applies it to its detector at construction;
-	// NewMonitorWithResolver callers own packing (the monitor cannot
-	// enumerate a resolver's detectors), typically by calling SetPrecision
-	// on each detector before serving. The zero value is PrecisionF64.
-	Precision detect.Precision
-
 	// Metrics, when set, is the registry the monitor reports into
 	// (counters mirror Stats(); latency and score histograms are only
 	// maintained when a registry is attached, so an uninstrumented
@@ -320,9 +312,6 @@ type clusterState struct {
 // NewMonitor builds a monitor from a grown signature tree and a trained
 // LSTM detector. onWarning (optional) fires once per warning signature.
 func NewMonitor(cfg MonitorConfig, tree *sigtree.Tree, det *detect.LSTMDetector, onWarning func(detect.Warning)) *Monitor {
-	if det != nil && cfg.Precision != detect.PrecisionF64 {
-		det.SetPrecision(cfg.Precision)
-	}
 	return NewMonitorWithResolver(cfg, tree, func(string) *detect.LSTMDetector { return det }, onWarning)
 }
 
@@ -439,12 +428,6 @@ func (m *Monitor) shardFor(host string) int {
 
 // ShardCount returns the number of scoring shards.
 func (m *Monitor) ShardCount() int { return len(m.shards) }
-
-// Precision returns the configured serving precision. Model owners (the
-// lifecycle manager, SwapModel callers) read it to re-pack incoming
-// detectors so a promotion or rollback never downgrades the serving
-// engine silently.
-func (m *Monitor) Precision() detect.Precision { return m.cfg.Precision }
 
 // hasHost reports whether host currently has live state (a test hook; the
 // shard map is otherwise private to its mutex).

@@ -233,10 +233,10 @@ func TestShardLifecycleConcurrency(t *testing.T) {
 	}
 	// The monitor restarts cleanly after a full stop.
 	mon.Start()
+	before := mon.Stats().Messages // read first: the worker may drain the message at once
 	if !mon.Enqueue(msgs[0]) {
 		t.Fatal("enqueue after restart refused")
 	}
-	before := mon.Stats().Messages
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && mon.Stats().Messages == before {
 		time.Sleep(2 * time.Millisecond)

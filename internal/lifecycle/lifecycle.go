@@ -736,26 +736,6 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 	return res, nil
 }
 
-// applyPrecisionLocked re-packs every detector of an incoming serving set
-// to the monitor's configured precision before it starts serving, so a
-// promotion or rollback can never put an unpacked (or stale-packed) model
-// behind a quantized monitor. Detectors re-pack from their float64 master
-// weights; at PrecisionF64 the per-detector call only clears, so the f64
-// deployment pays nothing. Caller holds m.mu; the monitor shard locks are
-// NOT held yet (SetPrecision is an atomic engine store, safe against
-// concurrent scorers).
-func (m *Manager) applyPrecisionLocked(ms *ModelSet) {
-	if m.mon == nil || ms == nil {
-		return
-	}
-	p := m.mon.Precision()
-	for _, d := range ms.Detectors {
-		if d != nil {
-			d.SetPrecision(p)
-		}
-	}
-}
-
 // promoteLocked installs next as the serving set, keeping the old one for
 // rollback, and swaps the monitor atomically (SwapModel holds every shard
 // lock, so no message scores against a half-swapped model). The current
@@ -766,7 +746,6 @@ func (m *Manager) promoteLocked(next *ModelSet, reason string) {
 	m.serving = next
 	m.generation++
 	if m.mon != nil {
-		m.applyPrecisionLocked(next)
 		m.mon.SwapModel(m.mon.Tree(), next.Resolver(), next.Threshold)
 		m.mon.SetClusterOf(next.ClusterOf())
 	}
@@ -813,7 +792,6 @@ func (m *Manager) Rollback() error {
 	m.serving, m.prev = m.prev, cur
 	m.generation++
 	if m.mon != nil {
-		m.applyPrecisionLocked(m.serving)
 		m.mon.SwapModel(m.mon.Tree(), m.serving.Resolver(), m.serving.Threshold)
 		m.mon.SetClusterOf(m.serving.ClusterOf())
 	}
@@ -835,7 +813,6 @@ func (m *Manager) Rollback() error {
 // (they belong to the old lineage).
 func (m *Manager) SetServing(ms *ModelSet) {
 	m.mu.Lock()
-	m.applyPrecisionLocked(ms)
 	m.serving = ms
 	m.prev = nil
 	m.pending = make(map[int]*detect.LSTMDetector)

@@ -100,12 +100,9 @@ func (m *Manager) LoadSpool(path string) error {
 		}
 		return err
 	}
-	payload, framed, err := wireframe.Decode(data, SpoolMagic, SpoolVersion)
+	payload, err := wireframe.Decode(data, SpoolMagic, SpoolVersion)
 	if err != nil {
 		return m.quarantineSpool(path, err)
-	}
-	if !framed {
-		return m.quarantineSpool(path, fmt.Errorf("not a spool file"))
 	}
 	var wf spoolWire
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {

@@ -211,12 +211,11 @@ func patternStream(rng *rand.Rand, n, vocab, period int, noise float64) []Token 
 	return toks
 }
 
-// TestVerdictsEqualLibm is the f64 counterpart of the root f32/int8
-// calibration gates: a model trained here (through foldGates and
-// SoftmaxInto) scores 6000 events twice, once per definition of the
-// activations, each on its own recurrent trajectory, and every anomaly
-// verdict — −log p(next) over a fixed threshold, as detect scores — must
-// agree.
+// TestVerdictsEqualLibm is the verdict half of the numeric contract: a
+// model trained here (through foldGates and SoftmaxInto) scores 6000
+// events twice, once per definition of the activations, each on its own
+// recurrent trajectory, and every anomaly verdict — −log p(next) over a
+// fixed threshold, as detect scores — must agree.
 func TestVerdictsEqualLibm(t *testing.T) {
 	const vocab, threshold = 16, 2.0
 	m := NewSequenceModel(SeqModelConfig{Vocab: vocab, Hidden: []int{16, 12}, UseGap: true, Seed: 9})

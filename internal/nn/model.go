@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"nfvpredict/internal/mat"
 )
@@ -51,10 +50,6 @@ type SequenceModel struct {
 	lstms []*LSTM
 	out   *Dense
 	tr    *trainArena
-	// quant holds the packed reduced-precision serving engine, nil when
-	// serving float64. Atomic so packing/invalidation is race-free
-	// against concurrent scorers; see quant.go.
-	quant atomic.Pointer[quantEngine]
 }
 
 // trainArena holds every reusable buffer one TrainWindow pass needs, so
@@ -248,9 +243,6 @@ type StreamState struct {
 	layers []*LSTMState
 	logits mat.Vector
 	logp   mat.Vector
-	// qs is the quantized-path scratch, lazily built per engine; it holds
-	// no recurrent state (that stays in layers), only step buffers.
-	qs *quantScratch
 }
 
 // NewStreamState returns a zeroed streaming state.
@@ -321,9 +313,6 @@ func (m *SequenceModel) StepLogits(tok Token, st *StreamState) mat.Vector {
 // vector aliases st's scratch and stays valid until the next step on the
 // same state.
 func (m *SequenceModel) StepLogProbs(tok Token, st *StreamState) mat.Vector {
-	if e := m.quant.Load(); e != nil {
-		return m.stepQuant(e, tok, st)
-	}
 	st.logp = ensureVec(st.logp, m.cfg.Vocab)
 	return LogSoftmaxInto(st.logp, m.StepLogits(tok, st))
 }
@@ -341,7 +330,6 @@ type BatchScratch struct {
 	hp     *mat.Matrix // gathered previous hidden states [B×H]
 	logits *mat.Matrix // output logits [B×Vocab]
 	out    []mat.Vector
-	q      *quantBatchScratch // quantized-path lane buffers, lazily built
 }
 
 // ensureMat returns m resliced to rows×cols, reallocating only when the
@@ -365,9 +353,6 @@ func ensureMat(m *mat.Matrix, rows, cols int) *mat.Matrix {
 // wave-schedule repeats of the same host into later batches). Every lane is
 // bit-identical to a sequential StepLogProbs on the same token and state.
 func (m *SequenceModel) StepLogProbsBatch(toks []Token, sts []*StreamState, sc *BatchScratch) []mat.Vector {
-	if e := m.quant.Load(); e != nil {
-		return m.stepQuantBatch(e, toks, sts, sc)
-	}
 	B := len(toks)
 	if len(sts) != B {
 		panic("nn: StepLogProbsBatch lane count mismatch")

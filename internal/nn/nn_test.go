@@ -487,7 +487,7 @@ func BenchmarkTrainWindow(b *testing.B) {
 
 // servedShape is the model the detector ships (detect.DefaultLSTMConfig:
 // two 32-unit layers over an 80-template vocabulary plus the gap column),
-// the shape the StepLogProbs rows of every precision are measured at.
+// the shape the StepLogProbs rows are measured at.
 var servedShape = SeqModelConfig{Vocab: 80, Hidden: []int{32, 32}, UseGap: true, Seed: 1}
 
 func BenchmarkStepLogProbs(b *testing.B) {

@@ -39,33 +39,31 @@ func Encode(w io.Writer, magic string, version uint32, payload []byte) error {
 	return nil
 }
 
-// Decode validates the frame around data and returns the payload. When data
-// does not begin with magic it returns (nil, false, nil): the caller decides
-// whether unframed input is a legacy format or an error. Framed input with
-// an unknown version, a truncated payload, or a checksum mismatch yields a
-// descriptive error.
-func Decode(data []byte, magic string, version uint32) (payload []byte, framed bool, err error) {
+// Decode validates the frame around data and returns the payload. Input
+// that does not begin with magic, an unknown version, a truncated payload,
+// or a checksum mismatch each yield a descriptive error.
+func Decode(data []byte, magic string, version uint32) ([]byte, error) {
 	if len(magic) != 4 {
-		return nil, false, fmt.Errorf("wireframe: magic must be 4 bytes, got %q", magic)
+		return nil, fmt.Errorf("wireframe: magic must be 4 bytes, got %q", magic)
 	}
 	if len(data) < 4 || string(data[:4]) != magic {
-		return nil, false, nil
+		return nil, fmt.Errorf("wireframe: missing %q magic: not a framed file, or its first bytes are damaged", magic)
 	}
 	if len(data) < headerLen+4 {
-		return nil, true, fmt.Errorf("wireframe: truncated: %d bytes is too short for the frame header", len(data))
+		return nil, fmt.Errorf("wireframe: truncated: %d bytes is too short for the frame header", len(data))
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != version {
-		return nil, true, fmt.Errorf("wireframe: unsupported format version %d (this build reads version %d)", v, version)
+		return nil, fmt.Errorf("wireframe: unsupported format version %d (this build reads version %d)", v, version)
 	}
 	plen := binary.LittleEndian.Uint64(data[8:])
 	if uint64(len(data)-headerLen-4) != plen {
-		return nil, true, fmt.Errorf("wireframe: truncated or padded: header promises %d payload bytes, file carries %d",
+		return nil, fmt.Errorf("wireframe: truncated or padded: header promises %d payload bytes, file carries %d",
 			plen, len(data)-headerLen-4)
 	}
-	payload = data[headerLen : headerLen+int(plen)]
+	payload := data[headerLen : headerLen+int(plen)]
 	want := binary.LittleEndian.Uint32(data[headerLen+int(plen):])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, true, fmt.Errorf("wireframe: checksum mismatch (want %08x, got %08x): file is corrupt", want, got)
+		return nil, fmt.Errorf("wireframe: checksum mismatch (want %08x, got %08x): file is corrupt", want, got)
 	}
-	return payload, true, nil
+	return payload, nil
 }

@@ -14,9 +14,9 @@ func TestRoundTrip(t *testing.T) {
 	if err := Encode(&buf, "TEST", 3, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, framed, err := Decode(buf.Bytes(), "TEST", 3)
-	if err != nil || !framed {
-		t.Fatalf("decode: framed=%v err=%v", framed, err)
+	got, err := Decode(buf.Bytes(), "TEST", 3)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload: %q", got)
@@ -24,9 +24,11 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDecodeUnframed(t *testing.T) {
-	payload, framed, err := Decode([]byte("not framed data"), "TEST", 1)
-	if err != nil || framed || payload != nil {
-		t.Fatalf("unframed input must be (nil,false,nil): %q %v %v", payload, framed, err)
+	for _, data := range [][]byte{[]byte("not framed data"), []byte("TES"), nil} {
+		payload, err := Decode(data, "TEST", 1)
+		if err == nil || payload != nil || !strings.Contains(err.Error(), `missing "TEST" magic`) {
+			t.Fatalf("unframed input %q must be rejected naming the magic: %q %v", data, payload, err)
+		}
 	}
 }
 
@@ -38,16 +40,16 @@ func TestDecodeCorruption(t *testing.T) {
 	full := buf.Bytes()
 
 	for cut := 5; cut < len(full); cut += 17 {
-		if _, _, err := Decode(full[:cut], "TEST", 1); err == nil {
+		if _, err := Decode(full[:cut], "TEST", 1); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
 	flipped := append([]byte(nil), full...)
 	faultinject.FlipBit(flipped, (16+50)*8)
-	if _, _, err := Decode(flipped, "TEST", 1); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := Decode(flipped, "TEST", 1); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("bit flip: %v", err)
 	}
-	if _, _, err := Decode(full, "TEST", 2); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := Decode(full, "TEST", 2); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version mismatch: %v", err)
 	}
 }
@@ -56,7 +58,7 @@ func TestBadMagicLength(t *testing.T) {
 	if err := Encode(&bytes.Buffer{}, "TOOLONG", 1, nil); err == nil {
 		t.Fatal("magic must be 4 bytes")
 	}
-	if _, _, err := Decode(nil, "TOOLONG", 1); err == nil {
+	if _, err := Decode(nil, "TOOLONG", 1); err == nil {
 		t.Fatal("magic must be 4 bytes")
 	}
 }
