@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race ci chaos chaos-full scenarios bench-smoke bench bench-nn bench-pipeline bench-obs bench-serving bench-json figures
+.PHONY: build test test-race ci chaos chaos-full scenarios fuzz-smoke bench-smoke bench bench-nn bench-pipeline bench-obs bench-serving bench-json figures
 
 build:
 	$(GO) build ./...
@@ -47,10 +47,23 @@ scenarios:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
+# Fuzz smoke: every fuzz target in the tree for ten seconds each — the two
+# kernels against their oracles (shapes, tails, special operands), the
+# interned scanner against the string tokenizer, the RFC 6587 octet-count
+# reader against hostile prefixes. `go test -fuzz` takes one target and
+# one package per run. A failing input is written under the package's
+# testdata/fuzz/ and from then on fails plain `go test` too.
+fuzz-smoke:
+	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzGemv64$$' -fuzztime 10s
+	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzExpNeg$$' -fuzztime 10s
+	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzScannerEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
+
 # Full gate: what a CI job runs. Vet, build, the whole test suite, the
 # race pass over the concurrent packages (which covers the shard
 # lifecycle tests), the scenario-harness library (lint + end-to-end run
-# of every shipped scenario with its assertions), and benchmark smoke
+# of every shipped scenario with its assertions), the fuzz smoke (every
+# fuzz target for ten seconds), and benchmark smoke
 # runs: the metrics hot path and the scoring kernels (LSTM step and gate
 # fold, blocked matvec, the exp kernel). The race pass includes
 # TestLifecycleSoakSmoke, which promotes a candidate against concurrent
@@ -79,6 +92,7 @@ ci: build
 	$(MAKE) test-race
 	$(MAKE) chaos
 	$(MAKE) scenarios
+	$(MAKE) fuzz-smoke
 	$(GO) test ./internal/obs/ -run XXX -bench Registry -benchtime=1x -benchmem
 	$(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs|GateFold' -benchtime=1x -benchmem
 	$(GO) test ./internal/mat/ -run XXX -bench 'MulMatAdd|MulVecAdd|ExpNeg' -benchtime=1x -benchmem

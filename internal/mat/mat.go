@@ -178,8 +178,21 @@ func (v Vector) ArgMax() int {
 	return best
 }
 
-// Max returns the largest element of v. It panics on an empty vector.
-func (v Vector) Max() float64 { return v[v.ArgMax()] }
+// Max returns the largest element of v, v[v.ArgMax()], as a running
+// maximum: no index to carry and no reload per comparison. It panics on
+// an empty vector.
+func (v Vector) Max() float64 {
+	if len(v) == 0 {
+		panic("mat: Max of empty vector")
+	}
+	m := v[0]
+	for _, x := range v[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
 
 // CosineSimilarity returns the cosine of the angle between v and w,
 // i.e. <v,w> / (|v||w|). If either vector is all-zero it returns 0.
@@ -330,9 +343,11 @@ func (m *Matrix) MulVec(v Vector) Vector {
 // MulVecAdd sets dst = dst + m·v without allocating. dst's length must equal
 // m.Rows; v's length must equal m.Cols.
 //
-// Every dst[i] sums j = 0..Cols-1 strictly in order, one rounded product
-// at a time, so every result bit is that of the plain rolled loop — on the
-// SSE2 kernel and the portable one alike (see gemv64).
+// Every dst[i] receives e + o, the sums of row i's even-column and
+// odd-column products, each taken in increasing j from +0 with every
+// product rounded before it is added. That order is the definition, so
+// every result bit is the same on the SSE2 kernel and the portable one
+// (see gemv64); it is not the bits of the plain rolled loop.
 func (m *Matrix) MulVecAdd(dst, v Vector) {
 	mustSameLen(m.Cols, len(v), "Matrix.MulVecAdd input")
 	mustSameLen(m.Rows, len(dst), "Matrix.MulVecAdd output")
@@ -342,8 +357,9 @@ func (m *Matrix) MulVecAdd(dst, v Vector) {
 // MulMatAdd sets dst[b][i] += Σ_j m[i][j]·x[b][j] for every lane b — the
 // batched form of MulVecAdd, evaluating B concurrent inputs (the rows of x)
 // against the same weight matrix in one call. dst is [B×Rows], x is
-// [B×Cols]. Each lane goes through the same gemv64 core as MulVecAdd, so
-// the batched result is bit-identical to B separate MulVecAdd calls.
+// [B×Cols]. Each lane goes through the same gemv64 core as MulVecAdd, in
+// the same two-partial-sum order, so the batched result is bit-identical
+// to B separate MulVecAdd calls.
 func (m *Matrix) MulMatAdd(dst, x *Matrix) {
 	mustSameLen(m.Cols, x.Cols, "Matrix.MulMatAdd input cols")
 	mustSameLen(m.Rows, dst.Cols, "Matrix.MulMatAdd output cols")

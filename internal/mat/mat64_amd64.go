@@ -2,14 +2,15 @@
 
 package mat
 
-// gemv64 is the f64 matvec core, dst[i] += Σ_j w[i*cols+j]·x[j], on the
-// SSE2 kernel: eight rows advance together so that no row waits on its own
-// add, while each row still sums j = 0..cols-1 strictly in order with
-// every product rounded before it is added (no FMA). Every result bit
-// equals the rolled scalar loop and the portable kernel in mat64_noasm.go.
-// SSE2 is part of the amd64 baseline, so there is no CPU feature
-// detection. The reslices panic on short operands before the assembly,
-// which checks nothing, reads them.
+// gemv64 is the f64 matvec core, dst[i] += e + o, on the SSE2 kernel: e
+// sums the even columns' products w[i*cols+j]·x[j] of row i and o the odd
+// columns', each in increasing j from +0 with every product rounded
+// before it is added (no FMA); an odd last column joins e. The two sums
+// are the two lanes of one register, and eight rows advance together so
+// that no row waits on its own adds. Every result bit equals the portable
+// kernel in mat64_noasm.go. SSE2 is part of the amd64 baseline, so there
+// is no CPU feature detection. The reslices panic on short operands before
+// the assembly, which checks nothing, reads them.
 func gemv64(dst Vector, w []float64, x Vector, rows, cols int) {
 	if rows == 0 {
 		return

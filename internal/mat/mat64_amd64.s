@@ -2,53 +2,45 @@
 
 #include "textflag.h"
 
-// PAIR folds columns j and j+1 of two weight rows into acc, whose lanes
-// are the two rows' accumulators. Each row's [j, j+1] is multiplied by
-// [x[j], x[j+1]] (X8), the two product pairs are transposed to
-// [r0[j]·x[j], r1[j]·x[j]] and [r0[j+1]·x[j+1], r1[j+1]·x[j+1]], and
-// these are added in column order. Separate MULPD and ADDPD, never FMA:
-// every product is rounded before it is added.
-#define PAIR(r0, r1, acc) \
-	MOVUPD   r0, X10;  \
-	MOVUPD   r1, X11;  \
-	MULPD    X8, X10;  \
-	MULPD    X8, X11;  \
-	MOVAPD   X10, X12; \
-	UNPCKLPD X11, X10; \
-	UNPCKHPD X11, X12; \
-	ADDPD    X10, acc; \
-	ADDPD    X12, acc
+// ROW folds columns j and j+1 of one weight row into acc, whose lanes are
+// that row's even-column and odd-column partial sums: [w[j], w[j+1]] times
+// [x[j], x[j+1]] (X8), added lane for lane. Separate MULPD and ADDPD,
+// never FMA: every product is rounded before it is added.
+#define ROW(r, tmp, acc) \
+	MOVUPD r, tmp;   \
+	MULPD  X8, tmp;  \
+	ADDPD  tmp, acc
 
-// XLAST broadcasts the last x of an odd-width row into both lanes of X8
-// (MOVDDUP is SSE3).
-#define XLAST \
-	MOVSD    (DX), X8; \
-	UNPCKLPD X8, X8
+// LAST folds the last column of an odd-width row into the even (low) lane
+// of acc with 8-byte loads only, so nothing past the end of a row is read;
+// X8 holds that last x. ADDSD leaves the odd lane as it was.
+#define LAST(r, tmp, acc) \
+	MOVSD r, tmp;   \
+	MULSD X8, tmp;  \
+	ADDSD tmp, acc
 
-// ODD folds that last column of two rows into acc with 8-byte loads only,
-// so nothing past the end of a row is read.
-#define ODD(r0, r1, acc) \
-	MOVSD  r0, X10;  \
-	MOVHPD r1, X10;  \
-	MULPD  X8, X10;  \
-	ADDPD  X10, acc
-
-// STORE adds the two finished row sums in acc to dst[off], dst[off+1].
-#define STORE(off, acc) \
-	MOVUPD off(DI), X10; \
-	ADDPD  X10, acc;     \
-	MOVUPD acc, off(DI)
+// FINISH adds e + o of the two rows in a0 and a1 to dst[off], dst[off+1].
+#define FINISH(off, a0, a1) \
+	MOVAPD   a0, X9;      \
+	UNPCKLPD a1, X9;      \
+	UNPCKHPD a1, a0;      \
+	ADDPD    a0, X9;      \
+	MOVUPD   off(DI), X10; \
+	ADDPD    X10, X9;     \
+	MOVUPD   X9, off(DI)
 
 // func gemv64SSE(dst, w, x *float64, rows, cols int)
 //
-// dst[i] += Σ_j w[i*cols+j]·x[j] for every row i, each row's sum taken
-// over j = 0..cols-1 strictly in order from +0 — bit for bit the rolled
-// scalar loop. Rows are independent, so eight of them advance together,
-// two per XMM register (X0..X3), and the add latency of one row's chain
-// is hidden behind the other rows' work. Rows left over go two at a time,
-// then one; an odd last column is folded in with scalar loads. cols may
-// be 0 (w and x are then never dereferenced): the sum is +0 and dst[i]
-// still receives dst[i] + 0. SSE2 only — part of the amd64 baseline.
+// dst[i] += e + o for every row i, where e is the sum of the row's even
+// columns' products w[i*cols+j]·x[j] and o of its odd columns', each taken
+// in increasing j from +0; an odd last column joins e. The two partial
+// sums are the two lanes of one XMM register, so a column pair is one
+// load, one multiply and one add per row, and the lanes meet only once,
+// when the row is finished. Eight rows advance together (X0..X7), which
+// hides each row's add latency behind the other rows' work; rows left over
+// go one at a time. cols may be 0 (w and x are then never dereferenced):
+// e and o are +0 and dst[i] still receives dst[i] + 0. SSE2 only — part of
+// the amd64 baseline.
 TEXT ·gemv64SSE(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ w+8(FP), SI
@@ -61,7 +53,7 @@ TEXT ·gemv64SSE(SB), NOSPLIT, $0-40
 
 rows8:
 	CMPQ  R9, $8
-	JL    rows2
+	JL    rows1
 	LEAQ  (SI)(R11*4), BX // rows 4..7
 	MOVQ  R8, DX          // x cursor rewinds per block
 	MOVQ  R10, CX         // remaining columns
@@ -69,15 +61,23 @@ rows8:
 	XORPS X1, X1
 	XORPS X2, X2
 	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
 
 cols8:
 	CMPQ   CX, $2
 	JL     odd8
 	MOVUPD (DX), X8
-	PAIR((SI), (SI)(R11*1), X0)
-	PAIR((SI)(R11*2), (SI)(R12*1), X1)
-	PAIR((BX), (BX)(R11*1), X2)
-	PAIR((BX)(R11*2), (BX)(R12*1), X3)
+	ROW((SI), X9, X0)
+	ROW((SI)(R11*1), X10, X1)
+	ROW((SI)(R11*2), X11, X2)
+	ROW((SI)(R12*1), X12, X3)
+	ROW((BX), X13, X4)
+	ROW((BX)(R11*1), X14, X5)
+	ROW((BX)(R11*2), X15, X6)
+	ROW((BX)(R12*1), X9, X7)
 	ADDQ   $16, SI
 	ADDQ   $16, BX
 	ADDQ   $16, DX
@@ -86,54 +86,27 @@ cols8:
 
 odd8:
 	TESTQ CX, CX
-	JE    store8
-	XLAST
-	ODD((SI), (SI)(R11*1), X0)
-	ODD((SI)(R11*2), (SI)(R12*1), X1)
-	ODD((BX), (BX)(R11*1), X2)
-	ODD((BX)(R11*2), (BX)(R12*1), X3)
+	JE    finish8
+	MOVSD (DX), X8
+	LAST((SI), X9, X0)
+	LAST((SI)(R11*1), X10, X1)
+	LAST((SI)(R11*2), X11, X2)
+	LAST((SI)(R12*1), X12, X3)
+	LAST((BX), X13, X4)
+	LAST((BX)(R11*1), X14, X5)
+	LAST((BX)(R11*2), X15, X6)
+	LAST((BX)(R12*1), X9, X7)
 	ADDQ  $8, BX
 
-store8:
-	STORE(0, X0)
-	STORE(16, X1)
-	STORE(32, X2)
-	STORE(48, X3)
+finish8:
+	FINISH(0, X0, X1)
+	FINISH(16, X2, X3)
+	FINISH(32, X4, X5)
+	FINISH(48, X6, X7)
 	ADDQ $64, DI
 	LEAQ (BX)(R12*1), SI // BX is at row 5; row 8 is three further
 	SUBQ $8, R9
 	JMP  rows8
-
-rows2:
-	CMPQ  R9, $2
-	JL    rows1
-	MOVQ  R8, DX
-	MOVQ  R10, CX
-	XORPS X0, X0
-
-cols2:
-	CMPQ   CX, $2
-	JL     odd2
-	MOVUPD (DX), X8
-	PAIR((SI), (SI)(R11*1), X0)
-	ADDQ   $16, SI
-	ADDQ   $16, DX
-	SUBQ   $2, CX
-	JMP    cols2
-
-odd2:
-	TESTQ CX, CX
-	JE    store2
-	XLAST
-	ODD((SI), (SI)(R11*1), X0)
-	ADDQ  $8, SI
-
-store2:
-	STORE(0, X0)
-	ADDQ $16, DI
-	ADDQ R11, SI // SI is at row 1; row 2 is one further
-	SUBQ $2, R9
-	JMP  rows2
 
 rows1:
 	TESTQ R9, R9
@@ -143,19 +116,31 @@ rows1:
 	XORPS X0, X0
 
 cols1:
-	TESTQ CX, CX
-	JE    store1
-	MOVSD (SI), X10
-	MULSD (DX), X10
-	ADDSD X10, X0
-	ADDQ  $8, SI
-	ADDQ  $8, DX
-	DECQ  CX
-	JMP   cols1
+	CMPQ   CX, $2
+	JL     odd1
+	MOVUPD (DX), X8
+	ROW((SI), X9, X0)
+	ADDQ   $16, SI
+	ADDQ   $16, DX
+	SUBQ   $2, CX
+	JMP    cols1
 
-store1:
-	ADDSD (DI), X0
-	MOVSD X0, (DI)
+odd1:
+	TESTQ CX, CX
+	JE    finish1
+	MOVSD (DX), X8
+	LAST((SI), X9, X0)
+	ADDQ  $8, SI
+
+finish1:
+	MOVAPD   X0, X9
+	UNPCKHPD X9, X9 // o in the low lane
+	ADDSD    X9, X0 // e + o
+	ADDSD    (DI), X0
+	MOVSD    X0, (DI)
+	ADDQ     $8, DI
+	DECQ     R9
+	JMP      rows1
 
 done:
 	RET

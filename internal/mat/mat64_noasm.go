@@ -2,15 +2,17 @@
 
 package mat
 
-// gemv64 is the portable f64 matvec core, dst[i] += Σ_j w[i*cols+j]·x[j].
-// Four rows advance together so that no row waits on its own add, while
-// each row still sums j = 0..cols-1 strictly in order: every result bit
-// equals the rolled scalar loop and the SSE2 kernel in mat64_amd64.s.
+// gemv64 is the portable f64 matvec core, dst[i] += e + o, where e sums
+// the even columns' products w[i*cols+j]·x[j] of row i and o the odd
+// columns', each in increasing j from +0; an odd last column joins e.
+// These are the two lanes of the SSE2 kernel in mat64_amd64.s, and every
+// result bit equals that kernel's. Four rows advance together so that no
+// row waits on its own adds.
 //
 // The products are written float64(a*b) on purpose. The Go spec lets a
-// compiler fuse x*y + z into one rounding (arm64, ppc64, s390x, riscv64
-// and GOAMD64=v3 do), and an explicit conversion is what forbids it; a
-// fused product would drift from the assembly, which never uses FMA.
+// compiler fuse x*y + z into one rounding (arm64, ppc64, s390x and riscv64
+// do), and an explicit conversion is what forbids it; a fused product
+// would drift from the assembly, which never uses FMA.
 func gemv64(dst Vector, w []float64, x Vector, rows, cols int) {
 	x = x[:cols]
 	i := 0
@@ -19,24 +21,42 @@ func gemv64(dst Vector, w []float64, x Vector, rows, cols int) {
 		r1 := w[(i+1)*cols:][:len(x)]
 		r2 := w[(i+2)*cols:][:len(x)]
 		r3 := w[(i+3)*cols:][:len(x)]
-		var s0, s1, s2, s3 float64
-		for j, xj := range x {
-			s0 += float64(r0[j] * xj)
-			s1 += float64(r1[j] * xj)
-			s2 += float64(r2[j] * xj)
-			s3 += float64(r3[j] * xj)
+		var e0, o0, e1, o1, e2, o2, e3, o3 float64
+		j := 0
+		for ; j+2 <= len(x); j += 2 {
+			xe, xo := x[j], x[j+1]
+			e0 += float64(r0[j] * xe)
+			o0 += float64(r0[j+1] * xo)
+			e1 += float64(r1[j] * xe)
+			o1 += float64(r1[j+1] * xo)
+			e2 += float64(r2[j] * xe)
+			o2 += float64(r2[j+1] * xo)
+			e3 += float64(r3[j] * xe)
+			o3 += float64(r3[j+1] * xo)
 		}
-		dst[i] += s0
-		dst[i+1] += s1
-		dst[i+2] += s2
-		dst[i+3] += s3
+		if j < len(x) {
+			xe := x[j]
+			e0 += float64(r0[j] * xe)
+			e1 += float64(r1[j] * xe)
+			e2 += float64(r2[j] * xe)
+			e3 += float64(r3[j] * xe)
+		}
+		dst[i] += e0 + o0
+		dst[i+1] += e1 + o1
+		dst[i+2] += e2 + o2
+		dst[i+3] += e3 + o3
 	}
 	for ; i < rows; i++ {
 		r := w[i*cols:][:len(x)]
-		var s float64
-		for j, xj := range x {
-			s += float64(r[j] * xj)
+		var e, o float64
+		j := 0
+		for ; j+2 <= len(x); j += 2 {
+			e += float64(r[j] * x[j])
+			o += float64(r[j+1] * x[j+1])
 		}
-		dst[i] += s
+		if j < len(x) {
+			e += float64(r[j] * x[j])
+		}
+		dst[i] += e + o
 	}
 }

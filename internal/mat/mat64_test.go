@@ -2,14 +2,44 @@ package mat
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
 
-// gemv64Ref is the oracle of the f64 matvec core: one row at a time, one
-// accumulator, one rounded product at a time. float64(a*b) forbids the
-// compiler from fusing the product into the add on targets that would.
+// gemv64Ref is the oracle of the f64 matvec core, written as the contract
+// reads and not as either kernel loops: one row at a time, the row's
+// rounded products dealt into an even-column and an odd-column slice
+// (an odd last column is an even one), each slice summed in order from +0,
+// and dst[i] += e + o. float64(a*b) forbids the compiler from fusing a
+// product into an add on targets that would.
 func gemv64Ref(dst, w, x []float64, rows, cols int) {
+	sum := func(p []float64) float64 {
+		var s float64
+		for _, v := range p {
+			s += v
+		}
+		return s
+	}
+	var even, odd []float64
+	for i := 0; i < rows; i++ {
+		even, odd = even[:0], odd[:0]
+		for j := 0; j < cols; j++ {
+			p := float64(w[i*cols+j] * x[j])
+			if j%2 == 0 {
+				even = append(even, p)
+			} else {
+				odd = append(odd, p)
+			}
+		}
+		dst[i] += sum(even) + sum(odd)
+	}
+}
+
+// gemv64Seq is the core's previous definition — one accumulator per row,
+// j = 0..cols-1 in order — kept as the yardstick the two-accumulator
+// order's accuracy is measured against (TestGemv64ErrorBound).
+func gemv64Seq(dst, w, x []float64, rows, cols int) {
 	for i := 0; i < rows; i++ {
 		var s float64
 		for j := 0; j < cols; j++ {
@@ -69,9 +99,9 @@ func checkGemv64(t *testing.T, seed int64, rows, cols, specialPct int) {
 	}
 }
 
-// TestGemv64BitIdentical covers every small shape — so every row tail (8-,
-// 2- and 1-row blocks; 4 and 1 on the portable kernel), the odd last
-// column and cols == 0 are hit — and random shapes up to 200×100, with no,
+// TestGemv64BitIdentical covers every small shape — so every row tail (8-
+// and 1-row blocks; 4 and 1 on the portable kernel), the odd last column
+// and cols == 0 are hit — and random shapes up to 200×100, with no,
 // few and many special operands in turn. `go test -tags purego` runs the
 // same shapes over the portable kernel, which ties both kernels to one
 // oracle.
@@ -89,6 +119,82 @@ func TestGemv64BitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for i := 0; i < 600; i++ {
 		check(1+rng.Intn(200), rng.Intn(101))
+	}
+}
+
+// TestGemv64ErrorBound measures the two-accumulator order against the
+// exact dot product (math/big, wide enough that nothing rounds) instead of
+// taking its accuracy on trust. Each of ⌈cols/2⌉ products passes through
+// its own rounding, at most ⌈cols/2⌉−1 adds of its partial sum and the
+// final e + o, so the error of one row is within
+// (⌈cols/2⌉+1)·2⁻⁵³·Σ|w·x| — about half the sequential loop's cols·2⁻⁵³ —
+// on normal rows and on rows built to cancel to ≈1e-9 of Σ|w·x| alike.
+// And over normal data its RMS error is no larger than the sequential
+// order's (gemv64Seq), the order it replaced.
+func TestGemv64ErrorBound(t *testing.T) {
+	const rows = 48 // the first half normal, the second half cancelling
+	// relErr is |got − Σ w·x| / Σ|w·x| for each got, with the dot product,
+	// the subtraction and Σ|w·x| all exact in big: only the final
+	// conversions round, so the reference adds no error of its own.
+	relErr := func(w, x []float64, got ...float64) []float64 {
+		wide := func() *big.Float { return new(big.Float).SetPrec(2048) }
+		dot, abs, p := wide(), wide(), wide()
+		for j := range x {
+			p.Mul(big.NewFloat(w[j]), big.NewFloat(x[j]))
+			dot.Add(dot, p)
+			abs.Add(abs, p.Abs(p))
+		}
+		out := make([]float64, len(got))
+		for k, g := range got {
+			d := wide().Sub(big.NewFloat(g), dot)
+			out[k], _ = d.Quo(d.Abs(d), abs).Float64()
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(53))
+	var sqTwo, sqSeq float64
+	var n int
+	worst := 0.0
+	for cols := 1; cols <= 100; cols++ {
+		w := make([]float64, rows*cols)
+		x := make([]float64, cols)
+		for j := range x {
+			x[j] = math.Ldexp(rng.NormFloat64(), rng.Intn(61)-30)
+		}
+		for i := 0; i < rows; i++ {
+			r := w[i*cols : (i+1)*cols]
+			for j := range r {
+				r[j] = rng.NormFloat64()
+				if i >= rows/2 {
+					r[j] = math.Ldexp(r[j], rng.Intn(61)-30)
+					if j%2 == 1 { // cancel the previous column's product
+						r[j] = -r[j-1] * x[j-1] / x[j] * (1 + 1e-9*rng.NormFloat64())
+					}
+				}
+			}
+		}
+		two, seq := make([]float64, rows), make([]float64, rows)
+		gemv64(two, w, x, rows, cols)
+		gemv64Seq(seq, w, x, rows, cols)
+		bound := float64((cols+1)/2+1) * 0x1p-53
+		for i := 0; i < rows; i++ {
+			e := relErr(w[i*cols:(i+1)*cols], x, two[i], seq[i])
+			eTwo, eSeq := e[0], e[1]
+			if eTwo > bound {
+				t.Fatalf("cols %d row %d: error %.3g·Σ|w·x| exceeds (⌈cols/2⌉+1)·2⁻⁵³ = %.3g", cols, i, eTwo, bound)
+			}
+			worst = math.Max(worst, eTwo/bound)
+			if i < rows/2 {
+				sqTwo += eTwo * eTwo
+				sqSeq += eSeq * eSeq
+				n++
+			}
+		}
+	}
+	rmsTwo, rmsSeq := math.Sqrt(sqTwo/float64(n)), math.Sqrt(sqSeq/float64(n))
+	t.Logf("worst error %.2f of the bound; RMS error on normal rows %.3g (two accumulators) vs %.3g (sequential), in units of Σ|w·x|", worst, rmsTwo, rmsSeq)
+	if rmsTwo > rmsSeq {
+		t.Fatalf("two-accumulator RMS error %.3g exceeds the sequential order's %.3g", rmsTwo, rmsSeq)
 	}
 }
 

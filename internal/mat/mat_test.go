@@ -84,6 +84,37 @@ func TestVectorArgMax(t *testing.T) {
 	}
 }
 
+// TestVectorMaxEqualsArgMax pins Max, a running maximum, to the element
+// ArgMax selects, bit for bit: a leading NaN stays (nothing compares
+// greater than it), a later NaN is skipped, the first of equal maxima
+// wins, so -0 before +0 stays -0.
+func TestVectorMaxEqualsArgMax(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	cases := []Vector{
+		{3}, {nan}, {nan, 1, 2}, {1, nan, 2}, {1, 2, nan},
+		{negZero, 0}, {0, negZero}, {math.Inf(-1), math.Inf(-1)},
+		{-1, math.Inf(1), 5}, {-3, -2, -2, -7},
+	}
+	rng := rand.New(rand.NewSource(182))
+	for i := 0; i < 200; i++ {
+		v := make(Vector, 1+rng.Intn(90))
+		fillGemv64(rng, v, 10)
+		cases = append(cases, v)
+	}
+	for _, v := range cases {
+		got, want := v.Max(), v[v.ArgMax()]
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Max(%v) = %v (%#x), v[ArgMax] = %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Max of an empty vector did not panic")
+		}
+	}()
+	Vector{}.Max()
+}
+
 func TestVectorArgMaxPanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -9,9 +9,11 @@ import (
 )
 
 // The f64 numeric contract (DESIGN.md §10): the served activations come
-// from mat.ExpNeg, not from libm, and these tests bound what that may
-// move, against the cell and the log-softmax this package ran before —
-// kept here, on math.Exp and math.Tanh, as the oracle:
+// from mat.ExpNeg, not from libm, and the served products from mat's
+// two-partial-sum matvec core, not from the sequential dot product, and
+// these tests bound what both may move, against the step this package
+// ran before either — kept here, on math.Exp, math.Tanh and a
+// one-accumulator product loop, as the oracle:
 //
 //	every gate output, c, tanh(c) and h of one fold   within 2e-15
 //	every log-probability of one step, from one state  within 1e-12
@@ -36,9 +38,23 @@ func foldGatesLibm(z, cPrev, c, tanhC, h mat.Vector) {
 	}
 }
 
-// stepLogProbsLibm is StepLogProbs as it was, f64 engine only: the same
-// products, foldGatesLibm for the cell, and a math.Exp log-softmax. It
-// advances st and returns a fresh vector.
+// mulVecAddSeq is mat.Matrix.MulVecAdd as it was: each row's products
+// added to one accumulator, j = 0..Cols-1 in order. The oracle must not
+// call the kernel under test, so the loop lives here.
+func mulVecAddSeq(w *mat.Matrix, dst, x mat.Vector) {
+	for i := range dst {
+		var s float64
+		for j, wij := range w.Row(i) {
+			s += float64(wij * x[j])
+		}
+		dst[i] += s
+	}
+}
+
+// stepLogProbsLibm is StepLogProbs as it was before mat.ExpNeg and the
+// two-partial-sum matvec: sequential-order products (mulVecAddSeq),
+// foldGatesLibm for the cell, and a math.Exp log-softmax. It advances st
+// and returns a fresh vector.
 func stepLogProbsLibm(m *SequenceModel, tok Token, st *StreamState) mat.Vector {
 	in := m.oneHotOf(tok)
 	var x mat.Vector
@@ -47,17 +63,18 @@ func stepLogProbsLibm(m *SequenceModel, tok Token, st *StreamState) mat.Vector {
 		z := l.Bp.W.Row(0).Clone()
 		switch {
 		case li > 0:
-			l.Wxp.W.MulVecAdd(z, x)
+			mulVecAddSeq(l.Wxp.W, z, x)
 		case in.gapCol >= 0:
 			l.Wxp.W.Col2GatherAdd(z, in.id, 1, in.gapCol, in.gap)
 		default:
 			l.Wxp.W.ColGatherAdd(z, in.id, 1)
 		}
-		l.Whp.W.MulVecAdd(z, ls.H)
+		mulVecAddSeq(l.Whp.W, z, ls.H)
 		foldGatesLibm(z, ls.C, ls.C, ls.H, ls.H)
 		x = ls.H
 	}
-	logp := m.out.InferInto(mat.NewVector(m.cfg.Vocab), x)
+	logp := m.out.Bp.W.Row(0).Clone()
+	mulVecAddSeq(m.out.Wp.W, logp, x)
 	max := logp.Max()
 	var sum float64
 	for _, v := range logp {
@@ -212,9 +229,10 @@ func patternStream(rng *rand.Rand, n, vocab, period int, noise float64) []Token 
 }
 
 // TestVerdictsEqualLibm is the verdict half of the numeric contract: a
-// model trained here (through foldGates and SoftmaxInto) scores 6000
-// events twice, once per definition of the activations, each on its own
-// recurrent trajectory, and every anomaly verdict — −log p(next) over a
+// model trained here (through foldGates, SoftmaxInto and the matvec
+// core) scores 6000 events twice, once per definition of the step's
+// arithmetic — products and activations — each on its own recurrent
+// trajectory, and every anomaly verdict — −log p(next) over a
 // fixed threshold, as detect scores — must agree.
 func TestVerdictsEqualLibm(t *testing.T) {
 	const vocab, threshold = 16, 2.0
