@@ -38,8 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -54,109 +52,74 @@ import (
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/pipeline"
 	"nfvpredict/internal/resilience"
+	"nfvpredict/internal/serve"
 	"nfvpredict/internal/sigtree"
 )
 
-// options collects the flag values.
+// options collects the flag values: the stack settings bind straight into
+// serve.Options, the rest is what only this binary needs.
 type options struct {
-	udp, tcp   string
-	threshold  float64
-	year       int
-	seed       int64
-	shards     int
-	model      string
-	ckpt       string
-	ckptEvery  time.Duration
-	admin      string
-	traceBuf   int
-	spanBuf    int
-	spanSample int
-	sloLatency time.Duration
-	burnDir    string
-	verbose    bool
-	watchdog   time.Duration
-	chaos      bool
+	serve.Options
+	threshold float64
+	seed      int64
+	model     string
+	ckptEvery time.Duration
+	admin     string
+	burnDir   string
+	verbose   bool
+	chaos     bool
 
 	adapt         bool
 	adaptInterval time.Duration
 	adaptGate     float64
-	adaptSpool    string
 }
 
-// registerFlags declares every nfvmonitor flag on fs, bound to o.
+// registerFlags declares every nfvmonitor flag on fs, bound to o. Stack
+// defaults are read from where they are written once (d, ld).
 func registerFlags(fs *flag.FlagSet, o *options) {
-	fs.StringVar(&o.udp, "udp", "127.0.0.1:5514", "UDP listen address (empty disables)")
-	fs.StringVar(&o.tcp, "tcp", "", "TCP listen address (empty disables)")
+	d, ld := serve.DefaultOptions(), lifecycle.DefaultConfig()
+	fs.StringVar(&o.UDPAddr, "udp", d.UDPAddr, "UDP listen address (empty disables)")
+	fs.StringVar(&o.TCPAddr, "tcp", d.TCPAddr, "TCP listen address (empty disables)")
 	fs.Float64Var(&o.threshold, "threshold", 6, "anomaly threshold (negative log-likelihood; overridden by a bundle's recommendation)")
-	fs.IntVar(&o.year, "year", time.Now().Year(), "year for RFC 3164 timestamps")
+	fs.IntVar(&o.Year, "year", d.Year, "year for RFC 3164 timestamps")
 	fs.Int64Var(&o.seed, "seed", 1, "bootstrap-simulation seed (when no -model)")
-	fs.IntVar(&o.shards, "shards", 0, "scoring shards: hosts are hashed onto shards, each owning its vPEs' LSTM streams and scored by its own worker (0 = GOMAXPROCS)")
+	fs.IntVar(&o.Shards, "shards", d.Shards, "scoring shards: hosts are hashed onto shards, each owning its vPEs' LSTM streams and scored by its own worker (0 = GOMAXPROCS)")
 	fs.StringVar(&o.model, "model", "", "trained bundle from cmd/nfvtrain (empty: bootstrap on simulation); SIGHUP hot-reloads it")
-	fs.StringVar(&o.ckpt, "checkpoint", "", "checkpoint file: online state is saved here periodically and restored at startup (empty disables)")
+	fs.StringVar(&o.Checkpoint, "checkpoint", "", "checkpoint file: online state is saved here periodically and restored at startup (empty disables)")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", time.Minute, "how often to write the checkpoint")
 	fs.StringVar(&o.admin, "admin", "", "admin HTTP listen address serving /metrics, /statusz, /traces, /healthz, /readyz, /debug/pprof (empty disables)")
-	fs.IntVar(&o.traceBuf, "trace-buffer", 256, "decision traces retained for /traces")
-	fs.IntVar(&o.spanBuf, "span-buffer", 512, "pipeline spans retained for /spans")
-	fs.IntVar(&o.spanSample, "span-sample", 16, "stage-clock sampling: 1 in N accepted messages carries a full span stage breakdown (warnings always get a span); 0 disables sampling — and with it the accept_verdict_latency SLO, which only observes sampled verdicts (/slo marks it inactive)")
-	fs.DurationVar(&o.sloLatency, "slo-latency", 250*time.Millisecond, "accept→verdict latency bound for the accept_verdict_latency SLO")
+	fs.IntVar(&o.TraceBuffer, "trace-buffer", d.TraceBuffer, "decision traces retained for /traces")
+	fs.IntVar(&o.SpanBuffer, "span-buffer", d.SpanBuffer, "pipeline spans retained for /spans")
+	fs.IntVar(&o.SpanSample, "span-sample", d.SpanSample, "stage-clock sampling: 1 in N accepted messages carries a full span stage breakdown (warnings always get a span); 0 disables sampling — and with it the accept_verdict_latency SLO, which only observes sampled verdicts (/slo marks it inactive)")
+	fs.DurationVar(&o.LatencyBound, "slo-latency", d.LatencyBound, "accept→verdict latency bound for the accept_verdict_latency SLO")
 	fs.StringVar(&o.burnDir, "profile-on-burn", "", "directory for CPU profiles captured when an SLO fast window starts burning (empty disables)")
 	fs.BoolVar(&o.verbose, "v", false, "verbose (debug-level) logging")
-	fs.DurationVar(&o.watchdog, "watchdog", 30*time.Second, "stuck-shard-worker deadline: a worker with queued work and no heartbeat progress for this long is abandoned and replaced (0 disables)")
+	fs.DurationVar(&o.Watchdog, "watchdog", d.Watchdog, "stuck-shard-worker deadline: a worker with queued work and no heartbeat progress for this long is abandoned and replaced (0 disables)")
 	fs.BoolVar(&o.chaos, "chaos", false, "enable runtime fault injection: registers the process-wide fault points and mounts the /chaos admin endpoint (drills only — never in production)")
 	fs.BoolVar(&o.adapt, "adapt", false, "enable the online model lifecycle: drift detection, background fine-tuning, shadow-gated promotion (adds /models to the admin surface)")
-	fs.DurationVar(&o.adaptInterval, "adapt-interval", 10*time.Minute, "lifecycle cycle period (drift check + possible adaptation)")
-	fs.Float64Var(&o.adaptGate, "adapt-gate", 0.02, "promotion gate: max false-alarm rate a candidate may show on held-out spooled traffic")
-	fs.StringVar(&o.adaptSpool, "adapt-spool", "", "spool file: recent normal windows are persisted here with the checkpoint and restored at startup (empty disables)")
+	fs.DurationVar(&o.adaptInterval, "adapt-interval", ld.Interval, "lifecycle cycle period (drift check + possible adaptation)")
+	fs.Float64Var(&o.adaptGate, "adapt-gate", ld.GateBudget, "promotion gate: max false-alarm rate a candidate may show on held-out spooled traffic")
+	fs.StringVar(&o.Spool, "adapt-spool", "", "spool file: recent normal windows are persisted here with the checkpoint and restored at startup (empty disables)")
 }
 
 func main() {
 	var o options
 	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
-
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "nfvmonitor:", err)
 		os.Exit(1)
 	}
 }
 
-// app is the assembled runtime: every long-lived component of the monitor
-// process plus the mutable status the admin surface reports. It exists (as
-// opposed to locals in run) so the admin endpoints and the hot-reload path
-// can be driven by tests without a process or signals.
+// app is the running process: the assembled serving stack plus the status
+// only this binary reports on /statusz. It exists (as opposed to locals in
+// run) so tests can drive the admin endpoints and the hot-reload path.
 type app struct {
+	*serve.Stack
 	log     *obs.Logger
-	reg     *obs.Registry
-	traces  *obs.TraceRing
-	health  *obs.Health
-	mon     *ingest.Monitor
-	srv     *ingest.Server
-	life    *lifecycle.Manager
-	spool   string
 	started time.Time
-
-	// spans/tracer are the pipeline-tracing layer behind /spans; slos is
-	// the objective set behind /slo, with the three standing objectives
-	// held out as direct handles. profiler captures a CPU profile when a
-	// fast window starts burning (-profile-on-burn).
-	spans      *obs.SpanRing
-	tracer     *obs.Tracer
-	slos       *obs.SLOSet
-	sloLatency *obs.SLO
-	sloDrops   *obs.SLO
-	sloAvail   *obs.SLO
-	profiler   *obs.BurnProfiler
-
-	// degrader is the degradation controller: it samples queue pressure and
-	// fault counters (sampleDegrade, on a timer in run) and steps the stack
-	// between normal / shed-learning / shed-scoring. chaos mirrors -chaos.
-	degrader *resilience.Degrader
-	chaos    bool
-
-	reloads        *obs.Counter
-	reloadFailures *obs.Counter
-	ckptFailures   *obs.Counter
-	lastCkptUnix   *obs.Gauge
+	chaos   bool // mirrors -chaos
 
 	mu     sync.Mutex
 	bundle bundleStatus
@@ -182,10 +145,9 @@ type ckptStatus struct {
 	RestoredAt  time.Time `json:"restored_at,omitempty"`
 }
 
-// resilienceStatus is the /statusz section describing the runtime
-// resilience layer: the active degradation mode and why, supervision
-// counters, the full named health-condition set, and whether chaos fault
-// injection is armed into this process.
+// resilienceStatus is the /statusz resilience section: degradation mode
+// and why, supervision counters, the named health conditions, and whether
+// chaos fault injection is armed into this process.
 type resilienceStatus struct {
 	DegradeMode    string          `json:"degrade_mode"`
 	DegradeReason  string          `json:"degrade_reason,omitempty"`
@@ -216,63 +178,15 @@ type statusDoc struct {
 	Resilience resilienceStatus    `json:"resilience"`
 }
 
-// newApp builds the observability plumbing shared by every code path.
-// spanSample is the 1-in-N stage-clock sampling rate (0 samples nothing;
-// warnings still get spans).
-func newApp(log *obs.Logger, traceBuf, spanBuf, spanSample int) *app {
-	reg := obs.NewRegistry()
-	a := &app{
-		log:     log,
-		reg:     reg,
-		traces:  obs.NewTraceRing(traceBuf),
-		spans:   obs.NewSpanRing(spanBuf),
-		slos:    obs.NewSLOSet(),
-		health:  obs.NewHealth(),
-		started: time.Now(),
-		reloads: reg.Counter("monitor_bundle_reloads_total",
-			"Successful SIGHUP bundle hot reloads."),
-		reloadFailures: reg.Counter("monitor_bundle_reload_failures_total",
-			"Rejected bundle hot reloads (load or validation failure)."),
-		ckptFailures: reg.Counter("monitor_checkpoint_failures_total",
-			"Checkpoint writes that failed."),
-		lastCkptUnix: reg.Gauge("monitor_checkpoint_last_unix",
-			"Unix time of the last successful checkpoint write (0 = never)."),
-	}
-	n := 1
-	if spanSample <= 0 {
-		n = 0
-	}
-	a.tracer = obs.NewTracer(a.spans, n, spanSample)
-	a.tracer.Export(reg)
-	a.slos.Export(reg)
-	a.sloLatency = a.slos.Add(obs.SLOConfig{
-		Name:        "accept_verdict_latency",
-		Description: "Scored messages reaching a verdict within the latency bound.",
-		Target:      0.99,
-	})
-	a.sloDrops = a.slos.Add(obs.SLOConfig{
-		Name:        "shard_drop_ratio",
-		Description: "Accepted messages admitted to a shard queue (not dropped on overflow).",
-		Target:      0.99,
-	})
-	a.sloAvail = a.slos.Add(obs.SLOConfig{
-		Name:        "warning_availability",
-		Description: "Degradation-controller ticks during which warnings could still be emitted (scoring not shed).",
-		Target:      0.99,
-	})
-	// Hot-path warning lines (one per warning signature, keyed by vPE) are
-	// token-bucket limited so a flapping host cannot flood the log.
-	log.SetRateLimit(1, 5, reg.Counter("log_suppressed_total",
-		"Hot-path warning log lines suppressed by the per-key rate limiter."))
-	return a
-}
-
 // status builds the /statusz document.
 func (a *app) status() any {
 	a.mu.Lock()
 	b, c := a.bundle, a.ckpt
 	a.mu.Unlock()
-	ready, reason := a.health.Ready()
+	c.RestoredAt = a.RestoredAt
+	ready, reason := a.Health.Ready()
+	mst := a.Monitor.Stats()
+	b.Threshold = a.Monitor.Threshold()
 	doc := statusDoc{
 		Now:        time.Now(),
 		UptimeSec:  time.Since(a.started).Seconds(),
@@ -281,134 +195,47 @@ func (a *app) status() any {
 		Reason:     reason,
 		Bundle:     b,
 		Checkpoint: c,
-		Traces:     a.traces.Total(),
-		Spans:      a.spans.Total(),
-		SLOs:       a.slos.Statuses(),
+		Monitor:    mst,
+		Ingest:     a.Server.Stats(),
+		Traces:     a.Traces.Total(),
+		Spans:      a.Spans.Total(),
+		SLOs:       a.SLOs.Statuses(),
+		Resilience: resilienceStatus{
+			DegradeMode:    a.Degrader.Mode().String(),
+			WorkerRestarts: mst.WorkerRestarts,
+			WatchdogKicks:  mst.WatchdogKicks,
+			ShardPanics:    mst.ShardPanics,
+			Conditions:     a.Health.Conditions(),
+			ChaosEnabled:   a.chaos,
+		},
 	}
-	if a.mon != nil {
-		doc.Monitor = a.mon.Stats()
-		doc.Bundle.Threshold = a.mon.Threshold()
-	}
-	if a.srv != nil {
-		doc.Ingest = a.srv.Stats()
-	}
-	if a.life != nil {
-		st := a.life.Status()
+	if a.Lifecycle != nil {
+		st := a.Lifecycle.Status()
 		doc.Lifecycle = &st
 	}
-	doc.Resilience = resilienceStatus{
-		DegradeMode:    doc.Monitor.DegradeMode,
-		WorkerRestarts: doc.Monitor.WorkerRestarts,
-		WatchdogKicks:  doc.Monitor.WatchdogKicks,
-		ShardPanics:    doc.Monitor.ShardPanics,
-		Conditions:     a.health.Conditions(),
-		ChaosEnabled:   a.chaos,
-	}
-	if a.degrader != nil {
-		rm := a.degrader.Mode()
-		doc.Resilience.DegradeMode = rm.String()
-		if rm != resilience.ModeNormal {
-			doc.Resilience.DegradeReason = a.degrader.Reason()
-		}
+	if a.Degrader.Mode() != resilience.ModeNormal {
+		doc.Resilience.DegradeReason = a.Degrader.Reason()
 	}
 	return doc
 }
 
-// adminMux assembles the admin surface. With the lifecycle enabled it also
-// mounts the model-management endpoints: GET /models, POST /models/adapt,
-// POST /models/promote, POST /models/rollback. With -chaos it mounts the
-// fault-point registry: GET /chaos/ (point listing), POST /chaos/arm,
-// POST /chaos/disarm.
-func (a *app) adminMux() *http.ServeMux {
-	mux := obs.NewAdminMux(obs.AdminConfig{
-		Registry: a.reg,
-		Traces:   a.traces,
-		Spans:    a.spans,
-		SLO:      a.slos,
-		Health:   a.health,
-		Status:   a.status,
-	})
-	if a.life != nil {
-		h := a.life.Handler()
-		mux.Handle("/models", h)
-		mux.Handle("/models/", h)
-	}
-	if a.chaos {
-		mux.Handle("/chaos/", http.StripPrefix("/chaos", faultinject.Default.Handler()))
-	}
-	return mux
-}
-
-// initDegrader builds the degradation controller. Mode transitions fan out
-// to every consumer: the monitor (shed-scoring short-circuits the scoring
-// hot path), the lifecycle (shed-learning stops spooling and timer cycles),
-// and the health conditions (/readyz goes 503 only at shed-scoring — the
-// point where warnings can no longer be emitted; shed-learning is an
-// informational degradation, the monitor still warns).
-func (a *app) initDegrader() {
-	a.degrader = resilience.NewDegrader(resilience.DegraderConfig{}, func(from, to resilience.Mode, reason string) {
-		a.mon.SetDegrade(to)
-		if a.life != nil {
-			a.life.SetShedLearning(to >= resilience.ModeShedLearning, reason)
-		}
-		// One write per transition — the same named condition flips between
-		// critical (shed-scoring: warnings stop, readiness must go red) and
-		// informational (shed-learning: still warning, operators should see
-		// it but load balancers should not route around it).
-		switch to {
-		case resilience.ModeShedScoring:
-			a.health.SetCondition("degradation", false, "scoring shed: "+reason)
-		case resilience.ModeShedLearning:
-			a.health.SetDegraded("degradation", true, "learning shed: "+reason)
-		default:
-			a.health.SetDegraded("degradation", false, "")
-		}
-		a.log.Warn("degradation mode change", "from", from.String(), "to", to.String(), "reason", reason)
-	})
-}
-
-// sampleDegrade feeds the degradation controller one observation (queue
-// pressure plus cumulative fault counters; the controller works in deltas)
-// and refreshes the adaptation-breaker health condition. Called on a timer
-// from run and directly by tests.
-func (a *app) sampleDegrade() {
-	if a.degrader == nil || a.mon == nil {
-		return
-	}
-	st := a.mon.Stats()
-	// Warning availability is sampled here, on the controller cadence: a tick
-	// spent in shed-scoring is a tick the monitor could not have warned.
-	a.sloAvail.Record(a.mon.DegradeMode() != resilience.ModeShedScoring)
-	burning := a.slos.FastBurning()
-	if len(burning) > 0 {
-		a.profiler.MaybeCapture(strings.Join(burning, ","))
-	}
-	a.degrader.Eval(resilience.Sample{
-		QueueFrac:     a.mon.QueueFrac(),
-		ScoringFaults: st.ShardPanics,
-		IOFaults:      a.ckptFailures.Value(),
-		SLOFastBurn:   len(burning) > 0,
-	})
-	if a.life != nil {
-		bst := a.life.BreakerStatus()
-		a.health.SetDegraded("adaptation", bst.StateName != "closed",
-			"adaptation breaker "+bst.StateName)
-	}
-}
-
-// setBundle records the serving model in /statusz.
-func (a *app) setBundle(b bundleStatus) {
+// setLoaded records a loaded bundle as the serving model in /statusz.
+func (a *app) setLoaded(path string, b *bundle.Bundle, threshold float64) {
 	a.mu.Lock()
-	a.bundle = b
+	a.bundle = bundleStatus{
+		Path:          path,
+		FormatVersion: bundle.Version,
+		LoadedAt:      time.Now(),
+		Detectors:     len(b.Detectors),
+		Templates:     b.Tree.Len(),
+		Threshold:     threshold,
+	}
 	a.mu.Unlock()
 }
 
 // reload re-reads the bundle file and swaps it in. Transient load failures
-// are retried; a bundle that still fails to load or validate is rejected:
-// the serving model stays active, the failure is counted, and the "bundle"
-// readiness condition flips off (with the error as reason) until a reload
-// succeeds — exactly the state an operator should see on /readyz while a
-// bad bundle sits on disk.
+// are retried; a bundle that still fails to load or validate is rejected
+// (serve.Stack.RejectReload) and the serving model stays active.
 func (a *app) reload(model string) error {
 	var b *bundle.Bundle
 	err := resilience.Retry(nil, resilience.RetryPolicy{Attempts: 3, Base: 50 * time.Millisecond}, func() error {
@@ -417,117 +244,51 @@ func (a *app) reload(model string) error {
 		return lerr
 	})
 	if err != nil {
-		a.reloadFailures.Inc()
-		a.health.SetCondition("bundle", false, fmt.Sprintf("hot-reload of %s rejected: %v", model, err))
+		a.RejectReload(fmt.Sprintf("hot-reload of %s rejected: %v", model, err))
 		a.log.Error("hot-reload rejected, keeping serving bundle", "model", model, "err", err)
 		return err
 	}
-	a.mon.SwapModel(b.Tree, b.DetectorFor, b.Threshold)
-	a.mon.SetClusterOf(func(host string) int {
-		if ci, ok := b.Assign[host]; ok {
-			return ci
-		}
-		return 0
-	})
-	if a.life != nil {
-		// The monitor is already swapped; realign the lifecycle (new
-		// template lineage: spools rebuilt, drift references reset,
-		// pending/previous generations dropped).
-		a.life.SetServing(lifecycle.ModelSetFromBundle(b))
-	}
-	a.reloads.Inc()
-	a.health.SetCondition("bundle", true, "")
-	a.setBundle(bundleStatus{
-		Path:          model,
-		FormatVersion: bundle.Version,
-		LoadedAt:      time.Now(),
-		Detectors:     len(b.Detectors),
-		Templates:     b.Tree.Len(),
-		Threshold:     b.Threshold,
-	})
+	a.Reload(b)
+	a.setLoaded(model, b, b.Threshold)
 	a.log.Info("hot-reloaded bundle", "model", model,
 		"detectors", len(b.Detectors), "templates", b.Tree.Len(), "threshold", b.Threshold)
 	return nil
 }
 
-// ioRetry is the retry policy for durable writes (checkpoint and spool):
-// transient conditions — disk briefly full, an injected fault — are
-// absorbed here, and the atomic-write discipline underneath guarantees the
-// previous artifact survives every failed attempt.
-var ioRetry = resilience.RetryPolicy{Attempts: 3, Base: 50 * time.Millisecond, Max: 2 * time.Second}
-
-// saveCheckpoint writes the checkpoint file with retries, recording the
-// outcome for /statusz and /metrics.
+// saveCheckpoint checkpoints the stack, recording the outcome for /statusz.
 func (a *app) saveCheckpoint(path, reason string) {
 	if path == "" {
 		return
 	}
-	err := resilience.Retry(nil, ioRetry, func() error {
-		return a.mon.CheckpointFile(path)
-	})
-	now := time.Now()
+	err := a.Checkpoint(reason)
 	a.mu.Lock()
-	a.ckpt.Path = path
+	defer a.mu.Unlock()
+	a.ckpt.Path, a.ckpt.LastError = path, ""
 	if err != nil {
 		a.ckpt.LastError = err.Error()
 	} else {
-		a.ckpt.LastSavedAt = now
-		a.ckpt.LastError = ""
-	}
-	a.mu.Unlock()
-	if err != nil {
-		a.ckptFailures.Inc()
-		a.log.Error("checkpoint failed", "path", path, "reason", reason, "err", err)
-		return
-	}
-	a.lastCkptUnix.SetTime(now)
-	a.log.Debug("checkpoint written", "path", path, "reason", reason)
-	// The spool rides along with the checkpoint so the two artifacts agree
-	// on tree lineage; a spool failure never blocks the checkpoint.
-	if a.life != nil && a.spool != "" {
-		serr := resilience.Retry(nil, ioRetry, func() error {
-			return a.life.SaveSpool(a.spool)
-		})
-		if serr != nil {
-			a.log.Error("spool save failed", "path", a.spool, "err", serr)
-		} else {
-			a.log.Debug("spool written", "path", a.spool, "reason", reason)
-		}
+		a.ckpt.LastSavedAt = time.Now()
 	}
 }
 
-// loadServing builds the serving model (tree + resolver + cluster mapping +
-// threshold) from a bundle file or, without one, by bootstrap-training on a
-// simulated month. The returned ModelSet is the same model in the shape the
-// lifecycle manages (nil Assign falls back to cluster 0, like a bundle).
-func loadServing(a *app, model string, threshold float64, seed int64) (*sigtree.Tree, func(string) *detect.LSTMDetector, func(string) int, float64, *lifecycle.ModelSet, error) {
+// loadServing builds the serving model — the signature tree and the
+// per-cluster ModelSet the stack serves — from a bundle file or, without
+// one, by bootstrap-training on a simulated month.
+func (a *app) loadServing(model string, threshold float64, seed int64) (*sigtree.Tree, *lifecycle.ModelSet, error) {
 	if model != "" {
 		b, err := bundle.LoadFile(model)
 		if err != nil {
-			return nil, nil, nil, 0, nil, err
+			return nil, nil, err
 		}
 		if b.Threshold > 0 {
 			threshold = b.Threshold
 		}
 		a.log.Info("loaded bundle", "model", model, "detectors", len(b.Detectors),
 			"templates", b.Tree.Len(), "threshold", threshold)
-		a.setBundle(bundleStatus{
-			Path:          model,
-			FormatVersion: bundle.Version,
-			LoadedAt:      time.Now(),
-			Detectors:     len(b.Detectors),
-			Templates:     b.Tree.Len(),
-			Threshold:     threshold,
-		})
-		clusterOf := func(host string) int {
-			if ci, ok := b.Assign[host]; ok {
-				return ci
-			}
-			return 0
-		}
+		a.setLoaded(model, b, threshold)
 		ms := lifecycle.ModelSetFromBundle(b)
 		ms.Threshold = threshold
-		return b.Tree, b.DetectorFor, clusterOf, threshold, ms, nil
+		return b.Tree, ms, nil
 	}
 	// Bootstrap: train on a simulated month of normal fleet traffic.
 	a.log.Info("bootstrapping detector on simulated training archive")
@@ -537,7 +298,7 @@ func loadServing(a *app, model string, threshold float64, seed int64) (*sigtree.
 	simCfg.UpdateMonth = -1
 	trace, err := nfvpredict.Simulate(simCfg)
 	if err != nil {
-		return nil, nil, nil, 0, nil, err
+		return nil, nil, err
 	}
 	ds := pipeline.BuildDataset(trace, simCfg.Start, simCfg.Months)
 	var streams [][]features.Event
@@ -547,23 +308,14 @@ func loadServing(a *app, model string, threshold float64, seed int64) (*sigtree.
 		}
 	}
 	det := detect.NewLSTMDetector(detect.DefaultLSTMConfig())
-	det.SetMetrics(a.reg, "")
 	if err := det.Train(streams); err != nil {
-		return nil, nil, nil, 0, nil, err
+		return nil, nil, err
 	}
 	a.log.Info("detector trained", "streams", len(streams), "templates", ds.Tree.Len())
-	a.setBundle(bundleStatus{
-		Bootstrap: true,
-		LoadedAt:  time.Now(),
-		Detectors: 1,
-		Templates: ds.Tree.Len(),
-		Threshold: threshold,
-	})
-	ms := &lifecycle.ModelSet{
-		Detectors: []*detect.LSTMDetector{det},
-		Threshold: threshold,
-	}
-	return ds.Tree, func(string) *detect.LSTMDetector { return det }, nil, threshold, ms, nil
+	a.mu.Lock()
+	a.bundle = bundleStatus{Bootstrap: true, LoadedAt: time.Now(), Detectors: 1, Templates: ds.Tree.Len(), Threshold: threshold}
+	a.mu.Unlock()
+	return ds.Tree, &lifecycle.ModelSet{Detectors: []*detect.LSTMDetector{det}, Threshold: threshold}, nil
 }
 
 func run(o options) error {
@@ -571,122 +323,53 @@ func run(o options) error {
 	if o.verbose {
 		level = obs.LevelDebug
 	}
-	a := newApp(obs.NewLogger(os.Stdout, level), o.traceBuf, o.spanBuf, o.spanSample)
-	if o.burnDir != "" {
-		a.profiler = obs.NewBurnProfiler(o.burnDir, 0, 0, a.log)
-		a.profiler.Export(a.reg)
-	}
-
-	tree, resolve, clusterOf, threshold, ms, err := loadServing(a, o.model, o.threshold, o.seed)
-	if err != nil {
+	a := &app{log: obs.NewLogger(os.Stdout, level), started: time.Now(), chaos: o.chaos}
+	so := o.Options
+	var err error
+	if so.Tree, so.Models, err = a.loadServing(o.model, o.threshold, o.seed); err != nil {
 		return err
 	}
-	mcfg := ingest.DefaultMonitorConfig()
-	mcfg.Threshold = threshold
-	mcfg.Metrics = a.reg
-	mcfg.Traces = a.traces
-	mcfg.Tracer = a.tracer
-	mcfg.LatencySLO = a.sloLatency
-	mcfg.LatencyBound = o.sloLatency
-	mcfg.ClusterOf = clusterOf
-	mcfg.Shards = o.shards
-	if mcfg.Shards <= 0 {
-		mcfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	mcfg.Watchdog = o.watchdog
-	a.chaos = o.chaos
+	so.Log = a.log
 	if o.chaos {
-		// Fault drills: score/worker/heartbeat fault points become live and
+		// Fault drills: the stack's fault points become live and
 		// operator-togglable through POST /chaos/arm.
-		mcfg.Faults = faultinject.Default
+		so.Faults = faultinject.Default
 	}
-	// The lifecycle manager is built before the monitor because the monitor
-	// config needs its Observe hook; the monitor is attached just after.
 	if o.adapt {
 		lcfg := lifecycle.DefaultConfig()
 		lcfg.Interval = o.adaptInterval
 		lcfg.GateBudget = o.adaptGate
-		lcfg.Metrics = a.reg
-		lcfg.Tracer = a.tracer
 		lcfg.Log = log.New(os.Stdout, "", log.LstdFlags)
-		if o.chaos {
-			lcfg.Faults = faultinject.Default
-		}
-		a.life = lifecycle.New(lcfg, ms)
-		a.spool = o.adaptSpool
-		mcfg.OnScored = a.life.Observe
+		so.Lifecycle = &lcfg
 	}
-	onWarning := func(w nfvpredict.Warning) {
+	so.OnWarning = func(w nfvpredict.Warning) {
 		// Rate-limited per vPE: a host stuck in an anomalous state re-emits
 		// its signature every cluster, and the log should not amplify that.
 		a.log.WarnLimited(w.VPE, "warning signature", "vpe", w.VPE, "anomalies", w.Size, "first", w.Time)
 	}
-
-	// Resume from the last checkpoint when one exists; any failure —
-	// missing file, corruption, model mismatch after a retrain — degrades
-	// to a cold start, never a refusal to serve.
-	if o.ckpt != "" {
-		if _, serr := os.Stat(o.ckpt); serr == nil {
-			restored, rerr := ingest.RestoreMonitorFile(o.ckpt, mcfg, resolve, onWarning)
-			if rerr != nil {
-				// Move the corrupt file aside so the next interval save does
-				// not overwrite the evidence, then start cold.
-				if qpath, qerr := resilience.Quarantine(o.ckpt); qerr != nil {
-					a.log.Warn("checkpoint unusable, starting cold", "path", o.ckpt, "err", rerr, "quarantine_err", qerr)
-				} else {
-					a.log.Warn("checkpoint unusable, starting cold", "path", o.ckpt, "err", rerr, "quarantined", qpath)
-				}
-			} else {
-				a.mon = restored
-				st := a.mon.Stats()
-				a.mu.Lock()
-				a.ckpt.RestoredAt = time.Now()
-				a.mu.Unlock()
-				a.log.Info("restored checkpoint", "path", o.ckpt,
-					"hosts", st.ActiveHosts, "messages", st.Messages, "warnings", st.Warnings)
-			}
-		}
-	}
-	if a.mon == nil {
-		a.mon = ingest.NewMonitorWithResolver(mcfg, tree, resolve, onWarning)
-	}
-	a.initDegrader()
-	if a.life != nil {
-		a.life.Attach(a.mon)
-		if lerr := a.life.LoadSpool(o.adaptSpool); lerr != nil {
-			a.log.Warn("spool unusable, starting cold", "path", o.adaptSpool, "err", lerr)
-		}
-		a.life.Start()
-		defer a.life.Stop()
-		a.log.Info("lifecycle up", "interval", o.adaptInterval, "gate", o.adaptGate)
-	}
-
-	scfg := ingest.DefaultServerConfig()
-	scfg.UDPAddr, scfg.TCPAddr, scfg.Year = o.udp, o.tcp, o.year
-	scfg.Metrics = a.reg
-	// The listeners route each parsed message straight to its host's shard
-	// queue; shard workers do the scoring (batching distinct hosts).
-	scfg.Sharded = a.mon
-	// Trace IDs are minted at frame accept so spans cover decode and queue
-	// wait; every queue admission/refusal feeds the shard_drop_ratio SLO.
-	scfg.Tracer = a.tracer
-	scfg.DropSLO = a.sloDrops
-	srv, err := ingest.NewServer(scfg, nil)
-	if err != nil {
+	if a.Stack, err = serve.New(so); err != nil {
 		return err
 	}
-	a.srv = srv
+	if o.model == "" {
+		so.Models.Detectors[0].SetMetrics(a.Registry, "")
+	}
+	if o.burnDir != "" {
+		a.Profiler = obs.NewBurnProfiler(o.burnDir, 0, 0, a.log)
+		a.Profiler.Export(a.Registry)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	a.mon.Start()
-	defer a.mon.Stop()
-	srv.Start(ctx)
-	defer srv.Close()
-	a.log.Info("scoring shards up", "shards", a.mon.ShardCount())
-	if addr := srv.UDPAddr(); addr != nil {
+	a.Start(ctx)
+	defer a.Close()
+	if o.adapt {
+		a.log.Info("lifecycle up", "interval", o.adaptInterval, "gate", o.adaptGate)
+	}
+	a.log.Info("scoring shards up", "shards", a.Monitor.ShardCount())
+	if addr := a.Server.UDPAddr(); addr != nil {
 		a.log.Info("listening", "proto", "udp", "addr", addr)
 	}
-	if addr := srv.TCPAddr(); addr != nil {
+	if addr := a.Server.TCPAddr(); addr != nil {
 		a.log.Info("listening", "proto", "tcp", "addr", addr)
 	}
 
@@ -696,7 +379,7 @@ func run(o options) error {
 		if lerr != nil {
 			return fmt.Errorf("admin listener: %w", lerr)
 		}
-		admin := &http.Server{Handler: a.adminMux()}
+		admin := &http.Server{Handler: a.AdminMux(a.status)}
 		go func() {
 			if serr := admin.Serve(ln); serr != nil && serr != http.ErrServerClosed {
 				a.log.Error("admin server failed", "err", serr)
@@ -722,7 +405,7 @@ func run(o options) error {
 	degradeTick := time.NewTicker(5 * time.Second)
 	defer degradeTick.Stop()
 	ckptTick := make(<-chan time.Time) // nil channel: disabled
-	if o.ckpt != "" && o.ckptEvery > 0 {
+	if o.Checkpoint != "" && o.ckptEvery > 0 {
 		t := time.NewTicker(o.ckptEvery)
 		defer t.Stop()
 		ckptTick = t.C
@@ -732,16 +415,9 @@ func run(o options) error {
 		case <-ctx.Done():
 			// Stop the listeners, drain the shard queues, then checkpoint
 			// the fully-drained state.
-			srv.Close()
-			a.mon.Stop()
-			a.saveCheckpoint(o.ckpt, "shutdown")
-			mst := a.mon.Stats()
-			st := srv.Stats()
-			a.log.Info("shutting down",
-				"messages", mst.Messages, "malformed", st.Malformed,
-				"dropped", st.Dropped, "sink_panics", st.SinkPanics,
-				"anomalies", mst.Anomalies, "warnings", mst.Warnings,
-				"evicted_hosts", mst.EvictedHosts)
+			a.Close()
+			a.saveCheckpoint(o.Checkpoint, "shutdown")
+			a.logCounters("shutting down")
 			return nil
 		case <-hup:
 			if o.model == "" {
@@ -749,19 +425,26 @@ func run(o options) error {
 				continue
 			}
 			if a.reload(o.model) == nil {
-				a.saveCheckpoint(o.ckpt, "post-reload")
+				a.saveCheckpoint(o.Checkpoint, "post-reload")
 			}
 		case <-ckptTick:
-			a.saveCheckpoint(o.ckpt, "interval")
+			a.saveCheckpoint(o.Checkpoint, "interval")
 		case <-degradeTick.C:
-			a.sampleDegrade()
+			a.SampleDegrade()
 		case <-status.C:
-			mst := a.mon.Stats()
-			sst := srv.Stats()
-			a.log.Info("status",
-				"messages", mst.Messages, "anomalies", mst.Anomalies,
-				"warnings", mst.Warnings, "hosts", mst.ActiveHosts,
-				"malformed", sst.Malformed, "dropped", sst.Dropped)
+			a.logCounters("status")
 		}
 	}
+}
+
+// logCounters writes the status and shutdown lines. Listeners route into
+// the shard queues, so a full one is the only drop there is: shard_dropped.
+func (a *app) logCounters(msg string) {
+	mst := a.Monitor.Stats()
+	sst := a.Server.Stats()
+	a.log.Info(msg,
+		"messages", mst.Messages, "anomalies", mst.Anomalies,
+		"warnings", mst.Warnings, "hosts", mst.ActiveHosts,
+		"malformed", sst.Malformed, "shard_dropped", sst.ShardDropped,
+		"evicted_hosts", mst.EvictedHosts)
 }

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +24,7 @@ import (
 	"nfvpredict/internal/logfmt"
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/resilience"
+	"nfvpredict/internal/serve"
 	"nfvpredict/internal/sigtree"
 )
 
@@ -51,18 +57,30 @@ func trainServing(t *testing.T) (*sigtree.Tree, *detect.LSTMDetector) {
 	return tree, det
 }
 
-// testApp wires an app the way run() does, minus listeners and signals.
-func testApp(t *testing.T) (*app, *http.ServeMux) {
+// testApp builds the app around the stack run() builds — serve.New on a
+// loopback port, never started: tests score through Monitor.HandleMessage
+// and drive the admin mux directly. lcfg non-nil is the -adapt stack.
+func testApp(t *testing.T, lcfg *lifecycle.Config) (*app, *http.ServeMux) {
 	t.Helper()
-	a := newApp(obs.NewLogger(io.Discard, obs.LevelError), 32, 64, 4)
 	tree, det := trainServing(t)
-	mcfg := ingest.DefaultMonitorConfig()
-	mcfg.Threshold = 4
-	mcfg.Metrics = a.reg
-	mcfg.Traces = a.traces
-	mcfg.ClusterOf = func(string) int { return 0 }
-	a.mon = ingest.NewMonitor(mcfg, tree, det, nil)
-	return a, a.adminMux()
+	so := serve.DefaultOptions()
+	so.Tree = tree
+	so.Models = &lifecycle.ModelSet{
+		Detectors: []*detect.LSTMDetector{det},
+		Assign:    map[string]int{"vpe01": 0},
+		Threshold: 4,
+	}
+	so.UDPAddr, so.TCPAddr = "127.0.0.1:0", "127.0.0.1:0"
+	so.TraceBuffer, so.SpanBuffer, so.SpanSample = 32, 64, 4
+	so.Lifecycle = lcfg
+	so.Log = obs.NewLogger(io.Discard, obs.LevelWarn)
+	st, err := serve.New(so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	a := &app{Stack: st, log: so.Log, started: time.Now()}
+	return a, a.AdminMux(a.status)
 }
 
 func get(t *testing.T, mux *http.ServeMux, path string) (int, string) {
@@ -77,7 +95,7 @@ func get(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 // 503 with the rejection as reason while the serving model stays active,
 // and a subsequent good reload must restore 200.
 func TestAdminHealthFlipsOnRejectedReload(t *testing.T) {
-	a, mux := testApp(t)
+	a, mux := testApp(t, nil)
 	dir := t.TempDir()
 
 	if code, _ := get(t, mux, "/healthz"); code != http.StatusOK {
@@ -99,12 +117,12 @@ func TestAdminHealthFlipsOnRejectedReload(t *testing.T) {
 		t.Fatalf("readyz after rejected reload: %d %q", code, body)
 	}
 	// The monitor still serves: messages are still scored.
-	a.mon.HandleMessage(logfmt.Message{
+	a.Monitor.HandleMessage(logfmt.Message{
 		Time: time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC),
 		Host: "vpe01", Tag: "rpd",
 		Text: "bgp keepalive exchanged with peer 10.0.0.1 hold 90",
 	})
-	if st := a.mon.Stats(); st.Messages != 1 {
+	if st := a.Monitor.Stats(); st.Messages != 1 {
 		t.Fatalf("monitor stopped serving after rejected reload: %+v", st)
 	}
 	// /statusz reports the degraded state.
@@ -133,7 +151,7 @@ func TestAdminHealthFlipsOnRejectedReload(t *testing.T) {
 	if code, _ := get(t, mux, "/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz after good reload: %d", code)
 	}
-	if got := a.mon.Threshold(); got != 5 {
+	if got := a.Monitor.Threshold(); got != 5 {
 		t.Fatalf("reload did not apply bundle threshold: %v", got)
 	}
 	_, metrics := get(t, mux, "/metrics")
@@ -152,7 +170,7 @@ func TestAdminHealthFlipsOnRejectedReload(t *testing.T) {
 // that explains the verdict end-to-end: host, score over threshold, and the
 // per-window log-probabilities that produced it.
 func TestAdminTracesExplainInjectedAnomaly(t *testing.T) {
-	a, mux := testApp(t)
+	a, mux := testApp(t, nil)
 	normal := []string{
 		"bgp keepalive exchanged with peer 10.0.0.2 hold 90",
 		"interface statistics poll completed for ge-0/0/2 in 9 ms",
@@ -161,10 +179,10 @@ func TestAdminTracesExplainInjectedAnomaly(t *testing.T) {
 	}
 	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 80; i++ {
-		a.mon.HandleMessage(logfmt.Message{Time: at, Host: "vpe07", Tag: "rpd", Text: normal[i%len(normal)]})
+		a.Monitor.HandleMessage(logfmt.Message{Time: at, Host: "vpe07", Tag: "rpd", Text: normal[i%len(normal)]})
 		at = at.Add(30 * time.Second)
 	}
-	a.mon.HandleMessage(logfmt.Message{Time: at, Host: "vpe07", Tag: "rpd",
+	a.Monitor.HandleMessage(logfmt.Message{Time: at, Host: "vpe07", Tag: "rpd",
 		Text: "invalid response from peer chassis-control session 42 retries 3"})
 
 	code, body := get(t, mux, "/traces")
@@ -215,34 +233,15 @@ func TestAdminTracesExplainInjectedAnomaly(t *testing.T) {
 	}
 }
 
-// testAppAdapt wires an app the way run() does with -adapt on: lifecycle
-// manager first (the monitor config needs its Observe hook), monitor
-// attached after, /models mounted on the admin mux.
+// testAppAdapt is testApp with -adapt on: cycles via /models/adapt only,
+// a gate and spool floor small enough for a test's worth of traffic.
 func testAppAdapt(t *testing.T) (*app, *http.ServeMux) {
-	t.Helper()
-	a := newApp(obs.NewLogger(io.Discard, obs.LevelError), 32, 64, 4)
-	tree, det := trainServing(t)
-	ms := &lifecycle.ModelSet{
-		Detectors: []*detect.LSTMDetector{det},
-		Assign:    map[string]int{"vpe01": 0},
-		Threshold: 4,
-	}
 	lcfg := lifecycle.DefaultConfig()
-	lcfg.Interval = 0 // cycles via /models/adapt only
+	lcfg.Interval = 0
 	lcfg.GateBudget = 1
 	lcfg.WindowLen = 8
 	lcfg.MinWindows = 4
-	lcfg.Metrics = a.reg
-	a.life = lifecycle.New(lcfg, ms)
-	mcfg := ingest.DefaultMonitorConfig()
-	mcfg.Threshold = ms.Threshold
-	mcfg.Metrics = a.reg
-	mcfg.Traces = a.traces
-	mcfg.ClusterOf = ms.ClusterOf()
-	mcfg.OnScored = a.life.Observe
-	a.mon = ingest.NewMonitorWithResolver(mcfg, tree, ms.Resolver(), nil)
-	a.life.Attach(a.mon)
-	return a, a.adminMux()
+	return testApp(t, &lcfg)
 }
 
 // TestReadyzNamedConditions drives the degradation controller through its
@@ -252,7 +251,6 @@ func testAppAdapt(t *testing.T) (*app, *http.ServeMux) {
 // longer be emitted, so /readyz must go 503), and recovery walks both back.
 func TestReadyzNamedConditions(t *testing.T) {
 	a, mux := testAppAdapt(t)
-	a.initDegrader()
 
 	if code, body := get(t, mux, "/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz at baseline: %d %q", code, body)
@@ -260,12 +258,12 @@ func TestReadyzNamedConditions(t *testing.T) {
 
 	// A burst of durable-I/O faults sheds learning: spooling and timer
 	// cycles pause, but scoring — and therefore readiness — is untouched.
-	a.degrader.Eval(resilience.Sample{}) // prime the delta baselines
-	a.degrader.Eval(resilience.Sample{IOFaults: 5})
-	if got := a.degrader.Mode(); got != resilience.ModeShedLearning {
+	a.Degrader.Eval(resilience.Sample{}) // prime the delta baselines
+	a.Degrader.Eval(resilience.Sample{IOFaults: 5})
+	if got := a.Degrader.Mode(); got != resilience.ModeShedLearning {
 		t.Fatalf("mode after I/O fault burst = %v, want shed-learning", got)
 	}
-	if !a.life.ShedLearning() {
+	if !a.Lifecycle.ShedLearning() {
 		t.Fatal("shed-learning mode did not reach the lifecycle manager")
 	}
 	code, body := get(t, mux, "/readyz")
@@ -275,7 +273,7 @@ func TestReadyzNamedConditions(t *testing.T) {
 
 	// Scoring faults bursting escalates to shed-scoring: the "degradation"
 	// condition fails by name and readiness goes red.
-	a.degrader.Eval(resilience.Sample{IOFaults: 5, ScoringFaults: 5})
+	a.Degrader.Eval(resilience.Sample{IOFaults: 5, ScoringFaults: 5})
 	if code, body = get(t, mux, "/readyz"); code != http.StatusServiceUnavailable ||
 		!strings.Contains(body, "degradation: scoring shed") {
 		t.Fatalf("readyz at shed-scoring: %d %q", code, body)
@@ -311,12 +309,12 @@ func TestReadyzNamedConditions(t *testing.T) {
 	// Recovery is stepwise: clean evaluations walk shed-scoring back to
 	// shed-learning and then to normal, and readiness returns with them.
 	for i := 0; i < 6; i++ {
-		a.degrader.Eval(resilience.Sample{IOFaults: 5, ScoringFaults: 5})
+		a.Degrader.Eval(resilience.Sample{IOFaults: 5, ScoringFaults: 5})
 	}
-	if got := a.degrader.Mode(); got != resilience.ModeNormal {
+	if got := a.Degrader.Mode(); got != resilience.ModeNormal {
 		t.Fatalf("mode after clean evals = %v, want normal", got)
 	}
-	if a.life.ShedLearning() {
+	if a.Lifecycle.ShedLearning() {
 		t.Fatal("recovery did not lift shed-learning from the lifecycle manager")
 	}
 	if code, body = get(t, mux, "/readyz"); code != http.StatusOK || strings.Contains(body, "degraded:") {
@@ -326,7 +324,7 @@ func TestReadyzNamedConditions(t *testing.T) {
 	// The adaptation breaker surfaces as an informational condition on the
 	// same sampling tick (closed here, so degraded=false but present once a
 	// sample ran).
-	a.sampleDegrade()
+	a.SampleDegrade()
 	if _, body = get(t, mux, "/statusz"); !strings.Contains(body, `"adaptation"`) {
 		t.Fatalf("statusz lacks the adaptation breaker condition: %s", body)
 	}
@@ -347,10 +345,10 @@ func TestAdminLifecycleWiring(t *testing.T) {
 		"ntp clock synchronized to 10.9.9.9 stratum 2 offset 120 us",
 	}
 	for i := 0; i < 120; i++ {
-		a.mon.HandleMessage(logfmt.Message{Time: at, Host: "vpe01", Tag: "rpd", Text: normal[i%len(normal)]})
+		a.Monitor.HandleMessage(logfmt.Message{Time: at, Host: "vpe01", Tag: "rpd", Text: normal[i%len(normal)]})
 		at = at.Add(30 * time.Second)
 	}
-	if st := a.life.Status(); len(st.SpoolWindows) != 1 || st.SpoolWindows[0] == 0 {
+	if st := a.Lifecycle.Status(); len(st.SpoolWindows) != 1 || st.SpoolWindows[0] == 0 {
 		t.Fatalf("OnScored hook did not fill the spool: %+v", st)
 	}
 
@@ -359,10 +357,10 @@ func TestAdminLifecycleWiring(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST /models/adapt: %d %s", rec.Code, rec.Body.String())
 	}
-	if a.life.Generation() != 1 {
-		t.Fatalf("generation after adapt = %d, want 1", a.life.Generation())
+	if a.Lifecycle.Generation() != 1 {
+		t.Fatalf("generation after adapt = %d, want 1", a.Lifecycle.Generation())
 	}
-	if got := a.mon.Stats().ModelSwaps; got != 1 {
+	if got := a.Monitor.Stats().ModelSwaps; got != 1 {
 		t.Fatalf("ModelSwaps = %d, want 1", got)
 	}
 
@@ -396,11 +394,78 @@ func TestAdminLifecycleWiring(t *testing.T) {
 	if err := a.reload(good); err != nil {
 		t.Fatal(err)
 	}
-	st := a.life.Status()
+	st := a.Lifecycle.Status()
 	if st.Generation != 2 || st.CanRollback || st.SpoolWindows[0] != 0 {
 		t.Fatalf("lifecycle not realigned after reload: %+v", st)
 	}
-	if a.life.Serving().Threshold != 5 {
-		t.Fatalf("reload did not install the bundle threshold into the lifecycle: %+v", a.life.Serving())
+	if a.Lifecycle.Serving().Threshold != 5 {
+		t.Fatalf("reload did not install the bundle threshold into the lifecycle: %+v", a.Lifecycle.Serving())
+	}
+}
+
+// TestHelpGolden pins the flag surface byte for byte against the text
+// recorded before the wiring moved into internal/serve: no flag, default
+// or usage string was added, lost or reworded. (-year defaults to the
+// current year, masked on both sides.)
+func TestHelpGolden(t *testing.T) {
+	var buf bytes.Buffer
+	fs := flag.NewFlagSet("nfvmonitor", flag.ContinueOnError)
+	fs.SetOutput(&buf)
+	registerFlags(fs, new(options))
+	fs.PrintDefaults()
+	got := strings.ReplaceAll(buf.String(), fmt.Sprintf("(default %d)", time.Now().Year()), "(default YEAR)")
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("nfvmonitor -h changed:\n%s", got)
+	}
+}
+
+// TestStatusLineLogsShardDrops pins the counters on the status and
+// shutdown lines: with the listeners routing into the shard queues the
+// only drop an accepted message can suffer is a refused Enqueue, so that
+// is the one logged — not the func-sink dispatcher's always-zero counters.
+func TestStatusLineLogsShardDrops(t *testing.T) {
+	a, _ := testApp(t, nil)
+	var buf bytes.Buffer
+	a.log = obs.NewLogger(&buf, obs.LevelInfo)
+	// Listeners up, shard workers not: one host's queue fills and refuses.
+	a.Server.Start(nil)
+	conn, err := net.Dial("tcp", a.Server.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const sent = ingest.DefaultShardQueue + 76
+	w := bufio.NewWriter(conn)
+	msg := logfmt.Message{
+		Time: time.Date(time.Now().Year(), 3, 1, 0, 0, 0, 0, time.UTC),
+		Host: "vpe01", Tag: "rpd", Text: "bgp keepalive exchanged with peer 10.0.0.1 hold 90",
+	}
+	line := msg.Format3164()
+	for i := 0; i < sent; i++ {
+		fmt.Fprintf(w, "%d %s", len(line), line)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := a.Server.Stats(); st.Received+st.ShardDropped < sent; st = a.Server.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("listener never consumed the frames: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.logCounters("status")
+	logged := buf.String()
+	if !strings.Contains(logged, " shard_dropped=76") || !strings.Contains(logged, " malformed=0") {
+		t.Fatalf("status line does not report the refused enqueues: %q", logged)
+	}
+	for _, dead := range []string{" dropped=", "sink_panics"} {
+		if strings.Contains(logged, dead) {
+			t.Fatalf("status line still carries the dispatcher counter %q: %q", dead, logged)
+		}
 	}
 }

@@ -20,19 +20,18 @@ import (
 // warning fires before the shed, not after. The -profile-on-burn hook
 // captures its CPU profile on the same tick.
 func TestSLOBurnShedsLearning(t *testing.T) {
-	a, mux := testApp(t)
-	a.initDegrader()
-	a.profiler = obs.NewBurnProfiler(t.TempDir(), 50*time.Millisecond, time.Hour, a.log)
-	a.profiler.Export(a.reg)
-	a.sampleDegrade() // prime the controller's delta baselines
+	a, mux := testApp(t, nil)
+	a.Profiler = obs.NewBurnProfiler(t.TempDir(), 50*time.Millisecond, time.Hour, a.log)
+	a.Profiler.Export(a.Registry)
+	a.SampleDegrade() // prime the controller's delta baselines
 
-	if got := a.degrader.Mode(); got != resilience.ModeNormal {
+	if got := a.Degrader.Mode(); got != resilience.ModeNormal {
 		t.Fatalf("baseline mode = %v", got)
 	}
 	// An overload burst: the ingest server would record every shard-queue
 	// refusal as a bad admission event. 30% bad over a 1% budget is burn
 	// 30 — past the 14.4 fast threshold.
-	a.sloDrops.RecordN(70, 30)
+	a.SLODrops.RecordN(70, 30)
 
 	// The burn is already visible on /slo while the degrader still reads
 	// normal: the SLO surface leads the shed.
@@ -55,31 +54,31 @@ func TestSLOBurnShedsLearning(t *testing.T) {
 	if drop == nil || !drop.Fast.Burning {
 		t.Fatalf("/slo does not show the drop burn: %s", body)
 	}
-	if got := a.degrader.Mode(); got != resilience.ModeNormal {
+	if got := a.Degrader.Mode(); got != resilience.ModeNormal {
 		t.Fatalf("degrader shed before its sampling tick: %v", got)
 	}
 
 	// The controller's next sample consumes the burn: learning shed,
 	// reason naming the SLO, burn profile captured.
-	a.sampleDegrade()
-	if got := a.degrader.Mode(); got != resilience.ModeShedLearning {
+	a.SampleDegrade()
+	if got := a.Degrader.Mode(); got != resilience.ModeShedLearning {
 		t.Fatalf("mode after burn sample = %v, want shed-learning", got)
 	}
-	if reason := a.degrader.Reason(); !strings.Contains(reason, "SLO") {
+	if reason := a.Degrader.Reason(); !strings.Contains(reason, "SLO") {
 		t.Fatalf("shed reason = %q, want the SLO burn named", reason)
 	}
-	if got := a.reg.Snapshot().Counters["slo_burn_profiles_total"]; got != 1 {
+	if got := a.Registry.Snapshot().Counters["slo_burn_profiles_total"]; got != 1 {
 		t.Fatalf("burn profiles captured = %d, want 1", got)
 	}
 	// Scoring still runs at shed-learning, so warning availability stays
 	// good — both availability ticks so far were sheddable-free.
-	if st := a.sloAvail.Status(); st.Fast.Good != 2 || st.Fast.Bad != 0 {
+	if st := a.SLOAvail.Status(); st.Fast.Good != 2 || st.Fast.Bad != 0 {
 		t.Fatalf("availability SLO = %+v", st.Fast)
 	}
 
 	// The burning objective's exported gauge flipped with the Statuses
 	// refresh the /slo render performed.
-	if v := a.reg.Snapshot().Gauges["shard_drop_ratio_slo_fast_burning"]; v != 1 {
+	if v := a.Registry.Snapshot().Gauges["shard_drop_ratio_slo_fast_burning"]; v != 1 {
 		t.Fatalf("burning gauge = %v", v)
 	}
 }
@@ -88,8 +87,8 @@ func TestSLOBurnShedsLearning(t *testing.T) {
 // sections: build info from the running binary, the SLO evaluations, and
 // the span-ring total.
 func TestStatuszObservabilitySections(t *testing.T) {
-	a, mux := testApp(t)
-	a.spans.Add(obs.Span{TraceID: 1, Kind: obs.KindDecision, Sampled: true, TotalNS: 100})
+	a, mux := testApp(t, nil)
+	a.Spans.Add(obs.Span{TraceID: 1, Kind: obs.KindDecision, Sampled: true, TotalNS: 100})
 	_, body := get(t, mux, "/statusz")
 	var doc struct {
 		Build struct {
@@ -122,7 +121,7 @@ func TestStatuszObservabilitySections(t *testing.T) {
 // setting: /statusz and /metrics report no precision or packed-weight
 // figure, and -precision is an undefined flag, not an accepted no-op.
 func TestOneInferenceEngineSurface(t *testing.T) {
-	_, mux := testApp(t)
+	_, mux := testApp(t, nil)
 	_, body := get(t, mux, "/statusz")
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
@@ -147,14 +146,14 @@ func TestOneInferenceEngineSurface(t *testing.T) {
 	}
 }
 
-// TestWarningLogRateLimited checks the app-level logger wiring: newApp
+// TestWarningLogRateLimited checks the app-level logger wiring: the stack
 // arms the per-key token bucket and exports the suppression counter.
 func TestWarningLogRateLimited(t *testing.T) {
-	a := newApp(obs.NewLogger(io.Discard, obs.LevelWarn), 32, 64, 4)
+	a, _ := testApp(t, nil)
 	for i := 0; i < 20; i++ {
 		a.log.WarnLimited("vpe01", "warning signature", "i", i)
 	}
-	if got := a.reg.Snapshot().Counters["log_suppressed_total"]; got != 15 {
+	if got := a.Registry.Snapshot().Counters["log_suppressed_total"]; got != 15 {
 		t.Fatalf("suppressed = %d, want 15 of 20 past the burst of 5", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Streaming: the runtime deployment mode of the paper — a live monitor
 // fed by a syslog ingestion server. This example trains the LSTM on one
-// simulated month, starts a UDP syslog listener on an ephemeral port,
-// replays a later (update-free) month of the trace over real UDP packets,
-// and prints the warning signatures the monitor raises.
+// simulated month, builds the serving stack nfvmonitor ships (serve.New)
+// with a UDP syslog listener on an ephemeral port, replays a later
+// (update-free) month of the trace over real UDP packets, and prints the
+// warning signatures the monitor raises.
 //
 // Run with:
 //
@@ -14,13 +15,15 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"nfvpredict"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/features"
-	"nfvpredict/internal/ingest"
+	"nfvpredict/internal/lifecycle"
 	"nfvpredict/internal/pipeline"
+	"nfvpredict/internal/serve"
 )
 
 func main() {
@@ -52,22 +55,24 @@ func main() {
 	}
 	fmt.Printf("detector trained on %d vPE streams (%d templates)\n", len(streams), ds.Tree.Len())
 
-	// 3. Start the monitor behind a UDP syslog server.
-	warned := 0
-	mcfg := ingest.DefaultMonitorConfig()
-	mcfg.Threshold = 6
-	mon := ingest.NewMonitor(mcfg, ds.Tree, det, func(w nfvpredict.Warning) {
-		warned++
+	// 3. Start the serving stack behind a UDP syslog listener: datagrams
+	//    are routed to their host's shard queue and scored by its worker.
+	var warned atomic.Int64
+	so := serve.DefaultOptions()
+	so.Tree = ds.Tree
+	so.Models = &lifecycle.ModelSet{Detectors: []*detect.LSTMDetector{det}, Threshold: 6}
+	so.UDPAddr, so.Year = "127.0.0.1:0", simCfg.Start.Year()
+	so.OnWarning = func(w nfvpredict.Warning) {
+		warned.Add(1)
 		fmt.Printf("WARNING %s: %d anomalies clustering at %s\n", w.VPE, w.Size, w.Time.Format(time.RFC3339))
-	})
-	scfg := ingest.DefaultServerConfig()
-	scfg.Year = simCfg.Start.Year()
-	srv, err := ingest.NewServer(scfg, mon.HandleMessage)
+	}
+	st, err := serve.New(so)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv.Start(context.Background())
-	defer srv.Close()
+	st.Start(context.Background())
+	defer st.Close()
+	mon, srv := st.Monitor, st.Server
 	fmt.Println("syslog server listening on", srv.UDPAddr())
 
 	// 4. Replay month 1 of the trace as RFC 3164 datagrams.
@@ -95,16 +100,16 @@ func main() {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		msgs, _ := mon.Counters()
-		if int(msgs)+int(srv.Stats().Dropped) >= sent {
+		if int(msgs)+int(srv.Stats().ShardDropped) >= sent {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	msgs, anoms := mon.Counters()
-	st := srv.Stats()
+	sst := srv.Stats()
 	fmt.Printf("\nreplayed %d messages over UDP: ingested=%d dropped=%d malformed=%d\n",
-		sent, msgs, st.Dropped, st.Malformed)
-	fmt.Printf("anomalies flagged: %d, warning signatures: %d\n", anoms, warned)
+		sent, msgs, sst.ShardDropped, sst.Malformed)
+	fmt.Printf("anomalies flagged: %d, warning signatures: %d\n", anoms, warned.Load())
 	fmt.Printf("tickets in the replayed month: %d\n",
 		len(nfvpredict.NewTicketStore(trace.Tickets).Between(ds.MonthStart(1), ds.MonthStart(2))))
 }

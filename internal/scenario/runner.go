@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -25,6 +26,7 @@ import (
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/pipeline"
 	"nfvpredict/internal/resilience"
+	"nfvpredict/internal/serve"
 )
 
 // Options tunes a scenario run without changing its outcome.
@@ -62,6 +64,10 @@ type Report struct {
 
 	Events     []EventReport     `json:"events,omitempty"`
 	Assertions []AssertionResult `json:"assertions"`
+
+	// Warnings are the served warnings Eval was computed from, for callers
+	// that compare two runs; not part of the JSON report.
+	Warnings []detect.Warning `json:"-"`
 }
 
 // PhaseTiming is one phase's wall-clock cost.
@@ -263,7 +269,7 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	var summary *eval.Summary
 	if err := timed("serve", func() error {
 		var err error
-		summary, err = serve(spec, opts, rep, tr, ds, ms, dir, logf)
+		summary, err = servePhase(spec, opts, rep, tr, ds, ms, dir, logf)
 		return err
 	}); err != nil {
 		return nil, err
@@ -353,9 +359,11 @@ func trainModels(spec *Spec, tr *nfvsim.Trace) (*pipeline.Dataset, *lifecycle.Mo
 	return ds, &lifecycle.ModelSet{Detectors: dets, Assign: assign, Threshold: spec.Serve.Threshold}, nil
 }
 
-// serve replays the post-training trace over TCP through the full stack,
-// executing runner-side timeline events at their trace offsets.
-func serve(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline.Dataset, ms *lifecycle.ModelSet, dir string, logf func(string, ...any)) (*eval.Summary, error) {
+// servePhase replays the post-training trace over TCP through the shipped
+// serving stack (serve.New, as nfvmonitor builds it — only the traffic
+// source differs), executing runner-side timeline events at their trace
+// offsets.
+func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline.Dataset, ms *lifecycle.ModelSet, dir string, logf func(string, ...any)) (*eval.Summary, error) {
 	serveStart := spec.ServeStart()
 	end := spec.End()
 	first := sort.Search(len(tr.Messages), func(i int) bool {
@@ -363,16 +371,12 @@ func serve(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline
 	})
 	msgs := tr.Messages[first:]
 
-	reg := faultinject.NewRegistry()
-	oreg := obs.NewRegistry()
-
-	var lm *lifecycle.Manager
-	mcfg := ingest.DefaultMonitorConfig()
-	mcfg.Threshold = spec.Serve.Threshold
-	mcfg.Shards = spec.Serve.Shards
-	mcfg.Metrics = oreg
-	mcfg.ClusterOf = ms.ClusterOf()
-	mcfg.Faults = reg
+	so := serve.DefaultOptions()
+	so.Tree, so.Models = ds.Tree, ms
+	so.UDPAddr, so.TCPAddr, so.Year = "", "127.0.0.1:0", serveStart.Year()
+	so.Shards = spec.Serve.Shards
+	so.Faults = faultinject.NewRegistry()
+	so.Checkpoint = filepath.Join(dir, "monitor.nfvc")
 	if spec.Lifecycle.Enabled {
 		lcfg := lifecycle.DefaultConfig()
 		lcfg.Interval = 0 // cycles driven only by adapt events
@@ -381,33 +385,20 @@ func serve(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline
 		lcfg.SpoolPerCluster = spec.Lifecycle.SpoolPerCluster
 		lcfg.MinWindows = spec.Lifecycle.MinWindows
 		lcfg.DriftThreshold = spec.Lifecycle.DriftThreshold
-		lcfg.Faults = reg
-		lcfg.Metrics = oreg
-		lm = lifecycle.New(lcfg, ms)
-		mcfg.OnScored = lm.Observe
+		so.Lifecycle = &lcfg
+		so.Spool = filepath.Join(dir, "lifecycle.nfvs")
 	}
-	mon := ingest.NewMonitorWithResolver(mcfg, ds.Tree, ms.Resolver(), nil)
-	if lm != nil {
-		lm.Attach(mon)
-	}
-	mon.Start()
-	defer mon.Stop()
-
-	scfg := ingest.DefaultServerConfig()
-	scfg.UDPAddr = ""
-	scfg.TCPAddr = "127.0.0.1:0"
-	scfg.Year = serveStart.Year()
-	scfg.Metrics = oreg
-	scfg.Sharded = mon
-	srv, err := ingest.NewServer(scfg, nil)
+	st, err := serve.New(so)
 	if err != nil {
 		return nil, err
 	}
-	srv.Start(nil)
-	defer srv.Close()
+	st.Start(nil)
+	defer st.Close()
+	mon, srv, lm := st.Monitor, st.Server, st.Lifecycle
 
-	// Admin surface: /statusz carries the scenario-run metadata (name,
-	// phase, executed events) next to the live stack counters.
+	// Admin surface: the stack's own (/metrics, /traces, /spans, /slo, ...),
+	// with the scenario-run metadata (name, phase, executed events) next to
+	// the live stack counters as its /statusz document.
 	rs := &runState{phase: "serve"}
 	if spec.Serve.Admin {
 		addr := opts.AdminAddr
@@ -418,29 +409,21 @@ func serve(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline
 		if lerr != nil {
 			return nil, fmt.Errorf("scenario: admin listener: %w", lerr)
 		}
-		mux := obs.NewAdminMux(obs.AdminConfig{
-			Registry: oreg,
-			Traces:   obs.NewTraceRing(8),
-			Spans:    obs.NewSpanRing(8),
-			SLO:      obs.NewSLOSet(),
-			Health:   obs.NewHealth(),
-			Status: func() any {
-				phase, events := rs.snapshot()
-				doc := map[string]any{
-					"scenario": spec.Name,
-					"seed":     spec.Seed,
-					"phase":    phase,
-					"events":   events,
-					"monitor":  mon.Stats(),
-					"ingest":   srv.Stats(),
-				}
-				if lm != nil {
-					doc["lifecycle"] = lm.Status()
-				}
-				return doc
-			},
-		})
-		admin := &http.Server{Handler: mux}
+		admin := &http.Server{Handler: st.AdminMux(func() any {
+			phase, events := rs.snapshot()
+			doc := map[string]any{
+				"scenario": spec.Name,
+				"seed":     spec.Seed,
+				"phase":    phase,
+				"events":   events,
+				"monitor":  mon.Stats(),
+				"ingest":   srv.Stats(),
+			}
+			if lm != nil {
+				doc["lifecycle"] = lm.Status()
+			}
+			return doc
+		})}
 		go admin.Serve(ln)
 		defer admin.Close()
 		logf("scenario %s: admin surface on %s", spec.Name, ln.Addr())
@@ -458,8 +441,6 @@ func serve(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline
 
 	// Runner-side events split the serve stream into segments; each event
 	// executes against a fully drained stack.
-	ckptPath := filepath.Join(dir, "monitor.nfvc")
-	retryPol := resilience.RetryPolicy{Attempts: 5, Base: time.Millisecond, Max: 20 * time.Millisecond, Seed: 1}
 	baseGen := 0
 	if lm != nil {
 		baseGen = lm.Generation()
@@ -481,7 +462,7 @@ func serve(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline
 		if err := feeder.drain(); err != nil {
 			return nil, err
 		}
-		detail, err := execEvent(ev, reg, mon, lm, ms, rep, ckptPath, retryPol)
+		detail, err := execEvent(ev, st, so, rep)
 		if err != nil {
 			return nil, err
 		}
@@ -514,30 +495,32 @@ func serve(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline
 	rep.Serve.EvictedHosts = mst.EvictedHosts
 	rep.Serve.Shards = mst.Shards
 	if lm != nil {
-		st := lm.Status()
+		lst := lm.Status()
 		rep.Lifecycle = &LifecycleReport{
-			Cycles:     st.Cycles,
+			Cycles:     lst.Cycles,
 			Promotions: lm.Generation() - baseGen,
 			Generation: lm.Generation(),
-			Breaker:    st.Breaker.StateName,
+			Breaker:    lst.Breaker.StateName,
 		}
 	}
-	for _, ps := range reg.Snapshot() {
+	for _, ps := range so.Faults.Snapshot() {
 		if ps.Hits > 0 || ps.Fired > 0 {
 			rep.Chaos = append(rep.Chaos, PointReport{Point: ps.Name, Hits: ps.Hits, Fired: ps.Fired})
 		}
 	}
 
-	out := eval.MapWarnings(mon.Warnings(), tr.Tickets, eval.DefaultConfig(), serveStart, end)
+	rep.Warnings = mon.Warnings()
+	out := eval.MapWarnings(rep.Warnings, tr.Tickets, eval.DefaultConfig(), serveStart, end)
 	summary := out.Summary()
 	return &summary, nil
 }
 
-// execEvent runs one runner-side timeline event against the drained stack.
-func execEvent(ev *Event, reg *faultinject.Registry, mon *ingest.Monitor, lm *lifecycle.Manager, ms *lifecycle.ModelSet, rep *Report, ckptPath string, retryPol resilience.RetryPolicy) (string, error) {
+// execEvent runs one runner-side timeline event against the drained stack
+// st, which was built from so.
+func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (string, error) {
 	switch ev.Kind {
 	case EventChaos:
-		err := reg.Arm(ev.Point, faultinject.Arming{
+		err := so.Faults.Arm(ev.Point, faultinject.Arming{
 			Mode:  faultinject.Mode(ev.Mode),
 			Count: int64(ev.Count),
 			Delay: ev.Delay,
@@ -549,56 +532,54 @@ func execEvent(ev *Event, reg *faultinject.Registry, mon *ingest.Monitor, lm *li
 		}
 		return fmt.Sprintf("armed %s mode=%s count=%d", ev.Point, ev.Mode, ev.Count), nil
 	case EventAdapt:
-		if lm == nil {
+		if st.Lifecycle == nil {
 			return "", fmt.Errorf("scenario: adapt event without lifecycle")
 		}
-		res := lm.TriggerCycle(ev.Forced)
+		res := st.Lifecycle.TriggerCycle(ev.Forced)
 		if res.Skipped {
 			return fmt.Sprintf("cycle skipped: %s", res.SkipReason), nil
 		}
 		return fmt.Sprintf("cycle ran: promoted=%v", res.Promoted), nil
 	case EventCheckpoint:
-		liveMsgs, _ := mon.Counters()
-		liveWarn := mon.Warnings()
-		if err := resilience.Retry(nil, retryPol, func() error {
-			return mon.CheckpointFile(ckptPath)
-		}); err != nil {
+		liveMsgs, _ := st.Monitor.Counters()
+		liveWarn := st.Monitor.Warnings()
+		if err := st.Checkpoint("scenario checkpoint event"); err != nil {
 			return "", fmt.Errorf("scenario: checkpoint exhausted retries: %w", err)
 		}
 		rep.Serve.CheckpointSaves++
-		rcfg := ingest.DefaultMonitorConfig()
-		rcfg.Threshold = ms.Threshold
-		rcfg.ClusterOf = ms.ClusterOf()
-		resolve := ms.Resolver()
-		if lm != nil {
-			if serving := lm.Serving(); serving != nil {
-				resolve = serving.Resolver()
-			}
+		// The restart: a second stack over the same options — the live
+		// config, serving whatever generation is live now — must resume
+		// from the file exactly where the live monitor stands.
+		var restartLog bytes.Buffer
+		probe := so
+		probe.Faults, probe.Lifecycle = nil, nil
+		probe.Log = obs.NewLogger(&restartLog, obs.LevelWarn)
+		if st.Lifecycle != nil {
+			probe.Models = st.Lifecycle.Serving()
 		}
-		restored, err := ingest.RestoreMonitorFile(ckptPath, rcfg, resolve, nil)
+		restarted, err := serve.New(probe)
 		if err != nil {
-			return "", fmt.Errorf("scenario: checkpoint on disk unrestorable: %w", err)
+			return "", err
 		}
-		rMsgs, _ := restored.Counters()
-		parity := rMsgs == liveMsgs && warningsEqual(liveWarn, restored.Warnings())
+		defer restarted.Close()
+		if restarted.RestoredAt.IsZero() {
+			return "", fmt.Errorf("scenario: checkpoint on disk unrestorable: %s", restartLog.String())
+		}
+		rMsgs, _ := restarted.Monitor.Counters()
+		parity := rMsgs == liveMsgs && warningsEqual(liveWarn, restarted.Monitor.Warnings())
 		if !parity {
 			rep.Serve.CheckpointParity = false
 		}
 		return fmt.Sprintf("saved+restored: messages=%d parity=%v", rMsgs, parity), nil
 	case EventDegrade:
-		var mode resilience.Mode
+		mode := resilience.ModeNormal
 		switch ev.DegradeMode {
 		case "shed-learning":
 			mode = resilience.ModeShedLearning
 		case "shed-scoring":
 			mode = resilience.ModeShedScoring
-		default:
-			mode = resilience.ModeNormal
 		}
-		mon.SetDegrade(mode)
-		if lm != nil {
-			lm.SetShedLearning(mode >= resilience.ModeShedLearning, "scenario degrade event")
-		}
+		st.SetDegrade(mode, "scenario degrade event")
 		return "mode=" + ev.DegradeMode, nil
 	}
 	return "", fmt.Errorf("scenario: unexpected runner event kind %q", ev.Kind)

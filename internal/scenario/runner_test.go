@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"nfvpredict/internal/logfmt"
 )
@@ -204,5 +205,132 @@ func TestRunnerDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("eval summaries diverge across identical runs:\n%s\n%s", a, b)
+	}
+}
+
+// TestRunnerAdminIsLive checks that a scenario's admin surface is the
+// serving stack's own: while e2eDoc's serve phase runs, /traces explains
+// the burst host's verdicts, /spans holds pipeline spans, and /slo lists
+// the three standing objectives with the two per-message ones counting.
+// The surface closes when the phase returns, so the poller runs beside
+// the replay and latches the first time all three hold.
+func TestRunnerAdminIsLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack scenario run")
+	}
+	spec, err := Load([]byte(e2eDoc))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	verdict := make(chan string, 1)
+	if _, err := Run(spec, Options{AdminUp: func(addr net.Addr) {
+		go func() { verdict <- pollAdmin(fmt.Sprintf("http://%s", addr)) }()
+	}}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if missing := <-verdict; missing != "" {
+		t.Fatal(missing)
+	}
+}
+
+// pollAdmin polls the three endpoints until each shows live data ("") or
+// the surface goes away (what was still missing).
+func pollAdmin(base string) string {
+	var traces struct{ Traces []json.RawMessage }
+	var spans struct{ Spans []json.RawMessage }
+	var slo struct {
+		SLOs []struct {
+			Name string
+			Fast struct{ Good, Bad uint64 }
+		}
+	}
+	missing := "never polled"
+	for ; ; time.Sleep(time.Millisecond) {
+		for path, into := range map[string]any{"/traces?host=vpe01": &traces, "/spans": &spans, "/slo": &slo} {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				return fmt.Sprintf("admin surface closed with %s (%v)", missing, err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(into)
+			resp.Body.Close()
+			if err != nil {
+				return fmt.Sprintf("%s: %v", path, err)
+			}
+		}
+		events := map[string]uint64{}
+		for _, s := range slo.SLOs {
+			events[s.Name] = s.Fast.Good + s.Fast.Bad
+		}
+		// warning_availability is sampled by the controller tick, which a
+		// scenario has none of: listed, not counting.
+		_, listed := events["warning_availability"]
+		switch {
+		case len(traces.Traces) == 0:
+			missing = "/traces empty for the burst host"
+		case len(spans.Spans) == 0:
+			missing = "/spans empty"
+		case events["accept_verdict_latency"] == 0 || events["shard_drop_ratio"] == 0 || !listed:
+			missing = fmt.Sprintf("/slo not live: %+v", slo.SLOs)
+		default:
+			return ""
+		}
+	}
+}
+
+// divergenceBound is the ceiling on how far injected faults may move the
+// warnings: the per-host symmetric difference of warning counts between
+// the faulted run and a fault-free one, over the fault-free total. Faults
+// may cost the batches that were in flight when a worker died (at most
+// MaxBatch messages each, well under one warning burst per incident);
+// anything above the bound means fault handling is eating the stream.
+const divergenceBound = 0.2
+
+// TestFaultSoakDivergence runs scenarios/fault-soak.yaml as written — it
+// must pass — and again with its chaos events removed, on the same stack,
+// and bounds the warning divergence between the two.
+func TestFaultSoakDivergence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack scenario run")
+	}
+	spec, err := LoadFile(filepath.Join("..", "..", "scenarios", "fault-soak.yaml"))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	soak, err := Run(spec, Options{})
+	if err != nil {
+		t.Fatalf("soak run: %v", err)
+	}
+	if !soak.Passed {
+		t.Fatalf("fault-soak failed: %+v", soak.Assertions)
+	}
+	clean := *spec
+	clean.Timeline = nil
+	for _, ev := range spec.Timeline {
+		if ev.Kind != EventChaos {
+			clean.Timeline = append(clean.Timeline, ev)
+		}
+	}
+	ref, err := Run(&clean, Options{})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	if len(ref.Warnings) == 0 {
+		t.Fatal("reference run raised no warnings; the scenario is broken")
+	}
+	perHost := map[string]int{}
+	for _, w := range ref.Warnings {
+		perHost[w.VPE]++
+	}
+	for _, w := range soak.Warnings {
+		perHost[w.VPE]--
+	}
+	diff := 0
+	for _, d := range perHost {
+		diff += max(d, -d)
+	}
+	div := float64(diff) / float64(len(ref.Warnings))
+	t.Logf("warnings: reference %d, soak %d, divergence %.3f", len(ref.Warnings), len(soak.Warnings), div)
+	if div > divergenceBound {
+		t.Errorf("warning divergence %.3f exceeds bound %.2f", div, divergenceBound)
 	}
 }

@@ -1,0 +1,348 @@
+// Package serve assembles the serving stack — registry, trace and span
+// rings, tracer, SLOs, health, sharded monitor (restored from its
+// checkpoint when usable), optional lifecycle, degradation controller,
+// syslog listeners — for cmd/nfvmonitor, the scenario runner, the example
+// and their tests alike: what is tested and drilled is what ships, and
+// only the traffic source differs.
+package serve
+
+import (
+	"context"
+	"net/http"
+	"os"
+	"runtime"
+	"strings"
+	"time"
+
+	"nfvpredict/internal/bundle"
+	"nfvpredict/internal/detect"
+	"nfvpredict/internal/faultinject"
+	"nfvpredict/internal/ingest"
+	"nfvpredict/internal/lifecycle"
+	"nfvpredict/internal/obs"
+	"nfvpredict/internal/resilience"
+	"nfvpredict/internal/sigtree"
+)
+
+// Options says what to serve and the settings callers differ on. Start
+// from DefaultOptions.
+type Options struct {
+	// Tree and Models are the serving model (what a bundle and the
+	// bootstrap trainer both reduce to).
+	Tree   *sigtree.Tree
+	Models *lifecycle.ModelSet
+
+	// UDPAddr and TCPAddr are the syslog listen addresses ("" disables
+	// one); Year resolves RFC 3164 timestamps.
+	UDPAddr, TCPAddr string
+	Year             int
+	Shards           int           // scoring shards; 0 means GOMAXPROCS
+	Watchdog         time.Duration // stuck-shard-worker deadline; 0 disables
+	// TraceBuffer and SpanBuffer size the /traces and /spans rings;
+	// SpanSample is the 1-in-N stage-clock sampling rate (0 samples
+	// nothing; warnings still get spans); LatencyBound is the
+	// accept→verdict bound of the latency SLO.
+	TraceBuffer, SpanBuffer, SpanSample int
+	LatencyBound                        time.Duration
+	// Lifecycle, when set, attaches the online model lifecycle with this
+	// configuration (its Metrics, Tracer and Faults are the stack's).
+	Lifecycle *lifecycle.Config
+	// Faults, when set, makes the stack's fault points live in this
+	// registry and mounts it under /chaos/ on the admin surface.
+	Faults *faultinject.Registry
+	// Checkpoint is restored by New and written by Checkpoint; Spool is
+	// the lifecycle spool that rides along with it ("" disables either).
+	Checkpoint, Spool string
+	Log               *obs.Logger          // operational lines; nil drops them
+	OnWarning         func(detect.Warning) // fires once per warning signature
+}
+
+// DefaultOptions returns the shipped settings — the nfvmonitor flag
+// defaults read their values from here.
+func DefaultOptions() Options {
+	return Options{
+		UDPAddr:      "127.0.0.1:5514",
+		Year:         time.Now().Year(),
+		Watchdog:     30 * time.Second,
+		TraceBuffer:  256,
+		SpanBuffer:   512,
+		SpanSample:   16,
+		LatencyBound: 250 * time.Millisecond,
+	}
+}
+
+const sloTarget = 0.99 // the objective of each standing SLO
+
+// ioRetry is the retry policy for durable writes (checkpoint and spool):
+// transient faults are absorbed here, and the atomic write underneath
+// keeps the previous artifact through every failed attempt.
+var ioRetry = resilience.RetryPolicy{Attempts: 3, Base: 50 * time.Millisecond, Max: 2 * time.Second}
+
+// Stack is the assembled serving runtime; the exported fields are its
+// long-lived components.
+type Stack struct {
+	Registry *obs.Registry
+	Traces   *obs.TraceRing
+	Spans    *obs.SpanRing
+	Tracer   *obs.Tracer
+	Health   *obs.Health
+	// SLOs is the set behind /slo; the three standing objectives follow.
+	SLOs                           *obs.SLOSet
+	SLOLatency, SLODrops, SLOAvail *obs.SLO
+
+	Monitor    *ingest.Monitor
+	RestoredAt time.Time // when New resumed Monitor from the checkpoint; zero after a cold start
+	Server     *ingest.Server
+	Lifecycle  *lifecycle.Manager // nil unless Options.Lifecycle was set
+	// Degrader steps the stack between normal / shed-learning /
+	// shed-scoring from the samples SampleDegrade feeds it.
+	Degrader *resilience.Degrader
+	// Profiler, when the caller sets it, captures a CPU profile when an
+	// SLO fast window starts burning.
+	Profiler *obs.BurnProfiler
+
+	opts                                  Options
+	log                                   *obs.Logger
+	reloads, reloadFailures, ckptFailures *obs.Counter
+	lastCkptUnix                          *obs.Gauge
+}
+
+// clusterOf is the host→cluster mapping for trace identity: unmapped
+// hosts report cluster 0, whose detector also scores them.
+func clusterOf(assign map[string]int) func(string) int {
+	return func(host string) int { return assign[host] }
+}
+
+// New assembles the stack around opts.Tree and opts.Models; listeners are
+// bound but nothing runs until Start. A checkpoint that cannot be restored
+// is quarantined and the monitor starts cold: never a refusal to serve.
+func New(opts Options) (*Stack, error) {
+	reg := obs.NewRegistry()
+	s := &Stack{
+		Registry: reg,
+		Traces:   obs.NewTraceRing(opts.TraceBuffer),
+		Spans:    obs.NewSpanRing(opts.SpanBuffer),
+		SLOs:     obs.NewSLOSet(),
+		Health:   obs.NewHealth(),
+		opts:     opts,
+		log:      opts.Log,
+		reloads:  reg.Counter("monitor_bundle_reloads_total", "Successful SIGHUP bundle hot reloads."),
+		reloadFailures: reg.Counter("monitor_bundle_reload_failures_total",
+			"Rejected bundle hot reloads (load or validation failure)."),
+		ckptFailures: reg.Counter("monitor_checkpoint_failures_total", "Checkpoint writes that failed."),
+		lastCkptUnix: reg.Gauge("monitor_checkpoint_last_unix",
+			"Unix time of the last successful checkpoint write (0 = never)."),
+	}
+	n := 1
+	if opts.SpanSample <= 0 {
+		n = 0
+	}
+	s.Tracer = obs.NewTracer(s.Spans, n, opts.SpanSample)
+	s.Tracer.Export(reg)
+	s.SLOs.Export(reg)
+	slo := func(name, desc string) *obs.SLO {
+		return s.SLOs.Add(obs.SLOConfig{Name: name, Description: desc, Target: sloTarget})
+	}
+	s.SLOLatency = slo("accept_verdict_latency", "Scored messages reaching a verdict within the latency bound.")
+	s.SLODrops = slo("shard_drop_ratio", "Accepted messages admitted to a shard queue (not dropped on overflow).")
+	s.SLOAvail = slo("warning_availability",
+		"Degradation-controller ticks during which warnings could still be emitted (scoring not shed).")
+	// Hot-path warning lines (one per warning signature, keyed by vPE) are
+	// token-bucket limited so a flapping host cannot flood the log.
+	s.log.SetRateLimit(1, 5, reg.Counter("log_suppressed_total",
+		"Hot-path warning log lines suppressed by the per-key rate limiter."))
+
+	mcfg := ingest.DefaultMonitorConfig()
+	mcfg.Threshold = opts.Models.Threshold
+	mcfg.ClusterOf = clusterOf(opts.Models.Assign)
+	mcfg.Metrics, mcfg.Traces, mcfg.Tracer = reg, s.Traces, s.Tracer
+	mcfg.LatencySLO, mcfg.LatencyBound = s.SLOLatency, opts.LatencyBound
+	mcfg.Watchdog, mcfg.Faults = opts.Watchdog, opts.Faults
+	if mcfg.Shards = opts.Shards; mcfg.Shards <= 0 {
+		mcfg.Shards = runtime.GOMAXPROCS(0)
+	}
+	// The lifecycle manager is built before the monitor because the monitor
+	// config needs its Observe hook; the monitor is attached just after.
+	if opts.Lifecycle != nil {
+		lcfg := *opts.Lifecycle
+		lcfg.Metrics, lcfg.Tracer, lcfg.Faults = reg, s.Tracer, opts.Faults
+		s.Lifecycle = lifecycle.New(lcfg, opts.Models)
+		mcfg.OnScored = s.Lifecycle.Observe
+	}
+	resolve := opts.Models.Resolver()
+	if _, serr := os.Stat(opts.Checkpoint); opts.Checkpoint != "" && serr == nil {
+		s.Monitor = s.restore(mcfg, resolve)
+	}
+	if s.Monitor == nil {
+		s.Monitor = ingest.NewMonitorWithResolver(mcfg, opts.Tree, resolve, opts.OnWarning)
+	}
+	s.Degrader = resilience.NewDegrader(resilience.DegraderConfig{}, func(from, to resilience.Mode, reason string) {
+		s.SetDegrade(to, reason)
+		s.log.Warn("degradation mode change", "from", from.String(), "to", to.String(), "reason", reason)
+	})
+	if s.Lifecycle != nil {
+		s.Lifecycle.Attach(s.Monitor)
+		if lerr := s.Lifecycle.LoadSpool(opts.Spool); lerr != nil {
+			s.log.Warn("spool unusable, starting cold", "path", opts.Spool, "err", lerr)
+		}
+	}
+
+	// The listeners route each parsed message straight to its host's shard
+	// queue. Trace IDs are minted at frame accept so spans cover decode and
+	// queue wait; every queue admission/refusal feeds shard_drop_ratio.
+	scfg := ingest.DefaultServerConfig()
+	scfg.UDPAddr, scfg.TCPAddr, scfg.Year = opts.UDPAddr, opts.TCPAddr, opts.Year
+	scfg.Metrics, scfg.Sharded, scfg.Tracer, scfg.DropSLO = reg, s.Monitor, s.Tracer, s.SLODrops
+	var err error
+	if s.Server, err = ingest.NewServer(scfg, nil); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// restore resumes from the checkpoint file, or moves an unusable one aside
+// (so the next save does not overwrite the evidence) and returns nil.
+func (s *Stack) restore(mcfg ingest.MonitorConfig, resolve func(string) *detect.LSTMDetector) *ingest.Monitor {
+	path := s.opts.Checkpoint
+	mon, rerr := ingest.RestoreMonitorFile(path, mcfg, resolve, s.opts.OnWarning)
+	if rerr != nil {
+		if qpath, qerr := resilience.Quarantine(path); qerr != nil {
+			s.log.Warn("checkpoint unusable, starting cold", "path", path, "err", rerr, "quarantine_err", qerr)
+		} else {
+			s.log.Warn("checkpoint unusable, starting cold", "path", path, "err", rerr, "quarantined", qpath)
+		}
+		return nil
+	}
+	s.RestoredAt = time.Now()
+	st := mon.Stats()
+	s.log.Info("restored checkpoint", "path", path,
+		"hosts", st.ActiveHosts, "messages", st.Messages, "warnings", st.Warnings)
+	return mon
+}
+
+// Start launches the lifecycle timer, the shard workers and the
+// listeners; cancelling ctx closes the listeners.
+func (s *Stack) Start(ctx context.Context) {
+	if s.Lifecycle != nil {
+		s.Lifecycle.Start()
+	}
+	s.Monitor.Start()
+	s.Server.Start(ctx)
+}
+
+// Close stops the listeners, drains the shard queues and stops the
+// lifecycle timer; a Checkpoint after it snapshots the drained state.
+func (s *Stack) Close() {
+	s.Server.Close()
+	s.Monitor.Stop()
+	if s.Lifecycle != nil {
+		s.Lifecycle.Stop()
+	}
+}
+
+// Checkpoint writes Options.Checkpoint with retries and counts the outcome
+// ("" is a no-op). The spool rides along so the two artifacts agree on
+// tree lineage; a spool failure is logged and never fails the checkpoint.
+func (s *Stack) Checkpoint(reason string) error {
+	path := s.opts.Checkpoint
+	if path == "" {
+		return nil
+	}
+	err := resilience.Retry(nil, ioRetry, func() error { return s.Monitor.CheckpointFile(path) })
+	if err != nil {
+		s.ckptFailures.Inc()
+		s.log.Error("checkpoint failed", "path", path, "reason", reason, "err", err)
+		return err
+	}
+	s.lastCkptUnix.SetTime(time.Now())
+	s.log.Debug("checkpoint written", "path", path, "reason", reason)
+	if spool := s.opts.Spool; s.Lifecycle != nil && spool != "" {
+		if serr := resilience.Retry(nil, ioRetry, func() error { return s.Lifecycle.SaveSpool(spool) }); serr != nil {
+			s.log.Error("spool save failed", "path", spool, "err", serr)
+		} else {
+			s.log.Debug("spool written", "path", spool, "reason", reason)
+		}
+	}
+	return nil
+}
+
+// Reload swaps a validated bundle in: the monitor first, then the
+// lifecycle is realigned to the new template lineage (spools rebuilt,
+// drift references reset, pending and previous generations dropped).
+func (s *Stack) Reload(b *bundle.Bundle) {
+	s.Monitor.SwapModel(b.Tree, b.DetectorFor, b.Threshold)
+	s.Monitor.SetClusterOf(clusterOf(b.Assign))
+	if s.Lifecycle != nil {
+		s.Lifecycle.SetServing(lifecycle.ModelSetFromBundle(b))
+	}
+	s.reloads.Inc()
+	s.Health.SetCondition("bundle", true, "")
+}
+
+// RejectReload records a bundle that failed to load or validate: counted,
+// and the "bundle" readiness condition is off until a Reload succeeds.
+func (s *Stack) RejectReload(reason string) {
+	s.reloadFailures.Inc()
+	s.Health.SetCondition("bundle", false, reason)
+}
+
+// SetDegrade fans a degradation mode out to the monitor (shed-scoring
+// short-circuits scoring), the lifecycle (shed-learning stops spooling and
+// timer cycles) and the "degradation" health condition: critical at
+// shed-scoring, where warnings stop and /readyz must go 503; informational
+// at shed-learning, which load balancers should not route around.
+func (s *Stack) SetDegrade(mode resilience.Mode, reason string) {
+	s.Monitor.SetDegrade(mode)
+	if s.Lifecycle != nil {
+		s.Lifecycle.SetShedLearning(mode >= resilience.ModeShedLearning, reason)
+	}
+	switch mode {
+	case resilience.ModeShedScoring:
+		s.Health.SetCondition("degradation", false, "scoring shed: "+reason)
+	case resilience.ModeShedLearning:
+		s.Health.SetDegraded("degradation", true, "learning shed: "+reason)
+	default:
+		s.Health.SetDegraded("degradation", false, "")
+	}
+}
+
+// SampleDegrade feeds the degradation controller one observation (queue
+// pressure plus cumulative fault counters, which it reads as deltas) and
+// refreshes the adaptation-breaker condition. Call it on a fixed cadence.
+func (s *Stack) SampleDegrade() {
+	// Warning availability is sampled on the controller cadence: a tick
+	// spent in shed-scoring is a tick the monitor could not have warned.
+	s.SLOAvail.Record(s.Monitor.DegradeMode() != resilience.ModeShedScoring)
+	burning := s.SLOs.FastBurning()
+	if len(burning) > 0 {
+		s.Profiler.MaybeCapture(strings.Join(burning, ","))
+	}
+	s.Degrader.Eval(resilience.Sample{
+		QueueFrac:     s.Monitor.QueueFrac(),
+		ScoringFaults: s.Monitor.Stats().ShardPanics,
+		IOFaults:      s.ckptFailures.Value(),
+		SLOFastBurn:   len(burning) > 0,
+	})
+	if s.Lifecycle != nil {
+		bst := s.Lifecycle.BreakerStatus()
+		s.Health.SetDegraded("adaptation", bst.StateName != "closed", "adaptation breaker "+bst.StateName)
+	}
+}
+
+// AdminMux assembles the admin surface over the stack's own registry,
+// rings, SLO set and health, with status as the /statusz document; plus
+// /models, /models/{adapt,promote,rollback} with the lifecycle and
+// /chaos/, /chaos/{arm,disarm} with a fault registry.
+func (s *Stack) AdminMux(status func() any) *http.ServeMux {
+	mux := obs.NewAdminMux(obs.AdminConfig{Registry: s.Registry, Traces: s.Traces, Spans: s.Spans,
+		SLO: s.SLOs, Health: s.Health, Status: status})
+	if s.Lifecycle != nil {
+		h := s.Lifecycle.Handler()
+		mux.Handle("/models", h)
+		mux.Handle("/models/", h)
+	}
+	if s.opts.Faults != nil {
+		mux.Handle("/chaos/", http.StripPrefix("/chaos", s.opts.Faults.Handler()))
+	}
+	return mux
+}
