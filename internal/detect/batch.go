@@ -1,115 +1,16 @@
 package detect
 
-import (
-	"nfvpredict/internal/features"
-	"nfvpredict/internal/nn"
-)
+import "nfvpredict/internal/features"
 
-// StreamBatch is the reusable scratch one scoring worker needs to push a
-// batch of streams: the model-level batch scratch plus the grouping and
-// gather slices. After warm-up at a given batch size, PushBatch allocates
-// nothing. The zero value is ready to use; a StreamBatch is owned by one
-// goroutine at a time.
-type StreamBatch struct {
-	sb      nn.BatchScratch
-	groups  []streamGroup
-	toks    []nn.Token
-	started []bool
-	pending []nn.Token
-	states  []*nn.StreamState
-}
+// StreamBatch and PushBatch are kept solely because bench/layers.go calls
+// them, and nothing under bench/ may change in a PR the benchmark judges.
+// The [benchmark] PR that retires detect.pushbatch_ns_per_lane and
+// detect.lanes_per_batch deletes this file.
+type StreamBatch struct{}
 
-// streamGroup collects the lanes of one batch that score against the same
-// model, so each distinct model runs one StepLogProbsBatch over its lanes.
-type streamGroup struct {
-	det   *LSTMDetector
-	model *nn.SequenceModel
-	lanes []int
-}
-
-// PushBatch scores one pending event on each of B independent streams,
-// batching the LSTM steps of streams that share a model into one
-// StepLogProbsBatch call. streams, events, and scores are parallel slices;
-// scores[b] receives what streams[b].Push(events[b]) would have returned,
-// bit for bit — batching changes the evaluation schedule, never the
-// arithmetic of a lane.
-//
-// The streams must be distinct (a stream's next event depends on its
-// previous one; callers with several pending events for one stream submit
-// them across successive batches). PushBatch is not safe for concurrent use
-// of one StreamBatch.
-func PushBatch(bs *StreamBatch, streams []*LSTMStream, events []features.Event, scores []float64) {
-	B := len(streams)
-	if len(events) != B || len(scores) != B {
-		panic("detect: PushBatch slice length mismatch")
-	}
-	if B == 0 {
-		return
-	}
-	if cap(bs.toks) < B {
-		bs.toks = make([]nn.Token, B)
-		bs.started = make([]bool, B)
-	}
-	bs.toks, bs.started = bs.toks[:B], bs.started[:B]
+// PushBatch sets scores[b] = streams[b].Push(events[b]) for every b.
+func PushBatch(_ *StreamBatch, streams []*LSTMStream, events []features.Event, scores []float64) {
 	for b, s := range streams {
-		gap := 60.0
-		if s.started {
-			gap = events[b].Time.Sub(s.last).Seconds()
-			if gap < 0 {
-				gap = 0
-			}
-		}
-		bs.toks[b] = nn.Token{ID: s.det.vocab.Class(events[b].Template), Gap: gap}
-		bs.started[b] = s.started
-		scores[b] = 0
-	}
-	// Group started lanes by model pointer. Linear scan, not a map: batch
-	// sizes are small and most deployments have a handful of models.
-	bs.groups = bs.groups[:0]
-grouping:
-	for b, s := range streams {
-		if !bs.started[b] {
-			continue
-		}
-		for gi := range bs.groups {
-			if bs.groups[gi].model == s.det.model {
-				bs.groups[gi].lanes = append(bs.groups[gi].lanes, b)
-				continue grouping
-			}
-		}
-		if len(bs.groups) < cap(bs.groups) {
-			bs.groups = bs.groups[:len(bs.groups)+1]
-			g := &bs.groups[len(bs.groups)-1]
-			g.det, g.model, g.lanes = s.det, s.det.model, append(g.lanes[:0], b)
-		} else {
-			bs.groups = append(bs.groups, streamGroup{det: s.det, model: s.det.model, lanes: []int{b}})
-		}
-	}
-	for gi := range bs.groups {
-		g := &bs.groups[gi]
-		L := len(g.lanes)
-		if cap(bs.pending) < L {
-			bs.pending = make([]nn.Token, L)
-			bs.states = make([]*nn.StreamState, L)
-		}
-		bs.pending, bs.states = bs.pending[:L], bs.states[:L]
-		for k, b := range g.lanes {
-			bs.pending[k] = streams[b].pending
-			bs.states[k] = streams[b].st
-		}
-		t0 := g.det.met.batchSeconds.Start()
-		lps := g.model.StepLogProbsBatch(bs.pending, bs.states, &bs.sb)
-		g.det.met.batchSeconds.ObserveDuration(t0)
-		g.det.met.steps.Add(uint64(L))
-		g.det.met.batches.Inc()
-		g.det.met.batchLanes.Observe(float64(L))
-		for k, b := range g.lanes {
-			scores[b] = -lps[k][bs.toks[b].ID]
-		}
-	}
-	for b, s := range streams {
-		s.pending = bs.toks[b]
-		s.last = events[b].Time
-		s.started = true
+		scores[b] = s.Push(events[b])
 	}
 }

@@ -94,17 +94,9 @@ type LSTMDetector struct {
 // branch and nothing else (benchmarked in bench_obs_test.go).
 type lstmMetrics struct {
 	// steps / stepSeconds cover online scoring (LSTMStream.Push →
-	// StepLogProbs), the monitor's per-message hot path. steps also counts
-	// lanes scored through PushBatch; stepSeconds times sequential steps
-	// only (batch latency lands in batchSeconds so it cannot skew the
-	// per-step distribution).
+	// StepLogProbs), the monitor's per-message hot path.
 	steps       *obs.Counter
 	stepSeconds *obs.Histogram
-	// Batched-inference metrics: batches run, lanes per batch, and the
-	// wall time of each StepLogProbsBatch call.
-	batches      *obs.Counter
-	batchLanes   *obs.Histogram
-	batchSeconds *obs.Histogram
 	// Training-progress metrics: one epoch = one trainEpoch pass.
 	epochs       *obs.Counter
 	epochLoss    *obs.Gauge
@@ -132,13 +124,8 @@ func (d *LSTMDetector) SetMetrics(reg *obs.Registry, prefix string) {
 	d.met = lstmMetrics{
 		steps:       reg.Counter(prefix+"lstm_steps_total", "Online scoring steps (StepLogProbs calls via LSTMStream.Push)."),
 		stepSeconds: reg.Histogram(prefix+"lstm_step_seconds", "StepLogProbs latency on the online scoring path.", obs.DurationBuckets()),
-		batches:     reg.Counter(prefix+"lstm_batches_total", "Batched scoring calls (PushBatch → StepLogProbsBatch)."),
-		batchLanes: reg.Histogram(prefix+"lstm_batch_lanes", "Streams scored per batched call.",
-			obs.ExpBuckets(1, 2, 6)),
-		batchSeconds: reg.Histogram(prefix+"lstm_batch_seconds", "StepLogProbsBatch latency per batched call.",
-			obs.DurationBuckets()),
-		epochs:    reg.Counter(prefix+"lstm_epochs_total", "Training epochs completed (initial, update, adapt, over-sample)."),
-		epochLoss: reg.Gauge(prefix+"lstm_epoch_loss", "Mean per-token log-loss of the most recent training epoch."),
+		epochs:      reg.Counter(prefix+"lstm_epochs_total", "Training epochs completed (initial, update, adapt, over-sample)."),
+		epochLoss:   reg.Gauge(prefix+"lstm_epoch_loss", "Mean per-token log-loss of the most recent training epoch."),
 		epochSeconds: reg.Histogram(prefix+"lstm_epoch_seconds", "Wall time per training epoch.",
 			obs.ExpBuckets(0.001, 4, 10)),
 		tokensPerSec:     reg.Gauge(prefix+"lstm_tokens_per_sec", "Training throughput of the most recent epoch."),

@@ -359,6 +359,8 @@ func TestServerToMonitorEndToEnd(t *testing.T) {
 // TestServingPathAllocGate is the serving-path allocation contract: after
 // warm-up (host state created, templates learned, symbols interned, shard
 // scratch grown), HandleMessage averages at most 2 allocs per message.
+// HandleMessage is a drain of one through shard.process, the function the
+// shard workers run, so this is the served code and not a copy of it.
 // The interned tokenize path actually runs at 0; the slack tolerates rare
 // amortized events (symbol-table republish, cluster-state turnover)
 // without flaking.
@@ -377,6 +379,9 @@ func TestServingPathAllocGate(t *testing.T) {
 	}
 }
 
+// BenchmarkMonitorHandleMessage times one message through HandleMessage: a
+// drain of one through shard.process, so every per-drain cost (lock round,
+// tree section, scratch set-up) lands on a single message.
 func BenchmarkMonitorHandleMessage(b *testing.B) {
 	tree := sigtree.New()
 	texts := []string{

@@ -37,28 +37,24 @@ type MonitorConfig struct {
 
 	// Shards is the number of independent scoring shards; hosts are hashed
 	// onto shards, and each shard owns its hosts' LSTM streams under its
-	// own mutex. 0 or 1 means a single shard, which behaves exactly like
-	// the historical single-mutex monitor (same eviction, same checkpoint
-	// bytes). More shards let HandleMessage calls for different hosts score
-	// in parallel, and give the async path (Enqueue/Start) one worker per
-	// shard. Use runtime.GOMAXPROCS(0) to match the machine.
+	// own mutex. 0 or 1 means a single shard. With a single HandleMessage
+	// caller the shard count changes no scored bit (same eviction, same
+	// checkpoint bytes). More shards let HandleMessage calls for different
+	// hosts score in parallel, and give the async route (Enqueue/Start) one
+	// worker per shard. Use runtime.GOMAXPROCS(0) to match the machine.
 	Shards int
 	// ShardQueue bounds each shard's async ingest queue (Enqueue); 0 means
 	// DefaultShardQueue. When a queue is full, Enqueue reports false and
 	// the message is the caller's to drop and count — backpressure must
 	// never block a network listener.
 	ShardQueue int
-	// MaxBatch caps how many queued messages a shard worker scores as one
-	// batch (batched LSTM inference); 0 means DefaultMaxBatch. Only the
-	// async path batches; HandleMessage always scores synchronously.
-	MaxBatch int
 
 	// Watchdog, when > 0, runs a stuck-worker watchdog beside the async
 	// workers (Start): each worker stamps a heartbeat per loop iteration,
 	// and a shard whose queue has work but whose heartbeat has not moved
 	// for Watchdog is force-restarted — a replacement worker is spawned at
 	// a bumped generation and the wedged one self-retires after its
-	// current batch (goroutines cannot be killed; abandonment is the only
+	// current drain (goroutines cannot be killed; abandonment is the only
 	// forced restart Go has). Workers are also supervised: a worker that
 	// panics or exits abnormally is restarted with jittered backoff.
 	// 0 disables the watchdog (workers are still supervised).
@@ -67,8 +63,8 @@ type MonitorConfig struct {
 	// Faults, when set, registers the monitor's chaos fault points
 	// (shard.score, shard.worker, heartbeat.skew) in this registry so
 	// tests and the /chaos endpoint can inject scoring panics, slow
-	// batches, worker crashes, and skewed watchdog clocks. Nil wires no
-	// fault points (zero overhead beyond a nil check per batch).
+	// drains, worker crashes, and skewed watchdog clocks. Nil wires no
+	// fault points (zero overhead beyond a nil check per drain).
 	Faults *faultinject.Registry
 
 	// Metrics, when set, is the registry the monitor reports into
@@ -96,10 +92,11 @@ type MonitorConfig struct {
 	// arriving with a minted TraceCtx (the ingest Server stamps one at
 	// frame accept) — or stamped here for direct HandleMessage callers —
 	// emit a decision span into the tracer's ring. Sampled messages carry
-	// full stage clocks (queue wait, sigtree, batch wait, score, verdict);
+	// full stage clocks (queue wait, sigtree, wait within the drain, score,
+	// verdict);
 	// a warning verdict on an unsampled message still emits a span with
-	// the total latency only. Nil disables tracing: the scoring paths pay
-	// one branch and zero clock reads.
+	// the total latency only. Nil disables tracing: scoring pays one
+	// branch and zero clock reads.
 	Tracer *obs.Tracer
 	// LatencySLO, when set, records one good/bad event per traced scored
 	// message: good when accept→verdict latency is within LatencyBound.
@@ -134,10 +131,11 @@ const DefaultTraceWindow = 8
 // MonitorConfig.ShardQueue is unset.
 const DefaultShardQueue = 1024
 
-// DefaultMaxBatch is the per-worker batch cap when MonitorConfig.MaxBatch
-// is unset. Past ~16 lanes the batched GEMM's per-lane win flattens while
-// per-batch latency keeps growing, so this is a latency/throughput balance,
-// not a hard ceiling.
+// DefaultMaxBatch is how many queued messages a shard worker takes in one
+// drain: one shard-lock round and one signature-tree section for all of
+// them. The first message of a drain waits for none of the others, so the
+// cap bounds how long the last one waits (16 steps), not a batch size that
+// has to fill. The name is what bench/ reads it by.
 const DefaultMaxBatch = 16
 
 // DefaultLatencyBound is the accept→verdict latency objective when
@@ -171,7 +169,7 @@ type MonitorStats struct {
 	// ModelSwaps counts successful SwapModel calls (hot reloads).
 	ModelSwaps uint64
 	// ShardPanics counts scoring panics recovered by shard workers; the
-	// panicking batch is lost, the shard keeps serving.
+	// panicking drain is lost, the shard keeps serving.
 	ShardPanics uint64
 	// WorkerRestarts counts supervised shard-worker restarts (after a
 	// panic or abnormal exit).
@@ -202,16 +200,18 @@ type MonitorStats struct {
 // shard's mutex. Warnings, Stats, Checkpoint, and SwapModel may be called
 // concurrently with scoring.
 //
-// Two ingestion paths share the same scoring code:
+// One function (shard.process) templates, scores and judges every message;
+// it has two callers:
 //
-//   - HandleMessage scores synchronously on the caller's goroutine. With a
-//     single caller its behavior (scores, warnings, checkpoints) is
+//   - HandleMessage runs it on the caller's goroutine over a drain of one.
+//     With a single caller its behavior (scores, warnings, checkpoints) is
 //     deterministic and independent of the shard count.
 //   - Enqueue routes the message to its shard's bounded queue and returns
-//     immediately; shard workers (Start/Stop) drain the queues, batching
-//     the LSTM inference of distinct hosts. Per-host scoring is still
-//     bit-identical, but cross-host ordering (and thus the interleaving of
-//     the warning log) follows worker scheduling.
+//     immediately; shard workers (Start/Stop) run it over drains of up to
+//     16 queued messages, in arrival order. One shard's results equal a
+//     HandleMessage replay of the same sequence bit for bit; across
+//     shards the interleaving of the warning log follows worker
+//     scheduling.
 type Monitor struct {
 	cfg MonitorConfig
 
@@ -246,7 +246,7 @@ type Monitor struct {
 	wg      sync.WaitGroup
 
 	// degrade holds the current resilience.Mode. Shed-scoring is enforced
-	// in the scoring paths (templates keep learning, scores are skipped);
+	// in shard.process (templates keep learning, scores are skipped);
 	// shed-learning is the lifecycle manager's to enforce.
 	degrade atomic.Int32
 
@@ -290,10 +290,8 @@ type hostState struct {
 	cluster *clusterState // nil until the host's first anomaly
 
 	// seq is the global recency stamp of the host's last touch (see
-	// Monitor.seq); mark is batch wave-scheduling scratch (see
-	// processBatchLocked).
-	seq  uint64
-	mark uint64
+	// Monitor.seq).
+	seq uint64
 
 	// recent is a fixed ring of the host's latest scored messages, the
 	// context window copied into a decision trace when a verdict fires.
@@ -338,9 +336,6 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 	if cfg.ShardQueue <= 0 {
 		cfg.ShardQueue = DefaultShardQueue
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	if cfg.LatencyBound <= 0 {
 		cfg.LatencyBound = DefaultLatencyBound
 	}
@@ -359,7 +354,7 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 	m.warningsC = reg.Counter("monitor_warnings_total", "Warning signatures emitted (§5.1 clustering rule).")
 	m.evicted = reg.Counter("monitor_evicted_hosts_total", "Per-host states evicted to honor MaxHosts.")
 	m.swaps = reg.Counter("monitor_model_swaps_total", "Successful SwapModel hot reloads.")
-	m.shardPanics = reg.Counter("monitor_shard_panics_total", "Scoring panics recovered by shard workers (the batch is lost).")
+	m.shardPanics = reg.Counter("monitor_shard_panics_total", "Scoring panics recovered by shard workers (the drain is lost).")
 	m.activeHosts = reg.Gauge("monitor_active_hosts", "Per-host states currently held.")
 	m.ckptSaves = reg.Counter("monitor_checkpoint_saves_total", "Successful Checkpoint snapshots written.")
 	m.workerRestarts = reg.Counter("monitor_worker_restarts_total", "Supervised shard-worker restarts after a panic or abnormal exit.")
@@ -369,7 +364,7 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 	m.hbAgeGauge = reg.Gauge("monitor_worker_heartbeat_age_seconds", "Worst shard-worker heartbeat age observed by the watchdog.")
 	if cfg.Faults != nil {
 		m.fpScore = cfg.Faults.Point("shard.score",
-			"Before a shard worker scores a batch: panic loses the batch, slow wedges the worker (watchdog food).")
+			"Before a shard worker scores a drain: panic loses the drain, slow wedges the worker (watchdog food).")
 		m.fpWorker = cfg.Faults.Point("shard.worker",
 			"In the shard worker loop before dequeue: panic/error crashes the worker with no message loss (supervisor food).")
 		m.fpSkew = cfg.Faults.Point("heartbeat.skew",
@@ -379,10 +374,10 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 		m.ckptSeconds = reg.Histogram("monitor_checkpoint_seconds",
 			"Checkpoint snapshot+encode latency.", obs.DurationBuckets())
 		m.handleSeconds = reg.Histogram("monitor_handle_seconds",
-			"End-to-end HandleMessage latency (template match + LSTM step + clustering).",
+			"Time a sampled message spends in its shard's drain: template match, wait on earlier members, LSTM step, verdict.",
 			obs.DurationBuckets())
 		m.learnSeconds = reg.Histogram("monitor_sigtree_learn_seconds",
-			"Signature-tree Learn (template match/grow) latency.",
+			"Signature-tree learn section (template match/grow) latency, one observation per drain.",
 			obs.DurationBuckets())
 		m.scoreHist = reg.Histogram("monitor_score",
 			"Anomaly scores (negative log-likelihood) of scored messages.",
@@ -455,12 +450,12 @@ func (m *Monitor) unlockAll() {
 	}
 }
 
-// HandleMessage ingests one parsed syslog message synchronously. It is safe
-// for concurrent use: messages for different hosts may score in parallel
-// (they serialize only on the shared signature tree), while messages for
-// one host serialize on its shard.
+// HandleMessage ingests one parsed syslog message synchronously: a drain of
+// one through the function the shard workers run. It is safe for concurrent
+// use: messages for different hosts may score in parallel (they serialize
+// only on the shared signature tree), while messages for one host serialize
+// on its shard.
 func (m *Monitor) HandleMessage(msg logfmt.Message) {
-	start := m.handleSeconds.Start()
 	tr := &msg.Trace
 	if m.cfg.Tracer != nil && tr.ID == 0 {
 		// Direct callers (no ingest Server upstream): accept is here.
@@ -469,15 +464,10 @@ func (m *Monitor) HandleMessage(msg logfmt.Message) {
 		tr.Accept = time.Now()
 	}
 	sh := m.shards[m.shardFor(msg.Host)]
-	var sp spanInfo
 	sh.mu.Lock()
-	sh.handleLocked(msg, &sp)
+	sh.sync.msgs = append(sh.sync.msgs[:0], msg)
+	sh.process(&sh.sync)
 	sh.mu.Unlock()
-	if tr.Sampled {
-		m.handleSeconds.ObserveDurationExemplar(start, obs.SpanID(tr.ID))
-	} else {
-		m.handleSeconds.ObserveDuration(start)
-	}
 }
 
 // Enqueue routes one message to its host's shard queue without blocking.
@@ -554,7 +544,7 @@ func (m *Monitor) spawnWorker(sh *shard, stop <-chan struct{}) {
 // whose heartbeat has not advanced between two consecutive ticks and is
 // older than cfg.Watchdog gets a replacement worker at a bumped
 // generation. The wedged worker cannot be killed (Go has no goroutine
-// kill); it self-retires at its next loop turn, after the batch it is
+// kill); it self-retires at its next loop turn, after the drain it is
 // stuck on either completes or panics. The heartbeat.skew fault point
 // shifts the watchdog's clock to test exactly this machinery.
 func (m *Monitor) watchdog(stop <-chan struct{}) {

@@ -25,6 +25,8 @@ func TestMonitorDecisionTrace(t *testing.T) {
 	mcfg.Traces = ring
 	mcfg.TraceWindow = 4
 	mcfg.ClusterOf = func(host string) int { return 3 }
+	spans := obs.NewSpanRing(128)
+	mcfg.Tracer = obs.NewTracer(spans, 1, 4)
 	mon := NewMonitor(mcfg, tree, det, nil)
 
 	normal := []string{
@@ -109,9 +111,16 @@ func TestMonitorDecisionTrace(t *testing.T) {
 		t.Fatalf("score histogram count %d, messages %d",
 			snap.Histograms["monitor_score"].Count, st.Messages)
 	}
-	if snap.Histograms["monitor_handle_seconds"].Count != st.Messages {
-		t.Fatalf("handle histogram count %d, messages %d",
-			snap.Histograms["monitor_handle_seconds"].Count, st.Messages)
+	// The handle histogram rides the sampling decision: one observation per
+	// sampled message, none for the rest.
+	sampled := 0
+	for _, s := range spans.Recent(0) {
+		if s.Sampled {
+			sampled++
+		}
+	}
+	if n := snap.Histograms["monitor_handle_seconds"].Count; sampled == 0 || n != uint64(sampled) {
+		t.Fatalf("handle histogram count %d, sampled messages %d of %d", n, sampled, st.Messages)
 	}
 }
 

@@ -115,8 +115,8 @@ func TestOnScoredHook(t *testing.T) {
 	}
 }
 
-// TestOnScoredHookBatchedPath: the async Enqueue/Start path (batched
-// inference) reaches the same hook for every message.
+// TestOnScoredHookBatchedPath: the async Enqueue/Start route (full drains)
+// reaches the same hook for every message.
 func TestOnScoredHookBatchedPath(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	var log scoredLog
@@ -142,6 +142,6 @@ func TestOnScoredHookBatchedPath(t *testing.T) {
 	mon.Start()
 	mon.Stop()
 	if got := len(log.snapshot()); got != hosts*per {
-		t.Fatalf("hook fired %d times for %d batched messages", got, hosts*per)
+		t.Fatalf("hook fired %d times for %d queued messages", got, hosts*per)
 	}
 }

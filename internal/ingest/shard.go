@@ -54,51 +54,36 @@ type shard struct {
 	hosts     map[string]*list.Element
 	lru       *list.List // of *hostState; front = most recently seen
 
-	// waveGen stamps hostState.mark during batch wave scheduling. Guarded
-	// by mu (only touched inside processBatchLocked).
-	waveGen uint64
-
-	// tb is the synchronous path's tokenize scratch (handleLocked): the
-	// symbol and lowercase buffers grow once and are reused per message.
-	// Guarded by mu like the rest of the per-shard state; the async path
-	// uses the worker-owned batchBuf scratch instead.
-	tb sigtree.TokenBuf
+	// sync is HandleMessage's drain of one: the scratch process needs,
+	// owned by the shard and guarded by mu because sync callers are many.
+	// The worker brings its own (see drainBuf).
+	sync drainBuf
 }
 
-// batchBuf is one worker incarnation's scratch for batched scoring. It is
-// owned by the worker, not the shard: a watchdog replacement can briefly
-// overlap the wedged worker it supersedes, and the queue-drain phase of
-// consume runs outside the shard mutex, so shared scratch would race. All
-// slices grow to the configured MaxBatch once and are reused; after
-// warm-up a batch allocates only when the signature tree grows a new
-// template.
-type batchBuf struct {
+// drainBuf is the scratch for one drain: the messages taken from the queue
+// in one lock round (one, on the HandleMessage route) and what process
+// derives from them. A worker incarnation owns its own rather than sharing
+// the shard's: a watchdog replacement can briefly overlap the wedged worker
+// it supersedes, and consume fills msgs outside the shard mutex. The slices
+// grow to a full drain once and are reused; after warm-up a drain
+// allocates only when the signature tree grows a new template.
+type drainBuf struct {
 	msgs []logfmt.Message
-	// syms is one arena of prepared symbols for the whole batch; symOff
-	// holds B+1 offsets into it (message i's symbols are
+	// syms is one arena of prepared symbols for the whole drain; symOff
+	// holds len(msgs)+1 offsets into it (message i's symbols are
 	// syms[symOff[i]:symOff[i+1]]). symOK marks messages whose prepare
 	// succeeded on the interned path; the rest fall back to strings.
 	syms   []uint32
 	symOff []int
 	symOK  []bool
 	tb     sigtree.TokenBuf
-
-	tpls    []int
-	hss     []*hostState
-	done    []bool
-	lanes   []int
-	streams []*detect.LSTMStream
-	events  []features.Event
-	scores  []float64
-	sps     []spanInfo
-	sb      detect.StreamBatch
+	tpls   []int
 }
 
-// spanInfo is per-message span scratch threaded through the locked scoring
-// path: the stage timeline segments measured upstream of the verdict.
-// Every field (scoreEnd included) is filled only for sampled messages —
-// the latency SLO is sample-aligned, so the 15-in-16 unsampled path pays
-// no clock reads at all (the ≤5% overhead gate depends on this).
+// spanInfo is one sampled message's stage clocks, measured by process
+// upstream of the verdict. It stays zero for an unsampled message: the
+// latency SLO is sample-aligned, so the 15-in-16 unsampled path pays no
+// clock reads at all (the span-overhead gate depends on this).
 type spanInfo struct {
 	queueNS   int64
 	sigtreeNS int64
@@ -107,69 +92,11 @@ type spanInfo struct {
 	scoreEnd  time.Time
 }
 
-// handleLocked ingests one message. Caller holds sh.mu. sp carries the
-// span stage clocks measured so far (never nil; zero when untraced).
-func (sh *shard) handleLocked(msg logfmt.Message, sp *spanInfo) {
-	m := sh.m
-	m.messages.Inc()
-	sampled := msg.Trace.Sampled
-	t0 := m.learnSeconds.Start()
-	var s0 time.Time
-	if sampled {
-		// Stage boundaries on this path are contiguous, so the stages sum
-		// to the span total by construction: queue runs from accept to
-		// here (the lock wait, minus the decode time attributed upstream),
-		// sigtree ends where score starts (hostFor counts into it), and
-		// verdict runs from score end to the span's emit.
-		s0 = time.Now()
-		sp.queueNS = int64(s0.Sub(msg.Trace.Accept)) - msg.Trace.DecodeNS
-	}
-	// m.tree is stable while sh.mu is held: SwapModel replaces it only
-	// with every shard mutex locked, so the unlocked pointer read cannot
-	// race, and prepare — which touches only the tree's lock-free symbol
-	// table — runs outside treeMu against the same tree learn will use.
-	tree := m.tree
-	var tpl *sigtree.Template
-	if syms, ok := tree.PrepareSyms(msg.Text, &sh.tb); ok {
-		m.treeMu.Lock()
-		tpl = tree.LearnSyms(syms)
-		m.treeMu.Unlock()
-	} else {
-		// Symbol table full: legacy string path, identical semantics.
-		toks := sigtree.PrepareTokens(msg.Text)
-		m.treeMu.Lock()
-		tpl = tree.LearnTokens(toks)
-		m.treeMu.Unlock()
-	}
-	m.learnSeconds.ObserveDuration(t0)
-	if m.DegradeMode() == resilience.ModeShedScoring {
-		// Shed-scoring: the template was learned (the tree stays warm for
-		// recovery), the faulting scoring path is bypassed.
-		m.shedMessages.Inc()
-		return
-	}
-	hs := sh.hostFor(msg.Host)
-	if hs == nil {
-		return // no model for this host yet
-	}
-	var p0 time.Time
-	if sampled {
-		p0 = time.Now()
-		sp.sigtreeNS = int64(p0.Sub(s0))
-	}
-	score := hs.stream.Push(features.Event{Time: msg.Time, Template: tpl.ID})
-	if sampled {
-		sp.scoreEnd = time.Now()
-		sp.scoreNS = int64(sp.scoreEnd.Sub(p0))
-	}
-	sh.afterScore(msg, tpl.ID, hs, score, sp)
-}
-
 // afterScore is everything downstream of a score: the score histogram, the
 // trace context ring, the threshold check, anomaly clustering, the OnScored
 // hook, the decision trace, the latency SLO, and the decision span. Caller
 // holds sh.mu.
-func (sh *shard) afterScore(msg logfmt.Message, tplID int, hs *hostState, score float64, sp *spanInfo) {
+func (sh *shard) afterScore(msg *logfmt.Message, tplID int, hs *hostState, score float64, sp *spanInfo) {
 	m := sh.m
 	if msg.Trace.Sampled {
 		m.scoreHist.ObserveExemplar(score, obs.SpanID(msg.Trace.ID))
@@ -208,28 +135,19 @@ func (sh *shard) afterScore(msg logfmt.Message, tplID int, hs *hostState, score 
 			Warning:     warned,
 		})
 	}
-	sh.finishSpan(&msg, tplID, score, anomalous, warned, sp)
+	sh.finishSpan(msg, tplID, score, anomalous, warned, sp)
 }
 
-// finishSpan records the latency SLO event and emits the decision span for
-// one traced verdict. Sampled messages get the full stage breakdown and a
-// verdict stage measured from scoreEnd to now; an unsampled warning still
-// emits a span (always-sample-on-warning) carrying the total only, since
-// its stage clocks were never started. Caller holds sh.mu.
+// finishSpan closes one verdict's telemetry. A sampled message records the
+// latency SLO event, its monitor_handle_seconds observation and a decision
+// span with the full stage breakdown, the verdict stage running from
+// scoreEnd to now. An unsampled warning still emits a span
+// (always-sample-on-warning) carrying the total only, since its stage
+// clocks were never started. Caller holds sh.mu.
 func (sh *shard) finishSpan(msg *logfmt.Message, tplID int, score float64, anomalous, warned bool, sp *spanInfo) {
 	m := sh.m
 	tr := &msg.Trace
-	if tr.ID == 0 {
-		return
-	}
-	if tr.Sampled {
-		// The latency objective rides the sampling decision: 1-in-N
-		// verdicts are measured, which keeps the unsampled hot path free
-		// of clock reads and still feeds the burn windows thousands of
-		// events per minute at serving rates.
-		m.cfg.LatencySLO.Record(sp.scoreEnd.Sub(tr.Accept) <= m.cfg.LatencyBound)
-	}
-	if m.cfg.Tracer == nil || (!tr.Sampled && !warned) {
+	if !tr.Sampled && (!warned || tr.ID == 0 || m.cfg.Tracer == nil) {
 		return
 	}
 	s := obs.Span{
@@ -244,6 +162,11 @@ func (sh *shard) finishSpan(msg *logfmt.Message, tplID int, score float64, anoma
 		Sampled:   tr.Sampled,
 	}
 	if tr.Sampled {
+		// The latency objective and the handle histogram ride the sampling
+		// decision: 1-in-N verdicts are measured, which keeps the unsampled
+		// hot path free of clock reads and still feeds the burn windows
+		// thousands of events per minute at serving rates.
+		m.cfg.LatencySLO.Record(sp.scoreEnd.Sub(tr.Accept) <= m.cfg.LatencyBound)
 		end := time.Now()
 		s.Stages = obs.StageDurations{
 			DecodeNS:  tr.DecodeNS,
@@ -254,10 +177,14 @@ func (sh *shard) finishSpan(msg *logfmt.Message, tplID int, score float64, anoma
 			VerdictNS: int64(end.Sub(sp.scoreEnd)),
 		}
 		s.TotalNS = int64(end.Sub(tr.Accept))
+		inShard := s.Stages.SigtreeNS + s.Stages.BatchNS + s.Stages.ScoreNS + s.Stages.VerdictNS
+		m.handleSeconds.ObserveExemplar(time.Duration(inShard).Seconds(), s.TraceID)
 	} else {
 		s.TotalNS = int64(time.Since(tr.Accept))
 	}
-	m.cfg.Tracer.Emit(s)
+	if m.cfg.Tracer != nil {
+		m.cfg.Tracer.Emit(s)
+	}
 }
 
 // clusterIndex maps a host to its model cluster for the OnScored hook:
@@ -338,14 +265,14 @@ func (sh *shard) observeAnomaly(hs *hostState, at time.Time) (size int, warned b
 	return cs.size, false
 }
 
-// runOnce is one incarnation of the shard worker: it drains the queue into
-// batches until stop (then drains what is left), the shard's generation
+// runOnce is one incarnation of the shard worker: it drains the queue
+// until stop (then drains what is left), the shard's generation
 // moves past gen (a watchdog replacement took over), or a panic escapes —
 // in which case it reports abnormal=true and the supervisor loop in
 // Monitor.spawnWorker restarts it with backoff. The stop channel is
 // captured at start so a Stop/Start cycle cannot race a worker onto a
 // stale channel. An escaped panic here (the shard.worker/shard.score fault
-// points, or a bug the per-batch recover in consume cannot see) counts
+// points, or a bug the per-drain recover in consume cannot see) counts
 // into shardPanics: it is a scoring-path fault either way, and the
 // degradation controller keys off that counter.
 func (sh *shard) runOnce(stop <-chan struct{}, gen uint64) (abnormal bool) {
@@ -355,7 +282,7 @@ func (sh *shard) runOnce(stop <-chan struct{}, gen uint64) (abnormal bool) {
 			abnormal = true
 		}
 	}()
-	var b batchBuf // worker-owned scratch; see batchBuf
+	var b drainBuf // worker-owned scratch; see drainBuf
 	for {
 		if sh.gen.Load() != gen {
 			return false // superseded by a watchdog replacement
@@ -380,14 +307,14 @@ func (sh *shard) runOnce(stop <-chan struct{}, gen uint64) (abnormal bool) {
 	}
 }
 
-// consume gathers up to MaxBatch queued messages starting with first and
-// scores them as one batch. A panic while scoring (a poisoned message, a
-// bug in a hot-swapped model) loses that batch, is counted, and leaves the
-// worker — and the other shards — running.
-func (sh *shard) consume(b *batchBuf, first logfmt.Message) {
+// consume gathers queued messages, starting with first, up to the drain
+// cap and processes them in one lock round. A panic while scoring (a
+// poisoned message, a bug in a hot-swapped model) loses that drain, is
+// counted, and leaves the worker — and the other shards — running.
+func (sh *shard) consume(b *drainBuf, first logfmt.Message) {
 	b.msgs = append(b.msgs[:0], first)
 drain:
-	for len(b.msgs) < sh.m.cfg.MaxBatch {
+	for len(b.msgs) < DefaultMaxBatch {
 		select {
 		case msg := <-sh.queue:
 			b.msgs = append(b.msgs, msg)
@@ -403,7 +330,7 @@ drain:
 	// watchdog's replacement worker can make progress instead of queueing
 	// behind the stuck one. Its panic mode escapes to runOnce's recover.
 	if err := sh.m.fpScore.Fire(); err != nil {
-		sh.m.shardPanics.Inc() // injected scoring fault; the batch is lost
+		sh.m.shardPanics.Inc() // injected scoring fault; the drain is lost
 		return
 	}
 	sh.mu.Lock()
@@ -413,68 +340,58 @@ drain:
 			sh.m.shardPanics.Inc()
 		}
 	}()
-	sh.processBatchLocked(b)
+	sh.process(b)
 }
 
-// processBatchLocked scores a batch of same-shard messages. Three phases:
+// process is the one place a message is templated, scored and judged.
+// Both routes end here with sh.mu held: a worker's drain of queued
+// messages (consume) and HandleMessage's drain of one.
 //
-//  1. Template every message — tokenization (pure) runs outside the tree
-//     lock, then one treeMu section learns all tokens, so B messages cost
-//     one global lock acquisition instead of B.
-//  2. Resolve host states in arrival order (LRU touches and seq stamps
-//     happen here, in the same order a sequential run would make them).
-//  3. Wave scheduling: a host's steps are inherently sequential (the LSTM
-//     recurrence), so each wave takes at most one message per host, scores
-//     the wave in one PushBatch, and repeats until the batch is dry.
-//     Per-lane arithmetic is bit-identical to the sequential path.
+//  1. Prepare every message into one symbol arena. This is pure and runs
+//     outside the tree lock; the tree pointer is stable because SwapModel
+//     replaces it only with every shard mutex held.
+//  2. Learn them all in one treeMu section, so a drain costs one global
+//     lock acquisition however many messages it holds.
+//  3. Unless scoring is shed, take the messages in arrival order: resolve
+//     the host (LRU touch, seq stamp, eviction), step its stream, judge.
+//     A host's steps are sequential by the LSTM recurrence and nothing is
+//     shared between hosts' steps, so there is no schedule to choose.
 //
-// Caller holds sh.mu.
+// What a drain amortises is the lock rounds and the tree section, not the
+// step. A scoring fault costs at most the drain in flight.
 //
-// Span stage clocks on this path are batch-shared: the sigtree section is
-// on every batch member's critical path (they all wait on it), so its full
-// duration counts into each sampled message's SigtreeNS; a lane's BatchNS
-// is the gap from sigtree end to its own inference wave starting, and its
-// ScoreNS is that wave's PushBatch duration. All clock reads are per batch
-// or per wave — never per message — and skipped entirely when no message
-// in the batch is traced.
-func (sh *shard) processBatchLocked(b *batchBuf) {
+// Span stage clocks: the drain's start and the end of its learn section are
+// shared by its members and read only when one of them is sampled. Every
+// member waits on the whole learn section, so its full duration is each
+// sampled member's SigtreeNS; the section is taken to end where the first
+// scored message's step starts (that host's lookup counts into it), which
+// makes BatchNS — from there to a message's own step starting — 0 for that
+// message and the wait on earlier members' steps and verdicts for the rest.
+func (sh *shard) process(b *drainBuf) {
 	m := sh.m
 	msgs := b.msgs
-	B := len(msgs)
-	b.tpls = growInts(b.tpls, B)
-	b.hss = growHosts(b.hss, B)
-	b.done = growBools(b.done, B)
-	b.sps = growSpans(b.sps, B)
-	traced := false
+	n := len(msgs)
+	sampled := false
 	for i := range msgs {
-		b.sps[i] = spanInfo{}
-		if msgs[i].Trace.ID != 0 {
-			traced = true
+		if msgs[i].Trace.Sampled {
+			sampled = true
+			break
 		}
 	}
-	var batchStart time.Time
-	if traced {
-		batchStart = time.Now()
-		for i := range msgs {
-			if tr := &msgs[i].Trace; tr.Sampled {
-				// Queue wait: accept → the shard holding the batch, minus
-				// the decode time already attributed upstream.
-				b.sps[i].queueNS = int64(batchStart.Sub(tr.Accept)) - tr.DecodeNS
-			}
-		}
+	var start time.Time
+	if sampled {
+		start = time.Now()
 	}
-	// Prepare the whole batch into one symbol arena outside treeMu (the
-	// tree pointer is stable under sh.mu; see handleLocked), then learn
-	// every message in a single treeMu section on integer compares.
 	tree := m.tree
 	b.syms = b.syms[:0]
-	b.symOff = growInts(b.symOff, B+1)
-	b.symOK = growBools(b.symOK, B)
+	b.symOff = grow(b.symOff, n+1)
+	b.symOK = grow(b.symOK, n)
+	b.tpls = grow(b.tpls, n)
 	for i := range msgs {
 		b.symOff[i] = len(b.syms)
 		b.syms, b.symOK[i] = tree.AppendSyms(b.syms, msgs[i].Text, &b.tb)
 	}
-	b.symOff[B] = len(b.syms)
+	b.symOff[n] = len(b.syms)
 	t0 := m.learnSeconds.Start()
 	m.treeMu.Lock()
 	for i := range msgs {
@@ -487,119 +404,49 @@ func (sh *shard) processBatchLocked(b *batchBuf) {
 	}
 	m.treeMu.Unlock()
 	m.learnSeconds.ObserveDuration(t0)
-	var sigEnd time.Time
-	if traced {
-		sigEnd = time.Now()
-		sigNS := int64(sigEnd.Sub(batchStart))
-		for i := range msgs {
-			if msgs[i].Trace.Sampled {
-				b.sps[i].sigtreeNS = sigNS
-			}
-		}
-	}
-	m.messages.Add(uint64(B))
+	m.messages.Add(uint64(n))
 	if m.DegradeMode() == resilience.ModeShedScoring {
-		m.shedMessages.Add(uint64(B))
+		// Shed-scoring: the templates were learned (the tree stays warm for
+		// recovery), the faulting scoring path is bypassed.
+		m.shedMessages.Add(uint64(n))
 		return
 	}
-
-	left := 0
+	var learnEnd time.Time
 	for i := range msgs {
-		b.hss[i] = sh.hostFor(msgs[i].Host)
-		b.done[i] = b.hss[i] == nil
-		if !b.done[i] {
-			left++
+		msg := &msgs[i]
+		hs := sh.hostFor(msg.Host)
+		if hs == nil {
+			continue // no model for this host yet
 		}
-	}
-	for left > 0 {
-		sh.waveGen++
-		b.lanes = b.lanes[:0]
-		for i := range msgs {
-			if b.done[i] || b.hss[i].mark == sh.waveGen {
-				continue
-			}
-			b.hss[i].mark = sh.waveGen
-			b.lanes = append(b.lanes, i)
+		var sp spanInfo
+		var stepStart time.Time
+		switch {
+		case !sampled:
+		case learnEnd.IsZero():
+			learnEnd = time.Now()
+			stepStart = learnEnd
+		case msg.Trace.Sampled:
+			stepStart = time.Now()
 		}
-		L := len(b.lanes)
-		b.streams = growStreams(b.streams, L)
-		b.events = growEvents(b.events, L)
-		b.scores = growFloats(b.scores, L)
-		for k, i := range b.lanes {
-			b.streams[k] = b.hss[i].stream
-			b.events[k] = features.Event{Time: msgs[i].Time, Template: b.tpls[i]}
+		score := hs.stream.Push(features.Event{Time: msg.Time, Template: b.tpls[i]})
+		if tr := &msg.Trace; tr.Sampled {
+			sp.scoreEnd = time.Now()
+			// Queue wait: accept → the shard holding the drain, minus the
+			// decode time already attributed upstream.
+			sp.queueNS = int64(start.Sub(tr.Accept)) - tr.DecodeNS
+			sp.sigtreeNS = int64(learnEnd.Sub(start))
+			sp.batchNS = int64(stepStart.Sub(learnEnd))
+			sp.scoreNS = int64(sp.scoreEnd.Sub(stepStart))
 		}
-		var waveStart time.Time
-		if traced {
-			waveStart = time.Now()
-		}
-		detect.PushBatch(&b.sb, b.streams[:L], b.events[:L], b.scores[:L])
-		if traced {
-			waveEnd := time.Now()
-			for _, i := range b.lanes {
-				sp := &b.sps[i]
-				sp.scoreEnd = waveEnd
-				if msgs[i].Trace.Sampled {
-					sp.batchNS = int64(waveStart.Sub(sigEnd))
-					sp.scoreNS = int64(waveEnd.Sub(waveStart))
-				}
-			}
-		}
-		for k, i := range b.lanes {
-			sh.afterScore(msgs[i], b.tpls[i], b.hss[i], b.scores[k], &b.sps[i])
-			b.done[i] = true
-		}
-		left -= L
+		sh.afterScore(msg, b.tpls[i], hs, score, &sp)
 	}
 }
 
-// The grow helpers resize reusable scratch slices without reallocating once
-// capacity suffices.
-func growInts(s []int, n int) []int {
+// grow resizes a reusable scratch slice to n elements, reallocating only
+// when capacity falls short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growHosts(s []*hostState, n int) []*hostState {
-	if cap(s) < n {
-		return make([]*hostState, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growStreams(s []*detect.LSTMStream, n int) []*detect.LSTMStream {
-	if cap(s) < n {
-		return make([]*detect.LSTMStream, n)
-	}
-	return s[:n]
-}
-
-func growEvents(s []features.Event, n int) []features.Event {
-	if cap(s) < n {
-		return make([]features.Event, n)
-	}
-	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growSpans(s []spanInfo, n int) []spanInfo {
-	if cap(s) < n {
-		return make([]spanInfo, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -135,7 +135,6 @@ func TestAsyncShardedCompleteness(t *testing.T) {
 
 	acfg := mcfg
 	acfg.Shards = 4
-	acfg.MaxBatch = 8
 	async := NewMonitorWithResolver(acfg, cloneTree(t, tree), resolve, nil)
 	async.Start()
 	for _, m := range msgs {
@@ -171,6 +170,128 @@ func TestAsyncShardedCompleteness(t *testing.T) {
 			t.Fatalf("async produced warning the sync run did not: %+v", w)
 		}
 		seen[w]--
+	}
+}
+
+// evictingTraffic visits six hosts two at a time — block i interleaves
+// hosts i and i+1 for four normal rounds, then host i bursts three
+// anomalies — so that under MaxHosts = 3 a host is evicted two blocks after
+// its last message and re-created cold a lap later. A block is 11 messages,
+// so evictions, cold starts and bursts all fall inside 16-message drains.
+func evictingTraffic() []logfmt.Message {
+	normal := []string{
+		"bgp keepalive exchanged with peer 10.0.0.2 hold 90",
+		"interface statistics poll completed for ge-0/0/2 in 9 ms",
+	}
+	var out []logfmt.Message
+	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	add := func(host int, text string) {
+		out = append(out, logfmt.Message{Time: at, Host: fmt.Sprintf("vpe%02d", host%6), Tag: "rpd", Text: text})
+		at = at.Add(5 * time.Second)
+	}
+	for block := 0; block < 18; block++ {
+		for round := 0; round < 4; round++ {
+			add(block, normal[round%2])
+			add(block+1, normal[round%2])
+		}
+		for i := 0; i < 3; i++ {
+			add(block, fmt.Sprintf("invalid response from peer chassis-control session %d retries 3", i))
+		}
+	}
+	return out
+}
+
+// flapTraffic gives one flapping host 5 of every 16 consecutive messages
+// (a full drain's worth), alternating a quiet and a bursting cycle, with
+// four steady hosts sharing the other 11 slots.
+func flapTraffic() []logfmt.Message {
+	var out []logfmt.Message
+	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	for cycle := 0; cycle < 12; cycle++ {
+		for slot := 0; slot < 16; slot++ {
+			m := logfmt.Message{Time: at, Host: fmt.Sprintf("vpe%02d", 1+slot%4), Tag: "rpd",
+				Text: "bgp keepalive exchanged with peer 10.0.0.2 hold 90"}
+			if slot%3 == 0 && slot < 15 {
+				m.Host = "vpe00"
+				if cycle%2 == 1 {
+					m.Text = fmt.Sprintf("invalid response from peer chassis-control session %d retries 3", slot)
+				}
+			}
+			out = append(out, m)
+			at = at.Add(2 * time.Second)
+		}
+	}
+	return out
+}
+
+// TestDrainEqualsSync is the one-scoring-function contract where it is
+// hardest: a shard worker's full drains must leave exactly what a
+// HandleMessage replay of the same sequence leaves — the same warnings in
+// the same order and a byte-identical checkpoint — when hosts are evicted
+// and re-created cold inside a drain, and when one host holds several of a
+// drain's slots. One shard, everything enqueued before Start, so the drains
+// are full and the same on every run.
+func TestDrainEqualsSync(t *testing.T) {
+	tree, det := trainMonitorDetector(t)
+	resolve := func(string) *detect.LSTMDetector { return det }
+	for _, tc := range []struct {
+		name     string
+		maxHosts int
+		msgs     []logfmt.Message
+	}{
+		{"evictions", 3, evictingTraffic()},
+		{"flap", DefaultMaxHosts, flapTraffic()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(feed func(*Monitor)) (*Monitor, []byte) {
+				mcfg := DefaultMonitorConfig()
+				mcfg.Threshold = 4
+				mcfg.MaxHosts = tc.maxHosts
+				mon := NewMonitorWithResolver(mcfg, cloneTree(t, tree), resolve, nil)
+				mon.now = func() time.Time { return time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC) }
+				feed(mon)
+				var buf bytes.Buffer
+				if err := mon.Checkpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return mon, buf.Bytes()
+			}
+			ref, refCkpt := run(func(mon *Monitor) {
+				for _, m := range tc.msgs {
+					mon.HandleMessage(m)
+				}
+			})
+			got, gotCkpt := run(func(mon *Monitor) {
+				for _, m := range tc.msgs {
+					if !mon.Enqueue(m) {
+						t.Fatal("enqueue refused")
+					}
+				}
+				mon.Start()
+				mon.Stop()
+			})
+			wr, wg := ref.Warnings(), got.Warnings()
+			if len(wr) < 3 {
+				t.Fatalf("replay produced %d warnings; test has no teeth", len(wr))
+			}
+			if tc.maxHosts < 6 && ref.Stats().EvictedHosts < 6 {
+				t.Fatalf("replay evicted %d hosts; test has no teeth", ref.Stats().EvictedHosts)
+			}
+			if len(wr) != len(wg) {
+				t.Fatalf("warnings: %d from the replay, %d from the drains", len(wr), len(wg))
+			}
+			for i := range wr {
+				if wr[i] != wg[i] {
+					t.Fatalf("warning %d: replay %+v, drains %+v", i, wr[i], wg[i])
+				}
+			}
+			if rs, gs := ref.Stats(), got.Stats(); rs != gs {
+				t.Fatalf("stats: replay %+v, drains %+v", rs, gs)
+			}
+			if !bytes.Equal(refCkpt, gotCkpt) {
+				t.Fatalf("checkpoints differ (%d vs %d bytes)", len(refCkpt), len(gotCkpt))
+			}
+		})
 	}
 }
 

@@ -73,51 +73,6 @@ func TestTransMulVecAddUnrollBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMulMatAddBitIdenticalToMulVecAdd is the batched-kernel contract: one
-// MulMatAdd over B lanes must equal B independent MulVecAdd calls bit for
-// bit, for batch sizes spanning the shard worker's range.
-func TestMulMatAddBitIdenticalToMulVecAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, B := range []int{1, 3, 8, 16} {
-		w := randMatrix(rng, 24, 33)
-		x := randMatrix(rng, B, 33)
-		dst := randMatrix(rng, B, 24)
-		want := dst.Clone()
-		w.MulMatAdd(dst, x)
-		for b := 0; b < B; b++ {
-			w.MulVecAdd(want.Row(b), x.Row(b))
-		}
-		for i := range dst.Data {
-			if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("B=%d element %d: %v != %v", B, i, dst.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// TestMulMatAddShapePanics pins the shape contract: mismatched lanes or
-// widths must panic, not corrupt.
-func TestMulMatAddShapePanics(t *testing.T) {
-	w := NewMatrix(4, 5)
-	for _, tc := range []struct {
-		name   string
-		dst, x *Matrix
-	}{
-		{"input cols", NewMatrix(2, 4), NewMatrix(2, 6)},
-		{"output cols", NewMatrix(2, 3), NewMatrix(2, 5)},
-		{"lanes", NewMatrix(3, 4), NewMatrix(2, 5)},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s mismatch did not panic", tc.name)
-				}
-			}()
-			w.MulMatAdd(tc.dst, tc.x)
-		}()
-	}
-}
-
 // servedShapes are the dense f64 products of one served step at
 // detect.DefaultLSTMConfig (32×32, vocab 80): the gate product 4H×H and
 // the output projection V×H.
@@ -126,7 +81,7 @@ var servedShapes = []struct {
 	rows, cols int
 }{{"128x32", 128, 32}, {"80x32", 80, 32}}
 
-// BenchmarkMulVecAdd measures the single-lane kernel at the served shapes,
+// BenchmarkMulVecAdd measures the matvec kernel at the served shapes,
 // and the gate product once more cycling through 16 distinct matrices
 // (512 KB: out of L1, inside L2). That row is the regime the served step
 // runs in — a host's step streams its model's weights in behind the
@@ -159,22 +114,4 @@ func BenchmarkMulVecAdd(b *testing.B) {
 			ms[i%len(ms)].MulVecAdd(dst, v)
 		}
 	})
-}
-
-// BenchmarkMulMatAdd8 measures the batched kernel at 8 lanes against the
-// same weights; ns/op per lane should equal BenchmarkMulVecAdd's, since
-// each lane is one call of the same core.
-func BenchmarkMulMatAdd8(b *testing.B) {
-	for _, sh := range servedShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			m := randMatrix(rng, sh.rows, sh.cols)
-			x := randMatrix(rng, 8, sh.cols)
-			dst := NewMatrix(8, sh.rows)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.MulMatAdd(dst, x)
-			}
-		})
-	}
 }

@@ -354,21 +354,6 @@ func (m *Matrix) MulVecAdd(dst, v Vector) {
 	gemv64(dst, m.Data, v, m.Rows, m.Cols)
 }
 
-// MulMatAdd sets dst[b][i] += Σ_j m[i][j]·x[b][j] for every lane b — the
-// batched form of MulVecAdd, evaluating B concurrent inputs (the rows of x)
-// against the same weight matrix in one call. dst is [B×Rows], x is
-// [B×Cols]. Each lane goes through the same gemv64 core as MulVecAdd, in
-// the same two-partial-sum order, so the batched result is bit-identical
-// to B separate MulVecAdd calls.
-func (m *Matrix) MulMatAdd(dst, x *Matrix) {
-	mustSameLen(m.Cols, x.Cols, "Matrix.MulMatAdd input cols")
-	mustSameLen(m.Rows, dst.Cols, "Matrix.MulMatAdd output cols")
-	mustSameLen(x.Rows, dst.Rows, "Matrix.MulMatAdd lanes")
-	for b := 0; b < x.Rows; b++ {
-		gemv64(dst.Row(b), m.Data, x.Row(b), m.Rows, m.Cols)
-	}
-}
-
 // TransMulVec returns mᵀ·v. v's length must equal m.Rows.
 func (m *Matrix) TransMulVec(v Vector) Vector {
 	mustSameLen(m.Rows, len(v), "Matrix.TransMulVec")

@@ -23,6 +23,28 @@ import (
 // recurrent steps were seen to drift by 3e-14, and at 10× the recurrence
 // is chaotic for any 1-ulp change, whichever side makes it.
 
+// randToks produces a deterministic token stream (IDs within and beyond the
+// vocab, varying gaps).
+func randToks(rng *rand.Rand, n, vocab int) []Token {
+	toks := make([]Token, n)
+	for i := range toks {
+		toks[i] = Token{ID: rng.Intn(vocab + 2), Gap: rng.Float64() * 120}
+	}
+	return toks
+}
+
+func bitsEqual(t *testing.T, what string, a, b mat.Vector) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s length %d vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s[%d]: %v != %v", what, i, a[i], b[i])
+		}
+	}
+}
+
 // foldGatesLibm is foldGates as it was: one math.Exp or math.Tanh call per
 // activation.
 func foldGatesLibm(z, cPrev, c, tanhC, h mat.Vector) {
@@ -159,8 +181,7 @@ func TestFoldGatesWithinContract(t *testing.T) {
 
 // TestFoldGatesInPlaceMatchesTape pins the aliasing foldGates allows: the
 // inference call (c on cPrev, tanh(c) on h) returns the bits of the tape
-// call, which keeps them apart — batched ≡ sequential ≡ trained rests on
-// it.
+// call, which keeps them apart — served ≡ trained rests on it.
 func TestFoldGatesInPlaceMatchesTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, H := range []int{1, 2, 7, 32} {

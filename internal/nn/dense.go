@@ -89,24 +89,6 @@ func (d *Dense) InferInto(dst, x mat.Vector) mat.Vector {
 	return dst
 }
 
-// InferBatchInto is InferInto over a batch: dst[b] = f(W·x[b] + b) for every
-// row b of x, evaluated as one MulMatAdd call. dst is [B×Out], x is
-// [B×In]. Each lane's arithmetic is bit-identical to InferInto on the same
-// input.
-func (d *Dense) InferBatchInto(dst, x *mat.Matrix) *mat.Matrix {
-	bias := d.Bp.W.Row(0)
-	for b := 0; b < dst.Rows; b++ {
-		copy(dst.Row(b), bias)
-	}
-	d.Wp.W.MulMatAdd(dst, x)
-	if d.Act != Identity {
-		for i := range dst.Data {
-			dst.Data[i] = d.Act.Apply(dst.Data[i])
-		}
-	}
-	return dst
-}
-
 // Backward consumes dy = ∂loss/∂y, accumulates ∂loss/∂W and ∂loss/∂b into
 // the layer's parameter gradients, and returns dx = ∂loss/∂x. The returned
 // vector aliases the cache's scratch and stays valid until its next

@@ -188,7 +188,7 @@ func (l *LSTM) step(x mat.Vector, in oneHot, st *LSTMState, cache *LSTMCache) ma
 }
 
 // foldGates is the one definition of the LSTM cell's nonlinear half, under
-// inference, the BPTT tape and the batched step alike. It overwrites the
+// inference and the BPTT tape alike. It overwrites the
 // gate pre-activations z = [i f g o] (4H) with the gate outputs σ(i),
 // σ(f), tanh(g), σ(o), and advances the cell:
 //
@@ -248,45 +248,6 @@ func tanhOf(t float64) float64 {
 	bits := math.Float64bits(t)
 	t = math.Float64frombits(bits &^ signBit)
 	return math.Float64frombits(math.Float64bits((1-t)/(1+t)) | bits&signBit)
-}
-
-// stepBatch advances B independent recurrent states by one inference
-// timestep each, evaluating the gate pre-activations of all lanes as one
-// MulMatAdd GEMM per projection instead of B MulVecAdd calls. Lane b
-// consumes ins[b] (sparse path, xs == nil) or row b of xs (dense path) and
-// updates states[b] in place. z ([B×4H]) and hp ([B×H]) are caller-owned
-// scratch. States must be distinct — two lanes sharing a state is the
-// caller's bug (shard workers wave-schedule per-host steps to guarantee it).
-//
-// Per lane the arithmetic — bias copy, input product, recurrent product,
-// gate fold — replays the cache-free step() exactly, including the
-// j-summation order inside each dot product, so batched outputs are
-// bit-identical to B sequential steps.
-func (l *LSTM) stepBatch(ins []oneHot, xs *mat.Matrix, states []*LSTMState, z, hp *mat.Matrix) {
-	B := len(states)
-	bias := l.Bp.W.Row(0)
-	for b := 0; b < B; b++ {
-		copy(z.Row(b), bias)
-	}
-	if xs != nil {
-		l.Wxp.W.MulMatAdd(z, xs)
-	} else {
-		for b := 0; b < B; b++ {
-			zr := z.Row(b)
-			if in := ins[b]; in.gapCol >= 0 {
-				l.Wxp.W.Col2GatherAdd(zr, in.id, 1, in.gapCol, in.gap)
-			} else {
-				l.Wxp.W.ColGatherAdd(zr, in.id, 1)
-			}
-		}
-	}
-	for b := 0; b < B; b++ {
-		copy(hp.Row(b), states[b].H)
-	}
-	l.Whp.W.MulMatAdd(z, hp)
-	for b, st := range states {
-		foldGates(z.Row(b), st.C, st.C, st.H, st.H)
-	}
 }
 
 // ForwardSeq runs the layer over xs starting from a zero state and returns

@@ -317,95 +317,6 @@ func (m *SequenceModel) StepLogProbs(tok Token, st *StreamState) mat.Vector {
 	return LogSoftmaxInto(st.logp, m.StepLogits(tok, st))
 }
 
-// BatchScratch holds every reusable buffer a StepLogProbsBatch caller
-// needs: the lane-major gate, hidden-gather, and logit matrices plus the
-// sparse-input and result slices. One scratch per scoring worker; after the
-// first call at a given batch size, batched scoring allocates nothing. The
-// zero value is ready to use.
-type BatchScratch struct {
-	ins    []oneHot
-	states []*LSTMState
-	x      *mat.Matrix // gathered below-layer hidden inputs [B×In]
-	z      *mat.Matrix // gate pre-activations [B×4H]
-	hp     *mat.Matrix // gathered previous hidden states [B×H]
-	logits *mat.Matrix // output logits [B×Vocab]
-	out    []mat.Vector
-}
-
-// ensureMat returns m resliced to rows×cols, reallocating only when the
-// backing capacity is insufficient. The contents are unspecified.
-func ensureMat(m *mat.Matrix, rows, cols int) *mat.Matrix {
-	if m == nil || cap(m.Data) < rows*cols {
-		return mat.NewMatrix(rows, cols)
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
-	return m
-}
-
-// StepLogProbsBatch is StepLogProbs over B independent streams at once:
-// lane b feeds toks[b] through sts[b], and the returned slice holds each
-// lane's log-probabilities (aliasing sts[b]'s scratch, like StepLogProbs).
-// All lanes step through the layer stack together, so each layer costs one
-// MulMatAdd GEMM per projection instead of B MulVecAdd calls — the batched
-// RNN inference trick, applied to serving.
-//
-// The states must be distinct (one pending step per stream; shard workers
-// wave-schedule repeats of the same host into later batches). Every lane is
-// bit-identical to a sequential StepLogProbs on the same token and state.
-func (m *SequenceModel) StepLogProbsBatch(toks []Token, sts []*StreamState, sc *BatchScratch) []mat.Vector {
-	B := len(toks)
-	if len(sts) != B {
-		panic("nn: StepLogProbsBatch lane count mismatch")
-	}
-	if cap(sc.out) < B {
-		sc.out = make([]mat.Vector, B)
-	}
-	sc.out = sc.out[:B]
-	if B == 0 {
-		return sc.out
-	}
-	if cap(sc.ins) < B {
-		sc.ins = make([]oneHot, B)
-	}
-	sc.ins = sc.ins[:B]
-	for b, tok := range toks {
-		sc.ins[b] = m.oneHotOf(tok)
-	}
-	if cap(sc.states) < B {
-		sc.states = make([]*LSTMState, B)
-	}
-	sc.states = sc.states[:B]
-	for li, l := range m.lstms {
-		for b := 0; b < B; b++ {
-			sc.states[b] = sts[b].layers[li]
-		}
-		sc.z = ensureMat(sc.z, B, 4*l.Hidden)
-		sc.hp = ensureMat(sc.hp, B, l.Hidden)
-		if li == 0 {
-			l.stepBatch(sc.ins, nil, sc.states, sc.z, sc.hp)
-			continue
-		}
-		sc.x = ensureMat(sc.x, B, l.In)
-		for b := 0; b < B; b++ {
-			copy(sc.x.Row(b), sts[b].layers[li-1].H)
-		}
-		l.stepBatch(nil, sc.x, sc.states, sc.z, sc.hp)
-	}
-	top := len(m.lstms) - 1
-	sc.x = ensureMat(sc.x, B, m.out.In)
-	for b := 0; b < B; b++ {
-		copy(sc.x.Row(b), sts[b].layers[top].H)
-	}
-	sc.logits = ensureMat(sc.logits, B, m.cfg.Vocab)
-	m.out.InferBatchInto(sc.logits, sc.x)
-	for b := 0; b < B; b++ {
-		st := sts[b]
-		st.logp = ensureVec(st.logp, m.cfg.Vocab)
-		sc.out[b] = LogSoftmaxInto(st.logp, sc.logits.Row(b))
-	}
-	return sc.out
-}
-
 // SequenceLogLoss returns the mean next-token negative log-likelihood of
 // window under the model (no gradients). Used by validation loops and the
 // over-sampling trainer to find poorly modeled normal windows. Safe to

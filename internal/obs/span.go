@@ -49,8 +49,8 @@ func ParseSpanID(s string) SpanID {
 
 // StageDurations decomposes one message's accept→verdict wall time into
 // the pipeline stages it passed through. Each field is a wall-clock
-// timeline segment, not an amortized cost share: while a batch's shared
-// signature-tree section runs, every message in the batch is waiting on
+// timeline segment, not an amortized cost share: while a drain's shared
+// signature-tree section runs, every message in the drain is waiting on
 // it, so the whole section is on each message's critical path. The named
 // stages of a fully sampled decision span therefore sum to (within
 // scheduler noise) the span's TotalNS.
@@ -64,13 +64,16 @@ type StageDurations struct {
 	// message under its mutex: shard-queue wait plus lock acquisition
 	// (on the synchronous path, just the lock wait).
 	QueueNS int64 `json:"queue_ns,omitempty"`
-	// SigtreeNS is the template match/learn section (tokenization plus
-	// the shared treeMu critical section, batch-wide on the async path).
+	// SigtreeNS is the template match/learn section of the message's
+	// drain: tokenization plus the shared treeMu critical section for every
+	// member, up to the first scored member's step starting.
 	SigtreeNS int64 `json:"sigtree_ns,omitempty"`
-	// BatchNS is wave-scheduling wait: time between the batch's sigtree
-	// section ending and this message's inference wave starting.
+	// BatchNS is the wait within a drain: from the drain's sigtree section
+	// ending to this message's own step starting, i.e. the steps and
+	// verdicts of the members ahead of it. 0 for the first scored message
+	// of a drain, so always 0 on the synchronous path.
 	BatchNS int64 `json:"batch_ns,omitempty"`
-	// ScoreNS is LSTM inference (this message's wave on the async path).
+	// ScoreNS is this message's LSTM step.
 	ScoreNS int64 `json:"score_ns,omitempty"`
 	// VerdictNS is threshold evaluation, anomaly clustering, warning
 	// emission, and trace/span recording.

@@ -280,8 +280,8 @@ func pollAdmin(base string) string {
 // divergenceBound is the ceiling on how far injected faults may move the
 // warnings: the per-host symmetric difference of warning counts between
 // the faulted run and a fault-free one, over the fault-free total. Faults
-// may cost the batches that were in flight when a worker died (at most
-// MaxBatch messages each, well under one warning burst per incident);
+// may cost the drains that were in flight when a worker died (at most 16
+// messages each, well under one warning burst per incident);
 // anything above the bound means fault handling is eating the stream.
 const divergenceBound = 0.2
 
