@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race ci chaos scenarios fuzz-smoke bench-smoke bench bench-nn bench-pipeline bench-obs bench-serving bench-json figures
+.PHONY: build test test-race ci chaos scenarios fuzz-smoke reach bench-smoke bench bench-nn bench-pipeline bench-obs bench-serving bench-json figures
 
 build:
 	$(GO) build ./...
@@ -11,8 +11,8 @@ test:
 # Race-detector pass over the concurrent paths: data-parallel gradient
 # workers, per-cluster training fan-out, concurrent scoring, shard worker
 # lifecycle (start/stop/restart under concurrent enqueue), the ingest
-# server (sink-panic recovery, close-during-frame), and the checkpoint /
-# fault-injection suites.
+# server (listeners enqueueing from several goroutines, close-during-frame),
+# and the checkpoint / fault-injection suites.
 test-race:
 	$(GO) test -race ./internal/...
 
@@ -56,11 +56,18 @@ fuzz-smoke:
 	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzScannerEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
 
+# Reachability: every func in a non-test file of a library package that
+# none of the 13 binaries (cmd/*, examples/*, bench/) links, minus
+# tools/reach.allow, where each survivor carries its reason. Prints
+# nothing and exits 0 when the library holds no code only tests reach.
+reach:
+	@bash tools/reach.sh
+
 # Full gate: what a CI job runs. Vet, build, the whole test suite, the
 # race pass over the concurrent packages (which covers the shard
 # lifecycle tests), the scenario-harness library (lint + end-to-end run
 # of every shipped scenario with its assertions), the fuzz smoke (every
-# fuzz target for ten seconds), and benchmark smoke
+# fuzz target for ten seconds), the reachability check, and benchmark smoke
 # runs: the metrics hot path and the scoring kernels (LSTM step and gate
 # fold, blocked matvec, the exp kernel). The race pass includes
 # TestLifecycleSoakSmoke, which promotes a candidate against concurrent
@@ -91,6 +98,7 @@ ci: build
 	$(MAKE) chaos
 	$(MAKE) scenarios
 	$(MAKE) fuzz-smoke
+	$(MAKE) reach
 	$(GO) test ./internal/obs/ -run XXX -bench Registry -benchtime=1x -benchmem
 	$(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs|GateFold' -benchtime=1x -benchmem
 	$(GO) test ./internal/mat/ -run XXX -bench 'MulVecAdd|ExpNeg' -benchtime=1x -benchmem

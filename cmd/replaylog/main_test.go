@@ -65,7 +65,7 @@ func TestLoopShiftsTimestamps(t *testing.T) {
 		if rerr != nil {
 			t.Fatalf("received %d/%d datagrams: %v", len(got), loops*len(msgs), rerr)
 		}
-		m, perr := logfmt.Parse3164(string(buf[:n]), base.Year())
+		m, perr := logfmt.Parse3164Bytes(buf[:n], base.Year())
 		if perr != nil {
 			t.Fatalf("datagram %d: %v", len(got), perr)
 		}

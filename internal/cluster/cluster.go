@@ -5,9 +5,10 @@
 // the per-model data-collection latency from ~3 months to ~1 month (§5.2).
 //
 // It also provides the cosine-similarity analytics behind Figure 3 (each
-// vPE's distribution vs the fleet aggregate) and the month-over-month
-// drift detection of §3.3 (cosine drop below ~0.4 signals a system update
-// that obsoletes trained models).
+// vPE's distribution vs the fleet aggregate) and the Cosine that the
+// month-over-month drift checks of §3.3 are built on (a drop below ~0.4
+// signals a system update that obsoletes trained models): the offline one
+// in pipeline, the online one in lifecycle.
 package cluster
 
 import (
@@ -322,29 +323,4 @@ func normalize(v mat.Vector) {
 	if n > 0 {
 		v.ScaleInPlace(1 / n)
 	}
-}
-
-// DriftDetector tracks month-over-month cosine similarity of a histogram
-// stream and reports when the distribution shifts abruptly (the paper's
-// system-update signal: similarity "always above 0.8" normally, dropping
-// "below 0.4" on an update, §3.3).
-type DriftDetector struct {
-	// Threshold is the similarity below which drift is reported.
-	Threshold float64
-	prev      Histogram
-}
-
-// NewDriftDetector returns a detector with the paper's 0.4 threshold.
-func NewDriftDetector() *DriftDetector { return &DriftDetector{Threshold: 0.4} }
-
-// Observe feeds the next period's histogram and reports (similarity to the
-// previous period, drifted?). The first observation reports (1, false).
-func (d *DriftDetector) Observe(h Histogram) (float64, bool) {
-	if d.prev == nil {
-		d.prev = h
-		return 1, false
-	}
-	sim := Cosine(d.prev, h)
-	d.prev = h
-	return sim, sim < d.Threshold
 }

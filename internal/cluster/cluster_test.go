@@ -223,28 +223,6 @@ func TestResultMembers(t *testing.T) {
 	}
 }
 
-func TestDriftDetector(t *testing.T) {
-	d := NewDriftDetector()
-	stable := Histogram{0: 100, 1: 50, 2: 25}
-	if sim, drift := d.Observe(stable); sim != 1 || drift {
-		t.Fatalf("first observation: sim=%v drift=%v", sim, drift)
-	}
-	// Nearly identical next month: no drift.
-	stable2 := Histogram{0: 98, 1: 52, 2: 27}
-	if sim, drift := d.Observe(stable2); drift || sim < 0.9 {
-		t.Fatalf("stable month flagged: sim=%v drift=%v", sim, drift)
-	}
-	// Disjoint distribution: drift.
-	shifted := Histogram{10: 80, 11: 40}
-	if sim, drift := d.Observe(shifted); !drift || sim > 0.4 {
-		t.Fatalf("update month not flagged: sim=%v drift=%v", sim, drift)
-	}
-	// Post-update months are stable again.
-	if _, drift := d.Observe(Histogram{10: 85, 11: 42}); drift {
-		t.Fatal("post-update stability flagged as drift")
-	}
-}
-
 func BenchmarkKMeans38VPEs(b *testing.B) {
 	hists, _ := plantedHists(4, 10, 1) // 40 ≈ the paper's 38
 	b.ReportAllocs()

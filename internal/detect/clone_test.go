@@ -61,11 +61,11 @@ func TestCloneIndependence(t *testing.T) {
 	if cand.Fingerprint() == origFP {
 		t.Fatal("adaptation did not change the clone's weights")
 	}
-	if got := det.vocab.Known(); got != 4 {
+	if got := len(det.vocab.index); got != 4 {
 		t.Fatalf("adapting the clone leaked vocabulary slots into the original: known=%d", got)
 	}
-	if cand.vocab.Known() <= 4 {
-		t.Fatalf("clone vocabulary did not extend: known=%d", cand.vocab.Known())
+	if len(cand.vocab.index) <= 4 {
+		t.Fatalf("clone vocabulary did not extend: known=%d", len(cand.vocab.index))
 	}
 }
 

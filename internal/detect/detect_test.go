@@ -40,8 +40,8 @@ func TestVocabulary(t *testing.T) {
 	if v.Size() != 3 {
 		t.Fatalf("Size=%d", v.Size())
 	}
-	if v.Known() != 2 {
-		t.Fatalf("Known=%d", v.Known())
+	if len(v.index) != 2 {
+		t.Fatalf("Known=%d", len(v.index))
 	}
 	if v.Class(5) != 0 || v.Class(7) != 1 {
 		t.Fatalf("frequency order broken: %d %d", v.Class(5), v.Class(7))
@@ -57,8 +57,8 @@ func TestVocabulary(t *testing.T) {
 
 func TestVocabularyAssignExtendsIntoSpareSlots(t *testing.T) {
 	v := BuildVocabulary([][]features.Event{{{Template: 1}, {Template: 2}}}, 6)
-	if v.Known() != 2 || v.Size() != 6 {
-		t.Fatalf("initial: known=%d size=%d", v.Known(), v.Size())
+	if len(v.index) != 2 || v.Size() != 6 {
+		t.Fatalf("initial: known=%d size=%d", len(v.index), v.Size())
 	}
 	// Post-update templates get fresh slots, existing ones keep theirs.
 	before1 := v.Class(1)
@@ -74,8 +74,8 @@ func TestVocabularyAssignExtendsIntoSpareSlots(t *testing.T) {
 	}
 	// Capacity exhaustion: only one slot left after 4 assignments.
 	v.Assign([][]features.Event{{{Template: 20}, {Template: 21}}})
-	if v.Known() != 5 { // capacity 6 → 5 assignable
-		t.Fatalf("known=%d want 5", v.Known())
+	if len(v.index) != 5 { // capacity 6 → 5 assignable
+		t.Fatalf("known=%d want 5", len(v.index))
 	}
 	if v.Class(21) != v.Other() {
 		t.Fatal("template beyond capacity must fold to other")

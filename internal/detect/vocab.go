@@ -86,9 +86,6 @@ func (v *Vocabulary) Clone() *Vocabulary {
 // Size returns the fixed class capacity (model width).
 func (v *Vocabulary) Size() int { return v.capacity }
 
-// Known returns the number of assigned template slots.
-func (v *Vocabulary) Known() int { return len(v.index) }
-
 // Other returns the index of the catch-all class.
 func (v *Vocabulary) Other() int { return v.capacity - 1 }
 

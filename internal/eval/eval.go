@@ -29,12 +29,6 @@ type Config struct {
 	// (§5.1: report a warning on ≥2 anomalies within a minute).
 	ClusterWindow  time.Duration
 	MinClusterSize int
-	// IncludeMaintenance counts Maintenance tickets in the recall
-	// denominator. Default false: maintenance is pre-scheduled and
-	// "predictable" (§3.2), and Figure 8 evaluates only the other five
-	// categories. Warnings inside maintenance windows still map (they
-	// are real log activity, not false alarms) either way.
-	IncludeMaintenance bool
 }
 
 // DefaultConfig returns the paper's operating parameters.
@@ -61,8 +55,11 @@ type TicketHit struct {
 type Outcome struct {
 	// Hits maps ticket ID → hit record for every detected ticket.
 	Hits map[int]*TicketHit
-	// Tickets is the recall-eligible ticket count (maintenance excluded
-	// unless Config.IncludeMaintenance).
+	// Tickets is the recall-eligible ticket count. Maintenance tickets
+	// are not eligible: maintenance is pre-scheduled and "predictable"
+	// (§3.2), and Figure 8 evaluates only the other five categories.
+	// Warnings inside maintenance windows still map (they are real log
+	// activity, not false alarms).
 	Tickets int
 	// EligibleHits is the number of recall-eligible tickets detected.
 	EligibleHits int
@@ -85,7 +82,7 @@ type Outcome struct {
 func MapWarnings(warnings []detect.Warning, tickets []ticket.Ticket, cfg Config, from, to time.Time) *Outcome {
 	out := &Outcome{Hits: make(map[int]*TicketHit)}
 	eligible := func(tk *ticket.Ticket) bool {
-		return cfg.IncludeMaintenance || tk.Cause != ticket.Maintenance
+		return tk.Cause != ticket.Maintenance
 	}
 	var kept []ticket.Ticket
 	for _, tk := range tickets {

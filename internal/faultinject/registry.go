@@ -84,22 +84,6 @@ type Point struct {
 // Name returns the point's registry name.
 func (p *Point) Name() string { return p.name }
 
-// Hits returns how many times the point has been evaluated.
-func (p *Point) Hits() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.hits.Load()
-}
-
-// Fired returns how many faults the point has injected.
-func (p *Point) Fired() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.fired.Load()
-}
-
 // take consumes one firing from the armed state, handling Count-limited
 // armings (auto-disarm on exhaustion). It returns nil when the point is
 // disarmed or exhausted.

@@ -45,8 +45,8 @@ func TestPointFireModes(t *testing.T) {
 	if err := p.Fire(); err != nil {
 		t.Fatalf("disarmed point fired: %v", err)
 	}
-	if p.Fired() != 3 {
-		t.Fatalf("fired = %d, want 3", p.Fired())
+	if p.fired.Load() != 3 {
+		t.Fatalf("fired = %d, want 3", p.fired.Load())
 	}
 }
 
@@ -87,7 +87,7 @@ func TestPointCountAutoDisarms(t *testing.T) {
 			t.Fatalf("exhausted point fired on extra call %d: %v", i, err)
 		}
 	}
-	if got := p.Fired(); got != 2 {
+	if got := p.fired.Load(); got != 2 {
 		t.Fatalf("fired = %d, want exactly Count=2", got)
 	}
 }

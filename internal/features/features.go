@@ -136,12 +136,3 @@ func (v *Vectorizer) Transform(w Window) mat.Vector {
 	}
 	return x
 }
-
-// TransformAll converts a batch of windows.
-func (v *Vectorizer) TransformAll(ws []Window) []mat.Vector {
-	out := make([]mat.Vector, len(ws))
-	for i, w := range ws {
-		out[i] = v.Transform(w)
-	}
-	return out
-}

@@ -127,14 +127,6 @@ func TestTransformBeforeFitPanics(t *testing.T) {
 	NewVectorizer(true).Transform(Window{})
 }
 
-func TestTransformAll(t *testing.T) {
-	v, train := fitVectorizer(t, true)
-	xs := v.TransformAll(train)
-	if len(xs) != len(train) {
-		t.Fatalf("TransformAll length %d", len(xs))
-	}
-}
-
 func TestVectorizerDeterministicSlots(t *testing.T) {
 	// Fitting twice on the same data must produce identical transforms
 	// (map iteration order must not leak into slot assignment).

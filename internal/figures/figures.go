@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"nfvpredict/internal/cluster"
-	"nfvpredict/internal/detect"
 	"nfvpredict/internal/eval"
 	"nfvpredict/internal/nfvsim"
 	"nfvpredict/internal/pipeline"
@@ -427,23 +426,4 @@ func Reduction(w io.Writer, ds *pipeline.Dataset, cfg pipeline.Config, evalMonth
 			r.Label, r.TrainEvents, r.Best.F, r.Best.Precision, r.Best.Recall)
 	}
 	return clusterRows, adaptRows, nil
-}
-
-// WarningClusterStats reports the §5.1 observation that per-ticket
-// anomalies cluster tightly: the mean within-cluster gap of warnings
-// mapped to tickets.
-func WarningClusterStats(w io.Writer, res *pipeline.Result) (meanSize float64) {
-	var sizes, n int
-	anoms := detect.Threshold(res.Events, res.Best.Threshold)
-	warns := detect.ClusterWarnings(anoms, detect.DefaultClusterWindow, detect.DefaultMinClusterSize)
-	for _, wn := range warns {
-		sizes += wn.Size
-		n++
-	}
-	if n > 0 {
-		meanSize = float64(sizes) / float64(n)
-	}
-	fmt.Fprintf(w, "# §5.1: warning clusters: %d warnings, mean anomalies per cluster %.1f (rule: ≥2 within 1 min)\n",
-		n, meanSize)
-	return meanSize
 }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -44,11 +45,11 @@ func TestMonitorDecisionTrace(t *testing.T) {
 		at = at.Add(30 * time.Second)
 	}
 	if ring.Total() != 0 {
-		t.Fatalf("traces during normal traffic: %+v", ring.Recent(0))
+		t.Fatalf("traces during normal traffic: %+v", ring.Filtered(0, "", false))
 	}
 
 	mon.HandleMessage(mk("invalid response from peer chassis-control session 42 retries 3", at))
-	traces := ring.Recent(0)
+	traces := ring.Filtered(0, "", false)
 	if len(traces) != 1 {
 		t.Fatalf("expected one trace, got %d", len(traces))
 	}
@@ -85,14 +86,14 @@ func TestMonitorDecisionTrace(t *testing.T) {
 		mon.HandleMessage(mk("invalid response from peer chassis-control session 42 retries 3", at))
 	}
 	var tipped *obs.Trace
-	for _, cand := range ring.Recent(0) {
+	for _, cand := range ring.Filtered(0, "", false) {
 		if cand.Warning {
 			c := cand
 			tipped = &c
 		}
 	}
 	if tipped == nil || tipped.ClusterSize != mcfg.MinClusterSize {
-		t.Fatalf("warning-tipping verdict not marked in traces: %+v", ring.Recent(0))
+		t.Fatalf("warning-tipping verdict not marked in traces: %+v", ring.Filtered(0, "", false))
 	}
 
 	// The registry exports the same numbers Stats() reports — one set of
@@ -114,7 +115,7 @@ func TestMonitorDecisionTrace(t *testing.T) {
 	// The handle histogram rides the sampling decision: one observation per
 	// sampled message, none for the rest.
 	sampled := 0
-	for _, s := range spans.Recent(0) {
+	for _, s := range spans.Query(obs.SpanQuery{}) {
 		if s.Sampled {
 			sampled++
 		}
@@ -125,27 +126,46 @@ func TestMonitorDecisionTrace(t *testing.T) {
 }
 
 // TestServerStatsOnRegistry checks the server counters are thin views over
-// the registry, so /metrics and Stats() cannot drift.
+// the registry, so /metrics and Stats() cannot drift, and that a server —
+// fed through a test's func sink or a ShardSink — registers exactly the
+// three families Stats reports and nothing else.
 func TestServerStatsOnRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := DefaultServerConfig()
-	cfg.Metrics = reg
-	srv, err := NewServer(cfg, func(logfmt.Message) {})
-	if err != nil {
-		t.Fatal(err)
+	discard := func(logfmt.Message) {}
+	sinks := map[string]struct {
+		sharded ShardSink
+		fn      func(logfmt.Message)
+	}{
+		"func sink":  {fn: discard},
+		"shard sink": {sharded: funcSink(discard)},
 	}
-	defer srv.Close()
+	for name, sink := range sinks {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := DefaultServerConfig()
+			cfg.Metrics = reg
+			cfg.Sharded = sink.sharded
+			srv, err := NewServer(cfg, sink.fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-	srv.enqueue([]byte(sampleLine(1)))
-	srv.enqueue([]byte("not syslog at all"))
-	st := srv.Stats()
-	if st.Received != 1 || st.Malformed != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["ingest_received_total"] != st.Received ||
-		snap.Counters["ingest_malformed_total"] != st.Malformed {
-		t.Fatalf("registry/Stats divergence: %+v vs %+v", snap.Counters, st)
+			srv.enqueue([]byte(sampleLine(1)))
+			srv.enqueue([]byte("not syslog at all"))
+			st := srv.Stats()
+			if st.Received != 1 || st.Malformed != 1 {
+				t.Fatalf("stats: %+v", st)
+			}
+			snap := reg.Snapshot()
+			want := map[string]uint64{
+				"ingest_received_total":    st.Received,
+				"ingest_malformed_total":   st.Malformed,
+				"ingest_shard_drops_total": st.ShardDropped,
+			}
+			if !reflect.DeepEqual(snap.Counters, want) || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
+				t.Fatalf("registry holds %+v, want exactly the counters %+v", snap, want)
+			}
+		})
 	}
 }
 
@@ -179,7 +199,7 @@ func TestMonitorTraceWindowSurvivesCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored.HandleMessage(mk("invalid response from peer chassis-control session 42 retries 3", at))
-	traces := ring2.Recent(0)
+	traces := ring2.Filtered(0, "", false)
 	if len(traces) != 1 || len(traces[0].Window) == 0 {
 		t.Fatalf("restored monitor did not trace: %+v", traces)
 	}

@@ -28,25 +28,17 @@ type ServerConfig struct {
 	UDPAddr, TCPAddr string
 	// Year resolves RFC 3164 timestamps (which carry no year).
 	Year int
-	// QueueSize bounds the parsed-message queue; when full, messages are
-	// dropped and counted rather than blocking the network readers.
-	QueueSize int
 	// MaxLine bounds a single TCP-framed message.
 	MaxLine int
-	// Metrics, when set, is the registry the server reports into: the
-	// Stats counters plus a dispatch-latency histogram and a queue-depth
-	// gauge (the latter two only exist when a registry is attached, so an
-	// uninstrumented server never reads the clock per message). When nil
-	// the counters live on a private registry and Stats() still works.
+	// Metrics, when set, is the registry the Stats counters report into.
+	// When nil they live on a private registry and Stats() still works.
 	Metrics *obs.Registry
 
-	// Sharded, when set, routes parsed messages straight from the
-	// listener goroutines into the sink's per-shard queues, bypassing the
-	// single dispatcher goroutine (and its queue) entirely — the scoring
-	// shards become the concurrency, not a serial sink. A refused message
-	// (shard queue full) is dropped and counted under
-	// ingest_shard_drops_total; listeners never block on a slow scorer.
-	// When Sharded is set the sink callback may be nil.
+	// Sharded is where parsed messages go: the listener goroutines call
+	// its Enqueue directly, so the scoring shards are the concurrency and
+	// there is no queue in the server. A refused message (shard queue
+	// full) is dropped and counted under ingest_shard_drops_total;
+	// listeners never block on a slow scorer.
 	Sharded ShardSink
 
 	// Tracer, when set, mints a trace ID for every accepted message at the
@@ -55,8 +47,8 @@ type ServerConfig struct {
 	// disables tracing with zero per-message cost beyond one branch.
 	Tracer *obs.Tracer
 	// DropSLO, when set, records queue admission as an SLO event stream:
-	// good on enqueue, bad on a drop (shard-queue or dispatch-queue
-	// overflow) — the shard-drop-ratio objective.
+	// good on enqueue, bad on a drop (shard-queue overflow) — the
+	// shard-drop-ratio objective.
 	DropSLO *obs.SLO
 }
 
@@ -71,11 +63,10 @@ type ShardSink interface {
 // DefaultServerConfig returns loopback-friendly defaults.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		UDPAddr:   "127.0.0.1:0",
-		TCPAddr:   "127.0.0.1:0",
-		Year:      2018,
-		QueueSize: 4096,
-		MaxLine:   8192,
+		UDPAddr: "127.0.0.1:0",
+		TCPAddr: "127.0.0.1:0",
+		Year:    2018,
+		MaxLine: 8192,
 	}
 }
 
@@ -85,26 +76,18 @@ type Stats struct {
 	Received uint64
 	// Malformed is the number of lines that failed to parse.
 	Malformed uint64
-	// Dropped is the number of messages discarded on queue overflow.
-	Dropped uint64
 	// ShardDropped is the number of messages refused by a full shard
-	// queue (sharded routing only).
+	// queue.
 	ShardDropped uint64
-	// SinkPanics is the number of sink panics recovered by the dispatcher.
-	// The message that triggered a panic is lost; the server keeps serving.
-	SinkPanics uint64
 }
 
-// Server receives syslog over UDP and TCP and hands parsed messages to a
-// sink callback from a single dispatcher goroutine (so sinks need no
-// internal locking for per-call state).
+// Server receives syslog over UDP and TCP, parses each frame on the
+// goroutine that read it and hands the message to a ShardSink.
 type Server struct {
-	cfg  ServerConfig
-	sink func(logfmt.Message)
+	cfg ServerConfig
 
 	udp     *net.UDPConn
 	tcp     net.Listener
-	queue   chan logfmt.Message
 	wg      sync.WaitGroup
 	closed  chan struct{}
 	closeMu sync.Once
@@ -118,23 +101,26 @@ type Server struct {
 	// Counters live on the registry (cfg.Metrics, or a private one) so
 	// Stats(), logs, and /metrics report the same numbers with no double
 	// bookkeeping.
-	received        *obs.Counter
-	malformed       *obs.Counter
-	dropped         *obs.Counter
-	shardDrops      *obs.Counter
-	sinkPanics      *obs.Counter
-	dispatchSeconds *obs.Histogram
-	queueDepth      *obs.Gauge
+	received   *obs.Counter
+	malformed  *obs.Counter
+	shardDrops *obs.Counter
 }
 
-// NewServer creates a server delivering parsed messages to sink, or — when
-// cfg.Sharded is set — straight into per-shard queues.
+// funcSink adapts a callback to ShardSink: it runs on the listener
+// goroutine that parsed the message and accepts every message.
+type funcSink func(logfmt.Message)
+
+func (f funcSink) Enqueue(msg logfmt.Message) bool { f(msg); return true }
+
+// NewServer creates a server delivering parsed messages to cfg.Sharded.
+// Only tests pass a sink: it stands in for cfg.Sharded, is called from
+// every listener goroutine (so it does its own locking) and never refuses.
 func NewServer(cfg ServerConfig, sink func(logfmt.Message)) (*Server, error) {
-	if sink == nil && cfg.Sharded == nil {
-		return nil, errors.New("ingest: sink must not be nil")
-	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 4096
+	if cfg.Sharded == nil {
+		if sink == nil {
+			return nil, errors.New("ingest: sink must not be nil")
+		}
+		cfg.Sharded = funcSink(sink)
 	}
 	if cfg.MaxLine <= 0 {
 		cfg.MaxLine = 8192
@@ -144,8 +130,6 @@ func NewServer(cfg ServerConfig, sink func(logfmt.Message)) (*Server, error) {
 	}
 	s := &Server{
 		cfg:    cfg,
-		sink:   sink,
-		queue:  make(chan logfmt.Message, cfg.QueueSize),
 		closed: make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
 	}
@@ -155,14 +139,7 @@ func NewServer(cfg ServerConfig, sink func(logfmt.Message)) (*Server, error) {
 	}
 	s.received = reg.Counter("ingest_received_total", "Well-formed syslog messages accepted.")
 	s.malformed = reg.Counter("ingest_malformed_total", "Lines or frames that failed to parse.")
-	s.dropped = reg.Counter("ingest_dropped_total", "Messages discarded on queue overflow.")
 	s.shardDrops = reg.Counter("ingest_shard_drops_total", "Messages refused by a full shard queue (sharded routing).")
-	s.sinkPanics = reg.Counter("ingest_sink_panics_total", "Sink panics recovered by the dispatcher.")
-	if cfg.Metrics != nil {
-		s.dispatchSeconds = reg.Histogram("ingest_dispatch_seconds",
-			"Sink latency per dispatched message.", obs.DurationBuckets())
-		s.queueDepth = reg.Gauge("ingest_queue_depth", "Parsed messages waiting in the dispatch queue.")
-	}
 	if cfg.UDPAddr != "" {
 		addr, err := net.ResolveUDPAddr("udp", cfg.UDPAddr)
 		if err != nil {
@@ -173,7 +150,7 @@ func NewServer(cfg ServerConfig, sink func(logfmt.Message)) (*Server, error) {
 			return nil, fmt.Errorf("ingest: listening UDP: %w", err)
 		}
 		// Syslog senders burst; a generous kernel buffer absorbs spikes
-		// the dispatcher hasn't drained yet. Best-effort: some platforms
+		// the listener hasn't read yet. Best-effort: some platforms
 		// clamp the size.
 		_ = conn.SetReadBuffer(4 << 20)
 		s.udp = conn
@@ -213,19 +190,13 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		Received:     s.received.Value(),
 		Malformed:    s.malformed.Value(),
-		Dropped:      s.dropped.Value(),
 		ShardDropped: s.shardDrops.Value(),
-		SinkPanics:   s.sinkPanics.Value(),
 	}
 }
 
-// Start launches the reader and dispatcher goroutines; it returns
-// immediately. Cancel ctx or call Close to stop.
+// Start launches the reader goroutines; it returns immediately. Cancel ctx
+// or call Close to stop.
 func (s *Server) Start(ctx context.Context) {
-	if s.cfg.Sharded == nil {
-		s.wg.Add(1)
-		go s.dispatch()
-	}
 	if s.udp != nil {
 		s.wg.Add(1)
 		go s.readUDP()
@@ -287,7 +258,7 @@ func (s *Server) untrackConn(c net.Conn) {
 	s.connMu.Unlock()
 }
 
-// enqueue parses and queues one raw line.
+// enqueue parses one raw line and hands it to the shard sink.
 func (s *Server) enqueue(line []byte) {
 	trimmed := bytes.TrimRight(line, "\r\n")
 	if len(trimmed) == 0 {
@@ -316,62 +287,15 @@ func (s *Server) enqueue(line []byte) {
 			DecodeNS: int64(time.Since(accept)),
 		}
 	}
-	if s.cfg.Sharded != nil {
-		// Sharded routing: hand the message to its shard queue right here
-		// on the listener goroutine — no dispatcher hop, no global queue.
-		if s.cfg.Sharded.Enqueue(msg) {
-			s.received.Add(1)
-			s.cfg.DropSLO.Record(true)
-		} else {
-			s.shardDrops.Add(1)
-			s.cfg.DropSLO.Record(false)
-		}
-		return
-	}
-	select {
-	case s.queue <- msg:
+	// Hand the message to its shard queue right here on the listener
+	// goroutine.
+	if s.cfg.Sharded.Enqueue(msg) {
 		s.received.Add(1)
 		s.cfg.DropSLO.Record(true)
-	default:
-		s.dropped.Add(1)
+	} else {
+		s.shardDrops.Add(1)
 		s.cfg.DropSLO.Record(false)
 	}
-}
-
-// dispatch delivers queued messages to the sink until Close, then drains.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	for {
-		select {
-		case m := <-s.queue:
-			s.deliver(m)
-		case <-s.closed:
-			for {
-				select {
-				case m := <-s.queue:
-					s.deliver(m)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// deliver hands one message to the sink, isolating the server from sink
-// panics: a panicking sink loses that one message and bumps SinkPanics, but
-// ingestion keeps running — the monitor must degrade, not die (§1 runs the
-// system continuously beside reactive monitoring).
-func (s *Server) deliver(m logfmt.Message) {
-	s.queueDepth.SetInt(len(s.queue))
-	start := s.dispatchSeconds.Start()
-	defer func() {
-		if r := recover(); r != nil {
-			s.sinkPanics.Add(1)
-		}
-		s.dispatchSeconds.ObserveDuration(start)
-	}()
-	s.sink(m)
 }
 
 // listenerBackoff builds the retry pacing for one listener goroutine:

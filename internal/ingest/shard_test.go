@@ -370,8 +370,7 @@ func TestShardLifecycleConcurrency(t *testing.T) {
 
 // TestServerShardRouting wires the server's direct-to-shard path end to
 // end: UDP datagrams for several hosts land on their shard queues from the
-// listener goroutine and are scored by the workers, with no dispatcher in
-// between.
+// listener goroutine and are scored by the workers.
 func TestServerShardRouting(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	mcfg := DefaultMonitorConfig()
@@ -414,7 +413,7 @@ func TestServerShardRouting(t *testing.T) {
 		t.Fatalf("scored %d of %d routed messages", got, total)
 	}
 	st := srv.Stats()
-	if st.Received != total || st.ShardDropped != 0 || st.Dropped != 0 {
+	if st.Received != total || st.ShardDropped != 0 {
 		t.Fatalf("server stats: %+v", st)
 	}
 	if mon.Stats().ActiveHosts != 8 {

@@ -56,7 +56,7 @@ func TestMonitorDecisionSpansSync(t *testing.T) {
 		mon.HandleMessage(m)
 	}
 
-	spans := ring.Recent(0)
+	spans := ring.Query(obs.SpanQuery{})
 	if len(spans) != len(msgs) {
 		t.Fatalf("spans = %d, want one per message (%d)", len(spans), len(msgs))
 	}
@@ -162,7 +162,7 @@ func TestMonitorWarningAlwaysSpanned(t *testing.T) {
 	if mon.Stats().Warnings == 0 {
 		t.Fatal("traffic produced no warnings")
 	}
-	spans := ring.Recent(0)
+	spans := ring.Query(obs.SpanQuery{})
 	if len(spans) == 0 {
 		t.Fatal("warnings emitted no spans with sampling off")
 	}
@@ -218,7 +218,7 @@ func TestAsyncShardedSpans(t *testing.T) {
 	if aa.Messages != uint64(len(msgs)) || ra.Anomalies != aa.Anomalies || ra.Warnings != aa.Warnings {
 		t.Fatalf("traced async run diverged: ref=%+v async=%+v", ra, aa)
 	}
-	spans := ring.Recent(0)
+	spans := ring.Query(obs.SpanQuery{})
 	if len(spans) != len(msgs) {
 		t.Fatalf("spans = %d, want %d", len(spans), len(msgs))
 	}
@@ -330,7 +330,7 @@ func TestServerDropSLOAndTraceStamp(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	mon.Stop()
-	spans := ring.Recent(0)
+	spans := ring.Query(obs.SpanQuery{})
 	if len(spans) != 4 {
 		t.Fatalf("spans = %d, want 4 admitted messages", len(spans))
 	}
@@ -513,7 +513,7 @@ func TestConcurrentMetricsScrapeDuringScoring(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			ring.Recent(16)
+			ring.Query(obs.SpanQuery{N: 16})
 			mon.Stats()
 		}
 	}()

@@ -846,9 +846,6 @@ func (m *Manager) SetShedLearning(v bool, reason string) {
 	}
 }
 
-// ShedLearning reports whether learning is currently shed.
-func (m *Manager) ShedLearning() bool { return m.shedLearning.Load() }
-
 // Serving returns the current serving set (treat as read-only).
 func (m *Manager) Serving() *ModelSet {
 	m.mu.Lock()
@@ -861,13 +858,6 @@ func (m *Manager) Generation() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.generation
-}
-
-// Generations returns a copy of the audit log, oldest first.
-func (m *Manager) Generations() []Generation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Generation(nil), m.gens...)
 }
 
 // maxGenerations bounds the audit log; older entries roll off.

@@ -171,7 +171,9 @@ func TestPromotionEndToEnd(t *testing.T) {
 	if msgs, _ := mon.Counters(); msgs == 0 {
 		t.Fatal("monitor stopped counting after promotion")
 	}
-	gens := lm.Generations()
+	lm.mu.Lock()
+	gens := lm.gens
+	lm.mu.Unlock()
 	if len(gens) != 1 || !gens[0].Promoted || gens[0].Fingerprint != newFP {
 		t.Fatalf("audit log: %+v", gens)
 	}

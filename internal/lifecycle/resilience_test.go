@@ -98,7 +98,7 @@ func TestShedLearningMode(t *testing.T) {
 	lm, mon := buildStack(t, testLifecycleConfig(), ms, tree)
 
 	lm.SetShedLearning(true, "test overload")
-	if !lm.ShedLearning() {
+	if !lm.Status().ShedLearning {
 		t.Fatal("shed-learning not set")
 	}
 	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))

@@ -99,19 +99,11 @@ func (m *Message) Format3164() string {
 // ErrBadFormat reports an unparseable syslog line.
 var ErrBadFormat = errors.New("logfmt: malformed syslog line")
 
-// Parse3164 parses a line produced by Format3164. RFC 3164 timestamps have
-// no year, so the caller supplies one; the day-of-week ambiguity around
-// New Year is resolved by picking the year that puts the timestamp closest
-// to the reference. Host, Tag, and Text share line's memory (no copies).
-func Parse3164(line string, year int) (Message, error) {
-	return parse3164(line, year)
-}
-
-// Parse3164Bytes is Parse3164 over a raw frame, the ingest hot path: the
-// PRI and timestamp are parsed in place and only the tail from the host
-// onward is copied into the message — the line's sole copy, against the
-// whole-line string conversion plus fmt.Sscanf scratch the string entry
-// point used to cost per frame.
+// Parse3164Bytes parses a raw frame holding a line produced by
+// Format3164, the ingest hot path. RFC 3164 timestamps have no year, so the
+// caller supplies one. The PRI and timestamp are parsed in place and only
+// the tail from the host onward is copied into the message — the line's
+// sole copy, so the caller may reuse the frame's buffer.
 func Parse3164Bytes(line []byte, year int) (Message, error) {
 	return parse3164(line, year)
 }

@@ -48,7 +48,7 @@ func TestFormat3164(t *testing.T) {
 
 func TestParse3164RoundTrip(t *testing.T) {
 	m := mkMsg()
-	got, err := Parse3164(m.Format3164(), 2017)
+	got, err := Parse3164Bytes([]byte(m.Format3164()), 2017)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestParse3164RoundTripProperty(t *testing.T) {
 			Tag:      tag,
 			Text:     text,
 		}
-		got, err := Parse3164(m.Format3164(), m.Time.Year())
+		got, err := Parse3164Bytes([]byte(m.Format3164()), m.Time.Year())
 		if err != nil {
 			return false
 		}
@@ -115,18 +115,19 @@ func TestParse3164Malformed(t *testing.T) {
 		"<28>Mar 14 15:09:26 host notag",
 	}
 	for _, line := range bad {
-		if _, err := Parse3164(line, 2017); err == nil {
-			t.Errorf("Parse3164(%q) should fail", line)
+		if _, err := Parse3164Bytes([]byte(line), 2017); err == nil {
+			t.Errorf("Parse3164Bytes(%q) should fail", line)
 		} else if !errors.Is(err, ErrBadFormat) {
-			t.Errorf("Parse3164(%q) error not ErrBadFormat: %v", line, err)
+			t.Errorf("Parse3164Bytes(%q) error not ErrBadFormat: %v", line, err)
 		}
 	}
 }
 
-// TestParse3164BytesMatchesString pins the two entry points to identical
-// behavior: same fields on valid lines, same rejection (and same sentinel)
-// on malformed ones. The byte path may not share the input's memory — the
-// server reuses its read buffer after enqueue.
+// TestParse3164BytesMatchesString pins the served instance of the parser to
+// its string instance, which slices the line without copying: same fields
+// on valid lines, same rejection (and same sentinel) on malformed ones. The
+// byte path may not share the input's memory — the server reuses its read
+// buffer after enqueue.
 func TestParse3164BytesMatchesString(t *testing.T) {
 	ref := mkMsg()
 	lines := []string{
@@ -150,7 +151,7 @@ func TestParse3164BytesMatchesString(t *testing.T) {
 		"<28>Mar 14 15:09:26 host : emptytag",
 	}
 	for _, line := range lines {
-		sm, serr := Parse3164(line, 2017)
+		sm, serr := parse3164(line, 2017)
 		buf := []byte(line)
 		bm, berr := Parse3164Bytes(buf, 2017)
 		if (serr == nil) != (berr == nil) {
@@ -239,10 +240,10 @@ func BenchmarkFormat3164(b *testing.B) {
 
 func BenchmarkParse3164(b *testing.B) {
 	m := mkMsg()
-	line := m.Format3164()
+	line := []byte(m.Format3164())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse3164(line, 2017); err != nil {
+		if _, err := Parse3164Bytes(line, 2017); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,23 +39,6 @@ func (v Vector) Zero() {
 	}
 }
 
-// Fill sets every element of v to x in place.
-func (v Vector) Fill(x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
-// Add returns v + w as a new vector.
-func (v Vector) Add(w Vector) Vector {
-	mustSameLen(len(v), len(w), "Vector.Add")
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
 // AddInPlace sets v = v + w.
 func (v Vector) AddInPlace(w Vector) {
 	mustSameLen(len(v), len(w), "Vector.AddInPlace")
@@ -64,55 +47,10 @@ func (v Vector) AddInPlace(w Vector) {
 	}
 }
 
-// Sub returns v - w as a new vector.
-func (v Vector) Sub(w Vector) Vector {
-	mustSameLen(len(v), len(w), "Vector.Sub")
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
-// Scale returns a*v as a new vector.
-func (v Vector) Scale(a float64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = a * v[i]
-	}
-	return out
-}
-
 // ScaleInPlace sets v = a*v.
 func (v Vector) ScaleInPlace(a float64) {
 	for i := range v {
 		v[i] *= a
-	}
-}
-
-// Axpy sets v = v + a*w (the classic "a x plus y" kernel).
-func (v Vector) Axpy(a float64, w Vector) {
-	mustSameLen(len(v), len(w), "Vector.Axpy")
-	for i := range v {
-		v[i] += a * w[i]
-	}
-}
-
-// Hadamard returns the element-wise product v ⊙ w.
-func (v Vector) Hadamard(w Vector) Vector {
-	mustSameLen(len(v), len(w), "Vector.Hadamard")
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] * w[i]
-	}
-	return out
-}
-
-// HadamardInPlace sets v = v ⊙ w.
-func (v Vector) HadamardInPlace(w Vector) {
-	mustSameLen(len(v), len(w), "Vector.HadamardInPlace")
-	for i := range v {
-		v[i] *= w[i]
 	}
 }
 
@@ -129,15 +67,6 @@ func (v Vector) Dot(w Vector) float64 {
 // Norm2 returns the Euclidean norm of v.
 func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Norm1 returns the L1 norm of v.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for i := range v {
-		s += math.Abs(v[i])
-	}
-	return s
-}
-
 // Sum returns the sum of the elements of v.
 func (v Vector) Sum() float64 {
 	var s float64
@@ -145,37 +74,6 @@ func (v Vector) Sum() float64 {
 		s += v[i]
 	}
 	return s
-}
-
-// Map returns a new vector with f applied to every element.
-func (v Vector) Map(f func(float64) float64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = f(v[i])
-	}
-	return out
-}
-
-// MapInPlace applies f to every element of v in place.
-func (v Vector) MapInPlace(f func(float64) float64) {
-	for i := range v {
-		v[i] = f(v[i])
-	}
-}
-
-// ArgMax returns the index of the largest element of v. It panics on an
-// empty vector.
-func (v Vector) ArgMax() int {
-	if len(v) == 0 {
-		panic("mat: ArgMax of empty vector")
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Max returns the largest element of v, v[v.ArgMax()], as a running
@@ -192,32 +90,6 @@ func (v Vector) Max() float64 {
 		}
 	}
 	return m
-}
-
-// CosineSimilarity returns the cosine of the angle between v and w,
-// i.e. <v,w> / (|v||w|). If either vector is all-zero it returns 0.
-func CosineSimilarity(v, w Vector) float64 {
-	mustSameLen(len(v), len(w), "CosineSimilarity")
-	var dot, nv, nw float64
-	for i := range v {
-		dot += v[i] * w[i]
-		nv += v[i] * v[i]
-		nw += w[i] * w[i]
-	}
-	if nv == 0 || nw == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(nv*nw)
-}
-
-// Softmax returns the softmax of v computed with the max-subtraction trick
-// for numerical stability. The result sums to 1 for any finite input.
-func Softmax(v Vector) Vector {
-	out := make(Vector, len(v))
-	if len(v) > 0 {
-		SoftmaxInto(out, v)
-	}
-	return out
 }
 
 // SoftmaxInto writes the softmax of v (non-empty) into dst, which may be
@@ -279,36 +151,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("mat: ragged rows: row %d has %d cols, want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set writes x to row i, column j.
-func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
-
 // Row returns row i as a Vector sharing the matrix's backing array.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // Zero sets every element of m to 0 in place.
 func (m *Matrix) Zero() {
@@ -325,21 +169,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// MulVec returns m·v. v's length must equal m.Cols.
-func (m *Matrix) MulVec(v Vector) Vector {
-	mustSameLen(m.Cols, len(v), "Matrix.MulVec")
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, x := range row {
-			s += x * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // MulVecAdd sets dst = dst + m·v without allocating. dst's length must equal
 // m.Rows; v's length must equal m.Cols.
 //
@@ -352,23 +181,6 @@ func (m *Matrix) MulVecAdd(dst, v Vector) {
 	mustSameLen(m.Cols, len(v), "Matrix.MulVecAdd input")
 	mustSameLen(m.Rows, len(dst), "Matrix.MulVecAdd output")
 	gemv64(dst, m.Data, v, m.Rows, m.Cols)
-}
-
-// TransMulVec returns mᵀ·v. v's length must equal m.Rows.
-func (m *Matrix) TransMulVec(v Vector) Vector {
-	mustSameLen(m.Rows, len(v), "Matrix.TransMulVec")
-	out := make(Vector, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		a := v[i]
-		if a == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range row {
-			out[j] += a * x
-		}
-	}
-	return out
 }
 
 // TransMulVecAdd sets dst = dst + mᵀ·v without allocating.
@@ -477,15 +289,6 @@ func (m *Matrix) Scale(a float64) {
 	}
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, x := range m.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // XavierInit fills m with samples from U(-r, r) where r = sqrt(6/(in+out)),
 // the Glorot uniform initializer. fanIn/fanOut default to Cols/Rows.
 func (m *Matrix) XavierInit(rng *rand.Rand) {
@@ -502,20 +305,6 @@ func (m *Matrix) HeInit(rng *rand.Rand) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64() * sd
 	}
-}
-
-// Equal reports whether m and w have identical shape and all elements within
-// tol of each other.
-func (m *Matrix) Equal(w *Matrix, tol float64) bool {
-	if m.Rows != w.Rows || m.Cols != w.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if math.Abs(m.Data[i]-w.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 func mustSameLen(a, b int, op string) {

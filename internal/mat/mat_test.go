@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,22 +10,86 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestVectorAddSub(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	sum := v.Add(w)
-	want := Vector{5, 7, 9}
-	for i := range want {
-		if sum[i] != want[i] {
-			t.Fatalf("Add: got %v want %v", sum, want)
+// The allocating forms below are the tests' reference algebra: nothing
+// outside the tests calls them any more, but they build the fixtures and
+// are the oracles the in-place kernels (MulVecAdd, TransMulVecAdd, Max,
+// SoftmaxInto) are checked against.
+
+// FromRows builds a matrix from a slice of equal-length rows.
+func FromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic(fmt.Sprintf("mat: ragged rows: row %d has %d cols, want %d", i, len(r), m.Cols))
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// At returns the element at row i, column j.
+func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+
+// Set writes x to row i, column j.
+func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
+
+// MulVec returns m·v, every row one accumulator in increasing j.
+func (m *Matrix) MulVec(v Vector) Vector {
+	mustSameLen(m.Cols, len(v), "Matrix.MulVec")
+	out := make(Vector, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		var s float64
+		for j, x := range row {
+			s += x * v[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TransMulVec returns mᵀ·v. v's length must equal m.Rows.
+func (m *Matrix) TransMulVec(v Vector) Vector {
+	mustSameLen(m.Rows, len(v), "Matrix.TransMulVec")
+	out := make(Vector, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		a := v[i]
+		if a == 0 {
+			continue
+		}
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, x := range row {
+			out[j] += a * x
 		}
 	}
-	diff := w.Sub(v)
-	for i := range diff {
-		if diff[i] != 3 {
-			t.Fatalf("Sub: got %v", diff)
+	return out
+}
+
+// ArgMax returns the index of the largest element of v, the first of equal
+// maxima. It panics on an empty vector.
+func (v Vector) ArgMax() int {
+	if len(v) == 0 {
+		panic("mat: ArgMax of empty vector")
+	}
+	best := 0
+	for i := 1; i < len(v); i++ {
+		if v[i] > v[best] {
+			best = i
 		}
 	}
+	return best
+}
+
+// Softmax returns the softmax of v as a new vector.
+func Softmax(v Vector) Vector {
+	out := make(Vector, len(v))
+	if len(v) > 0 {
+		SoftmaxInto(out, v)
+	}
+	return out
 }
 
 func TestVectorAddInPlace(t *testing.T) {
@@ -37,14 +102,9 @@ func TestVectorAddInPlace(t *testing.T) {
 
 func TestVectorScaleAxpy(t *testing.T) {
 	v := Vector{1, -2, 3}
-	s := v.Scale(2)
-	if s[0] != 2 || s[1] != -4 || s[2] != 6 {
-		t.Fatalf("Scale: got %v", s)
-	}
-	y := Vector{1, 1, 1}
-	y.Axpy(3, v)
-	if y[0] != 4 || y[1] != -5 || y[2] != 10 {
-		t.Fatalf("Axpy: got %v", y)
+	v.ScaleInPlace(2)
+	if v[0] != 2 || v[1] != -4 || v[2] != 6 {
+		t.Fatalf("ScaleInPlace: got %v", v)
 	}
 }
 
@@ -55,22 +115,6 @@ func TestVectorDotNorm(t *testing.T) {
 	}
 	if v.Norm2() != 5 {
 		t.Fatalf("Norm2: got %v", v.Norm2())
-	}
-	if v.Norm1() != 7 {
-		t.Fatalf("Norm1: got %v", v.Norm1())
-	}
-}
-
-func TestVectorHadamard(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{2, 3, 4}
-	h := v.Hadamard(w)
-	if h[0] != 2 || h[1] != 6 || h[2] != 12 {
-		t.Fatalf("Hadamard: got %v", h)
-	}
-	v.HadamardInPlace(w)
-	if v[2] != 12 {
-		t.Fatalf("HadamardInPlace: got %v", v)
 	}
 }
 
@@ -125,14 +169,9 @@ func TestVectorArgMaxPanicsOnEmpty(t *testing.T) {
 }
 
 func TestVectorMapSumFill(t *testing.T) {
-	v := Vector{1, 2, 3}
-	sq := v.Map(func(x float64) float64 { return x * x })
-	if sq.Sum() != 14 {
-		t.Fatalf("Map/Sum: got %v", sq.Sum())
-	}
-	v.Fill(7)
-	if v.Sum() != 21 {
-		t.Fatalf("Fill: got %v", v)
+	v := Vector{1, 4, 9}
+	if v.Sum() != 14 {
+		t.Fatalf("Sum: got %v", v.Sum())
 	}
 	v.Zero()
 	if v.Sum() != 0 {
@@ -180,7 +219,7 @@ func TestSoftmaxProperties(t *testing.T) {
 func TestSoftmaxShiftInvariance(t *testing.T) {
 	v := Vector{1, 2, 3}
 	p1 := Softmax(v)
-	p2 := Softmax(v.Map(func(x float64) float64 { return x + 1000 }))
+	p2 := Softmax(Vector{1001, 1002, 1003})
 	for i := range p1 {
 		if !almostEqual(p1[i], p2[i], 1e-9) {
 			t.Fatalf("softmax not shift-invariant: %v vs %v", p1, p2)
@@ -208,50 +247,6 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
-func TestCosineSimilarity(t *testing.T) {
-	if !almostEqual(CosineSimilarity(Vector{1, 0}, Vector{1, 0}), 1, 1e-12) {
-		t.Fatal("identical vectors should have cosine 1")
-	}
-	if !almostEqual(CosineSimilarity(Vector{1, 0}, Vector{0, 1}), 0, 1e-12) {
-		t.Fatal("orthogonal vectors should have cosine 0")
-	}
-	if !almostEqual(CosineSimilarity(Vector{1, 1}, Vector{-1, -1}), -1, 1e-12) {
-		t.Fatal("opposite vectors should have cosine -1")
-	}
-	if CosineSimilarity(Vector{0, 0}, Vector{1, 2}) != 0 {
-		t.Fatal("zero vector should yield cosine 0")
-	}
-}
-
-func TestCosineSimilarityBounds(t *testing.T) {
-	f := func(a, b []float64) bool {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		if n == 0 || n > 32 {
-			return true
-		}
-		v := make(Vector, n)
-		w := make(Vector, n)
-		for i := 0; i < n; i++ {
-			v[i] = math.Mod(a[i], 1e6)
-			w[i] = math.Mod(b[i], 1e6)
-			if math.IsNaN(v[i]) {
-				v[i] = 0
-			}
-			if math.IsNaN(w[i]) {
-				w[i] = 0
-			}
-		}
-		c := CosineSimilarity(v, w)
-		return c >= -1-1e-9 && c <= 1+1e-9 && !math.IsNaN(c)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)
@@ -263,11 +258,6 @@ func TestMatrixBasics(t *testing.T) {
 	r[0] = 9
 	if m.At(1, 0) != 9 {
 		t.Fatal("Row must alias backing array")
-	}
-	c := m.Clone()
-	c.Set(0, 0, 100)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone must not alias")
 	}
 }
 
@@ -440,13 +430,6 @@ func TestAddScaledAndScale(t *testing.T) {
 	}
 }
 
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromRows([][]float64{{3, 0}, {0, 4}})
-	if !almostEqual(m.FrobeniusNorm(), 5, 1e-12) {
-		t.Fatalf("Frobenius: got %v", m.FrobeniusNorm())
-	}
-}
-
 func TestXavierInitRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMatrix(10, 20)
@@ -484,24 +467,9 @@ func TestHeInitVariance(t *testing.T) {
 	}
 }
 
-func TestMatrixEqual(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{1, 2.0000001}})
-	if !a.Equal(b, 1e-3) {
-		t.Fatal("should be equal within tol")
-	}
-	if a.Equal(b, 1e-12) {
-		t.Fatal("should differ at tight tol")
-	}
-	c := NewMatrix(2, 1)
-	if a.Equal(c, 1) {
-		t.Fatal("shape mismatch should not be equal")
-	}
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	cases := []func(){
-		func() { Vector{1}.Add(Vector{1, 2}) },
+		func() { Vector{1}.AddInPlace(Vector{1, 2}) },
 		func() { Vector{1}.Dot(Vector{1, 2}) },
 		func() { NewMatrix(2, 2).MulVec(Vector{1}) },
 		func() { NewMatrix(2, 2).TransMulVec(Vector{1}) },

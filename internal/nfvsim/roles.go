@@ -39,17 +39,6 @@ func (ms *motifSet) pick(r *rand.Rand) []int {
 	return ms.motifs[len(ms.motifs)-1]
 }
 
-// familySet returns the distinct families used by the catalog.
-func (ms *motifSet) familySet() map[int]bool {
-	out := make(map[int]bool)
-	for _, m := range ms.motifs {
-		for _, f := range m {
-			out[f] = true
-		}
-	}
-	return out
-}
-
 // buildRoles constructs roleCount archetypes over the family library.
 // Each role shares a common core of families with every other role but
 // weights role-specific families heavily, producing the partial-overlap

@@ -149,18 +149,6 @@ type Trace struct {
 	RoleOf map[string]int
 }
 
-// ByVPE returns messages grouped per host, each group sorted by time.
-func (t *Trace) ByVPE() map[string][]logfmt.Message {
-	out := make(map[string][]logfmt.Message)
-	for _, m := range t.Messages {
-		out[m.Host] = append(out[m.Host], m)
-	}
-	return out
-}
-
-// TicketStore wraps the tickets in a ticket.Store.
-func (t *Trace) TicketStore() *ticket.Store { return ticket.NewStore(t.Tickets) }
-
 // Deployment is a configured simulator.
 type Deployment struct {
 	cfg   Config

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nfvpredict/internal/logfmt"
 	"nfvpredict/internal/sigtree"
 	"nfvpredict/internal/ticket"
 )
@@ -189,7 +190,10 @@ func TestTicketMixShape(t *testing.T) {
 		c.MeanFaultGapHours = DefaultConfig().MeanFaultGapHours
 		c.MaintenanceEvery = DefaultConfig().MaintenanceEvery
 	})
-	counts := tr.TicketStore().CountByCause()
+	var counts [ticket.NumCauses]int
+	for _, tk := range tr.Tickets {
+		counts[tk.Cause]++
+	}
 	if counts[ticket.Maintenance] <= counts[ticket.Circuit] || counts[ticket.Maintenance] <= counts[ticket.Duplicate] {
 		t.Fatalf("maintenance should dominate: %v", counts)
 	}
@@ -207,7 +211,7 @@ func TestTicketMixShape(t *testing.T) {
 // direction of Figure 1(b).
 func TestInterArrivalHeavyTail(t *testing.T) {
 	tr := genTest(t, func(c *Config) { c.NumVPEs = 16; c.Months = 12; c.Seed = 3 })
-	gaps := tr.TicketStore().InterArrivals()
+	gaps := ticket.NewStore(tr.Tickets).InterArrivals()
 	if len(gaps) < 50 {
 		t.Fatalf("too few gaps for shape check: %d", len(gaps))
 	}
@@ -232,7 +236,10 @@ func TestOmenPrecedesTicketPerCalibration(t *testing.T) {
 	// With a large fleet, the fraction of Circuit tickets preceded by an
 	// omen burst should approximate pOmen=0.74.
 	tr := genTest(t, func(c *Config) { c.NumVPEs = 24; c.Months = 12; c.MeanFaultGapHours = 150; c.UpdateMonth = -1 })
-	byVPE := tr.ByVPE()
+	byVPE := make(map[string][]logfmt.Message)
+	for _, m := range tr.Messages {
+		byVPE[m.Host] = append(byVPE[m.Host], m)
+	}
 	isOmen := func(text string) bool {
 		return containsAny(text, []string{"BGP_UNUSABLE_ASPATH", "crc errors increasing", "hold-down timer armed"})
 	}
@@ -375,7 +382,7 @@ func TestCoreIncidentsHitManyVPEs(t *testing.T) {
 	})
 	// All tickets now come from core incidents; they must cluster in time
 	// across many vPEs.
-	_, perBin := tr.TicketStore().OccurrenceMatrix(TestConfig().Start, TestConfig().Start.AddDate(0, 6, 0), time.Hour)
+	_, perBin := ticket.NewStore(tr.Tickets).OccurrenceMatrix(TestConfig().Start, TestConfig().Start.AddDate(0, 6, 0), time.Hour)
 	maxVPEs := 0
 	for _, n := range perBin {
 		if n > maxVPEs {
@@ -549,11 +556,13 @@ func TestFamiliesSeparableBySigtree(t *testing.T) {
 	if float64(collisions) > 0.1*float64(len(fams)) {
 		t.Errorf("%d/%d families collide in the signature tree", collisions, len(fams))
 	}
-	// And each family must map stably to one template.
+	// And each family must map stably to one template: two more renders
+	// land on one existing template instead of founding a new one.
 	for _, f := range fams {
-		tpl1, ok1 := tree.Match(f.Render(r))
-		tpl2, ok2 := tree.Match(f.Render(r))
-		if !ok1 || !ok2 || tpl1.ID != tpl2.ID {
+		known := tree.Len()
+		tpl1 := tree.Learn(f.Render(r))
+		tpl2 := tree.Learn(f.Render(r))
+		if tree.Len() != known || tpl1.ID != tpl2.ID {
 			t.Errorf("family %q does not match stably", f.Name)
 		}
 	}

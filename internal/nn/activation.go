@@ -1,8 +1,8 @@
 // Package nn is a from-scratch neural-network library sized for the models
 // in "Predictive Analysis in Network Function Virtualization" (IMC 2018):
 // stacked LSTM next-template language models trained with BPTT and softmax
-// cross-entropy, dense feed-forward autoencoders trained with MSE, SGD and
-// Adam optimizers with gradient clipping, weight serialization, and the
+// cross-entropy, dense feed-forward autoencoders trained with MSE, the Adam
+// optimizer with gradient clipping, weight serialization, and the
 // teacher→student transfer-learning mechanics (deep copy + layer freezing)
 // the paper uses to recover from NFV system updates with one week of data.
 //

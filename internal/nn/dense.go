@@ -49,12 +49,6 @@ func NewDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
 // Params returns the layer's trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.Wp, d.Bp} }
 
-// Forward computes the layer output for x and a cache for Backward.
-func (d *Dense) Forward(x mat.Vector) (mat.Vector, *DenseCache) {
-	c := &DenseCache{}
-	return d.ForwardInto(c, x), c
-}
-
 // ForwardInto is Forward writing into c's reusable buffers: the returned
 // output aliases the cache and stays valid until its next ForwardInto.
 func (d *Dense) ForwardInto(c *DenseCache, x mat.Vector) mat.Vector {

@@ -8,6 +8,60 @@ import (
 	"nfvpredict/internal/mat"
 )
 
+// The allocating, dense forms of the training kernels. Nothing outside the
+// tests calls them any more — training runs on the *Into and one-hot
+// forms — but the gradient checks drive the layers through them and the
+// dense-vs-sparse equivalence tests use them as the oracle.
+
+// Forward computes the layer output for x and a cache for Backward.
+func (d *Dense) Forward(x mat.Vector) (mat.Vector, *DenseCache) {
+	c := &DenseCache{}
+	return d.ForwardInto(c, x), c
+}
+
+// ForwardSeq runs the layer over xs starting from a zero state and returns
+// the hidden output at every timestep plus the BPTT tape.
+func (l *LSTM) ForwardSeq(xs []mat.Vector) ([]mat.Vector, *LSTMCache) {
+	st := l.NewState()
+	cache := &LSTMCache{steps: make([]lstmStep, 0, len(xs))}
+	hs := make([]mat.Vector, len(xs))
+	for t, x := range xs {
+		hs[t] = l.Step(x, st, cache)
+	}
+	return hs, cache
+}
+
+// SoftmaxCrossEntropy returns the categorical cross-entropy loss of logits
+// against the integer target class, together with ∂loss/∂logits.
+func SoftmaxCrossEntropy(logits mat.Vector, target int) (loss float64, dlogits mat.Vector) {
+	dlogits = make(mat.Vector, len(logits))
+	loss = SoftmaxCrossEntropyInto(dlogits, logits, target)
+	return loss, dlogits
+}
+
+// ZeroGrads clears every gradient in params.
+func ZeroGrads(params []*Param) {
+	for _, p := range params {
+		p.ZeroGrad()
+	}
+}
+
+// encode converts a token into the model's dense input vector: the
+// reference encoding the sparse oneHotOf form is checked against.
+func (m *SequenceModel) encode(tok Token) mat.Vector {
+	in := m.oneHotOf(tok)
+	n := m.cfg.Vocab
+	if in.gapCol >= 0 {
+		n++
+	}
+	x := mat.NewVector(n)
+	x[in.id] = 1
+	if in.gapCol >= 0 {
+		x[in.gapCol] = in.gap
+	}
+	return x
+}
+
 // numericGrad perturbs each weight of p and measures the loss change.
 func numericGrad(p *Param, loss func() float64) []float64 {
 	const eps = 1e-5

@@ -2,16 +2,6 @@ package nn
 
 import "nfvpredict/internal/mat"
 
-// SoftmaxCrossEntropy returns the categorical cross-entropy loss of logits
-// against the integer target class, together with ∂loss/∂logits. The loss
-// and gradient are computed jointly (softmax folded into the loss) for the
-// standard numerically stable gradient p − onehot(target).
-func SoftmaxCrossEntropy(logits mat.Vector, target int) (loss float64, dlogits mat.Vector) {
-	dlogits = make(mat.Vector, len(logits))
-	loss = SoftmaxCrossEntropyInto(dlogits, logits, target)
-	return loss, dlogits
-}
-
 // SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient into
 // dst (length len(logits)), avoiding the per-timestep allocation on the
 // training hot path.
@@ -24,11 +14,6 @@ func SoftmaxCrossEntropyInto(dst, logits mat.Vector, target int) (loss float64) 
 	loss = mat.SoftmaxInto(dst, logits) - logits[target]
 	dst[target] -= 1
 	return loss
-}
-
-// LogSoftmax returns log(softmax(logits)) computed stably.
-func LogSoftmax(logits mat.Vector) mat.Vector {
-	return LogSoftmaxInto(make(mat.Vector, len(logits)), logits)
 }
 
 // LogSoftmaxInto is LogSoftmax writing into dst (length len(logits)); dst

@@ -250,18 +250,6 @@ func tanhOf(t float64) float64 {
 	return math.Float64frombits(math.Float64bits((1-t)/(1+t)) | bits&signBit)
 }
 
-// ForwardSeq runs the layer over xs starting from a zero state and returns
-// the hidden output at every timestep plus the BPTT tape.
-func (l *LSTM) ForwardSeq(xs []mat.Vector) ([]mat.Vector, *LSTMCache) {
-	st := l.NewState()
-	cache := &LSTMCache{steps: make([]lstmStep, 0, len(xs))}
-	hs := make([]mat.Vector, len(xs))
-	for t, x := range xs {
-		hs[t] = l.Step(x, st, cache)
-	}
-	return hs, cache
-}
-
 // BackwardSeq consumes dhs[t] = ∂loss/∂h_t for every timestep, accumulates
 // the parameter gradients, and returns dxs[t] = ∂loss/∂x_t. dhs must have
 // the same length as the forward sequence. The returned vectors alias the

@@ -73,23 +73,6 @@ func (m *MLP) Params() []*Param {
 	return ps
 }
 
-// InputSize returns the width the network expects.
-func (m *MLP) InputSize() int { return m.layers[0].In }
-
-// OutputSize returns the width the network produces.
-func (m *MLP) OutputSize() int { return m.layers[len(m.layers)-1].Out }
-
-// Forward runs x through the network and returns the output plus the
-// caches needed by Backward.
-func (m *MLP) Forward(x mat.Vector) (mat.Vector, []*DenseCache) {
-	caches := make([]*DenseCache, len(m.layers))
-	h := x
-	for i, l := range m.layers {
-		h, caches[i] = l.Forward(h)
-	}
-	return h, caches
-}
-
 // Infer runs x through the network without recording caches.
 func (m *MLP) Infer(x mat.Vector) mat.Vector {
 	h := x
@@ -154,6 +137,3 @@ func (m *MLP) FreezeBottomLayers(n int) {
 		}
 	}
 }
-
-// NumLayers returns the number of Dense layers.
-func (m *MLP) NumLayers() int { return len(m.layers) }

@@ -87,17 +87,6 @@ func NewSequenceModel(cfg SeqModelConfig) *SequenceModel {
 	return m
 }
 
-// Config returns the model's configuration.
-func (m *SequenceModel) Config() SeqModelConfig { return m.cfg }
-
-// InputSize returns the width of the model's input vectors.
-func (m *SequenceModel) InputSize() int {
-	if m.cfg.UseGap {
-		return m.cfg.Vocab + 1
-	}
-	return m.cfg.Vocab
-}
-
 // Params returns all trainable parameters, bottom layer first.
 func (m *SequenceModel) Params() []*Param {
 	var ps []*Param
@@ -106,28 +95,6 @@ func (m *SequenceModel) Params() []*Param {
 	}
 	ps = append(ps, m.out.Params()...)
 	return ps
-}
-
-// NumParams returns the total number of scalar weights.
-func (m *SequenceModel) NumParams() int {
-	var n int
-	for _, p := range m.Params() {
-		n += len(p.W.Data)
-	}
-	return n
-}
-
-// encode converts a token into the model's dense input vector. The hot
-// paths never call this — they use the sparse oneHotOf form — but it
-// remains the reference encoding for tests and the dense fallback.
-func (m *SequenceModel) encode(tok Token) mat.Vector {
-	x := mat.NewVector(m.InputSize())
-	in := m.oneHotOf(tok)
-	x[in.id] = 1
-	if in.gapCol >= 0 {
-		x[in.gapCol] = in.gap
-	}
-	return x
 }
 
 // oneHotOf converts a token into the sparse input the layer kernels

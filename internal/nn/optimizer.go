@@ -14,49 +14,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is stochastic gradient descent with optional classical momentum and
-// global-norm gradient clipping.
-type SGD struct {
-	// LR is the learning rate.
-	LR float64
-	// Momentum is the classical momentum coefficient; 0 disables it.
-	Momentum float64
-	// Clip is the max global gradient norm; ≤0 disables clipping.
-	Clip float64
-
-	velocity map[*Param]*mat.Matrix
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum, clip float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, Clip: clip, velocity: make(map[*Param]*mat.Matrix)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	ClipGradNorm(params, s.Clip)
-	for _, p := range params {
-		if p.Frozen {
-			p.ZeroGrad()
-			continue
-		}
-		if s.Momentum > 0 {
-			v := s.velocity[p]
-			if v == nil {
-				v = mat.NewMatrix(p.W.Rows, p.W.Cols)
-				s.velocity[p] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = s.Momentum*v.Data[i] - s.LR*p.Grad.Data[i]
-				p.W.Data[i] += v.Data[i]
-			}
-		} else {
-			p.W.AddScaled(-s.LR, p.Grad)
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction and
 // global-norm gradient clipping.
 type Adam struct {

@@ -48,13 +48,6 @@ func (p *Param) shadow() *Param {
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// ZeroGrads clears every gradient in params.
-func ZeroGrads(params []*Param) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-}
-
 // GlobalGradNorm returns the L2 norm of all gradients in params viewed as
 // one flat vector, the quantity used for global-norm gradient clipping.
 func GlobalGradNorm(params []*Param) float64 {

@@ -39,18 +39,8 @@ type Health struct {
 	conds map[string]*Condition
 }
 
-// defaultCondition is the name SetReady writes, keeping the one-flag API
-// working for callers that predate named conditions.
-const defaultCondition = "serving"
-
 // NewHealth returns a Health that starts ready with no conditions.
 func NewHealth() *Health { return &Health{conds: make(map[string]*Condition)} }
-
-// SetReady marks the process ready (reason ignored) or unready for the
-// given reason. It is shorthand for SetCondition(defaultCondition, ...).
-func (h *Health) SetReady(ready bool, reason string) {
-	h.SetCondition(defaultCondition, ready, reason)
-}
 
 // SetCondition records a critical condition: while any critical condition
 // has ok=false, /readyz fails with every failing condition's name and

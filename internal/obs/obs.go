@@ -185,15 +185,6 @@ func (h *Histogram) ObserveExemplar(v float64, id SpanID) {
 	}
 }
 
-// ObserveDurationExemplar records seconds elapsed since start (from
-// Start) with an exemplar.
-func (h *Histogram) ObserveDurationExemplar(start time.Time, id SpanID) {
-	if h == nil {
-		return
-	}
-	h.ObserveExemplar(time.Since(start).Seconds(), id)
-}
-
 // Exemplars returns each bucket's latest exemplar (nil where none
 // landed); the final entry is the +Inf overflow bucket's, so the slice is
 // len(bounds)+1 like Buckets counts.

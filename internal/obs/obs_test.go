@@ -167,8 +167,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if b, cs := h.Buckets(); b != nil || cs != nil {
 		t.Fatal("nil histogram Buckets must be nil")
 	}
-	if ring.Recent(5) != nil {
-		t.Fatal("nil ring Recent must be nil")
+	if ring.Filtered(5, "", false) != nil {
+		t.Fatal("nil ring Filtered must be nil")
 	}
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		t.Fatal("nil logger must be disabled")
 	}
 	var hl *Health
-	hl.SetReady(false, "x")
+	hl.SetCondition("serving", false, "x")
 	if ok, _ := hl.Ready(); !ok {
 		t.Fatal("nil health must read ready")
 	}
@@ -279,7 +279,7 @@ func TestSnapshotJSON(t *testing.T) {
 
 func TestTraceRing(t *testing.T) {
 	ring := NewTraceRing(3)
-	if got := ring.Recent(0); len(got) != 0 {
+	if got := ring.Filtered(0, "", false); len(got) != 0 {
 		t.Fatalf("empty ring Recent = %v", got)
 	}
 	for i := 1; i <= 5; i++ {
@@ -288,7 +288,7 @@ func TestTraceRing(t *testing.T) {
 	if ring.Total() != 5 {
 		t.Fatalf("total = %d", ring.Total())
 	}
-	got := ring.Recent(0)
+	got := ring.Filtered(0, "", false)
 	if len(got) != 3 {
 		t.Fatalf("recent len = %d", len(got))
 	}
@@ -298,7 +298,7 @@ func TestTraceRing(t *testing.T) {
 			t.Fatalf("recent[%d] = %+v", i, tr)
 		}
 	}
-	if got := ring.Recent(1); len(got) != 1 || got[0].Seq != 5 {
+	if got := ring.Filtered(1, "", false); len(got) != 1 || got[0].Seq != 5 {
 		t.Fatalf("recent(1) = %+v", got)
 	}
 }
@@ -312,7 +312,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				ring.Add(Trace{})
-				ring.Recent(8)
+				ring.Filtered(8, "", false)
 			}
 		}()
 	}
@@ -400,14 +400,14 @@ func TestAdminMuxEndpoints(t *testing.T) {
 	if code, _ := get("/healthz"); code != 200 {
 		t.Fatalf("/healthz ready: %d", code)
 	}
-	health.SetReady(false, "hot-reload rejected")
+	health.SetCondition("serving", false, "hot-reload rejected")
 	if code, body := get("/healthz"); code != 503 || !strings.Contains(body, "hot-reload rejected") {
 		t.Fatalf("/healthz unready: %d %s", code, body)
 	}
 	if code, _ := get("/readyz"); code != 503 {
 		t.Fatalf("/readyz unready: %d", code)
 	}
-	health.SetReady(true, "")
+	health.SetCondition("serving", true, "")
 	if code, _ := get("/readyz"); code != 200 {
 		t.Fatalf("/readyz recovered: %d", code)
 	}

@@ -24,24 +24,6 @@ func (r *Registry) Scope(prefix string) *Scope {
 	return &Scope{r: r, prefix: prefix}
 }
 
-// Scope narrows an existing scope with a further prefix (prefixes
-// concatenate outer-first).
-func (s *Scope) Scope(prefix string) *Scope {
-	if s == nil {
-		return nil
-	}
-	return &Scope{r: s.r, prefix: s.prefix + prefix}
-}
-
-// Registry returns the underlying registry (nil on a nil scope), for
-// components that need to pass it on unscoped.
-func (s *Scope) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.r
-}
-
 // Counter registers (or fetches) a counter named prefix+name.
 func (s *Scope) Counter(name, help string) *Counter {
 	if s == nil {

@@ -306,21 +306,6 @@ func (ss *SLOSet) Add(cfg SLOConfig) *SLO {
 	return s
 }
 
-// Get returns the named objective, or nil.
-func (ss *SLOSet) Get(name string) *SLO {
-	if ss == nil {
-		return nil
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for _, s := range ss.slos {
-		if s.cfg.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // Statuses evaluates every objective (registration order) and refreshes
 // the exported gauges.
 func (ss *SLOSet) Statuses() []SLOStatus {

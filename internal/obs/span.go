@@ -220,9 +220,6 @@ func (r *SpanRing) Query(q SpanQuery) []Span {
 	return out
 }
 
-// Recent returns up to n spans, newest first (n <= 0: everything).
-func (r *SpanRing) Recent(n int) []Span { return r.Query(SpanQuery{N: n}) }
-
 // Tracer mints trace IDs at frame accept and decides which messages carry
 // full stage clocks: N out of every M accepted messages are sampled
 // (deterministic round-robin over the accept counter, so a steady stream
@@ -273,14 +270,6 @@ func (t *Tracer) Export(reg *Registry) {
 	}
 	t.spans = reg.Counter("trace_spans_total", "Spans emitted into the span ring.")
 	t.sampled = reg.Counter("trace_sampled_total", "Accepted messages chosen for full stage-clock sampling.")
-}
-
-// Ring returns the tracer's span ring (nil on a nil tracer).
-func (t *Tracer) Ring() *SpanRing {
-	if t == nil {
-		return nil
-	}
-	return t.ring
 }
 
 // Accept mints the next trace ID and reports whether this message is

@@ -85,10 +85,6 @@ func (r *TraceRing) Total() uint64 {
 	return r.next
 }
 
-// Recent returns up to n traces, newest first. n <= 0 means everything
-// retained.
-func (r *TraceRing) Recent(n int) []Trace { return r.Filtered(n, "", false) }
-
 // Filtered returns up to n traces newest first, keeping only those for
 // host (when non-empty) and, with warningsOnly, only verdicts that
 // emitted a warning. n <= 0 means every match retained.

@@ -1,7 +1,7 @@
 // Package resilience is the runtime's self-healing toolkit: exponential
 // backoff with jitter, a deadline-bounded retrier for durable I/O, a
-// circuit breaker for background control loops, a supervisor/heartbeat
-// pair for long-lived workers, quarantine of corrupt artifacts, and a
+// circuit breaker for background control loops, a heartbeat a watchdog
+// reads for long-lived workers, quarantine of corrupt artifacts, and a
 // degradation-mode controller. The paper's monitor is only useful if it
 // keeps emitting warnings *through* the failure episodes it predicts; this
 // package is the machinery that keeps a partially-failing monitor process

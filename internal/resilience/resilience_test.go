@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -225,86 +224,13 @@ func TestBreakerNilAdmitsEverything(t *testing.T) {
 	}
 }
 
-func TestSupervisorRestartsPanickingWorker(t *testing.T) {
-	var runs atomic.Int64
-	causes := make(chan string, 16)
-	healthy := make(chan struct{}, 1)
-	sup := &Supervisor{
-		Name:    "test-worker",
-		Backoff: NewBackoff(time.Microsecond, time.Microsecond, 0, 1),
-		OnRestart: func(_, cause string) {
-			select {
-			case causes <- cause:
-			default:
-			}
-		},
-		Run: func(stop <-chan struct{}) {
-			if runs.Add(1) <= 2 {
-				panic("injected worker panic")
-			}
-			select {
-			case healthy <- struct{}{}:
-			default:
-			}
-			<-stop // healthy from the third incarnation on
-		},
-	}
-	sup.Start()
-	deadline := time.After(5 * time.Second)
-	for i := 0; i < 2; i++ {
-		select {
-		case cause := <-causes:
-			if !strings.Contains(cause, "injected worker panic") {
-				t.Fatalf("restart cause %q, want the panic value", cause)
-			}
-		case <-deadline:
-			t.Fatal("timed out waiting for supervisor restarts")
-		}
-	}
-	select {
-	case <-healthy:
-	case <-deadline:
-		t.Fatal("timed out waiting for the healthy incarnation")
-	}
-	sup.Stop()
-	if got := sup.Restarts(); got < 2 {
-		t.Fatalf("restarts = %d, want >= 2", got)
-	}
-	if got := runs.Load(); got < 3 {
-		t.Fatalf("runs = %d, want >= 3", got)
-	}
-}
-
-func TestSupervisorStopIsCleanAndIdempotent(t *testing.T) {
-	started := make(chan struct{})
-	sup := &Supervisor{
-		Name:    "stopper",
-		Backoff: NewBackoff(time.Microsecond, time.Microsecond, 0, 1),
-		Run: func(stop <-chan struct{}) {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
-			<-stop
-		},
-	}
-	sup.Start()
-	sup.Start() // idempotent
-	<-started
-	sup.Stop()
-	sup.Stop() // idempotent
-	if got := sup.Restarts(); got != 0 {
-		t.Fatalf("clean stop recorded %d restarts", got)
-	}
-}
-
 func TestHeartbeatAge(t *testing.T) {
 	var hb Heartbeat
 	now := time.Unix(2000, 0)
 	if age := hb.Age(now); age < 100*365*24*time.Hour {
 		t.Fatalf("never-beat heartbeat age = %v, want enormous", age)
 	}
-	hb.BeatAt(now.Add(-3 * time.Second))
+	hb.ns.Store(now.Add(-3 * time.Second).UnixNano())
 	if age := hb.Age(now); age != 3*time.Second {
 		t.Fatalf("age = %v, want 3s", age)
 	}

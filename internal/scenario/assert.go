@@ -13,9 +13,8 @@ func evaluate(spec *Spec, rep *Report) []AssertionResult {
 	s := rep.Eval
 
 	if a.ZeroDrops {
-		ok := rep.Serve.Malformed == 0 && rep.Serve.Dropped == 0 && rep.Serve.ShardDropped == 0
-		add("zero_drops", ok, "malformed=%d dropped=%d shard_dropped=%d",
-			rep.Serve.Malformed, rep.Serve.Dropped, rep.Serve.ShardDropped)
+		ok := rep.Serve.Malformed == 0 && rep.Serve.ShardDropped == 0
+		add("zero_drops", ok, "malformed=%d shard_dropped=%d", rep.Serve.Malformed, rep.Serve.ShardDropped)
 	}
 	if a.MinWarnings != nil {
 		add("min_warnings", s.Warnings >= *a.MinWarnings, "warnings=%d want>=%d", s.Warnings, *a.MinWarnings)
@@ -116,8 +115,6 @@ func metricValue(rep *Report, name string) (float64, bool) {
 		return float64(rep.Serve.Received), true
 	case "serve_malformed":
 		return float64(rep.Serve.Malformed), true
-	case "serve_dropped":
-		return float64(rep.Serve.Dropped), true
 	case "serve_shard_dropped":
 		return float64(rep.Serve.ShardDropped), true
 	case "monitor_messages":

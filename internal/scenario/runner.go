@@ -33,12 +33,6 @@ import (
 type Options struct {
 	// Log, when set, receives one line per phase and timeline event.
 	Log *log.Logger
-	// Dir is where checkpoint artifacts live; "" uses a temp dir removed
-	// when Run returns.
-	Dir string
-	// AdminAddr overrides the admin listen address when the scenario
-	// enables the admin surface (default "127.0.0.1:0").
-	AdminAddr string
 	// AdminUp, when set, is called with the admin listener's address once
 	// /statusz is live (the serve phase), before any traffic flows.
 	AdminUp func(addr net.Addr)
@@ -88,7 +82,6 @@ type SimReport struct {
 type ServeReport struct {
 	Received        uint64 `json:"received"`
 	Malformed       uint64 `json:"malformed"`
-	Dropped         uint64 `json:"dropped"`
 	ShardDropped    uint64 `json:"shard_dropped"`
 	Messages        uint64 `json:"messages"`
 	Anomalies       uint64 `json:"anomalies"`
@@ -214,15 +207,12 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		return err
 	}
 
-	dir := opts.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "nfvscen-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	// Checkpoint artifacts live in a temp dir removed when Run returns.
+	dir, err := os.MkdirTemp("", "nfvscen-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 
 	// Phase 1: simulate.
 	var tr *nfvsim.Trace
@@ -401,11 +391,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pip
 	// the live stack counters as its /statusz document.
 	rs := &runState{phase: "serve"}
 	if spec.Serve.Admin {
-		addr := opts.AdminAddr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		ln, lerr := net.Listen("tcp", addr)
+		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {
 			return nil, fmt.Errorf("scenario: admin listener: %w", lerr)
 		}
@@ -483,7 +469,6 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pip
 	mst := mon.Stats()
 	rep.Serve.Received = sst.Received
 	rep.Serve.Malformed = sst.Malformed
-	rep.Serve.Dropped = sst.Dropped
 	rep.Serve.ShardDropped = sst.ShardDropped
 	rep.Serve.Messages = mst.Messages
 	rep.Serve.Anomalies = mst.Anomalies

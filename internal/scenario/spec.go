@@ -196,7 +196,7 @@ var knownModes = map[string]bool{
 // reference, resolved against the run report.
 var MetricNames = []string{
 	"sim_messages", "sim_tickets",
-	"serve_received", "serve_malformed", "serve_dropped", "serve_shard_dropped",
+	"serve_received", "serve_malformed", "serve_shard_dropped",
 	"monitor_messages", "monitor_anomalies", "monitor_warnings",
 	"monitor_shard_panics", "monitor_worker_restarts", "monitor_watchdog_kicks",
 	"monitor_evicted_hosts", "monitor_shed_messages",

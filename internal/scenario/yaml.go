@@ -45,16 +45,6 @@ type yEntry struct {
 	val  *yNode
 }
 
-// get returns the value for key, or nil.
-func (n *yNode) get(key string) *yNode {
-	for i := range n.entries {
-		if n.entries[i].key == key {
-			return n.entries[i].val
-		}
-	}
-	return nil
-}
-
 // yLine is one significant source line.
 type yLine struct {
 	num    int

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// get returns the value for key, or nil.
+func (n *yNode) get(key string) *yNode {
+	for i := range n.entries {
+		if n.entries[i].key == key {
+			return n.entries[i].val
+		}
+	}
+	return nil
+}
+
 func TestYAMLBasics(t *testing.T) {
 	src := `
 # a comment

@@ -119,10 +119,6 @@ func New(opts ...Option) *Tree {
 // Len returns the number of learned templates.
 func (t *Tree) Len() int { return len(t.templates) }
 
-// Templates returns the learned templates in ID order. The returned slice
-// and its elements are owned by the tree; callers must not mutate them.
-func (t *Tree) Templates() []*Template { return t.templates }
-
 // TemplateByID returns the template with the given ID, or nil.
 func (t *Tree) TemplateByID(id int) *Template {
 	if id < 0 || id >= len(t.templates) {
@@ -211,19 +207,6 @@ func (t *Tree) LearnSyms(syms []uint32) *Template {
 	t.templates = append(t.templates, tpl)
 	t.buckets[len(syms)] = append(t.buckets[len(syms)], tpl.ID)
 	return tpl
-}
-
-// Match finds the template for msg without learning. The boolean is false
-// when no existing template is similar enough.
-func (t *Tree) Match(msg string) (*Template, bool) {
-	tokens := maskTokens(Tokenize(msg))
-	if len(tokens) == 0 {
-		tokens = []string{Wildcard}
-	}
-	if idx, _ := t.findBestTokens(tokens); idx >= 0 {
-		return t.templates[idx], true
-	}
-	return nil, false
 }
 
 // findBestTokens returns the index of the best-matching template and

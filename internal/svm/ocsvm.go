@@ -31,11 +31,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns reasonable defaults for unit-norm TF windows.
-func DefaultConfig() Config {
-	return Config{Nu: 0.1, Gamma: 2.0, Iters: 4000, Seed: 1}
-}
-
 // Model is a trained one-class SVM.
 type Model struct {
 	cfg     Config
@@ -187,9 +182,6 @@ func pickExtreme(rng *rand.Rand, alpha, g []float64, c float64, n int, wantLow b
 	}
 	return best
 }
-
-// NumSupport returns the number of support vectors.
-func (m *Model) NumSupport() int { return len(m.support) }
 
 // Decision returns f(x) = Σ αᵢ k(xᵢ, x) − ρ; negative means anomalous.
 func (m *Model) Decision(x mat.Vector) float64 {

@@ -8,6 +8,12 @@ import (
 	"nfvpredict/internal/mat"
 )
 
+// DefaultConfig is the tests' starting point: reasonable settings for
+// unit-norm TF windows.
+func DefaultConfig() Config {
+	return Config{Nu: 0.1, Gamma: 2.0, Iters: 4000, Seed: 1}
+}
+
 func clusterData(n int, seed int64) []mat.Vector {
 	rng := rand.New(rand.NewSource(seed))
 	centers := []mat.Vector{{1, 0, 0, 1}, {0, 1, 1, 0}}
@@ -100,7 +106,7 @@ func TestNuControlsOutlierFraction(t *testing.T) {
 	if frac > cfg.Nu+0.12 {
 		t.Fatalf("training outlier fraction %.2f far exceeds nu=%.2f", frac, cfg.Nu)
 	}
-	if m.NumSupport() == 0 {
+	if len(m.support) == 0 {
 		t.Fatal("no support vectors")
 	}
 }

@@ -76,9 +76,6 @@ type Ticket struct {
 	DuplicateOf int
 }
 
-// Duration returns the ticket duration (infected-period length).
-func (t *Ticket) Duration() time.Duration { return t.Repair.Sub(t.Report) }
-
 // Store is an immutable, report-time-ordered collection of tickets.
 type Store struct {
 	tickets []Ticket
@@ -92,24 +89,6 @@ func NewStore(ts []Ticket) *Store {
 	return &Store{tickets: cp}
 }
 
-// All returns the tickets in report-time order. Callers must not mutate
-// the returned slice.
-func (s *Store) All() []Ticket { return s.tickets }
-
-// Len returns the number of tickets.
-func (s *Store) Len() int { return len(s.tickets) }
-
-// ForVPE returns the tickets of one vPE in report-time order.
-func (s *Store) ForVPE(vpe string) []Ticket {
-	var out []Ticket
-	for _, t := range s.tickets {
-		if t.VPE == vpe {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Between returns tickets with Report in [from, to).
 func (s *Store) Between(from, to time.Time) []Ticket {
 	var out []Ticket
@@ -117,26 +96,6 @@ func (s *Store) Between(from, to time.Time) []Ticket {
 		if !t.Report.Before(from) && t.Report.Before(to) {
 			out = append(out, t)
 		}
-	}
-	return out
-}
-
-// NonDuplicated returns all tickets whose cause is not Duplicate.
-func (s *Store) NonDuplicated() []Ticket {
-	var out []Ticket
-	for _, t := range s.tickets {
-		if t.Cause != Duplicate {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// CountByCause returns ticket counts per root cause.
-func (s *Store) CountByCause() [NumCauses]int {
-	var out [NumCauses]int
-	for _, t := range s.tickets {
-		out[t.Cause]++
 	}
 	return out
 }
@@ -201,27 +160,6 @@ func CDF(samples []time.Duration, at []time.Duration) []float64 {
 	return out
 }
 
-// Quantile returns the q-quantile (0..1) of samples by nearest-rank.
-func Quantile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(q * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // OccurrenceCell marks that a vPE had ≥1 non-maintenance ticket in a time
 // bin — one point of the Figure 2 scatter.
 type OccurrenceCell struct {
@@ -277,25 +215,6 @@ func (s *Store) OccurrenceMatrix(from, to time.Time, binWidth time.Duration) ([]
 		cells = append(cells, OccurrenceCell{VPEIndex: index[t.VPE], VPE: t.VPE, Bin: bin})
 	}
 	return cells, perBin
-}
-
-// DuplicateBurstStats summarizes how duplicated tickets cluster in time:
-// the paper observes they "often arrive in bursts" (§3.2). A duplicate is
-// "bursty" when it follows its predecessor on the same vPE within window.
-func (s *Store) DuplicateBurstStats(window time.Duration) (bursty, total int) {
-	last := make(map[string]time.Time)
-	for _, t := range s.tickets {
-		if t.Cause != Duplicate {
-			last[t.VPE] = t.Report
-			continue
-		}
-		total++
-		if prev, ok := last[t.VPE]; ok && t.Report.Sub(prev) <= window {
-			bursty++
-		}
-		last[t.VPE] = t.Report
-	}
-	return bursty, total
 }
 
 func startOfMonth(t time.Time) time.Time {

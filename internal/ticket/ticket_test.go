@@ -38,12 +38,9 @@ func TestStoreSortsByReport(t *testing.T) {
 		mk(2, "a", Circuit, 10*time.Hour, time.Hour),
 		mk(1, "a", Cable, 1*time.Hour, time.Hour),
 	})
-	all := s.All()
-	if all[0].ID != 1 || all[1].ID != 2 {
+	all := s.tickets
+	if len(all) != 2 || all[0].ID != 1 || all[1].ID != 2 {
 		t.Fatalf("not sorted: %+v", all)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len=%d", s.Len())
 	}
 }
 
@@ -51,20 +48,17 @@ func TestStoreImmutableToInput(t *testing.T) {
 	in := []Ticket{mk(1, "a", Circuit, time.Hour, time.Hour)}
 	s := NewStore(in)
 	in[0].VPE = "mutated"
-	if s.All()[0].VPE != "a" {
+	if s.tickets[0].VPE != "a" {
 		t.Fatal("store aliased caller slice")
 	}
 }
 
-func TestForVPEAndBetween(t *testing.T) {
+func TestBetween(t *testing.T) {
 	s := NewStore([]Ticket{
 		mk(1, "a", Circuit, 1*time.Hour, time.Hour),
 		mk(2, "b", Circuit, 2*time.Hour, time.Hour),
 		mk(3, "a", Software, 30*time.Hour, time.Hour),
 	})
-	if got := s.ForVPE("a"); len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
-		t.Fatalf("ForVPE: %+v", got)
-	}
 	got := s.Between(t0, t0.Add(24*time.Hour))
 	if len(got) != 2 {
 		t.Fatalf("Between: %+v", got)
@@ -73,21 +67,6 @@ func TestForVPEAndBetween(t *testing.T) {
 	got = s.Between(t0.Add(time.Hour), t0.Add(2*time.Hour))
 	if len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("Between boundaries: %+v", got)
-	}
-}
-
-func TestNonDuplicatedAndCounts(t *testing.T) {
-	s := NewStore([]Ticket{
-		mk(1, "a", Circuit, time.Hour, time.Hour),
-		mk(2, "a", Duplicate, 2*time.Hour, time.Hour),
-		mk(3, "a", Maintenance, 3*time.Hour, time.Hour),
-	})
-	if got := s.NonDuplicated(); len(got) != 2 {
-		t.Fatalf("NonDuplicated: %+v", got)
-	}
-	counts := s.CountByCause()
-	if counts[Circuit] != 1 || counts[Duplicate] != 1 || counts[Maintenance] != 1 || counts[Cable] != 0 {
-		t.Fatalf("CountByCause: %v", counts)
 	}
 }
 
@@ -134,19 +113,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	samples := []time.Duration{4, 1, 3, 2} // sorted: 1 2 3 4
-	if Quantile(samples, 0) != 1 || Quantile(samples, 1) != 4 {
-		t.Fatal("extremes wrong")
-	}
-	if Quantile(samples, 0.5) != 3 { // nearest-rank idx=2
-		t.Fatalf("median=%v", Quantile(samples, 0.5))
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile")
-	}
-}
-
 func TestOccurrenceMatrix(t *testing.T) {
 	day := 24 * time.Hour
 	s := NewStore([]Ticket{
@@ -171,25 +137,5 @@ func TestOccurrenceMatrix(t *testing.T) {
 	}
 	if perBin[t0.Add(2*day)] != 2 {
 		t.Fatalf("perBin: %v", perBin)
-	}
-}
-
-func TestDuplicateBurstStats(t *testing.T) {
-	s := NewStore([]Ticket{
-		mk(1, "a", Circuit, 0, time.Hour),
-		mk(2, "a", Duplicate, 10*time.Minute, time.Hour), // bursty (10m after #1)
-		mk(3, "a", Duplicate, 20*time.Minute, time.Hour), // bursty (10m after #2)
-		mk(4, "a", Duplicate, 50*time.Hour, time.Hour),   // not bursty
-	})
-	bursty, total := s.DuplicateBurstStats(time.Hour)
-	if total != 3 || bursty != 2 {
-		t.Fatalf("bursty=%d total=%d", bursty, total)
-	}
-}
-
-func TestTicketDuration(t *testing.T) {
-	tk := mk(1, "a", Circuit, 0, 90*time.Minute)
-	if tk.Duration() != 90*time.Minute {
-		t.Fatalf("Duration=%v", tk.Duration())
 	}
 }

@@ -4,23 +4,25 @@
 // router syslogs whose detected anomalies serve as early warnings for
 // network trouble tickets.
 //
-// The package exposes the complete system the paper describes plus every
+// The package exposes the offline experiment the paper describes plus every
 // substrate it needs (see DESIGN.md for the inventory):
 //
 //   - a deterministic NFV deployment simulator standing in for the
 //     paper's proprietary 18-month, 38-vPE production dataset;
 //   - signature-tree log-template extraction (Qiu et al., IMC 2010);
 //   - a pure-Go neural-network library (stacked LSTMs with BPTT, dense
-//     autoencoders, Adam/SGD) replacing the Keras/TensorFlow stack;
+//     autoencoders, Adam) replacing the Keras/TensorFlow stack;
 //   - K-means vPE clustering with modularity-based K selection (§4.3);
 //   - the three detectors of Figure 6 (LSTM, Autoencoder, one-class SVM)
 //     behind one interface, all supporting monthly incremental updates
 //     and transfer-learning adaptation;
 //   - the walk-forward evaluation protocol with anomaly→ticket mapping
 //     (Figure 4), PRC sweeps (Figures 5-6), the monthly F-measure series
-//     (Figure 7), and per-root-cause lead-time rates (Figure 8);
-//   - a live syslog ingestion server (UDP + RFC 6587 TCP) and online
-//     monitor for the runtime deployment mode the paper envisions.
+//     (Figure 7), and per-root-cause lead-time rates (Figure 8).
+//
+// The runtime deployment mode the paper envisions — a live syslog server
+// (UDP + RFC 6587 TCP) feeding an online monitor — is cmd/nfvmonitor, built
+// by internal/serve.
 //
 // # Quickstart
 //
@@ -38,7 +40,6 @@ import (
 
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/eval"
-	"nfvpredict/internal/ingest"
 	"nfvpredict/internal/logfmt"
 	"nfvpredict/internal/nfvsim"
 	"nfvpredict/internal/pipeline"
@@ -186,7 +187,7 @@ func BestF(curve []PRPoint) PRPoint { return eval.BestF(curve) }
 func AUCPR(curve []PRPoint) float64 { return eval.AUCPR(curve) }
 
 // ---------------------------------------------------------------------
-// Detectors and streaming.
+// Detectors.
 // ---------------------------------------------------------------------
 
 // Detector is the common interface of the three methods.
@@ -209,36 +210,6 @@ func NewLSTMDetector(cfg LSTMConfig) *LSTMDetector { return detect.NewLSTMDetect
 
 // DefaultLSTMConfig mirrors the paper's 2-LSTM + 1-dense architecture.
 func DefaultLSTMConfig() LSTMConfig { return detect.DefaultLSTMConfig() }
-
-// MonitorConfig configures the online monitor.
-type MonitorConfig = ingest.MonitorConfig
-
-// Monitor scores live syslog and emits warning signatures.
-type Monitor = ingest.Monitor
-
-// ServerConfig configures the syslog ingestion server.
-type ServerConfig = ingest.ServerConfig
-
-// SyslogServer receives syslog over UDP and TCP (RFC 6587 framing).
-type SyslogServer = ingest.Server
-
-// NewMonitor builds an online monitor from a signature tree and a trained
-// LSTM detector.
-func NewMonitor(cfg MonitorConfig, tree *SignatureTree, det *LSTMDetector, onWarning func(Warning)) *Monitor {
-	return ingest.NewMonitor(cfg, tree, det, onWarning)
-}
-
-// DefaultMonitorConfig returns the §5.1 warning-clustering parameters.
-func DefaultMonitorConfig() MonitorConfig { return ingest.DefaultMonitorConfig() }
-
-// NewSyslogServer creates an ingestion server delivering parsed messages
-// to sink.
-func NewSyslogServer(cfg ServerConfig, sink func(Message)) (*SyslogServer, error) {
-	return ingest.NewServer(cfg, sink)
-}
-
-// DefaultServerConfig returns loopback-friendly listener defaults.
-func DefaultServerConfig() ServerConfig { return ingest.DefaultServerConfig() }
 
 // ---------------------------------------------------------------------
 // Data model re-exports.
