@@ -83,15 +83,15 @@ reach:
 # fallback: `vet ./...` runs asmdecl over the assembly frames and the
 # second vet line checks the fallback files, which the default tags
 # never compile here; the purego test line runs the kernels'
-# differential sweeps, the trainer golden and the nn/detect suites
-# (the numeric-contract tests among them) through the fallback on this
-# box, and the arm64 build proves the fallback is what every other
-# architecture gets.
+# differential sweeps, the detector and nfvtrain goldens and the
+# nn/detect suites (the numeric-contract tests among them) through the
+# fallback on this box, and the arm64 build proves the fallback is what
+# every other architecture gets.
 ci: build
 	$(GO) vet ./...
 	$(GO) vet -tags purego ./internal/mat
 	$(GO) test ./...
-	$(GO) test -tags purego ./internal/mat ./internal/nn ./internal/detect
+	$(GO) test -tags purego ./internal/mat ./internal/nn ./internal/detect ./cmd/nfvtrain
 	GOARCH=arm64 $(GO) build ./...
 	$(MAKE) bench-smoke
 	$(MAKE) test-race

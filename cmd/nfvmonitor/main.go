@@ -44,16 +44,13 @@ import (
 
 	"nfvpredict"
 	"nfvpredict/internal/bundle"
-	"nfvpredict/internal/detect"
 	"nfvpredict/internal/faultinject"
-	"nfvpredict/internal/features"
 	"nfvpredict/internal/ingest"
 	"nfvpredict/internal/lifecycle"
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/pipeline"
 	"nfvpredict/internal/resilience"
 	"nfvpredict/internal/serve"
-	"nfvpredict/internal/sigtree"
 )
 
 // options collects the flag values: the stack settings bind straight into
@@ -271,26 +268,24 @@ func (a *app) saveCheckpoint(path, reason string) {
 	}
 }
 
-// loadServing builds the serving model — the signature tree and the
-// per-cluster ModelSet the stack serves — from a bundle file or, without
-// one, by bootstrap-training on a simulated month.
-func (a *app) loadServing(model string, threshold float64, seed int64) (*sigtree.Tree, *lifecycle.ModelSet, error) {
+// loadServing returns the bundle to serve: the -model file, or without
+// one a single fleet-wide model bootstrap-trained on a simulated month.
+// Either way it serves at its own threshold when it recommends one (an
+// nfvtrain bundle does), else at the -threshold flag.
+func (a *app) loadServing(model string, threshold float64, seed int64) (*bundle.Bundle, error) {
 	if model != "" {
 		b, err := bundle.LoadFile(model)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if b.Threshold > 0 {
-			threshold = b.Threshold
+		if b.Threshold <= 0 {
+			b.Threshold = threshold
 		}
 		a.log.Info("loaded bundle", "model", model, "detectors", len(b.Detectors),
-			"templates", b.Tree.Len(), "threshold", threshold)
-		a.setLoaded(model, b, threshold)
-		ms := lifecycle.ModelSetFromBundle(b)
-		ms.Threshold = threshold
-		return b.Tree, ms, nil
+			"templates", b.Tree.Len(), "threshold", b.Threshold)
+		a.setLoaded(model, b, b.Threshold)
+		return b, nil
 	}
-	// Bootstrap: train on a simulated month of normal fleet traffic.
 	a.log.Info("bootstrapping detector on simulated training archive")
 	simCfg := nfvpredict.SmallSimConfig()
 	simCfg.Seed = seed
@@ -298,24 +293,20 @@ func (a *app) loadServing(model string, threshold float64, seed int64) (*sigtree
 	simCfg.UpdateMonth = -1
 	trace, err := nfvpredict.Simulate(simCfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ds := pipeline.BuildDataset(trace, simCfg.Start, simCfg.Months)
-	var streams [][]features.Event
-	for _, v := range ds.VPEs {
-		if ev := ds.CleanEvents(v, ds.MonthStart(0), ds.MonthStart(1), 72*time.Hour); len(ev) > 0 {
-			streams = append(streams, ev)
-		}
+	cfg := pipeline.DefaultConfig()
+	cfg.Variant = pipeline.Baseline
+	b, err := pipeline.TrainModels(pipeline.BuildDataset(trace, simCfg.Start, simCfg.Months), cfg, 1)
+	if err != nil {
+		return nil, err
 	}
-	det := detect.NewLSTMDetector(detect.DefaultLSTMConfig())
-	if err := det.Train(streams); err != nil {
-		return nil, nil, err
-	}
-	a.log.Info("detector trained", "streams", len(streams), "templates", ds.Tree.Len())
+	b.Threshold = threshold
+	a.log.Info("detector trained", "vpes", len(b.Assign), "templates", b.Tree.Len())
 	a.mu.Lock()
-	a.bundle = bundleStatus{Bootstrap: true, LoadedAt: time.Now(), Detectors: 1, Templates: ds.Tree.Len(), Threshold: threshold}
+	a.bundle = bundleStatus{Bootstrap: true, LoadedAt: time.Now(), Detectors: 1, Templates: b.Tree.Len(), Threshold: threshold}
 	a.mu.Unlock()
-	return ds.Tree, &lifecycle.ModelSet{Detectors: []*detect.LSTMDetector{det}, Threshold: threshold}, nil
+	return b, nil
 }
 
 func run(o options) error {
@@ -326,7 +317,7 @@ func run(o options) error {
 	a := &app{log: obs.NewLogger(os.Stdout, level), started: time.Now(), chaos: o.chaos}
 	so := o.Options
 	var err error
-	if so.Tree, so.Models, err = a.loadServing(o.model, o.threshold, o.seed); err != nil {
+	if so.Bundle, err = a.loadServing(o.model, o.threshold, o.seed); err != nil {
 		return err
 	}
 	so.Log = a.log
@@ -351,7 +342,7 @@ func run(o options) error {
 		return err
 	}
 	if o.model == "" {
-		so.Models.Detectors[0].SetMetrics(a.Registry, "")
+		so.Bundle.Detectors[0].SetMetrics(a.Registry, "")
 	}
 	if o.burnDir != "" {
 		a.Profiler = obs.NewBurnProfiler(o.burnDir, 0, 0, a.log)

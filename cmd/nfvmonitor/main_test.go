@@ -64,8 +64,8 @@ func testApp(t *testing.T, lcfg *lifecycle.Config) (*app, *http.ServeMux) {
 	t.Helper()
 	tree, det := trainServing(t)
 	so := serve.DefaultOptions()
-	so.Tree = tree
-	so.Models = &lifecycle.ModelSet{
+	so.Bundle = &bundle.Bundle{
+		Tree:      tree,
 		Detectors: []*detect.LSTMDetector{det},
 		Assign:    map[string]int{"vpe01": 0},
 		Threshold: 4,

@@ -24,11 +24,6 @@ import (
 	"os"
 	"time"
 
-	"nfvpredict/internal/bundle"
-	"nfvpredict/internal/cluster"
-	"nfvpredict/internal/detect"
-	"nfvpredict/internal/eval"
-	"nfvpredict/internal/features"
 	"nfvpredict/internal/logfmt"
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/pipeline"
@@ -59,9 +54,6 @@ func run(tracePath, ticketsPath, out, startStr string, months, kMax int, admin s
 	}
 	log := obs.NewLogger(os.Stdout, level)
 	reg := obs.NewRegistry()
-	clustersTrained := reg.Counter("train_clusters_done_total", "Cluster detectors fully trained.")
-	trainSeconds := reg.Histogram("train_cluster_seconds",
-		"Wall time per cluster training.", obs.ExpBuckets(0.01, 4, 10))
 
 	if admin != "" {
 		ln, err := net.Listen("tcp", admin)
@@ -115,82 +107,20 @@ func run(tracePath, ticketsPath, out, startStr string, months, kMax int, admin s
 	ds := pipeline.BuildDatasetFromMessages(msgs, tickets, vpes, start, months)
 	cfg := pipeline.DefaultConfig()
 	cfg.KMax = kMax
-
-	// Cluster on the first month's histograms.
-	hists := make(map[string]cluster.Histogram, len(ds.VPEs))
-	for _, v := range ds.VPEs {
-		hists[v] = ds.MonthHistogram(v, 0)
-	}
-	cl, err := cluster.SelectK(hists, cfg.KMin, cfg.KMax, cfg.ClusterDim, cfg.LSTM.Seed)
+	cfg.Metrics = reg
+	b, err := pipeline.TrainBundle(ds, cfg, months)
 	if err != nil {
 		return err
 	}
-	log.Info("clustered fleet", "vpes", len(ds.VPEs), "k", cl.K)
-
-	// Train one detector per cluster on all clean data in range.
-	b := &bundle.Bundle{Tree: ds.Tree, Assign: cl.Assign}
-	var allScored []detect.ScoredEvent
-	endTrain := ds.MonthStart(months)
-	for ci := 0; ci < cl.K; ci++ {
-		var streams [][]features.Event
-		for _, v := range cl.Members(ci) {
-			if ev := ds.CleanEvents(v, ds.MonthStart(0), endTrain, cfg.TrainExclusion); len(ev) > 0 {
-				streams = append(streams, ev)
-			}
-		}
-		// Ship the cluster's training-time template distribution so the
-		// online lifecycle can measure live drift against it (§3.3's
-		// cosine signal) instead of bootstrapping a baseline from the
-		// first traffic it happens to see.
-		hist := make(map[int]float64)
-		for _, s := range streams {
-			for _, e := range s {
-				hist[e.Template]++
-			}
-		}
-		b.TrainHist = append(b.TrainHist, hist)
-		lcfg := cfg.LSTM
-		lcfg.Seed += int64(ci) * 101
-		det := detect.NewLSTMDetector(lcfg)
-		det.SetMetrics(reg, fmt.Sprintf("cluster%d_", ci))
-		if len(streams) == 0 {
-			log.Warn("no clean training data, skipping cluster", "cluster", ci)
-			b.Detectors = append(b.Detectors, det)
-			continue
-		}
-		t0 := time.Now()
-		if err := det.Train(streams); err != nil {
-			return fmt.Errorf("training cluster %d: %w", ci, err)
-		}
-		trainSeconds.ObserveDuration(t0)
-		clustersTrained.Inc()
-		snap := reg.Snapshot()
-		log.Info("trained cluster", "cluster", ci, "streams", len(streams),
-			"elapsed", time.Since(t0).Round(time.Millisecond),
+	snap := reg.Snapshot()
+	for ci := range b.Detectors {
+		log.Info("trained cluster", "cluster", ci,
 			"epochs", snap.Counters[fmt.Sprintf("cluster%d_lstm_epochs_total", ci)],
 			"loss", snap.Gauges[fmt.Sprintf("cluster%d_lstm_epoch_loss", ci)],
 			"tokens_per_sec", snap.Gauges[fmt.Sprintf("cluster%d_lstm_tokens_per_sec", ci)],
 			"oversample_rounds", snap.Counters[fmt.Sprintf("cluster%d_lstm_oversample_rounds_total", ci)])
-		b.Detectors = append(b.Detectors, det)
-		// Score the training range to place the operating threshold.
-		for _, v := range cl.Members(ci) {
-			allScored = append(allScored, det.Score(v, ds.RangeEvents(v, ds.MonthStart(0), endTrain))...)
-		}
 	}
-
-	// Operating threshold: best F over the training range when tickets
-	// are available, else a high quantile of the score distribution.
-	if len(tickets) > 0 && len(allScored) > 0 {
-		thrs := detect.ThresholdSweep(allScored, cfg.SweepPoints)
-		curve := eval.PRCurve(allScored, tickets, thrs, cfg.Eval, ds.MonthStart(0), endTrain)
-		best := eval.BestF(curve)
-		b.Threshold = best.Threshold
-		log.Info("operating threshold from training-range best F", "threshold", best.Threshold,
-			"precision", best.Precision, "recall", best.Recall, "f", best.F)
-	} else if len(allScored) > 0 {
-		b.Threshold = detect.ScoreQuantile(allScored, 0.999)
-		log.Info("operating threshold from score quantile", "threshold", b.Threshold, "quantile", 0.999)
-	}
+	log.Info("trained bundle", "vpes", len(ds.VPEs), "k", len(b.Detectors), "threshold", b.Threshold)
 
 	// Atomic save: a crash mid-write must never leave a truncated bundle
 	// where a monitor's hot-reload would pick it up.

@@ -1,7 +1,8 @@
 // Streaming: the runtime deployment mode of the paper — a live monitor
-// fed by a syslog ingestion server. This example trains the LSTM on one
-// simulated month, builds the serving stack nfvmonitor ships (serve.New)
-// with a UDP syslog listener on an ephemeral port, replays a later
+// fed by a syslog ingestion server. This example trains a model bundle on
+// one simulated month (pipeline.TrainModels, the trainer under cmd/nfvtrain),
+// serves it with the stack nfvmonitor ships (serve.New takes the bundle)
+// behind a UDP syslog listener on an ephemeral port, replays a later
 // (update-free) month of the trace over real UDP packets, and prints the
 // warning signatures the monitor raises.
 //
@@ -19,9 +20,6 @@ import (
 	"time"
 
 	"nfvpredict"
-	"nfvpredict/internal/detect"
-	"nfvpredict/internal/features"
-	"nfvpredict/internal/lifecycle"
 	"nfvpredict/internal/pipeline"
 	"nfvpredict/internal/serve"
 )
@@ -39,28 +37,25 @@ func main() {
 	}
 	ds := pipeline.BuildDataset(trace, simCfg.Start, simCfg.Months)
 
-	// 2. Train the detector on clean month-0 streams (§4.2: syslog near
-	//    tickets is excluded from "normal" training data).
-	var streams [][]features.Event
-	for _, v := range ds.VPEs {
-		if ev := ds.CleanEvents(v, ds.MonthStart(0), ds.MonthStart(1), 72*time.Hour); len(ev) > 0 {
-			streams = append(streams, ev)
-		}
-	}
-	lcfg := detect.DefaultLSTMConfig()
-	lcfg.Hidden = []int{24}
-	det := detect.NewLSTMDetector(lcfg)
-	if err := det.Train(streams); err != nil {
+	// 2. Train one fleet-wide detector on clean month-0 streams (§4.2:
+	//    syslog near tickets is excluded from "normal" training data). The
+	//    result is a bundle — tree, detector, host assignment — which is
+	//    what a monitor serves; cmd/nfvtrain writes the same object to disk.
+	cfg := pipeline.DefaultConfig()
+	cfg.Variant = pipeline.Baseline
+	cfg.LSTM.Hidden = []int{24}
+	b, err := pipeline.TrainModels(ds, cfg, 1)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("detector trained on %d vPE streams (%d templates)\n", len(streams), ds.Tree.Len())
+	b.Threshold = 6
+	fmt.Printf("detector trained on %d vPE streams (%d templates)\n", len(b.Assign), ds.Tree.Len())
 
 	// 3. Start the serving stack behind a UDP syslog listener: datagrams
 	//    are routed to their host's shard queue and scored by its worker.
 	var warned atomic.Int64
 	so := serve.DefaultOptions()
-	so.Tree = ds.Tree
-	so.Models = &lifecycle.ModelSet{Detectors: []*detect.LSTMDetector{det}, Threshold: 6}
+	so.Bundle = b
 	so.UDPAddr, so.Year = "127.0.0.1:0", simCfg.Start.Year()
 	so.OnWarning = func(w nfvpredict.Warning) {
 		warned.Add(1)

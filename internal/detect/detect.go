@@ -158,10 +158,15 @@ func ThresholdSweep(events []ScoredEvent, n int) []float64 {
 	return out
 }
 
-// gapSeconds returns the inter-arrival gap of stream[i] in seconds.
+// gapSeconds returns the inter-arrival gap of stream[i] in seconds, as
+// LSTMStream.Push sees it: 60 for the first event, and 0 — not a negative
+// gap — for an event stamped before its predecessor.
 func gapSeconds(stream []features.Event, i int) float64 {
 	if i == 0 {
 		return 60
 	}
-	return stream[i].Time.Sub(stream[i-1].Time).Seconds()
+	if gap := stream[i].Time.Sub(stream[i-1].Time).Seconds(); gap > 0 {
+		return gap
+	}
+	return 0
 }

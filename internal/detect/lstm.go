@@ -426,23 +426,17 @@ func (d *LSTMDetector) forEachWindow(n int, fn func(i int)) {
 }
 
 // Score implements Detector: each message's score is its negative log-
-// likelihood under the model given the preceding stream.
+// likelihood under the model given the preceding stream — a replay of the
+// stream through the online scorer, so offline and served scores cannot
+// disagree. The first message has no context and scores 0.
 func (d *LSTMDetector) Score(vpe string, stream []features.Event) []ScoredEvent {
-	if d.model == nil || len(stream) == 0 {
+	st := d.NewStream()
+	if st == nil || len(stream) == 0 {
 		return nil
 	}
-	out := make([]ScoredEvent, 0, len(stream))
-	st := d.model.NewStreamState()
-	toks := d.tokenize(stream)
-	// The first token has no context; give it the neutral score 0.
-	out = append(out, ScoredEvent{Time: stream[0].Time, VPE: vpe, Score: 0})
-	for i := 0; i+1 < len(toks); i++ {
-		lp := d.model.StepLogProbs(toks[i], st)
-		out = append(out, ScoredEvent{
-			Time:  stream[i+1].Time,
-			VPE:   vpe,
-			Score: -lp[toks[i+1].ID],
-		})
+	out := make([]ScoredEvent, len(stream))
+	for i, e := range stream {
+		out[i] = ScoredEvent{Time: e.Time, VPE: vpe, Score: st.Push(e)}
 	}
 	return out
 }

@@ -1,11 +1,17 @@
-// Package pipeline orchestrates the paper's end-to-end protocol on a
-// simulated deployment trace: signature-tree template extraction, vPE
-// clustering (§4.3), per-cluster model training with the month-1 data,
-// monthly incremental updates with walk-forward testing (§5.1), drift
-// detection and transfer-learning adaptation after system updates (§4.3),
-// and evaluation against trouble tickets (§5.2-5.3). The three system
-// variants of Figure 7 — baseline single model, per-cluster customization,
-// and customization + adaptation — differ only in configuration.
+// Package pipeline builds models from a deployment trace and runs the
+// paper's end-to-end protocol over them. A model is built one way, in four
+// steps each written once (train.go): the clean streams of a group of vPEs
+// — ticket windows excluded, §4.2 (Dataset.CleanStreams) — the grouping of
+// the fleet on its template histograms, §4.3 (ClusterFleet), one detector
+// per group (TrainGroups), and the threshold to serve at (OperatingPoint).
+// TrainModels and TrainBundle compose them into the bundle cmd/nfvtrain
+// writes and every monitor serves; Run walks them forward month by month
+// (§5.1) with incremental updates, drift detection and transfer-learning
+// adaptation after system updates (§4.3), evaluated against trouble
+// tickets (§5.2-5.3); the §5.2 sweeps re-run them on other data budgets.
+// The three system variants of Figure 7 — baseline single model,
+// per-cluster customization, and customization + adaptation — differ only
+// in configuration.
 package pipeline
 
 import (
@@ -134,12 +140,13 @@ func (ds *Dataset) CleanEvents(vpe string, from, to time.Time, exclusion time.Du
 	return out
 }
 
-// CleanMonthStreams returns the per-vPE clean streams of month m for the
-// given vPEs — the training unit of the walk-forward protocol.
-func (ds *Dataset) CleanMonthStreams(vpes []string, m int, exclusion time.Duration) [][]features.Event {
+// CleanStreams returns the clean streams (CleanEvents) of the given vPEs
+// over [from, to), leaving out vPEs with none — the unit every trainer,
+// update and adaptation learns from.
+func (ds *Dataset) CleanStreams(vpes []string, from, to time.Time, exclusion time.Duration) [][]features.Event {
 	var out [][]features.Event
 	for _, v := range vpes {
-		if ev := ds.CleanEvents(v, ds.MonthStart(m), ds.MonthStart(m+1), exclusion); len(ev) > 0 {
+		if ev := ds.CleanEvents(v, from, to, exclusion); len(ev) > 0 {
 			out = append(out, ev)
 		}
 	}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"nfvpredict/internal/cluster"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/eval"
-	"nfvpredict/internal/features"
 )
 
 // ExperimentRow is one configuration's outcome in a §5.2 micro-benchmark.
@@ -26,34 +24,6 @@ type ExperimentRow struct {
 	Best eval.PRPoint
 }
 
-// trainGroups trains one fresh detector per group on [from, to) and
-// returns the detectors (nil entries for groups with no data).
-func trainGroups(ds *Dataset, cfg Config, groups [][]string, from, to time.Time) ([]detect.Detector, int, error) {
-	dets := make([]detect.Detector, len(groups))
-	events := 0
-	for gi, members := range groups {
-		var streams [][]features.Event
-		for _, v := range members {
-			if ev := ds.CleanEvents(v, from, to, cfg.TrainExclusion); len(ev) > 0 {
-				streams = append(streams, ev)
-				events += len(ev)
-			}
-		}
-		if len(streams) == 0 {
-			continue
-		}
-		d, err := cfg.newDetector(gi)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := d.Train(streams); err != nil {
-			return nil, 0, fmt.Errorf("pipeline: training group %d: %w", gi, err)
-		}
-		dets[gi] = d
-	}
-	return dets, events, nil
-}
-
 // evalGroups scores [from, to) with the given detectors and returns the
 // best-F operating point.
 func evalGroups(ds *Dataset, cfg Config, groups [][]string, dets []detect.Detector, from, to time.Time) eval.PRPoint {
@@ -63,11 +33,8 @@ func evalGroups(ds *Dataset, cfg Config, groups [][]string, dets []detect.Detect
 			assign[v] = gi
 		}
 	}
-	cl := &cluster.Result{K: len(groups), Assign: assign}
-	events := scoreRange(ds, dets, cl, from, to, cfg.Parallelism)
-	thrs := detect.ThresholdSweep(events, cfg.SweepPoints)
-	curve := eval.PRCurve(events, ds.Tickets, thrs, cfg.Eval, from, to)
-	return eval.BestF(curve)
+	best, _ := OperatingPoint(ds, cfg, scoreRange(ds, dets, assign, from, to, cfg.Parallelism), from, to)
+	return best
 }
 
 // TrainingDataSweep reproduces the §5.2 clustering claim ("reduce the
@@ -90,7 +57,7 @@ func TrainingDataSweep(ds *Dataset, cfg Config, evalMonth int) ([]ExperimentRow,
 	var rows []ExperimentRow
 	for months := 1; months <= 3; months++ {
 		from := ds.MonthStart(evalMonth - months)
-		dets, n, err := trainGroups(ds, cfg, solo, from, evalFrom)
+		dets, n, err := TrainGroups(ds, cfg, solo, from, evalFrom)
 		if err != nil {
 			return nil, err
 		}
@@ -102,19 +69,11 @@ func TrainingDataSweep(ds *Dataset, cfg Config, evalMonth int) ([]ExperimentRow,
 	}
 
 	// Clustered grouping on the histograms of the single training month.
-	hists := make(map[string]cluster.Histogram, len(ds.VPEs))
-	for _, v := range ds.VPEs {
-		hists[v] = ds.MonthHistogram(v, evalMonth-1)
-	}
-	cl, err := cluster.SelectK(hists, cfg.KMin, cfg.KMax, cfg.ClusterDim, cfg.LSTM.Seed)
+	cl, groups, err := ClusterFleet(ds, cfg, ds.MonthStart(evalMonth-1), evalFrom)
 	if err != nil {
 		return nil, err
 	}
-	groups := make([][]string, cl.K)
-	for gi := 0; gi < cl.K; gi++ {
-		groups[gi] = cl.Members(gi)
-	}
-	dets, n, err := trainGroups(ds, cfg, groups, ds.MonthStart(evalMonth-1), evalFrom)
+	dets, n, err := TrainGroups(ds, cfg, groups, ds.MonthStart(evalMonth-1), evalFrom)
 	if err != nil {
 		return nil, err
 	}
@@ -148,17 +107,9 @@ func AdaptRecoverySweep(ds *Dataset, cfg Config, updateMonth int) ([]ExperimentR
 
 	// Cluster on pre-update data and train the teacher on the months
 	// before the update.
-	hists := make(map[string]cluster.Histogram, len(ds.VPEs))
-	for _, v := range ds.VPEs {
-		hists[v] = ds.MonthHistogram(v, 0)
-	}
-	cl, err := cluster.SelectK(hists, cfg.KMin, cfg.KMax, cfg.ClusterDim, cfg.LSTM.Seed)
+	_, groups, err := ClusterFleet(ds, cfg, ds.MonthStart(0), ds.MonthStart(1))
 	if err != nil {
 		return nil, err
-	}
-	groups := make([][]string, cl.K)
-	for gi := 0; gi < cl.K; gi++ {
-		groups[gi] = cl.Members(gi)
 	}
 	teacherFrom := ds.MonthStart(0)
 	teacherTo := ds.MonthStart(updateMonth)
@@ -174,7 +125,7 @@ func AdaptRecoverySweep(ds *Dataset, cfg Config, updateMonth int) ([]ExperimentR
 	}
 
 	// (a) Obsolete teacher, no recovery: serving month U+1.
-	teacher, _, err := trainGroups(ds, cfg, groups, teacherFrom, teacherTo)
+	teacher, _, err := TrainGroups(ds, cfg, groups, teacherFrom, teacherTo)
 	if err != nil {
 		return nil, err
 	}
@@ -186,25 +137,17 @@ func AdaptRecoverySweep(ds *Dataset, cfg Config, updateMonth int) ([]ExperimentR
 	})
 
 	// (b) Transfer-learning adaptation on one week of fresh data.
-	adapted, _, err := trainGroups(ds, cfg, groups, teacherFrom, teacherTo)
+	adapted, _, err := TrainGroups(ds, cfg, groups, teacherFrom, teacherTo)
 	if err != nil {
 		return nil, err
 	}
 	var adaptEvents int
 	for gi, members := range groups {
-		if adapted[gi] == nil {
-			continue
-		}
-		var streams [][]features.Event
-		for _, v := range members {
-			if ev := ds.CleanEvents(v, weekFrom, weekTo, cfg.TrainExclusion); len(ev) > 0 {
-				streams = append(streams, ev)
-				adaptEvents += len(ev)
-			}
-		}
+		streams := ds.CleanStreams(members, weekFrom, weekTo, cfg.TrainExclusion)
 		if len(streams) == 0 {
 			continue
 		}
+		adaptEvents += countEvents(streams)
 		if err := adapted[gi].Adapt(streams); err != nil {
 			return nil, err
 		}
@@ -229,7 +172,7 @@ func AdaptRecoverySweep(ds *Dataset, cfg Config, updateMonth int) ([]ExperimentR
 		{"retrain 2mo", ds.MonthStart(updateMonth + 1), ds.MonthStart(updateMonth + 3), updateMonth + 3},
 	}
 	for _, b := range budgets {
-		dets, n, err := trainGroups(ds, cfg, groups, b.from, b.to)
+		dets, n, err := TrainGroups(ds, cfg, groups, b.from, b.to)
 		if err != nil {
 			return nil, err
 		}

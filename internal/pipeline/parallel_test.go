@@ -3,7 +3,6 @@ package pipeline
 import (
 	"testing"
 
-	"nfvpredict/internal/cluster"
 	"nfvpredict/internal/nfvsim"
 )
 
@@ -73,28 +72,13 @@ func TestRunParallelTrainingRace(t *testing.T) {
 func BenchmarkPipelineInitialTrain(b *testing.B) {
 	ds := testDataset(b, func(c *nfvsim.Config) { c.Months = 2; c.NumVPEs = 8; c.UpdateMonth = -1 })
 	cfg := fastConfig(Customized, MethodLSTM)
-	hists := make(map[string]cluster.Histogram, len(ds.VPEs))
-	for _, v := range ds.VPEs {
-		hists[v] = ds.MonthHistogram(v, 0)
-	}
-	cl, err := cluster.SelectK(hists, cfg.KMin, cfg.KMax, cfg.ClusterDim, cfg.LSTM.Seed)
+	_, groups, err := ClusterFleet(ds, cfg, ds.MonthStart(0), ds.MonthStart(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := forEachCluster(cl.K, cfg.Parallelism, func(ci int) error {
-			d, err := cfg.newDetector(ci)
-			if err != nil {
-				return err
-			}
-			s := ds.CleanMonthStreams(cl.Members(ci), 0, cfg.TrainExclusion)
-			if len(s) == 0 {
-				return nil
-			}
-			return d.Train(s)
-		})
-		if err != nil {
+		if _, _, err := TrainGroups(ds, cfg, groups, ds.MonthStart(0), ds.MonthStart(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"nfvpredict/internal/cluster"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/eval"
-	"nfvpredict/internal/features"
 	"nfvpredict/internal/obs"
 )
 
@@ -193,59 +192,19 @@ func Run(ds *Dataset, cfg Config) (*Result, error) {
 
 	// Walk-forward phase counters; all handles are nil (no-op) when
 	// cfg.Metrics is nil.
-	trainings := cfg.Metrics.Counter("pipeline_trainings_total", "Per-cluster initial trainings completed.")
 	updates := cfg.Metrics.Counter("pipeline_updates_total", "Per-cluster monthly incremental updates completed.")
 	adapts := cfg.Metrics.Counter("pipeline_adaptations_total", "Transfer-learning adaptations run after drift detection.")
 	retrains := cfg.Metrics.Counter("pipeline_retrains_total", "Full from-scratch retrains (non-adaptive drift fallback).")
 	monthGauge := cfg.Metrics.Gauge("pipeline_month", "Walk-forward month currently being scored.")
-	trainSeconds := cfg.Metrics.Histogram("pipeline_train_seconds",
-		"Wall time of per-cluster training phases (train/retrain).", obs.ExpBuckets(0.01, 4, 10))
+	trainSeconds := cfg.trainSeconds()
 
-	// --- Clustering on month-0 histograms (§4.3) -----------------------
-	hists := make(map[string]cluster.Histogram, len(ds.VPEs))
-	for _, v := range ds.VPEs {
-		hists[v] = ds.MonthHistogram(v, 0)
+	// --- Clustering on month-0 histograms (§4.3), initial training ------
+	cl, members, err := ClusterFleet(ds, cfg, ds.MonthStart(0), ds.MonthStart(1))
+	if err != nil {
+		return nil, err
 	}
-	switch cfg.Variant {
-	case Baseline:
-		res.Clusters = cluster.KMeans(hists, 1, cfg.ClusterDim, cfg.LSTM.Seed)
-	default:
-		r, err := cluster.SelectK(hists, cfg.KMin, cfg.KMax, cfg.ClusterDim, cfg.LSTM.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res.Clusters = r
-	}
-	members := make([][]string, res.Clusters.K)
-	for ci := 0; ci < res.Clusters.K; ci++ {
-		members[ci] = res.Clusters.Members(ci)
-	}
-
-	// --- Initial training on month 0 -----------------------------------
-	// Detectors are independent (cluster-specific seeds and disjoint
-	// training streams; the dataset is immutable), so the K trainings run
-	// concurrently. Results are identical to the sequential order.
-	dets := make([]detect.Detector, res.Clusters.K)
-	for ci := range dets {
-		d, err := cfg.newDetector(ci)
-		if err != nil {
-			return nil, err
-		}
-		dets[ci] = d
-	}
-	err := forEachCluster(res.Clusters.K, cfg.Parallelism, func(ci int) error {
-		streams := ds.CleanMonthStreams(members[ci], 0, cfg.TrainExclusion)
-		if len(streams) == 0 {
-			return nil
-		}
-		start := trainSeconds.Start()
-		if err := dets[ci].Train(streams); err != nil {
-			return fmt.Errorf("pipeline: initial training cluster %d: %w", ci, err)
-		}
-		trainSeconds.ObserveDuration(start)
-		trainings.Inc()
-		return nil
-	})
+	res.Clusters = cl
+	dets, _, err := TrainGroups(ds, cfg, members, ds.MonthStart(0), ds.MonthStart(1))
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +232,7 @@ func Run(ds *Dataset, cfg Config) (*Result, error) {
 			if monthTo.Sub(wTo) < segment/2 {
 				wTo = monthTo // absorb the short month tail
 			}
-			monthEvents = append(monthEvents, scoreRange(ds, dets, res.Clusters, wFrom, wTo, cfg.Parallelism)...)
+			monthEvents = append(monthEvents, scoreRange(ds, dets, res.Clusters.Assign, wFrom, wTo, cfg.Parallelism)...)
 			if cfg.Variant == CustomizedAdaptive {
 				histFrom := wTo.Add(-cfg.AdaptWindow)
 				if histFrom.Before(monthFrom) {
@@ -289,12 +248,7 @@ func Run(ds *Dataset, cfg Config) (*Result, error) {
 					if !clusterDriftedWeek(ds, members[ci], histFrom, wTo, m-1, cfg.DriftThreshold, cfg.DriftFraction) {
 						return nil
 					}
-					var streams [][]features.Event
-					for _, v := range members[ci] {
-						if ev := ds.CleanEvents(v, wTo.Add(-cfg.AdaptWindow), wTo, cfg.TrainExclusion); len(ev) > 0 {
-							streams = append(streams, ev)
-						}
-					}
+					streams := ds.CleanStreams(members[ci], wTo.Add(-cfg.AdaptWindow), wTo, cfg.TrainExclusion)
 					if len(streams) == 0 {
 						return nil
 					}
@@ -314,9 +268,7 @@ func Run(ds *Dataset, cfg Config) (*Result, error) {
 		res.Events = append(res.Events, monthEvents...)
 
 		// Month metrics at the month's best threshold (Figure 7 series).
-		thrs := detect.ThresholdSweep(monthEvents, cfg.SweepPoints)
-		curve := eval.PRCurve(monthEvents, ds.Tickets, thrs, cfg.Eval, monthFrom, monthTo)
-		best := eval.BestF(curve)
+		best, _ := OperatingPoint(ds, cfg, monthEvents, monthFrom, monthTo)
 		anoms := detect.Threshold(monthEvents, best.Threshold)
 		warns := detect.ClusterWarnings(anoms, cfg.Eval.ClusterWindow, cfg.Eval.MinClusterSize)
 		o := eval.MapWarnings(warns, ds.Tickets, cfg.Eval, monthFrom, monthTo)
@@ -356,17 +308,11 @@ func Run(ds *Dataset, cfg Config) (*Result, error) {
 				}
 				if retrainAt[ci] == m {
 					retrainAt[ci] = 0
-					var streams [][]features.Event
-					for _, v := range members[ci] {
-						lo := m - cfg.RetrainLagMonths + 1
-						if lo < 0 {
-							lo = 0
-						}
-						if ev := ds.CleanEvents(v, ds.MonthStart(lo), monthTo, cfg.TrainExclusion); len(ev) > 0 {
-							streams = append(streams, ev)
-						}
+					lo := m - cfg.RetrainLagMonths + 1
+					if lo < 0 {
+						lo = 0
 					}
-					if len(streams) > 0 {
+					if streams := ds.CleanStreams(members[ci], ds.MonthStart(lo), monthTo, cfg.TrainExclusion); len(streams) > 0 {
 						start := trainSeconds.Start()
 						if err := dets[ci].Train(streams); err != nil {
 							return fmt.Errorf("pipeline: retrain cluster %d month %d: %w", ci, m, err)
@@ -377,7 +323,7 @@ func Run(ds *Dataset, cfg Config) (*Result, error) {
 					}
 				}
 			}
-			streams := ds.CleanMonthStreams(members[ci], m, cfg.TrainExclusion)
+			streams := ds.CleanStreams(members[ci], monthFrom, monthTo, cfg.TrainExclusion)
 			if len(streams) == 0 {
 				return nil
 			}
@@ -394,9 +340,7 @@ func Run(ds *Dataset, cfg Config) (*Result, error) {
 
 	// --- Full-period PRC and operating point (Figures 5, 6, 8) ---------
 	evalFrom, evalTo := ds.MonthStart(1), ds.MonthStart(ds.Months)
-	thrs := detect.ThresholdSweep(res.Events, cfg.SweepPoints)
-	res.Curve = eval.PRCurve(res.Events, ds.Tickets, thrs, cfg.Eval, evalFrom, evalTo)
-	res.Best = eval.BestF(res.Curve)
+	res.Best, res.Curve = OperatingPoint(ds, cfg, res.Events, evalFrom, evalTo)
 	anoms := detect.Threshold(res.Events, res.Best.Threshold)
 	warns := detect.ClusterWarnings(anoms, cfg.Eval.ClusterWindow, cfg.Eval.MinClusterSize)
 	res.Outcome = eval.MapWarnings(warns, ds.Tickets, cfg.Eval, evalFrom, evalTo)
@@ -441,19 +385,17 @@ func forEachCluster(k, parallelism int, fn func(ci int) error) error {
 }
 
 // scoreRange scores every vPE's [from, to) stream with its cluster's
-// model, fanning out across vPEs.
-func scoreRange(ds *Dataset, dets []detect.Detector, cl *cluster.Result, from, to time.Time, parallelism int) []detect.ScoredEvent {
+// model, fanning out across vPEs. An untrained detector scores nothing.
+func scoreRange[D detect.Detector](ds *Dataset, dets []D, assign map[string]int, from, to time.Time, parallelism int) []detect.ScoredEvent {
 	type job struct {
 		vpe string
-		det detect.Detector
+		det D
 	}
 	var jobs []job
 	for _, v := range ds.VPEs {
-		ci := cl.Assign[v]
-		if ci < 0 || ci >= len(dets) || dets[ci] == nil {
-			continue
+		if ci := assign[v]; ci >= 0 && ci < len(dets) {
+			jobs = append(jobs, job{vpe: v, det: dets[ci]})
 		}
-		jobs = append(jobs, job{vpe: v, det: dets[ci]})
 	}
 	results := make([][]detect.ScoredEvent, len(jobs))
 	if parallelism <= 1 {

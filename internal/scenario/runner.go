@@ -14,11 +14,10 @@ import (
 	"sync"
 	"time"
 
-	"nfvpredict/internal/cluster"
+	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/eval"
 	"nfvpredict/internal/faultinject"
-	"nfvpredict/internal/features"
 	"nfvpredict/internal/ingest"
 	"nfvpredict/internal/lifecycle"
 	"nfvpredict/internal/logfmt"
@@ -245,11 +244,10 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	}
 
 	// Phase 2: train.
-	var ms *lifecycle.ModelSet
-	var ds *pipeline.Dataset
+	var b *bundle.Bundle
 	if err := timed("train", func() error {
 		var err error
-		ds, ms, err = trainModels(spec, tr)
+		b, err = trainModels(spec, tr)
 		return err
 	}); err != nil {
 		return nil, err
@@ -259,7 +257,7 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	var summary *eval.Summary
 	if err := timed("serve", func() error {
 		var err error
-		summary, err = servePhase(spec, opts, rep, tr, ds, ms, dir, logf)
+		summary, err = servePhase(spec, opts, rep, tr, b, dir, logf)
 		return err
 	}); err != nil {
 		return nil, err
@@ -300,60 +298,30 @@ func countSimEvents(spec *Spec) int {
 	return n
 }
 
-// trainModels builds the dataset and trains the per-cluster serving set
-// on the leading train.months of clean traffic.
-func trainModels(spec *Spec, tr *nfvsim.Trace) (*pipeline.Dataset, *lifecycle.ModelSet, error) {
+// trainModels builds the dataset and trains the per-cluster serving bundle
+// on the leading train.months of clean traffic, to be served at the
+// scenario's threshold.
+func trainModels(spec *Spec, tr *nfvsim.Trace) (*bundle.Bundle, error) {
 	ds := pipeline.BuildDataset(tr, spec.Fleet.Start, spec.Fleet.Months)
-	trainStart := ds.MonthStart(0)
-	trainEnd := ds.MonthStart(spec.Train.Months)
-
-	k := spec.Train.Clusters
-	var assign map[string]int
-	if k > 1 {
-		hists := make(map[string]cluster.Histogram, len(ds.VPEs))
-		for _, v := range ds.VPEs {
-			h := cluster.Histogram{}
-			for _, e := range ds.RangeEvents(v, trainStart, trainEnd) {
-				h.Add(e.Template)
-			}
-			hists[v] = h
-		}
-		res := cluster.KMeans(hists, k, 64, spec.Seed)
-		assign, k = res.Assign, res.K
+	cfg := pipeline.DefaultConfig()
+	cfg.KMin, cfg.KMax = spec.Train.Clusters, spec.Train.Clusters
+	cfg.TrainExclusion = spec.Train.Exclusion
+	cfg.LSTM.Hidden = spec.Train.Hidden
+	cfg.LSTM.Epochs = spec.Train.Epochs
+	cfg.LSTM.MaxVocab = spec.Train.MaxVocab
+	b, err := pipeline.TrainModels(ds, cfg, spec.Train.Months)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-
-	lcfg := detect.DefaultLSTMConfig()
-	lcfg.Hidden = spec.Train.Hidden
-	lcfg.Epochs = spec.Train.Epochs
-	lcfg.MaxVocab = spec.Train.MaxVocab
-	dets := make([]*detect.LSTMDetector, k)
-	for ci := 0; ci < k; ci++ {
-		var streams [][]features.Event
-		for _, v := range ds.VPEs {
-			if assign[v] != ci {
-				continue
-			}
-			if ev := ds.CleanEvents(v, trainStart, trainEnd, spec.Train.Exclusion); len(ev) > 0 {
-				streams = append(streams, ev)
-			}
-		}
-		if len(streams) == 0 {
-			return nil, nil, fmt.Errorf("scenario: cluster %d has no clean training data in the first %d month(s)", ci, spec.Train.Months)
-		}
-		det := detect.NewLSTMDetector(lcfg)
-		if err := det.Train(streams); err != nil {
-			return nil, nil, fmt.Errorf("scenario: training cluster %d: %w", ci, err)
-		}
-		dets[ci] = det
-	}
-	return ds, &lifecycle.ModelSet{Detectors: dets, Assign: assign, Threshold: spec.Serve.Threshold}, nil
+	b.Threshold = spec.Serve.Threshold
+	return b, nil
 }
 
 // servePhase replays the post-training trace over TCP through the shipped
 // serving stack (serve.New, as nfvmonitor builds it — only the traffic
 // source differs), executing runner-side timeline events at their trace
 // offsets.
-func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pipeline.Dataset, ms *lifecycle.ModelSet, dir string, logf func(string, ...any)) (*eval.Summary, error) {
+func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bundle.Bundle, dir string, logf func(string, ...any)) (*eval.Summary, error) {
 	serveStart := spec.ServeStart()
 	end := spec.End()
 	first := sort.Search(len(tr.Messages), func(i int) bool {
@@ -362,7 +330,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, ds *pip
 	msgs := tr.Messages[first:]
 
 	so := serve.DefaultOptions()
-	so.Tree, so.Models = ds.Tree, ms
+	so.Bundle = b
 	so.UDPAddr, so.TCPAddr, so.Year = "", "127.0.0.1:0", serveStart.Year()
 	so.Shards = spec.Serve.Shards
 	so.Faults = faultinject.NewRegistry()
@@ -540,7 +508,9 @@ func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (strin
 		probe.Faults, probe.Lifecycle = nil, nil
 		probe.Log = obs.NewLogger(&restartLog, obs.LevelWarn)
 		if st.Lifecycle != nil {
-			probe.Models = st.Lifecycle.Serving()
+			live := *so.Bundle
+			live.Detectors = st.Lifecycle.Serving().Detectors
+			probe.Bundle = &live
 		}
 		restarted, err := serve.New(probe)
 		if err != nil {

@@ -21,16 +21,15 @@ import (
 	"nfvpredict/internal/lifecycle"
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/resilience"
-	"nfvpredict/internal/sigtree"
 )
 
 // Options says what to serve and the settings callers differ on. Start
 // from DefaultOptions.
 type Options struct {
-	// Tree and Models are the serving model (what a bundle and the
-	// bootstrap trainer both reduce to).
-	Tree   *sigtree.Tree
-	Models *lifecycle.ModelSet
+	// Bundle is the serving model — signature tree, per-cluster detectors,
+	// host assignment, threshold — as cmd/nfvtrain writes it, the
+	// bootstrap trainer builds it and Reload swaps it.
+	Bundle *bundle.Bundle
 
 	// UDPAddr and TCPAddr are the syslog listen addresses ("" disables
 	// one); Year resolves RFC 3164 timestamps.
@@ -113,7 +112,7 @@ func clusterOf(assign map[string]int) func(string) int {
 	return func(host string) int { return assign[host] }
 }
 
-// New assembles the stack around opts.Tree and opts.Models; listeners are
+// New assembles the stack around opts.Bundle; listeners are
 // bound but nothing runs until Start. A checkpoint that cannot be restored
 // is quarantined and the monitor starts cold: never a refusal to serve.
 func New(opts Options) (*Stack, error) {
@@ -153,8 +152,9 @@ func New(opts Options) (*Stack, error) {
 		"Hot-path warning log lines suppressed by the per-key rate limiter."))
 
 	mcfg := ingest.DefaultMonitorConfig()
-	mcfg.Threshold = opts.Models.Threshold
-	mcfg.ClusterOf = clusterOf(opts.Models.Assign)
+	b := opts.Bundle
+	mcfg.Threshold = b.Threshold
+	mcfg.ClusterOf = clusterOf(b.Assign)
 	mcfg.Metrics, mcfg.Traces, mcfg.Tracer = reg, s.Traces, s.Tracer
 	mcfg.LatencySLO, mcfg.LatencyBound = s.SLOLatency, opts.LatencyBound
 	mcfg.Watchdog, mcfg.Faults = opts.Watchdog, opts.Faults
@@ -166,15 +166,14 @@ func New(opts Options) (*Stack, error) {
 	if opts.Lifecycle != nil {
 		lcfg := *opts.Lifecycle
 		lcfg.Metrics, lcfg.Tracer, lcfg.Faults = reg, s.Tracer, opts.Faults
-		s.Lifecycle = lifecycle.New(lcfg, opts.Models)
+		s.Lifecycle = lifecycle.New(lcfg, lifecycle.ModelSetFromBundle(b))
 		mcfg.OnScored = s.Lifecycle.Observe
 	}
-	resolve := opts.Models.Resolver()
 	if _, serr := os.Stat(opts.Checkpoint); opts.Checkpoint != "" && serr == nil {
-		s.Monitor = s.restore(mcfg, resolve)
+		s.Monitor = s.restore(mcfg, b.DetectorFor)
 	}
 	if s.Monitor == nil {
-		s.Monitor = ingest.NewMonitorWithResolver(mcfg, opts.Tree, resolve, opts.OnWarning)
+		s.Monitor = ingest.NewMonitorWithResolver(mcfg, b.Tree, b.DetectorFor, opts.OnWarning)
 	}
 	s.Degrader = resilience.NewDegrader(resilience.DegraderConfig{}, func(from, to resilience.Mode, reason string) {
 		s.SetDegrade(to, reason)

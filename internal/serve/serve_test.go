@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/features"
@@ -44,7 +45,7 @@ func testOptions(t *testing.T) Options {
 		t.Fatal(err)
 	}
 	o := DefaultOptions()
-	o.Tree, o.Models = tree, &lifecycle.ModelSet{Detectors: []*detect.LSTMDetector{det}, Threshold: 4}
+	o.Bundle = &bundle.Bundle{Tree: tree, Detectors: []*detect.LSTMDetector{det}, Threshold: 4}
 	o.UDPAddr, o.Shards = "127.0.0.1:0", 2
 	return o
 }
