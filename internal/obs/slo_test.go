@@ -8,7 +8,7 @@ import (
 // fakeClock is a controllable monotonic clock for SLO tests.
 type fakeClock struct{ ns int64 }
 
-func (c *fakeClock) now() int64            { return c.ns }
+func (c *fakeClock) now() int64              { return c.ns }
 func (c *fakeClock) advance(d time.Duration) { c.ns += int64(d) }
 
 func TestSLOBurnMath(t *testing.T) {

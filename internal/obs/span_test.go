@@ -217,9 +217,9 @@ func TestPrometheusExemplarGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("frames_total", "Accepted frames.").Add(7)
 	h := r.Histogram("handle_seconds", "Handle latency.", []float64{0.1, 1})
-	h.Observe(0.05) // bucket 0, no exemplar
+	h.Observe(0.05)                      // bucket 0, no exemplar
 	h.ObserveExemplar(0.5, SpanID(0xab)) // bucket 1 with exemplar
-	h.Observe(0.6) // bucket 1 again: count advances, exemplar stays
+	h.Observe(0.6)                       // bucket 1 again: count advances, exemplar stays
 
 	ex := h.Exemplars()
 	if ex[0] != nil || ex[1] == nil || ex[2] != nil {

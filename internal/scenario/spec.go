@@ -376,7 +376,7 @@ func (d *dec) intList(n *yNode, what string) []int {
 	return out
 }
 
-func (d *dec) intPtr(n *yNode, what string) *int   { v := d.integer(n, what); return &v }
+func (d *dec) intPtr(n *yNode, what string) *int     { v := d.integer(n, what); return &v }
 func (d *dec) f64Ptr(n *yNode, what string) *float64 { v := d.float(n, what); return &v }
 
 // checkKeys reports unknown keys — the heart of `nfvscen validate`.

@@ -40,10 +40,10 @@ func TestColonTokenization(t *testing.T) {
 	cases := map[string][]string{
 		// Interior colons survive (the documented behavior the old
 		// implementation contradicted).
-		"neighbor 2001:db8::1 down":      {"neighbor", "2001:db8::1", "down"},
-		"mac 00:1b:44:11:3a:b7 learned":  {"mac", "00:1b:44:11:3a:b7", "learned"},
-		"poll at 12:30:01 done":          {"poll", "at", "12:30:01", "done"},
-		"interface ge-0/0/1:0 flapped":   {"interface", "ge-0/0/1:0", "flapped"},
+		"neighbor 2001:db8::1 down":     {"neighbor", "2001:db8::1", "down"},
+		"mac 00:1b:44:11:3a:b7 learned": {"mac", "00:1b:44:11:3a:b7", "learned"},
+		"poll at 12:30:01 done":         {"poll", "at", "12:30:01", "done"},
+		"interface ge-0/0/1:0 flapped":  {"interface", "ge-0/0/1:0", "flapped"},
 		// Trailing colons are separators, however many.
 		"rpd: session closed":  {"rpd", "session", "closed"},
 		"weird:: double colon": {"weird", "double", "colon"},
