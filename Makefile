@@ -63,9 +63,9 @@ fuzz-smoke:
 reach:
 	@bash tools/reach.sh
 
-# Full gate: what a CI job runs. Vet, build, the whole test suite, the
-# race pass over the concurrent packages (which covers the shard
-# lifecycle tests), the scenario-harness library (lint + end-to-end run
+# Full gate: what a CI job runs. Vet, gofmt (it must list no file), build,
+# the whole test suite, the race pass over the concurrent packages (which
+# covers the shard lifecycle tests), the scenario-harness library (lint + end-to-end run
 # of every shipped scenario with its assertions), the fuzz smoke (every
 # fuzz target for ten seconds), the reachability check, and benchmark smoke
 # runs: the metrics hot path and the scoring kernels (LSTM step and gate
@@ -90,6 +90,7 @@ reach:
 ci: build
 	$(GO) vet ./...
 	$(GO) vet -tags purego ./internal/mat
+	test -z "$$(gofmt -l .)"
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/mat ./internal/nn ./internal/detect ./cmd/nfvtrain
 	GOARCH=arm64 $(GO) build ./...

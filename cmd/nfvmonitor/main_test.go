@@ -220,7 +220,8 @@ func TestAdminTracesExplainInjectedAnomaly(t *testing.T) {
 	if code, _ = get(t, mux, "/traces?n=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("/traces?n=bogus: %d", code)
 	}
-	// The same verdict is visible on /statusz counters.
+	// The same verdict is visible on /statusz counters, beside the serving
+	// tree's symbol table.
 	var doc struct {
 		Monitor ingest.MonitorStats `json:"monitor"`
 		Traces  uint64              `json:"traces_total"`
@@ -228,7 +229,7 @@ func TestAdminTracesExplainInjectedAnomaly(t *testing.T) {
 	if _, body = get(t, mux, "/statusz"); json.Unmarshal([]byte(body), &doc) != nil {
 		t.Fatalf("decoding /statusz: %s", body)
 	}
-	if doc.Monitor.Anomalies != 1 || doc.Traces != 1 {
+	if doc.Monitor.Anomalies != 1 || doc.Traces != 1 || doc.Monitor.Symbols < 2 || doc.Monitor.SymbolOverflows != 0 {
 		t.Fatalf("statusz counters: %+v", doc)
 	}
 }

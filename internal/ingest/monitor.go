@@ -166,6 +166,12 @@ type MonitorStats struct {
 	// EvictedHosts counts least-recently-seen host states dropped to honor
 	// MaxHosts.
 	EvictedHosts uint64
+	// Symbols is the size of the serving tree's symbol table, wildcard
+	// included; SymbolOverflows counts the tokens that table was too full
+	// to take and templated as variable fields. Both are the serving
+	// tree's own, so a SwapModel to a reloaded tree starts them afresh.
+	Symbols         int
+	SymbolOverflows uint64
 	// ModelSwaps counts successful SwapModel calls (hot reloads).
 	ModelSwaps uint64
 	// ShardPanics counts scoring panics recovered by shard workers; the
@@ -697,21 +703,25 @@ func (m *Monitor) Threshold() float64 {
 }
 
 // Stats returns a snapshot of all monitor counters — a thin view over the
-// same registry counters exported at /metrics.
+// same registry counters exported at /metrics, plus the serving tree's
+// symbol-table size and overflow count, which have no metric family.
 func (m *Monitor) Stats() MonitorStats {
+	tree := m.Tree()
 	return MonitorStats{
-		Messages:       m.messages.Value(),
-		Anomalies:      m.anoms.Value(),
-		Warnings:       m.warningsC.Value(),
-		EvictedHosts:   m.evicted.Value(),
-		ModelSwaps:     m.swaps.Value(),
-		ShardPanics:    m.shardPanics.Value(),
-		WorkerRestarts: m.workerRestarts.Value(),
-		WatchdogKicks:  m.watchdogKicks.Value(),
-		ShedMessages:   m.shedMessages.Value(),
-		DegradeMode:    m.DegradeMode().String(),
-		ActiveHosts:    int(m.hostCount.Load()),
-		Shards:         len(m.shards),
+		Messages:        m.messages.Value(),
+		Anomalies:       m.anoms.Value(),
+		Warnings:        m.warningsC.Value(),
+		EvictedHosts:    m.evicted.Value(),
+		Symbols:         tree.SymCount(),
+		SymbolOverflows: tree.SymOverflows(),
+		ModelSwaps:      m.swaps.Value(),
+		ShardPanics:     m.shardPanics.Value(),
+		WorkerRestarts:  m.workerRestarts.Value(),
+		WatchdogKicks:   m.watchdogKicks.Value(),
+		ShedMessages:    m.shedMessages.Value(),
+		DegradeMode:     m.DegradeMode().String(),
+		ActiveHosts:     int(m.hostCount.Load()),
+		Shards:          len(m.shards),
 	}
 }
 

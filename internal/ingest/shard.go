@@ -71,11 +71,9 @@ type drainBuf struct {
 	msgs []logfmt.Message
 	// syms is one arena of prepared symbols for the whole drain; symOff
 	// holds len(msgs)+1 offsets into it (message i's symbols are
-	// syms[symOff[i]:symOff[i+1]]). symOK marks messages whose prepare
-	// succeeded on the interned path; the rest fall back to strings.
+	// syms[symOff[i]:symOff[i+1]]).
 	syms   []uint32
 	symOff []int
-	symOK  []bool
 	tb     sigtree.TokenBuf
 	tpls   []int
 }
@@ -347,9 +345,11 @@ drain:
 // Both routes end here with sh.mu held: a worker's drain of queued
 // messages (consume) and HandleMessage's drain of one.
 //
-//  1. Prepare every message into one symbol arena. This is pure and runs
-//     outside the tree lock; the tree pointer is stable because SwapModel
-//     replaces it only with every shard mutex held.
+//  1. Prepare every message into one symbol arena. This touches only the
+//     lock-free symbol table, so it runs outside the tree lock, and it
+//     cannot fail: a token the full table does not hold becomes the
+//     wildcard. The tree pointer is stable because SwapModel replaces it
+//     only with every shard mutex held.
 //  2. Learn them all in one treeMu section, so a drain costs one global
 //     lock acquisition however many messages it holds.
 //  3. Unless scoring is shed, take the messages in arrival order: resolve
@@ -385,22 +385,16 @@ func (sh *shard) process(b *drainBuf) {
 	tree := m.tree
 	b.syms = b.syms[:0]
 	b.symOff = grow(b.symOff, n+1)
-	b.symOK = grow(b.symOK, n)
 	b.tpls = grow(b.tpls, n)
 	for i := range msgs {
 		b.symOff[i] = len(b.syms)
-		b.syms, b.symOK[i] = tree.AppendSyms(b.syms, msgs[i].Text, &b.tb)
+		b.syms, _ = tree.AppendSyms(b.syms, msgs[i].Text, &b.tb)
 	}
 	b.symOff[n] = len(b.syms)
 	t0 := m.learnSeconds.Start()
 	m.treeMu.Lock()
 	for i := range msgs {
-		if b.symOK[i] {
-			b.tpls[i] = tree.LearnSyms(b.syms[b.symOff[i]:b.symOff[i+1]]).ID
-		} else {
-			// Symbol table full: string path for this message only.
-			b.tpls[i] = tree.LearnTokens(sigtree.PrepareTokens(msgs[i].Text)).ID
-		}
+		b.tpls[i] = tree.LearnSyms(b.syms[b.symOff[i]:b.symOff[i+1]]).ID
 	}
 	m.treeMu.Unlock()
 	m.learnSeconds.ObserveDuration(t0)

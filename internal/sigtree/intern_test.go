@@ -110,10 +110,7 @@ func FuzzScannerEquivalence(f *testing.F) {
 		want := PrepareTokens(msg)
 		tr := New()
 		var tb TokenBuf
-		syms, ok := tr.PrepareSyms(msg, &tb)
-		if !ok {
-			t.Skip("symbol table full") // unreachable with a fresh tree
-		}
+		syms, _ := tr.PrepareSyms(msg, &tb)
 		got := resolveSyms(tr, syms)
 		if len(got) != len(want) {
 			t.Fatalf("scanner %v != reference %v", got, want)
@@ -223,10 +220,26 @@ func TestLoadRebuildsSymbols(t *testing.T) {
 	}
 }
 
-// A full symbol table must degrade to the string path, not corrupt
-// matching: PrepareSyms reports !ok for un-internable tokens and the
-// fallback LearnTokens keeps template identity consistent.
-func TestSymTabFullFallback(t *testing.T) {
+// checkSymMirror asserts the invariant every template keeps, full table
+// included: Tokens[i] is the string of syms[i].
+func checkSymMirror(t *testing.T, tr *Tree) {
+	t.Helper()
+	for _, tpl := range tr.templates {
+		if len(tpl.syms) != len(tpl.Tokens) {
+			t.Fatalf("template %d: %d syms for %d tokens", tpl.ID, len(tpl.syms), len(tpl.Tokens))
+		}
+		for i, id := range tpl.syms {
+			if got := tr.syms.str(id); got != tpl.Tokens[i] {
+				t.Fatalf("template %d position %d: token %q, symbol %d is %q", tpl.ID, i, tpl.Tokens[i], id, got)
+			}
+		}
+	}
+}
+
+// A full symbol table treats an unseen structural token as a variable
+// field: the scanner keeps working, allocation-free, and what was interned
+// before the cap keeps matching.
+func TestSymTabFullOverflowsToWildcard(t *testing.T) {
 	old := symLimit
 	symLimit = 8
 	defer func() { symLimit = old }()
@@ -237,28 +250,94 @@ func TestSymTabFullFallback(t *testing.T) {
 	if _, ok := tr.PrepareSyms("one two three four five six seven", &tb); !ok {
 		t.Fatal("table filled before the limit")
 	}
-	if n := tr.SymCount(); n != 8 {
-		t.Fatalf("SymCount=%d want 8", n)
+	if n, o := tr.SymCount(), tr.SymOverflows(); n != 8 || o != 0 {
+		t.Fatalf("SymCount=%d SymOverflows=%d want 8, 0", n, o)
 	}
-	// A fresh structural token cannot intern.
-	if _, ok := tr.PrepareSyms("eight", &tb); ok {
-		t.Fatal("PrepareSyms must fail once the table is full")
+	// A fresh structural token becomes the wildcard, and is counted.
+	syms, ok := tr.PrepareSyms("eight", &tb)
+	if !ok || len(syms) != 1 || syms[0] != wildcardID {
+		t.Fatalf("PrepareSyms(eight)=%v %v want [wildcardID] true", syms, ok)
 	}
-	// Variable tokens and interned tokens still prepare fine.
-	if syms, ok := tr.PrepareSyms("one 12345 seven", &tb); !ok || len(syms) != 3 {
-		t.Fatalf("interned+masked prepare failed: %v %v", syms, ok)
+	if n, o := tr.SymCount(), tr.SymOverflows(); n != 8 || o != 1 {
+		t.Fatalf("SymCount=%d SymOverflows=%d want 8, 1", n, o)
 	}
-	// The string fallback learns the un-internable message; re-learning it
-	// through either entry point maps to the same template.
-	a := tr.LearnTokens(PrepareTokens("eight nine ten"))
-	b := tr.Learn("eight nine ten")
-	if a.ID != b.ID || b.Count != 2 {
-		t.Fatalf("fallback template identity broken: %d vs %d (count %d)", a.ID, b.ID, b.Count)
+	// Interned and variable tokens still resolve.
+	syms, ok = tr.PrepareSyms("one 12345 SEVEN", &tb)
+	if got := resolveSyms(tr, syms); !ok || len(got) != 3 || got[0] != "one" || got[1] != Wildcard || got[2] != "seven" {
+		t.Fatalf("interned+masked prepare: %v %v", got, ok)
 	}
-	// An internable message must not merge into the invalidSym positions.
-	c := tr.Learn("one 99 seven")
-	if c.ID == a.ID {
-		t.Fatal("internable message merged into un-internable template")
+	// Un-internable messages keep template identity across repeats, by
+	// either entry point, and collapse by length as variable fields do.
+	a := tr.Learn("eight nine ten")
+	syms, _ = tr.PrepareSyms("eight nine ten", &tb)
+	b := tr.LearnSyms(syms)
+	c := tr.Learn("eleven twelve thirteen")
+	if a.ID != b.ID || a.ID != c.ID || c.Count != 3 {
+		t.Fatalf("un-internable template identity broken: %d %d %d (count %d)", a.ID, b.ID, c.ID, c.Count)
+	}
+	if a.String() != "* * *" {
+		t.Fatalf("un-internable template is %q", a)
+	}
+	// An internable message does not merge into it.
+	if d := tr.Learn("one 99 seven"); d.ID == a.ID || d.String() != "one * seven" {
+		t.Fatalf("internable message landed on template %d %q", d.ID, d)
+	}
+
+	// A shuffled corpus through all three learners, then a tree saved
+	// under the default cap and loaded under this one: the mirror holds.
+	rng := rand.New(rand.NewSource(3))
+	msgs := internCorpus()
+	rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
+	for i, msg := range msgs {
+		switch i % 3 {
+		case 0:
+			tr.Learn(msg)
+		case 1:
+			syms, _ = tr.PrepareSyms(msg, &tb)
+			tr.LearnSyms(syms)
+		case 2:
+			tr.LearnTokens(PrepareTokens(msg))
+		}
+	}
+	checkSymMirror(t, tr)
+	if tr.SymCount() != 8 {
+		t.Fatalf("table grew past the cap: %d", tr.SymCount())
+	}
+	symLimit = old
+	big := New()
+	for _, msg := range msgs {
+		big.Learn(msg)
+	}
+	var buf bytes.Buffer
+	if err := big.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	symLimit = 8
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSymMirror(t, loaded)
+
+	// Once every template is learned, a message costs no allocation on a
+	// full table. (Merges can unseat an earlier match, so replay to a fixed
+	// point first.)
+	var arena []uint32
+	learnAll := func() {
+		for _, msg := range msgs {
+			arena, ok = tr.AppendSyms(arena[:0], msg, &tb)
+			if !ok {
+				t.Fatalf("AppendSyms(%q) failed on a full table", msg)
+			}
+			tr.LearnSyms(arena)
+		}
+	}
+	for n := -1; n != tr.Len(); {
+		n = tr.Len()
+		learnAll()
+	}
+	if avg := testing.AllocsPerRun(10, learnAll); avg != 0 {
+		t.Fatalf("full table, all templates learned: %v allocs per corpus pass, want 0", avg)
 	}
 }
 

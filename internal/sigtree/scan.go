@@ -9,15 +9,16 @@ type TokenBuf struct {
 	low  []byte
 }
 
-// PrepareSyms is the interned counterpart of PrepareTokens: it tokenizes,
-// masks, ASCII-lowercases, and interns msg in one pass over the raw bytes,
-// with no per-token copies — structural tokens are looked up in the symbol
-// table straight from a reusable lowercase buffer. The returned slice is
-// tb's scratch, valid until the next PrepareSyms/AppendSyms call on tb.
+// PrepareSyms tokenizes, masks, ASCII-lowercases, and interns msg in one
+// pass over the raw bytes, with no per-token copies — structural tokens are
+// looked up in the symbol table straight from a reusable lowercase buffer.
+// The returned slice is tb's scratch, valid until the next
+// PrepareSyms/AppendSyms call on tb.
 //
-// ok=false means the symbol table is full and some token could not be
-// interned; the caller must fall back to PrepareTokens+LearnTokens, which
-// implement identical semantics over strings.
+// It cannot fail: a structural token the full symbol table does not hold
+// becomes wildcardID (see symLimit). The bool is always true; it stays
+// only because bench/layers.go reads it, and goes when ROADMAP item 1 lets
+// that file drop it.
 func (t *Tree) PrepareSyms(msg string, tb *TokenBuf) ([]uint32, bool) {
 	syms, ok := t.AppendSyms(tb.syms[:0], msg, tb)
 	tb.syms = syms[:0:cap(syms)]
@@ -26,8 +27,8 @@ func (t *Tree) PrepareSyms(msg string, tb *TokenBuf) ([]uint32, bool) {
 
 // AppendSyms appends msg's prepared symbols to dst and returns the grown
 // slice — the arena form of PrepareSyms for callers batching many messages
-// into one backing array (offsets into dst stay valid across growth). On
-// ok=false dst is returned truncated to its original length.
+// into one backing array (offsets into dst stay valid across growth). The
+// bool is always true, as for PrepareSyms.
 func (t *Tree) AppendSyms(dst []uint32, msg string, tb *TokenBuf) ([]uint32, bool) {
 	n0 := len(dst)
 	n := len(msg)
@@ -51,16 +52,10 @@ func (t *Tree) AppendSyms(dst []uint32, msg string, tb *TokenBuf) ([]uint32, boo
 		}
 		if end > i {
 			tok := msg[i:end]
-			var id uint32
-			if IsVariableToken(tok) {
-				id = wildcardID
-			} else {
+			id := wildcardID
+			if !IsVariableToken(tok) {
 				tb.low = appendLowerASCII(tb.low[:0], tok)
-				var ok bool
-				id, ok = t.syms.intern(tb.low)
-				if !ok {
-					return dst[:n0], false
-				}
+				id = t.syms.intern(tb.low)
 			}
 			dst = append(dst, id)
 		}

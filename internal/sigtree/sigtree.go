@@ -20,16 +20,22 @@
 // Templates receive stable small-integer IDs in discovery order, which
 // downstream models use directly as class indices.
 //
-// Two equivalent front ends feed the tree. The string path
-// (PrepareTokens+LearnTokens) is the reference: plain []string tokens,
-// position-wise string comparison. The interned path
-// (PrepareSyms+LearnSyms) is the serving hot path: tokens are interned
-// into a per-tree symbol table (symtab.go) by a byte-oriented scanner
-// (scan.go) that never copies per token, and matching compares uint32
-// symbol IDs. Every template carries both representations, kept in sync
-// by construction, so either path may be used on the same tree and
-// serialization (Save/Load, Fingerprint) always sees strings — the wire
-// format is byte-identical to the pre-interning one.
+// One front end feeds the tree in every binary: the interned path
+// (PrepareSyms/AppendSyms + LearnSyms, which Learn wraps). A byte-oriented
+// scanner (scan.go) interns tokens into a per-tree symbol table
+// (symtab.go) without copying per token, and matching compares uint32
+// symbol IDs. The table is capped; a structural token the full table does
+// not hold is treated as a variable field (it becomes the wildcard), so
+// the scanner cannot fail and the tree needs no second path past the cap.
+//
+// The string path (PrepareTokens+LearnTokens: plain []string tokens,
+// position-wise string comparison) is the reference implementation the
+// tests and the benchmark's oracle compare the scanner against. It is
+// equivalent below the cap and has no production caller.
+//
+// Every template carries both representations, Tokens[i] being the string
+// of syms[i] always, so serialization (Save/Load, Fingerprint) sees only
+// strings — the wire format is byte-identical to the pre-interning one.
 package sigtree
 
 import (
@@ -53,9 +59,8 @@ type Template struct {
 	Count int
 
 	// syms mirrors Tokens as interned symbol IDs (wildcardID at masked
-	// positions, invalidSym where the table was full at creation). It is
-	// unexported, so gob serialization — and therefore checkpoint and
-	// bundle bytes — is unchanged by its existence.
+	// positions). It is unexported, so gob serialization — and therefore
+	// checkpoint and bundle bytes — is unchanged by its existence.
 	syms []uint32
 }
 
@@ -86,23 +91,12 @@ type Tree struct {
 
 	// syms interns token strings to the uint32 IDs the hot path compares.
 	syms symTab
-}
-
-// Option configures a Tree.
-type Option func(*Tree)
-
-// WithSimThreshold sets the merge similarity threshold (default 0.6).
-func WithSimThreshold(th float64) Option {
-	return func(t *Tree) { t.simThreshold = th }
-}
-
-// WithMaxTemplates caps the number of distinct templates (default 1024).
-func WithMaxTemplates(n int) Option {
-	return func(t *Tree) { t.maxTemplates = n }
+	// tb is Learn's scratch, guarded by whatever serializes learning.
+	tb TokenBuf
 }
 
 // New returns an empty signature tree.
-func New(opts ...Option) *Tree {
+func New() *Tree {
 	t := &Tree{
 		simThreshold: 0.6,
 		maxTemplates: 1024,
@@ -110,9 +104,6 @@ func New(opts ...Option) *Tree {
 		overflow:     -1,
 	}
 	t.syms.init()
-	for _, o := range opts {
-		o(t)
-	}
 	return t
 }
 
@@ -131,17 +122,21 @@ func (t *Tree) TemplateByID(id int) *Template {
 // included) — an observability hook for the hot path's vocabulary size.
 func (t *Tree) SymCount() int { return t.syms.size() }
 
+// SymOverflows returns how many tokens were mapped to the wildcard because
+// the symbol table was full (see symLimit). Lock-free, like SymCount.
+func (t *Tree) SymOverflows() uint64 { return t.syms.overflows.Load() }
+
 // Learn matches msg against the tree, creating or refining a template as
-// needed, increments its count, and returns it.
+// needed, increments its count, and returns it: PrepareSyms + LearnSyms
+// over the tree's own scratch.
 func (t *Tree) Learn(msg string) *Template {
-	return t.LearnTokens(PrepareTokens(msg))
+	syms, _ := t.PrepareSyms(msg, &t.tb)
+	return t.LearnSyms(syms)
 }
 
 // PrepareTokens tokenizes and masks msg into the canonical form LearnTokens
-// consumes. It is a pure function of msg, so concurrent shard workers run
-// it outside the tree lock — tokenization is the expensive half of Learn —
-// and only the match/merge step needs serialization. PrepareSyms is the
-// allocation-free interned equivalent.
+// consumes — the reference for what PrepareSyms interns. A pure function of
+// msg.
 func PrepareTokens(msg string) []string {
 	tokens := maskTokens(Tokenize(msg))
 	if len(tokens) == 0 {
@@ -150,10 +145,12 @@ func PrepareTokens(msg string) []string {
 	return tokens
 }
 
-// LearnTokens is Learn over tokens already prepared with PrepareTokens.
-// Like every learning method it requires external synchronization; the
-// caller must not mutate tokens afterwards (a new template takes
-// ownership).
+// LearnTokens is the reference for LearnSyms, over tokens prepared with
+// PrepareTokens: the same template, ID and count while the symbol table
+// has room. It does not map un-internable tokens to the wildcard before
+// matching, so past the cap the two differ. Like every learning method it
+// requires external synchronization; the caller must not mutate tokens
+// afterwards (a new template takes ownership).
 func (t *Tree) LearnTokens(tokens []string) *Template {
 	if idx, merge := t.findBestTokens(tokens); idx >= 0 {
 		tpl := t.templates[idx]
@@ -166,25 +163,31 @@ func (t *Tree) LearnTokens(tokens []string) *Template {
 	if len(t.templates) >= t.maxTemplates {
 		return t.overflowTemplate()
 	}
-	syms := make([]uint32, len(tokens))
-	for i, tok := range tokens {
-		id, ok := t.syms.internString(tok)
-		if !ok {
-			id = invalidSym
-		}
-		syms[i] = id
-	}
-	tpl := &Template{ID: len(t.templates), Tokens: tokens, Count: 1, syms: syms}
+	tpl := &Template{ID: len(t.templates), Tokens: tokens, Count: 1, syms: t.internTokens(tokens)}
 	t.templates = append(t.templates, tpl)
 	t.buckets[len(tokens)] = append(t.buckets[len(tokens)], tpl.ID)
 	return tpl
 }
 
-// LearnSyms is LearnTokens over symbols prepared with PrepareSyms — the
-// integer-compare hot path. It allocates only when the tree grows a new
-// template (the symbols are copied then, so the caller's scratch slice
-// stays reusable). Requires the same external synchronization as
-// LearnTokens; PrepareSyms itself does not.
+// internTokens returns the symbol mirror of a new template's tokens. A
+// token the full table cannot take becomes Wildcard in tokens too, so
+// Tokens[i] == str(syms[i]) holds for every template.
+func (t *Tree) internTokens(tokens []string) []uint32 {
+	syms := make([]uint32, len(tokens))
+	for i, tok := range tokens {
+		syms[i] = t.syms.internString(tok)
+		if syms[i] == wildcardID {
+			tokens[i] = Wildcard
+		}
+	}
+	return syms
+}
+
+// LearnSyms matches symbols prepared with PrepareSyms/AppendSyms against
+// the tree by integer compares, creating or refining a template as needed.
+// It allocates only when the tree grows a new template (the symbols are
+// copied then, so the caller's scratch slice stays reusable). Requires
+// external synchronization; PrepareSyms itself does not.
 func (t *Tree) LearnSyms(syms []uint32) *Template {
 	if idx, merge := t.findBestSyms(syms); idx >= 0 {
 		tpl := t.templates[idx]
@@ -227,8 +230,8 @@ func (t *Tree) findBestTokens(tokens []string) (int, bool) {
 }
 
 // findBestSyms is findBestTokens on interned symbols. Symbol equality is
-// string equality (interning is injective; invalidSym positions match
-// nothing, see invalidSym), so both paths pick the same template.
+// string equality (interning is injective), so both paths pick the same
+// template.
 func (t *Tree) findBestSyms(syms []uint32) (int, bool) {
 	bestIdx, bestSim := -1, 0.0
 	for _, idx := range t.buckets[len(syms)] {
@@ -289,7 +292,7 @@ func symSimilarity(a, b []uint32) float64 {
 	}
 	eq := 0
 	for i := range a {
-		if a[i] == b[i] && a[i] != invalidSym {
+		if a[i] == b[i] {
 			eq++
 		}
 	}
@@ -310,7 +313,7 @@ func mergeIntoTokens(tpl *Template, tokens []string) {
 // mergeIntoSyms is mergeIntoTokens on the symbol path.
 func mergeIntoSyms(t *Tree, tpl *Template, syms []uint32) {
 	for i := range tpl.syms {
-		if tpl.syms[i] != syms[i] || tpl.syms[i] == invalidSym {
+		if tpl.syms[i] != syms[i] {
 			tpl.syms[i] = wildcardID
 			tpl.Tokens[i] = Wildcard
 		}
@@ -484,18 +487,13 @@ func Load(r io.Reader) (*Tree, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("sigtree: decoding tree: %w", err)
 	}
-	t := New(WithSimThreshold(snap.SimThreshold), WithMaxTemplates(snap.MaxTemplates))
+	t := New()
+	t.simThreshold = snap.SimThreshold
+	t.maxTemplates = snap.MaxTemplates
 	t.overflow = snap.Overflow
 	for i := range snap.Templates {
 		cp := snap.Templates[i]
-		cp.syms = make([]uint32, len(cp.Tokens))
-		for j, tok := range cp.Tokens {
-			id, ok := t.syms.internString(tok)
-			if !ok {
-				id = invalidSym
-			}
-			cp.syms[j] = id
-		}
+		cp.syms = t.internTokens(cp.Tokens)
 		t.templates = append(t.templates, &cp)
 		t.buckets[len(cp.Tokens)] = append(t.buckets[len(cp.Tokens)], cp.ID)
 	}

@@ -95,7 +95,7 @@ func TestVariableFieldsBecomeWildcards(t *testing.T) {
 }
 
 func TestMergeGeneralizesDisagreeingPositions(t *testing.T) {
-	tr := New(WithSimThreshold(0.6))
+	tr := New()
 	tr.Learn("service restart requested by operator alice")
 	tpl := tr.Learn("service restart requested by operator bob")
 	if tpl.Tokens[5] != Wildcard {
@@ -143,7 +143,7 @@ func TestMatchDoesNotLearn(t *testing.T) {
 }
 
 func TestWildcardLeadRebucketing(t *testing.T) {
-	tr := New(WithSimThreshold(0.6))
+	tr := New()
 	// Force the lead token to generalize.
 	tr.Learn("alpha common tail here xx")
 	tr.Learn("beta common tail here xx")
@@ -158,7 +158,8 @@ func TestWildcardLeadRebucketing(t *testing.T) {
 }
 
 func TestMaxTemplatesOverflow(t *testing.T) {
-	tr := New(WithMaxTemplates(3))
+	tr := New()
+	tr.maxTemplates = 3
 	tr.Learn("aaa bbb ccc")
 	tr.Learn("ddd eee fff ggg")
 	tr.Learn("hhh iii")
@@ -199,7 +200,8 @@ func TestTemplateByID(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := New(WithSimThreshold(0.7), WithMaxTemplates(100))
+	tr := New()
+	tr.simThreshold, tr.maxTemplates = 0.7, 100
 	msgs := []string{
 		"interface ge-0/0/1 down",
 		"interface xe-1/0/0 down",
@@ -219,6 +221,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if loaded.Len() != tr.Len() {
 		t.Fatalf("Len mismatch: %d vs %d", loaded.Len(), tr.Len())
+	}
+	if loaded.simThreshold != 0.7 || loaded.maxTemplates != 100 {
+		t.Fatalf("Load dropped the saved limits: %v %d", loaded.simThreshold, loaded.maxTemplates)
 	}
 	// The loaded tree must match the same messages to the same IDs.
 	for _, m := range msgs {

@@ -9,19 +9,14 @@ import (
 // with it so masked positions compare as a single integer everywhere.
 const wildcardID uint32 = 0
 
-// invalidSym marks a template position whose token could not be interned
-// (the table hit symLimit). It is never produced for message tokens — the
-// prepare path reports failure instead and the caller falls back to the
-// string path — so on the symbol path an invalidSym position simply never
-// matches, which is correct: a message token equal to that string would
-// itself have failed to intern.
-const invalidSym = ^uint32(0)
-
 // symLimit caps the symbol table. Structural vocabulary is small (variable
 // fields are masked before interning), so the cap exists only to bound
-// memory against adversarial input; past it the tree keeps working on the
-// legacy string path. A var only so the full-table fallback is testable
-// without a million interns; nothing outside tests may write it.
+// memory against adversarial input. Past it the table takes no new token:
+// intern answers wildcardID for one it does not already hold, so an unseen
+// structural token is treated as a variable field, and every token interned
+// before the cap keeps its ID and keeps matching. A var only so the full
+// table is testable without a million interns; nothing outside tests may
+// write it.
 var symLimit = 1 << 20
 
 // symSnap is one published generation of the symbol table. Readers load it
@@ -56,6 +51,9 @@ type symTab struct {
 	staleHits int
 
 	snap atomic.Pointer[symSnap]
+	// overflows counts the tokens answered with wildcardID because the
+	// table was full.
+	overflows atomic.Uint64
 }
 
 // init seeds the table with the wildcard at ID 0.
@@ -77,32 +75,37 @@ func (st *symTab) publishLocked() {
 }
 
 // intern returns the ID for the token bytes, adding it to the table when
-// new. ok=false means the table is full; the caller must fall back to the
-// string path for this message.
-func (st *symTab) intern(tok []byte) (uint32, bool) {
+// new. A token the full table does not hold gets wildcardID (see symLimit).
+func (st *symTab) intern(tok []byte) uint32 {
 	s := st.snap.Load()
 	if id, ok := s.ids[string(tok)]; ok { // zero-copy map key conversion
-		return id, true
+		return id
 	}
 	if len(s.strs) >= symLimit && len(s.ids) == len(s.strs) {
 		// Full AND the published map is complete, so the miss is real;
 		// skip the mutex. (Stale published maps must still fall through —
 		// the token may be interned but unpublished.)
-		return 0, false
+		return st.overflow()
 	}
 	return st.slowIntern(string(tok))
 }
 
 // internString is intern for callers that already hold a string.
-func (st *symTab) internString(tok string) (uint32, bool) {
+func (st *symTab) internString(tok string) uint32 {
 	s := st.snap.Load()
 	if id, ok := s.ids[tok]; ok {
-		return id, true
+		return id
 	}
 	if len(s.strs) >= symLimit && len(s.ids) == len(s.strs) {
-		return 0, false
+		return st.overflow()
 	}
 	return st.slowIntern(tok)
+}
+
+// overflow is the answer for a token the full table does not hold.
+func (st *symTab) overflow() uint32 {
+	st.overflows.Add(1)
+	return wildcardID
 }
 
 // slowIntern consults the authoritative map under the mutex and appends
@@ -110,7 +113,7 @@ func (st *symTab) internString(tok string) (uint32, bool) {
 // when pending inserts or stale hits reach 64 + vocab/4, which amortizes
 // the O(vocab) copy to O(1) per slow-path visit and bounds how long a
 // recently interned token keeps paying the mutex.
-func (st *symTab) slowIntern(tok string) (uint32, bool) {
+func (st *symTab) slowIntern(tok string) uint32 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if id, ok := st.auth[tok]; ok {
@@ -118,7 +121,7 @@ func (st *symTab) slowIntern(tok string) (uint32, bool) {
 		if st.staleHits >= 64+len(st.auth)>>2 {
 			st.publishLocked()
 		}
-		return id, true
+		return id
 	}
 	if len(st.strs) >= symLimit {
 		// Terminal state: publish the complete map once so future misses
@@ -126,7 +129,7 @@ func (st *symTab) slowIntern(tok string) (uint32, bool) {
 		if len(st.snap.Load().ids) != len(st.strs) {
 			st.publishLocked()
 		}
-		return 0, false
+		return st.overflow()
 	}
 	id := uint32(len(st.strs))
 	st.auth[tok] = id
@@ -140,18 +143,13 @@ func (st *symTab) slowIntern(tok string) (uint32, bool) {
 		cur := st.snap.Load()
 		st.snap.Store(&symSnap{ids: cur.ids, strs: st.strs})
 	}
-	return id, true
+	return id
 }
 
 // str resolves an ID back to its string. Every ID handed out by intern is
-// covered by the snapshot published before intern returned, so the bounds
-// check only guards invalidSym placeholders.
+// covered by the snapshot published before intern returned.
 func (st *symTab) str(id uint32) string {
-	s := st.snap.Load()
-	if int(id) < len(s.strs) {
-		return s.strs[id]
-	}
-	return Wildcard
+	return st.snap.Load().strs[id]
 }
 
 // size returns the number of interned symbols (wildcard included).
