@@ -136,10 +136,10 @@ type bundleStatus struct {
 
 // ckptStatus describes checkpoint activity for /statusz.
 type ckptStatus struct {
-	Path        string    `json:"path,omitempty"`
-	LastSavedAt time.Time `json:"last_saved_at,omitempty"`
-	LastError   string    `json:"last_error,omitempty"`
-	RestoredAt  time.Time `json:"restored_at,omitempty"`
+	Path       string    `json:"path,omitempty"`
+	LastSave   time.Time `json:"last_saved_at,omitempty"`
+	LastError  string    `json:"last_error,omitempty"`
+	RestoredAt time.Time `json:"restored_at,omitempty"`
 }
 
 // resilienceStatus is the /statusz resilience section: degradation mode
@@ -264,7 +264,7 @@ func (a *app) saveCheckpoint(path, reason string) {
 	if err != nil {
 		a.ckpt.LastError = err.Error()
 	} else {
-		a.ckpt.LastSavedAt = time.Now()
+		a.ckpt.LastSave = time.Now()
 	}
 }
 

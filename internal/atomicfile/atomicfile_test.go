@@ -1,6 +1,7 @@
 package atomicfile
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -51,14 +52,17 @@ func TestTornWriteLeavesOldFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("the good copy"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	plan := faultinject.NewPlan(faultinject.FailAfterBytes(7))
+	faults := faultinject.NewRegistry()
+	if err := faults.Arm("test.write", faultinject.Arming{Mode: faultinject.ModeTorn, Bytes: 7}); err != nil {
+		t.Fatal(err)
+	}
+	fp := faults.Point("test.write", "")
 	err := Write(path, func(w io.Writer) error {
-		fw := faultinject.NewWriter(w, plan)
-		_, err := fw.Write([]byte("a much longer replacement payload"))
+		_, err := fp.Writer(w).Write([]byte("a much longer replacement payload"))
 		return err
 	})
-	if err == nil {
-		t.Fatal("torn write should surface the error")
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("torn write = %v, want the injected fault surfaced", err)
 	}
 	got, rerr := os.ReadFile(path)
 	if rerr != nil || string(got) != "the good copy" {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nfvpredict/internal/detect"
-	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/sigtree"
 	"nfvpredict/internal/wireframe"
@@ -133,7 +132,7 @@ func TestLoadBitFlip(t *testing.T) {
 	// Flip single bits at several payload offsets; the CRC must catch each.
 	for _, byteOff := range []int{headerLen, headerLen + 100, len(full) - 8} {
 		corrupt := append([]byte(nil), full...)
-		faultinject.FlipBit(corrupt, byteOff*8+3)
+		corrupt[byteOff] ^= 1 << 3
 		_, err := Load(bytes.NewReader(corrupt))
 		if err == nil {
 			t.Fatalf("bit flip at byte %d not detected", byteOff)
@@ -248,7 +247,7 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultinject.FlipBit(raw, (len(raw)/2)*8)
+	raw[len(raw)/2] ^= 1
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

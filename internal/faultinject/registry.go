@@ -1,7 +1,18 @@
+// Package faultinject is the runtime's fault-injection registry: named
+// points in production code — checkpoint and spool writes, spool and bundle
+// loads, shard drains and worker loops, the watchdog's clock, the
+// adaptation cycle — that tests, the fault-soak scenario and the /chaos
+// admin endpoint arm at runtime to fail, tear, fill, stall, panic or skew.
+// A disarmed point costs one atomic pointer load, so the points ship in the
+// binary. Every arming is deterministic (a mode, a count, a byte offset),
+// so a failing test reproduces exactly. Tests arm a private Registry; a
+// point's Writer wraps any io.Writer, which is how a test tears a file or
+// connection write at a chosen byte offset.
 package faultinject
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +22,10 @@ import (
 	"sync/atomic"
 	"time"
 )
+
+// ErrInjected is the error an armed point returns unless its Arming
+// overrides it.
+var ErrInjected = errors.New("faultinject: injected fault")
 
 // ErrDiskFull is the injected error for the disk-full fault mode. It wraps
 // ErrInjected so errors.Is(err, ErrInjected) still identifies it as

@@ -146,6 +146,29 @@ func TestPointWriterTorn(t *testing.T) {
 	if n, err := w2.Write([]byte("clean")); n != 5 || err != nil {
 		t.Fatalf("post-exhaustion write = (%d, %v)", n, err)
 	}
+
+	// A budget spanning several writes: the calls inside it pass whole,
+	// the one that crosses it is torn at the offset, every later one fails
+	// with nothing written — the shape of an encoder's header, payload and
+	// trailer writes into a file that stops taking bytes.
+	if err := r.Arm("test.torn", Arming{Mode: ModeTorn, Bytes: 10, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var buf3 bytes.Buffer
+	w3 := p.Writer(&buf3)
+	for i, c := range []struct {
+		in     string
+		n      int
+		failed bool
+	}{{"head", 4, false}, {"er", 2, false}, {"payload", 4, true}, {"crc", 0, true}, {"x", 0, true}} {
+		n, err := w3.Write([]byte(c.in))
+		if n != c.n || errors.Is(err, ErrInjected) != c.failed {
+			t.Fatalf("write %d (%q) = (%d, %v), want (%d, failed=%v)", i, c.in, n, err, c.n, c.failed)
+		}
+	}
+	if buf3.String() != "headerpayl" {
+		t.Fatalf("torn stream = %q, want the 10-byte prefix %q", buf3.String(), "headerpayl")
+	}
 }
 
 func TestPointWriterDiskFull(t *testing.T) {

@@ -48,7 +48,6 @@ type checkpointWire struct {
 	Anoms    uint64
 	Evicted  uint64
 	Swaps    uint64
-	SavedAt  time.Time
 }
 
 // Checkpoint snapshots the monitor's full online state — the grown
@@ -108,7 +107,6 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 	for i, h := range hosts {
 		wf.Hosts[i] = h.hw
 	}
-	wf.SavedAt = m.now()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&wf); err != nil {
 		return fmt.Errorf("checkpoint: encoding: %w", err)
@@ -177,7 +175,7 @@ func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *d
 		}
 		hs := &hostState{host: hw.Host, model: det.Name(), stream: st, seq: m.seq.Add(1)}
 		if m.cfg.Traces != nil {
-			hs.recent = make([]obs.TraceStep, m.cfg.TraceWindow)
+			hs.recent = make([]obs.TraceStep, DefaultTraceWindow)
 		}
 		if hw.HasCluster {
 			hs.cluster = &clusterState{first: hw.First, last: hw.Last, size: hw.Size, reported: hw.Reported}

@@ -2,20 +2,22 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"nfvpredict/internal/atomicfile"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/logfmt"
 	"nfvpredict/internal/sigtree"
+	"nfvpredict/internal/wireframe"
 )
 
 // monitorTraffic builds a deterministic message sequence: mostly normal
@@ -104,6 +106,67 @@ func TestCheckpointKillAndRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreCheckpointWithSavedAt restores a checkpoint in the earlier
+// wire form, which also carried a SavedAt timestamp that nothing read: gob
+// skips the field, so an old checkpoint resumes with the same counters and
+// warnings.
+func TestRestoreCheckpointWithSavedAt(t *testing.T) {
+	tree, det := trainMonitorDetector(t)
+	resolve := func(string) *detect.LSTMDetector { return det }
+	mcfg := DefaultMonitorConfig()
+	mcfg.Threshold = 4
+	mon := NewMonitorWithResolver(mcfg, tree, resolve, nil)
+	for _, m := range monitorTraffic([]string{"vpe01", "vpe02"}, 30) {
+		mon.HandleMessage(m)
+	}
+	var buf bytes.Buffer
+	if err := mon.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wireframe.Decode(buf.Bytes(), CheckpointMagic, CheckpointVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur checkpointWire
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cur); err != nil {
+		t.Fatal(err)
+	}
+
+	type oldCheckpointWire struct {
+		Tree     []byte
+		Hosts    []hostWire
+		Warnings []detect.Warning
+		Messages uint64
+		Anoms    uint64
+		Evicted  uint64
+		Swaps    uint64
+		SavedAt  time.Time
+	}
+	old := oldCheckpointWire{
+		Tree: cur.Tree, Hosts: cur.Hosts, Warnings: cur.Warnings,
+		Messages: cur.Messages, Anoms: cur.Anoms, Evicted: cur.Evicted, Swaps: cur.Swaps,
+		SavedAt: time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC),
+	}
+	var oldPayload, oldFile bytes.Buffer
+	if err := gob.NewEncoder(&oldPayload).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if err := wireframe.Encode(&oldFile, CheckpointMagic, CheckpointVersion, oldPayload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreMonitor(&oldFile, mcfg, resolve, nil)
+	if err != nil {
+		t.Fatalf("old-format checkpoint no longer restores: %v", err)
+	}
+	if a, b := mon.Stats(), restored.Stats(); a != b {
+		t.Fatalf("stats: checkpointed %+v, restored %+v", a, b)
+	}
+	wa, wb := mon.Warnings(), restored.Warnings()
+	if len(wa) == 0 || !reflect.DeepEqual(wa, wb) {
+		t.Fatalf("warnings: checkpointed %+v, restored %+v", wa, wb)
+	}
+}
+
 // cloneTree round-trips a tree through its serializer so the reference and
 // interrupted runs grow independent trees from the same starting point.
 func cloneTree(t testing.TB, tr *sigtree.Tree) *sigtree.Tree {
@@ -151,8 +214,10 @@ func trainMonitorDetectorWidth(t *testing.T, hidden int) (*sigtree.Tree, *detect
 func TestCheckpointFileTornWrite(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	resolve := func(string) *detect.LSTMDetector { return det }
+	faults := faultinject.NewRegistry()
 	mcfg := DefaultMonitorConfig()
 	mcfg.Threshold = 4
+	mcfg.Faults = faults
 	mon := NewMonitorWithResolver(mcfg, tree, resolve, nil)
 	for _, m := range monitorTraffic([]string{"vpe01"}, 30) {
 		mon.HandleMessage(m)
@@ -167,13 +232,13 @@ func TestCheckpointFileTornWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Torn write of a later checkpoint: inject a fault partway through.
-	plan := faultinject.NewPlan(faultinject.FailAfterBytes(int64(len(good) / 3)))
-	err = atomicfile.Write(path, func(w io.Writer) error {
-		return mon.Checkpoint(faultinject.NewWriter(w, plan))
-	})
-	if err == nil {
-		t.Fatal("torn checkpoint write should error")
+	// Torn write of a later checkpoint: the checkpoint.write point passes a
+	// third of the file through, then fails every write.
+	if err := faults.Arm("checkpoint.write", faultinject.Arming{Mode: faultinject.ModeTorn, Bytes: int64(len(good) / 3), Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.CheckpointFile(path); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("torn checkpoint write = %v, want the injected fault", err)
 	}
 	after, rerr := os.ReadFile(path)
 	if rerr != nil || !bytes.Equal(after, good) {
@@ -206,7 +271,7 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 		}
 	}
 	flipped := append([]byte(nil), full...)
-	faultinject.FlipBit(flipped, (len(flipped)/2)*8)
+	flipped[len(flipped)/2] ^= 1
 	_, err := RestoreMonitor(bytes.NewReader(flipped), mcfg, resolve, nil)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("bit flip: %v", err)
@@ -238,12 +303,11 @@ func TestRestoreShapeMismatchFailsLoudly(t *testing.T) {
 }
 
 // TestMonitorLRUEviction floods the monitor with more spoofed hostnames
-// than MaxHosts allows and verifies memory stays bounded.
+// than the host cap allows and verifies memory stays bounded.
 func TestMonitorLRUEviction(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
-	mcfg := DefaultMonitorConfig()
-	mcfg.MaxHosts = 8
-	mon := NewMonitorWithResolver(mcfg, tree, func(string) *detect.LSTMDetector { return det }, nil)
+	mon := NewMonitorWithResolver(DefaultMonitorConfig(), tree, func(string) *detect.LSTMDetector { return det }, nil)
+	mon.capHosts(8)
 	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 100; i++ {
 		mon.HandleMessage(logfmt.Message{

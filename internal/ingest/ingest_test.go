@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -512,22 +513,16 @@ func TestTCPEmptyAndMalformedOctetFrames(t *testing.T) {
 // TestTCPOversizeOctetFrameResync: a parseable but oversize length skips
 // exactly that many bytes and the connection keeps working.
 func TestTCPOversizeOctetFrameResync(t *testing.T) {
-	cfg := DefaultServerConfig()
-	cfg.MaxLine = 128
-	col := &collector{}
-	srv, err := NewServer(cfg, col.sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start(context.Background())
-	t.Cleanup(srv.Close)
+	srv, col := startServer(t)
 	conn, err := net.Dial("tcp", srv.TCPAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// 300 > MaxLine: the server must discard exactly 300 bytes then resume.
-	fmt.Fprintf(conn, "300 %s", strings.Repeat("j", 300))
+	// Over maxLine: the server must discard exactly that many bytes then
+	// resume.
+	over := maxLine + 100
+	fmt.Fprintf(conn, "%d %s", over, strings.Repeat("j", over))
 	line := sampleLine(3)
 	fmt.Fprintf(conn, "%d %s", len(line), line)
 	col.waitFor(t, 1)
@@ -558,9 +553,9 @@ func TestCloseDuringInFlightTCPFrame(t *testing.T) {
 	}
 }
 
-// TestTCPPeerDiesMidFrame uses the fault-injection conn: the peer's write
-// side fails (and closes) partway through a frame. The server must count
-// nothing received for the torn frame and keep accepting other peers.
+// TestTCPPeerDiesMidFrame tears the peer's write partway through a frame
+// with a fault point, then closes the peer's connection: the server must
+// count nothing received for the torn frame and keep accepting other peers.
 func TestTCPPeerDiesMidFrame(t *testing.T) {
 	srv, col := startServer(t)
 	raw, err := net.Dial("tcp", srv.TCPAddr().String())
@@ -569,11 +564,14 @@ func TestTCPPeerDiesMidFrame(t *testing.T) {
 	}
 	line := sampleLine(0)
 	frame := fmt.Sprintf("%d %s", len(line), line)
-	plan := faultinject.NewPlan(faultinject.FailAfterBytes(int64(len(frame) / 2)))
-	fc := &faultinject.Conn{Conn: raw, WritePlan: plan, CloseOnFault: true}
-	if _, err := fc.Write([]byte(frame)); err == nil {
-		t.Fatal("expected injected write fault")
+	faults := faultinject.NewRegistry()
+	if err := faults.Arm("peer.write", faultinject.Arming{Mode: faultinject.ModeTorn, Bytes: int64(len(frame) / 2)}); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := faults.Point("peer.write", "").Writer(raw).Write([]byte(frame)); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("torn peer write = %v, want the injected fault", err)
+	}
+	raw.Close()
 	// A second, healthy peer still gets through.
 	conn2, err := net.Dial("tcp", srv.TCPAddr().String())
 	if err != nil {

@@ -19,21 +19,10 @@ import (
 // MonitorConfig configures an online Monitor.
 type MonitorConfig struct {
 	// Threshold is the anomaly-score threshold (negative log-likelihood);
-	// pick it from an offline PRC's best-F operating point (§5.2).
+	// pick it from an offline PRC's best-F operating point (§5.2). The §5.1
+	// warning rule it feeds is fixed: detect.DefaultMinClusterSize
+	// anomalies within detect.DefaultClusterWindow, as offline.
 	Threshold float64
-	// ClusterWindow and MinClusterSize implement the §5.1 warning rule
-	// (≥2 anomalies within a minute → warning signature).
-	ClusterWindow  time.Duration
-	MinClusterSize int
-	// MaxHosts caps the number of per-host states (LSTM stream + anomaly
-	// cluster) held in memory; 0 means DefaultMaxHosts. When the cap is
-	// reached the least-recently-seen host is evicted, so a sender spoofing
-	// hostnames can cost at most MaxHosts streams of memory, never
-	// unbounded growth. An evicted host that reappears starts a cold
-	// stream. With multiple shards the cap is partitioned evenly
-	// (ceil(MaxHosts/Shards) per shard), so each shard evicts its own
-	// coldest hosts.
-	MaxHosts int
 
 	// Shards is the number of independent scoring shards; hosts are hashed
 	// onto shards, and each shard owns its hosts' LSTM streams under its
@@ -43,11 +32,6 @@ type MonitorConfig struct {
 	// hosts score in parallel, and give the async route (Enqueue/Start) one
 	// worker per shard. Use runtime.GOMAXPROCS(0) to match the machine.
 	Shards int
-	// ShardQueue bounds each shard's async ingest queue (Enqueue); 0 means
-	// DefaultShardQueue. When a queue is full, Enqueue reports false and
-	// the message is the caller's to drop and count — backpressure must
-	// never block a network listener.
-	ShardQueue int
 
 	// Watchdog, when > 0, runs a stuck-worker watchdog beside the async
 	// workers (Start): each worker stamps a heartbeat per loop iteration,
@@ -80,12 +64,10 @@ type MonitorConfig struct {
 	// cluster/model identity that explain the verdict. Nil disables
 	// tracing (and the per-host context windows that feed it).
 	Traces *obs.TraceRing
-	// TraceWindow is how many recent messages of context each trace
-	// carries (including the flagged one); 0 means DefaultTraceWindow.
-	TraceWindow int
 	// ClusterOf, when set, maps a host to its model's cluster index for
-	// trace identity (bundle deployments pass the bundle assignment);
-	// unmapped or nil reports cluster -1.
+	// trace identity and the OnScored hook. internal/serve passes the
+	// bundle assignment with unmapped hosts at cluster 0, whose detector
+	// scores them; nil reports cluster -1 in traces.
 	ClusterOf func(host string) int
 
 	// Tracer, when set, turns on span-based pipeline tracing: messages
@@ -117,18 +99,23 @@ type MonitorConfig struct {
 	OnScored func(host string, cluster int, ev features.Event, score float64, anomalous, burst bool)
 }
 
-// DefaultMaxHosts bounds per-host monitor state when MonitorConfig.MaxHosts
-// is unset. The paper's fleet is ~2.5k vPEs; 8192 leaves generous headroom
-// while keeping worst-case memory finite.
+// DefaultMaxHosts caps the per-host states (LSTM stream + anomaly cluster)
+// a monitor holds. When the cap is reached the least-recently-seen host is
+// evicted, so a sender spoofing hostnames can cost at most this many
+// streams of memory, never unbounded growth; an evicted host that reappears
+// starts a cold stream. The cap is partitioned evenly over the shards
+// (ceil(DefaultMaxHosts/Shards) each), so each shard evicts its own coldest
+// hosts. The paper's fleet is ~2.5k vPEs; 8192 leaves generous headroom.
 const DefaultMaxHosts = 8192
 
-// DefaultTraceWindow is the per-trace context length when
-// MonitorConfig.TraceWindow is unset: enough to see the §5.1 one-minute
-// anomaly cluster forming without bloating the ring.
+// DefaultTraceWindow is how many recent messages of context each decision
+// trace carries, the flagged one included: enough to see the §5.1
+// one-minute anomaly cluster forming without bloating the ring.
 const DefaultTraceWindow = 8
 
-// DefaultShardQueue is the per-shard async queue bound when
-// MonitorConfig.ShardQueue is unset.
+// DefaultShardQueue bounds each shard's async ingest queue (Enqueue). When
+// a queue is full, Enqueue reports false and the message is the caller's
+// to drop and count — backpressure must never block a network listener.
 const DefaultShardQueue = 1024
 
 // DefaultMaxBatch is how many queued messages a shard worker takes in one
@@ -143,16 +130,10 @@ const DefaultMaxBatch = 16
 // scoring path, so only real queueing or a wedged stage burns budget.
 const DefaultLatencyBound = 250 * time.Millisecond
 
-// DefaultMonitorConfig returns the paper's warning-clustering parameters
-// with a placeholder threshold of 6 (≈ e^-6 next-template likelihood) and a
-// single scoring shard.
+// DefaultMonitorConfig returns a placeholder threshold of 6 (≈ e^-6
+// next-template likelihood) and a single scoring shard.
 func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{
-		Threshold:      6,
-		ClusterWindow:  detect.DefaultClusterWindow,
-		MinClusterSize: detect.DefaultMinClusterSize,
-		MaxHosts:       DefaultMaxHosts,
-	}
+	return MonitorConfig{Threshold: 6}
 }
 
 // MonitorStats is a snapshot of the monitor's cumulative counters.
@@ -164,7 +145,7 @@ type MonitorStats struct {
 	// Warnings is the number of warning signatures emitted.
 	Warnings uint64
 	// EvictedHosts counts least-recently-seen host states dropped to honor
-	// MaxHosts.
+	// DefaultMaxHosts.
 	EvictedHosts uint64
 	// Symbols is the size of the serving tree's symbol table, wildcard
 	// included; SymbolOverflows counts the tokens that table was too full
@@ -242,9 +223,6 @@ type Monitor struct {
 	// hostCount mirrors the summed shard LRU lengths for Stats().
 	hostCount atomic.Int64
 
-	// now is stubbed by tests that need byte-identical checkpoints.
-	now func() time.Time
-
 	// lifeMu guards the async worker lifecycle.
 	lifeMu  sync.Mutex
 	running bool
@@ -313,34 +291,14 @@ type clusterState struct {
 	reported    bool
 }
 
-// NewMonitor builds a monitor from a grown signature tree and a trained
-// LSTM detector. onWarning (optional) fires once per warning signature.
-func NewMonitor(cfg MonitorConfig, tree *sigtree.Tree, det *detect.LSTMDetector, onWarning func(detect.Warning)) *Monitor {
-	return NewMonitorWithResolver(cfg, tree, func(string) *detect.LSTMDetector { return det }, onWarning)
-}
-
-// NewMonitorWithResolver builds a monitor whose detector is chosen per
-// host — the multi-cluster deployment mode, where each vPE scores against
-// its cluster's model (§4.3). resolve may return nil for hosts that have
-// no trained model yet; their messages are counted but not scored.
+// NewMonitorWithResolver builds a monitor from a grown signature tree and
+// a per-host detector choice — each vPE scores against its cluster's model
+// (§4.3). resolve may return nil for hosts that have no trained model yet;
+// their messages are counted but not scored. onWarning (optional) fires
+// once per warning signature.
 func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(host string) *detect.LSTMDetector, onWarning func(detect.Warning)) *Monitor {
-	if cfg.ClusterWindow <= 0 {
-		cfg.ClusterWindow = detect.DefaultClusterWindow
-	}
-	if cfg.MinClusterSize <= 0 {
-		cfg.MinClusterSize = detect.DefaultMinClusterSize
-	}
-	if cfg.MaxHosts <= 0 {
-		cfg.MaxHosts = DefaultMaxHosts
-	}
-	if cfg.TraceWindow <= 0 {
-		cfg.TraceWindow = DefaultTraceWindow
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
-	}
-	if cfg.ShardQueue <= 0 {
-		cfg.ShardQueue = DefaultShardQueue
 	}
 	if cfg.LatencyBound <= 0 {
 		cfg.LatencyBound = DefaultLatencyBound
@@ -349,7 +307,6 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 		cfg:       cfg,
 		tree:      tree,
 		onWarning: onWarning,
-		now:       time.Now,
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -358,7 +315,7 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 	m.messages = reg.Counter("monitor_messages_total", "Messages ingested by the monitor.")
 	m.anoms = reg.Counter("monitor_anomalies_total", "Messages scored above the anomaly threshold.")
 	m.warningsC = reg.Counter("monitor_warnings_total", "Warning signatures emitted (§5.1 clustering rule).")
-	m.evicted = reg.Counter("monitor_evicted_hosts_total", "Per-host states evicted to honor MaxHosts.")
+	m.evicted = reg.Counter("monitor_evicted_hosts_total", "Per-host states evicted to honor the host cap.")
 	m.swaps = reg.Counter("monitor_model_swaps_total", "Successful SwapModel hot reloads.")
 	m.shardPanics = reg.Counter("monitor_shard_panics_total", "Scoring panics recovered by shard workers (the drain is lost).")
 	m.activeHosts = reg.Gauge("monitor_active_hosts", "Per-host states currently held.")
@@ -389,13 +346,13 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 			"Anomaly scores (negative log-likelihood) of scored messages.",
 			obs.LinearBuckets(0.5, 0.5, 20))
 	}
-	perShard := (cfg.MaxHosts + cfg.Shards - 1) / cfg.Shards
+	perShard := (DefaultMaxHosts + cfg.Shards - 1) / cfg.Shards
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
 		sh := &shard{
 			m:         m,
 			id:        i,
-			queue:     make(chan logfmt.Message, cfg.ShardQueue),
+			queue:     make(chan logfmt.Message, DefaultShardQueue),
 			resolve:   resolve,
 			clusterOf: cfg.ClusterOf,
 			threshold: cfg.Threshold,
@@ -429,16 +386,6 @@ func (m *Monitor) shardFor(host string) int {
 
 // ShardCount returns the number of scoring shards.
 func (m *Monitor) ShardCount() int { return len(m.shards) }
-
-// hasHost reports whether host currently has live state (a test hook; the
-// shard map is otherwise private to its mutex).
-func (m *Monitor) hasHost(host string) bool {
-	sh := m.shards[m.shardFor(host)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.hosts[host]
-	return ok
-}
 
 // lockAll acquires every shard mutex in index order — the whole-monitor
 // critical section used by Checkpoint and SwapModel. Shard workers only

@@ -24,7 +24,6 @@ func TestMonitorDecisionTrace(t *testing.T) {
 	mcfg.Threshold = 4
 	mcfg.Metrics = reg
 	mcfg.Traces = ring
-	mcfg.TraceWindow = 4
 	mcfg.ClusterOf = func(host string) int { return 3 }
 	spans := obs.NewSpanRing(128)
 	mcfg.Tracer = obs.NewTracer(spans, 1, 4)
@@ -60,8 +59,8 @@ func TestMonitorDecisionTrace(t *testing.T) {
 	if tr.Threshold != 4 || tr.Score <= tr.Threshold {
 		t.Fatalf("trace score/threshold: score=%v threshold=%v", tr.Score, tr.Threshold)
 	}
-	if len(tr.Window) != 4 {
-		t.Fatalf("trace window length = %d, want 4", len(tr.Window))
+	if len(tr.Window) != DefaultTraceWindow {
+		t.Fatalf("trace window length = %d, want %d", len(tr.Window), DefaultTraceWindow)
 	}
 	// The window ends with the flagged message itself: its log-prob is the
 	// negated score, its template the flagged template.
@@ -92,7 +91,7 @@ func TestMonitorDecisionTrace(t *testing.T) {
 			tipped = &c
 		}
 	}
-	if tipped == nil || tipped.ClusterSize != mcfg.MinClusterSize {
+	if tipped == nil || tipped.ClusterSize != detect.DefaultMinClusterSize {
 		t.Fatalf("warning-tipping verdict not marked in traces: %+v", ring.Filtered(0, "", false))
 	}
 

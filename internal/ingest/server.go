@@ -28,8 +28,6 @@ type ServerConfig struct {
 	UDPAddr, TCPAddr string
 	// Year resolves RFC 3164 timestamps (which carry no year).
 	Year int
-	// MaxLine bounds a single TCP-framed message.
-	MaxLine int
 	// Metrics, when set, is the registry the Stats counters report into.
 	// When nil they live on a private registry and Stats() still works.
 	Metrics *obs.Registry
@@ -66,9 +64,13 @@ func DefaultServerConfig() ServerConfig {
 		UDPAddr: "127.0.0.1:0",
 		TCPAddr: "127.0.0.1:0",
 		Year:    2018,
-		MaxLine: 8192,
 	}
 }
+
+// maxLine bounds a single TCP frame: it sizes each connection's read
+// buffer, and an octet-counted frame announcing more is skipped whole and
+// counted malformed.
+const maxLine = 8192
 
 // Stats counts server activity; all fields are cumulative.
 type Stats struct {
@@ -121,9 +123,6 @@ func NewServer(cfg ServerConfig, sink func(logfmt.Message)) (*Server, error) {
 			return nil, errors.New("ingest: sink must not be nil")
 		}
 		cfg.Sharded = funcSink(sink)
-	}
-	if cfg.MaxLine <= 0 {
-		cfg.MaxLine = 8192
 	}
 	if cfg.UDPAddr == "" && cfg.TCPAddr == "" {
 		return nil, errors.New("ingest: at least one of UDPAddr/TCPAddr required")
@@ -384,7 +383,7 @@ func (s *Server) acceptTCP() {
 // peer keeps its connection — one bad sender line must not silently drop a
 // vPE from monitoring.
 func (s *Server) serveTCP(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, s.cfg.MaxLine)
+	r := bufio.NewReaderSize(conn, maxLine)
 	for {
 		select {
 		case <-s.closed:
@@ -410,7 +409,7 @@ func (s *Server) serveTCP(conn net.Conn) {
 				}
 				continue
 			}
-			if n > s.cfg.MaxLine {
+			if n > maxLine {
 				// Parseable but oversize: skip the advertised frame so the
 				// stream stays in sync, then keep serving the peer.
 				s.malformed.Add(1)

@@ -113,7 +113,7 @@ func (sh *shard) afterScore(msg *logfmt.Message, tplID int, hs *hostState, score
 	if m.cfg.OnScored != nil {
 		m.cfg.OnScored(msg.Host, sh.clusterIndex(msg.Host),
 			features.Event{Time: msg.Time, Template: tplID}, score, anomalous,
-			anomalous && size >= m.cfg.MinClusterSize)
+			anomalous && size >= detect.DefaultMinClusterSize)
 	}
 	if anomalous && m.cfg.Traces != nil {
 		cluster := -1
@@ -219,7 +219,7 @@ func (sh *shard) hostFor(host string) *hostState {
 	}
 	hs := &hostState{host: host, model: det.Name(), stream: st, seq: m.seq.Add(1)}
 	if m.cfg.Traces != nil {
-		hs.recent = make([]obs.TraceStep, m.cfg.TraceWindow)
+		hs.recent = make([]obs.TraceStep, DefaultTraceWindow)
 	}
 	sh.hosts[host] = sh.lru.PushFront(hs)
 	for sh.lru.Len() > sh.maxHosts {
@@ -242,13 +242,13 @@ func (sh *shard) hostFor(host string) *hostState {
 func (sh *shard) observeAnomaly(hs *hostState, at time.Time) (size int, warned bool) {
 	m := sh.m
 	cs := hs.cluster
-	if cs == nil || at.Sub(cs.last) > m.cfg.ClusterWindow {
+	if cs == nil || at.Sub(cs.last) > detect.DefaultClusterWindow {
 		hs.cluster = &clusterState{first: at, last: at, size: 1}
 		return 1, false
 	}
 	cs.last = at
 	cs.size++
-	if cs.size >= m.cfg.MinClusterSize && !cs.reported {
+	if cs.size >= detect.DefaultMinClusterSize && !cs.reported {
 		cs.reported = true
 		w := detect.Warning{VPE: hs.host, Time: cs.first, Size: cs.size}
 		m.warnMu.Lock()

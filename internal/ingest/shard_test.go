@@ -29,7 +29,6 @@ func TestShardedSyncEquivalence(t *testing.T) {
 		mcfg.Threshold = 4
 		mcfg.Shards = shards
 		mon := NewMonitorWithResolver(mcfg, cloneTree(t, tree), func(string) *detect.LSTMDetector { return det }, nil)
-		mon.now = func() time.Time { return time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC) }
 		for _, m := range msgs {
 			mon.HandleMessage(m)
 		}
@@ -175,7 +174,7 @@ func TestAsyncShardedCompleteness(t *testing.T) {
 
 // evictingTraffic visits six hosts two at a time — block i interleaves
 // hosts i and i+1 for four normal rounds, then host i bursts three
-// anomalies — so that under MaxHosts = 3 a host is evicted two blocks after
+// anomalies — so that under a host cap of 3 a host is evicted two blocks after
 // its last message and re-created cold a lap later. A block is 11 messages,
 // so evictions, cold starts and bursts all fall inside 16-message drains.
 func evictingTraffic() []logfmt.Message {
@@ -246,9 +245,8 @@ func TestDrainEqualsSync(t *testing.T) {
 			run := func(feed func(*Monitor)) (*Monitor, []byte) {
 				mcfg := DefaultMonitorConfig()
 				mcfg.Threshold = 4
-				mcfg.MaxHosts = tc.maxHosts
 				mon := NewMonitorWithResolver(mcfg, cloneTree(t, tree), resolve, nil)
-				mon.now = func() time.Time { return time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC) }
+				mon.capHosts(tc.maxHosts)
 				feed(mon)
 				var buf bytes.Buffer
 				if err := mon.Checkpoint(&buf); err != nil {
@@ -308,8 +306,8 @@ func TestShardLifecycleConcurrency(t *testing.T) {
 	mcfg := DefaultMonitorConfig()
 	mcfg.Threshold = 4
 	mcfg.Shards = 4
-	mcfg.ShardQueue = 64
 	mon := NewMonitorWithResolver(mcfg, cloneTree(t, tree), resolve, nil)
+	mon.capQueues(64)
 	mon.Start()
 	mon.Start() // idempotent while running
 
@@ -428,8 +426,8 @@ func TestServerShardDropAccounting(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	mcfg := DefaultMonitorConfig()
 	mcfg.Shards = 1
-	mcfg.ShardQueue = 4
 	mon := NewMonitorWithResolver(mcfg, tree, func(string) *detect.LSTMDetector { return det }, nil)
+	mon.capQueues(4)
 	// Workers intentionally not started: the queue can only fill.
 
 	cfg := DefaultServerConfig()

@@ -294,9 +294,9 @@ func TestServerDropSLOAndTraceStamp(t *testing.T) {
 	tracer := obs.NewTracer(ring, 1, 1)
 	mcfg := DefaultMonitorConfig()
 	mcfg.Shards = 1
-	mcfg.ShardQueue = 4
 	mcfg.Tracer = tracer
 	mon := NewMonitorWithResolver(mcfg, tree, func(string) *detect.LSTMDetector { return det }, nil)
+	mon.capQueues(4)
 	// Workers intentionally not started: the queue can only fill.
 
 	drops := obs.NewSLO(obs.SLOConfig{Name: "shard_drop_ratio", Target: 0.99})

@@ -175,8 +175,8 @@ func TestShedScoringMode(t *testing.T) {
 func TestQueueFrac(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	cfg := DefaultMonitorConfig()
-	cfg.ShardQueue = 4
 	mon := NewMonitor(cfg, tree, det, nil)
+	mon.capQueues(4)
 	if f := mon.QueueFrac(); f != 0 {
 		t.Fatalf("empty queue frac = %v", f)
 	}

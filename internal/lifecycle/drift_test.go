@@ -94,15 +94,10 @@ func simModelSet(t testing.TB, update bool) (*ModelSet, *sigtree.Tree, []logfmt.
 // simLifecycleConfig is the serving config the sim tests share.
 func simLifecycleConfig() Config {
 	return Config{
-		GateBudget:          0.05,
-		WindowLen:           32,
-		SpoolPerCluster:     512,
-		MinWindows:          24,
-		DriftThreshold:      0.7,
-		DisruptiveThreshold: 0.7, // any detected drift uses transfer adaptation
-		MinDriftEvents:      200,
-		HoldoutFraction:     0.25,
-		AutoPromote:         true,
+		GateBudget:      0.05,
+		WindowLen:       32,
+		SpoolPerCluster: 512,
+		MinWindows:      24,
 	}
 }
 
@@ -142,6 +137,7 @@ func TestAdaptationRecoversFromUpdate(t *testing.T) {
 	ms, tree, post := simModelSet(t, true)
 	lcfg := simLifecycleConfig()
 	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm.disruptive = driftThreshold // any detected drift uses transfer adaptation
 	replay(mon, post)
 	res := lm.TriggerCycle(false)
 	cc := res.Clusters[0]

@@ -51,39 +51,10 @@ type Config struct {
 	// MinWindows is the spool floor below which a cluster never adapts
 	// (too little data to fine-tune or gate on).
 	MinWindows int
-	// DriftThreshold triggers adaptation when the live-vs-training cosine
-	// similarity falls below it (mirrors pipeline.Config.DriftThreshold).
-	DriftThreshold float64
-	// DisruptiveThreshold selects the adaptation mode: cosine below it
-	// means the update rewrote the template distribution (§3.3 observes
-	// >0.8 collapsing to <0.4), so the candidate uses transfer adaptation
-	// (Adapt: vocabulary extension + frozen bottom layers) instead of a
-	// plain incremental update.
-	DisruptiveThreshold float64
-	// MinDriftEvents is the live-histogram mass required before the drift
-	// comparison is trusted (a near-empty histogram is all noise).
-	MinDriftEvents int
 	// AdaptEveryCycles schedules a fine-tune every N cycles even without
 	// drift (the paper's monthly incremental update, §4.3); 0 disables
 	// scheduled adaptation (drift-triggered only).
 	AdaptEveryCycles int
-	// HoldoutFraction is the share of spooled windows held out from
-	// candidate training and used for the shadow gate.
-	HoldoutFraction float64
-	// AutoPromote promotes gate-passing candidates immediately. When
-	// false, candidates that pass are retained as pending and promoted
-	// only via ForcePromote (the POST /models/promote endpoint).
-	AutoPromote bool
-	// BreakerThreshold is how many consecutive failed cycles (panic,
-	// injected fault, or a cluster adaptation error) open the adaptation
-	// circuit breaker; while open, timer cycles are skipped until the
-	// cooldown admits a half-open probe. Forced cycles (TriggerCycle(true),
-	// POST /models/adapt) bypass the breaker — they are the operator's
-	// probe. Default 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before probing
-	// again. Default 1 minute.
-	BreakerCooldown time.Duration
 	// Faults, when set, registers the lifecycle's chaos fault points
 	// (lifecycle.cycle, spool.write, spool.read) in this registry.
 	Faults *faultinject.Registry
@@ -96,23 +67,40 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Log, when set, receives one line per lifecycle decision.
 	Log *log.Logger
-	// Clock stamps generations and cycle results; nil means time.Now.
-	Clock func() time.Time
 }
+
+// The drift rule, the shadow gate's split and the adaptation breaker are
+// fixed. Every cycle compares each cluster's live template histogram with
+// its training-time one once the live one holds minDriftEvents events (a
+// near-empty histogram is all noise): cosine below driftThreshold (as
+// pipeline.Config.DriftThreshold offline) triggers adaptation, and below
+// disruptiveThreshold the update is read as having rewritten the template
+// distribution (§3.3 observes >0.8 collapsing to <0.4), so the candidate
+// uses transfer adaptation (Adapt: vocabulary extension + frozen bottom
+// layers) instead of a plain incremental update. holdoutFraction of the
+// pooled windows is held out from candidate training for the shadow gate.
+// breakerThreshold consecutive failed cycles (panic, injected fault, or a
+// cluster adaptation error) open the adaptation circuit breaker; timer
+// cycles are then skipped until breakerCooldown admits a half-open probe.
+// Forced cycles (TriggerCycle(true), POST /models/adapt) bypass the breaker
+// — they are the operator's probe.
+const (
+	driftThreshold      = 0.7
+	disruptiveThreshold = 0.4
+	minDriftEvents      = 128
+	holdoutFraction     = 0.25
+	breakerThreshold    = 3
+	breakerCooldown     = time.Minute
+)
 
 // DefaultConfig returns the serving-scale defaults.
 func DefaultConfig() Config {
 	return Config{
-		Interval:            10 * time.Minute,
-		GateBudget:          0.02,
-		WindowLen:           32,
-		SpoolPerCluster:     256,
-		MinWindows:          24,
-		DriftThreshold:      0.7,
-		DisruptiveThreshold: 0.4,
-		MinDriftEvents:      128,
-		HoldoutFraction:     0.25,
-		AutoPromote:         true,
+		Interval:        10 * time.Minute,
+		GateBudget:      0.02,
+		WindowLen:       32,
+		SpoolPerCluster: 256,
+		MinWindows:      24,
 	}
 }
 
@@ -127,29 +115,8 @@ func (c Config) withDefaults() Config {
 	if c.MinWindows <= 0 {
 		c.MinWindows = d.MinWindows
 	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = d.DriftThreshold
-	}
-	if c.DisruptiveThreshold <= 0 {
-		c.DisruptiveThreshold = d.DisruptiveThreshold
-	}
-	if c.MinDriftEvents <= 0 {
-		c.MinDriftEvents = d.MinDriftEvents
-	}
-	if c.HoldoutFraction <= 0 || c.HoldoutFraction >= 1 {
-		c.HoldoutFraction = d.HoldoutFraction
-	}
 	if c.GateBudget < 0 {
 		c.GateBudget = d.GateBudget
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Minute
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
@@ -195,17 +162,6 @@ func (ms *ModelSet) Resolver() func(host string) *detect.LSTMDetector {
 			ci = 0
 		}
 		return ms.Detectors[ci]
-	}
-}
-
-// ClusterOf returns the host→cluster function for monitor trace identity
-// (-1 for unmapped hosts, matching MonitorConfig.ClusterOf semantics).
-func (ms *ModelSet) ClusterOf() func(host string) int {
-	return func(host string) int {
-		if ci, ok := ms.Assign[host]; ok {
-			return ci
-		}
-		return -1
 	}
 }
 
@@ -307,6 +263,9 @@ type Manager struct {
 
 	// cycleMu serializes cycles (timer ticks, TriggerCycle, admin).
 	cycleMu sync.Mutex
+	// disruptive is disruptiveThreshold; a test raises it to send every
+	// drifted cluster through transfer adaptation.
+	disruptive float64
 
 	// breaker circuit-breaks the adaptation cycle: consecutive failed
 	// cycles open it, timer cycles are then skipped for the cooldown, one
@@ -351,10 +310,11 @@ type Manager struct {
 func New(cfg Config, ms *ModelSet) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:     cfg,
-		serving: ms,
-		pending: make(map[int]*detect.LSTMDetector),
-		refs:    refsFrom(ms),
+		cfg:        cfg,
+		serving:    ms,
+		pending:    make(map[int]*detect.LSTMDetector),
+		refs:       refsFrom(ms),
+		disruptive: disruptiveThreshold,
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -379,7 +339,7 @@ func New(cfg Config, ms *ModelSet) *Manager {
 	m.breakerOpens = s.Counter("breaker_opens_total", "Times the adaptation circuit breaker opened.")
 	m.spoolQuarC = s.Counter("spool_quarantines_total", "Corrupt spool files quarantined at restore (cold start taken instead).")
 	m.breakerGauge = s.Gauge("breaker_state", "Adaptation breaker state (0 closed, 1 open, 2 half-open).")
-	m.breaker = &resilience.Breaker{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
+	m.breaker = &resilience.Breaker{Threshold: breakerThreshold, Cooldown: breakerCooldown}
 	if cfg.Faults != nil {
 		m.fpCycle = cfg.Faults.Point("lifecycle.cycle",
 			"At the top of an adaptation cycle: error/panic failures feed the circuit breaker.")
@@ -497,12 +457,12 @@ func (m *Manager) runCycle(force bool) CycleResult {
 	if !force {
 		if m.shedLearning.Load() {
 			m.skippedC.Inc()
-			return CycleResult{Time: m.cfg.Clock(), Skipped: true, SkipReason: "shed-learning"}
+			return CycleResult{Time: time.Now(), Skipped: true, SkipReason: "shed-learning"}
 		}
 		if !m.breaker.Allow() {
 			m.skippedC.Inc()
 			m.breakerGauge.SetInt(int(m.breaker.State()))
-			return CycleResult{Time: m.cfg.Clock(), Skipped: true, SkipReason: "breaker-open"}
+			return CycleResult{Time: time.Now(), Skipped: true, SkipReason: "breaker-open"}
 		}
 	}
 	m.cyclesC.Inc()
@@ -546,7 +506,7 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 		}
 	}()
 	if ferr := m.fpCycle.Fire(); ferr != nil {
-		res.Time = m.cfg.Clock()
+		res.Time = time.Now()
 		res.Forced = force
 		return res, fmt.Errorf("lifecycle: cycle: %w", ferr)
 	}
@@ -561,7 +521,7 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 	spoolGauges, driftGauges := m.spoolGauges, m.driftGauges
 	m.mu.Unlock()
 
-	res = CycleResult{Time: m.cfg.Clock(), Forced: force}
+	res = CycleResult{Time: time.Now(), Forced: force}
 	ss := m.spools.Load()
 	scheduled := m.cfg.AdaptEveryCycles > 0 && cycle > 0 && cycle%m.cfg.AdaptEveryCycles == 0
 
@@ -585,7 +545,7 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 		if ci < len(refs) {
 			ref = refs[ci]
 		}
-		enoughLive := hist.Total() >= float64(m.cfg.MinDriftEvents)
+		enoughLive := hist.Total() >= minDriftEvents
 		baseline := false
 		if ref == nil {
 			if enoughLive {
@@ -599,15 +559,15 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 			}
 		} else if enoughLive {
 			cc.DriftCos = cluster.Cosine(hist, ref)
-			cc.Drifted = cc.DriftCos < m.cfg.DriftThreshold
-			cc.Disruptive = cc.DriftCos < m.cfg.DisruptiveThreshold
+			cc.Drifted = cc.DriftCos < driftThreshold
+			cc.Disruptive = cc.DriftCos < m.disruptive
 			if ci < len(driftGauges) {
 				driftGauges[ci].Set(cc.DriftCos)
 			}
 			if cc.Drifted {
 				m.driftC.Inc()
 				m.logf("lifecycle: cluster %d drifted (cosine %.3f < %.3f, disruptive=%v)",
-					ci, cc.DriftCos, m.cfg.DriftThreshold, cc.Disruptive)
+					ci, cc.DriftCos, driftThreshold, cc.Disruptive)
 			}
 		}
 
@@ -628,7 +588,7 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 
 		// Fine-tune a candidate in the clear: the clone shares no mutable
 		// state with the serving detector, so scoring continues unharmed.
-		train, holdout := splitHoldout(pool, m.cfg.HoldoutFraction)
+		train, holdout := splitHoldout(pool, holdoutFraction)
 		stale := serving.Detectors[ci]
 		cand := stale.Clone()
 		cand.SetMetrics(m.cfg.Metrics, "candidate_")
@@ -700,8 +660,7 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 			GatePassed:   o.cc.GatePassed,
 			Fingerprint:  o.candidate.Fingerprint(),
 		}
-		switch {
-		case o.cc.GatePassed && m.cfg.AutoPromote:
+		if o.cc.GatePassed {
 			if next == nil {
 				next = serving.clone()
 			}
@@ -712,11 +671,7 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 			m.refs[o.cc.Cluster] = o.liveHist
 			delete(m.pending, o.cc.Cluster)
 			gen.Promoted = true
-		case o.cc.GatePassed:
-			// Gate passed but auto-promotion is off: hold for the
-			// operator (POST /models/promote).
-			m.pending[o.cc.Cluster] = o.candidate
-		default:
+		} else {
 			m.rejectsC.Inc()
 			// Retain the rejected candidate so an operator who disagrees
 			// with the gate can still force it.
@@ -739,24 +694,24 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 // promoteLocked installs next as the serving set, keeping the old one for
 // rollback, and swaps the monitor atomically (SwapModel holds every shard
 // lock, so no message scores against a half-swapped model). The current
-// tree is kept: candidates were trained in the serving template space.
-// Caller holds m.mu.
+// tree is kept: candidates were trained in the serving template space, and
+// so is the monitor's host→cluster mapping, since a generation replaces
+// detectors, never the assignment. Caller holds m.mu.
 func (m *Manager) promoteLocked(next *ModelSet, reason string) {
 	m.prev = m.serving
 	m.serving = next
 	m.generation++
 	if m.mon != nil {
 		m.mon.SwapModel(m.mon.Tree(), next.Resolver(), next.Threshold)
-		m.mon.SetClusterOf(next.ClusterOf())
 	}
 	m.promosC.Inc()
 	m.genGauge.SetInt(m.generation)
 	m.logf("lifecycle: promoted generation %d (%s)", m.generation, reason)
 }
 
-// ForcePromote promotes all pending candidates (gate-failed or held by
-// AutoPromote=false) as one new generation, bypassing the gate — the
-// operator override behind POST /models/promote.
+// ForcePromote promotes all pending (gate-failed) candidates as one new
+// generation, bypassing the gate — the operator override behind POST
+// /models/promote.
 func (m *Manager) ForcePromote() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -774,7 +729,7 @@ func (m *Manager) ForcePromote() error {
 	m.pending = make(map[int]*detect.LSTMDetector)
 	m.promoteLocked(next, "forced")
 	m.recordLocked(Generation{
-		Time: m.cfg.Clock(), Cluster: -1, Reason: "forced",
+		Time: time.Now(), Cluster: -1, Reason: "forced",
 		DriftCos: math.NaN(), Promoted: true, Fingerprint: fp,
 	})
 	return nil
@@ -793,12 +748,11 @@ func (m *Manager) Rollback() error {
 	m.generation++
 	if m.mon != nil {
 		m.mon.SwapModel(m.mon.Tree(), m.serving.Resolver(), m.serving.Threshold)
-		m.mon.SetClusterOf(m.serving.ClusterOf())
 	}
 	m.rollbacksC.Inc()
 	m.genGauge.SetInt(m.generation)
 	m.recordLocked(Generation{
-		Time: m.cfg.Clock(), Cluster: -1, Reason: "rollback",
+		Time: time.Now(), Cluster: -1, Reason: "rollback",
 		DriftCos: math.NaN(), Promoted: true,
 	})
 	m.logf("lifecycle: rolled back to previous generation (now %d)", m.generation)
@@ -821,7 +775,7 @@ func (m *Manager) SetServing(ms *ModelSet) {
 	m.genGauge.SetInt(m.generation)
 	m.buildClusterInstruments(len(ms.Detectors))
 	m.recordLocked(Generation{
-		Time: m.cfg.Clock(), Cluster: -1, Reason: "reload",
+		Time: time.Now(), Cluster: -1, Reason: "reload",
 		DriftCos: math.NaN(), Promoted: true,
 	})
 	m.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/ingest"
 	"nfvpredict/internal/logfmt"
+	"nfvpredict/internal/obs"
 	"nfvpredict/internal/sigtree"
 )
 
@@ -55,14 +56,25 @@ func testModelSet(t testing.TB) (*ModelSet, *sigtree.Tree) {
 	return ms, tree
 }
 
+// clusterOf is the host→cluster mapping internal/serve gives the monitor:
+// the assignment, with unmapped hosts at cluster 0, whose detector the
+// resolver also hands them.
+func clusterOf(assign map[string]int) func(string) int {
+	return func(host string) int { return assign[host] }
+}
+
 // buildStack wires a Manager and a Monitor together the way nfvmonitor
 // does: manager first (the monitor config needs Observe), then Attach.
-func buildStack(t testing.TB, lcfg Config, ms *ModelSet, tree *sigtree.Tree) (*Manager, *ingest.Monitor) {
+// traces, when set, receives the monitor's decision traces.
+func buildStack(t testing.TB, lcfg Config, ms *ModelSet, tree *sigtree.Tree, traces ...*obs.TraceRing) (*Manager, *ingest.Monitor) {
 	lm := New(lcfg, ms)
 	mcfg := ingest.DefaultMonitorConfig()
 	mcfg.Threshold = ms.Threshold
-	mcfg.ClusterOf = ms.ClusterOf()
+	mcfg.ClusterOf = clusterOf(ms.Assign)
 	mcfg.OnScored = lm.Observe
+	if len(traces) > 0 {
+		mcfg.Traces = traces[0]
+	}
 	mon := ingest.NewMonitorWithResolver(mcfg, tree, ms.Resolver(), nil)
 	lm.Attach(mon)
 	return lm, mon
@@ -100,16 +112,13 @@ func feedNoisy(mon *ingest.Monitor, host string, n int, at time.Time) time.Time 
 }
 
 // testLifecycleConfig is a small, fast config for unit tests: tiny
-// windows, no timer, no drift machinery in the way.
+// windows and no timer; cycles are forced.
 func testLifecycleConfig() Config {
 	return Config{
 		GateBudget:      1, // always pass; tests override to exercise the gate
 		WindowLen:       8,
 		SpoolPerCluster: 64,
 		MinWindows:      4,
-		HoldoutFraction: 0.25,
-		AutoPromote:     true,
-		MinDriftEvents:  1 << 30, // drift bookkeeping off; cycles are forced
 	}
 }
 
@@ -244,6 +253,40 @@ func TestGateRejectsBadCandidate(t *testing.T) {
 	if fp := lm.Serving().Detectors[0].Fingerprint(); fp != forcedFP {
 		t.Fatal("rollback toggle did not return to the forced candidate")
 	}
+}
+
+// TestGenerationsKeepClusterMapping: a promotion or a rollback replaces
+// detectors, never the host→cluster assignment, so a decision trace for a
+// host the assignment does not name reports cluster 0 — the cluster whose
+// detector scores it — before and after either.
+func TestGenerationsKeepClusterMapping(t *testing.T) {
+	ms, tree := testModelSet(t)
+	ring := obs.NewTraceRing(64)
+	lm, mon := buildStack(t, testLifecycleConfig(), ms, tree, ring)
+	at := feedNormal(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
+	traceCluster := func(when string) {
+		t.Helper()
+		at = feedNormal(mon, "vpe99", 8, at)
+		mon.HandleMessage(logfmt.Message{Time: at, Host: "vpe99", Tag: "rpd",
+			Text: "invalid response from peer chassis-control session 42 retries 3"})
+		traces := ring.Filtered(1, "vpe99", false)
+		if len(traces) == 0 || !traces[0].Time.Equal(at) {
+			t.Fatalf("%s: the anomaly left no trace: %+v", when, traces)
+		}
+		at = at.Add(time.Hour)
+		if traces[0].Cluster != 0 {
+			t.Fatalf("%s: unmapped host traced at cluster %d, want 0", when, traces[0].Cluster)
+		}
+	}
+	traceCluster("before any promotion")
+	if res := lm.TriggerCycle(true); !res.Promoted {
+		t.Fatalf("forced cycle did not promote: %+v", res)
+	}
+	traceCluster("after the forced promotion")
+	if err := lm.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	traceCluster("after the rollback")
 }
 
 // TestMinWindowsFloor: a forced cycle with too little spooled data adapts

@@ -19,9 +19,8 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	reg := faultinject.NewRegistry()
 	lcfg := testLifecycleConfig()
 	lcfg.Faults = reg
-	lcfg.BreakerThreshold = 2
-	lcfg.BreakerCooldown = time.Millisecond
 	lm, _ := buildStack(t, lcfg, ms, tree)
+	lm.breaker.Threshold, lm.breaker.Cooldown = 2, time.Millisecond
 
 	if err := reg.Arm("lifecycle.cycle", faultinject.Arming{Mode: faultinject.ModeError}); err != nil {
 		t.Fatal(err)
@@ -72,8 +71,8 @@ func TestCyclePanicFeedsBreaker(t *testing.T) {
 	reg := faultinject.NewRegistry()
 	lcfg := testLifecycleConfig()
 	lcfg.Faults = reg
-	lcfg.BreakerThreshold = 1
 	lm, _ := buildStack(t, lcfg, ms, tree)
+	lm.breaker.Threshold = 1
 
 	if err := reg.Arm("lifecycle.cycle", faultinject.Arming{Mode: faultinject.ModePanic, Count: 1}); err != nil {
 		t.Fatal(err)
@@ -268,7 +267,7 @@ func TestReloadRacesAdaptation(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		next := lm.Serving().clone()
 		mon.SwapModel(mon.Tree(), next.Resolver(), next.Threshold)
-		mon.SetClusterOf(next.ClusterOf())
+		mon.SetClusterOf(clusterOf(next.Assign))
 		lm.SetServing(next)
 		time.Sleep(10 * time.Millisecond)
 	}

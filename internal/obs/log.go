@@ -48,7 +48,7 @@ type Logger struct {
 	mu    sync.Mutex
 	w     io.Writer
 	level Level
-	now   func() time.Time
+	now   func() time.Time // time.Now; tests fix it for exact log lines
 
 	// Rate limiting for hot-path warning lines (WarnLimited). Guarded by
 	// mu; nil buckets means unlimited.
@@ -157,16 +157,6 @@ func (l *Logger) sweepLocked(now time.Time) {
 	if len(l.buckets) >= maxLogBuckets {
 		l.buckets = make(map[string]*logBucket)
 	}
-}
-
-// SetNow overrides the timestamp source (tests).
-func (l *Logger) SetNow(now func() time.Time) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.now = now
-	l.mu.Unlock()
 }
 
 // Enabled reports whether a line at level would be emitted.

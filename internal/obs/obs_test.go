@@ -325,7 +325,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 func TestLoggerFormat(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo)
-	l.SetNow(func() time.Time { return time.Date(2018, 2, 3, 4, 5, 6, 0, time.UTC) })
+	l.now = func() time.Time { return time.Date(2018, 2, 3, 4, 5, 6, 0, time.UTC) }
 
 	l.Debug("dropped below level")
 	l.Info("status", "messages", 120, "rate", 1.5, "host", "vpe 01", "when", time.Date(2018, 2, 3, 0, 0, 0, 0, time.UTC))

@@ -287,7 +287,7 @@ func TestLoggerWarnLimited(t *testing.T) {
 	var buf bytes.Buffer
 	now := time.Unix(1000, 0)
 	l := NewLogger(&buf, LevelInfo)
-	l.SetNow(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	suppressed := NewRegistry().Counter("log_suppressed_total", "")
 	l.SetRateLimit(1, 2, suppressed)
 
@@ -324,7 +324,7 @@ func TestLoggerWarnLimited(t *testing.T) {
 func TestLoggerRateLimitBucketBound(t *testing.T) {
 	now := time.Unix(1000, 0)
 	l := NewLogger(io.Discard, LevelWarn)
-	l.SetNow(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	l.SetRateLimit(1, 1, nil)
 	for i := 0; i < maxLogBuckets+50; i++ {
 		l.WarnLimited(fmt.Sprintf("key-%d", i), "x")

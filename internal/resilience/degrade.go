@@ -54,51 +54,30 @@ type Sample struct {
 	SLOFastBurn bool
 }
 
-// DegraderConfig tunes the controller; zero values take the defaults.
-type DegraderConfig struct {
-	// ShedLearningAt is the queue fill fraction that sheds learning
-	// (default 0.75).
-	ShedLearningAt float64
-	// RecoverAt is the queue fill fraction below which an evaluation
-	// counts as clean (default 0.25) — hysteresis against flapping.
-	RecoverAt float64
-	// ScoringFaultBurst is the per-evaluation scoring-fault delta that
-	// sheds scoring (default 3).
-	ScoringFaultBurst uint64
-	// IOFaultBurst is the per-evaluation I/O-fault delta that sheds
-	// learning (default 3).
-	IOFaultBurst uint64
-	// RecoverEvals is how many consecutive clean evaluations step the
-	// mode back one level (default 3).
-	RecoverEvals int
-}
-
-func (c DegraderConfig) withDefaults() DegraderConfig {
-	if c.ShedLearningAt <= 0 {
-		c.ShedLearningAt = 0.75
-	}
-	if c.RecoverAt <= 0 {
-		c.RecoverAt = 0.25
-	}
-	if c.ScoringFaultBurst == 0 {
-		c.ScoringFaultBurst = 3
-	}
-	if c.IOFaultBurst == 0 {
-		c.IOFaultBurst = 3
-	}
-	if c.RecoverEvals <= 0 {
-		c.RecoverEvals = 3
-	}
-	return c
-}
+// The controller's thresholds.
+const (
+	// shedLearningAt is the queue fill fraction that sheds learning.
+	shedLearningAt = 0.75
+	// recoverAt is the queue fill fraction at or below which an
+	// evaluation counts as clean — hysteresis against flapping.
+	recoverAt = 0.25
+	// scoringFaultBurst is the per-evaluation scoring-fault delta that
+	// sheds scoring.
+	scoringFaultBurst = 3
+	// ioFaultBurst is the per-evaluation I/O-fault delta that sheds
+	// learning.
+	ioFaultBurst = 3
+	// recoverEvals is how many consecutive clean evaluations step the
+	// mode back one level.
+	recoverEvals = 3
+)
 
 // Degrader turns periodic pressure samples into a degradation mode with
 // hysteresis: escalation is immediate (one bad sample), recovery is
-// stepwise (RecoverEvals consecutive clean samples walk the mode back one
+// stepwise (recoverEvals consecutive clean samples walk the mode back one
 // level at a time), so a flapping signal cannot oscillate the system
 // between modes every tick.
 type Degrader struct {
-	cfg DegraderConfig
 	// OnChange, when set, observes each transition.
 	OnChange func(from, to Mode, reason string)
 
@@ -112,8 +91,8 @@ type Degrader struct {
 }
 
 // NewDegrader builds a controller starting in ModeNormal.
-func NewDegrader(cfg DegraderConfig, onChange func(from, to Mode, reason string)) *Degrader {
-	return &Degrader{cfg: cfg.withDefaults(), OnChange: onChange}
+func NewDegrader(onChange func(from, to Mode, reason string)) *Degrader {
+	return &Degrader{OnChange: onChange}
 }
 
 // Mode returns the current mode.
@@ -152,13 +131,13 @@ func (d *Degrader) Eval(s Sample) Mode {
 	// The pressure this sample calls for, independent of history.
 	want, reason := ModeNormal, ""
 	switch {
-	case scoreDelta >= d.cfg.ScoringFaultBurst:
+	case scoreDelta >= scoringFaultBurst:
 		want = ModeShedScoring
 		reason = "scoring faults bursting"
-	case s.QueueFrac >= d.cfg.ShedLearningAt:
+	case s.QueueFrac >= shedLearningAt:
 		want = ModeShedLearning
 		reason = "shard queues backed up"
-	case ioDelta >= d.cfg.IOFaultBurst:
+	case ioDelta >= ioFaultBurst:
 		want = ModeShedLearning
 		reason = "durable I/O faulting"
 	case s.SLOFastBurn:
@@ -174,9 +153,9 @@ func (d *Degrader) Eval(s Sample) Mode {
 	default:
 		// Recovery: only samples that are clean for the *current* mode's
 		// trigger count, and the queue must actually have drained.
-		if s.QueueFrac <= d.cfg.RecoverAt && scoreDelta == 0 && ioDelta == 0 && !s.SLOFastBurn {
+		if s.QueueFrac <= recoverAt && scoreDelta == 0 && ioDelta == 0 && !s.SLOFastBurn {
 			d.clean++
-			if d.clean >= d.cfg.RecoverEvals {
+			if d.clean >= recoverEvals {
 				d.transition(d.mode-1, "recovered")
 			}
 		} else {

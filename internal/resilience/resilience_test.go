@@ -242,13 +242,7 @@ func TestHeartbeatAge(t *testing.T) {
 
 func TestDegraderEscalatesAndRecovers(t *testing.T) {
 	var transitions []string
-	d := NewDegrader(DegraderConfig{
-		ShedLearningAt:    0.75,
-		RecoverAt:         0.25,
-		ScoringFaultBurst: 3,
-		IOFaultBurst:      3,
-		RecoverEvals:      2,
-	}, func(from, to Mode, reason string) {
+	d := NewDegrader(func(from, to Mode, reason string) {
 		transitions = append(transitions, from.String()+"->"+to.String()+":"+reason)
 	})
 
@@ -264,22 +258,27 @@ func TestDegraderEscalatesAndRecovers(t *testing.T) {
 	if m := d.Eval(Sample{QueueFrac: 0.1, ScoringFaults: 5}); m != ModeShedScoring {
 		t.Fatalf("scoring burst => %v, want shed-scoring", m)
 	}
-	// One clean sample is not enough (RecoverEvals 2).
-	if m := d.Eval(Sample{QueueFrac: 0.1, ScoringFaults: 5}); m != ModeShedScoring {
-		t.Fatalf("first clean sample already recovered: %v", m)
+	// Fewer than recoverEvals clean samples are not enough.
+	clean := Sample{QueueFrac: 0.1, ScoringFaults: 5}
+	for i := 1; i < recoverEvals; i++ {
+		if m := d.Eval(clean); m != ModeShedScoring {
+			t.Fatalf("clean sample %d already recovered: %v", i, m)
+		}
 	}
-	// Second clean sample steps back one level only.
-	if m := d.Eval(Sample{QueueFrac: 0.1, ScoringFaults: 5}); m != ModeShedLearning {
+	// The recoverEvals-th clean sample steps back one level only.
+	if m := d.Eval(clean); m != ModeShedLearning {
 		t.Fatalf("recovery step => %v, want shed-learning", m)
 	}
-	// A dirty sample (queue above RecoverAt) resets the clean streak.
+	// A dirty sample (queue above recoverAt) resets the clean streak.
 	if m := d.Eval(Sample{QueueFrac: 0.5, ScoringFaults: 5}); m != ModeShedLearning {
 		t.Fatalf("mid-pressure sample => %v, want shed-learning held", m)
 	}
-	if m := d.Eval(Sample{QueueFrac: 0.1, ScoringFaults: 5}); m != ModeShedLearning {
-		t.Fatalf("clean streak restarted too fast: %v", m)
+	for i := 1; i < recoverEvals; i++ {
+		if m := d.Eval(clean); m != ModeShedLearning {
+			t.Fatalf("clean streak restarted too fast: %v after %d samples", m, i)
+		}
 	}
-	if m := d.Eval(Sample{QueueFrac: 0.1, ScoringFaults: 5}); m != ModeNormal {
+	if m := d.Eval(clean); m != ModeNormal {
 		t.Fatalf("final recovery => %v, want normal", m)
 	}
 	want := []string{
@@ -299,7 +298,7 @@ func TestDegraderEscalatesAndRecovers(t *testing.T) {
 }
 
 func TestDegraderIOFaultBurstShedsLearning(t *testing.T) {
-	d := NewDegrader(DegraderConfig{IOFaultBurst: 3, RecoverEvals: 1}, nil)
+	d := NewDegrader(nil)
 	d.Eval(Sample{}) // prime
 	if m := d.Eval(Sample{IOFaults: 4}); m != ModeShedLearning {
 		t.Fatalf("I/O burst => %v, want shed-learning", m)
@@ -307,8 +306,13 @@ func TestDegraderIOFaultBurstShedsLearning(t *testing.T) {
 	if r := d.Reason(); r != "durable I/O faulting" {
 		t.Fatalf("reason = %q", r)
 	}
-	// Counter reset (process restart semantics) reads as zero delta.
-	if m := d.Eval(Sample{IOFaults: 1}); m != ModeNormal {
-		t.Fatalf("counter reset sample => %v, want normal (recovered)", m)
+	// Counter reset (process restart semantics) reads as zero delta: it
+	// opens the clean streak that recovers.
+	var m Mode
+	for i := 0; i < recoverEvals; i++ {
+		m = d.Eval(Sample{IOFaults: 1})
+	}
+	if m != ModeNormal {
+		t.Fatalf("counter reset then clean samples => %v, want normal (recovered)", m)
 	}
 }

@@ -340,9 +340,8 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 		lcfg.Interval = 0 // cycles driven only by adapt events
 		lcfg.GateBudget = spec.Lifecycle.GateBudget
 		lcfg.WindowLen = spec.Lifecycle.WindowLen
-		lcfg.SpoolPerCluster = spec.Lifecycle.SpoolPerCluster
+		lcfg.SpoolPerCluster = 64 // scenario scale: days of traffic, not a month
 		lcfg.MinWindows = spec.Lifecycle.MinWindows
-		lcfg.DriftThreshold = spec.Lifecycle.DriftThreshold
 		so.Lifecycle = &lcfg
 		so.Spool = filepath.Join(dir, "lifecycle.nfvs")
 	}

@@ -76,12 +76,10 @@ type ServeSpec struct {
 
 // LifecycleSpec enables and tunes online adaptation.
 type LifecycleSpec struct {
-	Enabled         bool
-	GateBudget      float64
-	WindowLen       int
-	SpoolPerCluster int
-	MinWindows      int
-	DriftThreshold  float64
+	Enabled    bool
+	GateBudget float64
+	WindowLen  int
+	MinWindows int
 }
 
 // Event kinds. Sim-side kinds compile to nfvsim.Injections; runner-side
@@ -424,11 +422,9 @@ func (d *dec) decodeSpec(root *yNode) *Spec {
 			Threshold: 6,
 		},
 		Lifecycle: LifecycleSpec{
-			GateBudget:      1.0,
-			WindowLen:       16,
-			SpoolPerCluster: 64,
-			MinWindows:      4,
-			DriftThreshold:  0.7,
+			GateBudget: 1.0,
+			WindowLen:  16,
+			MinWindows: 4,
 		},
 		Assert: AssertSpec{ZeroDrops: true},
 	}
@@ -548,7 +544,7 @@ func (d *dec) decodeLifecycle(n *yNode, l *LifecycleSpec) {
 	if !d.want(n, yMap, "lifecycle") {
 		return
 	}
-	d.checkKeys(n, "lifecycle", "enabled", "gate_budget", "window_len", "spool_per_cluster", "min_windows", "drift_threshold")
+	d.checkKeys(n, "lifecycle", "enabled", "gate_budget", "window_len", "min_windows")
 	for _, e := range n.entries {
 		switch e.key {
 		case "enabled":
@@ -557,12 +553,8 @@ func (d *dec) decodeLifecycle(n *yNode, l *LifecycleSpec) {
 			l.GateBudget = d.float(e.val, "lifecycle.gate_budget")
 		case "window_len":
 			l.WindowLen = d.integer(e.val, "lifecycle.window_len")
-		case "spool_per_cluster":
-			l.SpoolPerCluster = d.integer(e.val, "lifecycle.spool_per_cluster")
 		case "min_windows":
 			l.MinWindows = d.integer(e.val, "lifecycle.min_windows")
-		case "drift_threshold":
-			l.DriftThreshold = d.float(e.val, "lifecycle.drift_threshold")
 		}
 	}
 }

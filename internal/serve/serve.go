@@ -175,7 +175,7 @@ func New(opts Options) (*Stack, error) {
 	if s.Monitor == nil {
 		s.Monitor = ingest.NewMonitorWithResolver(mcfg, b.Tree, b.DetectorFor, opts.OnWarning)
 	}
-	s.Degrader = resilience.NewDegrader(resilience.DegraderConfig{}, func(from, to resilience.Mode, reason string) {
+	s.Degrader = resilience.NewDegrader(func(from, to resilience.Mode, reason string) {
 		s.SetDegrade(to, reason)
 		s.log.Warn("degradation mode change", "from", from.String(), "to", to.String(), "reason", reason)
 	})

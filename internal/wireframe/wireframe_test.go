@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"nfvpredict/internal/faultinject"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -45,7 +43,7 @@ func TestDecodeCorruption(t *testing.T) {
 		}
 	}
 	flipped := append([]byte(nil), full...)
-	faultinject.FlipBit(flipped, (16+50)*8)
+	flipped[16+50] ^= 1
 	if _, err := Decode(flipped, "TEST", 1); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("bit flip: %v", err)
 	}
