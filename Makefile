@@ -8,11 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent paths: data-parallel gradient
-# workers, per-cluster training fan-out, concurrent scoring, shard worker
+# Race-detector pass over the concurrent paths: per-cluster training
+# fan-out, the over-sampling loss fan-out, concurrent scoring, shard worker
 # lifecycle (start/stop/restart under concurrent enqueue), the ingest
 # server (listeners enqueueing from several goroutines, close-during-frame),
-# and the checkpoint / fault-injection suites.
+# and the checkpoint / fault-injection suites. Training itself is one
+# goroutine per model: one optimizer step per window.
 test-race:
 	$(GO) test -race ./internal/...
 
@@ -44,8 +45,10 @@ scenarios:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# Fuzz smoke: every fuzz target in the tree for ten seconds each — the two
-# kernels against their oracles (shapes, tails, special operands), the
+# Fuzz smoke: every fuzz target in the tree for ten seconds each — the five
+# f64 kernels (the serving matvec and exp, the training outer-product,
+# transposed-product and Adam kernels) against their oracles (shapes,
+# tails, special operands, zero multipliers), the
 # interned scanner against the string tokenizer, the RFC 6587 octet-count
 # reader against hostile prefixes. `go test -fuzz` takes one target and
 # one package per run. A failing input is written under the package's
@@ -53,6 +56,9 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzGemv64$$' -fuzztime 10s
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzExpNeg$$' -fuzztime 10s
+	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzAddOuterSeq$$' -fuzztime 10s
+	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzTransMulVecAdd$$' -fuzztime 10s
+	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzAdamStep$$' -fuzztime 10s
 	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzScannerEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
 
@@ -68,8 +74,10 @@ reach:
 # covers the shard lifecycle tests), the scenario-harness library (lint + end-to-end run
 # of every shipped scenario with its assertions), the fuzz smoke (every
 # fuzz target for ten seconds), the reachability check, and benchmark smoke
-# runs: the metrics hot path and the scoring kernels (LSTM step and gate
-# fold, blocked matvec, the exp kernel). The race pass includes
+# runs: the metrics hot path, the scoring kernels (LSTM step and gate
+# fold, blocked matvec, the exp kernel) and training at the shipped shape
+# (one window with its Adam step, a 32-window trainer pass, the Adam step
+# alone). The race pass includes
 # TestLifecycleSoakSmoke, which promotes a candidate against concurrent
 # scorers. The hard 0 allocs/op assertions are TestHotPathAllocFree and
 # TestScoringHotPathAllocFree, which run with the suite. The last two
@@ -79,14 +87,15 @@ reach:
 # drain of one through the function the shard workers run, so these gates
 # and TestServingPathAllocGate time the served code.
 #
-# The matvec and exp kernels are assembly on amd64 with a portable
-# fallback: `vet ./...` runs asmdecl over the assembly frames and the
-# second vet line checks the fallback files, which the default tags
-# never compile here; the purego test line runs the kernels'
-# differential sweeps, the detector and nfvtrain goldens and the
-# nn/detect suites (the numeric-contract tests among them) through the
-# fallback on this box, and the arm64 build proves the fallback is what
-# every other architecture gets.
+# The f64 kernels — matvec and exp for scoring; the outer-product,
+# transposed-product and Adam kernels for training — are SSE2 assembly on
+# amd64 with a portable fallback: `vet ./...` runs asmdecl over the
+# assembly frames and the second vet line checks the fallback files,
+# which the default tags never compile here; the purego test line runs
+# the kernels' differential sweeps, the detector and nfvtrain goldens and
+# the nn/detect suites (the numeric-contract tests and the per-step
+# training oracle among them) through the fallback on this box, and the
+# arm64 build proves the fallback is what every other architecture gets.
 ci: build
 	$(GO) vet ./...
 	$(GO) vet -tags purego ./internal/mat
@@ -102,6 +111,7 @@ ci: build
 	$(MAKE) reach
 	$(GO) test ./internal/obs/ -run XXX -bench Registry -benchtime=1x -benchmem
 	$(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs|GateFold' -benchtime=1x -benchmem
+	$(GO) test ./internal/nn/ -run XXX -bench 'TrainWindow|BatchTrainer|AdamStep' -benchtime=1x -benchmem
 	$(GO) test ./internal/mat/ -run XXX -bench 'MulVecAdd|ExpNeg' -benchtime=1x -benchmem
 	$(GO) test ./internal/ingest/ -run XXX -bench 'MonitorHandleMessage$$|MonitorHandleMessageSpans$$' -benchtime=1x -benchmem
 	$(GO) test ./internal/ingest/ -run TestServingPathAllocGate -count=1 -v

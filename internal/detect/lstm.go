@@ -41,13 +41,9 @@ type LSTMConfig struct {
 	// MaxWindowsPerEpoch subsamples training windows for bounded cost;
 	// 0 means no cap.
 	MaxWindowsPerEpoch int
-	// BatchWindows is how many windows share one optimizer step. 1 (the
-	// default) reproduces strict per-window SGD; larger values enable
-	// data-parallel gradient computation across Parallelism workers.
-	BatchWindows int
-	// Parallelism is the number of goroutines used for in-batch gradient
-	// computation and training-loss evaluation. Results are bit-identical
-	// for any value; ≤1 means sequential.
+	// Parallelism is the number of goroutines used for the over-sampling
+	// loop's training-loss evaluation. Results are bit-identical for any
+	// value; ≤1 means sequential.
 	Parallelism int
 	// Seed drives initialization and shuffling.
 	Seed int64
@@ -70,7 +66,6 @@ func DefaultLSTMConfig() LSTMConfig {
 		LR:                 3e-3,
 		Clip:               5,
 		MaxWindowsPerEpoch: 4000,
-		BatchWindows:       1,
 		Seed:               1,
 	}
 }
@@ -160,14 +155,9 @@ func (d *LSTMDetector) parallelism() int {
 }
 
 // rebuildTrainer must run whenever d.model or d.opt is replaced: the
-// trainer caches the parameter list and the shadow models that share the
-// model's weights.
+// trainer caches the model's parameter list.
 func (d *LSTMDetector) rebuildTrainer() {
-	batch := d.cfg.BatchWindows
-	if batch < 1 {
-		batch = 1
-	}
-	d.trainer = nn.NewBatchTrainer(d.model, d.opt, batch, d.parallelism())
+	d.trainer = nn.NewBatchTrainer(d.model, d.opt)
 }
 
 // Model exposes the underlying sequence model (nil before Train), used by
@@ -320,8 +310,7 @@ func (d *LSTMDetector) Adapt(streams [][]features.Event) error {
 }
 
 // trainEpoch shuffles and trains one pass over the windows, respecting the
-// per-epoch cap. The shuffled order is fixed by the detector RNG before the
-// trainer sees it, so the result does not depend on cfg.Parallelism.
+// per-epoch cap. The shuffled order is fixed by the detector RNG.
 func (d *LSTMDetector) trainEpoch(wins [][]nn.Token) {
 	idx := d.rng.Perm(len(wins))
 	cap := len(idx)

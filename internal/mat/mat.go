@@ -185,30 +185,15 @@ func (m *Matrix) MulVecAdd(dst, v Vector) {
 
 // TransMulVecAdd sets dst = dst + mᵀ·v without allocating.
 //
-// The inner axpy is 4x-unrolled; each dst element still receives exactly
-// one add per nonzero v[i], in i order, so results stay bit-identical to
-// the rolled loop.
+// Every dst[j] receives one add per nonzero v[i], the rounded product
+// v[i]·m[i][j], in increasing i: the bits of the plain row-by-row axpy
+// loop. Rows whose v[i] is zero (either sign) are skipped, not added as a
+// zero product. The SSE2 kernel holds sixteen columns of dst in registers
+// across all rows; the portable one holds four.
 func (m *Matrix) TransMulVecAdd(dst, v Vector) {
 	mustSameLen(m.Rows, len(v), "Matrix.TransMulVecAdd input")
 	mustSameLen(m.Cols, len(dst), "Matrix.TransMulVecAdd output")
-	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		a := v[i]
-		if a == 0 {
-			continue
-		}
-		row := m.Data[i*n : i*n+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			dst[j] += a * row[j]
-			dst[j+1] += a * row[j+1]
-			dst[j+2] += a * row[j+2]
-			dst[j+3] += a * row[j+3]
-		}
-		for ; j < n; j++ {
-			dst[j] += a * row[j]
-		}
-	}
+	transMulVecAdd(dst, m.Data, v, m.Cols)
 }
 
 // ColGatherAdd sets dst = dst + a * m[:,j], i.e. dst[i] += a * m[i][j].
@@ -243,8 +228,8 @@ func (m *Matrix) Col2GatherAdd(dst Vector, j1 int, a1 float64, j2 int, a2 float6
 
 // AddOuterOneHot sets m[i][j] += a * u[i] for every i: the outer-product
 // gradient update m += (a·u) ⊗ onehot(j) touching only column j. This is
-// the sparse form of AddOuter when v is one-hot, turning the O(Rows·Cols)
-// update into O(Rows).
+// the sparse form of a rank-1 AddOuterSeq when v is one-hot, turning the
+// O(Rows·Cols) update into O(Rows).
 func (m *Matrix) AddOuterOneHot(a float64, u Vector, j int) {
 	mustSameLen(m.Rows, len(u), "Matrix.AddOuterOneHot rows")
 	if j < 0 || j >= m.Cols {
@@ -255,31 +240,24 @@ func (m *Matrix) AddOuterOneHot(a float64, u Vector, j int) {
 	}
 }
 
-// AddOuter sets m = m + a * (u ⊗ v), i.e. m[i][j] += a * u[i] * v[j].
-// This is the weight-gradient accumulation kernel used by backprop.
-func (m *Matrix) AddOuter(a float64, u, v Vector) {
-	mustSameLen(m.Rows, len(u), "Matrix.AddOuter rows")
-	mustSameLen(m.Cols, len(v), "Matrix.AddOuter cols")
-	for i := 0; i < m.Rows; i++ {
-		s := a * u[i]
-		if s == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range v {
-			row[j] += s * x
-		}
+// AddOuterSeq sets m = m + Σₜ us[t] ⊗ vs[t], the weight gradient of a
+// whole sequence in one call: every us[t] is m.Rows long and every vs[t]
+// m.Cols long.
+//
+// Every m[i][j] receives one add per term whose us[t][i] is nonzero, the
+// rounded product us[t][i]·vs[t][j], in increasing t: the bits of T
+// rank-1 updates made one after the other, in slice order. Terms whose
+// us[t][i] is zero (either sign) are skipped, not added as a zero product.
+// A caller that wants the terms in another order passes the slices in
+// that order. T = 1 is the rank-1 update. The SSE2 kernel holds a 4×4
+// tile of m in registers across all T terms.
+func (m *Matrix) AddOuterSeq(us, vs []Vector) {
+	mustSameLen(len(us), len(vs), "Matrix.AddOuterSeq terms")
+	for t := range us {
+		mustSameLen(m.Rows, len(us[t]), "Matrix.AddOuterSeq rows")
+		mustSameLen(m.Cols, len(vs[t]), "Matrix.AddOuterSeq cols")
 	}
-}
-
-// AddScaled sets m = m + a*w. Shapes must match.
-func (m *Matrix) AddScaled(a float64, w *Matrix) {
-	if m.Rows != w.Rows || m.Cols != w.Cols {
-		panic(fmt.Sprintf("mat: AddScaled shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, w.Rows, w.Cols))
-	}
-	for i := range m.Data {
-		m.Data[i] += a * w.Data[i]
-	}
+	addOuterSeq(m, us, vs)
 }
 
 // Scale multiplies every element of m by a in place.

@@ -415,15 +415,16 @@ func TestAddOuter(t *testing.T) {
 	if m.At(0, 0) != 8 || m.At(0, 1) != 10 || m.At(1, 0) != 24 || m.At(1, 1) != 30 {
 		t.Fatalf("AddOuter: %v", m.Data)
 	}
+	// Two terms, one rank-1 each: m[i][j] += u[i]*v[j] + u'[i]*v'[j].
+	m.Zero()
+	m.AddOuterSeq([]Vector{{1, 3}, {2, 0}}, []Vector{{4, 5}, {1, -1}})
+	if m.At(0, 0) != 6 || m.At(0, 1) != 3 || m.At(1, 0) != 12 || m.At(1, 1) != 15 {
+		t.Fatalf("AddOuterSeq: %v", m.Data)
+	}
 }
 
-func TestAddScaledAndScale(t *testing.T) {
-	m := FromRows([][]float64{{1, 1}})
-	w := FromRows([][]float64{{2, 4}})
-	m.AddScaled(0.5, w)
-	if m.At(0, 0) != 2 || m.At(0, 1) != 3 {
-		t.Fatalf("AddScaled: %v", m.Data)
-	}
+func TestScale(t *testing.T) {
+	m := FromRows([][]float64{{2, 3}})
 	m.Scale(2)
 	if m.At(0, 0) != 4 || m.At(0, 1) != 6 {
 		t.Fatalf("Scale: %v", m.Data)
@@ -473,8 +474,13 @@ func TestShapeMismatchPanics(t *testing.T) {
 		func() { Vector{1}.Dot(Vector{1, 2}) },
 		func() { NewMatrix(2, 2).MulVec(Vector{1}) },
 		func() { NewMatrix(2, 2).TransMulVec(Vector{1}) },
-		func() { NewMatrix(2, 2).AddOuter(1, Vector{1}, Vector{1, 2}) },
-		func() { NewMatrix(2, 2).AddScaled(1, NewMatrix(1, 2)) },
+		func() { NewMatrix(2, 2).TransMulVecAdd(Vector{1, 2}, Vector{1}) },
+		func() { NewMatrix(2, 2).AddOuterSeq([]Vector{{1, 2}}, []Vector{{1}}) },
+		func() { NewMatrix(2, 2).AddOuterSeq([]Vector{{1}}, []Vector{{1, 2}}) },
+		func() { NewMatrix(2, 2).AddOuterSeq([]Vector{{1, 2}}, nil) },
+		func() {
+			AdamStep(make([]float64, 2), make([]float64, 2), make([]float64, 1), make([]float64, 2), AdamCoef{})
+		},
 		func() { NewMatrix(2, 2).CopyFrom(NewMatrix(2, 3)) },
 	}
 	for i, f := range cases {

@@ -62,27 +62,59 @@ func BenchmarkLSTMStep(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchTrainer measures one full pass over 32 windows at the
-// configured batch/worker shape.
+// servedWindow is the shipped BPTT window length (detect.DefaultLSTMConfig
+// WindowLen): 24 tokens, 23 predictions.
+const servedWindow = 24
+
+// BenchmarkTrainWindow is one training step at the shipped shape: the
+// BPTT pass over one 24-token window and the Adam step after it.
+func BenchmarkTrainWindow(b *testing.B) {
+	m := NewSequenceModel(servedShape)
+	opt := NewAdam(0.003, 5)
+	window := trainerWindows(1, servedShape.Vocab, servedWindow, 1)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrainWindow(window)
+		opt.Step(m.Params())
+	}
+}
+
+// BenchmarkBatchTrainer is one trainer pass over 32 distinct windows at
+// the shipped shape, an optimizer step after each.
 func BenchmarkBatchTrainer(b *testing.B) {
-	for _, shape := range []struct {
-		name           string
-		batch, workers int
-	}{
-		{"batch1-serial", 1, 1},
-		{"batch8-serial", 8, 1},
-		{"batch8-workers4", 8, 4},
-	} {
-		b.Run(shape.name, func(b *testing.B) {
-			m := NewSequenceModel(SeqModelConfig{Vocab: 64, Hidden: []int{48, 48}, UseGap: true, Seed: 1})
-			bt := NewBatchTrainer(m, NewAdam(0.003, 5), shape.batch, shape.workers)
-			wins := trainerWindows(32, 64, 33, 7)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bt.Train(wins)
-			}
-		})
+	m := NewSequenceModel(servedShape)
+	bt := NewBatchTrainer(m, NewAdam(0.003, 5))
+	wins := trainerWindows(32, servedShape.Vocab, servedWindow, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt.Train(wins)
+	}
+}
+
+// BenchmarkAdamStep is the optimizer alone at the shipped shape: the
+// global-norm clip and the update of all 25.6 k parameters, from one
+// window's gradients. The step zeroes them, so every iteration first
+// copies them back (200 KB, inside the timing): a constant gradient keeps
+// the moments away from denormals, which a run of zero gradients would
+// decay them into.
+func BenchmarkAdamStep(b *testing.B) {
+	m := NewSequenceModel(servedShape)
+	m.TrainWindow(trainerWindows(1, servedShape.Vocab, servedWindow, 1)[0])
+	params := m.Params()
+	grads := make([][]float64, len(params))
+	for i, p := range params {
+		grads[i] = append([]float64(nil), p.Grad.Data...)
+	}
+	opt := NewAdam(0.003, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, p := range params {
+			copy(p.Grad.Data, grads[k])
+		}
+		opt.Step(params)
 	}
 }
 

@@ -264,7 +264,7 @@ func TestVerdictsEqualLibm(t *testing.T) {
 	for at := 0; at+21 <= len(train); at += 10 {
 		wins = append(wins, train[at:at+21])
 	}
-	bt := NewBatchTrainer(m, NewAdam(0.01, 5), 8, 2)
+	bt := NewBatchTrainer(m, NewAdam(0.01, 5))
 	for epoch := 0; epoch < 3; epoch++ {
 		bt.Train(wins)
 	}

@@ -98,7 +98,7 @@ func (d *Dense) Backward(c *DenseCache, dy mat.Vector) mat.Vector {
 			dz[i] = dy[i] * d.Act.DerivFromOutput(c.y[i])
 		}
 	}
-	d.Wp.Grad.AddOuter(1, dz, c.x)
+	d.Wp.Grad.AddOuterSeq([]mat.Vector{dz}, []mat.Vector{c.x})
 	d.Bp.Grad.Row(0).AddInPlace(dz)
 	c.dx = ensureVec(c.dx, d.In)
 	c.dx.Zero()
@@ -120,16 +120,4 @@ func (d *Dense) clone() *Dense {
 	out.Wp.Frozen = d.Wp.Frozen
 	out.Bp.Frozen = d.Bp.Frozen
 	return out
-}
-
-// shadow returns a layer sharing d's weight matrices but owning fresh
-// gradient accumulators, for data-parallel gradient workers.
-func (d *Dense) shadow() *Dense {
-	return &Dense{
-		In:  d.In,
-		Out: d.Out,
-		Act: d.Act,
-		Wp:  d.Wp.shadow(),
-		Bp:  d.Bp.shadow(),
-	}
 }

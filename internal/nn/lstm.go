@@ -104,9 +104,13 @@ type lstmStep struct {
 // is owned by one goroutine at a time.
 type LSTMCache struct {
 	steps []lstmStep
-	// Backward scratch, lazily sized on first BackwardSeq.
-	dh, dhNext, dcNext, dz mat.Vector
-	dxs                    []mat.Vector
+	// Backward scratch, lazily sized on first BackwardSeq. dzs holds every
+	// step's gate gradient (T × 4H) and hps the matching hPrev; xs holds
+	// the dense steps' inputs and xdzs their gate gradients. All are in
+	// the order the backward pass visits the steps, so each weight
+	// gradient is summed by one AddOuterSeq.
+	dh, dhNext, dcNext      mat.Vector
+	dzs, hps, xs, xdzs, dxs []mat.Vector
 }
 
 // reset rewinds the tape for a new sequence, keeping every buffer.
@@ -135,6 +139,18 @@ func ensureVec(v mat.Vector, n int) mat.Vector {
 		return mat.NewVector(n)
 	}
 	return v[:n]
+}
+
+// ensureVecs returns vs resliced to length t, keeping the vectors it
+// already holds and growing its backing array only when the capacity is
+// insufficient. The entries past the old length are unspecified.
+func ensureVecs(vs []mat.Vector, t int) []mat.Vector {
+	if cap(vs) < t {
+		next := make([]mat.Vector, t)
+		copy(next, vs[:cap(vs)])
+		return next
+	}
+	return vs[:t]
 }
 
 // Step advances the recurrent state by one dense input and returns the new
@@ -256,28 +272,42 @@ func tanhOf(t float64) float64 {
 // cache's scratch and stay valid until its next BackwardSeq; entries for
 // sparse (one-hot) steps are nil — nothing consumes input gradients below
 // the input layer, and skipping them removes the second O(In·4H) term.
+//
+// The recurrence (dh, dc, dhNext), the bias and the one-hot input columns
+// are done step by step, t = T−1 down to 0. The dense weight gradients,
+// Σₜ dzₜ ⊗ hPrevₜ into Wh and Σₜ dzₜ ⊗ xₜ into Wx over the dense steps,
+// nothing reads before the optimizer, so each is one AddOuterSeq after the
+// recurrence with its terms in that same descending order: every element
+// gets the adds the per-step updates gave it, in the same order. (Wx's
+// one-hot columns stay per step, so that holds for Wx when a sequence's
+// steps are all dense or all sparse, as every caller builds them.)
+//
+// A frozen layer's gradients are computed all the same, and must be:
+// Adam.Step's global-norm clip reads every parameter's gradient, frozen or
+// not (TestAdamClipCountsFrozenGradients), so skipping them here would
+// change the live layers' steps.
 func (l *LSTM) BackwardSeq(cache *LSTMCache, dhs []mat.Vector) []mat.Vector {
 	H := l.Hidden
 	T := len(cache.steps)
 	if len(dhs) != T {
 		panic("nn: BackwardSeq gradient count mismatch")
 	}
-	if cap(cache.dxs) < T {
-		next := make([]mat.Vector, T)
-		copy(next, cache.dxs)
-		cache.dxs = next
-	}
-	cache.dxs = cache.dxs[:T]
+	cache.dxs = ensureVecs(cache.dxs, T)
+	cache.dzs = ensureVecs(cache.dzs, T)
+	cache.hps = ensureVecs(cache.hps, T)
+	cache.xs, cache.xdzs = cache.xs[:0], cache.xdzs[:0]
 	dxs := cache.dxs
 	cache.dh = ensureVec(cache.dh, H)
 	cache.dhNext = ensureVec(cache.dhNext, H)
 	cache.dcNext = ensureVec(cache.dcNext, H)
-	cache.dz = ensureVec(cache.dz, 4*H)
-	dh, dhNext, dcNext, dz := cache.dh, cache.dhNext, cache.dcNext, cache.dz
+	dh, dhNext, dcNext := cache.dh, cache.dhNext, cache.dcNext
 	dhNext.Zero() // gradient flowing from t+1 into h_t
 	dcNext.Zero() // gradient flowing from t+1 into c_t
-	for t := T - 1; t >= 0; t-- {
+	for k, t := 0, T-1; t >= 0; k, t = k+1, t-1 {
 		s := &cache.steps[t]
+		cache.dzs[k] = ensureVec(cache.dzs[k], 4*H)
+		dz := cache.dzs[k]
+		cache.hps[k] = s.hPrev
 		for j := 0; j < H; j++ {
 			dh[j] = dhs[t][j] + dhNext[j]
 		}
@@ -296,7 +326,8 @@ func (l *LSTM) BackwardSeq(cache *LSTMCache, dhs []mat.Vector) []mat.Vector {
 			dz[3*H+j] = do * s.o[j] * (1 - s.o[j])
 		}
 		if s.x != nil {
-			l.Wxp.Grad.AddOuter(1, dz, s.x)
+			cache.xs = append(cache.xs, s.x)
+			cache.xdzs = append(cache.xdzs, dz)
 			dx := ensureVec(dxs[t], l.In)
 			dx.Zero()
 			l.Wxp.W.TransMulVecAdd(dx, dz)
@@ -311,12 +342,13 @@ func (l *LSTM) BackwardSeq(cache *LSTMCache, dhs []mat.Vector) []mat.Vector {
 			}
 			dxs[t] = nil
 		}
-		l.Whp.Grad.AddOuter(1, dz, s.hPrev)
 		l.Bp.Grad.Row(0).AddInPlace(dz)
 
 		dhNext.Zero()
 		l.Whp.W.TransMulVecAdd(dhNext, dz)
 	}
+	l.Whp.Grad.AddOuterSeq(cache.dzs, cache.hps)
+	l.Wxp.Grad.AddOuterSeq(cache.xdzs, cache.xs)
 	return dxs
 }
 
@@ -336,16 +368,4 @@ func (l *LSTM) clone() *LSTM {
 	out.Whp.Frozen = l.Whp.Frozen
 	out.Bp.Frozen = l.Bp.Frozen
 	return out
-}
-
-// shadow returns a layer sharing l's weight matrices but owning fresh
-// gradient accumulators, for data-parallel gradient workers.
-func (l *LSTM) shadow() *LSTM {
-	return &LSTM{
-		In:     l.In,
-		Hidden: l.Hidden,
-		Wxp:    l.Wxp.shadow(),
-		Whp:    l.Whp.shadow(),
-		Bp:     l.Bp.shadow(),
-	}
 }

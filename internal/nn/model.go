@@ -44,7 +44,7 @@ type SeqModelConfig struct {
 //
 // A model may be scored concurrently (each goroutine with its own
 // StreamState), but TrainWindow must not run concurrently on the same
-// model — data-parallel trainers use ShadowClone for that.
+// model.
 type SequenceModel struct {
 	cfg   SeqModelConfig
 	lstms []*LSTM
@@ -53,15 +53,14 @@ type SequenceModel struct {
 }
 
 // trainArena holds every reusable buffer one TrainWindow pass needs, so
-// repeated windows allocate nothing. A model owns one arena; shadow clones
-// own their own, which is what makes data-parallel gradient workers
-// race-free.
+// repeated windows allocate nothing. A model owns one arena.
 type trainArena struct {
-	states   []*LSTMState
-	caches   []*LSTMCache
-	outCache DenseCache
-	dlogits  mat.Vector
-	dhs      []mat.Vector // per-timestep ∂loss/∂h over the top layer
+	states  []*LSTMState
+	caches  []*LSTMCache
+	logits  mat.Vector
+	dlogits []mat.Vector // per-timestep ∂loss/∂logits
+	hs      []mat.Vector // per-timestep top-layer output, the dense layer's input
+	dhs     []mat.Vector // per-timestep ∂loss/∂h over the top layer
 }
 
 // NewSequenceModel builds a model per cfg. It panics on a non-positive
@@ -152,7 +151,7 @@ func (m *SequenceModel) arena() *trainArena {
 //
 // The pass is allocation-free after the first call: inputs stay in their
 // sparse one-hot form and every intermediate lives in the model's arena.
-// Not safe for concurrent use on one model; see ShadowClone.
+// Not safe for concurrent use on one model.
 func (m *SequenceModel) TrainWindow(window []Token) float64 {
 	if len(window) < 2 {
 		return 0
@@ -175,26 +174,30 @@ func (m *SequenceModel) TrainWindow(window []Token) float64 {
 			l.Step(prev.steps[t].h, a.states[li], a.caches[li])
 		}
 	}
-	// Output layer + loss per timestep.
+	// Output layer + loss per timestep: the logits, their gradient, the
+	// bias gradient and ∂loss/∂h step by step; the weight gradient
+	// Σₜ dlogitsₜ ⊗ hₜ in one AddOuterSeq afterwards, its terms in
+	// increasing t as the per-step updates added them.
 	top := a.caches[len(m.lstms)-1]
-	if cap(a.dhs) < T {
-		next := make([]mat.Vector, T)
-		copy(next, a.dhs)
-		a.dhs = next
-	}
-	a.dhs = a.dhs[:T]
-	a.dlogits = ensureVec(a.dlogits, m.cfg.Vocab)
+	a.dlogits = ensureVecs(a.dlogits, T)
+	a.hs = ensureVecs(a.hs, T)
+	a.dhs = ensureVecs(a.dhs, T)
+	a.logits = ensureVec(a.logits, m.cfg.Vocab)
 	var total float64
 	for t := 0; t < T; t++ {
-		logits := m.out.ForwardInto(&a.outCache, top.steps[t].h)
-		loss := SoftmaxCrossEntropyInto(a.dlogits, logits, m.targetOf(window[t+1]))
-		total += loss
+		h := top.steps[t].h
+		a.hs[t] = h
+		a.dlogits[t] = ensureVec(a.dlogits[t], m.cfg.Vocab)
+		dl := a.dlogits[t]
+		total += SoftmaxCrossEntropyInto(dl, m.out.InferInto(a.logits, h), m.targetOf(window[t+1]))
 		// Scale so gradients are means over the window.
-		a.dlogits.ScaleInPlace(1 / float64(T))
-		dh := m.out.Backward(&a.outCache, a.dlogits)
-		a.dhs[t] = ensureVec(a.dhs[t], len(dh))
-		copy(a.dhs[t], dh)
+		dl.ScaleInPlace(1 / float64(T))
+		m.out.Bp.Grad.Row(0).AddInPlace(dl)
+		a.dhs[t] = ensureVec(a.dhs[t], len(h))
+		a.dhs[t].Zero()
+		m.out.Wp.W.TransMulVecAdd(a.dhs[t], dl)
 	}
+	m.out.Wp.Grad.AddOuterSeq(a.dlogits, a.hs)
 	// Backward through the LSTM stack, top layer first.
 	grads := a.dhs
 	for li := len(m.lstms) - 1; li >= 0; li-- {
@@ -342,20 +345,6 @@ func (m *SequenceModel) Fingerprint() uint64 {
 		}
 	}
 	return h
-}
-
-// ShadowClone returns a model that shares m's weight matrices but owns
-// fresh gradient accumulators and scratch. Shadows are the unit of
-// data-parallel training: workers run TrainWindow on disjoint shadows
-// against the shared (read-only during the batch) weights, and the trainer
-// merges the shadow gradients into m's in a deterministic order.
-func (m *SequenceModel) ShadowClone() *SequenceModel {
-	out := &SequenceModel{cfg: m.cfg}
-	for _, l := range m.lstms {
-		out.lstms = append(out.lstms, l.shadow())
-	}
-	out.out = m.out.shadow()
-	return out
 }
 
 // FreezeBottomLayers freezes the lowest n LSTM layers so that fine-tuning

@@ -45,12 +45,19 @@ func NewAdam(lr, clip float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The clip's norm is taken over every
+// parameter's gradient, frozen ones included (see Param). The element
+// update, with the gradient zeroed in the same pass, is mat.AdamStep.
 func (a *Adam) Step(params []*Param) {
 	ClipGradNorm(params, a.Clip)
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	k := mat.AdamCoef{
+		Beta1: a.Beta1, Beta2: a.Beta2,
+		OneMinusBeta1: 1 - a.Beta1, OneMinusBeta2: 1 - a.Beta2,
+		C1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		C2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR: a.LR, Eps: a.Eps,
+	}
 	for _, p := range params {
 		if p.Frozen {
 			p.ZeroGrad()
@@ -66,15 +73,7 @@ func (a *Adam) Step(params []*Param) {
 			v = mat.NewMatrix(p.W.Rows, p.W.Cols)
 			a.v[p] = v
 		}
-		for i := range p.W.Data {
-			g := p.Grad.Data[i]
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-			mHat := m.Data[i] / c1
-			vHat := v.Data[i] / c2
-			p.W.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
-		p.ZeroGrad()
+		mat.AdamStep(p.W.Data, p.Grad.Data, m.Data, v.Data, k)
 	}
 }
 

@@ -1,114 +1,29 @@
 package nn
 
-import "sync"
-
-// BatchTrainer runs TrainWindow over a stream of windows, applying one
-// optimizer step per batch of BatchWindows windows, optionally computing
-// the per-window gradients on Workers goroutines.
-//
-// Determinism contract: for a fixed model, optimizer state, and window
-// order, the resulting weights are bit-identical regardless of Workers.
-// This holds because (a) each window's gradients accumulate into its own
-// shadow buffer, (b) shadows are merged into the primary gradients in
-// window index order, and (c) the batch size never depends on Workers.
-// With BatchWindows == 1 (the default used by the detector) the trainer
-// degenerates to exactly the seed semantics: one optimizer step per
-// window, gradients computed directly on the primary model.
+// BatchTrainer runs TrainWindow over a batch of windows in order, applying
+// one optimizer step after every window that produced a loss: strict
+// per-window SGD, gradients computed directly on the model.
 type BatchTrainer struct {
-	model   *SequenceModel
-	opt     Optimizer
-	params  []*Param
-	batch   int
-	workers int
-	// shadows[i] computes gradients for the i-th window of a batch;
-	// lazily grown, reused across batches.
-	shadows []*SequenceModel
-	losses  []float64
+	model  *SequenceModel
+	opt    Optimizer
+	params []*Param
 }
 
-// NewBatchTrainer wraps model and opt. batch is clamped to at least 1;
-// workers is clamped to [1, batch] (more workers than windows per batch
-// cannot help).
-func NewBatchTrainer(model *SequenceModel, opt Optimizer, batch, workers int) *BatchTrainer {
-	if batch < 1 {
-		batch = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > batch {
-		workers = batch
-	}
-	return &BatchTrainer{
-		model:   model,
-		opt:     opt,
-		params:  model.Params(),
-		batch:   batch,
-		workers: workers,
-	}
+// NewBatchTrainer wraps model and opt.
+func NewBatchTrainer(model *SequenceModel, opt Optimizer) *BatchTrainer {
+	return &BatchTrainer{model: model, opt: opt, params: model.Params()}
 }
 
-// Train runs one pass over windows in order, stepping the optimizer after
-// every batch (including a final short batch), and returns the total loss.
+// Train runs one pass over windows in order and returns the total loss.
+// Windows too short to train on (TrainWindow returns 0) take no step.
 func (bt *BatchTrainer) Train(windows [][]Token) float64 {
 	var total float64
-	for start := 0; start < len(windows); start += bt.batch {
-		end := start + bt.batch
-		if end > len(windows) {
-			end = len(windows)
-		}
-		total += bt.trainBatch(windows[start:end])
-	}
-	return total
-}
-
-// trainBatch accumulates gradients for one batch and applies one optimizer
-// step (skipped if no window produced a loss, mirroring the seed's
-// per-window skip of empty windows).
-func (bt *BatchTrainer) trainBatch(batch [][]Token) float64 {
-	if len(batch) == 1 && bt.workers <= 1 {
-		// Fast path, and exactly the seed training semantics.
-		loss := bt.model.TrainWindow(batch[0])
+	for _, w := range windows {
+		loss := bt.model.TrainWindow(w)
 		if loss > 0 {
 			bt.opt.Step(bt.params)
 		}
-		return loss
-	}
-	for len(bt.shadows) < len(batch) {
-		bt.shadows = append(bt.shadows, bt.model.ShadowClone())
-	}
-	if cap(bt.losses) < len(batch) {
-		bt.losses = make([]float64, len(batch))
-	}
-	bt.losses = bt.losses[:len(batch)]
-	var wg sync.WaitGroup
-	for w := 0; w < bt.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(batch); i += bt.workers {
-				bt.losses[i] = bt.shadows[i].TrainWindow(batch[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Merge shadow gradients in window index order so the floating-point
-	// summation order is independent of the worker count.
-	var total float64
-	any := false
-	for i := range batch {
-		total += bt.losses[i]
-		if bt.losses[i] > 0 {
-			any = true
-		}
-		sp := bt.shadows[i].Params()
-		for pi, p := range bt.params {
-			p.Grad.AddScaled(1, sp[pi].Grad)
-			sp[pi].Grad.Zero()
-		}
-	}
-	if any {
-		bt.opt.Step(bt.params)
+		total += loss
 	}
 	return total
 }

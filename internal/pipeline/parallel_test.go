@@ -6,12 +6,11 @@ import (
 	"nfvpredict/internal/nfvsim"
 )
 
-// parallelConfig enables every concurrency knob: parallel per-cluster
-// training, batched data-parallel gradients, and parallel scoring.
+// parallelConfig sets the one concurrency knob: parallel per-cluster
+// training, parallel scoring and the over-sampling loss fan-out.
 func parallelConfig(parallelism int) Config {
 	cfg := fastConfig(CustomizedAdaptive, MethodLSTM)
 	cfg.Parallelism = parallelism
-	cfg.LSTM.BatchWindows = 4
 	return cfg
 }
 
@@ -50,9 +49,9 @@ func TestRunParallelismInvariant(t *testing.T) {
 }
 
 // TestRunParallelTrainingRace exists to be run under the race detector
-// (make test-race): it drives concurrent per-cluster training, batched
-// gradient workers, mid-month adaptation, and concurrent scoring on the
-// shared detectors in one walk-forward run.
+// (make test-race): it drives concurrent per-cluster training, the
+// over-sampling loss fan-out, mid-month adaptation, and concurrent
+// scoring on the shared detectors in one walk-forward run.
 func TestRunParallelTrainingRace(t *testing.T) {
 	ds := testDataset(t, func(c *nfvsim.Config) { c.NumVPEs = 6; c.Months = 3; c.UpdateMonth = 2 })
 	cfg := parallelConfig(4)

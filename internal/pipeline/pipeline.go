@@ -158,8 +158,8 @@ func (c *Config) newDetector(clusterIdx int) (detect.Detector, error) {
 		cfg := c.LSTM
 		cfg.Seed += int64(clusterIdx) * 101
 		if cfg.Parallelism <= 0 {
-			// Inherit the pipeline's worker budget for in-training
-			// parallelism (batch gradients, loss evaluation).
+			// Inherit the pipeline's worker budget for the
+			// over-sampling loop's loss evaluation.
 			cfg.Parallelism = c.Parallelism
 		}
 		d := detect.NewLSTMDetector(cfg)
