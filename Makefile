@@ -49,8 +49,9 @@ bench-smoke:
 # f64 kernels (the serving matvec and exp, the training outer-product,
 # transposed-product and Adam kernels) against their oracles (shapes,
 # tails, special operands, zero multipliers), the
-# interned scanner against the string tokenizer, the RFC 6587 octet-count
-# reader against hostile prefixes. `go test -fuzz` takes one target and
+# interned scanner against the string tokenizer, the RFC 3164 parser
+# against a time.Parse reference, the RFC 6587 octet-count reader against
+# hostile prefixes. `go test -fuzz` takes one target and
 # one package per run. A failing input is written under the package's
 # testdata/fuzz/ and from then on fails plain `go test` too.
 fuzz-smoke:
@@ -60,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzTransMulVecAdd$$' -fuzztime 10s
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzAdamStep$$' -fuzztime 10s
 	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzScannerEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/logfmt/ -run XXX -fuzz '^FuzzParse3164$$' -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
 
 # Reachability: every func in a non-test file of a library package that

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -528,6 +529,40 @@ func TestTCPOversizeOctetFrameResync(t *testing.T) {
 	col.waitFor(t, 1)
 	if st := srv.Stats(); st.Malformed != 1 || st.Received != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestTCPLineWithoutLFIsBounded sends 64 read buffers of LF-framed junk
+// with no LF, then a good line. The junk is one malformed frame, the good
+// line still arrives, and the listener skips the junk a buffer at a time
+// instead of collecting it: the process allocates far less than the junk's
+// size while serving it.
+func TestTCPLineWithoutLFIsBounded(t *testing.T) {
+	srv, col := startServer(t)
+	conn, err := net.Dial("tcp", srv.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	junk := bytes.Repeat([]byte("x"), 64*maxLine)
+	junk = append(junk, '\n')
+	good := []byte(sampleLine(1) + "\n")
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(junk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(good); err != nil {
+		t.Fatal(err)
+	}
+	col.waitFor(t, 1)
+	runtime.ReadMemStats(&after)
+	if st := srv.Stats(); st.Malformed != 1 || st.Received != 1 {
+		t.Fatalf("stats: %+v (want malformed=1 received=1)", st)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*maxLine {
+		t.Fatalf("serving %d bytes without an LF allocated %d bytes, bound %d", len(junk), grew, 8*maxLine)
 	}
 }
 

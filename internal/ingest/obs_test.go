@@ -149,8 +149,9 @@ func TestServerStatsOnRegistry(t *testing.T) {
 			}
 			defer srv.Close()
 
-			srv.enqueue([]byte(sampleLine(1)))
-			srv.enqueue([]byte("not syslog at all"))
+			w := &wireState{s: srv}
+			srv.enqueue([]byte(sampleLine(1)), w)
+			srv.enqueue([]byte("not syslog at all"), w)
 			st := srv.Stats()
 			if st.Received != 1 || st.Malformed != 1 {
 				t.Fatalf("stats: %+v", st)

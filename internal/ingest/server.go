@@ -68,8 +68,9 @@ func DefaultServerConfig() ServerConfig {
 }
 
 // maxLine bounds a single TCP frame: it sizes each connection's read
-// buffer, and an octet-counted frame announcing more is skipped whole and
-// counted malformed.
+// buffer, which holds every frame while it is parsed. An octet-counted
+// frame announcing more is skipped whole, and an LF line that fills the
+// buffer is skipped through its LF; each counts as malformed.
 const maxLine = 8192
 
 // Stats counts server activity; all fields are cumulative.
@@ -257,21 +258,47 @@ func (s *Server) untrackConn(c net.Conn) {
 	s.connMu.Unlock()
 }
 
-// enqueue parses one raw line and hands it to the shard sink.
-func (s *Server) enqueue(line []byte) {
+// wireState is one listener's per-read state: the accept stamp its frames
+// share and the drop-SLO events they have produced since the last flush.
+// For a TCP connection it is also the io.Reader under the bufio.Reader, so
+// every socket read, the only place the listener can block, flushes the
+// events before it and restamps after it.
+type wireState struct {
+	s    *Server
+	conn io.Reader
+	// accept is when the read holding the current frames returned; it is
+	// read only when a tracer is attached.
+	accept    time.Time
+	good, bad uint64
+}
+
+func (w *wireState) Read(p []byte) (int, error) {
+	w.flush()
+	n, err := w.conn.Read(p)
+	w.stamp()
+	return n, err
+}
+
+// stamp records the accept time of the bytes just read.
+func (w *wireState) stamp() {
+	if w.s.cfg.Tracer != nil {
+		w.accept = time.Now()
+	}
+}
+
+// flush records the batched drop-SLO events in one clock read.
+func (w *wireState) flush() {
+	w.s.cfg.DropSLO.RecordN(w.good, w.bad)
+	w.good, w.bad = 0, 0
+}
+
+// enqueue parses one raw line and hands it to the shard sink. line is only
+// borrowed: the parse copies what the message keeps.
+func (s *Server) enqueue(line []byte, w *wireState) {
 	trimmed := bytes.TrimRight(line, "\r\n")
 	if len(trimmed) == 0 {
 		return
 	}
-	// Accept is stamped before decode so span totals cover parse time;
-	// the clock is only read when a tracer is attached.
-	var accept time.Time
-	if s.cfg.Tracer != nil {
-		accept = time.Now()
-	}
-	// Byte-slice parse: the frame is copied into the Message exactly once
-	// (host onward); PRI and timestamp are decoded in place. The read
-	// buffer is free for reuse as soon as this returns.
 	msg, err := logfmt.Parse3164Bytes(trimmed, s.cfg.Year)
 	if err != nil {
 		s.malformed.Add(1)
@@ -279,21 +306,21 @@ func (s *Server) enqueue(line []byte) {
 	}
 	if s.cfg.Tracer != nil {
 		id, sampled := s.cfg.Tracer.Accept()
-		msg.Trace = logfmt.TraceCtx{
-			ID:       uint64(id),
-			Sampled:  sampled,
-			Accept:   accept,
-			DecodeNS: int64(time.Since(accept)),
+		msg.Trace = logfmt.TraceCtx{ID: uint64(id), Sampled: sampled, Accept: w.accept}
+		if sampled {
+			// Only a sampled span reads the decode stage, so only a
+			// sampled frame pays for a second clock read.
+			msg.Trace.DecodeNS = int64(time.Since(w.accept))
 		}
 	}
 	// Hand the message to its shard queue right here on the listener
 	// goroutine.
 	if s.cfg.Sharded.Enqueue(msg) {
 		s.received.Add(1)
-		s.cfg.DropSLO.Record(true)
+		w.good++
 	} else {
 		s.shardDrops.Add(1)
-		s.cfg.DropSLO.Record(false)
+		w.bad++
 	}
 }
 
@@ -321,6 +348,7 @@ func (s *Server) readUDP() {
 	defer s.wg.Done()
 	buf := make([]byte, 64*1024)
 	retry := listenerBackoff()
+	w := &wireState{s: s}
 	for {
 		n, _, err := s.udp.ReadFromUDP(buf)
 		if err != nil {
@@ -336,7 +364,9 @@ func (s *Server) readUDP() {
 			continue
 		}
 		retry.Reset()
-		s.enqueue(buf[:n])
+		w.stamp()
+		s.enqueue(buf[:n], w)
+		w.flush()
 	}
 }
 
@@ -374,16 +404,21 @@ func (s *Server) acceptTCP() {
 }
 
 // serveTCP reads RFC 6587 frames: octet counting ("123 <pri>...") when the
-// stream starts with a digit, non-transparent LF framing otherwise.
+// stream starts with a digit, non-transparent LF framing otherwise. Every
+// frame is parsed in place in the read buffer; frames already buffered
+// share the accept stamp of the read that brought them.
 //
-// Malformed octet counts do not kill the connection: an oversize but
-// parseable length skips exactly that many bytes (frame-level resync), and
-// an unparseable or zero/leading-zero length falls back to discarding
-// through the next LF. Either way the frame is counted as malformed and the
-// peer keeps its connection — one bad sender line must not silently drop a
-// vPE from monitoring.
+// Malformed frames do not kill the connection: an oversize but parseable
+// length skips exactly that many bytes (frame-level resync), an
+// unparseable or zero/leading-zero length falls back to discarding
+// through the next LF, and an LF line longer than the buffer is discarded
+// through its LF. Each is counted as one malformed frame and the peer
+// keeps its connection — one bad sender line must not silently drop a vPE
+// from monitoring.
 func (s *Server) serveTCP(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, maxLine)
+	w := &wireState{s: s, conn: conn}
+	defer w.flush()
+	r := bufio.NewReaderSize(w, maxLine)
 	for {
 		select {
 		case <-s.closed:
@@ -404,7 +439,7 @@ func (s *Server) serveTCP(conn net.Conn) {
 				// Unusable length (leading zero, overlong, junk, or "0").
 				// Resync on the LF boundary like a non-transparent frame.
 				s.malformed.Add(1)
-				if _, err := r.ReadBytes('\n'); err != nil {
+				if skipLine(r) != nil {
 					return
 				}
 				continue
@@ -413,25 +448,44 @@ func (s *Server) serveTCP(conn net.Conn) {
 				// Parseable but oversize: skip the advertised frame so the
 				// stream stays in sync, then keep serving the peer.
 				s.malformed.Add(1)
-				if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
+				if _, err := r.Discard(n); err != nil {
 					return
 				}
 				continue
 			}
-			frame := make([]byte, n)
-			if _, err := io.ReadFull(r, frame); err != nil {
+			frame, err := r.Peek(n)
+			if err != nil {
 				return
 			}
-			s.enqueue(frame)
+			s.enqueue(frame, w)
+			r.Discard(n) // cannot fail: Peek buffered all n bytes
 			continue
 		}
 		// LF framing.
-		line, err := r.ReadBytes('\n')
+		line, err := r.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			s.malformed.Add(1)
+			if skipLine(r) != nil {
+				return
+			}
+			continue
+		}
 		if len(line) > 0 {
-			s.enqueue(line)
+			s.enqueue(line, w)
 		}
 		if err != nil {
 			return
+		}
+	}
+}
+
+// skipLine discards through the next LF a buffer at a time, so a line
+// that never ends costs the listener no memory.
+func skipLine(r *bufio.Reader) error {
+	for {
+		_, err := r.ReadSlice('\n')
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			return err
 		}
 	}
 }

@@ -438,8 +438,9 @@ func TestServerShardDropAccounting(t *testing.T) {
 	}
 	defer srv.Close()
 
+	w := &wireState{s: srv}
 	for i := 0; i < 10; i++ {
-		srv.enqueue([]byte(sampleLine(i)))
+		srv.enqueue([]byte(sampleLine(i)), w)
 	}
 	st := srv.Stats()
 	if st.Received != 4 || st.ShardDropped != 6 {

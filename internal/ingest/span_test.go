@@ -2,6 +2,9 @@ package ingest
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"net"
 	"os"
 	"sort"
 	"strings"
@@ -283,11 +286,11 @@ func TestHandleSecondsOnServedRoute(t *testing.T) {
 	}
 }
 
-// TestServerDropSLOAndTraceStamp drives the server's accept boundary: a
-// stopped monitor's full shard queue turns refusals into bad SLO events
-// (flipping the drop objective's fast window), admissions into good ones,
-// and every accepted message gets a trace context with its decode stage
-// attributed.
+// TestServerDropSLOAndTraceStamp drives the server's accept boundary as
+// one datagram read would: a stopped monitor's full shard queue turns
+// refusals into bad SLO events (flipping the drop objective's fast window
+// at the read's flush), admissions into good ones, and every accepted
+// message gets a trace context with its decode stage attributed.
 func TestServerDropSLOAndTraceStamp(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	ring := obs.NewSpanRing(16)
@@ -310,9 +313,12 @@ func TestServerDropSLOAndTraceStamp(t *testing.T) {
 	}
 	defer srv.Close()
 
+	w := &wireState{s: srv}
+	w.stamp()
 	for i := 0; i < 10; i++ {
-		srv.enqueue([]byte(sampleLine(i)))
+		srv.enqueue([]byte(sampleLine(i)), w)
 	}
+	w.flush()
 	st := drops.Status()
 	if st.Fast.Good != 4 || st.Fast.Bad != 6 {
 		t.Fatalf("drop SLO saw %d good / %d bad, want 4 / 6", st.Fast.Good, st.Fast.Bad)
@@ -338,6 +344,93 @@ func TestServerDropSLOAndTraceStamp(t *testing.T) {
 		if !s.Sampled || s.Stages.DecodeNS <= 0 || s.Stages.QueueNS <= 0 {
 			t.Fatalf("server-stamped span lacks decode/queue stages: %+v", s.Stages)
 		}
+	}
+}
+
+// TestServerWireStampsAndFlushes sends a burst of octet-counted frames
+// over one TCP connection that stays open, with every other message
+// sampled. The listener batches drop-SLO events per socket read, so the
+// objective's good count must reach Stats().Received without the
+// connection closing; every span's total must run from a per-read accept
+// stamp taken after the burst was sent; sampled spans must carry their
+// decode stage, and unsampled warnings their total. A final unterminated
+// line must still be counted once the peer closes.
+func TestServerWireStampsAndFlushes(t *testing.T) {
+	tree, det := trainMonitorDetector(t)
+	mcfg, _, ring, _ := spanMonitorConfig(t, 2)
+	mcfg.Shards = 2
+	mon := NewMonitorWithResolver(mcfg, tree, func(string) *detect.LSTMDetector { return det }, nil)
+	mon.Start()
+	defer mon.Stop()
+
+	drops := obs.NewSLO(obs.SLOConfig{Name: "shard_drop_ratio", Target: 0.99})
+	cfg := DefaultServerConfig()
+	cfg.Sharded = mon
+	cfg.Tracer = mcfg.Tracer
+	cfg.DropSLO = drops
+	srv, err := NewServer(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start(context.Background())
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	msgs := monitorTraffic([]string{"vpe01", "vpe02", "vpe03", "vpe04"}, 40)
+	var burst []byte
+	for _, m := range msgs {
+		line := m.Format3164()
+		burst = fmt.Appendf(burst, "%d %s", len(line), line)
+	}
+	sent := time.Now()
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	total := uint64(len(msgs))
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) && (mon.Stats().Messages < total || drops.Status().Fast.Good < total) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	elapsed := time.Since(sent)
+	if st, good := srv.Stats(), drops.Status().Fast.Good; st.Received != total || good != st.Received {
+		t.Fatalf("open connection: drop SLO good %d, received %d of %d", good, st.Received, total)
+	}
+
+	var sampled, unsampledWarnings int
+	for _, s := range ring.Query(obs.SpanQuery{}) {
+		if s.TotalNS <= 0 || s.TotalNS > int64(elapsed) {
+			t.Fatalf("span total %d ns outside (0, %d]: not measured from a read stamp: %+v", s.TotalNS, elapsed, s)
+		}
+		switch {
+		case s.Sampled:
+			sampled++
+			if s.Stages.DecodeNS <= 0 || s.Stages.DecodeNS > s.TotalNS {
+				t.Fatalf("sampled span decode_ns %d, total %d", s.Stages.DecodeNS, s.TotalNS)
+			}
+		case s.Warning:
+			unsampledWarnings++
+		}
+	}
+	if sampled != len(msgs)/2 || unsampledWarnings == 0 {
+		t.Fatalf("spans: %d sampled of %d messages, %d unsampled warnings", sampled, len(msgs), unsampledWarnings)
+	}
+
+	// A last line without an LF is parsed after the read that hit EOF,
+	// with no read after it: only the connection-end flush records it.
+	if _, err := conn.Write([]byte(msgs[0].Format3164())); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	deadline = time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) && drops.Status().Fast.Good <= total {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if st, good := srv.Stats(), drops.Status().Fast.Good; st.Received != total+1 || good != st.Received {
+		t.Fatalf("closed connection: drop SLO good %d, received %d of %d", good, st.Received, total+1)
 	}
 }
 

@@ -6,10 +6,12 @@ package logfmt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -93,7 +95,18 @@ func (m *Message) Pri() int { return int(m.Facility)*8 + int(m.Severity) }
 //
 //	<PRI>Mmm dd hh:mm:ss host tag: text
 func (m *Message) Format3164() string {
-	return fmt.Sprintf("<%d>%s %s %s: %s", m.Pri(), m.Time.Format(time.Stamp), m.Host, m.Tag, m.Text)
+	b := make([]byte, 0, len("<191>")+len(time.Stamp)+len(m.Host)+len(m.Tag)+len(m.Text)+4)
+	b = append(b, '<')
+	b = strconv.AppendInt(b, int64(m.Pri()), 10)
+	b = append(b, '>')
+	b = m.Time.AppendFormat(b, time.Stamp)
+	b = append(b, ' ')
+	b = append(b, m.Host...)
+	b = append(b, ' ')
+	b = append(b, m.Tag...)
+	b = append(b, ": "...)
+	b = append(b, m.Text...)
+	return string(b)
 }
 
 // ErrBadFormat reports an unparseable syslog line.
@@ -101,22 +114,13 @@ var ErrBadFormat = errors.New("logfmt: malformed syslog line")
 
 // Parse3164Bytes parses a raw frame holding a line produced by
 // Format3164, the ingest hot path. RFC 3164 timestamps have no year, so the
-// caller supplies one. The PRI and timestamp are parsed in place and only
+// caller supplies one. The PRI and timestamp are decoded in place and only
 // the tail from the host onward is copied into the message — the line's
 // sole copy, so the caller may reuse the frame's buffer.
 func Parse3164Bytes(line []byte, year int) (Message, error) {
-	return parse3164(line, year)
-}
-
-// parse3164 is the shared RFC 3164 parser. Instantiated over string it
-// slices without copying; over []byte each string(...) conversion is a
-// copy, so conversions are kept to the timestamp field (15 bytes, parsed
-// and dropped) and the single host+tag+text tail that outlives the call.
-// The PRI field is parsed with parsePri — digits only, no fmt machinery.
-func parse3164[T ~string | ~[]byte](line T, year int) (Message, error) {
 	var m Message
 	if len(line) < 5 || line[0] != '<' {
-		return m, fmt.Errorf("%w: missing PRI in %q", ErrBadFormat, truncate(string(line)))
+		return m, fmt.Errorf("%w: missing PRI in %q", ErrBadFormat, truncate(line))
 	}
 	end := 0
 	for i := 1; i < len(line) && i <= 4; i++ {
@@ -126,37 +130,31 @@ func parse3164[T ~string | ~[]byte](line T, year int) (Message, error) {
 		}
 	}
 	if end < 2 {
-		return m, fmt.Errorf("%w: bad PRI in %q", ErrBadFormat, truncate(string(line)))
+		return m, fmt.Errorf("%w: bad PRI in %q", ErrBadFormat, truncate(line))
 	}
 	pri := parsePri(line[1:end])
 	if pri < 0 || pri > 191 {
-		return m, fmt.Errorf("%w: bad PRI value in %q", ErrBadFormat, truncate(string(line)))
+		return m, fmt.Errorf("%w: bad PRI value in %q", ErrBadFormat, truncate(line))
 	}
 	m.Facility = Facility(pri / 8)
 	m.Severity = Severity(pri % 8)
 	rest := line[end+1:]
 	if len(rest) < len(time.Stamp)+1 {
-		return m, fmt.Errorf("%w: short line %q", ErrBadFormat, truncate(string(line)))
+		return m, fmt.Errorf("%w: short line %q", ErrBadFormat, truncate(line))
 	}
-	ts, err := time.Parse(time.Stamp, string(rest[:len(time.Stamp)]))
-	if err != nil {
-		return m, fmt.Errorf("%w: bad timestamp in %q: %v", ErrBadFormat, truncate(string(line)), err)
+	ts, ok := parseStamp(rest[:len(time.Stamp)], year)
+	if !ok {
+		return m, fmt.Errorf("%w: bad timestamp in %q", ErrBadFormat, truncate(line))
 	}
-	m.Time = ts.AddDate(year, 0, 0)
+	m.Time = ts
 	rest = rest[len(time.Stamp):]
 	if len(rest) > 0 && rest[0] == ' ' {
 		rest = rest[1:]
 	}
 	// host tag: text — find the boundaries first, convert the tail once.
-	sp := -1
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == ' ' {
-			sp = i
-			break
-		}
-	}
+	sp := bytes.IndexByte(rest, ' ')
 	if sp <= 0 {
-		return m, fmt.Errorf("%w: missing host in %q", ErrBadFormat, truncate(string(line)))
+		return m, fmt.Errorf("%w: missing host in %q", ErrBadFormat, truncate(line))
 	}
 	colon := -1
 	for i := sp + 1; i+1 < len(rest); i++ {
@@ -166,7 +164,7 @@ func parse3164[T ~string | ~[]byte](line T, year int) (Message, error) {
 		}
 	}
 	if colon <= sp+1 {
-		return m, fmt.Errorf("%w: missing tag in %q", ErrBadFormat, truncate(string(line)))
+		return m, fmt.Errorf("%w: missing tag in %q", ErrBadFormat, truncate(line))
 	}
 	tail := string(rest)
 	m.Host = tail[:sp]
@@ -176,13 +174,10 @@ func parse3164[T ~string | ~[]byte](line T, year int) (Message, error) {
 }
 
 // parsePri parses the digits between '<' and '>': 1–3 ASCII digits, no
-// sign, no whitespace. -1 means malformed. (The RFC allows nothing else;
-// this replaces a fmt.Sscanf that allocated per frame and tolerated
-// trailing junk.)
-func parsePri[T ~string | ~[]byte](digits T) int {
+// sign, no whitespace. -1 means malformed.
+func parsePri(digits []byte) int {
 	v := 0
-	for i := 0; i < len(digits); i++ {
-		b := digits[i]
+	for _, b := range digits {
 		if b < '0' || b > '9' {
 			return -1
 		}
@@ -191,11 +186,105 @@ func parsePri[T ~string | ~[]byte](digits T) int {
 	return v
 }
 
-func truncate(s string) string {
-	if len(s) > 64 {
-		return s[:64] + "…"
+// parseStamp decodes a time.Stamp field ("Mmm _d hh:mm:ss") into year. It
+// accepts exactly the fields time.Parse(time.Stamp, …) accepts: month names
+// in any ASCII case, a run of spaces for each layout space, a 1–2-digit day
+// and hour, 2-digit minute and second, and an optional ".ddd" or ",ddd"
+// fraction; the day is checked against the month in leap year 0, where
+// Parse checks it. The result is what time.Parse's value shifted by
+// AddDate(year, 0, 0) would be: time.Date normalises Feb 29 of a common
+// year to Mar 1 the same way. b is the line's len(time.Stamp)-byte field.
+func parseStamp(b []byte, year int) (time.Time, bool) {
+	month := 0
+	key := uint32(b[0]|0x20)<<16 | uint32(b[1]|0x20)<<8 | uint32(b[2]|0x20)
+	for i, k := range monthKeys {
+		if k == key {
+			month = i + 1
+			break
+		}
 	}
-	return s
+	if month == 0 {
+		return time.Time{}, false
+	}
+	i, ok := stampSpace(b, 3)
+	day, i, ok1 := stampNum(b, i, false)
+	i, ok2 := stampSpace(b, i)
+	hour, i, ok3 := stampNum(b, i, false)
+	if !ok || !ok1 || !ok2 || !ok3 || hour > 23 || i >= len(b) || b[i] != ':' {
+		return time.Time{}, false
+	}
+	minute, i, ok := stampNum(b, i+1, true)
+	if !ok || minute > 59 || i >= len(b) || b[i] != ':' {
+		return time.Time{}, false
+	}
+	sec, i, ok := stampNum(b, i+1, true)
+	if !ok || sec > 59 {
+		return time.Time{}, false
+	}
+	nsec := 0
+	if i+1 < len(b) && (b[i] == '.' || b[i] == ',') && isDigit(b[i+1]) {
+		// Parse keeps the first nine digits as nanoseconds and drops the rest.
+		digits := 0
+		for i++; i < len(b) && isDigit(b[i]); i++ {
+			if digits < 9 {
+				nsec = nsec*10 + int(b[i]-'0')
+				digits++
+			}
+		}
+		for ; digits < 9; digits++ {
+			nsec *= 10
+		}
+	}
+	if i != len(b) || day < 1 || day > daysInYear0[month-1] {
+		return time.Time{}, false
+	}
+	return time.Date(year, time.Month(month), day, hour, minute, sec, nsec, time.UTC), true
+}
+
+// monthKeys are the lowercase month abbreviations packed three bytes to a
+// word. OR-ing 0x20 into a byte folds only the matching upper-case letter
+// onto a lower-case one, so a key compare is an ASCII case-insensitive
+// match.
+var monthKeys = [12]uint32{
+	'j'<<16 | 'a'<<8 | 'n', 'f'<<16 | 'e'<<8 | 'b', 'm'<<16 | 'a'<<8 | 'r',
+	'a'<<16 | 'p'<<8 | 'r', 'm'<<16 | 'a'<<8 | 'y', 'j'<<16 | 'u'<<8 | 'n',
+	'j'<<16 | 'u'<<8 | 'l', 'a'<<16 | 'u'<<8 | 'g', 's'<<16 | 'e'<<8 | 'p',
+	'o'<<16 | 'c'<<8 | 't', 'n'<<16 | 'o'<<8 | 'v', 'd'<<16 | 'e'<<8 | 'c',
+}
+
+// daysInYear0 is each month's length in year 0, a leap year.
+var daysInYear0 = [12]int{31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+
+// stampSpace consumes one layout space at b[i:]: a run of spaces, which
+// must be non-empty unless the field has ended.
+func stampSpace(b []byte, i int) (int, bool) {
+	if i < len(b) && b[i] != ' ' {
+		return i, false
+	}
+	for i < len(b) && b[i] == ' ' {
+		i++
+	}
+	return i, true
+}
+
+// stampNum reads the one or two digits at b[i:]; fixed requires two.
+func stampNum(b []byte, i int, fixed bool) (v, next int, ok bool) {
+	if i >= len(b) || !isDigit(b[i]) {
+		return 0, i, false
+	}
+	if i+1 < len(b) && isDigit(b[i+1]) {
+		return int(b[i]-'0')*10 + int(b[i+1]-'0'), i + 2, true
+	}
+	return int(b[i] - '0'), i + 1, !fixed
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func truncate(b []byte) string {
+	if len(b) > 64 {
+		return string(b[:64]) + "…"
+	}
+	return string(b)
 }
 
 // Writer streams messages to an io.Writer as JSON lines.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,20 +124,88 @@ func TestParse3164Malformed(t *testing.T) {
 	}
 }
 
-// TestParse3164BytesMatchesString pins the served instance of the parser to
-// its string instance, which slices the line without copying: same fields
-// on valid lines, same rejection (and same sentinel) on malformed ones. The
-// byte path may not share the input's memory — the server reuses its read
-// buffer after enqueue.
-func TestParse3164BytesMatchesString(t *testing.T) {
+// ref3164 is the reference RFC 3164 parser the served one is held to:
+// the same grammar over a string, with the timestamp decoded by
+// time.Parse(time.Stamp, …) and placed in year with AddDate.
+func ref3164(line string, year int) (Message, error) {
+	var m Message
+	if len(line) < 5 || line[0] != '<' {
+		return m, ErrBadFormat
+	}
+	end := strings.IndexByte(line[:min(len(line), 5)], '>')
+	if end < 2 {
+		return m, ErrBadFormat
+	}
+	pri, err := strconv.Atoi(line[1:end])
+	if err != nil || line[1] == '+' || line[1] == '-' || pri > 191 {
+		return m, ErrBadFormat
+	}
+	m.Facility = Facility(pri / 8)
+	m.Severity = Severity(pri % 8)
+	rest := line[end+1:]
+	if len(rest) < len(time.Stamp)+1 {
+		return m, ErrBadFormat
+	}
+	ts, err := time.Parse(time.Stamp, rest[:len(time.Stamp)])
+	if err != nil {
+		return m, ErrBadFormat
+	}
+	m.Time = ts.AddDate(year, 0, 0)
+	rest = strings.TrimPrefix(rest[len(time.Stamp):], " ")
+	sp := strings.IndexByte(rest, ' ')
+	if sp <= 0 {
+		return m, ErrBadFormat
+	}
+	colon := strings.Index(rest[sp+1:], ": ")
+	if colon <= 0 {
+		return m, ErrBadFormat
+	}
+	m.Host = rest[:sp]
+	m.Tag = rest[sp+1 : sp+1+colon]
+	m.Text = rest[sp+1+colon+2:]
+	return m, nil
+}
+
+// checkAgainstRef fails t unless Parse3164Bytes and ref3164 agree on line:
+// the same Message, or both ErrBadFormat. The parsed message must also
+// survive the caller scribbling over the frame, because the server reuses
+// its read buffer after enqueue.
+func checkAgainstRef(t *testing.T, line []byte, year int) (Message, bool) {
+	t.Helper()
+	want, werr := ref3164(string(line), year)
+	buf := append([]byte(nil), line...)
+	got, gerr := Parse3164Bytes(buf, year)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("Parse3164Bytes(%q, %d): err %v, reference err %v", line, year, gerr, werr)
+	}
+	if gerr != nil {
+		if !errors.Is(gerr, ErrBadFormat) {
+			t.Fatalf("Parse3164Bytes(%q) error not ErrBadFormat: %v", line, gerr)
+		}
+		return got, false
+	}
+	if got != want {
+		t.Fatalf("Parse3164Bytes(%q, %d) = %+v, reference %+v", line, year, got, want)
+	}
+	for i := range buf {
+		buf[i] = 'Z'
+	}
+	if got != want {
+		t.Fatalf("Parse3164Bytes(%q) aliases its input buffer", line)
+	}
+	return got, true
+}
+
+// parseCorpus holds well-formed lines, the malformed family each parser
+// must reject, and timestamp fields at the edges of time.Stamp's grammar.
+func parseCorpus() []string {
 	ref := mkMsg()
-	lines := []string{
+	return []string{
 		ref.Format3164(),
 		"<0>Jan  1 00:00:00 h t: x",
 		"<191>Dec 31 23:59:59 edge-r1 chassisd: fan tray 2 removed",
 		"<28>Mar 14 15:09:26 vpe07 rpd[1423]: task_timer: IPv6 fe80::1 down",
 		"<28>Mar 14 15:09:26 vpe07 rpd:  leading space text",
-		// Malformed family: each entry point must reject the same inputs.
 		"",
 		"no pri at all",
 		"<>Mar 14 15:09:26 h t: x",
@@ -149,32 +218,65 @@ func TestParse3164BytesMatchesString(t *testing.T) {
 		"<28>Mar 14 15:09:26 hostonly",
 		"<28>Mar 14 15:09:26 host notag",
 		"<28>Mar 14 15:09:26 host : emptytag",
+		// Timestamp grammar: month case, space runs, short fields,
+		// fractions, ranges, leap day and trailing junk.
+		"<28>MAR 14 15:09:26 h t: x",
+		"<28>mAr 14 15:09:26 h t: x",
+		"<28>Mar 04 15:09:26 h t: x",
+		"<28>Mar   4 5:09:26 h t: x",
+		"<28>Mar 4  5:09:26 h t: x",
+		"<28>Mar 4 5:09:26.7 h t: x",
+		"<28>Mar 4 5:09:26,7 h t: x",
+		"<28>Mar 4 5:09:26.x h t: x",
+		"<28>Mar 4 5:09:26   h t: x",
+		"<28>Mar14 15:09:26 h t: x",
+		"<28> Mar 4 15:09:26 h t: x",
+		"<28>Mar 14 24:00:00 h t: x",
+		"<28>Mar 14 23:60:00 h t: x",
+		"<28>Mar 14 23:00:60 h t: x",
+		"<28>Mar 14 23:0:000 h t: x",
+		"<28>Mar 00 15:09:26 h t: x",
+		"<28>Apr 31 15:09:26 h t: x",
+		"<28>Feb 29 15:09:26 h t: x",
+		"<28>Feb 30 15:09:26 h t: x",
+		"<28>Mä 14 15:09:26 h t: x",
+		"<28>M@r 14 15:09:26 h t: x",
+		"<28>Mar 14 15:09:26h t: x",
 	}
-	for _, line := range lines {
-		sm, serr := parse3164(line, 2017)
-		buf := []byte(line)
-		bm, berr := Parse3164Bytes(buf, 2017)
-		if (serr == nil) != (berr == nil) {
-			t.Fatalf("Parse3164(%q): string err %v, bytes err %v", line, serr, berr)
-		}
-		if serr != nil {
-			if !errors.Is(berr, ErrBadFormat) {
-				t.Fatalf("Parse3164Bytes(%q) error not ErrBadFormat: %v", line, berr)
-			}
-			continue
-		}
-		if sm.Host != bm.Host || sm.Tag != bm.Tag || sm.Text != bm.Text ||
-			sm.Facility != bm.Facility || sm.Severity != bm.Severity || !sm.Time.Equal(bm.Time) {
-			t.Fatalf("Parse3164(%q): string %+v, bytes %+v", line, sm, bm)
-		}
-		// The message must survive the caller scribbling over the frame.
-		for i := range buf {
-			buf[i] = 'Z'
-		}
-		if bm.Host != sm.Host || bm.Tag != sm.Tag || bm.Text != sm.Text {
-			t.Fatalf("Parse3164Bytes(%q) aliases its input buffer", line)
+}
+
+// TestParse3164BytesMatchesString pins the served parser to the
+// time.Parse-based reference: same fields on valid lines, same rejection
+// (and same sentinel) on malformed ones, in a leap and a common year.
+func TestParse3164BytesMatchesString(t *testing.T) {
+	for _, line := range parseCorpus() {
+		for _, year := range []int{2016, 2017} {
+			checkAgainstRef(t, []byte(line), year)
 		}
 	}
+}
+
+// FuzzParse3164 holds the served parser to the reference on arbitrary
+// lines and years, and a parsed message to a Format3164 round trip, which
+// pins Format3164's bytes to the grammar the parser reads. The wire form
+// carries no fraction and no year, and a common year's Feb 29 is Mar 1.
+func FuzzParse3164(f *testing.F) {
+	for _, line := range parseCorpus() {
+		f.Add([]byte(line), 2017)
+	}
+	f.Add([]byte("<28>Feb 29 15:09:26 h t:: x"), 2016)
+	f.Fuzz(func(t *testing.T, line []byte, year int) {
+		year = year%10000 + 1
+		m, ok := checkAgainstRef(t, line, year)
+		if !ok {
+			return
+		}
+		again, err := Parse3164Bytes([]byte(m.Format3164()), year)
+		m.Time = m.Time.Truncate(time.Second)
+		if err != nil || again != m {
+			t.Fatalf("Parse3164Bytes(Format3164(%+v)) = %+v, %v", m, again, err)
+		}
+	})
 }
 
 func TestJSONLRoundTrip(t *testing.T) {

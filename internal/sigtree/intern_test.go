@@ -106,6 +106,13 @@ func FuzzScannerEquivalence(f *testing.F) {
 	f.Add("2001:db8::1 00:11:22:33:44:55 12:30:01")
 	f.Add("ÜNÏCODE zwölf µs")
 	f.Add(string([]byte{0x80, 0xc3, 0x28, 0xff}))
+	// Tokens where byte and rune counts diverge: digits beside multi-byte
+	// runes, lone continuation bytes among digits, and a 3-byte rune in an
+	// otherwise hex token.
+	f.Add("latency 12µs on ge-0/0/1é")
+	f.Add("µ12 12µ 1µ2 éé1 1é")
+	f.Add(string([]byte{'1', 0x80, '2', ' ', '1', '2', 0xbf, 0xbf, ' ', 0xa0, '7', ':'}))
+	f.Add("deadbeef\u20ac01 00:11:22:\u20ac:44:55 cafe\u20acbabe")
 	f.Fuzz(func(t *testing.T, msg string) {
 		want := PrepareTokens(msg)
 		tr := New()

@@ -371,22 +371,20 @@ func maskTokens(tokens []string) []string {
 
 // IsVariableToken reports whether tok looks like a value rather than log
 // structure: pure numbers, hex strings, IPv4/IPv6 addresses, interface
-// names with unit numbers, durations, percentages.
+// names with unit numbers, durations, percentages. It counts runes; the
+// scanner counts ASCII bytes in one pass and calls it only for tokens
+// with multi-byte runes.
 func IsVariableToken(tok string) bool {
 	if tok == "" {
 		return false
 	}
-	digits, hexish, letters, dots, slashes, colons, dashes := 0, 0, 0, 0, 0, 0, 0
+	digits, hexLetters, letters, dots, slashes, colons, dashes := 0, 0, 0, 0, 0, 0, 0
 	for _, r := range tok {
 		switch {
 		case r >= '0' && r <= '9':
 			digits++
-			hexish++
 		case (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F'):
-			letters++
-			hexish++
-		case (r >= 'g' && r <= 'z') || (r >= 'G' && r <= 'Z'):
-			letters++
+			hexLetters++
 		case r == '.':
 			dots++
 		case r == '/':
@@ -401,19 +399,27 @@ func IsVariableToken(tok string) bool {
 			letters++
 		}
 	}
+	return isVariableCount(digits, hexLetters, letters, dots, slashes, colons, dashes)
+}
+
+// isVariableCount is IsVariableToken's rule over a token's counts: digits,
+// hex letters (a-f, A-F), other letters (everything not counted elsewhere
+// but '%' and '+'), and the field punctuation.
+func isVariableCount(digits, hexLetters, otherLetters, dots, slashes, colons, dashes int) bool {
 	if digits == 0 {
 		// Pure-hex words like "dead" or "face" stay structural; only
 		// digit-bearing tokens can be variables, except long hex with
 		// colons (MAC addresses).
-		return colons >= 2 && hexish >= 6 && letters == hexish-digits
+		return colons >= 2 && hexLetters >= 6 && otherLetters == 0
 	}
 	// Any token containing digits plus field punctuation is a value:
 	// 10.0.0.1, ge-0/0/1, 2001:db8::1, 12:30:01.
 	if dots > 0 || slashes > 0 || colons > 0 {
 		return true
 	}
-	// Digit-dominated tokens (counters, PIDs, temperatures like 45C).
-	return digits >= letters || (dashes > 0 && digits > 0)
+	// Digit-dominated tokens (counters, PIDs, temperatures like 45C), or
+	// digits joined by dashes.
+	return digits >= hexLetters+otherLetters || dashes > 0
 }
 
 // Fingerprint returns an FNV-1a hash over the tree's exact template set —
