@@ -113,9 +113,10 @@ const DefaultMaxHosts = 8192
 // one-minute anomaly cluster forming without bloating the ring.
 const DefaultTraceWindow = 8
 
-// DefaultShardQueue bounds each shard's async ingest queue (Enqueue). When
-// a queue is full, Enqueue reports false and the message is the caller's
-// to drop and count — backpressure must never block a network listener.
+// DefaultShardQueue bounds each shard's async ingest queue, a ring of this
+// many messages. When a queue is full it refuses the message, which is
+// the caller's to drop and count — backpressure must never block a
+// network listener.
 const DefaultShardQueue = 1024
 
 // DefaultMaxBatch is how many queued messages a shard worker takes in one
@@ -193,12 +194,13 @@ type MonitorStats struct {
 //   - HandleMessage runs it on the caller's goroutine over a drain of one.
 //     With a single caller its behavior (scores, warnings, checkpoints) is
 //     deterministic and independent of the shard count.
-//   - Enqueue routes the message to its shard's bounded queue and returns
-//     immediately; shard workers (Start/Stop) run it over drains of up to
-//     16 queued messages, in arrival order. One shard's results equal a
-//     HandleMessage replay of the same sequence bit for bit; across
-//     shards the interleaving of the warning log follows worker
-//     scheduling.
+//   - The async route queues messages on their shards' bounded rings and
+//     returns immediately: the ingest Server hands over each socket read's
+//     batch at once, Enqueue a single message. Shard workers (Start/Stop)
+//     run process over drains of up to 16 queued messages, in arrival
+//     order. One shard's results equal a HandleMessage replay of the same
+//     sequence bit for bit; across shards the interleaving of the warning
+//     log follows worker scheduling.
 type Monitor struct {
 	cfg MonitorConfig
 
@@ -349,10 +351,20 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 	perShard := (DefaultMaxHosts + cfg.Shards - 1) / cfg.Shards
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
-		sh := &shard{
-			m:         m,
-			id:        i,
-			queue:     make(chan logfmt.Message, DefaultShardQueue),
+		var depth *obs.Gauge
+		if cfg.Metrics != nil {
+			depth = reg.Gauge(
+				obs.LabelName("monitor_shard_queue_depth", "shard", strconv.Itoa(i)),
+				"Messages waiting in this shard's async queue.")
+		}
+		m.shards[i] = &shard{
+			m:  m,
+			id: i,
+			q: shardQueue{
+				ring:  make([]logfmt.Message, DefaultShardQueue),
+				wake:  make(chan struct{}, 1),
+				depth: depth,
+			},
 			resolve:   resolve,
 			clusterOf: cfg.ClusterOf,
 			threshold: cfg.Threshold,
@@ -360,12 +372,6 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 			hosts:     make(map[string]*list.Element),
 			lru:       list.New(),
 		}
-		if cfg.Metrics != nil {
-			sh.depth = reg.Gauge(
-				obs.LabelName("monitor_shard_queue_depth", "shard", strconv.Itoa(i)),
-				"Messages waiting in this shard's async queue.")
-		}
-		m.shards[i] = sh
 	}
 	return m
 }
@@ -423,22 +429,32 @@ func (m *Monitor) HandleMessage(msg logfmt.Message) {
 	sh.mu.Unlock()
 }
 
-// Enqueue routes one message to its host's shard queue without blocking.
-// It reports false when the shard's queue is full; the caller owns the
-// drop accounting (the ingest Server counts these under
-// ingest_shard_drops_total). Messages enqueued before Start sit in the
-// queue until workers run.
+// Enqueue routes one message to its host's shard queue without blocking: a
+// handoff of one. It reports false when the shard's queue is full; the
+// caller owns the drop accounting. Messages enqueued before Start sit in
+// the queue until workers run. The ingest Server does not call it: it
+// hands each socket read's messages over together (enqueueBatch).
 func (m *Monitor) Enqueue(msg logfmt.Message) bool {
-	sh := m.shards[m.shardFor(msg.Host)]
-	select {
-	case sh.queue <- msg:
-		if sh.depth != nil {
-			sh.depth.SetInt(len(sh.queue))
-		}
-		return true
-	default:
-		return false
+	return m.enqueueBatch([]logfmt.Message{msg}) == 1
+}
+
+// enqueueBatch routes up to handoffBatch messages to their shard queues
+// without blocking, taking each shard's queue lock once for all of its
+// messages, and reports how many were accepted. Within a shard the
+// messages keep their order, and a full queue refuses the rest of them one
+// by one; the caller owns the drop accounting.
+func (m *Monitor) enqueueBatch(msgs []logfmt.Message) (accepted int) {
+	var buf [handoffBatch]int32
+	to := buf[:len(msgs)]
+	for i := range msgs {
+		to[i] = int32(m.shardFor(msgs[i].Host))
 	}
+	for i, s := range to {
+		if s >= 0 {
+			accepted += m.shards[s].q.push(msgs[i:], to[i:], s)
+		}
+	}
+	return accepted
 }
 
 // Start launches one supervised worker per shard to drain the async
@@ -520,7 +536,7 @@ func (m *Monitor) watchdog(stop <-chan struct{}) {
 				}
 				stalled := beat == lastBeat[i]
 				lastBeat[i] = beat
-				if len(sh.queue) == 0 || !stalled || age <= m.cfg.Watchdog {
+				if sh.q.size() == 0 || !stalled || age <= m.cfg.Watchdog {
 					continue
 				}
 				sh.gen.Add(1)
@@ -692,10 +708,8 @@ func (m *Monitor) DegradeMode() resilience.Mode {
 func (m *Monitor) QueueFrac() float64 {
 	worst := 0.0
 	for _, sh := range m.shards {
-		if c := cap(sh.queue); c > 0 {
-			if f := float64(len(sh.queue)) / float64(c); f > worst {
-				worst = f
-			}
+		if f := float64(sh.q.size()) / float64(len(sh.q.ring)); f > worst {
+			worst = f
 		}
 	}
 	return worst

@@ -34,6 +34,26 @@ func (m *Monitor) capHosts(n int) {
 // Call it before the first Enqueue.
 func (m *Monitor) capQueues(n int) {
 	for _, sh := range m.shards {
-		sh.queue = make(chan logfmt.Message, n)
+		sh.q.ring = make([]logfmt.Message, n)
 	}
+}
+
+// queued returns a copy of a shard's queued messages, oldest first.
+func (q *shardQueue) queued() []logfmt.Message {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make([]logfmt.Message, q.n)
+	for i := range out {
+		out[i] = q.ring[(q.head+i)%len(q.ring)]
+	}
+	return out
+}
+
+// pushQuiet queues msg without waking a parked worker: the state a handoff
+// leaves between queueing a message and its wake-up reaching the worker.
+func (q *shardQueue) pushQuiet(msg logfmt.Message) {
+	q.mu.Lock()
+	q.ring[(q.head+q.n)%len(q.ring)] = msg
+	q.n++
+	q.mu.Unlock()
 }

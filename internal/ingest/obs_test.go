@@ -152,6 +152,7 @@ func TestServerStatsOnRegistry(t *testing.T) {
 			w := &wireState{s: srv}
 			srv.enqueue([]byte(sampleLine(1)), w)
 			srv.enqueue([]byte("not syslog at all"), w)
+			w.flush() // as before the next socket read
 			st := srv.Stats()
 			if st.Received != 1 || st.Malformed != 1 {
 				t.Fatalf("stats: %+v", st)

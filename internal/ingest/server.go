@@ -32,8 +32,8 @@ type ServerConfig struct {
 	// When nil they live on a private registry and Stats() still works.
 	Metrics *obs.Registry
 
-	// Sharded is where parsed messages go: the listener goroutines call
-	// its Enqueue directly, so the scoring shards are the concurrency and
+	// Sharded is where parsed messages go: the listener goroutines hand
+	// them over directly, so the scoring shards are the concurrency and
 	// there is no queue in the server. A refused message (shard queue
 	// full) is dropped and counted under ingest_shard_drops_total;
 	// listeners never block on a slow scorer.
@@ -51,12 +51,39 @@ type ServerConfig struct {
 }
 
 // ShardSink accepts parsed messages into per-shard bounded queues without
-// blocking. *ingest.Monitor implements it.
+// blocking. *ingest.Monitor implements it, and the listener hands a
+// monitor each batch of parsed messages whole (one queue lock round per
+// shard). Any other sink is fed by the same listener code one Enqueue call
+// per message, from the listener goroutine that parsed it.
 type ShardSink interface {
 	// Enqueue reports false when the message's shard queue is full; the
 	// caller owns the drop accounting.
 	Enqueue(msg logfmt.Message) bool
 }
+
+// batchSink is the listener's one handoff: each pending batch goes to
+// enqueueBatch, which reports how many of its messages were accepted.
+// *Monitor implements it; NewServer wraps any other ShardSink in eachSink.
+type batchSink interface {
+	enqueueBatch(msgs []logfmt.Message) (accepted int)
+}
+
+// eachSink hands a batch to a ShardSink one message at a time.
+type eachSink struct{ ShardSink }
+
+func (e eachSink) enqueueBatch(msgs []logfmt.Message) (accepted int) {
+	for i := range msgs {
+		if e.Enqueue(msgs[i]) {
+			accepted++
+		}
+	}
+	return accepted
+}
+
+// handoffBatch caps a listener's pending batch: a full one is handed to the
+// shards at once, so a socket read holding many frames pipelines into the
+// workers instead of waiting for the read to be parsed to its end.
+const handoffBatch = 64
 
 // DefaultServerConfig returns loopback-friendly defaults.
 func DefaultServerConfig() ServerConfig {
@@ -75,7 +102,8 @@ const maxLine = 8192
 
 // Stats counts server activity; all fields are cumulative.
 type Stats struct {
-	// Received is the number of well-formed messages accepted.
+	// Received is the number of well-formed messages accepted. It and
+	// ShardDropped are counted when the listener hands a batch over.
 	Received uint64
 	// Malformed is the number of lines that failed to parse.
 	Malformed uint64
@@ -85,9 +113,11 @@ type Stats struct {
 }
 
 // Server receives syslog over UDP and TCP, parses each frame on the
-// goroutine that read it and hands the message to a ShardSink.
+// goroutine that read it and hands the messages of each socket read to a
+// ShardSink.
 type Server struct {
-	cfg ServerConfig
+	cfg  ServerConfig
+	sink batchSink
 
 	udp     *net.UDPConn
 	tcp     net.Listener
@@ -132,6 +162,11 @@ func NewServer(cfg ServerConfig, sink func(logfmt.Message)) (*Server, error) {
 		cfg:    cfg,
 		closed: make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
+	}
+	if b, ok := cfg.Sharded.(batchSink); ok {
+		s.sink = b
+	} else {
+		s.sink = eachSink{cfg.Sharded}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -259,16 +294,18 @@ func (s *Server) untrackConn(c net.Conn) {
 }
 
 // wireState is one listener's per-read state: the accept stamp its frames
-// share and the drop-SLO events they have produced since the last flush.
-// For a TCP connection it is also the io.Reader under the bufio.Reader, so
-// every socket read, the only place the listener can block, flushes the
-// events before it and restamps after it.
+// share, the parsed messages not yet handed to the shards, and the
+// drop-SLO events the handoffs have produced since the last flush. For a
+// TCP connection it is also the io.Reader under the bufio.Reader, so every
+// socket read, the only place the listener can block, flushes before it
+// and restamps after it: no parsed message waits on the socket.
 type wireState struct {
 	s    *Server
 	conn io.Reader
 	// accept is when the read holding the current frames returned; it is
 	// read only when a tracer is attached.
 	accept    time.Time
+	pending   []logfmt.Message
 	good, bad uint64
 }
 
@@ -286,14 +323,34 @@ func (w *wireState) stamp() {
 	}
 }
 
-// flush records the batched drop-SLO events in one clock read.
+// flush hands the pending messages to the shards and records the batched
+// drop-SLO events in one clock read.
 func (w *wireState) flush() {
+	w.handoff()
 	w.s.cfg.DropSLO.RecordN(w.good, w.bad)
 	w.good, w.bad = 0, 0
 }
 
-// enqueue parses one raw line and hands it to the shard sink. line is only
-// borrowed: the parse copies what the message keeps.
+// handoff gives the pending messages to the sink in one call and counts
+// what it accepted and refused.
+func (w *wireState) handoff() {
+	n := len(w.pending)
+	if n == 0 {
+		return
+	}
+	took := w.s.sink.enqueueBatch(w.pending)
+	w.pending = w.pending[:0]
+	w.s.received.Add(uint64(took))
+	w.good += uint64(took)
+	if dropped := uint64(n - took); dropped > 0 {
+		w.s.shardDrops.Add(dropped)
+		w.bad += dropped
+	}
+}
+
+// enqueue parses one raw line into the pending batch, handing the batch to
+// the shards once it is full. line is only borrowed: the parse copies what
+// the message keeps.
 func (s *Server) enqueue(line []byte, w *wireState) {
 	trimmed := bytes.TrimRight(line, "\r\n")
 	if len(trimmed) == 0 {
@@ -313,14 +370,9 @@ func (s *Server) enqueue(line []byte, w *wireState) {
 			msg.Trace.DecodeNS = int64(time.Since(w.accept))
 		}
 	}
-	// Hand the message to its shard queue right here on the listener
-	// goroutine.
-	if s.cfg.Sharded.Enqueue(msg) {
-		s.received.Add(1)
-		w.good++
-	} else {
-		s.shardDrops.Add(1)
-		w.bad++
+	w.pending = append(w.pending, msg)
+	if len(w.pending) == handoffBatch {
+		w.handoff()
 	}
 }
 
@@ -416,7 +468,7 @@ func (s *Server) acceptTCP() {
 // keeps its connection — one bad sender line must not silently drop a vPE
 // from monitoring.
 func (s *Server) serveTCP(conn net.Conn) {
-	w := &wireState{s: s, conn: conn}
+	w := &wireState{s: s, conn: conn, pending: make([]logfmt.Message, 0, handoffBatch)}
 	defer w.flush()
 	r := bufio.NewReaderSize(w, maxLine)
 	for {

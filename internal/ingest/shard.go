@@ -28,12 +28,10 @@ type shard struct {
 	m  *Monitor
 	id int
 
-	// queue feeds the shard's worker in async mode (Enqueue/Start). It is
-	// bounded: when full, Enqueue refuses the message and the caller counts
-	// the drop — backpressure never blocks a network listener.
-	queue chan logfmt.Message
-	// depth mirrors len(queue) for scraping; nil when unmetered.
-	depth *obs.Gauge
+	// q feeds the shard's worker in async mode (Enqueue/Start). It is
+	// bounded: when full it refuses the message and the caller counts the
+	// drop — backpressure never blocks a network listener.
+	q shardQueue
 
 	// hb is the worker's liveness stamp, beaten once per loop turn; the
 	// watchdog reads it. gen is the worker generation: the watchdog bumps
@@ -60,11 +58,109 @@ type shard struct {
 	sync drainBuf
 }
 
+// shardQueue is a shard's bounded async queue: a ring of messages under one
+// mutex. The listener hands it every message of a batch bound for this
+// shard in one lock round (push), and the worker takes a drain of up to
+// DefaultMaxBatch in one lock round (take). A worker that finds the ring
+// empty marks itself parked and waits on wake; only a push that finds it
+// parked sends there, so while the worker is busy a handoff costs the
+// listener no channel operation.
+type shardQueue struct {
+	mu   sync.Mutex
+	ring []logfmt.Message
+	head int // index of the oldest queued message
+	n    int // messages queued
+	// parked is set by a worker about to wait on wake and cleared by the
+	// push that wakes it.
+	parked bool
+	// wake holds at most one wake-up; sends never block, and a token left
+	// over from a worker that stopped only costs its successor one spurious
+	// turn of the loop.
+	wake chan struct{}
+	// depth mirrors n for scraping; nil when unmetered.
+	depth *obs.Gauge
+}
+
+// push appends, in arrival order and in one lock round, every message of
+// msgs whose entry in to is s, marking the entry -1. A full ring refuses
+// the rest of them one by one. It wakes a parked worker and reports how
+// many messages it took.
+func (q *shardQueue) push(msgs []logfmt.Message, to []int32, s int32) (took int) {
+	q.mu.Lock()
+	for i := range msgs {
+		if to[i] != s {
+			continue
+		}
+		to[i] = -1
+		if q.n == len(q.ring) {
+			continue
+		}
+		j := q.head + q.n
+		if j >= len(q.ring) {
+			j -= len(q.ring)
+		}
+		q.ring[j] = msgs[i]
+		q.n++
+		took++
+	}
+	wake := q.parked && took > 0
+	if wake {
+		q.parked = false
+	}
+	depth := q.n
+	q.mu.Unlock()
+	if wake {
+		q.wakeUp()
+	}
+	q.depth.SetInt(depth)
+	return took
+}
+
+// take moves up to DefaultMaxBatch of the oldest messages into b.msgs in
+// one lock round. On an empty ring it marks the worker parked and reports
+// false: the caller must then wait on wake before calling take again.
+func (q *shardQueue) take(b *drainBuf) bool {
+	q.mu.Lock()
+	k := min(q.n, DefaultMaxBatch)
+	if k == 0 {
+		q.parked = true
+		q.mu.Unlock()
+		return false
+	}
+	first := min(k, len(q.ring)-q.head)
+	b.msgs = append(b.msgs[:0], q.ring[q.head:q.head+first]...)
+	b.msgs = append(b.msgs, q.ring[:k-first]...)
+	q.head += k
+	if q.head >= len(q.ring) {
+		q.head -= len(q.ring)
+	}
+	q.n -= k
+	depth := q.n
+	q.mu.Unlock()
+	q.depth.SetInt(depth)
+	return true
+}
+
+// wakeUp leaves a wake-up for the worker unless one is already waiting.
+func (q *shardQueue) wakeUp() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// size returns the number of queued messages.
+func (q *shardQueue) size() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.n
+}
+
 // drainBuf is the scratch for one drain: the messages taken from the queue
 // in one lock round (one, on the HandleMessage route) and what process
 // derives from them. A worker incarnation owns its own rather than sharing
 // the shard's: a watchdog replacement can briefly overlap the wedged worker
-// it supersedes, and consume fills msgs outside the shard mutex. The slices
+// it supersedes, and take fills msgs outside the shard mutex. The slices
 // grow to a full drain once and are reused; after warm-up a drain
 // allocates only when the signature tree grows a new template.
 type drainBuf struct {
@@ -283,46 +379,38 @@ func (sh *shard) runOnce(stop <-chan struct{}, gen uint64) (abnormal bool) {
 	var b drainBuf // worker-owned scratch; see drainBuf
 	for {
 		if sh.gen.Load() != gen {
-			return false // superseded by a watchdog replacement
+			// Superseded by a watchdog replacement. If this worker was
+			// parked beside it, the wake-up it just took may have been
+			// meant for the replacement: pass it on.
+			sh.q.wakeUp()
+			return false
 		}
 		sh.hb.Beat()
 		if err := sh.m.fpWorker.Fire(); err != nil {
 			return true // injected worker crash; no message was dequeued
 		}
+		if sh.q.take(&b) {
+			sh.consume(&b)
+			continue
+		}
 		select {
-		case msg := <-sh.queue:
-			sh.consume(&b, msg)
+		case <-sh.q.wake:
 		case <-stop:
-			for {
-				select {
-				case msg := <-sh.queue:
-					sh.consume(&b, msg)
-				default:
-					return false
-				}
+			// Only the current generation drains: a superseded worker
+			// taking drains beside its replacement could score one host's
+			// messages out of order.
+			for sh.gen.Load() == gen && sh.q.take(&b) {
+				sh.consume(&b)
 			}
+			return false
 		}
 	}
 }
 
-// consume gathers queued messages, starting with first, up to the drain
-// cap and processes them in one lock round. A panic while scoring (a
+// consume processes a drain in one lock round. A panic while scoring (a
 // poisoned message, a bug in a hot-swapped model) loses that drain, is
 // counted, and leaves the worker — and the other shards — running.
-func (sh *shard) consume(b *drainBuf, first logfmt.Message) {
-	b.msgs = append(b.msgs[:0], first)
-drain:
-	for len(b.msgs) < DefaultMaxBatch {
-		select {
-		case msg := <-sh.queue:
-			b.msgs = append(b.msgs, msg)
-		default:
-			break drain
-		}
-	}
-	if sh.depth != nil {
-		sh.depth.SetInt(len(sh.queue))
-	}
+func (sh *shard) consume(b *drainBuf) {
 	// The shard.score fault point fires before the lock on purpose: its
 	// slow mode must wedge this worker *outside* the shard mutex, so the
 	// watchdog's replacement worker can make progress instead of queueing

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"nfvpredict/internal/detect"
+	"nfvpredict/internal/features"
 	"nfvpredict/internal/logfmt"
+	"nfvpredict/internal/resilience"
 	"nfvpredict/internal/sigtree"
 )
 
@@ -419,9 +422,60 @@ func TestServerShardRouting(t *testing.T) {
 	}
 }
 
-// TestServerShardDropAccounting fills a stopped monitor's one-slot shard
-// queue and checks the server counts every refused message under the
-// dedicated shard-drop counter rather than blocking or losing it silently.
+// TestTCPQuietPeerIsServed sends three frames in one write over a TCP
+// connection that then stays open and silent. The listener holds parsed
+// frames in a pending batch, so only the handoff before its next socket
+// read, the one that blocks, can deliver them: all three verdicts must
+// arrive while the connection is still open.
+func TestTCPQuietPeerIsServed(t *testing.T) {
+	tree, det := trainMonitorDetector(t)
+	var verdicts atomic.Int64
+	mcfg := DefaultMonitorConfig()
+	mcfg.Shards = 2
+	mcfg.OnScored = func(string, int, features.Event, float64, bool, bool) { verdicts.Add(1) }
+	mon := NewMonitorWithResolver(mcfg, tree, func(string) *detect.LSTMDetector { return det }, nil)
+	mon.Start()
+	defer mon.Stop()
+
+	cfg := DefaultServerConfig()
+	cfg.Sharded = mon
+	srv, err := NewServer(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start(context.Background())
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var burst []byte
+	for _, m := range monitorTraffic([]string{"vpe01", "vpe02", "vpe03"}, 1)[:3] {
+		line := m.Format3164()
+		burst = fmt.Appendf(burst, "%d %s", len(line), line)
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	// The listener counts a batch just after handing it over, so the
+	// verdicts can overtake the count.
+	deadline := time.Now().Add(10 * time.Second)
+	for verdicts.Load() < 3 || srv.Stats().Received < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 verdicts from a quiet open connection; server %+v", verdicts.Load(), srv.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServerShardDropAccounting hands ten frames to a stopped monitor's
+// four-slot shard queue as one socket read's batch and checks the server
+// counts every refused message under the dedicated shard-drop counter
+// rather than blocking or losing it silently, and that the full queue
+// refused the latecomers: the first four frames in arrival order are the
+// ones queued.
 func TestServerShardDropAccounting(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	mcfg := DefaultMonitorConfig()
@@ -442,9 +496,19 @@ func TestServerShardDropAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		srv.enqueue([]byte(sampleLine(i)), w)
 	}
+	w.flush() // as before the next socket read
 	st := srv.Stats()
 	if st.Received != 4 || st.ShardDropped != 6 {
 		t.Fatalf("drop accounting: %+v (want received=4 shard_dropped=6)", st)
+	}
+	queued := mon.shards[0].q.queued()
+	if len(queued) != 4 {
+		t.Fatalf("%d messages queued, want 4", len(queued))
+	}
+	for i, m := range queued {
+		if m.Time.Second() != i {
+			t.Fatalf("queue slot %d holds frame %d; a full queue must refuse the latest frames", i, m.Time.Second())
+		}
 	}
 }
 
@@ -482,29 +546,92 @@ func benchmarkMonitorParallel(b *testing.B, shards int) {
 
 // BenchmarkShardSerialSection measures the only per-message work the
 // sharded path still serializes globally: the signature-tree learn under
-// treeMu (tokenization runs outside the lock and is measured separately).
-// Its share of BenchmarkMonitorHandleMessage bounds the parallel speedup
-// (Amdahl); the rest of the pipeline — LSTM step, clustering, LRU — is
-// per-shard and scales with cores.
+// treeMu, LearnSyms on symbols prepared outside the lock (tokenization is
+// measured separately). Its share of BenchmarkMonitorHandleMessage bounds
+// the parallel speedup (Amdahl); the rest of the pipeline — LSTM step,
+// clustering, LRU — is per-shard and scales with cores.
 func BenchmarkShardSerialSection(b *testing.B) {
 	tree, _ := trainMonitorDetector(b)
-	text := "bgp keepalive exchanged with peer 10.0.0.1 hold 90"
-	toks := sigtree.PrepareTokens(text)
+	var tb sigtree.TokenBuf
+	syms, _ := tree.AppendSyms(nil, "bgp keepalive exchanged with peer 10.0.0.1 hold 90", &tb)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.LearnTokens(toks)
+		tree.LearnSyms(syms)
 	}
 }
 
-// BenchmarkShardTokenize is the tokenization half, which shards run
-// outside the tree lock.
+// BenchmarkShardTokenize is the tokenization half, AppendSyms into a
+// reused arena, which shards run outside the tree lock.
 func BenchmarkShardTokenize(b *testing.B) {
+	tree := sigtree.New()
 	text := "bgp keepalive exchanged with peer 10.0.0.1 hold 90"
+	var tb sigtree.TokenBuf
+	var syms []uint32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sigtree.PrepareTokens(text)
+		syms, _ = tree.AppendSyms(syms[:0], text, &tb)
+	}
+}
+
+// BenchmarkServerHandoffShed times one frame over loopback TCP into a
+// two-shard monitor that sheds scoring: socket read, framing, parse, the
+// listener's batch handoff, the shard queues and the workers' drains down
+// to the template learn — the path bench/'s shed_ingest workload measures.
+// At most half a queue is in flight per shard, so no frame is refused.
+func BenchmarkServerHandoffShed(b *testing.B) {
+	mcfg := DefaultMonitorConfig()
+	mcfg.Shards = 2
+	mon := NewMonitorWithResolver(mcfg, sigtree.New(), func(string) *detect.LSTMDetector { return nil }, nil)
+	mon.SetDegrade(resilience.ModeShedScoring)
+	mon.Start()
+	defer mon.Stop()
+	cfg := DefaultServerConfig()
+	cfg.UDPAddr = ""
+	cfg.Sharded = mon
+	srv, err := NewServer(cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.Start(context.Background())
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.TCPAddr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+
+	var frames [][]byte
+	for _, m := range monitorTraffic([]string{"vpe01", "vpe02", "vpe03", "vpe04"}, 64) {
+		line := m.Format3164()
+		frames = append(frames, fmt.Appendf(nil, "%d %s", len(line), line))
+	}
+	w := bufio.NewWriterSize(conn, 64<<10)
+	done := func() int { n, _ := mon.Counters(); return int(n) }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			for i-done() > DefaultShardQueue/2 {
+				if err := w.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		if _, err := w.Write(frames[i%len(frames)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	for done() < b.N {
+		time.Sleep(50 * time.Microsecond)
+	}
+	b.StopTimer()
+	if st := srv.Stats(); st.ShardDropped != 0 || st.Malformed != 0 {
+		b.Fatalf("server stats: %+v", st)
 	}
 }
 

@@ -395,6 +395,9 @@ func TestServerWireStampsAndFlushes(t *testing.T) {
 	for time.Now().Before(deadline) && (mon.Stats().Messages < total || drops.Status().Fast.Good < total) {
 		time.Sleep(2 * time.Millisecond)
 	}
+	// A drain counts its messages before it scores them: stop the workers
+	// so the last drain's spans are in the ring before it is read.
+	mon.Stop()
 	elapsed := time.Since(sent)
 	if st, good := srv.Stats(), drops.Status().Fast.Good; st.Received != total || good != st.Received {
 		t.Fatalf("open connection: drop SLO good %d, received %d of %d", good, st.Received, total)

@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,6 +129,68 @@ func TestWatchdogClockSkewFault(t *testing.T) {
 	// The monitor still consumes after the spurious kick.
 	before := mon.Stats().Messages
 	feedUntil(t, mon, func() bool { return mon.Stats().Messages > before+8 }, 10*time.Second)
+}
+
+// parkedWorkers counts the goroutines waiting in a shard worker's park, read
+// from the goroutine dump: a worker's park is the only select in runOnce.
+func parkedWorkers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, " [select]:") && strings.Contains(g, "(*shard).runOnce") {
+			n++
+		}
+	}
+	return n
+}
+
+// waitUntil polls cond until it holds or the deadline lapses.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWatchdogReplacesParkedWorker supersedes a parked worker through
+// heartbeat.skew and checks the next handoff is still served. A message
+// queued without its wake-up (the moment between a handoff and the worker
+// waking) makes the parked worker look wedged, and the skewed clock gets it
+// replaced. The superseded worker stays parked, ahead of its replacement in
+// the wait for the next wake-up, so that wake-up reaches the worker that
+// is retiring: unless it passes the wake-up on, the next message waits for
+// a second watchdog kick.
+func TestWatchdogReplacesParkedWorker(t *testing.T) {
+	mon, faults := superviseMonitor(t, 1, time.Second)
+	others := parkedWorkers() // monitors other tests left running
+	mon.Start()
+	defer mon.Stop()
+	waitUntil(t, "the worker parks", func() bool { return parkedWorkers() == others+1 })
+
+	if err := faults.Arm("heartbeat.skew", faultinject.Arming{Mode: faultinject.ModeSkew, Skew: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
+	mon.shards[0].q.pushQuiet(superviseMsg("vpe01", "bgp keepalive exchanged with peer 10.0.0.1 hold 90", at))
+	waitUntil(t, "a replacement serves the queued message", func() bool {
+		st := mon.Stats()
+		return st.WatchdogKicks == 1 && st.Messages == 1
+	})
+	faults.Disarm("heartbeat.skew")
+	waitUntil(t, "both workers park", func() bool { return parkedWorkers() == others+2 })
+
+	if !mon.Enqueue(superviseMsg("vpe01", "interface statistics poll completed for ge-0/0/1 in 12 ms", at.Add(time.Minute))) {
+		t.Fatal("enqueue refused")
+	}
+	waitUntil(t, "the next handoff is served", func() bool { return mon.Stats().Messages == 2 })
+	if st := mon.Stats(); st.WatchdogKicks != 1 {
+		t.Fatalf("the next handoff was served only after %d watchdog kicks: %+v", st.WatchdogKicks, st)
+	}
 }
 
 // TestShedScoringMode pins the shed-scoring contract: messages are counted

@@ -113,6 +113,11 @@ func FuzzScannerEquivalence(f *testing.F) {
 	f.Add("µ12 12µ 1µ2 éé1 1é")
 	f.Add(string([]byte{'1', 0x80, '2', ' ', '1', '2', 0xbf, 0xbf, ' ', 0xa0, '7', ':'}))
 	f.Add("deadbeef\u20ac01 00:11:22:\u20ac:44:55 cafe\u20acbabe")
+	// The lines that, learned in order, merge two templates into duplicates
+	// (FuzzMatcherOracle learns them into one tree).
+	for _, s := range mergeSequence {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, msg string) {
 		want := PrepareTokens(msg)
 		tr := New()

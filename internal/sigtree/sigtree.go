@@ -232,16 +232,32 @@ func (t *Tree) findBestTokens(tokens []string) (int, bool) {
 // findBestSyms is findBestTokens on interned symbols. Symbol equality is
 // string equality (interning is injective), so both paths pick the same
 // template.
+//
+// It counts equal positions as integers and stops at the first candidate
+// that equals syms everywhere: the loop replaces its best only on a
+// strictly greater count, so nothing later in the bucket could unseat that
+// candidate. The threshold is checked once, on the best count, as the same
+// float64(eq)/float64(n) the similarity would have been.
 func (t *Tree) findBestSyms(syms []uint32) (int, bool) {
-	bestIdx, bestSim := -1, 0.0
-	for _, idx := range t.buckets[len(syms)] {
-		sim := symSimilarity(t.templates[idx].syms, syms)
-		if sim > bestSim {
-			bestSim, bestIdx = sim, idx
+	n := len(syms)
+	bestIdx, bestEq := -1, 0
+	for _, idx := range t.buckets[n] {
+		ts := t.templates[idx].syms[:n]
+		eq := 0
+		for i, s := range syms {
+			if ts[i] == s {
+				eq++
+			}
+		}
+		if eq == n {
+			return idx, false
+		}
+		if eq > bestEq {
+			bestEq, bestIdx = eq, idx
 		}
 	}
-	if bestIdx >= 0 && bestSim >= t.simThreshold {
-		return bestIdx, bestSim < 1
+	if bestIdx >= 0 && float64(bestEq)/float64(n) >= t.simThreshold {
+		return bestIdx, true
 	}
 	return -1, false
 }
@@ -266,24 +282,6 @@ func (t *Tree) overflowTemplate() *Template {
 // masked before comparison, instances of one family are token-identical
 // and still score 1.0 against their template.
 func similarity(a, b []string) float64 {
-	if len(a) != len(b) {
-		return 0
-	}
-	if len(a) == 0 {
-		return 1
-	}
-	eq := 0
-	for i := range a {
-		if a[i] == b[i] {
-			eq++
-		}
-	}
-	return float64(eq) / float64(len(a))
-}
-
-// symSimilarity is similarity over symbol IDs: one integer compare per
-// position instead of a length check plus memcmp.
-func symSimilarity(a, b []uint32) float64 {
 	if len(a) != len(b) {
 		return 0
 	}
