@@ -30,12 +30,13 @@ test-race:
 chaos:
 	$(GO) test -race -count=1 ./internal/scenario -run 'TestFaultSoak' -v
 
-# Scenario harness: lint every scenario in the shipped library, then run
-# them end-to-end (simulate → train → serve over TCP → eval → assert).
-# Each scenario is seconds of wall time; the whole library is the fast
-# subset that ci runs. Assertion failures exit nonzero.
+# Scenario harness: lint every scenario in the shipped library and the
+# fleet files under scenarios/fleet/ (inputs to `nfvscen dump`, too large
+# to run), then run the library end-to-end (simulate → train → serve over
+# TCP → eval → assert). Each scenario is seconds of wall time; the whole
+# library is the fast subset that ci runs. Assertion failures exit nonzero.
 scenarios:
-	$(GO) run ./cmd/nfvscen validate scenarios/
+	$(GO) run ./cmd/nfvscen validate scenarios/ scenarios/fleet/
 	$(GO) run ./cmd/nfvscen run scenarios/
 
 # The wire-to-warning benchmark (bench/, BENCHMARK.json) is a nested
@@ -67,7 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
 
 # Reachability: every func in a non-test file of a library package that
-# none of the 13 binaries (cmd/*, examples/*, bench/) links, minus
+# none of the 10 binaries (cmd/*, examples/*, bench/) links, minus
 # tools/reach.allow, where each survivor carries its reason. Prints
 # nothing and exits 0 when the library holds no code only tests reach.
 reach:

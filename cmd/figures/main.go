@@ -7,6 +7,7 @@
 //	figures -fig 1a|1b|2|3|update|volume     # measurement-study figures
 //	figures -fig 5|6|7|8|reduction           # model figures
 //	figures -fig summary                     # eval.Summary as JSON
+//	figures -fig report                      # the System.Report of one walk-forward run
 //	figures -fig stats               # all measurement-study figures
 //	figures -seed 7 -months 10 -vpes 12      # override the model fleet
 package main
@@ -17,13 +18,14 @@ import (
 	"os"
 	"time"
 
+	"nfvpredict"
 	"nfvpredict/internal/figures"
 	"nfvpredict/internal/nfvsim"
 	"nfvpredict/internal/pipeline"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1a,1b,2,3,update,volume,5,6,7,8,reduction,summary,stats,all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1a,1b,2,3,update,volume,5,6,7,8,reduction,summary,report,stats,all")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	months := flag.Int("months", 0, "override model-fleet horizon months")
 	vpes := flag.Int("vpes", 0, "override model-fleet size")
@@ -38,7 +40,7 @@ func main() {
 func run(fig string, seed int64, months, vpes int) error {
 	out := os.Stdout
 	wantStats := map[string]bool{"1a": true, "1b": true, "2": true, "3": true, "update": true, "volume": true, "stats": true, "all": true}
-	wantModel := map[string]bool{"5": true, "6": true, "7": true, "8": true, "reduction": true, "summary": true, "all": true}
+	wantModel := map[string]bool{"5": true, "6": true, "7": true, "8": true, "reduction": true, "summary": true, "report": true, "all": true}
 
 	if wantStats[fig] {
 		cfg := figures.StatsSimConfig()
@@ -128,6 +130,11 @@ func run(fig string, seed int64, months, vpes int) error {
 				_, err = figures.Fig8(out, ds, pcfg)
 			case "summary":
 				_, err = figures.Summary(out, ds, pcfg)
+			case "report":
+				var res *pipeline.Result
+				if res, err = pipeline.Run(ds, pcfg); err == nil {
+					fmt.Fprint(out, (&nfvpredict.System{Dataset: ds, Config: pcfg, Result: res}).Report())
+				}
 			case "reduction":
 				rCfg := figures.ReductionSimConfig()
 				rCfg.Seed = simCfg.Seed

@@ -6,66 +6,94 @@
 // stack: nfvsim trace → syslog over TCP → ingest.Server → sharded
 // Monitor (→ lifecycle) → eval against the ticket store.
 //
+// The same fleet files feed the offline tools: dump writes a scenario's
+// trace and tickets to disk (nfvtrain's input), and replay sends a trace
+// to a live syslog endpoint such as nfvmonitor.
+//
 // Usage:
 //
 //	nfvscen validate scenarios/              # lint every scenario file
 //	nfvscen run scenarios/                   # run all, human-readable
 //	nfvscen run -json scenarios/outage.yaml  # machine-readable report
-//	nfvscen run -v -dump-trace t.jsonl f.yaml
+//	nfvscen dump scenarios/fleet/paper.yaml  # the paper-scale trace.jsonl + tickets.csv
+//	nfvscen replay -rate 2000 trace.jsonl    # replay against 127.0.0.1:5514
 //
-// A path may be a file or a directory (expanded to *.yaml / *.yml).
 // Exit status: 0 all passed, 1 validation error or failed assertion,
 // 2 usage error.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
+	"nfvpredict/internal/logfmt"
 	"nfvpredict/internal/scenario"
+	"nfvpredict/internal/ticket"
 )
+
+// command is one subcommand. setup registers its flags on fs and returns
+// its body, which runs on the positional arguments left after parsing;
+// usage calls setup too, so the help text lists every flag.
+type command struct {
+	name, args, doc string
+	setup           func(fs *flag.FlagSet) func(args []string) error
+}
+
+var commands = []command{
+	{"validate", "<path>...", "lint scenario files (exit 1 on any error)", validateCmd},
+	{"run", "[flags] <path>...", "run scenarios end-to-end", runCmd},
+	{"dump", "[flags] <scenario.yaml>", "write a scenario's trace (JSONL) and tickets (CSV)", dumpCmd},
+	{"replay", "[flags] <trace.jsonl | scenario.yaml>", "send a trace to a syslog endpoint (a .yaml/.yml source is generated)", replayCmd},
+}
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "validate":
-		err = validateCmd(os.Args[2:])
-	case "run":
-		err = runCmd(os.Args[2:])
+	switch name := os.Args[1]; name {
 	case "-h", "--help", "help":
-		usage()
-		return
+		usage(os.Stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "nfvscen: unknown command %q\n\n", os.Args[1])
-		usage()
+		for _, c := range commands {
+			if c.name != name {
+				continue
+			}
+			fs := flag.NewFlagSet(name, flag.ExitOnError)
+			body := c.setup(fs)
+			fs.Parse(os.Args[2:])
+			if err := body(fs.Args()); err != nil {
+				fmt.Fprintln(os.Stderr, "nfvscen:", err)
+				os.Exit(1)
+			}
+			return
+		}
+		fmt.Fprintf(os.Stderr, "nfvscen: unknown command %q\n\n", name)
+		usage(os.Stderr)
 		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nfvscen:", err)
-		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
-  nfvscen validate <path>...             lint scenario files (exit 1 on any error)
-  nfvscen run [flags] <path>...          run scenarios end-to-end
-    -json            emit the machine-readable report array on stdout
-    -v               log phases and timeline events as they execute
-    -dump-trace FILE write the generated trace as logfmt JSONL (replaylog input)
-
-A path may be a file or a directory (expanded to *.yaml / *.yml).
-`)
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage:")
+	for _, c := range commands {
+		fmt.Fprintf(w, "\nnfvscen %s %s\n  %s\n", c.name, c.args, c.doc)
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		fs.SetOutput(w)
+		c.setup(fs)
+		fs.PrintDefaults()
+	}
+	fmt.Fprint(w, "\nA path may be a file or a directory (expanded to *.yaml / *.yml).\n")
 }
 
 // expand resolves files and directories into a sorted scenario file list.
@@ -88,7 +116,7 @@ func expand(paths []string) ([]string, error) {
 			if e.IsDir() {
 				continue
 			}
-			if ext := filepath.Ext(e.Name()); ext == ".yaml" || ext == ".yml" {
+			if isScenario(e.Name()) {
 				files = append(files, filepath.Join(p, e.Name()))
 			}
 		}
@@ -100,85 +128,85 @@ func expand(paths []string) ([]string, error) {
 	return files, nil
 }
 
-func validateCmd(args []string) error {
-	fs := flag.NewFlagSet("validate", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		return fmt.Errorf("validate: no paths given")
-	}
-	files, err := expand(fs.Args())
-	if err != nil {
-		return err
-	}
-	bad := 0
-	for _, f := range files {
-		if _, err := scenario.LoadFile(f); err != nil {
-			bad++
-			fmt.Fprintln(os.Stderr, err)
-		} else {
-			fmt.Printf("%s: ok\n", f)
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d of %d scenario file(s) invalid", bad, len(files))
-	}
-	return nil
+func isScenario(path string) bool {
+	ext := filepath.Ext(path)
+	return ext == ".yaml" || ext == ".yml"
 }
 
-func runCmd(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func validateCmd(fs *flag.FlagSet) func([]string) error {
+	return func(paths []string) error {
+		if len(paths) == 0 {
+			return fmt.Errorf("validate: no paths given")
+		}
+		files, err := expand(paths)
+		if err != nil {
+			return err
+		}
+		bad := 0
+		for _, f := range files {
+			if _, err := scenario.LoadFile(f); err != nil {
+				bad++
+				fmt.Fprintln(os.Stderr, err)
+			} else {
+				fmt.Printf("%s: ok\n", f)
+			}
+		}
+		if bad > 0 {
+			return fmt.Errorf("%d of %d scenario file(s) invalid", bad, len(files))
+		}
+		return nil
+	}
+}
+
+func runCmd(fs *flag.FlagSet) func([]string) error {
 	jsonOut := fs.Bool("json", false, "emit the report array as JSON on stdout")
 	verbose := fs.Bool("v", false, "log phases and timeline events")
-	dumpTrace := fs.String("dump-trace", "", "write the generated trace as logfmt JSONL (single scenario only)")
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		return fmt.Errorf("run: no paths given")
-	}
-	files, err := expand(fs.Args())
-	if err != nil {
-		return err
-	}
-	if *dumpTrace != "" && len(files) > 1 {
-		return fmt.Errorf("run: -dump-trace needs exactly one scenario, got %d", len(files))
-	}
-
-	opts := scenario.Options{DumpTrace: *dumpTrace}
-	if *verbose {
-		opts.Log = log.New(os.Stderr, "", log.LstdFlags)
-	}
-	var reports []*scenario.Report
-	failed := 0
-	for _, f := range files {
-		spec, err := scenario.LoadFile(f)
+	return func(paths []string) error {
+		if len(paths) == 0 {
+			return fmt.Errorf("run: no paths given")
+		}
+		files, err := expand(paths)
 		if err != nil {
 			return err
 		}
-		rep, err := scenario.Run(spec, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", f, err)
+		var opts scenario.Options
+		if *verbose {
+			opts.Log = log.New(os.Stderr, "", log.LstdFlags)
 		}
-		reports = append(reports, rep)
-		if !rep.Passed {
-			failed++
+		var reports []*scenario.Report
+		failed := 0
+		for _, f := range files {
+			spec, err := scenario.LoadFile(f)
+			if err != nil {
+				return err
+			}
+			rep, err := scenario.Run(spec, opts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", f, err)
+			}
+			reports = append(reports, rep)
+			if !rep.Passed {
+				failed++
+			}
+			if !*jsonOut {
+				printReport(rep)
+			}
+		}
+		if *jsonOut {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(reports); err != nil {
+				return err
+			}
+		}
+		if failed > 0 {
+			return fmt.Errorf("%d of %d scenario(s) failed", failed, len(reports))
 		}
 		if !*jsonOut {
-			printReport(rep)
+			fmt.Printf("all %d scenario(s) passed\n", len(reports))
 		}
+		return nil
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
-			return err
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d scenario(s) failed", failed, len(reports))
-	}
-	if !*jsonOut {
-		fmt.Printf("all %d scenario(s) passed\n", len(reports))
-	}
-	return nil
 }
 
 func printReport(rep *scenario.Report) {
@@ -216,4 +244,170 @@ func printReport(rep *scenario.Report) {
 		}
 		fmt.Printf("  assert %-28s %-4s %s\n", a.Name, mark, a.Detail)
 	}
+}
+
+// dumpCmd writes the scenario's generated trace (logfmt JSONL) and tickets
+// (CSV): the files nfvtrain trains on and replay sends.
+func dumpCmd(fs *flag.FlagSet) func([]string) error {
+	tracePath := fs.String("trace", "trace.jsonl", "syslog output file (JSONL)")
+	ticketsPath := fs.String("tickets", "tickets.csv", "tickets output file (CSV)")
+	return func(args []string) error {
+		if len(args) != 1 {
+			return fmt.Errorf("dump: want one scenario file, got %d", len(args))
+		}
+		spec, err := scenario.LoadFile(args[0])
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		tr, err := spec.GenerateTrace()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("generated %d messages, %d tickets in %v\n",
+			len(tr.Messages), len(tr.Tickets), time.Since(start).Round(time.Millisecond))
+		if err := writeFile(*tracePath, func(w io.Writer) error { return scenario.WriteTrace(w, tr) }); err != nil {
+			return err
+		}
+		fmt.Printf("wrote syslog to %s\n", *tracePath)
+		if err := writeFile(*ticketsPath, func(w io.Writer) error { return ticket.WriteCSV(w, tr.Tickets) }); err != nil {
+			return err
+		}
+		fmt.Printf("wrote tickets to %s\n", *ticketsPath)
+		return nil
+	}
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// replayCmd sends a trace to a live syslog endpoint over UDP or TCP (RFC
+// 6587 octet counting). -rate paces by throughput; without it, UDP pauses
+// briefly every 200 datagrams, since it has no backpressure. -loop replays
+// the trace repeatedly, and each pass shifts the timestamps forward by the
+// trace's span, so a monitor under soak sees one continuous, monotonic
+// stream (lifecycle drift/adaptation soaks run off exactly this).
+func replayCmd(fs *flag.FlagSet) func([]string) error {
+	addr := fs.String("addr", "127.0.0.1:5514", "destination address")
+	proto := fs.String("proto", "udp", "udp or tcp")
+	rate := fs.Float64("rate", 0, "fixed pacing in messages per second; 0 = as fast as possible")
+	limit := fs.Int("limit", 0, "max messages to send per pass (0 = all)")
+	loop := fs.Int("loop", 1, "replay passes; timestamps shift forward each pass (0 = loop forever)")
+	return func(args []string) error {
+		if len(args) != 1 {
+			return fmt.Errorf("replay: want one trace or scenario file, got %d", len(args))
+		}
+		return replay(args[0], *addr, *proto, *rate, *limit, *loop)
+	}
+}
+
+// loadMessages reads a JSONL trace, or generates the trace of a scenario
+// file (fleet + injected timeline, same seed → same trace).
+func loadMessages(src string) ([]logfmt.Message, error) {
+	if isScenario(src) {
+		spec, err := scenario.LoadFile(src)
+		if err != nil {
+			return nil, err
+		}
+		tr, err := spec.GenerateTrace()
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("generated %d messages from scenario %q (seed %d)\n",
+			len(tr.Messages), spec.Name, spec.Seed)
+		return tr.Messages, nil
+	}
+	f, err := os.Open(src)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return logfmt.NewReader(f).ReadAll()
+}
+
+func replay(src, addr, proto string, rate float64, limit, loop int) error {
+	msgs, err := loadMessages(src)
+	if err != nil {
+		return err
+	}
+	if limit > 0 && len(msgs) > limit {
+		msgs = msgs[:limit]
+	}
+	if len(msgs) == 0 {
+		return fmt.Errorf("no messages in %s", src)
+	}
+
+	conn, err := net.Dial(proto, addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	w := bufio.NewWriter(conn)
+
+	// Per-pass timestamp shift: the trace span plus the mean inter-message
+	// gap, so the seam between passes looks like one more ordinary gap
+	// rather than a discontinuity (or a repeat of the same instant).
+	traceStart := msgs[0].Time
+	span := msgs[len(msgs)-1].Time.Sub(traceStart)
+	if len(msgs) > 1 {
+		span += span / time.Duration(len(msgs)-1)
+	} else {
+		span += time.Second
+	}
+
+	start := time.Now()
+	sent := 0
+	for pass := 0; loop <= 0 || pass < loop; pass++ {
+		shift := time.Duration(pass) * span
+		for i := range msgs {
+			m := msgs[i]
+			m.Time = m.Time.Add(shift)
+			if rate > 0 {
+				due := start.Add(time.Duration(float64(sent) * float64(time.Second) / rate))
+				if d := time.Until(due); d > 0 {
+					w.Flush()
+					time.Sleep(d)
+				}
+			} else if sent%200 == 0 && proto == "udp" {
+				// UDP has no backpressure; pace full-speed bursts.
+				w.Flush()
+				time.Sleep(2 * time.Millisecond)
+			}
+			line := m.Format3164()
+			if proto == "tcp" {
+				// RFC 6587 octet counting.
+				if _, err := fmt.Fprintf(w, "%d %s", len(line), line); err != nil {
+					return err
+				}
+			} else {
+				w.Flush() // one datagram per message
+				if _, err := conn.Write([]byte(line)); err != nil {
+					return err
+				}
+			}
+			sent++
+		}
+		if loop != 1 {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			fmt.Printf("pass %d done: %d messages sent\n", pass+1, sent)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	fmt.Printf("replayed %d messages (%d passes, %s trace time per pass) in %v\n",
+		sent, sent/len(msgs), msgs[len(msgs)-1].Time.Sub(traceStart).Round(time.Second),
+		time.Since(start).Round(time.Millisecond))
+	return nil
 }

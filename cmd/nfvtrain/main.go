@@ -1,8 +1,8 @@
 // Command nfvtrain trains a deployable model bundle — signature tree,
 // per-cluster LSTM detectors, cluster assignment, and a recommended
 // operating threshold — from a recorded trace (JSONL syslog + CSV tickets,
-// as written by cmd/loggen). cmd/nfvmonitor serves the bundle against live
-// syslog.
+// as written by `nfvscen dump`). cmd/nfvmonitor serves the bundle against
+// live syslog.
 //
 // Training is observable instead of silent: every per-cluster detector
 // reports per-epoch loss, tokens/sec, and over-sampling-round counters

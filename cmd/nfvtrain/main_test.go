@@ -18,7 +18,7 @@ import (
 )
 
 // writeTrace simulates a 6-vPE × 2-month update-free fleet (seed 1) and
-// writes it the way cmd/loggen does; mutate edits the tickets first.
+// writes it the way `nfvscen dump` does; mutate edits the tickets first.
 func writeTrace(t *testing.T, mutate func(tr *nfvsim.Trace)) (tracePath, ticketsPath string) {
 	t.Helper()
 	cfg := nfvsim.DefaultConfig()

@@ -65,19 +65,14 @@ func (o *Outcome) Summary() Summary {
 		SpanHours:         o.Span.Hours(),
 	}
 	for _, hit := range o.Hits {
-		lead := -hit.EarliestOffset.Minutes() // positive = early
 		s.Leads = append(s.Leads, TicketLead{
 			TicketID:    hit.Ticket.ID,
 			VPE:         hit.Ticket.VPE,
 			Cause:       hit.Ticket.Cause.String(),
 			Report:      hit.Ticket.Report,
-			LeadMinutes: lead,
+			LeadMinutes: -hit.EarliestOffset.Minutes(), // positive = early
 			Warnings:    hit.Warnings,
 		})
-		if lead > 0 {
-			s.EarlyTickets++
-			s.MeanLeadMinutes += lead
-		}
 	}
 	sort.Slice(s.Leads, func(i, j int) bool {
 		if !s.Leads[i].Report.Equal(s.Leads[j].Report) {
@@ -85,6 +80,14 @@ func (o *Outcome) Summary() Summary {
 		}
 		return s.Leads[i].TicketID < s.Leads[j].TicketID
 	})
+	// Summed in Leads order, not map order: float addition is not
+	// associative, and the mean must not move from run to run.
+	for _, l := range s.Leads {
+		if l.LeadMinutes > 0 {
+			s.EarlyTickets++
+			s.MeanLeadMinutes += l.LeadMinutes
+		}
+	}
 	if s.EarlyTickets > 0 {
 		s.MeanLeadMinutes /= float64(s.EarlyTickets)
 	}

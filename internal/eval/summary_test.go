@@ -67,3 +67,38 @@ func TestSummary(t *testing.T) {
 		t.Fatalf("JSON round-trip lost data: %+v", back)
 	}
 }
+
+// TestSummaryMeanLeadIsOrderFixed: MeanLeadMinutes is the in-order sum
+// over Leads, so it cannot move with Hits' map iteration order. Leads of
+// ~1e8 and ~1e-3 minutes make the rounding of each addition depend on
+// what was summed before it.
+func TestSummaryMeanLeadIsOrderFixed(t *testing.T) {
+	base := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
+	o := &Outcome{Hits: map[int]*TicketHit{}, Tickets: 96}
+	for id := 0; id < 96; id++ {
+		lead := time.Duration(60_000_007 + 13*id) // ≈60 ms ≈ 1e-3 min
+		if id%3 == 0 {
+			lead = time.Duration(1e8+id) * time.Minute
+		}
+		o.Hits[id] = &TicketHit{
+			Ticket:         ticket.Ticket{ID: id, Report: base.Add(time.Duration(id) * time.Hour)},
+			EarliestOffset: -lead,
+			Warnings:       1,
+		}
+	}
+	first := o.Summary()
+	var sum float64
+	for _, l := range first.Leads {
+		sum += l.LeadMinutes
+	}
+	want := sum / float64(len(first.Leads))
+	for call := 0; call < 50; call++ {
+		s := o.Summary()
+		if s.EarlyTickets != 96 {
+			t.Fatalf("early tickets %d, want 96", s.EarlyTickets)
+		}
+		if math.Float64bits(s.MeanLeadMinutes) != math.Float64bits(want) {
+			t.Fatalf("call %d: mean lead %v, want the in-order sum's %v", call, s.MeanLeadMinutes, want)
+		}
+	}
+}

@@ -35,9 +35,6 @@ type Options struct {
 	// AdminUp, when set, is called with the admin listener's address once
 	// /statusz is live (the serve phase), before any traffic flows.
 	AdminUp func(addr net.Addr)
-	// DumpTrace, when set, writes the generated trace as logfmt JSONL to
-	// this path — the format cmd/replaylog replays.
-	DumpTrace string
 }
 
 // Report is the machine-readable result of a scenario run.
@@ -140,16 +137,15 @@ func (s *Spec) GenerateTrace() (*nfvsim.Trace, error) {
 }
 
 // WriteTrace writes a trace's messages as logfmt JSONL — the format
-// cmd/replaylog replays against a live monitor.
+// nfvtrain trains on and `nfvscen replay` sends to a live monitor.
 func WriteTrace(w io.Writer, tr *nfvsim.Trace) error {
-	bw := bufio.NewWriter(w)
-	lw := logfmt.NewWriter(bw)
+	lw := logfmt.NewWriter(w)
 	for i := range tr.Messages {
 		if err := lw.Write(&tr.Messages[i]); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return lw.Flush()
 }
 
 // runState is the mutable status behind /statusz during a run.
@@ -227,20 +223,6 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		Tickets:    len(tr.Tickets),
 		VPEs:       len(tr.VPENames),
 		Injections: countSimEvents(spec),
-	}
-	if opts.DumpTrace != "" {
-		f, err := os.Create(opts.DumpTrace)
-		if err != nil {
-			return nil, err
-		}
-		if err := WriteTrace(f, tr); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		logf("scenario %s: trace dumped to %s (%d messages)", spec.Name, opts.DumpTrace, len(tr.Messages))
 	}
 
 	// Phase 2: train.

@@ -6,13 +6,10 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"nfvpredict/internal/logfmt"
 )
 
 // e2eDoc is a compact full-stack scenario: a small fleet, an injected
@@ -79,10 +76,8 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	dump := filepath.Join(t.TempDir(), "trace.jsonl")
 	var statusBody []byte
 	rep, err := Run(spec, Options{
-		DumpTrace: dump,
 		AdminUp: func(addr net.Addr) {
 			resp, aerr := http.Get(fmt.Sprintf("http://%s/statusz", addr))
 			if aerr != nil {
@@ -127,19 +122,6 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 	if status.Scenario != "e2e-test" || status.Phase != "serve" {
 		t.Fatalf("statusz metadata: %+v", status)
-	}
-	// The dumped trace is replaylog's input format.
-	f, err := os.Open(dump)
-	if err != nil {
-		t.Fatalf("dump: %v", err)
-	}
-	defer f.Close()
-	msgs, err := logfmt.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatalf("dump read: %v", err)
-	}
-	if len(msgs) != rep.Sim.Messages {
-		t.Fatalf("dump has %d messages, trace had %d", len(msgs), rep.Sim.Messages)
 	}
 	// The report is the -json surface: it must round-trip.
 	b, err := json.Marshal(rep)

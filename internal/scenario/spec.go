@@ -844,10 +844,12 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: serve.threshold must be positive, got %v", s.Serve.Threshold)
 	}
 	// The serve phase replays RFC 3164 wire lines, whose timestamps carry
-	// no year; keep the horizon inside one calendar year so the ingest
-	// server's year resolution cannot misdate messages.
-	if end := f.Start.AddDate(0, f.Months, 0).Add(-time.Nanosecond); end.Year() != f.Start.Year() {
-		return fmt.Errorf("scenario: horizon %s + %d months crosses a calendar year; start in January or shorten the horizon", f.Start.Format("2006-01-02"), f.Months)
+	// no year; keep the served months inside one calendar year so the
+	// ingest server's year resolution cannot misdate messages. Training
+	// reads the trace directly and may start in an earlier year.
+	if from, last := s.ServeStart(), s.End().Add(-time.Nanosecond); last.Year() != from.Year() {
+		return fmt.Errorf("scenario: serve window %s to %s crosses a calendar year; start in January, shorten the horizon or lengthen train.months",
+			from.Format("2006-01-02"), s.End().Format("2006-01-02"))
 	}
 	serveOffset := s.ServeStart().Sub(f.Start)
 	horizon := s.End().Sub(f.Start)

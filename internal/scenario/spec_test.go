@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"nfvpredict/internal/nfvsim"
 )
 
 const specDoc = `
@@ -139,6 +143,27 @@ func TestLoadSpec(t *testing.T) {
 	}
 	if got := spec.ServeStart(); !got.Equal(time.Date(2017, 2, 1, 0, 0, 0, 0, time.UTC)) {
 		t.Fatalf("serve start: %v", got)
+	}
+}
+
+// TestPaperFleetIsDefault: scenarios/fleet/paper.yaml compiles to the
+// paper-scale nfvsim.DefaultConfig(), so a dump of it is the paper-scale
+// trace byte for byte.
+func TestPaperFleetIsDefault(t *testing.T) {
+	spec, err := LoadFile(filepath.Join("..", "..", "scenarios", "fleet", "paper.yaml"))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	got, err := spec.SimConfig()
+	if err != nil {
+		t.Fatalf("sim config: %v", err)
+	}
+	want := nfvsim.DefaultConfig()
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s = %v, want %v", gv.Type().Field(i).Name, g, w)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func NewDataset(tr *Trace, start time.Time, months int) *Dataset {
 }
 
 // NewDatasetFromMessages builds a Dataset from raw messages (e.g. loaded
-// from a JSONL file written by cmd/loggen).
+// from a JSONL file written by `nfvscen dump`).
 func NewDatasetFromMessages(msgs []Message, tickets []Ticket, vpes []string, start time.Time, months int) *Dataset {
 	return pipeline.BuildDatasetFromMessages(msgs, tickets, vpes, start, months)
 }

@@ -14,6 +14,8 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="$root/.bench_build"
 out="$build/reach"
 allow="$root/tools/reach.allow"
+# A binary left from a main that no longer exists would count as linked.
+rm -rf "$out/bin"
 mkdir -p "$build/tmp" "$out/bin"
 export GOCACHE="$build/go-cache" GOTMPDIR="$build/tmp" GOTOOLCHAIN=local
 
