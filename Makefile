@@ -51,7 +51,9 @@ bench-smoke:
 # transposed-product and Adam kernels) against their oracles (shapes,
 # tails, special operands, zero multipliers), the
 # interned scanner against the string tokenizer, the early-exit template
-# matcher against its float-similarity oracle, the RFC 3164 parser
+# matcher against its float-similarity oracle, the symbol table's seeded
+# index against a plain map (through republishes and a full table), the
+# RFC 3164 parser
 # against a time.Parse reference, the RFC 6587 octet-count reader against
 # hostile prefixes. `go test -fuzz` takes one target and
 # one package per run. A failing input is written under the package's
@@ -64,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzAdamStep$$' -fuzztime 10s
 	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzScannerEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzMatcherOracle$$' -fuzztime 10s
+	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzSymIndex$$' -fuzztime 10s
 	$(GO) test ./internal/logfmt/ -run XXX -fuzz '^FuzzParse3164$$' -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
 
@@ -82,8 +85,9 @@ reach:
 # runs: the metrics hot path, the scoring kernels (LSTM step and gate
 # fold, blocked matvec, the exp kernel) and training at the shipped shape
 # (one window with its Adam step, a 32-window trainer pass, the Adam step
-# alone), and loopback TCP through the listener's batch handoff into a
-# monitor that sheds scoring. The race pass includes
+# alone), the scanner over fleet texts with the fleet's symbol table, and
+# loopback TCP through the listener's batch handoff into a monitor that
+# sheds scoring. The race pass includes
 # TestLifecycleSoakSmoke, which promotes a candidate against concurrent
 # scorers. The hard 0 allocs/op assertions are TestHotPathAllocFree and
 # TestScoringHotPathAllocFree, which run with the suite. The last two
@@ -119,6 +123,7 @@ ci: build
 	$(GO) test ./internal/nn/ -run XXX -bench 'StepLogProbs|GateFold' -benchtime=1x -benchmem
 	$(GO) test ./internal/nn/ -run XXX -bench 'TrainWindow|BatchTrainer|AdamStep' -benchtime=1x -benchmem
 	$(GO) test ./internal/mat/ -run XXX -bench 'MulVecAdd|ExpNeg' -benchtime=1x -benchmem
+	$(GO) test ./internal/sigtree/ -run XXX -bench 'AppendSymsFleet' -benchtime=1x -benchmem
 	$(GO) test ./internal/ingest/ -run XXX -bench 'MonitorHandleMessage$$|MonitorHandleMessageSpans$$|ServerHandoffShed$$' -benchtime=1x -benchmem
 	$(GO) test ./internal/ingest/ -run TestServingPathAllocGate -count=1 -v
 	NFV_SPAN_GATE=1 $(GO) test ./internal/ingest/ -run TestSpanOverhead -count=1 -v

@@ -7,7 +7,6 @@ package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -299,6 +298,12 @@ func (s *Server) untrackConn(c net.Conn) {
 // TCP connection it is also the io.Reader under the bufio.Reader, so every
 // socket read, the only place the listener can block, flushes before it
 // and restamps after it: no parsed message waits on the socket.
+//
+// A pending message is parsed in place: its header fields are written into
+// its slot, its tail from the host onward is appended to block and the
+// field bounds kept in tails. At handoff block becomes one string and every
+// pending message's Host, Tag and Text are substrings of it, so a batch
+// costs one allocation however many frames it holds.
 type wireState struct {
 	s    *Server
 	conn io.Reader
@@ -306,8 +311,23 @@ type wireState struct {
 	// read only when a tracer is attached.
 	accept    time.Time
 	pending   []logfmt.Message
+	tails     [handoffBatch]tailBounds
+	block     []byte
 	good, bad uint64
 }
+
+// tailBounds locates one pending message's fields in wireState.block:
+// host block[start:hostEnd], tag block[hostEnd+1:tagEnd], text
+// block[tagEnd+2:end].
+type tailBounds struct{ start, hostEnd, tagEnd, end int32 }
+
+// blockBytes caps a batch block: a frame whose line would take the block
+// past it hands the pending batch over first. A batch string lives as long
+// as any of its messages is referenced (queued, in a drain, or in a stale
+// ring slot), so the cap bounds what one message can keep alive to about
+// what the largest TCP frame copied on its own would. Nothing that
+// outlives its drain keeps a string from a batch (see shard.hostFor).
+const blockBytes = 2 * maxLine
 
 func (w *wireState) Read(p []byte) (int, error) {
 	w.flush()
@@ -332,11 +352,20 @@ func (w *wireState) flush() {
 }
 
 // handoff gives the pending messages to the sink in one call and counts
-// what it accepted and refused.
+// what it accepted and refused. It first turns the batch block into the
+// one string the messages' fields are cut from.
 func (w *wireState) handoff() {
 	n := len(w.pending)
 	if n == 0 {
 		return
+	}
+	blk := string(w.block)
+	w.block = w.block[:0]
+	for i := range w.pending {
+		t, m := &w.tails[i], &w.pending[i]
+		m.Host = blk[t.start:t.hostEnd]
+		m.Tag = blk[t.hostEnd+1 : t.tagEnd]
+		m.Text = blk[t.tagEnd+2 : t.end]
 	}
 	took := w.s.sink.enqueueBatch(w.pending)
 	w.pending = w.pending[:0]
@@ -349,18 +378,35 @@ func (w *wireState) handoff() {
 }
 
 // enqueue parses one raw line into the pending batch, handing the batch to
-// the shards once it is full. line is only borrowed: the parse copies what
-// the message keeps.
+// the shards once it is full. line is only borrowed: the parse copies its
+// tail into the batch block.
 func (s *Server) enqueue(line []byte, w *wireState) {
-	trimmed := bytes.TrimRight(line, "\r\n")
-	if len(trimmed) == 0 {
+	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
+		line = line[:len(line)-1]
+	}
+	if len(line) == 0 {
 		return
 	}
-	msg, err := logfmt.Parse3164Bytes(trimmed, s.cfg.Year)
+	if len(w.block)+len(line) > blockBytes {
+		w.handoff()
+	}
+	n := len(w.pending)
+	if n < cap(w.pending) {
+		w.pending = w.pending[:n+1]
+	} else {
+		w.pending = append(w.pending, logfmt.Message{})
+	}
+	msg := &w.pending[n]
+	tail, hostEnd, tagEnd, err := logfmt.Parse3164Header(line, s.cfg.Year, msg)
 	if err != nil {
+		w.pending = w.pending[:n]
 		s.malformed.Add(1)
 		return
 	}
+	start := len(w.block)
+	w.block = append(w.block, tail...)
+	w.tails[n] = tailBounds{int32(start), int32(start + hostEnd), int32(start + tagEnd), int32(len(w.block))}
+	msg.Trace = logfmt.TraceCtx{}
 	if s.cfg.Tracer != nil {
 		id, sampled := s.cfg.Tracer.Accept()
 		msg.Trace = logfmt.TraceCtx{ID: uint64(id), Sampled: sampled, Accept: w.accept}
@@ -370,8 +416,7 @@ func (s *Server) enqueue(line []byte, w *wireState) {
 			msg.Trace.DecodeNS = int64(time.Since(w.accept))
 		}
 	}
-	w.pending = append(w.pending, msg)
-	if len(w.pending) == handoffBatch {
+	if n+1 == handoffBatch {
 		w.handoff()
 	}
 }
@@ -468,7 +513,7 @@ func (s *Server) acceptTCP() {
 // keeps its connection — one bad sender line must not silently drop a vPE
 // from monitoring.
 func (s *Server) serveTCP(conn net.Conn) {
-	w := &wireState{s: s, conn: conn, pending: make([]logfmt.Message, 0, handoffBatch)}
+	w := &wireState{s: s, conn: conn, pending: make([]logfmt.Message, 0, handoffBatch), block: make([]byte, 0, blockBytes)}
 	defer w.flush()
 	r := bufio.NewReaderSize(w, maxLine)
 	for {

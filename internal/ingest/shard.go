@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,6 +298,10 @@ func (sh *shard) clusterIndex(host string) int {
 // position and evicting the coldest host when over the shard's share of the
 // cap. It returns nil when no detector serves the host yet. Caller holds
 // sh.mu.
+//
+// host may be cut from a listener's batch string, which nothing kept past
+// the drain may hold: a new state keeps its own copy, which is the map key
+// and the host warnings name.
 func (sh *shard) hostFor(host string) *hostState {
 	m := sh.m
 	if el, ok := sh.hosts[host]; ok {
@@ -313,11 +318,11 @@ func (sh *shard) hostFor(host string) *hostState {
 	if st == nil {
 		return nil // detector not trained yet
 	}
-	hs := &hostState{host: host, model: det.Name(), stream: st, seq: m.seq.Add(1)}
+	hs := &hostState{host: strings.Clone(host), model: det.Name(), stream: st, seq: m.seq.Add(1)}
 	if m.cfg.Traces != nil {
 		hs.recent = make([]obs.TraceStep, DefaultTraceWindow)
 	}
-	sh.hosts[host] = sh.lru.PushFront(hs)
+	sh.hosts[hs.host] = sh.lru.PushFront(hs)
 	for sh.lru.Len() > sh.maxHosts {
 		oldest := sh.lru.Back()
 		old := oldest.Value.(*hostState)
@@ -500,6 +505,11 @@ func (sh *shard) process(b *drainBuf) {
 		if hs == nil {
 			continue // no model for this host yet
 		}
+		// msg.Host may be cut from a listener's batch string: from here on
+		// the message names its host by the state's own copy, so the
+		// traces, spans and OnScored hook fed from it never keep a batch
+		// alive.
+		msg.Host = hs.host
 		var sp spanInfo
 		var stepStart time.Time
 		switch {

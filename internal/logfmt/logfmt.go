@@ -113,14 +113,30 @@ func (m *Message) Format3164() string {
 var ErrBadFormat = errors.New("logfmt: malformed syslog line")
 
 // Parse3164Bytes parses a raw frame holding a line produced by
-// Format3164, the ingest hot path. RFC 3164 timestamps have no year, so the
-// caller supplies one. The PRI and timestamp are decoded in place and only
-// the tail from the host onward is copied into the message — the line's
-// sole copy, so the caller may reuse the frame's buffer.
+// Format3164. RFC 3164 timestamps have no year, so the caller supplies one.
+// It is Parse3164Header plus one copy of the tail from the host onward, so
+// the caller may reuse the frame's buffer.
 func Parse3164Bytes(line []byte, year int) (Message, error) {
 	var m Message
+	tail, hostEnd, tagEnd, err := Parse3164Header(line, year, &m)
+	if err != nil {
+		return m, err
+	}
+	s := string(tail)
+	m.Host, m.Tag, m.Text = s[:hostEnd], s[hostEnd+1:tagEnd], s[tagEnd+2:]
+	return m, nil
+}
+
+// Parse3164Header is the ingest hot path's half of Parse3164Bytes: it
+// decodes line's PRI and timestamp in place into m's Facility, Severity and
+// Time, and returns the tail from the host onward with its field bounds —
+// the host is tail[:hostEnd], the tag tail[hostEnd+1:tagEnd] and the text
+// tail[tagEnd+2:]. It copies nothing and leaves m's other fields alone, so
+// a caller can parse into the slot the message will live in and copy the
+// tail wherever its strings should end up. tail aliases line.
+func Parse3164Header(line []byte, year int, m *Message) (tail []byte, hostEnd, tagEnd int, err error) {
 	if len(line) < 5 || line[0] != '<' {
-		return m, fmt.Errorf("%w: missing PRI in %q", ErrBadFormat, truncate(line))
+		return nil, 0, 0, fmt.Errorf("%w: missing PRI in %q", ErrBadFormat, truncate(line))
 	}
 	end := 0
 	for i := 1; i < len(line) && i <= 4; i++ {
@@ -130,31 +146,31 @@ func Parse3164Bytes(line []byte, year int) (Message, error) {
 		}
 	}
 	if end < 2 {
-		return m, fmt.Errorf("%w: bad PRI in %q", ErrBadFormat, truncate(line))
+		return nil, 0, 0, fmt.Errorf("%w: bad PRI in %q", ErrBadFormat, truncate(line))
 	}
 	pri := parsePri(line[1:end])
 	if pri < 0 || pri > 191 {
-		return m, fmt.Errorf("%w: bad PRI value in %q", ErrBadFormat, truncate(line))
+		return nil, 0, 0, fmt.Errorf("%w: bad PRI value in %q", ErrBadFormat, truncate(line))
 	}
 	m.Facility = Facility(pri / 8)
 	m.Severity = Severity(pri % 8)
 	rest := line[end+1:]
 	if len(rest) < len(time.Stamp)+1 {
-		return m, fmt.Errorf("%w: short line %q", ErrBadFormat, truncate(line))
+		return nil, 0, 0, fmt.Errorf("%w: short line %q", ErrBadFormat, truncate(line))
 	}
 	ts, ok := parseStamp(rest[:len(time.Stamp)], year)
 	if !ok {
-		return m, fmt.Errorf("%w: bad timestamp in %q", ErrBadFormat, truncate(line))
+		return nil, 0, 0, fmt.Errorf("%w: bad timestamp in %q", ErrBadFormat, truncate(line))
 	}
 	m.Time = ts
 	rest = rest[len(time.Stamp):]
 	if len(rest) > 0 && rest[0] == ' ' {
 		rest = rest[1:]
 	}
-	// host tag: text — find the boundaries first, convert the tail once.
+	// host tag: text
 	sp := bytes.IndexByte(rest, ' ')
 	if sp <= 0 {
-		return m, fmt.Errorf("%w: missing host in %q", ErrBadFormat, truncate(line))
+		return nil, 0, 0, fmt.Errorf("%w: missing host in %q", ErrBadFormat, truncate(line))
 	}
 	colon := -1
 	for i := sp + 1; i+1 < len(rest); i++ {
@@ -164,13 +180,9 @@ func Parse3164Bytes(line []byte, year int) (Message, error) {
 		}
 	}
 	if colon <= sp+1 {
-		return m, fmt.Errorf("%w: missing tag in %q", ErrBadFormat, truncate(line))
+		return nil, 0, 0, fmt.Errorf("%w: missing tag in %q", ErrBadFormat, truncate(line))
 	}
-	tail := string(rest)
-	m.Host = tail[:sp]
-	m.Tag = tail[sp+1 : colon]
-	m.Text = tail[colon+2:]
-	return m, nil
+	return rest, sp, colon, nil
 }
 
 // parsePri parses the digits between '<' and '>': 1–3 ASCII digits, no
@@ -192,8 +204,9 @@ func parsePri(digits []byte) int {
 // and hour, 2-digit minute and second, and an optional ".ddd" or ",ddd"
 // fraction; the day is checked against the month in leap year 0, where
 // Parse checks it. The result is what time.Parse's value shifted by
-// AddDate(year, 0, 0) would be: time.Date normalises Feb 29 of a common
-// year to Mar 1 the same way. b is the line's len(time.Stamp)-byte field.
+// AddDate(year, 0, 0) would be, Feb 29 of a common year falling on Mar 1
+// as AddDate's normalisation puts it. b is the line's
+// len(time.Stamp)-byte field.
 func parseStamp(b []byte, year int) (time.Time, bool) {
 	month := 0
 	key := uint32(b[0]|0x20)<<16 | uint32(b[1]|0x20)<<8 | uint32(b[2]|0x20)
@@ -205,6 +218,12 @@ func parseStamp(b []byte, year int) (time.Time, bool) {
 	}
 	if month == 0 {
 		return time.Time{}, false
+	}
+	if day, hour, minute, sec, ok := fixedStamp(b); ok {
+		if hour > 23 || minute > 59 || sec > 59 || day < 1 || day > daysInYear0[month-1] {
+			return time.Time{}, false
+		}
+		return stampTime(year, month, day, hour, minute, sec, 0), true
 	}
 	i, ok := stampSpace(b, 3)
 	day, i, ok1 := stampNum(b, i, false)
@@ -238,7 +257,45 @@ func parseStamp(b []byte, year int) (time.Time, bool) {
 	if i != len(b) || day < 1 || day > daysInYear0[month-1] {
 		return time.Time{}, false
 	}
-	return time.Date(year, time.Month(month), day, hour, minute, sec, nsec, time.UTC), true
+	return stampTime(year, month, day, hour, minute, sec, nsec), true
+}
+
+// fixedStamp reads the fields of a stamp in the layout Format3164 writes,
+// "Jan _2 15:04:05" with every field in its place; ok is false for any
+// other spelling, which parseStamp's general grammar then reads. The numbers are not range-checked. A space
+// has 0 in its low nibble, so a space-padded day reads like a leading 0.
+func fixedStamp(b []byte) (day, hour, minute, sec int, ok bool) {
+	if b[3] != ' ' || b[6] != ' ' || b[9] != ':' || b[12] != ':' || (b[4] != ' ' && !isDigit(b[4])) ||
+		!isDigit(b[5]) || !isDigit(b[7]) || !isDigit(b[8]) || !isDigit(b[10]) || !isDigit(b[11]) ||
+		!isDigit(b[13]) || !isDigit(b[14]) {
+		return 0, 0, 0, 0, false
+	}
+	two := func(i int) int { return int(b[i]&0xf)*10 + int(b[i+1]-'0') }
+	return two(4), two(7), two(10), two(13), true
+}
+
+// stampTime is the UTC instant of a civil date and time in year.
+func stampTime(year, month, day, hour, minute, sec, nsec int) time.Time {
+	days := daysFromCivil(int64(year), month, day)
+	return time.Unix(days*86400+int64(hour*3600+minute*60+sec), int64(nsec)).UTC()
+}
+
+// daysFromCivil returns the days from 1970-01-01 to the given proleptic
+// Gregorian date (Hinnant's algorithm, in years that start on Mar 1 so the
+// leap day is the last of its year). A day past the month's end runs on
+// into the next month, so a common year's Feb 29 is its Mar 1.
+func daysFromCivil(y int64, month, day int) int64 {
+	if month <= 2 {
+		y--
+	}
+	era := y / 400
+	if y < 0 && y%400 != 0 {
+		era-- // floor division
+	}
+	yoe := y - era*400                               // [0, 399]
+	doy := int64((153*((month+9)%12)+2)/5 + day - 1) // days since Mar 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return era*146097 + doe - 719468
 }
 
 // monthKeys are the lowercase month abbreviations packed three bytes to a

@@ -125,10 +125,13 @@ func LogSumExp(v Vector) float64 {
 
 // addExpNeg sets dst[i] = e^−(m − v[i]) through ExpNeg and returns sum
 // plus those terms, added one at a time in index order: the one place the
-// softmax family's sum is formed. dst may be v.
+// softmax family's sum is formed. dst may be v. m is v's maximum, so m − x
+// is never below zero, but it can be −0 (a maximum of −0 less a +0), and
+// ExpNeg carries the sign bit onto its result: the absolute value keeps
+// that term at +1.
 func addExpNeg(sum float64, dst, v Vector, m float64) float64 {
 	for i, x := range v {
-		dst[i] = m - x
+		dst[i] = math.Abs(m - x)
 	}
 	ExpNeg(dst, dst)
 	for _, e := range dst {

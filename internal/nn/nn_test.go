@@ -70,8 +70,32 @@ func TestSoftmaxCrossEntropyGradientSums(t *testing.T) {
 		}
 		return math.Abs(grad.Sum()) < 1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Logits −0 and +0 are equal: the loss is ln 2 either way round and the
+// gradient p − onehot is ±½. (A −0 maximum once made p = [+Inf, −Inf].)
+func TestSoftmaxCrossEntropySignedZeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, logits := range []mat.Vector{{negZero, 0}, {0, negZero}} {
+		for target := range logits {
+			grad := make(mat.Vector, 2)
+			loss := SoftmaxCrossEntropyInto(grad, logits, target)
+			if math.Abs(loss-math.Ln2) > 1e-12 {
+				t.Fatalf("logits %v target %d: loss %v, want ln 2", logits, target, loss)
+			}
+			for i, g := range grad {
+				want := 0.5
+				if i == target {
+					want = -0.5
+				}
+				if math.Abs(g-want) > 1e-12 {
+					t.Fatalf("logits %v target %d: gradient %v", logits, target, grad)
+				}
+			}
+		}
 	}
 }
 

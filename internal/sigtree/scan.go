@@ -30,35 +30,39 @@ func (t *Tree) PrepareSyms(msg string, tb *TokenBuf) ([]uint32, bool) {
 // into one backing array (offsets into dst stay valid across growth). The
 // bool is always true, as for PrepareSyms.
 //
-// Each byte is looked at once: its class, from byteClass, ends the token
-// at a separator and otherwise bumps that class's count, while the byte
-// goes lowercased into tb.low. The counts decide IsVariableToken's rule
-// without a second pass; a token holding a non-ASCII byte, where bytes and
-// runes count differently, is handed to IsVariableToken itself.
+// Each byte is looked at once: its entry in classInc ends the token at a
+// separator and otherwise is added to one packed counter, an 8-bit field
+// per byte class, while the byte goes lowercased into tb.low at its own
+// offset, so a token's lowered form is a slice of tb.low. The fields
+// decide IsVariableToken's rule without a second pass. A token too long
+// for the fields, or holding a non-ASCII byte, where bytes and runes count
+// differently, is handed to IsVariableToken itself.
 func (t *Tree) AppendSyms(dst []uint32, msg string, tb *TokenBuf) ([]uint32, bool) {
 	n0 := len(dst)
 	n := len(msg)
+	if cap(tb.low) < n {
+		tb.low = make([]byte, n)
+	}
+	low := tb.low[:n] // low[j] is msg[j] lowercased, for the bytes of tokens
 	i := 0
 	for i < n {
-		for i < n && byteClass[msg[i]] == clsSep {
+		for i < n && classInc[msg[i]] == sepInc {
 			i++
 		}
 		if i >= n {
 			break
 		}
-		var cnt [clsCount]int
-		low := tb.low[:0]
+		var cnt uint64
 		j := i
 		for ; j < n; j++ {
 			c := msg[j]
-			k := byteClass[c]
-			if k == clsSep {
+			inc := classInc[c]
+			if inc == sepInc {
 				break
 			}
-			cnt[k&(clsCount-1)]++
-			low = append(low, lowerByte[c])
+			cnt += inc
+			low[j] = lowerByte[c]
 		}
-		tb.low = low
 		// Trailing "word:" colons are separators; interior colons (IPv6,
 		// MACs, hh:mm:ss, interface unit specs) stay in the token.
 		end := j
@@ -66,17 +70,19 @@ func (t *Tree) AppendSyms(dst []uint32, msg string, tb *TokenBuf) ([]uint32, boo
 			end--
 		}
 		if end > i {
-			cnt[clsColon] -= j - end
 			var variable bool
-			if cnt[clsHigh] > 0 {
+			if j-i > 0xff || field(cnt, clsHigh) > 0 {
 				variable = IsVariableToken(msg[i:end])
 			} else {
-				variable = isVariableCount(cnt[clsDigit], cnt[clsHex], cnt[clsLetter],
-					cnt[clsDot], cnt[clsSlash], cnt[clsColon], cnt[clsDash])
+				// No field overflowed, and the colon field counts the
+				// stripped trailing colons too.
+				cnt -= uint64(j-end) << (8 * clsColon)
+				variable = isVariableCount(field(cnt, clsDigit), field(cnt, clsHex), field(cnt, clsLetter),
+					field(cnt, clsDot), field(cnt, clsSlash), field(cnt, clsColon), field(cnt, clsDash))
 			}
 			id := wildcardID
 			if !variable {
-				id = t.syms.intern(low[:end-i])
+				id = t.syms.intern(low[i:end])
 			}
 			dst = append(dst, id)
 		}
@@ -89,56 +95,65 @@ func (t *Tree) AppendSyms(dst []uint32, msg string, tb *TokenBuf) ([]uint32, boo
 	return dst, true
 }
 
-// Byte classes for the scanner: what IsVariableToken counts an ASCII byte
-// as, plus separators and the bytes of multi-byte runes.
+// Byte classes for the scanner, each the index of its 8-bit field in the
+// packed counter: what IsVariableToken counts an ASCII byte as, and the
+// bytes of multi-byte runes. '%' and '+' count as nothing.
 const (
-	clsNeutral = iota // '%' and '+': counted as nothing
-	clsSep            // splits tokens (isSepByte)
-	clsDigit          // 0-9
-	clsHex            // a-f, A-F
-	clsLetter         // g-z, G-Z and every other ASCII byte
+	clsDigit  = iota // 0-9
+	clsHex           // a-f, A-F
+	clsLetter        // g-z, G-Z and every other ASCII byte
 	clsDot
 	clsSlash
 	clsColon
 	clsDash
 	clsHigh // 0x80-0xff: the token is classified rune by rune
-	// clsCount is a power of two above every class, so a masked class
-	// indexes the count array without a bounds check.
-	clsCount = 16
 )
 
-// byteClass and lowerByte are the scanner's per-byte tables.
-var byteClass, lowerByte = func() (cls, low [256]uint8) {
+// sepInc is classInc's entry for a separator (isSepByte): no other entry
+// equals it, and it is only compared, never added.
+const sepInc = ^uint64(0)
+
+// field reads class cls's count out of a packed counter.
+func field(cnt uint64, cls int) int { return int(cnt >> (8 * cls) & 0xff) }
+
+// classInc and lowerByte are the scanner's per-byte tables: what a byte
+// adds to the packed counter (sepInc for a separator), and its ASCII
+// lowercase.
+var classInc, lowerByte = func() (inc [256]uint64, low [256]uint8) {
 	for c := 0; c < 256; c++ {
 		b := byte(c)
 		low[c] = b
+		cls := -1
 		switch {
 		case isSepByte(b):
-			cls[c] = clsSep
+			inc[c] = sepInc
+			continue
 		case b >= 0x80:
-			cls[c] = clsHigh
+			cls = clsHigh
 		case b >= '0' && b <= '9':
-			cls[c] = clsDigit
+			cls = clsDigit
 		case b >= 'a' && b <= 'f', b >= 'A' && b <= 'F':
-			cls[c] = clsHex
+			cls = clsHex
 		case b == '.':
-			cls[c] = clsDot
+			cls = clsDot
 		case b == '/':
-			cls[c] = clsSlash
+			cls = clsSlash
 		case b == ':':
-			cls[c] = clsColon
+			cls = clsColon
 		case b == '-':
-			cls[c] = clsDash
+			cls = clsDash
 		case b == '%', b == '+':
-			cls[c] = clsNeutral
 		default:
-			cls[c] = clsLetter
+			cls = clsLetter
+		}
+		if cls >= 0 {
+			inc[c] = 1 << (8 * cls)
 		}
 		if b >= 'A' && b <= 'Z' {
 			low[c] = b + 'a' - 'A'
 		}
 	}
-	return cls, low
+	return inc, low
 }()
 
 // isSepByte reports whether b splits tokens. Colons are handled by the
