@@ -61,16 +61,37 @@ type Bundle struct {
 	TrainHist []map[int]float64
 }
 
+// ClusterOf returns the cluster index that scores host: its assignment,
+// or cluster 0 for a host the assignment does not name (a new router) or
+// names out of range. It is the one "unmapped → cluster 0" rule; the
+// monitor's traces and the lifecycle spool read clusters through it.
+func (b *Bundle) ClusterOf(host string) int {
+	ci, ok := b.Assign[host]
+	if !ok || ci < 0 || ci >= len(b.Detectors) {
+		return 0
+	}
+	return ci
+}
+
 // DetectorFor returns the detector responsible for host.
 func (b *Bundle) DetectorFor(host string) *detect.LSTMDetector {
 	if len(b.Detectors) == 0 {
 		return nil
 	}
-	ci, ok := b.Assign[host]
-	if !ok || ci < 0 || ci >= len(b.Detectors) {
-		ci = 0
-	}
-	return b.Detectors[ci]
+	return b.Detectors[b.ClusterOf(host)]
+}
+
+// Resolver returns DetectorFor. It is kept only for bench/, which still
+// names it; nothing else calls it.
+func (b *Bundle) Resolver() func(host string) *detect.LSTMDetector { return b.DetectorFor }
+
+// Clone returns a copy sharing everything but the Detectors slice: a
+// promotion replaces one cluster's detector in the clone without touching
+// the generation it was cloned from. Tree, Assign and TrainHist are shared.
+func (b *Bundle) Clone() *Bundle {
+	out := *b
+	out.Detectors = append([]*detect.LSTMDetector(nil), b.Detectors...)
+	return &out
 }
 
 // Validate cross-checks the bundle's components: the pieces a monitor is

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/features"
@@ -348,7 +349,7 @@ func TestSwapModelHotReload(t *testing.T) {
 	}
 
 	tree2, det2 := trainMonitorDetector(t)
-	mon.SwapModel(tree2, func(string) *detect.LSTMDetector { return det2 }, 5)
+	mon.SwapModel(&bundle.Bundle{Tree: tree2, Detectors: []*detect.LSTMDetector{det2}, Threshold: 5})
 	after := mon.Stats()
 	if after.ModelSwaps != 1 || after.ActiveHosts != 0 {
 		t.Fatalf("swap state: %+v", after)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/features"
@@ -65,9 +66,10 @@ type MonitorConfig struct {
 	// tracing (and the per-host context windows that feed it).
 	Traces *obs.TraceRing
 	// ClusterOf, when set, maps a host to its model's cluster index for
-	// trace identity and the OnScored hook. internal/serve passes the
-	// bundle assignment with unmapped hosts at cluster 0, whose detector
-	// scores them; nil reports cluster -1 in traces.
+	// trace identity and the OnScored hook. internal/serve passes
+	// bundle.ClusterOf, the assignment with unmapped hosts at cluster 0,
+	// whose detector scores them; nil reports cluster -1 in traces.
+	// SwapModel replaces it with the new bundle's ClusterOf.
 	ClusterOf func(host string) int
 
 	// Tracer, when set, turns on span-based pipeline tracing: messages
@@ -582,23 +584,24 @@ func (hs *hostState) window() []obs.TraceStep {
 	return out
 }
 
-// SwapModel atomically replaces the serving model — signature tree,
-// detector resolver, and threshold — with a freshly loaded bundle, the
-// runtime half of the paper's monthly retraining loop (§4.4). The swap is
-// atomic across shards: every shard mutex is held, so no message scores
-// against a half-swapped model. Per-host stream state is reset (the new
-// model's recurrent state and vocabulary are not compatible with the old
-// one's); warnings and counters carry over. threshold <= 0 keeps the
-// current threshold.
-func (m *Monitor) SwapModel(tree *sigtree.Tree, resolve func(host string) *detect.LSTMDetector, threshold float64) {
+// SwapModel atomically installs b as the serving model — signature tree,
+// per-host detector (b.DetectorFor), host→cluster mapping (b.ClusterOf)
+// and threshold — the runtime half of the paper's monthly retraining loop
+// (§4.4) and the lifecycle's promotion and rollback. The swap is atomic
+// across shards: every shard mutex is held, so no message scores against
+// a half-swapped model. Per-host stream state is reset (the new model's
+// recurrent state and vocabulary are not compatible with the old one's);
+// warnings and counters carry over. A threshold <= 0 keeps the current
+// threshold.
+func (m *Monitor) SwapModel(b *bundle.Bundle) {
 	m.lockAll()
 	m.treeMu.Lock()
-	m.tree = tree
+	m.tree = b.Tree
 	m.treeMu.Unlock()
 	for _, sh := range m.shards {
-		sh.resolve = resolve
-		if threshold > 0 {
-			sh.threshold = threshold
+		sh.resolve, sh.clusterOf = b.DetectorFor, b.ClusterOf
+		if b.Threshold > 0 {
+			sh.threshold = b.Threshold
 		}
 		sh.hosts = make(map[string]*list.Element)
 		sh.lru = list.New()
@@ -611,9 +614,9 @@ func (m *Monitor) SwapModel(tree *sigtree.Tree, resolve func(host string) *detec
 
 // Tree returns the serving signature tree. The tree is shared, mutable,
 // and guarded by the monitor's internal lock; the only safe uses of the
-// returned pointer are handing it back to SwapModel (a promotion that
-// keeps the current template space) and read-only access while scoring is
-// stopped.
+// returned pointer are making it the Tree of a generation handed back to
+// SwapModel (a promotion keeps the current template space) and read-only
+// access while scoring is stopped.
 func (m *Monitor) Tree() *sigtree.Tree {
 	m.treeMu.Lock()
 	defer m.treeMu.Unlock()
@@ -628,17 +631,6 @@ func (m *Monitor) TreeFingerprint() uint64 {
 	m.treeMu.Lock()
 	defer m.treeMu.Unlock()
 	return m.tree.Fingerprint()
-}
-
-// SetClusterOf replaces the host→cluster mapping used for trace identity,
-// typically alongside SwapModel when a reloaded bundle re-clusters the
-// fleet.
-func (m *Monitor) SetClusterOf(clusterOf func(host string) int) {
-	m.lockAll()
-	for _, sh := range m.shards {
-		sh.clusterOf = clusterOf
-	}
-	m.unlockAll()
 }
 
 // Warnings returns a copy of all warnings emitted so far.

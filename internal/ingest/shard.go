@@ -43,7 +43,7 @@ type shard struct {
 
 	mu sync.Mutex
 	// resolve/clusterOf/threshold are the swappable serving parameters.
-	// SwapModel/SetClusterOf update them on every shard under lockAll, so a
+	// SwapModel updates them on every shard under lockAll, so a
 	// hot reload is atomic across the fleet: no message scores against the
 	// new model with the old threshold or vice versa.
 	resolve   func(host string) *detect.LSTMDetector

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/logfmt"
@@ -343,8 +344,8 @@ func TestShardLifecycleConcurrency(t *testing.T) {
 		if err := mon.Checkpoint(&buf); err != nil {
 			t.Error(err)
 		}
-		mon.SwapModel(tree2, resolve, 5)
-		mon.SetClusterOf(func(string) int { return 1 })
+		mon.SwapModel(&bundle.Bundle{Tree: tree2, Detectors: []*detect.LSTMDetector{det, det},
+			Assign: map[string]int{"vpe01": 1, "vpe02": 1, "vpe03": 1, "vpe04": 1}, Threshold: 5})
 	}()
 	wg.Wait()
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/cluster"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/features"
@@ -15,12 +16,12 @@ import (
 	"nfvpredict/internal/sigtree"
 )
 
-// simModelSet trains a single-cluster serving set on the first two months
+// simBundle trains a single-cluster serving generation on the first two months
 // of a simulated trace and returns the post-cut messages for live replay.
 // Faults, glitches, maintenance, and core incidents are disabled so the
 // trace is pure normal traffic — with update=true the only regime change
 // is the month-2 software update rolling out to the whole fleet (§3.3).
-func simModelSet(t testing.TB, update bool) (*ModelSet, *sigtree.Tree, []logfmt.Message) {
+func simBundle(t testing.TB, update bool) (*bundle.Bundle, *sigtree.Tree, []logfmt.Message) {
 	if h, ok := t.(interface{ Helper() }); ok {
 		h.Helper()
 	}
@@ -82,13 +83,14 @@ func simModelSet(t testing.TB, update bool) (*ModelSet, *sigtree.Tree, []logfmt.
 	for _, h := range hosts {
 		scored = append(scored, det.Score(h, streams[h])...)
 	}
-	ms := &ModelSet{
+	sb := &bundle.Bundle{
+		Tree:      tree,
 		Detectors: []*detect.LSTMDetector{det},
 		Assign:    assign,
 		Threshold: detect.ScoreQuantile(scored, 0.99),
-		TrainHist: []cluster.Histogram{hist},
+		TrainHist: []map[int]float64{hist},
 	}
-	return ms, tree, post
+	return sb, tree, post
 }
 
 // simLifecycleConfig is the serving config the sim tests share.
@@ -110,8 +112,8 @@ func replay(mon *ingest.Monitor, msgs []logfmt.Message) {
 // TestDriftStableStream: without a software update, two further months of
 // the same traffic do NOT read as drift, and no adaptation triggers.
 func TestDriftStableStream(t *testing.T) {
-	ms, tree, post := simModelSet(t, false)
-	lm, mon := buildStack(t, simLifecycleConfig(), ms, tree)
+	sb, tree, post := simBundle(t, false)
+	lm, mon := buildStack(t, simLifecycleConfig(), sb, tree)
 	replay(mon, post)
 	res := lm.TriggerCycle(false)
 	cc := res.Clusters[0]
@@ -134,9 +136,9 @@ func TestDriftStableStream(t *testing.T) {
 // model's does not (§4.3, Figure 7's adapted-vs-baseline gap) — so the
 // candidate is promoted.
 func TestAdaptationRecoversFromUpdate(t *testing.T) {
-	ms, tree, post := simModelSet(t, true)
+	sb, tree, post := simBundle(t, true)
 	lcfg := simLifecycleConfig()
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 	lm.disruptive = driftThreshold // any detected drift uses transfer adaptation
 	replay(mon, post)
 	res := lm.TriggerCycle(false)

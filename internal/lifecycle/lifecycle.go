@@ -121,58 +121,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ModelSet is one deployable model generation: what the monitor serves,
-// and what a promotion atomically replaces.
-type ModelSet struct {
-	// Detectors holds one detector per cluster.
-	Detectors []*detect.LSTMDetector
-	// Assign maps hosts to cluster indices (unmapped hosts fall back to
-	// cluster 0, matching bundle semantics).
-	Assign map[string]int
-	// Threshold is the serving anomaly threshold, also used by the gate.
-	Threshold float64
-	// TrainHist, when present, is the training-time template distribution
-	// per cluster — the drift reference. Absent, the lifecycle captures a
-	// live baseline from the first full cycle.
-	TrainHist []cluster.Histogram
-}
-
-// ModelSetFromBundle adapts a loaded deployment bundle.
-func ModelSetFromBundle(b *bundle.Bundle) *ModelSet {
-	ms := &ModelSet{
-		Detectors: append([]*detect.LSTMDetector(nil), b.Detectors...),
-		Assign:    b.Assign,
-		Threshold: b.Threshold,
-	}
-	for _, h := range b.TrainHist {
-		ms.TrainHist = append(ms.TrainHist, cluster.Histogram(h))
-	}
-	return ms
-}
-
-// Resolver returns the host→detector function in the form
-// ingest.NewMonitorWithResolver and Monitor.SwapModel expect.
-func (ms *ModelSet) Resolver() func(host string) *detect.LSTMDetector {
-	return func(host string) *detect.LSTMDetector {
-		if len(ms.Detectors) == 0 {
-			return nil
-		}
-		ci, ok := ms.Assign[host]
-		if !ok || ci < 0 || ci >= len(ms.Detectors) {
-			ci = 0
-		}
-		return ms.Detectors[ci]
-	}
-}
-
-// clone returns a copy sharing everything but the Detectors slice, the
-// promotion primitive: replace one cluster's detector without mutating the
-// generation still referenced as "previous".
-func (ms *ModelSet) clone() *ModelSet {
-	out := *ms
-	out.Detectors = append([]*detect.LSTMDetector(nil), ms.Detectors...)
-	return &out
-}
+// ModelSetFromBundle returns b. It is kept only for bench/, which still
+// names it; a generation is a *bundle.Bundle.
+func ModelSetFromBundle(b *bundle.Bundle) *bundle.Bundle { return b }
 
 // Generation is one entry in the lifecycle's audit log: every adaptation
 // attempt, promotion, rejection, rollback, and reload.
@@ -250,10 +201,12 @@ type Manager struct {
 	spools atomic.Pointer[spoolSet]
 
 	// mu guards the generation state below.
+	// serving and prev are generations: immutable bundles, cloned on
+	// promotion. serving.Tree is the attached monitor's live tree.
 	mu         sync.Mutex
 	mon        *ingest.Monitor
-	serving    *ModelSet
-	prev       *ModelSet
+	serving    *bundle.Bundle
+	prev       *bundle.Bundle
 	pending    map[int]*detect.LSTMDetector
 	refs       []cluster.Histogram
 	gens       []Generation
@@ -304,16 +257,17 @@ type Manager struct {
 	driftGauges  []*obs.Gauge
 }
 
-// New builds a Manager serving ms. Wire m.Observe into the monitor's
+// New builds a Manager serving b. Wire m.Observe into the monitor's
 // MonitorConfig.OnScored before constructing the monitor, then call
-// Attach.
-func New(cfg Config, ms *ModelSet) *Manager {
+// Attach. b.TrainHist, when present, is the drift reference; absent, the
+// lifecycle captures a live baseline from the first full cycle.
+func New(cfg Config, b *bundle.Bundle) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:        cfg,
-		serving:    ms,
+		serving:    b,
 		pending:    make(map[int]*detect.LSTMDetector),
-		refs:       refsFrom(ms),
+		refs:       refsFrom(b),
 		disruptive: disruptiveThreshold,
 	}
 	reg := cfg.Metrics
@@ -348,14 +302,16 @@ func New(cfg Config, ms *ModelSet) *Manager {
 		m.fpSpoolR = cfg.Faults.Point("spool.read",
 			"Before a spool restore: error/slow failures drill the retry-or-cold-start path.")
 	}
-	m.buildClusterInstruments(len(ms.Detectors))
-	m.spools.Store(newSpoolSet(len(ms.Detectors), cfg.WindowLen, cfg.SpoolPerCluster))
+	m.buildClusterInstruments(len(b.Detectors))
+	m.spools.Store(newSpoolSet(len(b.Detectors), cfg.WindowLen, cfg.SpoolPerCluster))
 	return m
 }
 
-func refsFrom(ms *ModelSet) []cluster.Histogram {
-	refs := make([]cluster.Histogram, len(ms.Detectors))
-	copy(refs, ms.TrainHist)
+func refsFrom(b *bundle.Bundle) []cluster.Histogram {
+	refs := make([]cluster.Histogram, len(b.Detectors))
+	for ci, h := range b.TrainHist {
+		refs[ci] = h
+	}
 	return refs
 }
 
@@ -373,10 +329,16 @@ func (m *Manager) buildClusterInstruments(n int) {
 
 // Attach hands the Manager the monitor it promotes into. Separate from New
 // because construction is circular: the monitor needs Observe at build
-// time, the Manager needs the monitor for SwapModel.
+// time, the Manager needs the monitor for SwapModel. The serving
+// generation takes the monitor's live tree (after a checkpoint restore,
+// the checkpoint's), the template space candidates are trained in.
 func (m *Manager) Attach(mon *ingest.Monitor) {
 	m.mu.Lock()
 	m.mon = mon
+	if tree := mon.Tree(); m.serving.Tree != tree {
+		m.serving = m.serving.Clone()
+		m.serving.Tree = tree
+	}
 	m.mu.Unlock()
 }
 
@@ -640,7 +602,7 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 	if force {
 		reason = "forced"
 	}
-	var next *ModelSet
+	var next *bundle.Bundle
 	for _, o := range outs {
 		res.Clusters = append(res.Clusters, o.cc)
 		if o.baseline {
@@ -662,7 +624,7 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 		}
 		if o.cc.GatePassed {
 			if next == nil {
-				next = serving.clone()
+				next = serving.Clone()
 			}
 			next.Detectors[o.cc.Cluster] = o.candidate
 			// The distribution we just adapted to is the new normal;
@@ -691,21 +653,27 @@ func (m *Manager) cycleBody(force bool) (res CycleResult, err error) {
 	return res, nil
 }
 
-// promoteLocked installs next as the serving set, keeping the old one for
-// rollback, and swaps the monitor atomically (SwapModel holds every shard
-// lock, so no message scores against a half-swapped model). The current
-// tree is kept: candidates were trained in the serving template space, and
-// so is the monitor's host→cluster mapping, since a generation replaces
-// detectors, never the assignment. Caller holds m.mu.
-func (m *Manager) promoteLocked(next *ModelSet, reason string) {
-	m.prev = m.serving
-	m.serving = next
+// installLocked makes next the serving generation, with prev as the
+// rollback target, and swaps it into the monitor atomically (SwapModel
+// holds every shard lock, so no message scores against a half-swapped
+// model). Promotion, forced promotion and rollback all come through here.
+// next.Tree is the monitor's live tree, so the template space is kept, and
+// so is the host→cluster mapping, since a generation replaces detectors,
+// never the assignment. Caller holds m.mu.
+func (m *Manager) installLocked(next, prev *bundle.Bundle) {
+	m.serving, m.prev = next, prev
 	m.generation++
 	if m.mon != nil {
-		m.mon.SwapModel(m.mon.Tree(), next.Resolver(), next.Threshold)
+		m.mon.SwapModel(next)
 	}
-	m.promosC.Inc()
 	m.genGauge.SetInt(m.generation)
+}
+
+// promoteLocked installs next, keeping the serving generation for
+// rollback. Caller holds m.mu.
+func (m *Manager) promoteLocked(next *bundle.Bundle, reason string) {
+	m.installLocked(next, m.serving)
+	m.promosC.Inc()
 	m.logf("lifecycle: promoted generation %d (%s)", m.generation, reason)
 }
 
@@ -718,7 +686,7 @@ func (m *Manager) ForcePromote() error {
 	if len(m.pending) == 0 {
 		return errors.New("lifecycle: no pending candidates to promote")
 	}
-	next := m.serving.clone()
+	next := m.serving.Clone()
 	var fp uint64
 	for ci, cand := range m.pending {
 		if ci < len(next.Detectors) {
@@ -743,14 +711,8 @@ func (m *Manager) Rollback() error {
 	if m.prev == nil {
 		return errors.New("lifecycle: no previous generation to roll back to")
 	}
-	cur := m.serving
-	m.serving, m.prev = m.prev, cur
-	m.generation++
-	if m.mon != nil {
-		m.mon.SwapModel(m.mon.Tree(), m.serving.Resolver(), m.serving.Threshold)
-	}
+	m.installLocked(m.prev, m.serving)
 	m.rollbacksC.Inc()
-	m.genGauge.SetInt(m.generation)
 	m.recordLocked(Generation{
 		Time: time.Now(), Cluster: -1, Reason: "rollback",
 		DriftCos: math.NaN(), Promoted: true,
@@ -759,27 +721,27 @@ func (m *Manager) Rollback() error {
 	return nil
 }
 
-// SetServing replaces the serving set after an external reload (SIGHUP
-// bundle reload in nfvmonitor). The caller has already swapped the
-// monitor; SetServing realigns lifecycle state: spools are rebuilt (the
-// new bundle's tree is a different template lineage), drift references
-// reset from the new set, and pending/previous generations are dropped
+// SetServing replaces the serving generation after an external reload
+// (SIGHUP bundle reload in nfvmonitor). The caller has already swapped b
+// into the monitor; SetServing realigns lifecycle state: spools are
+// rebuilt (the new bundle's tree is a different template lineage), drift
+// references reset from b, and pending/previous generations are dropped
 // (they belong to the old lineage).
-func (m *Manager) SetServing(ms *ModelSet) {
+func (m *Manager) SetServing(b *bundle.Bundle) {
 	m.mu.Lock()
-	m.serving = ms
+	m.serving = b
 	m.prev = nil
 	m.pending = make(map[int]*detect.LSTMDetector)
-	m.refs = refsFrom(ms)
+	m.refs = refsFrom(b)
 	m.generation++
 	m.genGauge.SetInt(m.generation)
-	m.buildClusterInstruments(len(ms.Detectors))
+	m.buildClusterInstruments(len(b.Detectors))
 	m.recordLocked(Generation{
 		Time: time.Now(), Cluster: -1, Reason: "reload",
 		DriftCos: math.NaN(), Promoted: true,
 	})
 	m.mu.Unlock()
-	m.spools.Store(newSpoolSet(len(ms.Detectors), m.cfg.WindowLen, m.cfg.SpoolPerCluster))
+	m.spools.Store(newSpoolSet(len(b.Detectors), m.cfg.WindowLen, m.cfg.SpoolPerCluster))
 }
 
 // BreakerStatus reports the adaptation circuit breaker's state.
@@ -800,8 +762,8 @@ func (m *Manager) SetShedLearning(v bool, reason string) {
 	}
 }
 
-// Serving returns the current serving set (treat as read-only).
-func (m *Manager) Serving() *ModelSet {
+// Serving returns the current serving generation (treat as read-only).
+func (m *Manager) Serving() *bundle.Bundle {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.serving

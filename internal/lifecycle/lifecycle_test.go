@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/ingest"
@@ -25,10 +26,11 @@ var normalTexts = []string{
 	"ntp clock synchronized to 10.9.9.9 stratum 2 offset 120 us",
 }
 
-// testModelSet trains a single-cluster serving set on a cyclic corpus
-// (mirrors the ingest test fixture: threshold 4 cleanly separates this
-// traffic from unseen messages).
-func testModelSet(t testing.TB) (*ModelSet, *sigtree.Tree) {
+// testBundle trains a single-cluster serving generation on a cyclic
+// corpus (mirrors the ingest test fixture: threshold 4 cleanly separates
+// this traffic from unseen messages). The tree is also returned: it is the
+// bundle's, which the monitor buildStack wires serves and grows.
+func testBundle(t testing.TB) (*bundle.Bundle, *sigtree.Tree) {
 	if h, ok := t.(interface{ Helper() }); ok {
 		h.Helper()
 	}
@@ -48,34 +50,28 @@ func testModelSet(t testing.TB) (*ModelSet, *sigtree.Tree) {
 	if err := det.Train([][]features.Event{stream}); err != nil {
 		t.Fatal(err)
 	}
-	ms := &ModelSet{
+	sb := &bundle.Bundle{
+		Tree:      tree,
 		Detectors: []*detect.LSTMDetector{det},
 		Assign:    map[string]int{"vpe01": 0},
 		Threshold: 4,
 	}
-	return ms, tree
-}
-
-// clusterOf is the host→cluster mapping internal/serve gives the monitor:
-// the assignment, with unmapped hosts at cluster 0, whose detector the
-// resolver also hands them.
-func clusterOf(assign map[string]int) func(string) int {
-	return func(host string) int { return assign[host] }
+	return sb, tree
 }
 
 // buildStack wires a Manager and a Monitor together the way nfvmonitor
 // does: manager first (the monitor config needs Observe), then Attach.
 // traces, when set, receives the monitor's decision traces.
-func buildStack(t testing.TB, lcfg Config, ms *ModelSet, tree *sigtree.Tree, traces ...*obs.TraceRing) (*Manager, *ingest.Monitor) {
-	lm := New(lcfg, ms)
+func buildStack(t testing.TB, lcfg Config, sb *bundle.Bundle, tree *sigtree.Tree, traces ...*obs.TraceRing) (*Manager, *ingest.Monitor) {
+	lm := New(lcfg, sb)
 	mcfg := ingest.DefaultMonitorConfig()
-	mcfg.Threshold = ms.Threshold
-	mcfg.ClusterOf = clusterOf(ms.Assign)
+	mcfg.Threshold = sb.Threshold
+	mcfg.ClusterOf = sb.ClusterOf
 	mcfg.OnScored = lm.Observe
 	if len(traces) > 0 {
 		mcfg.Traces = traces[0]
 	}
-	mon := ingest.NewMonitorWithResolver(mcfg, tree, ms.Resolver(), nil)
+	mon := ingest.NewMonitorWithResolver(mcfg, tree, sb.DetectorFor, nil)
 	lm.Attach(mon)
 	return lm, mon
 }
@@ -126,9 +122,9 @@ func testLifecycleConfig() Config {
 // traffic keeps flowing (run under -race: scoring goroutines hammer the
 // monitor through the swap).
 func TestPromotionEndToEnd(t *testing.T) {
-	ms, tree := testModelSet(t)
-	lm, mon := buildStack(t, testLifecycleConfig(), ms, tree)
-	origFP := ms.Detectors[0].Fingerprint()
+	sb, tree := testBundle(t)
+	lm, mon := buildStack(t, testLifecycleConfig(), sb, tree)
+	origFP := sb.Detectors[0].Fingerprint()
 
 	at := feedNormal(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 
@@ -192,14 +188,14 @@ func TestPromotionEndToEnd(t *testing.T) {
 // rejected, the serving model is untouched, and the candidate is retained
 // as pending; ForcePromote overrides; Rollback restores the original.
 func TestGateRejectsBadCandidate(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	// An absurdly low threshold makes every scored event a false alarm,
 	// so candidate FAR ≈ 1 and any positive budget below that rejects.
-	ms.Threshold = 0.05
+	sb.Threshold = 0.05
 	lcfg := testLifecycleConfig()
 	lcfg.GateBudget = 1e-9
-	lm, mon := buildStack(t, lcfg, ms, tree)
-	origFP := ms.Detectors[0].Fingerprint()
+	lm, mon := buildStack(t, lcfg, sb, tree)
+	origFP := sb.Detectors[0].Fingerprint()
 
 	feedNoisy(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	res := lm.TriggerCycle(true)
@@ -260,9 +256,9 @@ func TestGateRejectsBadCandidate(t *testing.T) {
 // host the assignment does not name reports cluster 0 — the cluster whose
 // detector scores it — before and after either.
 func TestGenerationsKeepClusterMapping(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	ring := obs.NewTraceRing(64)
-	lm, mon := buildStack(t, testLifecycleConfig(), ms, tree, ring)
+	lm, mon := buildStack(t, testLifecycleConfig(), sb, tree, ring)
 	at := feedNormal(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	traceCluster := func(when string) {
 		t.Helper()
@@ -292,10 +288,10 @@ func TestGenerationsKeepClusterMapping(t *testing.T) {
 // TestMinWindowsFloor: a forced cycle with too little spooled data adapts
 // nothing.
 func TestMinWindowsFloor(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	lcfg := testLifecycleConfig()
 	lcfg.MinWindows = 1000
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	res := lm.TriggerCycle(true)
 	if res.Promoted || res.Clusters[0].Adapted {
@@ -305,11 +301,11 @@ func TestMinWindowsFloor(t *testing.T) {
 
 // TestAdminEndpoints drives the /models surface end to end.
 func TestAdminEndpoints(t *testing.T) {
-	ms, tree := testModelSet(t)
-	ms.Threshold = 0.05 // force gate rejection so promote has work to do
+	sb, tree := testBundle(t)
+	sb.Threshold = 0.05 // force gate rejection so promote has work to do
 	lcfg := testLifecycleConfig()
 	lcfg.GateBudget = 1e-9
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 	feedNoisy(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 
 	srv := httptest.NewServer(lm.Handler())
@@ -392,9 +388,9 @@ func TestAdminEndpoints(t *testing.T) {
 // TestSpoolPersistRoundTrip: the spool survives a restart when the tree
 // lineage is unchanged, and is discarded when it moved.
 func TestSpoolPersistRoundTrip(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	lcfg := testLifecycleConfig()
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	depth := lm.Status().SpoolWindows[0]
 	if depth == 0 {
@@ -406,7 +402,7 @@ func TestSpoolPersistRoundTrip(t *testing.T) {
 	}
 
 	// Same lineage: the spool resumes.
-	lm2, _ := buildStack(t, lcfg, ms, tree)
+	lm2, _ := buildStack(t, lcfg, sb, tree)
 	if err := lm2.LoadSpool(path); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +412,7 @@ func TestSpoolPersistRoundTrip(t *testing.T) {
 
 	// Lineage moved (the tree learned a new template): discard.
 	tree.Learn("a template the spool never saw before now")
-	lm3, _ := buildStack(t, lcfg, ms, tree)
+	lm3, _ := buildStack(t, lcfg, sb, tree)
 	if err := lm3.LoadSpool(path); err != nil {
 		t.Fatal(err)
 	}
@@ -434,9 +430,9 @@ func TestSpoolPersistRoundTrip(t *testing.T) {
 // land in the quarantine ring, not the clean spool; isolated anomalies
 // stay in clean windows.
 func TestBurstWindowsQuarantined(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	lcfg := testLifecycleConfig()
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 	at := feedNormal(mon, "vpe01", 64, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	clean := lm.Status().SpoolWindows[0]
 	if clean == 0 {

@@ -15,11 +15,11 @@ import (
 // cycles are then skipped, a forced cycle still runs (the operator probe),
 // and after the cooldown a clean half-open probe closes it again.
 func TestBreakerOpensAndRecovers(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	reg := faultinject.NewRegistry()
 	lcfg := testLifecycleConfig()
 	lcfg.Faults = reg
-	lm, _ := buildStack(t, lcfg, ms, tree)
+	lm, _ := buildStack(t, lcfg, sb, tree)
 	lm.breaker.Threshold, lm.breaker.Cooldown = 2, time.Millisecond
 
 	if err := reg.Arm("lifecycle.cycle", faultinject.Arming{Mode: faultinject.ModeError}); err != nil {
@@ -67,11 +67,11 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 // counted, and treated as a breaker failure — the process never dies to an
 // adaptation bug.
 func TestCyclePanicFeedsBreaker(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	reg := faultinject.NewRegistry()
 	lcfg := testLifecycleConfig()
 	lcfg.Faults = reg
-	lm, _ := buildStack(t, lcfg, ms, tree)
+	lm, _ := buildStack(t, lcfg, sb, tree)
 	lm.breaker.Threshold = 1
 
 	if err := reg.Arm("lifecycle.cycle", faultinject.Arming{Mode: faultinject.ModePanic, Count: 1}); err != nil {
@@ -93,8 +93,8 @@ func TestCyclePanicFeedsBreaker(t *testing.T) {
 // and timer cycles stop, scoring state is untouched, and lifting the mode
 // resumes both.
 func TestShedLearningMode(t *testing.T) {
-	ms, tree := testModelSet(t)
-	lm, mon := buildStack(t, testLifecycleConfig(), ms, tree)
+	sb, tree := testBundle(t)
+	lm, mon := buildStack(t, testLifecycleConfig(), sb, tree)
 
 	lm.SetShedLearning(true, "test overload")
 	if !lm.Status().ShedLearning {
@@ -126,9 +126,9 @@ func TestShedLearningMode(t *testing.T) {
 // quarantined — renamed aside with the evidence preserved — and the manager
 // cold-starts instead of failing the process.
 func TestSpoolCorruptQuarantine(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	lcfg := testLifecycleConfig()
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	path := filepath.Join(t.TempDir(), "spool.nfvs")
 	if err := lm.SaveSpool(path); err != nil {
@@ -144,7 +144,7 @@ func TestSpoolCorruptQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lm2, _ := buildStack(t, lcfg, ms, tree)
+	lm2, _ := buildStack(t, lcfg, sb, tree)
 	if err := lm2.LoadSpool(path); err != nil {
 		t.Fatalf("corrupt spool load = %v, want nil (cold start)", err)
 	}
@@ -166,7 +166,7 @@ func TestSpoolCorruptQuarantine(t *testing.T) {
 	if err := lm.SaveSpool(path); err != nil {
 		t.Fatal(err)
 	}
-	lm3, _ := buildStack(t, lcfg, ms, tree)
+	lm3, _ := buildStack(t, lcfg, sb, tree)
 	if err := lm3.LoadSpool(path); err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestSpoolCorruptQuarantine(t *testing.T) {
 // injected torn write: the save fails, but the previous spool generation is
 // untouched and still restores.
 func TestSpoolTornWriteKeepsPrevious(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	reg := faultinject.NewRegistry()
 	lcfg := testLifecycleConfig()
 	lcfg.Faults = reg
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	path := filepath.Join(t.TempDir(), "spool.nfvs")
 	if err := lm.SaveSpool(path); err != nil {
@@ -198,7 +198,7 @@ func TestSpoolTornWriteKeepsPrevious(t *testing.T) {
 		t.Fatal("torn save reported success")
 	}
 
-	lm2, _ := buildStack(t, lcfg, ms, tree)
+	lm2, _ := buildStack(t, lcfg, sb, tree)
 	if err := lm2.LoadSpool(path); err != nil {
 		t.Fatalf("previous spool unreadable after torn save: %v", err)
 	}
@@ -213,9 +213,9 @@ func TestSpoolTornWriteKeepsPrevious(t *testing.T) {
 // race-freedom is that cycles against the replaced lineage abort rather than
 // promote.
 func TestReloadRacesAdaptation(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	lcfg := testLifecycleConfig()
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 	feedNormal(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	spool := filepath.Join(t.TempDir(), "spool.nfvs")
 
@@ -265,9 +265,8 @@ func TestReloadRacesAdaptation(t *testing.T) {
 	// Hot reloads: swap the monitor, then realign the lifecycle — the order
 	// nfvmonitor uses on SIGHUP.
 	for i := 0; i < 6; i++ {
-		next := lm.Serving().clone()
-		mon.SwapModel(mon.Tree(), next.Resolver(), next.Threshold)
-		mon.SetClusterOf(clusterOf(next.Assign))
+		next := lm.Serving().Clone()
+		mon.SwapModel(next)
 		lm.SetServing(next)
 		time.Sleep(10 * time.Millisecond)
 	}

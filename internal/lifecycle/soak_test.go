@@ -13,11 +13,11 @@ import (
 // keeps flowing, and at least one candidate must train, pass the gate,
 // and promote without a race (run under -race by make ci) or a deadlock.
 func TestLifecycleSoakSmoke(t *testing.T) {
-	ms, tree := testModelSet(t)
+	sb, tree := testBundle(t)
 	lcfg := testLifecycleConfig()
 	lcfg.Interval = 20 * time.Millisecond
 	lcfg.AdaptEveryCycles = 1 // every timer tick attempts an adaptation
-	lm, mon := buildStack(t, lcfg, ms, tree)
+	lm, mon := buildStack(t, lcfg, sb, tree)
 
 	mon.Start()
 	lm.Start()
@@ -58,8 +58,8 @@ func TestLifecycleSoakSmoke(t *testing.T) {
 // the spooled windows, shadow gate on the holdout, and promotion through
 // the monitor's SwapModel path.
 func BenchmarkAdaptationCycle(b *testing.B) {
-	ms, tree := testModelSet(b)
-	lm, mon := buildStack(b, testLifecycleConfig(), ms, tree)
+	sb, tree := testBundle(b)
+	lm, mon := buildStack(b, testLifecycleConfig(), sb, tree)
 	feedNormal(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -106,12 +106,6 @@ type Stack struct {
 	lastCkptUnix                          *obs.Gauge
 }
 
-// clusterOf is the host→cluster mapping for trace identity: unmapped
-// hosts report cluster 0, whose detector also scores them.
-func clusterOf(assign map[string]int) func(string) int {
-	return func(host string) int { return assign[host] }
-}
-
 // New assembles the stack around opts.Bundle; listeners are
 // bound but nothing runs until Start. A checkpoint that cannot be restored
 // is quarantined and the monitor starts cold: never a refusal to serve.
@@ -154,7 +148,7 @@ func New(opts Options) (*Stack, error) {
 	mcfg := ingest.DefaultMonitorConfig()
 	b := opts.Bundle
 	mcfg.Threshold = b.Threshold
-	mcfg.ClusterOf = clusterOf(b.Assign)
+	mcfg.ClusterOf = b.ClusterOf
 	mcfg.Metrics, mcfg.Traces, mcfg.Tracer = reg, s.Traces, s.Tracer
 	mcfg.LatencySLO, mcfg.LatencyBound = s.SLOLatency, opts.LatencyBound
 	mcfg.Watchdog, mcfg.Faults = opts.Watchdog, opts.Faults
@@ -166,7 +160,7 @@ func New(opts Options) (*Stack, error) {
 	if opts.Lifecycle != nil {
 		lcfg := *opts.Lifecycle
 		lcfg.Metrics, lcfg.Tracer, lcfg.Faults = reg, s.Tracer, opts.Faults
-		s.Lifecycle = lifecycle.New(lcfg, lifecycle.ModelSetFromBundle(b))
+		s.Lifecycle = lifecycle.New(lcfg, b)
 		mcfg.OnScored = s.Lifecycle.Observe
 	}
 	if _, serr := os.Stat(opts.Checkpoint); opts.Checkpoint != "" && serr == nil {
@@ -269,10 +263,9 @@ func (s *Stack) Checkpoint(reason string) error {
 // lifecycle is realigned to the new template lineage (spools rebuilt,
 // drift references reset, pending and previous generations dropped).
 func (s *Stack) Reload(b *bundle.Bundle) {
-	s.Monitor.SwapModel(b.Tree, b.DetectorFor, b.Threshold)
-	s.Monitor.SetClusterOf(clusterOf(b.Assign))
+	s.Monitor.SwapModel(b)
 	if s.Lifecycle != nil {
-		s.Lifecycle.SetServing(lifecycle.ModelSetFromBundle(b))
+		s.Lifecycle.SetServing(b)
 	}
 	s.reloads.Inc()
 	s.Health.SetCondition("bundle", true, "")
