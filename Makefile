@@ -55,9 +55,14 @@ bench-smoke:
 # index against a plain map (through republishes and a full table), the
 # RFC 3164 parser
 # against a time.Parse reference, the RFC 6587 octet-count reader against
-# hostile prefixes. `go test -fuzz` takes one target and
-# one package per run. A failing input is written under the package's
-# testdata/fuzz/ and from then on fails plain `go test` too.
+# hostile prefixes, and the two persistent-state decoders: the NFVB bundle
+# loader and the NFVC checkpoint restore, each fed its file as is and with
+# the payload reframed under a valid checksum (every input loads into a
+# bundle or monitor that validates and serves, or is refused; none
+# panics). Their seeds are whole files, which the fuzzer would otherwise
+# spend the run minimizing, hence -fuzzminimizetime. `go test -fuzz` takes
+# one target and one package per run. A failing input is written under
+# the package's testdata/fuzz/ and from then on fails plain `go test` too.
 fuzz-smoke:
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzGemv64$$' -fuzztime 10s
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzExpNeg$$' -fuzztime 10s
@@ -69,6 +74,8 @@ fuzz-smoke:
 	$(GO) test ./internal/sigtree/ -run XXX -fuzz '^FuzzSymIndex$$' -fuzztime 10s
 	$(GO) test ./internal/logfmt/ -run XXX -fuzz '^FuzzParse3164$$' -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
+	$(GO) test ./internal/bundle/ -run XXX -fuzz '^FuzzBundleLoad$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzRestoreMonitor$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Reachability: every func in a non-test file of a library package that
 # none of the 10 binaries (cmd/*, examples/*, bench/) links, minus
@@ -77,7 +84,9 @@ fuzz-smoke:
 reach:
 	@bash tools/reach.sh
 
-# Full gate: what a CI job runs. Vet, gofmt (it must list no file), build,
+# Full gate: what a CI job runs. Vet, gofmt (it must list no file), a lint
+# that every testing/quick check is seeded (a quick.Config with no Rand
+# draws a fresh sequence each run, so its failures cannot be replayed), build,
 # the whole test suite, the race pass over the concurrent packages (which
 # covers the shard lifecycle tests), the scenario-harness library (lint + end-to-end run
 # of every shipped scenario with its assertions), the fuzz smoke (every
@@ -110,6 +119,7 @@ ci: build
 	$(GO) vet ./...
 	$(GO) vet -tags purego ./internal/mat
 	test -z "$$(gofmt -l .)"
+	test -z "$$(grep -rn --include='*_test.go' 'quick.Config{' . | grep -v 'Rand:')"
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/mat ./internal/nn ./internal/detect ./cmd/nfvtrain
 	GOARCH=arm64 $(GO) build ./...

@@ -33,6 +33,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -309,16 +310,20 @@ func (a *app) loadServing(model string, threshold float64, seed int64) (*bundle.
 	return b, nil
 }
 
-func run(o options) error {
+// newApp loads the serving bundle and assembles the stack around it,
+// listeners bound but not started. /statusz names the file the stack
+// serves: the -model bundle, or the generation a previous run saved
+// beside the checkpoint when the stack serves that instead.
+func newApp(o options, logOut io.Writer) (*app, error) {
 	level := obs.LevelInfo
 	if o.verbose {
 		level = obs.LevelDebug
 	}
-	a := &app{log: obs.NewLogger(os.Stdout, level), started: time.Now(), chaos: o.chaos}
+	a := &app{log: obs.NewLogger(logOut, level), started: time.Now(), chaos: o.chaos}
 	so := o.Options
 	var err error
 	if so.Bundle, err = a.loadServing(o.model, o.threshold, o.seed); err != nil {
-		return err
+		return nil, err
 	}
 	so.Log = a.log
 	if o.chaos {
@@ -330,7 +335,7 @@ func run(o options) error {
 		lcfg := lifecycle.DefaultConfig()
 		lcfg.Interval = o.adaptInterval
 		lcfg.GateBudget = o.adaptGate
-		lcfg.Log = log.New(os.Stdout, "", log.LstdFlags)
+		lcfg.Log = log.New(logOut, "", log.LstdFlags)
 		so.Lifecycle = &lcfg
 	}
 	so.OnWarning = func(w nfvpredict.Warning) {
@@ -339,14 +344,26 @@ func run(o options) error {
 		a.log.WarnLimited(w.VPE, "warning signature", "vpe", w.VPE, "anomalies", w.Size, "first", w.Time)
 	}
 	if a.Stack, err = serve.New(so); err != nil {
-		return err
+		return nil, err
+	}
+	if a.ModelFile != "" {
+		g := a.Serving()
+		a.setLoaded(a.ModelFile, g, g.Threshold)
 	}
 	if o.model == "" {
-		so.Bundle.Detectors[0].SetMetrics(a.Registry, "")
+		a.Serving().Detectors[0].SetMetrics(a.Registry, "")
 	}
 	if o.burnDir != "" {
 		a.Profiler = obs.NewBurnProfiler(o.burnDir, 0, 0, a.log)
 		a.Profiler.Export(a.Registry)
+	}
+	return a, nil
+}
+
+func run(o options) error {
+	a, err := newApp(o, os.Stdout)
+	if err != nil {
+		return err
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -465,3 +465,61 @@ func TestStatusLineLogsShardDrops(t *testing.T) {
 		t.Fatalf("status line does not report the refused enqueues: %q", logged)
 	}
 }
+
+// TestStatuszNamesServedFile pins the /statusz bundle block to the file
+// the stack actually serves: the -model bundle on a first start, and the
+// generation saved beside the checkpoint once a restart after a promotion
+// serves that instead.
+func TestStatuszNamesServedFile(t *testing.T) {
+	dir := t.TempDir()
+	tree, det := trainServing(t)
+	model := filepath.Join(dir, "model.bundle")
+	b := &bundle.Bundle{Tree: tree, Detectors: []*detect.LSTMDetector{det}, Assign: map[string]int{"vpe01": 0}, Threshold: 4}
+	if err := b.SaveFile(model); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "monitor.ckpt")
+	var o options
+	fs := flag.NewFlagSet("nfvmonitor", flag.ContinueOnError)
+	registerFlags(fs, &o)
+	if err := fs.Parse([]string{"-model", model, "-checkpoint", ckpt, "-udp", "127.0.0.1:0",
+		"-adapt", "-adapt-interval", "0", "-adapt-gate", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	served := func(a *app) string {
+		t.Helper()
+		var doc statusDoc
+		if _, body := get(t, a.AdminMux(a.status), "/statusz"); json.Unmarshal([]byte(body), &doc) != nil {
+			t.Fatalf("decoding /statusz: %s", body)
+		}
+		return doc.Bundle.Path
+	}
+
+	first, err := newApp(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := served(first); got != model {
+		t.Fatalf("first start: /statusz names %q, want %q", got, model)
+	}
+	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 1000; i++ {
+		first.Monitor.HandleMessage(logfmt.Message{Time: at, Host: "vpe01", Tag: "rpd",
+			Text: fmt.Sprintf("bgp keepalive exchanged with peer 10.0.0.%d hold 90", i%4)})
+		at = at.Add(30 * time.Second)
+	}
+	if res := first.Lifecycle.TriggerCycle(true); !res.Promoted {
+		t.Fatalf("forced cycle did not promote: %+v", res)
+	}
+	first.saveCheckpoint(ckpt, "test")
+	first.Close()
+
+	second, err := newApp(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if got := served(second); got != ckpt+".model" || second.RestoredAt.IsZero() {
+		t.Fatalf("restart: /statusz names %q (restored %v), want %q", got, second.RestoredAt, ckpt+".model")
+	}
+}

@@ -59,6 +59,14 @@ type Bundle struct {
 	// Gob tolerates the field in both directions, so the format version
 	// is unchanged.
 	TrainHist []map[int]float64
+	// Lineage identifies the trained bundle a generation descends from:
+	// the tree fingerprint of the bundle a serving process loaded, as it
+	// was at load. internal/serve stamps it when it first serves a bundle
+	// and writes it into every generation it saves beside a checkpoint, so
+	// a restart can tell whether that generation descends from the bundle
+	// it is given. A bundle nfvtrain writes carries 0. Gob tolerates the
+	// field both ways, as for TrainHist.
+	Lineage uint64
 }
 
 // ClusterOf returns the cluster index that scores host: its assignment,
@@ -133,6 +141,7 @@ type wire struct {
 	Assign    map[string]int
 	Threshold float64
 	TrainHist []map[int]float64
+	Lineage   uint64
 }
 
 // Save serializes the bundle to w in the framed format: magic, version,
@@ -157,6 +166,7 @@ func (b *Bundle) Save(w io.Writer) error {
 	wf.Assign = b.Assign
 	wf.Threshold = b.Threshold
 	wf.TrainHist = b.TrainHist
+	wf.Lineage = b.Lineage
 
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&wf); err != nil {
@@ -188,7 +198,7 @@ func Load(r io.Reader) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bundle: loading tree: %w", err)
 	}
-	b := &Bundle{Tree: tree, Assign: wf.Assign, Threshold: wf.Threshold, TrainHist: wf.TrainHist}
+	b := &Bundle{Tree: tree, Assign: wf.Assign, Threshold: wf.Threshold, TrainHist: wf.TrainHist, Lineage: wf.Lineage}
 	for i, raw := range wf.Detectors {
 		d, err := detect.LoadLSTMDetector(bytes.NewReader(raw))
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 	"nfvpredict/internal/wireframe"
 )
 
-func trainedBundle(t *testing.T) *Bundle {
+func trainedBundle(t testing.TB) *Bundle {
 	t.Helper()
 	tree := sigtree.New()
 	texts := []string{

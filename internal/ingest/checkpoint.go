@@ -25,11 +25,15 @@ const (
 	CheckpointVersion uint32 = 1
 )
 
-// hostWire is one host's checkpointed state: the LSTM stream snapshot and
-// the in-progress anomaly cluster.
+// hostWire is one host's checkpointed state: the LSTM stream snapshot, the
+// fingerprint of the detector the stream ran under, and the in-progress
+// anomaly cluster. Detector is 0 in checkpoints written before it was
+// recorded (gob leaves an absent field zero); such a stream restores
+// unchecked into whatever detector now serves its host.
 type hostWire struct {
 	Host        string
 	Stream      detect.StreamSnapshot
+	Detector    uint64
 	HasCluster  bool
 	First, Last time.Time
 	Size        int
@@ -71,6 +75,7 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 	type stamped struct {
 		hw  hostWire
 		seq uint64
+		det *detect.LSTMDetector
 	}
 	m.lockAll()
 	m.treeMu.Lock()
@@ -92,7 +97,7 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 				hw.First, hw.Last = cs.first, cs.last
 				hw.Size, hw.Reported = cs.size, cs.reported
 			}
-			hosts = append(hosts, stamped{hw, hs.seq})
+			hosts = append(hosts, stamped{hw, hs.seq, hs.det})
 		}
 	}
 	m.warnMu.Lock()
@@ -103,9 +108,13 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 	m.unlockAll()
 
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].seq < hosts[j].seq })
+	// Weights are immutable once served, so the fingerprints are taken
+	// outside the locks, once per detector.
+	fps := make(fingerprints)
 	wf.Hosts = make([]hostWire, len(hosts))
 	for i, h := range hosts {
 		wf.Hosts[i] = h.hw
+		wf.Hosts[i].Detector = fps.of(h.det)
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&wf); err != nil {
@@ -135,13 +144,29 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 	return nil
 }
 
+// fingerprints caches detector weight fingerprints for one checkpoint or
+// restore: a fleet shares a few detectors, each hashed once.
+type fingerprints map[*detect.LSTMDetector]uint64
+
+func (f fingerprints) of(d *detect.LSTMDetector) uint64 {
+	fp, ok := f[d]
+	if !ok {
+		fp = d.Fingerprint()
+		f[d] = fp
+	}
+	return fp
+}
+
 // RestoreMonitor rebuilds a monitor from a checkpoint written by
 // Checkpoint. The detector resolver and callbacks are not part of the
-// snapshot and must be supplied again; hosts whose detector has a different
-// architecture than at checkpoint time produce a descriptive error (the
-// caller should fall back to a cold start — typically after a model swap).
-// Hosts whose resolver now returns nil are dropped silently, matching what
-// HandleMessage would do with their next message.
+// snapshot and must be supplied again. A host whose stream was cut under
+// other weights than its detector now has (a fingerprint mismatch), or
+// under a different architecture, produces a descriptive error: the
+// caller should fall back to a cold start, as after a redeploy. A
+// checkpoint that recorded no fingerprint for a host restores its stream
+// into whatever detector serves it. Hosts whose resolver now returns nil
+// are dropped silently, matching what HandleMessage would do with their
+// next message.
 func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *detect.LSTMDetector, onWarning func(detect.Warning)) (*Monitor, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -160,6 +185,7 @@ func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *d
 		return nil, fmt.Errorf("checkpoint: loading tree: %w", err)
 	}
 	m := NewMonitorWithResolver(cfg, tree, resolve, onWarning)
+	fps := make(fingerprints)
 	// Hosts arrive least recent first; PushFront in order (with fresh
 	// ascending seq stamps) rebuilds each shard's LRU and the global
 	// recency order. The host hash is stable, so a checkpoint written at
@@ -169,11 +195,15 @@ func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *d
 		if det == nil {
 			continue
 		}
+		if fp := fps.of(det); hw.Detector != 0 && hw.Detector != fp {
+			return nil, fmt.Errorf("checkpoint: host %q: stream was cut under detector %016x, %016x serves it now",
+				hw.Host, hw.Detector, fp)
+		}
 		st, err := det.RestoreStream(hw.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: host %q: %w", hw.Host, err)
 		}
-		hs := &hostState{host: hw.Host, model: det.Name(), stream: st, seq: m.seq.Add(1)}
+		hs := &hostState{host: hw.Host, det: det, stream: st, seq: m.seq.Add(1)}
 		if m.cfg.Traces != nil {
 			hs.recent = make([]obs.TraceStep, DefaultTraceWindow)
 		}
@@ -209,6 +239,20 @@ func (m *Monitor) CheckpointFile(path string) error {
 	return atomicfile.Write(path, func(w io.Writer) error {
 		return m.Checkpoint(fp.Writer(w))
 	})
+}
+
+// TreeCopy returns a private copy of the serving tree, encoded under the
+// tree lock and decoded outside it: the tree a generation saved beside a
+// checkpoint carries, since the live one keeps growing.
+func (m *Monitor) TreeCopy() (*sigtree.Tree, error) {
+	var buf bytes.Buffer
+	m.treeMu.Lock()
+	err := m.tree.Save(&buf)
+	m.treeMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return sigtree.Load(&buf)
 }
 
 // RestoreMonitorFile restores a monitor from the checkpoint at path.

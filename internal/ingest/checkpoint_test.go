@@ -168,6 +168,86 @@ func TestRestoreCheckpointWithSavedAt(t *testing.T) {
 	}
 }
 
+// TestRestoreCheckpointWithoutDetectorFingerprints restores a checkpoint in
+// the wire form written before hosts recorded the fingerprint of the
+// detector their stream ran under. Such a checkpoint restores exactly as
+// it did then: every stream goes into whatever detector serves its host
+// now, unchecked, with the counters and warnings it carried. The same
+// checkpoint with fingerprints is refused for a detector of other weights.
+func TestRestoreCheckpointWithoutDetectorFingerprints(t *testing.T) {
+	tree, det := trainMonitorDetector(t)
+	_, other := trainMonitorDetectorWidth(t, 16) // same shape, other weights
+	mcfg := DefaultMonitorConfig()
+	mcfg.Threshold = 4
+	mon := NewMonitorWithResolver(mcfg, tree, func(string) *detect.LSTMDetector { return det }, nil)
+	for _, m := range monitorTraffic([]string{"vpe01", "vpe02"}, 30) {
+		mon.HandleMessage(m)
+	}
+	var buf bytes.Buffer
+	if err := mon.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wireframe.Decode(buf.Bytes(), CheckpointMagic, CheckpointVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur checkpointWire
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cur); err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.Hosts) != 2 || cur.Hosts[0].Detector != det.Fingerprint() {
+		t.Fatalf("hosts do not record their detector: %+v", cur.Hosts)
+	}
+	if _, err := RestoreMonitor(bytes.NewReader(buf.Bytes()), mcfg,
+		func(string) *detect.LSTMDetector { return other }, nil); err == nil || !strings.Contains(err.Error(), "cut under detector") {
+		t.Fatalf("stream cut under other weights restored: %v", err)
+	}
+
+	type oldHostWire struct {
+		Host        string
+		Stream      detect.StreamSnapshot
+		HasCluster  bool
+		First, Last time.Time
+		Size        int
+		Reported    bool
+	}
+	type oldCheckpointWire struct {
+		Tree     []byte
+		Hosts    []oldHostWire
+		Warnings []detect.Warning
+		Messages uint64
+		Anoms    uint64
+		Evicted  uint64
+		Swaps    uint64
+	}
+	old := oldCheckpointWire{Tree: cur.Tree, Warnings: cur.Warnings,
+		Messages: cur.Messages, Anoms: cur.Anoms, Evicted: cur.Evicted, Swaps: cur.Swaps}
+	for _, hw := range cur.Hosts {
+		old.Hosts = append(old.Hosts, oldHostWire{Host: hw.Host, Stream: hw.Stream, HasCluster: hw.HasCluster,
+			First: hw.First, Last: hw.Last, Size: hw.Size, Reported: hw.Reported})
+	}
+	var oldPayload, oldFile bytes.Buffer
+	if err := gob.NewEncoder(&oldPayload).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if err := wireframe.Encode(&oldFile, CheckpointMagic, CheckpointVersion, oldPayload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, serving := range []*detect.LSTMDetector{det, other} {
+		restored, err := RestoreMonitor(bytes.NewReader(oldFile.Bytes()), mcfg,
+			func(string) *detect.LSTMDetector { return serving }, nil)
+		if err != nil {
+			t.Fatalf("checkpoint without fingerprints no longer restores: %v", err)
+		}
+		if a, b := mon.Stats(), restored.Stats(); a != b {
+			t.Fatalf("stats: checkpointed %+v, restored %+v", a, b)
+		}
+		if wa, wb := mon.Warnings(), restored.Warnings(); len(wa) == 0 || !reflect.DeepEqual(wa, wb) {
+			t.Fatalf("warnings: checkpointed %+v, restored %+v", wa, wb)
+		}
+	}
+}
+
 // cloneTree round-trips a tree through its serializer so the reference and
 // interrupted runs grow independent trees from the same starting point.
 func cloneTree(t testing.TB, tr *sigtree.Tree) *sigtree.Tree {

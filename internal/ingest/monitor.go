@@ -273,7 +273,7 @@ type Monitor struct {
 // behind.
 type hostState struct {
 	host    string
-	model   string
+	det     *detect.LSTMDetector // the detector the stream scores under
 	stream  *detect.LSTMStream
 	cluster *clusterState // nil until the host's first anomaly
 

@@ -221,7 +221,7 @@ func (sh *shard) afterScore(msg *logfmt.Message, tplID int, hs *hostState, score
 			Time:        msg.Time,
 			Host:        msg.Host,
 			Cluster:     cluster,
-			Model:       hs.model,
+			Model:       hs.det.Name(),
 			Template:    tplID,
 			Score:       score,
 			Threshold:   sh.threshold,
@@ -318,7 +318,7 @@ func (sh *shard) hostFor(host string) *hostState {
 	if st == nil {
 		return nil // detector not trained yet
 	}
-	hs := &hostState{host: strings.Clone(host), model: det.Name(), stream: st, seq: m.seq.Add(1)}
+	hs := &hostState{host: strings.Clone(host), det: det, stream: st, seq: m.seq.Add(1)}
 	if m.cfg.Traces != nil {
 		hs.recent = make([]obs.TraceStep, DefaultTraceWindow)
 	}

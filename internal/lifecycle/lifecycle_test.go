@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"nfvpredict/internal/bundle"
+	"nfvpredict/internal/cluster"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/ingest"
@@ -423,6 +425,38 @@ func TestSpoolPersistRoundTrip(t *testing.T) {
 	// A missing file is a clean cold start.
 	if err := lm3.LoadSpool(filepath.Join(t.TempDir(), "absent.nfvs")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpoolKeepsPromotedDriftReference: a promotion re-references its
+// cluster's drift baseline to the distribution it adapted to; a restart
+// that restores the spool judges drift against that, not against the
+// bundle's training histogram.
+func TestSpoolKeepsPromotedDriftReference(t *testing.T) {
+	sb, tree := testBundle(t)
+	sb.TrainHist = []map[int]float64{{0: 1}}
+	lcfg := testLifecycleConfig()
+	lm, mon := buildStack(t, lcfg, sb, tree)
+	feedNormal(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
+	if res := lm.TriggerCycle(true); !res.Promoted {
+		t.Fatalf("forced cycle did not promote: %+v", res)
+	}
+	lm.mu.Lock()
+	promoted := lm.refs[0]
+	lm.mu.Unlock()
+	if reflect.DeepEqual(promoted, cluster.Histogram(sb.TrainHist[0])) {
+		t.Fatal("promotion did not re-reference the drift baseline")
+	}
+	path := filepath.Join(t.TempDir(), "spool.nfvs")
+	if err := lm.SaveSpool(path); err != nil {
+		t.Fatal(err)
+	}
+	lm2, _ := buildStack(t, lcfg, sb, tree)
+	if err := lm2.LoadSpool(path); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lm2.refs[0], promoted) {
+		t.Fatalf("restored drift reference %v, want the promoted %v", lm2.refs[0], promoted)
 	}
 }
 

@@ -32,9 +32,12 @@ type spoolWire struct {
 	// Clusters holds each cluster's completed windows and live histogram.
 	// In-progress (building) windows are not persisted; hosts resume cold.
 	Clusters []spoolClusterWire
-	// Refs are the drift reference histograms, persisted so a baseline
-	// captured live (when the bundle shipped no TrainHist) survives a
-	// restart instead of re-arming a spurious first-cycle capture.
+	// Refs are the drift reference histograms in force at save: the
+	// bundle's TrainHist, a baseline captured live when it shipped none,
+	// or the distribution a promotion adapted to. A restored spool's refs
+	// replace the bundle's, so a restart judges drift as the process that
+	// wrote them did instead of re-firing against a pre-update histogram
+	// or re-arming a first-cycle capture.
 	Refs []cluster.Histogram
 }
 
@@ -127,7 +130,7 @@ func (m *Manager) LoadSpool(path string) error {
 	}
 	m.mu.Lock()
 	for ci, ref := range wf.Refs {
-		if ci < len(m.refs) && m.refs[ci] == nil && len(ref) > 0 {
+		if ci < len(m.refs) && len(ref) > 0 {
 			m.refs[ci] = ref
 		}
 	}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"slices"
@@ -402,6 +403,40 @@ func TestSequenceModelSerializationRoundTrip(t *testing.T) {
 func TestLoadSequenceModelCorrupt(t *testing.T) {
 	if _, err := LoadSequenceModel(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("expected error on corrupt input")
+	}
+}
+
+// TestLoadSequenceModelRefusesMisfitShapes: a snapshot whose config no
+// model can be built from, or whose weights do not add up to the model the
+// config describes, is an error, never a panic, and is refused before the
+// model is allocated (a vocabulary of 2^40 would need terabytes).
+func TestLoadSequenceModelRefusesMisfitShapes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewSequenceModel(SeqModelConfig{Vocab: 5, Hidden: []int{3}, Seed: 1}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap modelSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []SeqModelConfig{
+		{Vocab: 5},
+		{Vocab: 0, Hidden: []int{3}},
+		{Vocab: 5, Hidden: []int{-3}},
+		{Vocab: 5, Hidden: []int{4}},
+		{Vocab: 1 << 40, Hidden: []int{3}},
+		{Vocab: 5, Hidden: []int{1 << 62}},
+		{Vocab: 5, Hidden: []int{3}, UseGap: true},
+	} {
+		bad := snap
+		bad.Cfg = cfg
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSequenceModel(&b); err == nil {
+			t.Fatalf("config %+v loaded over the weights of vocab 5, hidden [3]", cfg)
+		}
 	}
 }
 

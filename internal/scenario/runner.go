@@ -481,18 +481,13 @@ func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (strin
 			return "", fmt.Errorf("scenario: checkpoint exhausted retries: %w", err)
 		}
 		rep.Serve.CheckpointSaves++
-		// The restart: a second stack over the same options — the live
-		// config, serving whatever generation is live now — must resume
-		// from the file exactly where the live monitor stands.
+		// The restart: a second stack over the same options must resume
+		// from the files exactly where the live monitor stands, serving
+		// the generation Checkpoint saved beside the checkpoint.
 		var restartLog bytes.Buffer
 		probe := so
 		probe.Faults, probe.Lifecycle = nil, nil
 		probe.Log = obs.NewLogger(&restartLog, obs.LevelWarn)
-		if st.Lifecycle != nil {
-			live := *so.Bundle
-			live.Detectors = st.Lifecycle.Serving().Detectors
-			probe.Bundle = &live
-		}
 		restarted, err := serve.New(probe)
 		if err != nil {
 			return "", err

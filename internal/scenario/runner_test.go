@@ -190,6 +190,60 @@ func TestRunnerDeterministic(t *testing.T) {
 	}
 }
 
+// promotedRestartDoc promotes a forced candidate and then checkpoints, so
+// the restart probe must resume the promoted generation's streams: it
+// serves the generation Stack.Checkpoint saved beside the checkpoint, not
+// the trained bundle, whose weights the streams were not cut under.
+const promotedRestartDoc = `
+name: promoted-restart-test
+seed: 31
+fleet:
+  vpes: 4
+  months: 2
+  start: 2017-01-01
+  base_rate_per_hour: 1.0
+  mean_fault_gap_hours: 2000
+train:
+  months: 1
+  epochs: 2
+  max_vocab: 32
+serve:
+  shards: 2
+  threshold: 5
+lifecycle:
+  enabled: true
+  gate_budget: 1.0
+  window_len: 16
+  min_windows: 2
+timeline:
+  - at: 45d
+    adapt:
+      forced: true
+  - at: 50d
+    checkpoint:
+assert:
+  checkpoint_parity: true
+  lifecycle:
+    min_promotions: 1
+`
+
+func TestRunnerRestartAfterPromotion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack scenario run")
+	}
+	spec, err := Load([]byte(promotedRestartDoc))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	rep, err := Run(spec, Options{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !rep.Passed || rep.Serve.CheckpointSaves != 1 || !rep.Serve.CheckpointParity {
+		t.Fatalf("restart after a promotion: %+v %+v", rep.Serve, rep.Assertions)
+	}
+}
+
 // TestRunnerAdminIsLive checks that a scenario's admin surface is the
 // serving stack's own: while e2eDoc's serve phase runs, /traces explains
 // the burst host's verdicts, /spans holds pipeline spans, and /slo lists

@@ -8,10 +8,12 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"nfvpredict/internal/bundle"
@@ -28,7 +30,10 @@ import (
 type Options struct {
 	// Bundle is the serving model — signature tree, per-cluster detectors,
 	// host assignment, threshold — as cmd/nfvtrain writes it, the
-	// bootstrap trainer builds it and Reload swaps it.
+	// bootstrap trainer builds it and Reload swaps it. The stack takes it
+	// over: New stamps its Lineage when unset, and its Tree is the live
+	// tree a cold start grows. When Checkpoint+".model" holds a generation
+	// of the same lineage, New serves that instead (see Checkpoint).
 	Bundle *bundle.Bundle
 
 	// UDPAddr and TCPAddr are the syslog listen addresses ("" disables
@@ -91,8 +96,11 @@ type Stack struct {
 
 	Monitor    *ingest.Monitor
 	RestoredAt time.Time // when New resumed Monitor from the checkpoint; zero after a cold start
-	Server     *ingest.Server
-	Lifecycle  *lifecycle.Manager // nil unless Options.Lifecycle was set
+	// ModelFile is Checkpoint+".model" when New served the generation saved
+	// there in place of Options.Bundle, "" when it served Options.Bundle.
+	ModelFile string
+	Server    *ingest.Server
+	Lifecycle *lifecycle.Manager // nil unless Options.Lifecycle was set
 	// Degrader steps the stack between normal / shed-learning /
 	// shed-scoring from the samples SampleDegrade feeds it.
 	Degrader *resilience.Degrader
@@ -104,6 +112,12 @@ type Stack struct {
 	log                                   *obs.Logger
 	reloads, reloadFailures, ckptFailures *obs.Counter
 	lastCkptUnix                          *obs.Gauge
+
+	// genMu guards gen, the serving generation when no lifecycle is
+	// attached, and saved, the generation a restart would serve: the one
+	// last written beside the checkpoint, or the one New served.
+	genMu      sync.Mutex
+	gen, saved *bundle.Bundle
 }
 
 // New assembles the stack around opts.Bundle; listeners are
@@ -146,7 +160,10 @@ func New(opts Options) (*Stack, error) {
 		"Hot-path warning log lines suppressed by the per-key rate limiter."))
 
 	mcfg := ingest.DefaultMonitorConfig()
-	b := opts.Bundle
+	b := stamp(opts.Bundle)
+	if g := s.savedGeneration(b.Lineage); g != nil {
+		b = g
+	}
 	mcfg.Threshold = b.Threshold
 	mcfg.ClusterOf = b.ClusterOf
 	mcfg.Metrics, mcfg.Traces, mcfg.Tracer = reg, s.Traces, s.Tracer
@@ -179,6 +196,8 @@ func New(opts Options) (*Stack, error) {
 			s.log.Warn("spool unusable, starting cold", "path", opts.Spool, "err", lerr)
 		}
 	}
+	s.gen = b
+	s.saved = s.Serving()
 
 	// The listeners route each parsed message straight to its host's shard
 	// queue. Trace IDs are minted at frame accept so spans cover decode and
@@ -191,6 +210,61 @@ func New(opts Options) (*Stack, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// stamp records b's lineage, its tree's fingerprint, the first time a
+// stack serves it: from then on the tree grows as the stack serves.
+func stamp(b *bundle.Bundle) *bundle.Bundle {
+	if b.Lineage == 0 {
+		b.Lineage = b.Tree.Fingerprint()
+	}
+	return b
+}
+
+// savedGeneration returns the generation a previous run saved at
+// Checkpoint+".model" when it descends from the bundle of this lineage,
+// else nil: no file, a file of another lineage (a redeploy; left alone
+// and overwritten by the next generation saved), or a file that does not
+// load, which is quarantined like an unusable checkpoint.
+func (s *Stack) savedGeneration(lineage uint64) *bundle.Bundle {
+	if s.opts.Checkpoint == "" {
+		return nil
+	}
+	path := s.opts.Checkpoint + ".model"
+	f, err := os.Open(path)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	g, err := bundle.Load(f)
+	switch {
+	case err != nil:
+		if qpath, qerr := resilience.Quarantine(path); qerr != nil {
+			s.log.Warn("saved generation unusable", "path", path, "err", err, "quarantine_err", qerr)
+		} else {
+			s.log.Warn("saved generation unusable", "path", path, "err", err, "quarantined", qpath)
+		}
+		return nil
+	case g.Lineage != lineage:
+		s.log.Warn("saved generation descends from another bundle, not serving it", "path", path,
+			"lineage", fmt.Sprintf("%016x", g.Lineage), "bundle_lineage", fmt.Sprintf("%016x", lineage))
+		return nil
+	}
+	s.ModelFile = path
+	s.log.Info("serving the generation saved beside the checkpoint", "path", path,
+		"detectors", len(g.Detectors), "threshold", g.Threshold)
+	return g
+}
+
+// Serving returns the serving generation: the lifecycle's when one is
+// attached, else the bundle New or the last Reload installed.
+func (s *Stack) Serving() *bundle.Bundle {
+	if s.Lifecycle != nil {
+		return s.Lifecycle.Serving()
+	}
+	s.genMu.Lock()
+	defer s.genMu.Unlock()
+	return s.gen
 }
 
 // restore resumes from the checkpoint file, or moves an unusable one aside
@@ -234,14 +308,22 @@ func (s *Stack) Close() {
 }
 
 // Checkpoint writes Options.Checkpoint with retries and counts the outcome
-// ("" is a no-op). The spool rides along so the two artifacts agree on
-// tree lineage; a spool failure is logged and never fails the checkpoint.
+// ("" is a no-op). When the serving generation is not the one a restart
+// would serve (a promotion, rollback or reload happened since), it is
+// first written to Checkpoint+".model", stamped with its lineage, so the
+// weights the checkpointed streams ran under are on disk before the
+// streams are; New serves that file when the bundle it is given is of the
+// same lineage. The spool rides along so the artifacts agree on tree
+// lineage; a spool failure is logged and never fails the checkpoint.
 func (s *Stack) Checkpoint(reason string) error {
 	path := s.opts.Checkpoint
 	if path == "" {
 		return nil
 	}
-	err := resilience.Retry(nil, ioRetry, func() error { return s.Monitor.CheckpointFile(path) })
+	err := s.saveGeneration()
+	if err == nil {
+		err = resilience.Retry(nil, ioRetry, func() error { return s.Monitor.CheckpointFile(path) })
+	}
 	if err != nil {
 		s.ckptFailures.Inc()
 		s.log.Error("checkpoint failed", "path", path, "reason", reason, "err", err)
@@ -261,14 +343,49 @@ func (s *Stack) Checkpoint(reason string) error {
 
 // Reload swaps a validated bundle in: the monitor first, then the
 // lifecycle is realigned to the new template lineage (spools rebuilt,
-// drift references reset, pending and previous generations dropped).
+// drift references reset, pending and previous generations dropped). The
+// stack takes b over as New does Options.Bundle.
 func (s *Stack) Reload(b *bundle.Bundle) {
-	s.Monitor.SwapModel(b)
+	s.Monitor.SwapModel(stamp(b))
 	if s.Lifecycle != nil {
 		s.Lifecycle.SetServing(b)
 	}
+	s.genMu.Lock()
+	s.gen = b
+	s.genMu.Unlock()
 	s.reloads.Inc()
 	s.Health.SetCondition("bundle", true, "")
+}
+
+// saveGeneration writes the serving generation to Checkpoint+".model"
+// unless it is the one a restart would already serve. Its tree is a copy
+// of the monitor's live tree, taken under the tree lock; the file is
+// written outside it. A promotion landing between this write and the
+// checkpoint's leaves streams cut under weights the file does not hold:
+// the restart refuses them and starts cold on the saved generation, and
+// the next checkpoint saves the new one.
+func (s *Stack) saveGeneration() error {
+	g := s.Serving()
+	s.genMu.Lock()
+	saved := s.saved
+	s.genMu.Unlock()
+	if g == saved {
+		return nil
+	}
+	snap := g.Clone()
+	var err error
+	if snap.Tree, err = s.Monitor.TreeCopy(); err != nil {
+		return fmt.Errorf("serve: copying the serving tree: %w", err)
+	}
+	path := s.opts.Checkpoint + ".model"
+	if err := resilience.Retry(nil, ioRetry, func() error { return snap.SaveFile(path) }); err != nil {
+		return err
+	}
+	s.genMu.Lock()
+	s.saved = g
+	s.genMu.Unlock()
+	s.log.Info("serving generation saved", "path", path, "detectors", len(g.Detectors))
+	return nil
 }
 
 // RejectReload records a bundle that failed to load or validate: counted,

@@ -491,6 +491,16 @@ func Load(r io.Reader) (*Tree, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("sigtree: decoding tree: %w", err)
 	}
+	// Template IDs index the template list (buckets and the overflow hold
+	// IDs), so a tree whose IDs are not its positions must not serve.
+	for i := range snap.Templates {
+		if id := snap.Templates[i].ID; id != i {
+			return nil, fmt.Errorf("sigtree: template %d carries ID %d", i, id)
+		}
+	}
+	if snap.Overflow < -1 || snap.Overflow >= len(snap.Templates) {
+		return nil, fmt.Errorf("sigtree: overflow template %d of %d", snap.Overflow, len(snap.Templates))
+	}
 	t := New()
 	t.simThreshold = snap.SimThreshold
 	t.maxTemplates = snap.MaxTemplates

@@ -2,7 +2,9 @@ package sigtree
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -199,6 +201,33 @@ func TestTemplateByID(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesMisnumberedTemplates: template IDs index the template
+// list, so a tree whose IDs are not their positions, or whose overflow
+// template does not exist, is refused at Load instead of panicking in
+// the first match.
+func TestLoadRefusesMisnumberedTemplates(t *testing.T) {
+	tr := New()
+	tr.Learn("interface ge-0/0/1 down")
+	tr.Learn("chassis fan 3 failed")
+	for name, mutate := range map[string]func(*treeSnapshot){
+		"id":       func(s *treeSnapshot) { s.Templates[1].ID = 7 },
+		"overflow": func(s *treeSnapshot) { s.Overflow = 2 },
+	} {
+		snap := treeSnapshot{SimThreshold: tr.simThreshold, MaxTemplates: tr.maxTemplates, Overflow: tr.overflow}
+		for _, tpl := range tr.templates {
+			snap.Templates = append(snap.Templates, *tpl)
+		}
+		mutate(&snap)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Fatalf("%s: misnumbered tree loaded", name)
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tr := New()
 	tr.simThreshold, tr.maxTemplates = 0.7, 100
@@ -265,7 +294,7 @@ func TestLearnIdempotent(t *testing.T) {
 		b := tr.Learn(msg)
 		return a.ID == b.ID && b.Count == 2 && tr.Len() == 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
