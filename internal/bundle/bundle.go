@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 
 	"nfvpredict/internal/atomicfile"
 	"nfvpredict/internal/detect"
@@ -60,13 +61,60 @@ type Bundle struct {
 	// is unchanged.
 	TrainHist []map[int]float64
 	// Lineage identifies the trained bundle a generation descends from:
-	// the tree fingerprint of the bundle a serving process loaded, as it
-	// was at load. internal/serve stamps it when it first serves a bundle
-	// and writes it into every generation it saves beside a checkpoint, so
-	// a restart can tell whether that generation descends from the bundle
-	// it is given. A bundle nfvtrain writes carries 0. Gob tolerates the
-	// field both ways, as for TrainHist.
+	// the Fingerprint of the bundle a serving process loaded, as it was at
+	// load. internal/serve stamps it when it first serves a bundle and
+	// writes it into every generation it saves beside a checkpoint, so a
+	// restart can tell whether that generation descends from the bundle it
+	// is given. A bundle nfvtrain writes carries 0. Gob tolerates the field
+	// both ways, as for TrainHist.
 	Lineage uint64
+}
+
+// Fingerprint identifies the trained model: FNV-1a over the tree's
+// fingerprint, every detector's weight fingerprint, the host assignment
+// and the training histograms, maps in key order. Retraining that changes
+// any of them changes it, even over a byte-identical tree. The threshold
+// is left out: it is an operating setting (-threshold applies to any
+// model), not part of what the detectors learned.
+func (b *Bundle) Fingerprint() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ (v & 0xff)) * 1099511628211
+			v >>= 8
+		}
+	}
+	mix(b.Tree.Fingerprint())
+	mix(uint64(len(b.Detectors)))
+	for _, d := range b.Detectors {
+		mix(d.Fingerprint())
+	}
+	hosts := make([]string, 0, len(b.Assign))
+	for host := range b.Assign {
+		hosts = append(hosts, host)
+	}
+	sort.Strings(hosts)
+	mix(uint64(len(hosts)))
+	for _, host := range hosts {
+		for i := 0; i < len(host); i++ {
+			h = (h ^ uint64(host[i])) * 1099511628211
+		}
+		mix(uint64(int64(b.Assign[host])))
+	}
+	mix(uint64(len(b.TrainHist)))
+	for _, hist := range b.TrainHist {
+		ids := make([]int, 0, len(hist))
+		for id := range hist {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		mix(uint64(len(ids)))
+		for _, id := range ids {
+			mix(uint64(int64(id)))
+			mix(math.Float64bits(hist[id]))
+		}
+	}
+	return h
 }
 
 // ClusterOf returns the cluster index that scores host: its assignment,
