@@ -55,14 +55,16 @@ bench-smoke:
 # index against a plain map (through republishes and a full table), the
 # RFC 3164 parser
 # against a time.Parse reference, the RFC 6587 octet-count reader against
-# hostile prefixes, and the two persistent-state decoders: the NFVB bundle
-# loader and the NFVC checkpoint restore, each fed its file as is and with
-# the payload reframed under a valid checksum (every input loads into a
-# bundle or monitor that validates and serves, or is refused; none
-# panics). Their seeds are whole files, which the fuzzer would otherwise
-# spend the run minimizing, hence -fuzzminimizetime. `go test -fuzz` takes
-# one target and one package per run. A failing input is written under
-# the package's testdata/fuzz/ and from then on fails plain `go test` too.
+# hostile prefixes, the scenario DSL loader (seeded with every file under
+# scenarios/), and the three persistent-state decoders: the NFVB bundle
+# loader, the NFVC checkpoint restore and the NFVS lifecycle spool, each
+# fed its file as is and with the payload reframed under a valid checksum
+# (every input loads into a bundle, monitor or spool that validates and
+# serves, or is refused; none panics). Their seeds are whole files, which
+# the fuzzer would otherwise spend the run minimizing, hence
+# -fuzzminimizetime. `go test -fuzz` takes one target and one package per
+# run. A failing input is written under the package's testdata/fuzz/ and
+# from then on fails plain `go test` too.
 fuzz-smoke:
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzGemv64$$' -fuzztime 10s
 	$(GO) test ./internal/mat/ -run XXX -fuzz '^FuzzExpNeg$$' -fuzztime 10s
@@ -76,6 +78,8 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
 	$(GO) test ./internal/bundle/ -run XXX -fuzz '^FuzzBundleLoad$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzRestoreMonitor$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/lifecycle/ -run XXX -fuzz '^FuzzLoadSpool$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/scenario/ -run XXX -fuzz '^FuzzSpecLoad$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Reachability: every func in a non-test file of a library package that
 # none of the 10 binaries (cmd/*, examples/*, bench/) links, minus

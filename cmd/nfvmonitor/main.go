@@ -14,10 +14,10 @@
 //
 // With -admin the monitor serves an HTTP observability surface: /metrics
 // (Prometheus text; ?format=json for JSON), /statusz (JSON status snapshot
-// including the serving bundle and last checkpoint), /traces (recent
-// decision traces explaining each anomaly verdict), /healthz + /readyz
-// (503 while degraded, e.g. after a rejected hot reload), and the pprof
-// suite under /debug/pprof/.
+// including the serving bundle and last checkpoint), /spans (recent
+// decision spans; ?anomalous=1 keeps the ones explaining an anomaly
+// verdict), /slo, /healthz + /readyz (503 while degraded, e.g. after a
+// rejected hot reload), and the pprof suite under /debug/pprof/.
 //
 // Usage:
 //
@@ -85,8 +85,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.model, "model", "", "trained bundle from cmd/nfvtrain (empty: bootstrap on simulation); SIGHUP hot-reloads it")
 	fs.StringVar(&o.Checkpoint, "checkpoint", "", "checkpoint file: online state is saved here periodically and restored at startup (empty disables)")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", time.Minute, "how often to write the checkpoint")
-	fs.StringVar(&o.admin, "admin", "", "admin HTTP listen address serving /metrics, /statusz, /traces, /healthz, /readyz, /debug/pprof (empty disables)")
-	fs.IntVar(&o.TraceBuffer, "trace-buffer", d.TraceBuffer, "decision traces retained for /traces")
+	fs.StringVar(&o.admin, "admin", "", "admin HTTP listen address serving /metrics, /statusz, /spans, /slo, /healthz, /readyz, /debug/pprof (empty disables)")
 	fs.IntVar(&o.SpanBuffer, "span-buffer", d.SpanBuffer, "pipeline spans retained for /spans")
 	fs.IntVar(&o.SpanSample, "span-sample", d.SpanSample, "stage-clock sampling: 1 in N accepted messages carries a full span stage breakdown (warnings always get a span); 0 disables sampling — and with it the accept_verdict_latency SLO, which only observes sampled verdicts (/slo marks it inactive)")
 	fs.DurationVar(&o.LatencyBound, "slo-latency", d.LatencyBound, "accept→verdict latency bound for the accept_verdict_latency SLO")
@@ -169,7 +168,6 @@ type statusDoc struct {
 	Checkpoint ckptStatus          `json:"checkpoint"`
 	Monitor    ingest.MonitorStats `json:"monitor"`
 	Ingest     ingest.Stats        `json:"ingest"`
-	Traces     uint64              `json:"traces_total"`
 	Spans      uint64              `json:"spans_total"`
 	SLOs       []obs.SLOStatus     `json:"slos,omitempty"`
 	Lifecycle  *lifecycle.Status   `json:"lifecycle,omitempty"`
@@ -195,7 +193,6 @@ func (a *app) status() any {
 		Checkpoint: c,
 		Monitor:    mst,
 		Ingest:     a.Server.Stats(),
-		Traces:     a.Traces.Total(),
 		Spans:      a.Spans.Total(),
 		SLOs:       a.SLOs.Statuses(),
 		Resilience: resilienceStatus{
@@ -399,7 +396,7 @@ func run(o options) error {
 			admin.Shutdown(sctx)
 		}()
 		a.log.Info("admin surface up", "addr", ln.Addr(),
-			"endpoints", "/metrics /statusz /traces /spans /slo /healthz /readyz /debug/pprof")
+			"endpoints", "/metrics /statusz /spans /slo /healthz /readyz /debug/pprof")
 	}
 
 	// SIGHUP: hot-reload the bundle. A bundle that fails to load or

@@ -71,7 +71,7 @@ func testApp(t *testing.T, lcfg *lifecycle.Config) (*app, *http.ServeMux) {
 		Threshold: 4,
 	}
 	so.UDPAddr, so.TCPAddr = "127.0.0.1:0", "127.0.0.1:0"
-	so.TraceBuffer, so.SpanBuffer, so.SpanSample = 32, 64, 4
+	so.SpanBuffer, so.SpanSample = 96, 4
 	so.Lifecycle = lcfg
 	so.Log = obs.NewLogger(io.Discard, obs.LevelWarn)
 	st, err := serve.New(so)
@@ -166,9 +166,10 @@ func TestAdminHealthFlipsOnRejectedReload(t *testing.T) {
 }
 
 // TestAdminTracesExplainInjectedAnomaly feeds normal traffic plus a
-// synthetic anomaly through the monitor and checks /traces returns a trace
-// that explains the verdict end-to-end: host, score over threshold, and the
-// per-window log-probabilities that produced it.
+// synthetic anomaly through the monitor and checks /spans?anomalous=1
+// returns one decision span that explains the verdict end-to-end: host,
+// score over threshold, and the per-window log-probabilities that produced
+// it.
 func TestAdminTracesExplainInjectedAnomaly(t *testing.T) {
 	a, mux := testApp(t, nil)
 	normal := []string{
@@ -185,51 +186,50 @@ func TestAdminTracesExplainInjectedAnomaly(t *testing.T) {
 	a.Monitor.HandleMessage(logfmt.Message{Time: at, Host: "vpe07", Tag: "rpd",
 		Text: "invalid response from peer chassis-control session 42 retries 3"})
 
-	code, body := get(t, mux, "/traces")
+	code, body := get(t, mux, "/spans?anomalous=1")
 	if code != http.StatusOK {
-		t.Fatalf("/traces: %d %s", code, body)
+		t.Fatalf("/spans?anomalous=1: %d %s", code, body)
 	}
 	var page struct {
-		Total  uint64      `json:"total"`
-		Traces []obs.Trace `json:"traces"`
+		Total uint64     `json:"total"`
+		Spans []obs.Span `json:"spans"`
 	}
 	if err := json.Unmarshal([]byte(body), &page); err != nil {
-		t.Fatalf("decoding /traces: %v\n%s", err, body)
+		t.Fatalf("decoding /spans: %v\n%s", err, body)
 	}
-	if page.Total != 1 || len(page.Traces) != 1 {
-		t.Fatalf("expected one trace, got total=%d len=%d: %s", page.Total, len(page.Traces), body)
+	if len(page.Spans) != 1 || page.Spans[0].Explain == nil {
+		t.Fatalf("expected one explained span, got %d of %d: %s", len(page.Spans), page.Total, body)
 	}
-	tr := page.Traces[0]
-	if tr.Host != "vpe07" || tr.Model != "lstm" || tr.Cluster != 0 {
-		t.Fatalf("trace identity: %+v", tr)
+	tr, ex := page.Spans[0], page.Spans[0].Explain
+	if tr.Kind != obs.KindDecision || tr.Host != "vpe07" || ex.Model != "lstm" || ex.Cluster != 0 {
+		t.Fatalf("trace identity: %+v %+v", tr, ex)
 	}
-	if tr.Threshold != 4 || tr.Score <= tr.Threshold {
-		t.Fatalf("trace does not explain the verdict: score=%v threshold=%v", tr.Score, tr.Threshold)
+	if ex.Threshold != 4 || tr.Score <= ex.Threshold {
+		t.Fatalf("trace does not explain the verdict: score=%v threshold=%v", tr.Score, ex.Threshold)
 	}
-	if len(tr.Window) == 0 {
-		t.Fatalf("trace has no context window: %+v", tr)
+	if len(ex.Window) == 0 {
+		t.Fatalf("trace has no context window: %+v", ex)
 	}
-	last := tr.Window[len(tr.Window)-1]
-	if last.LogProb != -tr.Score || last.Template != tr.Template {
+	last := ex.Window[len(ex.Window)-1]
+	if last.LogProb != -tr.Score || last.Template != tr.Template || !last.Time.Equal(at) {
 		t.Fatalf("window tail does not carry the verdict log-prob: %+v vs %+v", last, tr)
 	}
 	// ?n= caps the result and bad values are rejected.
-	if _, body = get(t, mux, "/traces?n=1"); !strings.Contains(body, "vpe07") {
-		t.Fatalf("/traces?n=1: %s", body)
+	if _, body = get(t, mux, "/spans?anomalous=1&n=1"); !strings.Contains(body, "vpe07") {
+		t.Fatalf("/spans?anomalous=1&n=1: %s", body)
 	}
-	if code, _ = get(t, mux, "/traces?n=bogus"); code != http.StatusBadRequest {
-		t.Fatalf("/traces?n=bogus: %d", code)
+	if code, _ = get(t, mux, "/spans?anomalous=1&n=bogus"); code != http.StatusBadRequest {
+		t.Fatalf("/spans?anomalous=1&n=bogus: %d", code)
 	}
 	// The same verdict is visible on /statusz counters, beside the serving
 	// tree's symbol table.
 	var doc struct {
 		Monitor ingest.MonitorStats `json:"monitor"`
-		Traces  uint64              `json:"traces_total"`
 	}
 	if _, body = get(t, mux, "/statusz"); json.Unmarshal([]byte(body), &doc) != nil {
 		t.Fatalf("decoding /statusz: %s", body)
 	}
-	if doc.Monitor.Anomalies != 1 || doc.Traces != 1 || doc.Monitor.Symbols < 2 || doc.Monitor.SymbolOverflows != 0 {
+	if doc.Monitor.Anomalies != uint64(len(page.Spans)) || doc.Monitor.Symbols < 2 || doc.Monitor.SymbolOverflows != 0 {
 		t.Fatalf("statusz counters: %+v", doc)
 	}
 }
@@ -521,5 +521,62 @@ func TestStatuszNamesServedFile(t *testing.T) {
 	defer second.Close()
 	if got := served(second); got != ckpt+".model" || second.RestoredAt.IsZero() {
 		t.Fatalf("restart: /statusz names %q (restored %v), want %q", got, second.RestoredAt, ckpt+".model")
+	}
+}
+
+// TestRestartTakesThresholdFlag: a restart that serves the generation
+// saved beside the checkpoint scores at the -threshold it was given, and
+// /statusz reports that threshold, not the one the promoting run had.
+func TestRestartTakesThresholdFlag(t *testing.T) {
+	dir := t.TempDir()
+	tree, det := trainServing(t)
+	model := filepath.Join(dir, "model.bundle") // no recommended threshold
+	b := &bundle.Bundle{Tree: tree, Detectors: []*detect.LSTMDetector{det}, Assign: map[string]int{"vpe01": 0}}
+	if err := b.SaveFile(model); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "monitor.ckpt")
+	start := func(threshold string) *app {
+		t.Helper()
+		var o options
+		fs := flag.NewFlagSet("nfvmonitor", flag.ContinueOnError)
+		registerFlags(fs, &o)
+		if err := fs.Parse([]string{"-model", model, "-checkpoint", ckpt, "-udp", "127.0.0.1:0",
+			"-threshold", threshold, "-adapt", "-adapt-interval", "0", "-adapt-gate", "1"}); err != nil {
+			t.Fatal(err)
+		}
+		a, err := newApp(o, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.Close)
+		return a
+	}
+
+	first := start("4")
+	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 1000; i++ {
+		first.Monitor.HandleMessage(logfmt.Message{Time: at, Host: "vpe01", Tag: "rpd",
+			Text: fmt.Sprintf("bgp keepalive exchanged with peer 10.0.0.%d hold 90", i%4)})
+		at = at.Add(30 * time.Second)
+	}
+	if res := first.Lifecycle.TriggerCycle(true); !res.Promoted {
+		t.Fatalf("forced cycle did not promote: %+v", res)
+	}
+	first.saveCheckpoint(ckpt, "test")
+
+	second := start("5.5")
+	if second.ModelFile == "" {
+		t.Fatal("restart did not serve the saved generation")
+	}
+	if got := second.Monitor.Threshold(); got != 5.5 {
+		t.Fatalf("monitor threshold %v after a restart at -threshold 5.5", got)
+	}
+	var doc statusDoc
+	if _, body := get(t, second.AdminMux(second.status), "/statusz"); json.Unmarshal([]byte(body), &doc) != nil {
+		t.Fatalf("decoding /statusz: %s", body)
+	}
+	if doc.Bundle.Threshold != 5.5 {
+		t.Fatalf("/statusz threshold %v after a restart at -threshold 5.5", doc.Bundle.Threshold)
 	}
 }

@@ -61,14 +61,13 @@ func extentOf(s string) extent {
 
 // A listener's batch string lives only as long as its messages. Everything
 // the monitor keeps once a drain is done — the host state and its map key,
-// warnings, decision traces, spans and the hosts the OnScored hook is
-// given — must hold its own copy of the host, never a piece of a batch.
+// warnings, decision spans (explained or not) and the hosts the OnScored
+// hook is given — must hold its own copy of the host, never a piece of a
+// batch.
 func TestBatchStringsAreNotRetained(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	mcfg, _, ring, _ := spanMonitorConfig(t, 1)
 	mcfg.Shards = 2
-	traces := obs.NewTraceRing(1024)
-	mcfg.Traces = traces
 	var hookMu sync.Mutex
 	var hooked []string
 	mcfg.OnScored = func(host string, _ int, _ features.Event, _ float64, _, _ bool) {
@@ -135,9 +134,9 @@ func TestBatchStringsAreNotRetained(t *testing.T) {
 	for _, wn := range warnings {
 		check("warning", wn.VPE)
 	}
-	trs := traces.Filtered(0, "", false)
+	trs := ring.Query(obs.SpanQuery{AnomalousOnly: true})
 	for _, tr := range trs {
-		check("decision trace", tr.Host)
+		check("explained span", tr.Host)
 	}
 	spans := ring.Query(obs.SpanQuery{})
 	for _, s := range spans {

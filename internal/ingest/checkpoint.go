@@ -204,8 +204,8 @@ func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *d
 			return nil, fmt.Errorf("checkpoint: host %q: %w", hw.Host, err)
 		}
 		hs := &hostState{host: hw.Host, det: det, stream: st, seq: m.seq.Add(1)}
-		if m.cfg.Traces != nil {
-			hs.recent = make([]obs.TraceStep, DefaultTraceWindow)
+		if m.cfg.Tracer != nil {
+			hs.recent = new([DefaultTraceWindow]obs.TraceStep)
 		}
 		if hw.HasCluster {
 			hs.cluster = &clusterState{first: hw.First, last: hw.Last, size: hw.Size, reported: hw.Reported}

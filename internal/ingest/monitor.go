@@ -60,15 +60,15 @@ type MonitorConfig struct {
 	// the monitor keeps its counters on a private registry so Stats()
 	// still works.
 	Metrics *obs.Registry
-	// Traces, when set, receives one decision trace per anomaly verdict —
-	// the per-window log-probabilities, template IDs, threshold, and
-	// cluster/model identity that explain the verdict. Nil disables
-	// tracing (and the per-host context windows that feed it).
+	// Traces is ignored: verdicts are explained by the decision spans
+	// Tracer emits. It exists only for bench/ until ROADMAP item 1A
+	// deletes it.
 	Traces *obs.TraceRing
 	// ClusterOf, when set, maps a host to its model's cluster index for
-	// trace identity and the OnScored hook. internal/serve passes
-	// bundle.ClusterOf, the assignment with unmapped hosts at cluster 0,
-	// whose detector scores them; nil reports cluster -1 in traces.
+	// the explanation on anomalous spans and the OnScored hook.
+	// internal/serve passes bundle.ClusterOf, the assignment with unmapped
+	// hosts at cluster 0, whose detector scores them; nil reports cluster
+	// -1 in explanations.
 	// SwapModel replaces it with the new bundle's ClusterOf.
 	ClusterOf func(host string) int
 
@@ -77,9 +77,11 @@ type MonitorConfig struct {
 	// frame accept) — or stamped here for direct HandleMessage callers —
 	// emit a decision span into the tracer's ring. Sampled messages carry
 	// full stage clocks (queue wait, sigtree, wait within the drain, score,
-	// verdict);
-	// a warning verdict on an unsampled message still emits a span with
-	// the total latency only. Nil disables tracing: scoring pays one
+	// verdict). Every anomalous verdict emits a span carrying its
+	// Explanation (cluster, model, threshold, the host's last
+	// DefaultTraceWindow scored messages, anomaly cluster size), with the
+	// total latency only when the message was not sampled; each host keeps
+	// its context window for it. Nil disables tracing: scoring pays one
 	// branch and zero clock reads.
 	Tracer *obs.Tracer
 	// LatencySLO, when set, records one good/bad event per traced scored
@@ -110,9 +112,10 @@ type MonitorConfig struct {
 // hosts. The paper's fleet is ~2.5k vPEs; 8192 leaves generous headroom.
 const DefaultMaxHosts = 8192
 
-// DefaultTraceWindow is how many recent messages of context each decision
-// trace carries, the flagged one included: enough to see the §5.1
-// one-minute anomaly cluster forming without bloating the ring.
+// DefaultTraceWindow is how many recent messages of context an anomalous
+// decision span's explanation carries, the flagged one included: enough to
+// see the §5.1 one-minute anomaly cluster forming without bloating the
+// ring.
 const DefaultTraceWindow = 8
 
 // DefaultShardQueue bounds each shard's async ingest queue, a ring of this
@@ -282,10 +285,10 @@ type hostState struct {
 	seq uint64
 
 	// recent is a fixed ring of the host's latest scored messages, the
-	// context window copied into a decision trace when a verdict fires.
-	// Only maintained when tracing is enabled.
-	recent []obs.TraceStep
-	nSeen  int // total steps recorded into recent
+	// context window copied into an anomalous verdict's explanation. Only
+	// maintained when a tracer is set.
+	recent *[DefaultTraceWindow]obs.TraceStep
+	nSeen  uint // total steps recorded into recent
 }
 
 // clusterState tracks the in-progress anomaly cluster of one vPE.
@@ -567,21 +570,29 @@ func (m *Monitor) Stop() {
 
 // record appends one scored message to the host's fixed context ring.
 func (hs *hostState) record(step obs.TraceStep) {
-	hs.recent[hs.nSeen%len(hs.recent)] = step
+	hs.recent[hs.nSeen%DefaultTraceWindow] = step
 	hs.nSeen++
 }
 
-// window copies the host's context ring out, oldest first.
-func (hs *hostState) window() []obs.TraceStep {
-	n := hs.nSeen
-	if n > len(hs.recent) {
-		n = len(hs.recent)
+// explanation is an Explanation and its window's storage: the shard's
+// scratch for the verdict in hand, which the span ring copies.
+type explanation struct {
+	obs.Explanation
+	steps [DefaultTraceWindow]obs.TraceStep
+}
+
+// explain fills e with the explanation of the host's latest verdict, the
+// context ring copied out oldest first.
+func (hs *hostState) explain(e *explanation, cluster int, threshold float64, size int) *obs.Explanation {
+	n := min(hs.nSeen, DefaultTraceWindow)
+	for i := uint(0); i < n; i++ {
+		e.steps[i] = hs.recent[(hs.nSeen-n+i)%DefaultTraceWindow]
 	}
-	out := make([]obs.TraceStep, n)
-	for i := 0; i < n; i++ {
-		out[i] = hs.recent[(hs.nSeen-n+i)%len(hs.recent)]
+	e.Explanation = obs.Explanation{
+		Cluster: cluster, Model: hs.det.Name(), Threshold: threshold,
+		Window: e.steps[:n], ClusterSize: size,
 	}
-	return out
+	return &e.Explanation
 }
 
 // SwapModel atomically installs b as the serving model — signature tree,

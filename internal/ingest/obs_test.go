@@ -12,22 +12,21 @@ import (
 )
 
 // TestMonitorDecisionTrace injects a synthetic anomaly into a monitor with
-// tracing enabled and checks the resulting trace explains the verdict: the
-// flagged template, the score vs. threshold that produced it, the
-// per-window log-probabilities of the preceding context, and the
+// tracing enabled and checks the resulting decision span explains the
+// verdict: the flagged template, the score vs. threshold that produced
+// it, the per-window log-probabilities of the preceding context, and the
 // cluster/model identity.
 func TestMonitorDecisionTrace(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	reg := obs.NewRegistry()
-	ring := obs.NewTraceRing(16)
 	mcfg := DefaultMonitorConfig()
 	mcfg.Threshold = 4
 	mcfg.Metrics = reg
-	mcfg.Traces = ring
 	mcfg.ClusterOf = func(host string) int { return 3 }
 	spans := obs.NewSpanRing(128)
 	mcfg.Tracer = obs.NewTracer(spans, 1, 4)
 	mon := NewMonitor(mcfg, tree, det, nil)
+	anomalous := func() []obs.Span { return spans.Query(obs.SpanQuery{AnomalousOnly: true}) }
 
 	normal := []string{
 		"bgp keepalive exchanged with peer 10.0.0.2 hold 90",
@@ -43,56 +42,62 @@ func TestMonitorDecisionTrace(t *testing.T) {
 		mon.HandleMessage(mk(normal[i%len(normal)], at))
 		at = at.Add(30 * time.Second)
 	}
-	if ring.Total() != 0 {
-		t.Fatalf("traces during normal traffic: %+v", ring.Filtered(0, "", false))
+	for _, s := range spans.Query(obs.SpanQuery{}) {
+		if s.Anomalous || s.Explain != nil || !s.Sampled {
+			t.Fatalf("normal traffic left an explained or unsampled span: %+v", s)
+		}
 	}
 
 	mon.HandleMessage(mk("invalid response from peer chassis-control session 42 retries 3", at))
-	traces := ring.Filtered(0, "", false)
-	if len(traces) != 1 {
-		t.Fatalf("expected one trace, got %d", len(traces))
+	traces := anomalous()
+	if len(traces) != 1 || traces[0].Explain == nil {
+		t.Fatalf("expected one explained span, got %+v", traces)
 	}
-	tr := traces[0]
-	if tr.Host != "vpe07" || tr.Cluster != 3 || tr.Model != "lstm" {
-		t.Fatalf("trace identity: %+v", tr)
+	tr, ex := traces[0], traces[0].Explain
+	if tr.Kind != obs.KindDecision || tr.Host != "vpe07" || ex.Cluster != 3 || ex.Model != "lstm" {
+		t.Fatalf("trace identity: %+v %+v", tr, ex)
 	}
-	if tr.Threshold != 4 || tr.Score <= tr.Threshold {
-		t.Fatalf("trace score/threshold: score=%v threshold=%v", tr.Score, tr.Threshold)
+	if ex.Threshold != 4 || tr.Score <= ex.Threshold {
+		t.Fatalf("trace score/threshold: score=%v threshold=%v", tr.Score, ex.Threshold)
 	}
-	if len(tr.Window) != DefaultTraceWindow {
-		t.Fatalf("trace window length = %d, want %d", len(tr.Window), DefaultTraceWindow)
+	if len(ex.Window) != DefaultTraceWindow {
+		t.Fatalf("trace window length = %d, want %d", len(ex.Window), DefaultTraceWindow)
 	}
 	// The window ends with the flagged message itself: its log-prob is the
-	// negated score, its template the flagged template.
-	last := tr.Window[len(tr.Window)-1]
-	if last.Template != tr.Template || last.LogProb != -tr.Score {
+	// negated score, its template the flagged template, its time the
+	// message's.
+	last := ex.Window[len(ex.Window)-1]
+	if last.Template != tr.Template || last.LogProb != -tr.Score || !last.Time.Equal(at) {
 		t.Fatalf("window tail does not match verdict: %+v vs %+v", last, tr)
 	}
 	// The context steps are the well-predicted normal messages.
-	for _, step := range tr.Window[:len(tr.Window)-1] {
-		if -step.LogProb > tr.Threshold {
+	for _, step := range ex.Window[:len(ex.Window)-1] {
+		if -step.LogProb > ex.Threshold {
 			t.Fatalf("context step scored above threshold: %+v", step)
 		}
 	}
-	if tr.ClusterSize != 1 || tr.Warning {
-		t.Fatalf("first anomaly should open a cluster of 1: %+v", tr)
+	if ex.ClusterSize != 1 || tr.Warning {
+		t.Fatalf("first anomaly should open a cluster of 1: %+v %+v", tr, ex)
 	}
 
 	// Two more anomalies within the window: the warning-tipping verdict is
-	// marked on its trace.
+	// marked on its span.
 	for i := 0; i < 2; i++ {
 		at = at.Add(15 * time.Second)
 		mon.HandleMessage(mk("invalid response from peer chassis-control session 42 retries 3", at))
 	}
-	var tipped *obs.Trace
-	for _, cand := range ring.Filtered(0, "", false) {
+	var tipped *obs.Span
+	for _, cand := range anomalous() {
 		if cand.Warning {
 			c := cand
 			tipped = &c
 		}
 	}
-	if tipped == nil || tipped.ClusterSize != detect.DefaultMinClusterSize {
-		t.Fatalf("warning-tipping verdict not marked in traces: %+v", ring.Filtered(0, "", false))
+	if tipped == nil || tipped.Explain.ClusterSize != detect.DefaultMinClusterSize {
+		t.Fatalf("warning-tipping verdict not marked in spans: %+v", anomalous())
+	}
+	if got := len(anomalous()); got != 3 {
+		t.Fatalf("%d explained spans for 3 anomalous verdicts", got)
 	}
 
 	// The registry exports the same numbers Stats() reports — one set of
@@ -171,13 +176,13 @@ func TestServerStatsOnRegistry(t *testing.T) {
 }
 
 // TestMonitorTraceWindowSurvivesCheckpoint ensures a restored monitor keeps
-// tracing: restored hosts get fresh context rings sized by the restoring
-// config.
+// explaining verdicts: restored hosts get fresh context rings sized by the
+// restoring config.
 func TestMonitorTraceWindowSurvivesCheckpoint(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	mcfg := DefaultMonitorConfig()
 	mcfg.Threshold = 4
-	mcfg.Traces = obs.NewTraceRing(8)
+	mcfg.Tracer = obs.NewTracer(obs.NewSpanRing(8), 0, 1)
 	mon := NewMonitor(mcfg, tree, det, nil)
 	mk := func(text string, at time.Time) logfmt.Message {
 		return logfmt.Message{Time: at, Host: "vpe07", Tag: "rpd", Text: text}
@@ -192,16 +197,16 @@ func TestMonitorTraceWindowSurvivesCheckpoint(t *testing.T) {
 	if err := mon.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ring2 := obs.NewTraceRing(8)
+	ring2 := obs.NewSpanRing(8)
 	rcfg := mcfg
-	rcfg.Traces = ring2
+	rcfg.Tracer = obs.NewTracer(ring2, 0, 1)
 	restored, err := RestoreMonitor(bytes.NewReader(buf.Bytes()), rcfg, func(string) *detect.LSTMDetector { return det }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored.HandleMessage(mk("invalid response from peer chassis-control session 42 retries 3", at))
-	traces := ring2.Filtered(0, "", false)
-	if len(traces) != 1 || len(traces[0].Window) == 0 {
+	traces := ring2.Query(obs.SpanQuery{AnomalousOnly: true})
+	if len(traces) != 1 || traces[0].Explain == nil || len(traces[0].Explain.Window) == 0 {
 		t.Fatalf("restored monitor did not trace: %+v", traces)
 	}
 }

@@ -57,6 +57,9 @@ type shard struct {
 	// owned by the shard and guarded by mu because sync callers are many.
 	// The worker brings its own (see drainBuf).
 	sync drainBuf
+	// ex holds the explanation of the anomalous verdict in hand until the
+	// tracer's ring has copied it.
+	ex explanation
 }
 
 // shardQueue is a shard's bounded async queue: a ring of messages under one
@@ -188,9 +191,9 @@ type spanInfo struct {
 }
 
 // afterScore is everything downstream of a score: the score histogram, the
-// trace context ring, the threshold check, anomaly clustering, the OnScored
-// hook, the decision trace, the latency SLO, and the decision span. Caller
-// holds sh.mu.
+// context window, the threshold check, anomaly clustering, the OnScored
+// hook, an anomaly's explanation, the latency SLO, and the decision span.
+// Caller holds sh.mu.
 func (sh *shard) afterScore(msg *logfmt.Message, tplID int, hs *hostState, score float64, sp *spanInfo) {
 	m := sh.m
 	if msg.Trace.Sampled {
@@ -198,7 +201,7 @@ func (sh *shard) afterScore(msg *logfmt.Message, tplID int, hs *hostState, score
 	} else {
 		m.scoreHist.Observe(score)
 	}
-	if m.cfg.Traces != nil {
+	if m.cfg.Tracer != nil {
 		hs.record(obs.TraceStep{Time: msg.Time, Template: tplID, LogProb: -score})
 	}
 	anomalous := score > sh.threshold
@@ -212,37 +215,28 @@ func (sh *shard) afterScore(msg *logfmt.Message, tplID int, hs *hostState, score
 			features.Event{Time: msg.Time, Template: tplID}, score, anomalous,
 			anomalous && size >= detect.DefaultMinClusterSize)
 	}
-	if anomalous && m.cfg.Traces != nil {
+	var ex *obs.Explanation
+	if anomalous && m.cfg.Tracer != nil {
 		cluster := -1
 		if sh.clusterOf != nil {
 			cluster = sh.clusterOf(msg.Host)
 		}
-		m.cfg.Traces.Add(obs.Trace{
-			Time:        msg.Time,
-			Host:        msg.Host,
-			Cluster:     cluster,
-			Model:       hs.det.Name(),
-			Template:    tplID,
-			Score:       score,
-			Threshold:   sh.threshold,
-			Window:      hs.window(),
-			ClusterSize: size,
-			Warning:     warned,
-		})
+		ex = hs.explain(&sh.ex, cluster, sh.threshold, size)
 	}
-	sh.finishSpan(msg, tplID, score, anomalous, warned, sp)
+	sh.finishSpan(msg, tplID, score, anomalous, warned, ex, sp)
 }
 
 // finishSpan closes one verdict's telemetry. A sampled message records the
 // latency SLO event, its monitor_handle_seconds observation and a decision
 // span with the full stage breakdown, the verdict stage running from
-// scoreEnd to now. An unsampled warning still emits a span
-// (always-sample-on-warning) carrying the total only, since its stage
-// clocks were never started. Caller holds sh.mu.
-func (sh *shard) finishSpan(msg *logfmt.Message, tplID int, score float64, anomalous, warned bool, sp *spanInfo) {
+// scoreEnd to now. An anomalous verdict's span carries its explanation ex
+// (nil without a tracer) and is emitted sampled or not; an unsampled one
+// carries the total only, since its stage clocks were never started.
+// Caller holds sh.mu.
+func (sh *shard) finishSpan(msg *logfmt.Message, tplID int, score float64, anomalous, warned bool, ex *obs.Explanation, sp *spanInfo) {
 	m := sh.m
 	tr := &msg.Trace
-	if !tr.Sampled && (!warned || tr.ID == 0 || m.cfg.Tracer == nil) {
+	if !tr.Sampled && ex == nil {
 		return
 	}
 	s := obs.Span{
@@ -255,8 +249,10 @@ func (sh *shard) finishSpan(msg *logfmt.Message, tplID int, score float64, anoma
 		Anomalous: anomalous,
 		Warning:   warned,
 		Sampled:   tr.Sampled,
+		Explain:   ex,
 	}
-	if tr.Sampled {
+	switch {
+	case tr.Sampled:
 		// The latency objective and the handle histogram ride the sampling
 		// decision: 1-in-N verdicts are measured, which keeps the unsampled
 		// hot path free of clock reads and still feeds the burn windows
@@ -274,12 +270,10 @@ func (sh *shard) finishSpan(msg *logfmt.Message, tplID int, score float64, anoma
 		s.TotalNS = int64(end.Sub(tr.Accept))
 		inShard := s.Stages.SigtreeNS + s.Stages.BatchNS + s.Stages.ScoreNS + s.Stages.VerdictNS
 		m.handleSeconds.ObserveExemplar(time.Duration(inShard).Seconds(), s.TraceID)
-	} else {
+	case tr.ID != 0:
 		s.TotalNS = int64(time.Since(tr.Accept))
 	}
-	if m.cfg.Tracer != nil {
-		m.cfg.Tracer.Emit(s)
-	}
+	m.cfg.Tracer.Emit(s)
 }
 
 // clusterIndex maps a host to its model cluster for the OnScored hook:
@@ -319,8 +313,8 @@ func (sh *shard) hostFor(host string) *hostState {
 		return nil // detector not trained yet
 	}
 	hs := &hostState{host: strings.Clone(host), det: det, stream: st, seq: m.seq.Add(1)}
-	if m.cfg.Traces != nil {
-		hs.recent = make([]obs.TraceStep, DefaultTraceWindow)
+	if m.cfg.Tracer != nil {
+		hs.recent = new([DefaultTraceWindow]obs.TraceStep)
 	}
 	sh.hosts[hs.host] = sh.lru.PushFront(hs)
 	for sh.lru.Len() > sh.maxHosts {
@@ -507,8 +501,7 @@ func (sh *shard) process(b *drainBuf) {
 		}
 		// msg.Host may be cut from a listener's batch string: from here on
 		// the message names its host by the state's own copy, so the
-		// traces, spans and OnScored hook fed from it never keep a batch
-		// alive.
+		// spans and OnScored hook fed from it never keep a batch alive.
 		msg.Host = hs.host
 		var sp spanInfo
 		var stepStart time.Time

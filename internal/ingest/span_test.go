@@ -150,9 +150,10 @@ func TestMonitorDecisionSpansSync(t *testing.T) {
 	}
 }
 
-// TestMonitorWarningAlwaysSpanned pins always-sample-on-warning: with
-// sampling off (n=0), routine verdicts emit no spans but every warning
-// still gets one, carrying the total latency without a stage breakdown.
+// TestMonitorWarningAlwaysSpanned pins always-sample-on-anomaly: with
+// sampling off (n=0), routine verdicts emit no spans but every anomalous
+// verdict, each warning among them, still gets one, carrying its
+// explanation and the total latency without a stage breakdown.
 func TestMonitorWarningAlwaysSpanned(t *testing.T) {
 	tree, det := trainMonitorDetector(t)
 	resolve := func(string) *detect.LSTMDetector { return det }
@@ -162,23 +163,31 @@ func TestMonitorWarningAlwaysSpanned(t *testing.T) {
 	for _, m := range monitorTraffic([]string{"vpe01"}, 40) {
 		mon.HandleMessage(m)
 	}
-	if mon.Stats().Warnings == 0 {
+	st := mon.Stats()
+	if st.Warnings == 0 {
 		t.Fatal("traffic produced no warnings")
 	}
 	spans := ring.Query(obs.SpanQuery{})
-	if len(spans) == 0 {
-		t.Fatal("warnings emitted no spans with sampling off")
+	if uint64(len(spans)) != st.Anomalies {
+		t.Fatalf("%d spans with sampling off, %d anomalous verdicts", len(spans), st.Anomalies)
 	}
+	warned := 0
 	for _, s := range spans {
-		if !s.Warning || s.Sampled {
-			t.Fatalf("unsampled ring should hold only warning spans: %+v", s)
+		if !s.Anomalous || s.Explain == nil || s.Sampled {
+			t.Fatalf("unsampled ring should hold only explained anomalous spans: %+v", s)
 		}
 		if s.TotalNS <= 0 {
-			t.Fatalf("warning span without total: %+v", s)
+			t.Fatalf("anomalous span without total: %+v", s)
 		}
 		if s.Stages.Sum() != 0 {
 			t.Fatalf("unsampled span carries stages: %+v", s.Stages)
 		}
+		if s.Warning {
+			warned++
+		}
+	}
+	if uint64(warned) != st.Warnings {
+		t.Fatalf("%d warning spans, %d warnings", warned, st.Warnings)
 	}
 }
 

@@ -63,15 +63,16 @@ func testBundle(t testing.TB) (*bundle.Bundle, *sigtree.Tree) {
 
 // buildStack wires a Manager and a Monitor together the way nfvmonitor
 // does: manager first (the monitor config needs Observe), then Attach.
-// traces, when set, receives the monitor's decision traces.
-func buildStack(t testing.TB, lcfg Config, sb *bundle.Bundle, tree *sigtree.Tree, traces ...*obs.TraceRing) (*Manager, *ingest.Monitor) {
+// spans, when set, receives the monitor's decision spans (stage clocks
+// off, so only anomalous verdicts emit).
+func buildStack(t testing.TB, lcfg Config, sb *bundle.Bundle, tree *sigtree.Tree, spans ...*obs.SpanRing) (*Manager, *ingest.Monitor) {
 	lm := New(lcfg, sb)
 	mcfg := ingest.DefaultMonitorConfig()
 	mcfg.Threshold = sb.Threshold
 	mcfg.ClusterOf = sb.ClusterOf
 	mcfg.OnScored = lm.Observe
-	if len(traces) > 0 {
-		mcfg.Traces = traces[0]
+	if len(spans) > 0 {
+		mcfg.Tracer = obs.NewTracer(spans[0], 0, 1)
 	}
 	mon := ingest.NewMonitorWithResolver(mcfg, tree, sb.DetectorFor, nil)
 	lm.Attach(mon)
@@ -254,12 +255,12 @@ func TestGateRejectsBadCandidate(t *testing.T) {
 }
 
 // TestGenerationsKeepClusterMapping: a promotion or a rollback replaces
-// detectors, never the host→cluster assignment, so a decision trace for a
-// host the assignment does not name reports cluster 0 — the cluster whose
-// detector scores it — before and after either.
+// detectors, never the host→cluster assignment, so the explanation of an
+// anomaly on a host the assignment does not name reports cluster 0 — the
+// cluster whose detector scores it — before and after either.
 func TestGenerationsKeepClusterMapping(t *testing.T) {
 	sb, tree := testBundle(t)
-	ring := obs.NewTraceRing(64)
+	ring := obs.NewSpanRing(64)
 	lm, mon := buildStack(t, testLifecycleConfig(), sb, tree, ring)
 	at := feedNormal(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	traceCluster := func(when string) {
@@ -267,13 +268,17 @@ func TestGenerationsKeepClusterMapping(t *testing.T) {
 		at = feedNormal(mon, "vpe99", 8, at)
 		mon.HandleMessage(logfmt.Message{Time: at, Host: "vpe99", Tag: "rpd",
 			Text: "invalid response from peer chassis-control session 42 retries 3"})
-		traces := ring.Filtered(1, "vpe99", false)
-		if len(traces) == 0 || !traces[0].Time.Equal(at) {
-			t.Fatalf("%s: the anomaly left no trace: %+v", when, traces)
+		traces := ring.Query(obs.SpanQuery{N: 1, Host: "vpe99", AnomalousOnly: true})
+		if len(traces) == 0 {
+			t.Fatalf("%s: the anomaly left no trace", when)
+		}
+		ex := traces[0].Explain
+		if tail := ex.Window[len(ex.Window)-1]; !tail.Time.Equal(at) {
+			t.Fatalf("%s: the newest explained anomaly is not this one: %+v", when, tail)
 		}
 		at = at.Add(time.Hour)
-		if traces[0].Cluster != 0 {
-			t.Fatalf("%s: unmapped host traced at cluster %d, want 0", when, traces[0].Cluster)
+		if ex.Cluster != 0 {
+			t.Fatalf("%s: unmapped host traced at cluster %d, want 0", when, ex.Cluster)
 		}
 	}
 	traceCluster("before any promotion")

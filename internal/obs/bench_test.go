@@ -56,13 +56,14 @@ func BenchmarkRegistryHistogramTimed(b *testing.B) {
 	}
 }
 
-func BenchmarkRegistryTraceRingAdd(b *testing.B) {
-	ring := NewTraceRing(256)
-	tr := Trace{Host: "vpe01", Score: 7, Threshold: 6, Time: time.Now()}
+func BenchmarkRegistrySpanRingAdd(b *testing.B) {
+	ring := NewSpanRing(768)
+	sp := Span{Kind: KindDecision, Host: "vpe01", Score: 7, Anomalous: true, Time: time.Now(),
+		Explain: &Explanation{Threshold: 6, Window: make([]TraceStep, 8)}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ring.Add(tr)
+		ring.Add(sp)
 	}
 }
 

@@ -132,18 +132,17 @@ func (h *Health) Degradations() []Condition {
 }
 
 // AdminConfig assembles the admin surface. Any field may be nil/zero; the
-// corresponding endpoint degrades gracefully (empty metrics, empty traces,
+// corresponding endpoint degrades gracefully (empty metrics, empty spans,
 // always-ready health, `{}` status).
 type AdminConfig struct {
 	// Registry backs /metrics (Prometheus text; ?format=json for the JSON
 	// exposition).
 	Registry *Registry
-	// Traces backs /traces (?n=50 limits the count, newest first;
-	// ?host= and ?warnings=1 filter).
-	Traces *TraceRing
-	// Spans backs /spans (?n=, ?host=, ?warnings=1, ?trace=<hex id>,
-	// ?kind= filters, newest first) — the stage-latency counterpart of
-	// /traces, and the resolver for histogram exemplar trace IDs.
+	// Spans backs /spans (newest first; ?n= limits the count, ?host=,
+	// ?warnings=1, ?anomalous=1, ?trace=<hex id> and ?kind= filter): the
+	// decision spans that explain anomalous verdicts and decompose
+	// latency, the maintenance spans, and the resolver for histogram
+	// exemplar trace IDs.
 	Spans *SpanRing
 	// SLO backs /slo: every objective's multi-window burn evaluation.
 	SLO *SLOSet
@@ -189,8 +188,8 @@ func wantsOpenMetrics(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
 }
 
-// NewAdminMux builds the admin HTTP handler: /metrics, /statusz, /traces,
-// /spans, /slo, /healthz, /readyz, and the pprof suite under
+// NewAdminMux builds the admin HTTP handler: /metrics, /statusz, /spans,
+// /slo, /healthz, /readyz, and the pprof suite under
 // /debug/pprof/. It is its own mux (never http.DefaultServeMux) so
 // importing this package does not leak handlers into unrelated servers.
 func NewAdminMux(cfg AdminConfig) *http.ServeMux {
@@ -223,25 +222,6 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 		}
 	})
 
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		n, ok := queryCount(w, q.Get("n"), "traces")
-		if !ok {
-			return
-		}
-		traces := cfg.Traces.Filtered(n, q.Get("host"), boolParam(q.Get("warnings")))
-		if traces == nil {
-			traces = []Trace{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Total  uint64  `json:"total"`
-			Traces []Trace `json:"traces"`
-		}{cfg.Traces.Total(), traces})
-	})
-
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		n, ok := queryCount(w, q.Get("n"), "spans")
@@ -249,10 +229,11 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 			return
 		}
 		sq := SpanQuery{
-			N:            n,
-			Host:         q.Get("host"),
-			WarningsOnly: boolParam(q.Get("warnings")),
-			Kind:         q.Get("kind"),
+			N:             n,
+			Host:          q.Get("host"),
+			WarningsOnly:  boolParam(q.Get("warnings")),
+			AnomalousOnly: boolParam(q.Get("anomalous")),
+			Kind:          q.Get("kind"),
 		}
 		if t := q.Get("trace"); t != "" {
 			if sq.TraceID = ParseSpanID(t); sq.TraceID == 0 {

@@ -11,26 +11,25 @@ import (
 )
 
 // TestAdminMuxSpansAndSLO covers the span/SLO half of the admin surface:
-// /spans with its filter set (?n=, ?host=, ?warnings=1, ?trace=, ?kind=),
-// the /traces filters that arrived with it, and /slo.
+// /spans with its filter set (?n=, ?host=, ?warnings=1, ?anomalous=1,
+// ?trace=, ?kind=) and their combinations, and /slo.
 func TestAdminMuxSpansAndSLO(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
 	spans := NewSpanRing(16)
 	spans.Add(Span{TraceID: 0x10, Kind: KindDecision, Host: "vpe01", Sampled: true,
 		TotalNS: 1000, Stages: StageDurations{QueueNS: 400, SigtreeNS: 300, ScoreNS: 200, VerdictNS: 100}})
-	spans.Add(Span{TraceID: 0x11, Kind: KindDecision, Host: "vpe02", Warning: true, TotalNS: 900})
+	spans.Add(Span{TraceID: 0x11, Kind: KindDecision, Host: "vpe02", Anomalous: true, Warning: true, TotalNS: 900,
+		Explain: &Explanation{Threshold: 6, ClusterSize: 2}})
 	spans.Add(Span{TraceID: 0x12, Kind: KindCheckpoint, Sampled: true, TotalNS: 5000,
 		Stages: StageDurations{CheckpointNS: 5000}})
-
-	traces := NewTraceRing(8)
-	traces.Add(Trace{Host: "vpe01", Score: 2})
-	traces.Add(Trace{Host: "vpe02", Score: 9, Warning: true})
+	spans.Add(Span{TraceID: 0x13, Kind: KindDecision, Host: "vpe02", Anomalous: true, TotalNS: 800,
+		Explain: &Explanation{Threshold: 6, ClusterSize: 1}})
 
 	slos := NewSLOSet()
 	lat := slos.Add(SLOConfig{Name: "accept_verdict_latency", Target: 0.99, NowNS: clk.now})
 	lat.RecordN(50, 50)
 
-	mux := NewAdminMux(AdminConfig{Traces: traces, Spans: spans, SLO: slos})
+	mux := NewAdminMux(AdminConfig{Spans: spans, SLO: slos})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -61,10 +60,10 @@ func TestAdminMuxSpansAndSLO(t *testing.T) {
 		return doc.Total, doc.Spans
 	}
 
-	if total, sp := getSpans("/spans"); total != 3 || len(sp) != 3 || sp[0].TraceID != 0x12 {
+	if total, sp := getSpans("/spans"); total != 4 || len(sp) != 4 || sp[0].TraceID != 0x13 {
 		t.Fatalf("/spans = total %d, %+v", total, sp)
 	}
-	if _, sp := getSpans("/spans?n=1"); len(sp) != 1 || sp[0].Kind != KindCheckpoint {
+	if _, sp := getSpans("/spans?n=2"); len(sp) != 2 || sp[1].Kind != KindCheckpoint {
 		t.Fatalf("/spans?n=1 = %+v", sp)
 	}
 	if _, sp := getSpans("/spans?host=vpe01"); len(sp) != 1 || sp[0].TraceID != 0x10 {
@@ -72,6 +71,9 @@ func TestAdminMuxSpansAndSLO(t *testing.T) {
 	}
 	if _, sp := getSpans("/spans?warnings=1"); len(sp) != 1 || sp[0].TraceID != 0x11 {
 		t.Fatalf("warnings filter = %+v", sp)
+	}
+	if _, sp := getSpans("/spans?anomalous=1"); len(sp) != 2 || sp[0].TraceID != 0x13 || sp[1].Explain.ClusterSize != 2 {
+		t.Fatalf("anomalous filter = %+v", sp)
 	}
 	if _, sp := getSpans("/spans?kind=checkpoint"); len(sp) != 1 || sp[0].Stages.CheckpointNS != 5000 {
 		t.Fatalf("kind filter = %+v", sp)
@@ -88,26 +90,16 @@ func TestAdminMuxSpansAndSLO(t *testing.T) {
 		t.Fatalf("bad n should 400, got %d", code)
 	}
 
-	// /traces filters ride the same query grammar.
-	code, body := get("/traces?host=vpe02&warnings=1")
-	if code != 200 {
-		t.Fatalf("/traces filter: %d", code)
+	// Filters combine: one host's warning-tipping verdicts.
+	if _, sp := getSpans("/spans?host=vpe02&warnings=1"); len(sp) != 1 || sp[0].Host != "vpe02" || !sp[0].Warning {
+		t.Fatalf("host+warnings filter = %+v", sp)
 	}
-	var tdoc struct {
-		Traces []Trace `json:"traces"`
-	}
-	if err := json.Unmarshal([]byte(body), &tdoc); err != nil {
-		t.Fatal(err)
-	}
-	if len(tdoc.Traces) != 1 || tdoc.Traces[0].Host != "vpe02" || !tdoc.Traces[0].Warning {
-		t.Fatalf("/traces filter = %+v", tdoc.Traces)
-	}
-	if code, body := get("/traces?warnings=0"); code != 200 || !strings.Contains(body, "vpe01") {
-		t.Fatalf("warnings=0 should not filter: %d\n%s", code, body)
+	if _, sp := getSpans("/spans?anomalous=0"); len(sp) != 4 {
+		t.Fatalf("anomalous=0 should not filter: %+v", sp)
 	}
 
 	// /slo: the objective's multi-window evaluation, burning at ratio 0.5.
-	code, body = get("/slo")
+	code, body := get("/slo")
 	if code != 200 {
 		t.Fatalf("/slo: %d", code)
 	}

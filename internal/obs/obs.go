@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, and fixed-bucket histograms
-// with Prometheus-text and JSON exposition), a ring-buffer decision trace
-// that explains anomaly verdicts after the fact, a leveled key=value
-// logger, and an HTTP admin surface (metrics, status, traces, health,
+// with Prometheus-text and JSON exposition), a span ring whose decision
+// spans explain anomaly verdicts after the fact, a leveled key=value
+// logger, and an HTTP admin surface (metrics, status, spans, health,
 // pprof).
 //
 // The paper's system is a *runtime* predictor operating beside reactive
@@ -13,10 +13,10 @@
 // bookkeeping.
 //
 // Cost model: all metric handles are nil-safe. A nil *Counter, *Gauge,
-// *Histogram, or *TraceRing turns every operation into a branch-and-return
-// — zero allocations, no atomics, no clock reads — so hot paths can be
-// instrumented unconditionally and pay only when a registry is actually
-// attached. A nil *Registry returns nil handles from every constructor.
+// *Histogram, *SpanRing or *Tracer turns every operation into a
+// branch-and-return — zero allocations, no atomics, no clock reads — so
+// hot paths can be instrumented unconditionally and pay only when a
+// registry is actually attached. A nil *Registry returns nil handles from every constructor.
 package obs
 
 import (

@@ -145,7 +145,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c := r.Counter("c", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", []float64{1})
-	var ring *TraceRing
+	var ring *SpanRing
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must return nil handles")
 	}
@@ -157,7 +157,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g.SetTime(time.Now())
 	h.Observe(1)
 	h.ObserveDuration(h.Start())
-	ring.Add(Trace{})
+	ring.Add(Span{})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || ring.Total() != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
@@ -167,8 +167,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if b, cs := h.Buckets(); b != nil || cs != nil {
 		t.Fatal("nil histogram Buckets must be nil")
 	}
-	if ring.Filtered(5, "", false) != nil {
-		t.Fatal("nil ring Filtered must be nil")
+	if ring.Query(SpanQuery{N: 5}) != nil {
+		t.Fatal("nil ring Query must be nil")
 	}
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
@@ -277,42 +277,16 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-func TestTraceRing(t *testing.T) {
-	ring := NewTraceRing(3)
-	if got := ring.Filtered(0, "", false); len(got) != 0 {
-		t.Fatalf("empty ring Recent = %v", got)
-	}
-	for i := 1; i <= 5; i++ {
-		ring.Add(Trace{Host: "vpe", Score: float64(i)})
-	}
-	if ring.Total() != 5 {
-		t.Fatalf("total = %d", ring.Total())
-	}
-	got := ring.Filtered(0, "", false)
-	if len(got) != 3 {
-		t.Fatalf("recent len = %d", len(got))
-	}
-	// Newest first, sequence numbers stamped in order.
-	for i, tr := range got {
-		if wantScore := float64(5 - i); tr.Score != wantScore || tr.Seq != uint64(5-i) {
-			t.Fatalf("recent[%d] = %+v", i, tr)
-		}
-	}
-	if got := ring.Filtered(1, "", false); len(got) != 1 || got[0].Seq != 5 {
-		t.Fatalf("recent(1) = %+v", got)
-	}
-}
-
-func TestTraceRingConcurrent(t *testing.T) {
-	ring := NewTraceRing(64)
+func TestSpanRingConcurrent(t *testing.T) {
+	ring := NewSpanRing(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				ring.Add(Trace{})
-				ring.Filtered(8, "", false)
+				ring.Add(Span{Anomalous: true, Explain: &Explanation{Window: []TraceStep{{Template: i}}}})
+				ring.Query(SpanQuery{N: 8, AnomalousOnly: true})
 			}
 		}()
 	}
@@ -344,13 +318,15 @@ func TestLoggerFormat(t *testing.T) {
 func TestAdminMuxEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits_total", "Hits.").Add(2)
-	ring := NewTraceRing(8)
-	ring.Add(Trace{Host: "vpe01", Score: 7.5, Threshold: 6, Template: 3,
-		Window: []TraceStep{{Template: 1, LogProb: -0.2}, {Template: 3, LogProb: -7.5}}})
+	ring := NewSpanRing(8)
+	ring.Add(Span{Kind: KindDecision, Host: "vpe01", Score: 7.5, Template: 3, Anomalous: true,
+		Explain: &Explanation{Threshold: 6,
+			Window: []TraceStep{{Template: 1, LogProb: -0.2}, {Template: 3, LogProb: -7.5}}}})
+	ring.Add(Span{Kind: KindDecision, Host: "vpe02", Score: 0.1, Sampled: true})
 	health := NewHealth()
 	mux := NewAdminMux(AdminConfig{
 		Registry: reg,
-		Traces:   ring,
+		Spans:    ring,
 		Health:   health,
 		Status:   func() any { return map[string]int{"hosts": 4} },
 	})
@@ -378,22 +354,22 @@ func TestAdminMuxEndpoints(t *testing.T) {
 	if code, body := get("/statusz"); code != 200 || !strings.Contains(body, `"hosts": 4`) {
 		t.Fatalf("/statusz: %d\n%s", code, body)
 	}
-	code, body := get("/traces")
+	code, body := get("/spans?anomalous=1")
 	if code != 200 {
-		t.Fatalf("/traces: %d", code)
+		t.Fatalf("/spans?anomalous=1: %d", code)
 	}
-	var traces struct {
-		Total  uint64  `json:"total"`
-		Traces []Trace `json:"traces"`
+	var spans struct {
+		Total uint64 `json:"total"`
+		Spans []Span `json:"spans"`
 	}
-	if err := json.Unmarshal([]byte(body), &traces); err != nil {
-		t.Fatalf("traces JSON: %v\n%s", err, body)
+	if err := json.Unmarshal([]byte(body), &spans); err != nil {
+		t.Fatalf("spans JSON: %v\n%s", err, body)
 	}
-	if traces.Total != 1 || len(traces.Traces) != 1 || traces.Traces[0].Host != "vpe01" ||
-		len(traces.Traces[0].Window) != 2 {
-		t.Fatalf("traces: %+v", traces)
+	if spans.Total != 2 || len(spans.Spans) != 1 || spans.Spans[0].Host != "vpe01" ||
+		spans.Spans[0].Explain == nil || len(spans.Spans[0].Explain.Window) != 2 {
+		t.Fatalf("spans: %+v", spans)
 	}
-	if code, _ := get("/traces?n=bogus"); code != 400 {
+	if code, _ := get("/spans?anomalous=1&n=bogus"); code != 400 {
 		t.Fatalf("bad n should 400, got %d", code)
 	}
 

@@ -76,7 +76,7 @@ type StageDurations struct {
 	// ScoreNS is this message's LSTM step.
 	ScoreNS int64 `json:"score_ns,omitempty"`
 	// VerdictNS is threshold evaluation, anomaly clustering, warning
-	// emission, and trace/span recording.
+	// emission, and building the explanation and the span.
 	VerdictNS int64 `json:"verdict_ns,omitempty"`
 	// CheckpointNS is snapshot+encode time (checkpoint spans only).
 	CheckpointNS int64 `json:"checkpoint_ns,omitempty"`
@@ -96,11 +96,39 @@ const (
 	KindAdaptation = "adaptation"
 )
 
+// TraceStep is one message in the context window that led to a verdict:
+// the template the signature tree matched and the log-probability the
+// model assigned it given the preceding stream (score = -LogProb; the
+// stream's first message has no context and carries LogProb 0).
+type TraceStep struct {
+	Time     time.Time `json:"time"`
+	Template int       `json:"template"`
+	LogProb  float64   `json:"log_prob"`
+}
+
+// Explanation is what an operator reads to answer "why was this message
+// flagged?": which cluster's model scored it against which threshold, the
+// host's most recent scored messages, and how far its anomaly cluster has
+// grown. Every anomalous decision span carries one, and no other span does.
+type Explanation struct {
+	// Cluster is the model's cluster index (-1 when the deployment has a
+	// single unclustered model); Model names the detector family.
+	Cluster   int     `json:"cluster"`
+	Model     string  `json:"model,omitempty"`
+	Threshold float64 `json:"threshold"`
+	// Window holds the host's most recent scored messages, oldest first,
+	// ending with the flagged message itself: its Time is the message's
+	// timestamp and its LogProb the negated score.
+	Window []TraceStep `json:"window"`
+	// ClusterSize is the size of the host's in-progress anomaly cluster
+	// after this verdict.
+	ClusterSize int `json:"cluster_size"`
+}
+
 // Span is one traced operation. For decision spans the stage fields
-// decompose the accept→verdict latency; a span recorded only because the
-// verdict emitted a warning (always-sample-on-warning, see Tracer) carries
-// Sampled=false and its total but no stage breakdown — the stage clocks
-// were never started for it.
+// decompose the accept→verdict latency. A span recorded only because its
+// verdict was anomalous carries Sampled=false and its total but no stage
+// breakdown: the stage clocks were never started for it.
 type Span struct {
 	// Seq is a monotonically increasing ring sequence (1-based), stamped
 	// at Add, so operators can spot eviction between polls.
@@ -119,6 +147,8 @@ type Span struct {
 	Score     float64 `json:"score,omitempty"`
 	Anomalous bool    `json:"anomalous,omitempty"`
 	Warning   bool    `json:"warning,omitempty"`
+	// Explain is set on anomalous decision spans, nil on every other.
+	Explain *Explanation `json:"explain,omitempty"`
 	// Sampled marks spans with a full stage breakdown.
 	Sampled bool `json:"sampled"`
 	// TotalNS is the end-to-end wall time (accept→verdict for decisions).
@@ -130,8 +160,12 @@ type Span struct {
 // cheap to append, bounded in memory, queryable newest-first. A nil
 // SpanRing drops every Add.
 type SpanRing struct {
-	mu   sync.Mutex
-	buf  []Span
+	mu  sync.Mutex
+	buf []Span
+	// ex is each slot's explanation storage, reused by every explained
+	// span the slot holds: once the ring has wrapped, recording an
+	// anomalous verdict allocates nothing.
+	ex   []Explanation
 	next uint64
 }
 
@@ -140,10 +174,19 @@ func NewSpanRing(n int) *SpanRing {
 	if n < 1 {
 		n = 1
 	}
-	return &SpanRing{buf: make([]Span, n)}
+	return &SpanRing{buf: make([]Span, n), ex: make([]Explanation, n)}
 }
 
-// Add appends one span, stamping its sequence number.
+// TraceRing is SpanRing's old name. It exists only for bench/ until
+// ROADMAP item 1A deletes it.
+type TraceRing = SpanRing
+
+// NewTraceRing is NewSpanRing under its old name. It exists only for
+// bench/ until ROADMAP item 1A deletes it.
+func NewTraceRing(n int) *TraceRing { return NewSpanRing(n) }
+
+// Add appends one span, stamping its sequence number. It copies the
+// span's explanation, so the caller may reuse it once Add returns.
 func (r *SpanRing) Add(s Span) {
 	if r == nil {
 		return
@@ -151,7 +194,15 @@ func (r *SpanRing) Add(s Span) {
 	r.mu.Lock()
 	r.next++
 	s.Seq = r.next
-	r.buf[(r.next-1)%uint64(len(r.buf))] = s
+	i := (r.next - 1) % uint64(len(r.buf))
+	if s.Explain != nil {
+		ex := &r.ex[i]
+		window := append(ex.Window[:0], s.Explain.Window...)
+		*ex = *s.Explain
+		ex.Window = window
+		s.Explain = ex
+	}
+	r.buf[i] = s
 	r.mu.Unlock()
 }
 
@@ -173,6 +224,9 @@ type SpanQuery struct {
 	Host string
 	// WarningsOnly keeps only spans whose verdict emitted a warning.
 	WarningsOnly bool
+	// AnomalousOnly keeps only anomalous verdicts: the spans that carry
+	// an Explanation.
+	AnomalousOnly bool
 	// TraceID, when non-zero, matches one trace (exemplar resolution).
 	TraceID SpanID
 	// Kind, when non-empty, matches one span kind.
@@ -184,6 +238,9 @@ func (q SpanQuery) match(s *Span) bool {
 		return false
 	}
 	if q.WarningsOnly && !s.Warning {
+		return false
+	}
+	if q.AnomalousOnly && !s.Anomalous {
 		return false
 	}
 	if q.TraceID != 0 && s.TraceID != q.TraceID {
@@ -213,6 +270,11 @@ func (r *SpanRing) Query(q SpanQuery) []Span {
 			continue
 		}
 		out = append(out, *s)
+		if s.Explain != nil { // the slot's storage is reused: copy it out
+			ex := *s.Explain
+			ex.Window = append([]TraceStep(nil), ex.Window...)
+			out[len(out)-1].Explain = &ex
+		}
 		if q.N > 0 && len(out) >= q.N {
 			break
 		}
@@ -223,11 +285,11 @@ func (r *SpanRing) Query(q SpanQuery) []Span {
 // Tracer mints trace IDs at frame accept and decides which messages carry
 // full stage clocks: N out of every M accepted messages are sampled
 // (deterministic round-robin over the accept counter, so a steady stream
-// samples evenly rather than in bursts), and every warning-emitting
-// verdict gets a span regardless — an unsampled warning span carries the
-// total latency but no stage breakdown, because its clocks were never
-// started. All methods are nil-safe: a nil Tracer mints ID 0 and samples
-// nothing, so instrumented paths pay one branch when tracing is off.
+// samples evenly rather than in bursts), and every anomalous verdict gets
+// a span regardless — an unsampled one carries the total latency but no
+// stage breakdown, because its clocks were never started. All methods are
+// nil-safe: a nil Tracer mints ID 0 and samples nothing, so instrumented
+// paths pay one branch when tracing is off.
 type Tracer struct {
 	ring *SpanRing
 	n, m uint64
@@ -244,7 +306,7 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer emitting into ring, sampling n of every m
-// accepted messages. n <= 0 samples nothing (warning spans still emit);
+// accepted messages. n <= 0 samples nothing (anomalous verdicts still emit);
 // m <= 1 with n >= 1 samples everything. The ring may be nil (sampling
 // decisions are still made, emissions dropped) but usually is not.
 func NewTracer(ring *SpanRing, n, m int) *Tracer {

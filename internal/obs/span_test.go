@@ -65,12 +65,16 @@ func TestStageDurationsSum(t *testing.T) {
 
 func TestSpanRingQuery(t *testing.T) {
 	r := NewSpanRing(4)
+	if got := r.Query(SpanQuery{}); len(got) != 0 {
+		t.Fatalf("empty ring Query = %v", got)
+	}
 	for i := 1; i <= 6; i++ {
 		r.Add(Span{
-			TraceID: SpanID(i),
-			Kind:    KindDecision,
-			Host:    fmt.Sprintf("vpe-%d", i%2),
-			Warning: i%3 == 0,
+			TraceID:   SpanID(i),
+			Kind:      KindDecision,
+			Host:      fmt.Sprintf("vpe-%d", i%2),
+			Warning:   i%3 == 0,
+			Anomalous: i%3 != 1,
 		})
 	}
 	if r.Total() != 6 {
@@ -93,6 +97,9 @@ func TestSpanRingQuery(t *testing.T) {
 	if got := r.Query(SpanQuery{WarningsOnly: true}); len(got) != 2 || got[0].TraceID != 6 || got[1].TraceID != 3 {
 		t.Fatalf("warnings query = %+v", got)
 	}
+	if got := r.Query(SpanQuery{AnomalousOnly: true}); len(got) != 3 || got[0].TraceID != 6 || got[2].TraceID != 3 {
+		t.Fatalf("anomalous query = %+v", got)
+	}
 	if got := r.Query(SpanQuery{TraceID: 5}); len(got) != 1 || got[0].TraceID != 5 {
 		t.Fatalf("trace query = %+v", got)
 	}
@@ -103,6 +110,28 @@ func TestSpanRingQuery(t *testing.T) {
 	nilRing.Add(Span{})
 	if nilRing.Total() != 0 || nilRing.Query(SpanQuery{N: 1}) != nil {
 		t.Fatal("nil ring not inert")
+	}
+}
+
+// TestSpanRingCopiesExplanation: the ring keeps its own copy of a span's
+// explanation, so the caller may reuse its scratch at once, and a read
+// keeps what it got after the slot is reused.
+func TestSpanRingCopiesExplanation(t *testing.T) {
+	r := NewSpanRing(1)
+	scratch := Explanation{Cluster: 1, Window: []TraceStep{{Template: 1}, {Template: 2}}}
+	r.Add(Span{Anomalous: true, Explain: &scratch})
+	scratch.Cluster, scratch.Window[1].Template = 9, 9
+	got := r.Query(SpanQuery{})
+	if ex := got[0].Explain; ex.Cluster != 1 || len(ex.Window) != 2 || ex.Window[1].Template != 2 {
+		t.Fatalf("ring shares the caller's explanation: %+v", ex)
+	}
+	r.Add(Span{Anomalous: true, Explain: &Explanation{Cluster: 3, Window: []TraceStep{{Template: 7}}}})
+	if ex := got[0].Explain; ex.Cluster != 1 || ex.Window[0].Template != 1 {
+		t.Fatalf("a read changed when its slot was reused: %+v", ex)
+	}
+	r.Add(Span{Sampled: true})
+	if now := r.Query(SpanQuery{}); now[0].Explain != nil {
+		t.Fatalf("an unexplained span read back an explanation: %+v", now[0].Explain)
 	}
 }
 

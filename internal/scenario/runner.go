@@ -335,7 +335,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 	defer st.Close()
 	mon, srv, lm := st.Monitor, st.Server, st.Lifecycle
 
-	// Admin surface: the stack's own (/metrics, /traces, /spans, /slo, ...),
+	// Admin surface: the stack's own (/metrics, /spans, /slo, ...),
 	// with the scenario-run metadata (name, phase, executed events) next to
 	// the live stack counters as its /statusz document.
 	rs := &runState{phase: "serve"}

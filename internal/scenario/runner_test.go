@@ -245,11 +245,12 @@ func TestRunnerRestartAfterPromotion(t *testing.T) {
 }
 
 // TestRunnerAdminIsLive checks that a scenario's admin surface is the
-// serving stack's own: while e2eDoc's serve phase runs, /traces explains
-// the burst host's verdicts, /spans holds pipeline spans, and /slo lists
-// the three standing objectives with the two per-message ones counting.
-// The surface closes when the phase returns, so the poller runs beside
-// the replay and latches the first time all three hold.
+// serving stack's own: while e2eDoc's serve phase runs,
+// /spans?anomalous=1 explains the burst host's verdicts, /spans holds
+// pipeline spans, and /slo lists the three standing objectives with the
+// two per-message ones counting. The surface closes when the phase
+// returns, so the poller runs beside the replay and latches the first
+// time all three hold.
 func TestRunnerAdminIsLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack scenario run")
@@ -272,7 +273,9 @@ func TestRunnerAdminIsLive(t *testing.T) {
 // pollAdmin polls the three endpoints until each shows live data ("") or
 // the surface goes away (what was still missing).
 func pollAdmin(base string) string {
-	var traces struct{ Traces []json.RawMessage }
+	var traces struct {
+		Spans []struct{ Explain *json.RawMessage }
+	}
 	var spans struct{ Spans []json.RawMessage }
 	var slo struct {
 		SLOs []struct {
@@ -282,7 +285,7 @@ func pollAdmin(base string) string {
 	}
 	missing := "never polled"
 	for ; ; time.Sleep(time.Millisecond) {
-		for path, into := range map[string]any{"/traces?host=vpe01": &traces, "/spans": &spans, "/slo": &slo} {
+		for path, into := range map[string]any{"/spans?host=vpe01&anomalous=1": &traces, "/spans": &spans, "/slo": &slo} {
 			resp, err := http.Get(base + path)
 			if err != nil {
 				return fmt.Sprintf("admin surface closed with %s (%v)", missing, err)
@@ -301,8 +304,8 @@ func pollAdmin(base string) string {
 		// scenario has none of: listed, not counting.
 		_, listed := events["warning_availability"]
 		switch {
-		case len(traces.Traces) == 0:
-			missing = "/traces empty for the burst host"
+		case len(traces.Spans) == 0 || traces.Spans[0].Explain == nil:
+			missing = "no explained span for the burst host"
 		case len(spans.Spans) == 0:
 			missing = "/spans empty"
 		case events["accept_verdict_latency"] == 0 || events["shard_drop_ratio"] == 0 || !listed:

@@ -39,18 +39,23 @@ func adaptOptions(t *testing.T) Options {
 // corpus, with a burst of unseen messages on one vPE every 200 messages.
 // It returns the time after the last message.
 func traffic(s *Stack, n int, at time.Time) time.Time {
-	hosts := []string{"vpe01", "vpe02", "vpe03"}
 	for i := 0; i < n; i++ {
-		host := hosts[i%len(hosts)]
-		text := normalTexts[(i/len(hosts))%len(normalTexts)]
-		if k := i % 200; k >= 190 {
-			host = hosts[(i/200)%len(hosts)]
-			text = fmt.Sprintf("unexpected fabric drop alarm code %d on plane %d", k, i/200)
-		}
-		s.Monitor.HandleMessage(logfmt.Message{Time: at, Host: host, Tag: "rpd", Text: text})
+		s.Monitor.HandleMessage(trafficMessage(i, at))
 		at = at.Add(3 * time.Second)
 	}
 	return at
+}
+
+// trafficMessage is traffic's i-th message, at at.
+func trafficMessage(i int, at time.Time) logfmt.Message {
+	hosts := []string{"vpe01", "vpe02", "vpe03"}
+	host := hosts[i%len(hosts)]
+	text := normalTexts[(i/len(hosts))%len(normalTexts)]
+	if k := i % 200; k >= 190 {
+		host = hosts[(i/200)%len(hosts)]
+		text = fmt.Sprintf("unexpected fabric drop alarm code %d on plane %d", k, i/200)
+	}
+	return logfmt.Message{Time: at, Host: host, Tag: "rpd", Text: text}
 }
 
 // verdicts returns the newest n decision spans, newest first, keeping only
@@ -165,12 +170,12 @@ func otherBundle(t *testing.T) *bundle.Bundle {
 	return &bundle.Bundle{Tree: tree, Detectors: []*detect.LSTMDetector{det}, Threshold: 4}
 }
 
-// TestRedeployColdStarts is the redeploy rule: a restart given a bundle
-// of another lineage ignores the generation saved beside the checkpoint,
-// quarantines the checkpoint (its streams ran under other weights) and
-// serves the new bundle cold.
-func TestRedeployColdStarts(t *testing.T) {
-	o := adaptOptions(t)
+// promoteAndCheckpoint runs a live stack over o, forces a promotion and
+// checkpoints it. It returns the promoted weights'
+// fingerprints and the bytes of the generation saved beside the
+// checkpoint. The live stack is closed at the end of the test.
+func promoteAndCheckpoint(t *testing.T, o Options) ([]uint64, []byte) {
+	t.Helper()
 	live := newStack(t, o)
 	traffic(live, 300, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	if res := live.Lifecycle.TriggerCycle(true); !res.Promoted {
@@ -184,28 +189,108 @@ func TestRedeployColdStarts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no generation saved beside the checkpoint: %v", err)
 	}
+	return servedFingerprints(t, live), saved
+}
 
-	redeploy := o
-	redeploy.Bundle = otherBundle(t)
-	newFP := redeploy.Bundle.Detectors[0].Fingerprint()
-	s := newStack(t, redeploy)
-	if s.ModelFile != "" || s.Serving().Detectors[0].Fingerprint() != newFP {
-		t.Fatalf("a bundle of another lineage did not win: ModelFile=%q", s.ModelFile)
+// TestRedeployColdStarts is the redeploy rule: a restart given a bundle
+// of another lineage quarantines the generation saved beside the
+// checkpoint and the checkpoint (its streams ran under other weights) and
+// serves the new bundle cold. A retrained bundle is of another lineage
+// even when it grew the same tree.
+func TestRedeployColdStarts(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		sameTree bool
+		bundle   func(*testing.T) *bundle.Bundle
+	}{
+		{"other tree", false, otherBundle},
+		{"same tree, other weights", true, func(t *testing.T) *bundle.Bundle { return trainedBundle(t, 3) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := adaptOptions(t)
+			treeFP := o.Bundle.Tree.Fingerprint()
+			_, saved := promoteAndCheckpoint(t, o)
+
+			redeploy := o
+			redeploy.Bundle = c.bundle(t)
+			if same := redeploy.Bundle.Tree.Fingerprint() == treeFP; same != c.sameTree {
+				t.Fatalf("redeployed tree is the served one: %v, want %v", same, c.sameTree)
+			}
+			newFP := redeploy.Bundle.Detectors[0].Fingerprint()
+			s := newStack(t, redeploy)
+			if s.ModelFile != "" || s.Serving().Detectors[0].Fingerprint() != newFP {
+				t.Fatalf("a bundle of another lineage did not win: ModelFile=%q", s.ModelFile)
+			}
+			if got := servedFingerprints(t, s); len(got) != 1 || got[0] != newFP {
+				t.Fatalf("/models serves %x, want %x", got, newFP)
+			}
+			if msgs, _ := s.Monitor.Counters(); !s.RestoredAt.IsZero() || msgs != 0 {
+				t.Fatalf("checkpoint of other weights was restored: restored=%v msgs=%d", s.RestoredAt, msgs)
+			}
+			if _, err := os.Stat(o.Checkpoint + ".corrupt"); err != nil {
+				t.Fatalf("checkpoint of other weights was not quarantined: %v", err)
+			}
+			if _, err := os.Stat(o.Checkpoint + ".model"); !os.IsNotExist(err) {
+				t.Fatalf("the generation of another lineage is still beside the checkpoint: %v", err)
+			}
+			if q, err := os.ReadFile(o.Checkpoint + ".model.corrupt"); err != nil || !bytes.Equal(q, saved) {
+				t.Fatalf("the generation of another lineage was not quarantined: %v", err)
+			}
+			traffic(s, 50, time.Date(2018, 3, 3, 0, 0, 0, 0, time.UTC))
+			if msgs, _ := s.Monitor.Counters(); msgs != 50 {
+				t.Fatalf("cold-started stack does not serve: %d messages", msgs)
+			}
+		})
 	}
-	if got := servedFingerprints(t, s); len(got) != 1 || got[0] != newFP {
-		t.Fatalf("/models serves %x, want %x", got, newFP)
+}
+
+// TestRevertAfterRedeployServesOwnWeights: bundle A promotes and
+// checkpoints, a restart runs bundle B, and a restart back on A serves A's
+// own weights. The generation A promoted does not outlive B's deployment.
+func TestRevertAfterRedeployServesOwnWeights(t *testing.T) {
+	o := adaptOptions(t)
+	a := o.Bundle
+	ownFP := a.Detectors[0].Fingerprint()
+	promoted, _ := promoteAndCheckpoint(t, o)
+	if len(promoted) != 1 || promoted[0] == ownFP {
+		t.Fatalf("promotion did not change the served weights: %x", promoted)
 	}
-	if msgs, _ := s.Monitor.Counters(); !s.RestoredAt.IsZero() || msgs != 0 {
-		t.Fatalf("checkpoint of other weights was restored: restored=%v msgs=%d", s.RestoredAt, msgs)
+
+	onB := o
+	onB.Bundle = otherBundle(t)
+	b := newStack(t, onB)
+	traffic(b, 50, time.Date(2018, 3, 3, 0, 0, 0, 0, time.UTC))
+	if err := b.Checkpoint("test"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(o.Checkpoint + ".corrupt"); err != nil {
-		t.Fatalf("checkpoint of other weights was not quarantined: %v", err)
+
+	back := newStack(t, o)
+	if back.ModelFile != "" {
+		t.Fatalf("reverting to A serves the saved generation %q", back.ModelFile)
 	}
-	if now, err := os.ReadFile(o.Checkpoint + ".model"); err != nil || !bytes.Equal(now, saved) {
-		t.Fatalf("the ignored generation file was touched: %v", err)
+	if got := servedFingerprints(t, back); len(got) != 1 || got[0] != ownFP {
+		t.Fatalf("reverting to A serves %x, want A's own %x (promoted was %x)", got, ownFP, promoted)
 	}
-	traffic(s, 50, time.Date(2018, 3, 3, 0, 0, 0, 0, time.UTC))
-	if msgs, _ := s.Monitor.Counters(); msgs != 50 {
-		t.Fatalf("cold-started stack does not serve: %d messages", msgs)
+}
+
+// TestRestartKeepsOperatorThreshold: serving the generation saved beside
+// the checkpoint takes its detectors, not its threshold. A restart given
+// another threshold scores at that one.
+func TestRestartKeepsOperatorThreshold(t *testing.T) {
+	o := adaptOptions(t)
+	promoteAndCheckpoint(t, o)
+
+	restart := o
+	restart.Bundle = o.Bundle.Clone()
+	restart.Bundle.Threshold = 7
+	s := newStack(t, restart)
+	if s.ModelFile == "" || s.RestoredAt.IsZero() {
+		t.Fatalf("restart did not serve the saved generation: ModelFile=%q", s.ModelFile)
+	}
+	if got := s.Monitor.Threshold(); got != 7 {
+		t.Fatalf("monitor threshold %v after a restart at 7", got)
+	}
+	if got := s.Serving().Threshold; got != 7 {
+		t.Fatalf("serving generation threshold %v after a restart at 7", got)
 	}
 }

@@ -1,9 +1,11 @@
-// Package serve assembles the serving stack — registry, trace and span
-// rings, tracer, SLOs, health, sharded monitor (restored from its
-// checkpoint when usable), optional lifecycle, degradation controller,
-// syslog listeners — for cmd/nfvmonitor, the scenario runner, the example
-// and their tests alike: what is tested and drilled is what ships, and
-// only the traffic source differs.
+// Package serve assembles the serving stack — registry, span ring and
+// tracer, SLOs, health, sharded monitor (restored from its checkpoint when
+// usable), optional lifecycle, degradation controller, syslog listeners —
+// for cmd/nfvmonitor, the scenario runner, the example and their tests
+// alike: what is tested and drilled is what ships, and only the traffic
+// source differs. Every anomalous verdict leaves one decision span in the
+// ring, carrying its explanation; the admin surface serves them on
+// /spans?anomalous=1.
 package serve
 
 import (
@@ -33,7 +35,8 @@ type Options struct {
 	// bootstrap trainer builds it and Reload swaps it. The stack takes it
 	// over: New stamps its Lineage when unset, and its Tree is the live
 	// tree a cold start grows. When Checkpoint+".model" holds a generation
-	// of the same lineage, New serves that instead (see Checkpoint).
+	// of the same lineage, New serves that instead (see Checkpoint), at
+	// this bundle's threshold.
 	Bundle *bundle.Bundle
 
 	// UDPAddr and TCPAddr are the syslog listen addresses ("" disables
@@ -42,12 +45,12 @@ type Options struct {
 	Year             int
 	Shards           int           // scoring shards; 0 means GOMAXPROCS
 	Watchdog         time.Duration // stuck-shard-worker deadline; 0 disables
-	// TraceBuffer and SpanBuffer size the /traces and /spans rings;
-	// SpanSample is the 1-in-N stage-clock sampling rate (0 samples
-	// nothing; warnings still get spans); LatencyBound is the
-	// accept→verdict bound of the latency SLO.
-	TraceBuffer, SpanBuffer, SpanSample int
-	LatencyBound                        time.Duration
+	// SpanBuffer sizes the /spans ring; SpanSample is the 1-in-N
+	// stage-clock sampling rate (0 samples nothing; anomalous verdicts
+	// still get spans); LatencyBound is the accept→verdict bound of the
+	// latency SLO.
+	SpanBuffer, SpanSample int
+	LatencyBound           time.Duration
 	// Lifecycle, when set, attaches the online model lifecycle with this
 	// configuration (its Metrics, Tracer and Faults are the stack's).
 	Lifecycle *lifecycle.Config
@@ -68,8 +71,7 @@ func DefaultOptions() Options {
 		UDPAddr:      "127.0.0.1:5514",
 		Year:         time.Now().Year(),
 		Watchdog:     30 * time.Second,
-		TraceBuffer:  256,
-		SpanBuffer:   512,
+		SpanBuffer:   768,
 		SpanSample:   16,
 		LatencyBound: 250 * time.Millisecond,
 	}
@@ -86,7 +88,6 @@ var ioRetry = resilience.RetryPolicy{Attempts: 3, Base: 50 * time.Millisecond, M
 // long-lived components.
 type Stack struct {
 	Registry *obs.Registry
-	Traces   *obs.TraceRing
 	Spans    *obs.SpanRing
 	Tracer   *obs.Tracer
 	Health   *obs.Health
@@ -127,7 +128,6 @@ func New(opts Options) (*Stack, error) {
 	reg := obs.NewRegistry()
 	s := &Stack{
 		Registry: reg,
-		Traces:   obs.NewTraceRing(opts.TraceBuffer),
 		Spans:    obs.NewSpanRing(opts.SpanBuffer),
 		SLOs:     obs.NewSLOSet(),
 		Health:   obs.NewHealth(),
@@ -162,11 +162,15 @@ func New(opts Options) (*Stack, error) {
 	mcfg := ingest.DefaultMonitorConfig()
 	b := stamp(opts.Bundle)
 	if g := s.savedGeneration(b.Lineage); g != nil {
+		// A generation replaces detectors, never the threshold: the one
+		// this run was given (-threshold or the bundle's recommendation)
+		// applies.
+		g.Threshold = b.Threshold
 		b = g
 	}
 	mcfg.Threshold = b.Threshold
 	mcfg.ClusterOf = b.ClusterOf
-	mcfg.Metrics, mcfg.Traces, mcfg.Tracer = reg, s.Traces, s.Tracer
+	mcfg.Metrics, mcfg.Tracer = reg, s.Tracer
 	mcfg.LatencySLO, mcfg.LatencyBound = s.SLOLatency, opts.LatencyBound
 	mcfg.Watchdog, mcfg.Faults = opts.Watchdog, opts.Faults
 	if mcfg.Shards = opts.Shards; mcfg.Shards <= 0 {
@@ -212,20 +216,22 @@ func New(opts Options) (*Stack, error) {
 	return s, nil
 }
 
-// stamp records b's lineage, its tree's fingerprint, the first time a
-// stack serves it: from then on the tree grows as the stack serves.
+// stamp records b's lineage, the whole bundle's fingerprint, the first
+// time a stack serves it: from then on the tree grows and the detectors
+// may be promoted as the stack serves. A generation saved with a
+// tree-only lineage, as older builds stamped it, matches no bundle.
 func stamp(b *bundle.Bundle) *bundle.Bundle {
 	if b.Lineage == 0 {
-		b.Lineage = b.Tree.Fingerprint()
+		b.Lineage = b.Fingerprint()
 	}
 	return b
 }
 
 // savedGeneration returns the generation a previous run saved at
 // Checkpoint+".model" when it descends from the bundle of this lineage,
-// else nil: no file, a file of another lineage (a redeploy; left alone
-// and overwritten by the next generation saved), or a file that does not
-// load, which is quarantined like an unusable checkpoint.
+// else nil: no file, a file of another lineage (a redeploy: a stale
+// generation must not outlive it), or a file that does not load. Either
+// kind of file is quarantined like an unusable checkpoint.
 func (s *Stack) savedGeneration(lineage uint64) *bundle.Bundle {
 	if s.opts.Checkpoint == "" {
 		return nil
@@ -237,17 +243,15 @@ func (s *Stack) savedGeneration(lineage uint64) *bundle.Bundle {
 	}
 	defer f.Close()
 	g, err := bundle.Load(f)
-	switch {
-	case err != nil:
+	if err == nil && g.Lineage != lineage {
+		err = fmt.Errorf("descends from bundle %016x, serving %016x", g.Lineage, lineage)
+	}
+	if err != nil {
 		if qpath, qerr := resilience.Quarantine(path); qerr != nil {
-			s.log.Warn("saved generation unusable", "path", path, "err", err, "quarantine_err", qerr)
+			s.log.Warn("saved generation not served", "path", path, "err", err, "quarantine_err", qerr)
 		} else {
-			s.log.Warn("saved generation unusable", "path", path, "err", err, "quarantined", qpath)
+			s.log.Warn("saved generation not served", "path", path, "err", err, "quarantined", qpath)
 		}
-		return nil
-	case g.Lineage != lineage:
-		s.log.Warn("saved generation descends from another bundle, not serving it", "path", path,
-			"lineage", fmt.Sprintf("%016x", g.Lineage), "bundle_lineage", fmt.Sprintf("%016x", lineage))
 		return nil
 	}
 	s.ModelFile = path
@@ -443,7 +447,7 @@ func (s *Stack) SampleDegrade() {
 // /models, /models/{adapt,promote,rollback} with the lifecycle and
 // /chaos/, /chaos/{arm,disarm} with a fault registry.
 func (s *Stack) AdminMux(status func() any) *http.ServeMux {
-	mux := obs.NewAdminMux(obs.AdminConfig{Registry: s.Registry, Traces: s.Traces, Spans: s.Spans,
+	mux := obs.NewAdminMux(obs.AdminConfig{Registry: s.Registry, Spans: s.Spans,
 		SLO: s.SLOs, Health: s.Health, Status: status})
 	if s.Lifecycle != nil {
 		h := s.Lifecycle.Handler()

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -17,6 +19,7 @@ import (
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/lifecycle"
 	"nfvpredict/internal/logfmt"
+	"nfvpredict/internal/obs"
 	"nfvpredict/internal/sigtree"
 )
 
@@ -31,6 +34,16 @@ var normalTexts = []string{
 // small model trained on a cyclic corpus.
 func testOptions(t *testing.T) Options {
 	t.Helper()
+	o := DefaultOptions()
+	o.Bundle = trainedBundle(t, 6)
+	o.UDPAddr, o.Shards = "127.0.0.1:0", 2
+	return o
+}
+
+// trainedBundle is a small model trained for epochs over the cyclic
+// corpus; every call grows the same tree.
+func trainedBundle(t *testing.T, epochs int) *bundle.Bundle {
+	t.Helper()
 	tree := sigtree.New()
 	var stream []features.Event
 	base := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -39,15 +52,12 @@ func testOptions(t *testing.T) Options {
 		stream = append(stream, features.Event{Time: base.Add(time.Duration(i) * 30 * time.Second), Template: tpl.ID})
 	}
 	cfg := detect.DefaultLSTMConfig()
-	cfg.Hidden, cfg.MaxVocab, cfg.Epochs, cfg.OverSampleRounds = []int{16}, 16, 6, 0
+	cfg.Hidden, cfg.MaxVocab, cfg.Epochs, cfg.OverSampleRounds = []int{16}, 16, epochs, 0
 	det := detect.NewLSTMDetector(cfg)
 	if err := det.Train([][]features.Event{stream}); err != nil {
 		t.Fatal(err)
 	}
-	o := DefaultOptions()
-	o.Bundle = &bundle.Bundle{Tree: tree, Detectors: []*detect.LSTMDetector{det}, Threshold: 4}
-	o.UDPAddr, o.Shards = "127.0.0.1:0", 2
-	return o
+	return &bundle.Bundle{Tree: tree, Detectors: []*detect.LSTMDetector{det}, Threshold: 4}
 }
 
 func newStack(t *testing.T, o Options) *Stack {
@@ -70,6 +80,59 @@ func feed(s *Stack, n int) {
 		}
 		s.Monitor.HandleMessage(logfmt.Message{Time: at, Host: "vpe01", Tag: "rpd", Text: text})
 		at = at.Add(2 * time.Second)
+	}
+}
+
+// TestEveryAnomalyExplained: on the shipped route — octet-counted TCP
+// frames into the listener, four scoring shards, the default 1-in-16
+// stage sampling — every anomalous verdict leaves exactly one decision
+// span carrying its explanation, so /spans?anomalous=1 holds as many as
+// monitor_anomalies_total counts.
+func TestEveryAnomalyExplained(t *testing.T) {
+	o := testOptions(t)
+	o.UDPAddr, o.TCPAddr, o.Shards, o.SpanBuffer = "", "127.0.0.1:0", 4, 4096
+	s := newStack(t, o)
+	s.Start(context.Background())
+	conn, err := net.Dial("tcp", s.Server.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const n = 2000
+	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	for sent := 0; sent < n; {
+		var chunk bytes.Buffer
+		for end := sent + 250; sent < end; sent++ {
+			m := trafficMessage(sent, at)
+			line := m.Format3164()
+			fmt.Fprintf(&chunk, "%d %s", len(line), line)
+			at = at.Add(3 * time.Second)
+		}
+		if _, err := conn.Write(chunk.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Monitor.Stats().Messages < uint64(sent) {
+			if time.Now().After(deadline) {
+				t.Fatalf("scored %d of %d messages sent", s.Monitor.Stats().Messages, sent)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	anomalies := s.Registry.Snapshot().Counters["monitor_anomalies_total"]
+	explained := s.Spans.Query(obs.SpanQuery{AnomalousOnly: true})
+	if anomalies == 0 || uint64(len(explained)) != anomalies {
+		t.Fatalf("%d explained spans, monitor_anomalies_total %d", len(explained), anomalies)
+	}
+	for _, sp := range explained {
+		ex := sp.Explain
+		if sp.Kind != obs.KindDecision || ex == nil || len(ex.Window) == 0 || ex.Threshold != 4 || sp.Score <= ex.Threshold {
+			t.Fatalf("anomalous span without its explanation: %+v", sp)
+		}
+	}
+	if s.Spans.Total() >= uint64(o.SpanBuffer) {
+		t.Fatalf("the ring wrapped (%d spans): the count above is not the whole run", s.Spans.Total())
 	}
 }
 
