@@ -277,6 +277,34 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
+// TestTraceRing: the old name still builds a working ring, one that keeps
+// the last n spans newest first with their sequence numbers in order.
+func TestTraceRing(t *testing.T) {
+	ring := NewTraceRing(3)
+	if got := ring.Query(SpanQuery{}); len(got) != 0 {
+		t.Fatalf("empty ring Recent = %v", got)
+	}
+	for i := 1; i <= 5; i++ {
+		ring.Add(Span{Host: "vpe", Score: float64(i)})
+	}
+	if ring.Total() != 5 {
+		t.Fatalf("total = %d", ring.Total())
+	}
+	got := ring.Query(SpanQuery{})
+	if len(got) != 3 {
+		t.Fatalf("recent len = %d", len(got))
+	}
+	// Newest first, sequence numbers stamped in order.
+	for i, s := range got {
+		if wantScore := float64(5 - i); s.Score != wantScore || s.Seq != uint64(5-i) {
+			t.Fatalf("recent[%d] = %+v", i, s)
+		}
+	}
+	if got := ring.Query(SpanQuery{N: 1}); len(got) != 1 || got[0].Seq != 5 {
+		t.Fatalf("recent(1) = %+v", got)
+	}
+}
+
 func TestSpanRingConcurrent(t *testing.T) {
 	ring := NewSpanRing(64)
 	var wg sync.WaitGroup
