@@ -60,6 +60,9 @@ var validModes = map[Mode]bool{
 	ModePanic: true, ModeSlow: true, ModeSkew: true,
 }
 
+// Valid reports whether m is a mode Arm accepts.
+func (m Mode) Valid() bool { return validModes[m] }
+
 // Arming is one activation of a fault point.
 type Arming struct {
 	// Mode selects the behavior.
@@ -283,7 +286,7 @@ func (r *Registry) Point(name, desc string) *Point {
 // Arm activates the named point (registering it if needed, so a test can
 // arm before the production path first evaluates it).
 func (r *Registry) Arm(name string, a Arming) error {
-	if !validModes[a.Mode] {
+	if !a.Mode.Valid() {
 		return fmt.Errorf("faultinject: unknown mode %q", a.Mode)
 	}
 	p := r.Point(name, "")

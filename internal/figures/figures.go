@@ -266,13 +266,6 @@ func Volume(w io.Writer, tr *nfvsim.Trace) float64 {
 	return reduction
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Summary runs the operating-point pipeline once and emits the
 // evaluator's JSON summary (warnings, FAR, per-ticket lead times) — the
 // same eval.Summary shape the scenario harness asserts against, so

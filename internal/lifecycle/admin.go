@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 
 	"nfvpredict/internal/resilience"
 )
@@ -62,7 +63,7 @@ func (m *Manager) Handler() http.Handler {
 		m.mu.Unlock()
 		view.Breaker = m.breaker.Status()
 		view.ShedLearning = m.shedLearning.Load()
-		sortInts(view.Pending)
+		slices.Sort(view.Pending)
 		ss := m.spools.Load()
 		for _, cs := range ss.clusters {
 			view.Spool = append(view.Spool, cs.depth())

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -818,20 +819,12 @@ func (m *Manager) Status() Status {
 		st.Pending = append(st.Pending, ci)
 	}
 	m.mu.Unlock()
-	sortInts(st.Pending)
+	slices.Sort(st.Pending)
 	ss := m.spools.Load()
 	for _, cs := range ss.clusters {
 		st.SpoolWindows = append(st.SpoolWindows, cs.depth())
 	}
 	return st
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 func (m *Manager) logf(format string, args ...any) {

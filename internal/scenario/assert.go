@@ -1,75 +1,138 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+	"strconv"
+)
+
+// metric is one run-report figure a `metrics:` assertion or a scalar
+// bound may name; value reports false when the run produced no such
+// figure (no lifecycle ran).
+type metric struct {
+	name  string
+	value func(*Report) (float64, bool)
+}
+
+// metrics are the figures assertions resolve against the run report.
+var metrics = []metric{
+	{"sim_messages", always(func(r *Report) int { return r.Sim.Messages })},
+	{"sim_tickets", always(func(r *Report) int { return r.Sim.Tickets })},
+	{"serve_received", always(func(r *Report) uint64 { return r.Serve.Received })},
+	{"serve_malformed", always(func(r *Report) uint64 { return r.Serve.Malformed })},
+	{"serve_shard_dropped", always(func(r *Report) uint64 { return r.Serve.ShardDropped })},
+	{"monitor_messages", always(func(r *Report) uint64 { return r.Serve.Messages })},
+	{"monitor_anomalies", always(func(r *Report) uint64 { return r.Serve.Anomalies })},
+	{"monitor_warnings", always(func(r *Report) uint64 { return r.Serve.Warnings })},
+	{"monitor_shard_panics", always(func(r *Report) uint64 { return r.Serve.ShardPanics })},
+	{"monitor_worker_restarts", always(func(r *Report) uint64 { return r.Serve.WorkerRestarts })},
+	{"monitor_watchdog_kicks", always(func(r *Report) uint64 { return r.Serve.WatchdogKicks })},
+	{"monitor_evicted_hosts", always(func(r *Report) uint64 { return r.Serve.EvictedHosts })},
+	{"monitor_shed_messages", always(func(r *Report) uint64 { return r.Serve.ShedMessages })},
+	{"eval_warnings", always(func(r *Report) int { return r.Eval.Warnings })},
+	{"eval_false_alarms", always(func(r *Report) int { return r.Eval.FalseAlarms })},
+	{"eval_detected", always(func(r *Report) int { return r.Eval.DetectedTickets })},
+	{"eval_early_tickets", always(func(r *Report) int { return r.Eval.EarlyTickets })},
+	{"precision", always(func(r *Report) float64 { return r.Eval.Precision })},
+	{"recall", always(func(r *Report) float64 { return r.Eval.Recall })},
+	{"f_measure", always(func(r *Report) float64 { return r.Eval.F })},
+	{"far_per_day", always(func(r *Report) float64 { return r.Eval.FalseAlarmsPerDay })},
+	{"mean_lead_minutes", always(func(r *Report) float64 { return r.Eval.MeanLeadMinutes })},
+	{"lifecycle_cycles", adapted(func(l *LifecycleReport) int { return l.Cycles })},
+	{"lifecycle_promotions", adapted(func(l *LifecycleReport) int { return l.Promotions })},
+	{"lifecycle_generation", adapted(func(l *LifecycleReport) int { return l.Generation })},
+	{"checkpoint_saves", always(func(r *Report) int { return r.Serve.CheckpointSaves })},
+}
+
+// always reads a figure every run produces (Run evaluates every run
+// before it checks the assertions).
+func always[T int | uint64 | float64](f func(*Report) T) func(*Report) (float64, bool) {
+	return func(r *Report) (float64, bool) { return float64(f(r)), true }
+}
+
+// adapted reads a lifecycle figure, if a lifecycle ran.
+func adapted(f func(*LifecycleReport) int) func(*Report) (float64, bool) {
+	return func(r *Report) (float64, bool) {
+		if r.Lifecycle == nil {
+			return 0, false
+		}
+		return float64(f(r.Lifecycle)), true
+	}
+}
+
+// metricByName finds a metrics row.
+func metricByName(name string) (metric, bool) {
+	for _, m := range metrics {
+		if m.name == name {
+			return m, true
+		}
+	}
+	return metric{}, false
+}
 
 // evaluate checks every declared assertion against the run report and
-// returns the verdicts in a stable order.
+// returns the verdicts in a stable order. An assertion is named by its
+// key in the assert block.
 func evaluate(spec *Spec, rep *Report) []AssertionResult {
 	var out []AssertionResult
 	add := func(name string, ok bool, format string, args ...any) {
 		out = append(out, AssertionResult{Name: name, OK: ok, Detail: fmt.Sprintf(format, args...)})
 	}
+	// check asserts the named metric against whichever bounds are set.
+	check := func(assertion, name string, atLeast, atMost *float64) {
+		m, _ := metricByName(name)
+		v, ok := m.value(rep)
+		if !ok {
+			add(assertion, false, "%s unavailable", name)
+			return
+		}
+		detail := name + "=" + number(v)
+		if atLeast != nil {
+			ok = ok && v >= *atLeast
+			detail += " want>=" + number(*atLeast)
+		}
+		if atMost != nil {
+			ok = ok && v <= *atMost
+			detail += " want<=" + number(*atMost)
+		}
+		add(assertion, ok, "%s", detail)
+	}
+	// bounds checks each set field of the block *b tagged floor or ceiling.
+	bounds := func(prefix string, b any) {
+		v := reflect.ValueOf(b).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			lo, hi := f.Tag.Get("floor"), f.Tag.Get("ceiling")
+			if lo+hi == "" || fv.IsNil() {
+				continue
+			}
+			want := fv.Elem().Convert(reflect.TypeOf(0.0)).Float()
+			if lo != "" {
+				check(prefix+f.Tag.Get("dsl"), lo, &want, nil)
+			} else {
+				check(prefix+f.Tag.Get("dsl"), hi, nil, &want)
+			}
+		}
+	}
 	a := &spec.Assert
-	s := rep.Eval
 
 	if a.ZeroDrops {
 		ok := rep.Serve.Malformed == 0 && rep.Serve.ShardDropped == 0
-		add("zero_drops", ok, "malformed=%d shard_dropped=%d", rep.Serve.Malformed, rep.Serve.ShardDropped)
+		add(keyOf(a, &a.ZeroDrops), ok, "malformed=%d shard_dropped=%d", rep.Serve.Malformed, rep.Serve.ShardDropped)
 	}
-	if a.MinWarnings != nil {
-		add("min_warnings", s.Warnings >= *a.MinWarnings, "warnings=%d want>=%d", s.Warnings, *a.MinWarnings)
-	}
-	if a.MaxWarnings != nil {
-		add("max_warnings", s.Warnings <= *a.MaxWarnings, "warnings=%d want<=%d", s.Warnings, *a.MaxWarnings)
-	}
-	if a.MaxFARPerDay != nil {
-		add("max_far_per_day", s.FalseAlarmsPerDay <= *a.MaxFARPerDay,
-			"far=%.3f/day want<=%.3f", s.FalseAlarmsPerDay, *a.MaxFARPerDay)
-	}
-	if a.MinPrecision != nil {
-		add("min_precision", s.Precision >= *a.MinPrecision, "precision=%.3f want>=%.3f", s.Precision, *a.MinPrecision)
-	}
-	if a.MinRecall != nil {
-		add("min_recall", s.Recall >= *a.MinRecall, "recall=%.3f want>=%.3f", s.Recall, *a.MinRecall)
-	}
-	if a.MinDetected != nil {
-		add("min_detected", s.DetectedTickets >= *a.MinDetected,
-			"detected=%d/%d want>=%d", s.DetectedTickets, s.Tickets, *a.MinDetected)
-	}
-	if a.MinEarlyTickets != nil {
-		add("min_early_tickets", s.EarlyTickets >= *a.MinEarlyTickets,
-			"early=%d want>=%d", s.EarlyTickets, *a.MinEarlyTickets)
-	}
-	if a.MinMeanLeadMinutes != nil {
-		add("min_mean_lead_minutes", s.MeanLeadMinutes >= *a.MinMeanLeadMinutes,
-			"mean_lead=%.1fmin want>=%.1f", s.MeanLeadMinutes, *a.MinMeanLeadMinutes)
-	}
-	if a.MinFalseAlarms != nil {
-		add("min_false_alarms", s.FalseAlarms >= *a.MinFalseAlarms,
-			"false_alarms=%d want>=%d", s.FalseAlarms, *a.MinFalseAlarms)
-	}
-	if a.MaxFalseAlarms != nil {
-		add("max_false_alarms", s.FalseAlarms <= *a.MaxFalseAlarms,
-			"false_alarms=%d want<=%d", s.FalseAlarms, *a.MaxFalseAlarms)
-	}
+	bounds("", a)
 	if a.CheckpointParity {
 		ok := rep.Serve.CheckpointSaves > 0 && rep.Serve.CheckpointParity
-		add("checkpoint_parity", ok, "saves=%d parity=%v", rep.Serve.CheckpointSaves, rep.Serve.CheckpointParity)
+		add(keyOf(a, &a.CheckpointParity), ok, "saves=%d parity=%v", rep.Serve.CheckpointSaves, rep.Serve.CheckpointParity)
 	}
 	if la := a.Lifecycle; la != nil {
-		lr := rep.Lifecycle
-		if lr == nil {
-			add("lifecycle", false, "no lifecycle ran")
+		block := keyOf(a, &a.Lifecycle)
+		if lr := rep.Lifecycle; lr == nil {
+			add(block, false, "no lifecycle ran")
 		} else {
-			if la.MinCycles != nil {
-				add("lifecycle.min_cycles", lr.Cycles >= *la.MinCycles, "cycles=%d want>=%d", lr.Cycles, *la.MinCycles)
-			}
-			if la.MinPromotions != nil {
-				add("lifecycle.min_promotions", lr.Promotions >= *la.MinPromotions,
-					"promotions=%d want>=%d", lr.Promotions, *la.MinPromotions)
-			}
+			bounds(block+".", la)
 			if la.Breaker != "" {
-				add("lifecycle.breaker", lr.Breaker == la.Breaker, "breaker=%s want=%s", lr.Breaker, la.Breaker)
+				add(block+"."+keyOf(la, &la.Breaker), lr.Breaker == la.Breaker, "breaker=%s want=%s", lr.Breaker, la.Breaker)
 			}
 		}
 	}
@@ -80,90 +143,31 @@ func evaluate(spec *Spec, rep *Report) []AssertionResult {
 				fired = pr.Fired
 			}
 		}
-		add("chaos."+ca.Point, fired >= ca.MinFired, "fired=%d want>=%d", fired, ca.MinFired)
+		add(keyOf(a, &a.Chaos)+"."+ca.Point, fired >= ca.MinFired, "fired=%d want>=%d", fired, ca.MinFired)
 	}
 	for _, ma := range a.Metrics {
-		v, ok := metricValue(rep, ma.Name)
-		if !ok {
-			add("metric."+ma.Name, false, "metric unavailable")
-			continue
-		}
-		pass := true
-		detail := fmt.Sprintf("%s=%.3f", ma.Name, v)
-		if ma.Min != nil {
-			pass = pass && v >= *ma.Min
-			detail += fmt.Sprintf(" want>=%.3f", *ma.Min)
-		}
-		if ma.Max != nil {
-			pass = pass && v <= *ma.Max
-			detail += fmt.Sprintf(" want<=%.3f", *ma.Max)
-		}
-		add("metric."+ma.Name, pass, "%s", detail)
+		check("metric."+ma.Name, ma.Name, ma.Min, ma.Max)
 	}
 	return out
 }
 
-// metricValue resolves one MetricNames identifier against the report.
-func metricValue(rep *Report, name string) (float64, bool) {
-	s := rep.Eval
-	switch name {
-	case "sim_messages":
-		return float64(rep.Sim.Messages), true
-	case "sim_tickets":
-		return float64(rep.Sim.Tickets), true
-	case "serve_received":
-		return float64(rep.Serve.Received), true
-	case "serve_malformed":
-		return float64(rep.Serve.Malformed), true
-	case "serve_shard_dropped":
-		return float64(rep.Serve.ShardDropped), true
-	case "monitor_messages":
-		return float64(rep.Serve.Messages), true
-	case "monitor_anomalies":
-		return float64(rep.Serve.Anomalies), true
-	case "monitor_warnings":
-		return float64(rep.Serve.Warnings), true
-	case "monitor_shard_panics":
-		return float64(rep.Serve.ShardPanics), true
-	case "monitor_worker_restarts":
-		return float64(rep.Serve.WorkerRestarts), true
-	case "monitor_watchdog_kicks":
-		return float64(rep.Serve.WatchdogKicks), true
-	case "monitor_evicted_hosts":
-		return float64(rep.Serve.EvictedHosts), true
-	case "monitor_shed_messages":
-		return float64(rep.Serve.ShedMessages), true
-	case "checkpoint_saves":
-		return float64(rep.Serve.CheckpointSaves), true
-	case "lifecycle_cycles":
-		if rep.Lifecycle == nil {
-			return 0, false
+// keyOf returns the dsl tag of the field of the struct *block that field
+// points to.
+func keyOf(block, field any) string {
+	v := reflect.ValueOf(block).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Addr().Interface() == field {
+			return v.Type().Field(i).Tag.Get("dsl")
 		}
-		return float64(rep.Lifecycle.Cycles), true
-	case "lifecycle_generation":
-		if rep.Lifecycle == nil {
-			return 0, false
-		}
-		return float64(rep.Lifecycle.Generation), true
 	}
-	if s == nil {
-		return 0, false
+	panic("scenario: keyOf: not a field of the block")
+}
+
+// number prints a metric value: whole numbers bare, others to three
+// decimals.
+func number(v float64) string {
+	if v == float64(int64(v)) {
+		return strconv.FormatInt(int64(v), 10)
 	}
-	switch name {
-	case "eval_warnings":
-		return float64(s.Warnings), true
-	case "eval_false_alarms":
-		return float64(s.FalseAlarms), true
-	case "eval_detected":
-		return float64(s.DetectedTickets), true
-	case "precision":
-		return s.Precision, true
-	case "recall":
-		return s.Recall, true
-	case "f_measure":
-		return s.F, true
-	case "far_per_day":
-		return s.FalseAlarmsPerDay, true
-	}
-	return 0, false
+	return strconv.FormatFloat(v, 'f', 3, 64)
 }

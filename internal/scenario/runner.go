@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,7 +25,6 @@ import (
 	"nfvpredict/internal/nfvsim"
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/pipeline"
-	"nfvpredict/internal/resilience"
 	"nfvpredict/internal/serve"
 )
 
@@ -249,12 +249,7 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	// Phase 4: assert.
 	if err := timed("assert", func() error {
 		rep.Assertions = evaluate(spec, rep)
-		rep.Passed = true
-		for _, a := range rep.Assertions {
-			if !a.OK {
-				rep.Passed = false
-			}
-		}
+		rep.Passed = !slices.ContainsFunc(rep.Assertions, func(a AssertionResult) bool { return !a.OK })
 		return nil
 	}); err != nil {
 		return nil, err
@@ -273,7 +268,7 @@ func passFail(ok bool) string {
 func countSimEvents(spec *Spec) int {
 	n := 0
 	for i := range spec.Timeline {
-		if k := spec.Timeline[i].Kind; k == EventFault || k == EventBurst {
+		if _, sim := injectKinds[spec.Timeline[i].Kind]; sim {
 			n++
 		}
 	}
@@ -383,9 +378,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 	cursor := 0
 	for i := range spec.Timeline {
 		ev := &spec.Timeline[i]
-		switch ev.Kind {
-		case EventChaos, EventAdapt, EventCheckpoint, EventDegrade:
-		default:
+		if _, sim := injectKinds[ev.Kind]; sim {
 			continue
 		}
 		cut := spec.Fleet.Start.Add(ev.At)
@@ -503,14 +496,7 @@ func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (strin
 		}
 		return fmt.Sprintf("saved+restored: messages=%d parity=%v", rMsgs, parity), nil
 	case EventDegrade:
-		mode := resilience.ModeNormal
-		switch ev.DegradeMode {
-		case "shed-learning":
-			mode = resilience.ModeShedLearning
-		case "shed-scoring":
-			mode = resilience.ModeShedScoring
-		}
-		st.SetDegrade(mode, "scenario degrade event")
+		st.SetDegrade(degradeModes[ev.DegradeMode], "scenario degrade event")
 		return "mode=" + ev.DegradeMode, nil
 	}
 	return "", fmt.Errorf("scenario: unexpected runner event kind %q", ev.Kind)
@@ -518,23 +504,15 @@ func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (strin
 
 // warningsEqual compares two warning sets ignoring order.
 func warningsEqual(a, b []detect.Warning) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(w detect.Warning) string {
-		return fmt.Sprintf("%s|%d|%d", w.VPE, w.Time.UnixNano(), w.Size)
-	}
-	counts := make(map[string]int, len(a))
-	for _, w := range a {
-		counts[key(w)]++
-	}
-	for _, w := range b {
-		counts[key(w)]--
-		if counts[key(w)] < 0 {
-			return false
+	keys := func(ws []detect.Warning) []string {
+		out := make([]string, len(ws))
+		for i, w := range ws {
+			out[i] = fmt.Sprintf("%s|%d|%d", w.VPE, w.Time.UnixNano(), w.Size)
 		}
+		slices.Sort(out)
+		return out
 	}
-	return true
+	return slices.Equal(keys(a), keys(b))
 }
 
 // wireFeeder pushes messages over the TCP listener with RFC 6587 octet

@@ -4,82 +4,88 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/nfvsim"
+	"nfvpredict/internal/resilience"
 	"nfvpredict/internal/ticket"
 )
 
-// Spec is a parsed, validated scenario.
+// Spec is a parsed, validated scenario. A field's dsl tag is its key in
+// the scenario document; the decoder reads nothing else, so the tags are
+// also the known-key lists of `nfvscen validate`.
 type Spec struct {
 	// Name identifies the scenario in reports and /statusz.
-	Name string
+	Name string `dsl:"name"`
 	// Description is a one-line human summary.
-	Description string
+	Description string `dsl:"description"`
 	// Seed drives every random choice (simulation and training).
-	Seed int64
+	Seed int64 `dsl:"seed"`
 	// File is the source path when loaded from disk ("" for inline specs).
 	File string
 
-	Fleet     FleetSpec
-	Train     TrainSpec
-	Serve     ServeSpec
-	Lifecycle LifecycleSpec
-	Timeline  []Event
-	Assert    AssertSpec
+	Fleet     FleetSpec     `dsl:"fleet"`
+	Train     TrainSpec     `dsl:"train"`
+	Serve     ServeSpec     `dsl:"serve"`
+	Lifecycle LifecycleSpec `dsl:"lifecycle"`
+	Timeline  []Event       `dsl:"timeline"`
+	Assert    AssertSpec    `dsl:"assert"`
 }
 
 // FleetSpec mirrors the nfvsim Config knobs the DSL exposes.
 type FleetSpec struct {
-	VPEs                  int
-	Months                int
-	Start                 time.Time
-	BaseRatePerHour       float64
-	Roles                 int
-	MeanFaultGapHours     float64
-	MaintenanceEvery      time.Duration
-	DupProb               float64
-	CoreIncidentsPerMonth float64
-	UpdateMonth           int
-	UpdateFraction        float64
-	GlitchesPerDay        float64
+	VPEs                  int           `dsl:"vpes"`
+	Months                int           `dsl:"months"`
+	Start                 time.Time     `dsl:"start"`
+	BaseRatePerHour       float64       `dsl:"base_rate_per_hour"`
+	Roles                 int           `dsl:"roles"`
+	MeanFaultGapHours     float64       `dsl:"mean_fault_gap_hours"`
+	MaintenanceEvery      time.Duration `dsl:"maintenance_every"`
+	DupProb               float64       `dsl:"dup_prob"`
+	CoreIncidentsPerMonth float64       `dsl:"core_incidents_per_month"`
+	UpdateMonth           int           `dsl:"update_month"`
+	UpdateFraction        float64       `dsl:"update_fraction"`
+	GlitchesPerDay        float64       `dsl:"glitches_per_day"`
 }
 
 // TrainSpec controls the bootstrap-training phase.
 type TrainSpec struct {
 	// Months is the number of leading months used for training; the
 	// serve phase replays the rest of the horizon.
-	Months int
+	Months int `dsl:"months"`
 	// Clusters is the per-role model count (1 = single fleet model).
-	Clusters int
+	Clusters int `dsl:"clusters"`
 	// Hidden, Epochs, MaxVocab override the LSTM configuration.
-	Hidden   []int
-	Epochs   int
-	MaxVocab int
+	Hidden   []int `dsl:"hidden"`
+	Epochs   int   `dsl:"epochs"`
+	MaxVocab int   `dsl:"max_vocab"`
 	// Exclusion is the ticket-exclusion window for clean training data.
-	Exclusion time.Duration
+	Exclusion time.Duration `dsl:"exclusion"`
 }
 
 // ServeSpec controls the serving stack.
 type ServeSpec struct {
 	// Shards is the monitor's shard count.
-	Shards int
+	Shards int `dsl:"shards"`
 	// Threshold is the anomaly threshold.
-	Threshold float64
+	Threshold float64 `dsl:"threshold"`
 	// Admin enables the obs admin surface (/statusz scenario metadata)
 	// on a loopback listener for the duration of the run.
-	Admin bool
+	Admin bool `dsl:"admin"`
 }
 
 // LifecycleSpec enables and tunes online adaptation.
 type LifecycleSpec struct {
-	Enabled    bool
-	GateBudget float64
-	WindowLen  int
-	MinWindows int
+	Enabled    bool    `dsl:"enabled"`
+	GateBudget float64 `dsl:"gate_budget"`
+	WindowLen  int     `dsl:"window_len"`
+	MinWindows int     `dsl:"min_windows"`
 }
 
 // Event kinds. Sim-side kinds compile to nfvsim.Injections; runner-side
@@ -93,124 +99,102 @@ const (
 	EventDegrade    = "degrade"    // runner: switch monitor degrade mode
 )
 
-// Event is one timeline entry.
+// eventKinds are the keys that name a timeline entry's event.
+var eventKinds = []string{EventFault, EventBurst, EventChaos, EventAdapt, EventCheckpoint, EventDegrade}
+
+// injectKinds are the sim-side event kinds; the runner executes the others
+// during the serve phase.
+var injectKinds = map[string]nfvsim.InjectionKind{EventFault: nfvsim.InjectFault, EventBurst: nfvsim.InjectBurst}
+
+// Event is one timeline entry: its tagged fields with no kinds tag, which
+// every entry needs, plus one event kind whose body sets the fields whose
+// kinds tag names that kind.
 type Event struct {
 	// At is the offset from trace start.
-	At time.Duration
+	At time.Duration `dsl:"at"`
 	// Kind is one of the Event* constants.
 	Kind string
 	// Line is the source line (error messages and reports).
 	Line int
 
-	// fault / burst
-	Cause      string
-	VPEs       []string
-	Fraction   float64
-	Duration   time.Duration
-	Duplicates int
-	Messages   int
-	Repeat     int
-	Every      time.Duration
+	Cause      string        `dsl:"cause" kinds:"fault burst"`
+	VPEs       []string      `dsl:"vpes" kinds:"fault burst"`
+	Fraction   float64       `dsl:"fraction" kinds:"fault burst"`
+	Duration   time.Duration `dsl:"duration" kinds:"fault"`
+	Duplicates int           `dsl:"duplicates" kinds:"fault"`
+	Messages   int           `dsl:"messages" kinds:"burst"`
+	Repeat     int           `dsl:"repeat" kinds:"fault burst"`
+	Every      time.Duration `dsl:"every" kinds:"fault burst"`
 
-	// chaos
-	Point string
-	Mode  string
-	Count int
-	Delay time.Duration
-	Bytes int
-	Skew  time.Duration
+	Point string        `dsl:"point" kinds:"chaos"`
+	Mode  string        `dsl:"mode" kinds:"chaos"`
+	Count int           `dsl:"count" kinds:"chaos"`
+	Delay time.Duration `dsl:"delay" kinds:"chaos"`
+	Bytes int           `dsl:"bytes" kinds:"chaos"`
+	Skew  time.Duration `dsl:"skew" kinds:"chaos"`
 
-	// adapt
-	Forced bool
+	Forced bool `dsl:"forced" kinds:"adapt"`
 
-	// degrade
-	DegradeMode string
+	DegradeMode string `dsl:"mode" kinds:"degrade"`
 }
 
 // AssertSpec is the declarative assertion block. Nil pointers mean
-// "not asserted".
+// "not asserted". A field tagged floor:"m" (ceiling:"m") asserts that the
+// run's metric m is at least (at most) its value.
 type AssertSpec struct {
-	MinWarnings        *int
-	MaxWarnings        *int
-	MaxFARPerDay       *float64
-	MinPrecision       *float64
-	MinRecall          *float64
-	MinDetected        *int
-	MinEarlyTickets    *int
-	MinMeanLeadMinutes *float64
-	MinFalseAlarms     *int
-	MaxFalseAlarms     *int
+	MinWarnings        *int     `dsl:"min_warnings" floor:"eval_warnings"`
+	MaxWarnings        *int     `dsl:"max_warnings" ceiling:"eval_warnings"`
+	MaxFARPerDay       *float64 `dsl:"max_far_per_day" ceiling:"far_per_day"`
+	MinPrecision       *float64 `dsl:"min_precision" floor:"precision"`
+	MinRecall          *float64 `dsl:"min_recall" floor:"recall"`
+	MinDetected        *int     `dsl:"min_detected" floor:"eval_detected"`
+	MinEarlyTickets    *int     `dsl:"min_early_tickets" floor:"eval_early_tickets"`
+	MinMeanLeadMinutes *float64 `dsl:"min_mean_lead_minutes" floor:"mean_lead_minutes"`
+	MinFalseAlarms     *int     `dsl:"min_false_alarms" floor:"eval_false_alarms"`
+	MaxFalseAlarms     *int     `dsl:"max_false_alarms" ceiling:"eval_false_alarms"`
 	// CheckpointParity requires at least one checkpoint event, all with
 	// restore parity intact.
-	CheckpointParity bool
+	CheckpointParity bool `dsl:"checkpoint_parity"`
 	// ZeroDrops asserts the serving path dropped nothing (default true —
 	// the runner paces feeding so drops indicate a harness bug).
-	ZeroDrops bool
-	Lifecycle *LifecycleAssert
-	Chaos     []ChaosAssert
-	Metrics   []MetricAssert
+	ZeroDrops bool             `dsl:"zero_drops"`
+	Lifecycle *LifecycleAssert `dsl:"lifecycle"`
+	Chaos     []ChaosAssert    `dsl:"chaos"`
+	Metrics   []MetricAssert   `dsl:"metrics"`
 }
 
 // LifecycleAssert checks adaptation outcomes.
 type LifecycleAssert struct {
-	MinCycles     *int
-	MinPromotions *int
-	Breaker       string // "", "closed", "open"
+	MinCycles     *int   `dsl:"min_cycles" floor:"lifecycle_cycles"`
+	MinPromotions *int   `dsl:"min_promotions" floor:"lifecycle_promotions"`
+	Breaker       string `dsl:"breaker"` // "", "closed", "open"
 }
 
 // ChaosAssert checks a fault point's injected-failure count.
 type ChaosAssert struct {
-	Point    string
-	MinFired uint64
+	Point    string `dsl:"point"`
+	MinFired uint64 `dsl:"min_fired"`
 }
 
-// MetricAssert checks one runner-exported metric value (see MetricNames).
+// MetricAssert checks one runner-exported metric value (see metrics).
 type MetricAssert struct {
-	Name string
-	Min  *float64
-	Max  *float64
+	Name string   `dsl:"name"`
+	Min  *float64 `dsl:"min"`
+	Max  *float64 `dsl:"max"`
 }
 
-// knownPoints are the fault points a chaos event may arm — the registry
-// names used across ingest and lifecycle.
-var knownPoints = map[string]bool{
-	"checkpoint.write": true,
-	"spool.write":      true,
-	"spool.read":       true,
-	"bundle.load":      true,
-	"shard.score":      true,
-	"shard.worker":     true,
-	"heartbeat.skew":   true,
-	"lifecycle.cycle":  true,
+// chaosPoints are the fault points a chaos event may arm: those the
+// serving stack evaluates on its own registry while the timeline runs.
+// bundle.load fires only on faultinject.Default, and spool.read only
+// while serve.New loads the spool, before any event.
+var chaosPoints = []string{
+	"checkpoint.write",
+	"heartbeat.skew",
+	"lifecycle.cycle",
+	"shard.score",
+	"shard.worker",
+	"spool.write",
 }
-
-// knownModes are the faultinject arming modes.
-var knownModes = map[string]bool{
-	"error": true, "disk-full": true, "torn": true,
-	"panic": true, "slow": true, "skew": true,
-}
-
-// MetricNames lists the metric identifiers a `metrics:` assertion may
-// reference, resolved against the run report.
-var MetricNames = []string{
-	"sim_messages", "sim_tickets",
-	"serve_received", "serve_malformed", "serve_shard_dropped",
-	"monitor_messages", "monitor_anomalies", "monitor_warnings",
-	"monitor_shard_panics", "monitor_worker_restarts", "monitor_watchdog_kicks",
-	"monitor_evicted_hosts", "monitor_shed_messages",
-	"eval_warnings", "eval_false_alarms", "eval_detected",
-	"precision", "recall", "f_measure", "far_per_day",
-	"lifecycle_cycles", "lifecycle_generation",
-	"checkpoint_saves",
-}
-
-var metricNameSet = func() map[string]bool {
-	m := make(map[string]bool, len(MetricNames))
-	for _, n := range MetricNames {
-		m[n] = true
-	}
-	return m
-}()
 
 // causeByName maps DSL cause names to ticket root causes.
 var causeByName = map[string]ticket.RootCause{
@@ -220,181 +204,16 @@ var causeByName = map[string]ticket.RootCause{
 	"hardware": ticket.Hardware,
 }
 
-// Load parses and validates a scenario document.
-func Load(src []byte) (*Spec, error) {
-	root, err := parseYAML(src)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{}
-	spec := d.decodeSpec(root)
-	if err := d.err(); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return spec, nil
+// degradeModes maps the monitor's degrade mode names to the modes.
+var degradeModes = map[string]resilience.Mode{
+	resilience.ModeNormal.String():       resilience.ModeNormal,
+	resilience.ModeShedLearning.String(): resilience.ModeShedLearning,
+	resilience.ModeShedScoring.String():  resilience.ModeShedScoring,
 }
 
-// LoadFile loads a scenario from disk.
-func LoadFile(path string) (*Spec, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := Load(src)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	spec.File = path
-	return spec, nil
-}
-
-// dec accumulates positioned decode errors.
-type dec struct {
-	errs []string
-}
-
-func (d *dec) errf(line int, format string, args ...any) {
-	d.errs = append(d.errs, fmt.Sprintf("line %d: %s", line, fmt.Sprintf(format, args...)))
-}
-
-func (d *dec) err() error {
-	if len(d.errs) == 0 {
-		return nil
-	}
-	return errors.New(strings.Join(d.errs, "\n"))
-}
-
-// want checks node kind, reporting an error and returning false on
-// mismatch (nil nodes fail silently: the caller reported the miss).
-func (d *dec) want(n *yNode, kind yKind, what string) bool {
-	if n == nil {
-		return false
-	}
-	if n.kind != kind {
-		names := map[yKind]string{yScalar: "a scalar", yMap: "a mapping", ySeq: "a list"}
-		d.errf(n.line, "%s must be %s", what, names[kind])
-		return false
-	}
-	return true
-}
-
-func (d *dec) str(n *yNode, what string) string {
-	if !d.want(n, yScalar, what) {
-		return ""
-	}
-	return n.scalar
-}
-
-func (d *dec) integer(n *yNode, what string) int {
-	if !d.want(n, yScalar, what) {
-		return 0
-	}
-	v, err := strconv.Atoi(n.scalar)
-	if err != nil {
-		d.errf(n.line, "%s: not an integer: %q", what, n.scalar)
-		return 0
-	}
-	return v
-}
-
-func (d *dec) float(n *yNode, what string) float64 {
-	if !d.want(n, yScalar, what) {
-		return 0
-	}
-	v, err := strconv.ParseFloat(n.scalar, 64)
-	if err != nil {
-		d.errf(n.line, "%s: not a number: %q", what, n.scalar)
-		return 0
-	}
-	return v
-}
-
-func (d *dec) boolean(n *yNode, what string) bool {
-	if !d.want(n, yScalar, what) {
-		return false
-	}
-	switch n.scalar {
-	case "true", "yes", "on":
-		return true
-	case "false", "no", "off":
-		return false
-	}
-	d.errf(n.line, "%s: not a boolean: %q", what, n.scalar)
-	return false
-}
-
-// duration parses "90m", "3h", or the day extension "45d" / "2.5d".
-func (d *dec) duration(n *yNode, what string) time.Duration {
-	if !d.want(n, yScalar, what) {
-		return 0
-	}
-	s := n.scalar
-	if strings.HasSuffix(s, "d") {
-		days, err := strconv.ParseFloat(strings.TrimSuffix(s, "d"), 64)
-		if err == nil {
-			return time.Duration(days * 24 * float64(time.Hour))
-		}
-	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		d.errf(n.line, "%s: not a duration (use 30m/3h/45d): %q", what, s)
-		return 0
-	}
-	return v
-}
-
-func (d *dec) strList(n *yNode, what string) []string {
-	if n == nil {
-		return nil
-	}
-	if n.kind == yScalar {
-		return []string{n.scalar}
-	}
-	if !d.want(n, ySeq, what) {
-		return nil
-	}
-	out := make([]string, 0, len(n.items))
-	for _, it := range n.items {
-		out = append(out, d.str(it, what+" item"))
-	}
-	return out
-}
-
-func (d *dec) intList(n *yNode, what string) []int {
-	if !d.want(n, ySeq, what) {
-		return nil
-	}
-	out := make([]int, 0, len(n.items))
-	for _, it := range n.items {
-		out = append(out, d.integer(it, what+" item"))
-	}
-	return out
-}
-
-func (d *dec) intPtr(n *yNode, what string) *int     { v := d.integer(n, what); return &v }
-func (d *dec) f64Ptr(n *yNode, what string) *float64 { v := d.float(n, what); return &v }
-
-// checkKeys reports unknown keys — the heart of `nfvscen validate`.
-func (d *dec) checkKeys(n *yNode, what string, allowed ...string) {
-	ok := make(map[string]bool, len(allowed))
-	for _, k := range allowed {
-		ok[k] = true
-	}
-	for _, e := range n.entries {
-		if !ok[e.key] {
-			sorted := append([]string(nil), allowed...)
-			sort.Strings(sorted)
-			d.errf(e.line, "unknown key %q in %s (known: %s)", e.key, what, strings.Join(sorted, ", "))
-		}
-	}
-}
-
-// decodeSpec decodes the document root.
-func (d *dec) decodeSpec(root *yNode) *Spec {
-	spec := &Spec{
+// defaultSpec is the scenario every document starts from.
+func defaultSpec() *Spec {
+	return &Spec{
 		Seed: 1,
 		Fleet: FleetSpec{
 			VPEs:              6,
@@ -428,410 +247,327 @@ func (d *dec) decodeSpec(root *yNode) *Spec {
 		},
 		Assert: AssertSpec{ZeroDrops: true},
 	}
-	d.checkKeys(root, "scenario", "name", "description", "seed", "fleet", "train", "serve", "lifecycle", "timeline", "assert")
-	for _, e := range root.entries {
-		switch e.key {
-		case "name":
-			spec.Name = d.str(e.val, "name")
-		case "description":
-			spec.Description = d.str(e.val, "description")
-		case "seed":
-			spec.Seed = int64(d.integer(e.val, "seed"))
-		case "fleet":
-			d.decodeFleet(e.val, &spec.Fleet)
-		case "train":
-			d.decodeTrain(e.val, &spec.Train)
-		case "serve":
-			d.decodeServe(e.val, &spec.Serve)
-		case "lifecycle":
-			d.decodeLifecycle(e.val, &spec.Lifecycle)
-		case "timeline":
-			d.decodeTimeline(e.val, spec)
-		case "assert":
-			d.decodeAssert(e.val, &spec.Assert)
-		}
-	}
-	if spec.Name == "" {
-		d.errf(root.line, "scenario must have a name")
-	}
-	return spec
 }
 
-func (d *dec) decodeFleet(n *yNode, f *FleetSpec) {
-	if !d.want(n, yMap, "fleet") {
-		return
-	}
-	d.checkKeys(n, "fleet", "vpes", "months", "start", "base_rate_per_hour", "roles",
-		"mean_fault_gap_hours", "maintenance_every", "dup_prob", "core_incidents_per_month",
-		"update_month", "update_fraction", "glitches_per_day")
-	for _, e := range n.entries {
-		switch e.key {
-		case "vpes":
-			f.VPEs = d.integer(e.val, "fleet.vpes")
-		case "months":
-			f.Months = d.integer(e.val, "fleet.months")
-		case "start":
-			s := d.str(e.val, "fleet.start")
-			t, err := time.Parse("2006-01-02", s)
-			if err != nil {
-				d.errf(e.line, "fleet.start: not a date (YYYY-MM-DD): %q", s)
-			} else {
-				f.Start = t
-			}
-		case "base_rate_per_hour":
-			f.BaseRatePerHour = d.float(e.val, "fleet.base_rate_per_hour")
-		case "roles":
-			f.Roles = d.integer(e.val, "fleet.roles")
-		case "mean_fault_gap_hours":
-			f.MeanFaultGapHours = d.float(e.val, "fleet.mean_fault_gap_hours")
-		case "maintenance_every":
-			f.MaintenanceEvery = d.duration(e.val, "fleet.maintenance_every")
-		case "dup_prob":
-			f.DupProb = d.float(e.val, "fleet.dup_prob")
-		case "core_incidents_per_month":
-			f.CoreIncidentsPerMonth = d.float(e.val, "fleet.core_incidents_per_month")
-		case "update_month":
-			f.UpdateMonth = d.integer(e.val, "fleet.update_month")
-		case "update_fraction":
-			f.UpdateFraction = d.float(e.val, "fleet.update_fraction")
-		case "glitches_per_day":
-			f.GlitchesPerDay = d.float(e.val, "fleet.glitches_per_day")
-		}
-	}
+// itemDefaults seeds each list item of these types before its keys apply.
+var itemDefaults = map[reflect.Type]any{
+	reflect.TypeOf(Event{}):       Event{Repeat: 1},
+	reflect.TypeOf(ChaosAssert{}): ChaosAssert{MinFired: 1},
 }
 
-func (d *dec) decodeTrain(n *yNode, t *TrainSpec) {
-	if !d.want(n, yMap, "train") {
-		return
+// Load parses and validates a scenario document.
+func Load(src []byte) (*Spec, error) {
+	root, err := parseYAML(src)
+	if err != nil {
+		return nil, err
 	}
-	d.checkKeys(n, "train", "months", "clusters", "hidden", "epochs", "max_vocab", "exclusion")
-	for _, e := range n.entries {
-		switch e.key {
-		case "months":
-			t.Months = d.integer(e.val, "train.months")
-		case "clusters":
-			t.Clusters = d.integer(e.val, "train.clusters")
-		case "hidden":
-			t.Hidden = d.intList(e.val, "train.hidden")
-		case "epochs":
-			t.Epochs = d.integer(e.val, "train.epochs")
-		case "max_vocab":
-			t.MaxVocab = d.integer(e.val, "train.max_vocab")
-		case "exclusion":
-			t.Exclusion = d.duration(e.val, "train.exclusion")
-		}
-	}
-}
-
-func (d *dec) decodeServe(n *yNode, s *ServeSpec) {
-	if !d.want(n, yMap, "serve") {
-		return
-	}
-	d.checkKeys(n, "serve", "shards", "threshold", "admin")
-	for _, e := range n.entries {
-		switch e.key {
-		case "shards":
-			s.Shards = d.integer(e.val, "serve.shards")
-		case "threshold":
-			s.Threshold = d.float(e.val, "serve.threshold")
-		case "admin":
-			s.Admin = d.boolean(e.val, "serve.admin")
-		}
-	}
-}
-
-func (d *dec) decodeLifecycle(n *yNode, l *LifecycleSpec) {
-	if !d.want(n, yMap, "lifecycle") {
-		return
-	}
-	d.checkKeys(n, "lifecycle", "enabled", "gate_budget", "window_len", "min_windows")
-	for _, e := range n.entries {
-		switch e.key {
-		case "enabled":
-			l.Enabled = d.boolean(e.val, "lifecycle.enabled")
-		case "gate_budget":
-			l.GateBudget = d.float(e.val, "lifecycle.gate_budget")
-		case "window_len":
-			l.WindowLen = d.integer(e.val, "lifecycle.window_len")
-		case "min_windows":
-			l.MinWindows = d.integer(e.val, "lifecycle.min_windows")
-		}
-	}
-}
-
-func (d *dec) decodeTimeline(n *yNode, spec *Spec) {
-	if !d.want(n, ySeq, "timeline") {
-		return
-	}
-	for _, item := range n.items {
-		if !d.want(item, yMap, "timeline entry") {
-			continue
-		}
-		d.checkKeys(item, "timeline entry", "at", EventFault, EventBurst, EventChaos, EventAdapt, EventCheckpoint, EventDegrade)
-		ev := Event{Line: item.line, Repeat: 1}
-		haveAt := false
-		for _, e := range item.entries {
-			if e.key == "at" {
-				ev.At = d.duration(e.val, "at")
-				haveAt = true
-				continue
-			}
-			if ev.Kind != "" {
-				d.errf(e.line, "timeline entry has both %q and %q — one event kind per entry", ev.Kind, e.key)
-				continue
-			}
-			ev.Kind = e.key
-			d.decodeEventBody(e.val, e.line, &ev)
-		}
-		if !haveAt {
-			d.errf(item.line, "timeline entry needs an \"at:\" offset")
-		}
-		if ev.Kind == "" {
-			d.errf(item.line, "timeline entry needs an event (fault/burst/chaos/adapt/checkpoint/degrade)")
-		}
-		spec.Timeline = append(spec.Timeline, ev)
+	spec := defaultSpec()
+	d := &dec{}
+	d.value(root, reflect.ValueOf(spec).Elem(), "")
+	if err := errors.Join(d.errs...); err != nil {
+		return nil, err
 	}
 	sort.SliceStable(spec.Timeline, func(i, j int) bool { return spec.Timeline[i].At < spec.Timeline[j].At })
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return spec, nil
 }
 
-// decodeEventBody fills kind-specific fields. An empty scalar body (bare
-// "checkpoint:") is allowed for kinds with no parameters.
-func (d *dec) decodeEventBody(n *yNode, line int, ev *Event) {
-	if n != nil && n.kind == yScalar && n.scalar == "" {
-		n = &yNode{line: line, kind: yMap}
+// LoadFile loads a scenario from disk.
+func LoadFile(path string) (*Spec, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	if !d.want(n, yMap, ev.Kind) {
+	spec, err := Load(src)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	spec.File = path
+	return spec, nil
+}
+
+// dec decodes a parsed document into the tagged structs above,
+// accumulating positioned errors.
+type dec struct {
+	errs []error
+}
+
+func (d *dec) errf(line int, format string, args ...any) {
+	d.errs = append(d.errs, fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...)))
+}
+
+// want reports whether n is of the given kind, and an error if not.
+func (d *dec) want(n *yNode, kind yKind, path string) bool {
+	if n.kind != kind {
+		d.errf(n.line, "%s must be %s", pathName(path), [...]string{yScalar: "a scalar", yMap: "a mapping", ySeq: "a list"}[kind])
+	}
+	return n.kind == kind
+}
+
+var (
+	durationType = reflect.TypeOf(time.Duration(0))
+	dateType     = reflect.TypeOf(time.Time{})
+	eventType    = reflect.TypeOf(Event{})
+)
+
+// value decodes n into v, which path ("fleet.vpes", "timeline[2]") names
+// in error messages. It handles exactly the field types the DSL uses; any
+// other type is a programming error and panics.
+func (d *dec) value(n *yNode, v reflect.Value, path string) {
+	t := v.Type()
+	switch {
+	case t == eventType:
+		d.event(n, v, path)
+		return
+	case t.Kind() == reflect.Struct && t != dateType:
+		if d.want(n, yMap, path) {
+			d.fields(n, v, path, "", nil)
+		}
+		return
+	case t.Kind() == reflect.Pointer:
+		p := reflect.New(t.Elem())
+		d.value(n, p.Elem(), path)
+		v.Set(p)
+		return
+	case t.Kind() == reflect.Slice:
+		d.list(n, v, path)
 		return
 	}
-	switch ev.Kind {
-	case EventFault:
-		d.checkKeys(n, "fault", "cause", "vpes", "fraction", "duration", "duplicates", "repeat", "every")
-		for _, e := range n.entries {
-			switch e.key {
-			case "cause":
-				ev.Cause = d.str(e.val, "fault.cause")
-			case "vpes":
-				ev.VPEs = d.strList(e.val, "fault.vpes")
-			case "fraction":
-				ev.Fraction = d.float(e.val, "fault.fraction")
-			case "duration":
-				ev.Duration = d.duration(e.val, "fault.duration")
-			case "duplicates":
-				ev.Duplicates = d.integer(e.val, "fault.duplicates")
-			case "repeat":
-				ev.Repeat = d.integer(e.val, "fault.repeat")
-			case "every":
-				ev.Every = d.duration(e.val, "fault.every")
+	if !d.want(n, yScalar, path) {
+		return
+	}
+	s, bad := n.scalar, ""
+	switch {
+	case t == durationType: // "90m", "3h", or the day extension "45d" / "2.5d"
+		dur, err := time.ParseDuration(s)
+		if days, derr := strconv.ParseFloat(strings.TrimSuffix(s, "d"), 64); derr == nil && strings.HasSuffix(s, "d") {
+			dur, err = time.Duration(days*24*float64(time.Hour)), nil
+		}
+		v.SetInt(int64(dur))
+		if err != nil {
+			bad = "a duration (use 30m/3h/45d)"
+		}
+	case t == dateType:
+		date, err := time.Parse("2006-01-02", s)
+		if err != nil {
+			bad = "a date (YYYY-MM-DD)"
+		} else {
+			v.Set(reflect.ValueOf(date))
+		}
+	case t.Kind() == reflect.String:
+		v.SetString(s)
+	case t.Kind() == reflect.Int || t.Kind() == reflect.Int64:
+		i, err := strconv.ParseInt(s, 10, t.Bits())
+		v.SetInt(i)
+		if err != nil {
+			bad = "an integer"
+		}
+	case t.Kind() == reflect.Uint64:
+		u, err := strconv.ParseUint(s, 10, 64)
+		v.SetUint(u)
+		if err != nil {
+			bad = "a non-negative integer"
+		}
+	case t.Kind() == reflect.Float64:
+		f, err := strconv.ParseFloat(s, 64)
+		v.SetFloat(f)
+		if err != nil {
+			bad = "a number"
+		}
+	case t.Kind() == reflect.Bool:
+		switch s {
+		case "true", "yes", "on":
+			v.SetBool(true)
+		case "false", "no", "off":
+			v.SetBool(false)
+		default:
+			bad = "a boolean"
+		}
+	default:
+		panic("scenario: no DSL decoding for field type " + t.String())
+	}
+	if bad != "" {
+		d.errf(n.line, "%s: not %s: %q", path, bad, s)
+	}
+}
+
+// list decodes a sequence into the slice v; a bare scalar is a one-item
+// list of strings.
+func (d *dec) list(n *yNode, v reflect.Value, path string) {
+	items := n.items
+	if n.kind == yScalar && v.Type().Elem().Kind() == reflect.String {
+		items = []*yNode{n}
+	} else if !d.want(n, ySeq, path) {
+		return
+	}
+	out := reflect.MakeSlice(v.Type(), len(items), len(items))
+	for i, item := range items {
+		if def, ok := itemDefaults[v.Type().Elem()]; ok {
+			out.Index(i).Set(reflect.ValueOf(def))
+		}
+		d.value(item, out.Index(i), fmt.Sprintf("%s[%d]", path, i))
+	}
+	v.Set(out)
+}
+
+// fields decodes mapping n into struct v: each entry sets the field whose
+// dsl tag is its key, among the fields whose kinds tag names kind (kind
+// "" selects the fields with no kinds tag). Any other key is an error,
+// unless skip lists it for the caller to decode.
+func (d *dec) fields(n *yNode, v reflect.Value, path, kind string, skip []string) {
+	index := keys(v.Type(), kind)
+	for _, e := range n.entries {
+		if i, ok := index[e.key]; ok {
+			d.value(e.val, v.Field(i), joinPath(path, e.key))
+		} else if !slices.Contains(skip, e.key) {
+			known := slices.Clone(skip)
+			for k := range index {
+				known = append(known, k)
 			}
+			sort.Strings(known)
+			d.errf(e.line, "unknown key %q in %s (known: %s)", e.key, pathName(path), strings.Join(known, ", "))
+		}
+	}
+}
+
+// keys maps the dsl tag of each field of t that a document may set under
+// kind to the field's index.
+func keys(t reflect.Type, kind string) map[string]int {
+	index := make(map[string]int)
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		kinds := strings.Fields(f.Tag.Get("kinds"))
+		if key := f.Tag.Get("dsl"); key != "" && (len(kinds) == 0 && kind == "" || slices.Contains(kinds, kind)) {
+			index[key] = i
+		}
+	}
+	return index
+}
+
+// event decodes one timeline entry: its common keys and exactly one event
+// kind, whose body may be empty (a bare "checkpoint:").
+func (d *dec) event(n *yNode, v reflect.Value, path string) {
+	if !d.want(n, yMap, path) {
+		return
+	}
+	ev := v.Addr().Interface().(*Event)
+	ev.Line = n.line
+	d.fields(n, v, path, "", eventKinds)
+	for key := range keys(eventType, "") {
+		if !slices.ContainsFunc(n.entries, func(e yEntry) bool { return e.key == key }) {
+			d.errf(n.line, "timeline entry needs an \"%s:\" offset", key)
+		}
+	}
+	for _, e := range n.entries {
+		if !slices.Contains(eventKinds, e.key) {
+			continue
+		}
+		if ev.Kind != "" {
+			d.errf(e.line, "timeline entry has both %q and %q — one event kind per entry", ev.Kind, e.key)
+			continue
+		}
+		ev.Kind = e.key
+		body := e.val
+		if body.kind == yScalar && body.scalar == "" {
+			body = &yNode{line: e.line, kind: yMap}
+		}
+		if d.want(body, yMap, joinPath(path, e.key)) {
+			d.fields(body, v, joinPath(path, e.key), e.key, nil)
+		}
+	}
+	if ev.Kind == "" {
+		d.errf(n.line, "timeline entry needs an event (%s)", strings.Join(eventKinds, "/"))
+	}
+}
+
+func joinPath(path, key string) string {
+	if path == "" {
+		return key
+	}
+	return path + "." + key
+}
+
+// pathName names the value at path in messages; the root is "scenario".
+func pathName(path string) string {
+	if path == "" {
+		return "scenario"
+	}
+	return path
+}
+
+// check reports a name in the event's body that the runner does not know.
+func (ev *Event) check() error {
+	switch ev.Kind {
+	case EventFault, EventBurst:
+		if _, ok := causeByName[ev.Cause]; ok || ev.Cause == "" && ev.Kind == EventBurst {
+			return nil
 		}
 		if ev.Cause == "" {
-			d.errf(line, "fault needs a cause (circuit/software/cable/hardware)")
-		} else if _, ok := causeByName[ev.Cause]; !ok {
-			d.errf(line, "unknown fault cause %q (circuit/software/cable/hardware)", ev.Cause)
+			return errors.New("fault needs a cause (circuit/software/cable/hardware)")
 		}
-	case EventBurst:
-		d.checkKeys(n, "burst", "cause", "vpes", "fraction", "messages", "repeat", "every")
-		for _, e := range n.entries {
-			switch e.key {
-			case "cause":
-				ev.Cause = d.str(e.val, "burst.cause")
-			case "vpes":
-				ev.VPEs = d.strList(e.val, "burst.vpes")
-			case "fraction":
-				ev.Fraction = d.float(e.val, "burst.fraction")
-			case "messages":
-				ev.Messages = d.integer(e.val, "burst.messages")
-			case "repeat":
-				ev.Repeat = d.integer(e.val, "burst.repeat")
-			case "every":
-				ev.Every = d.duration(e.val, "burst.every")
-			}
-		}
-		if ev.Cause != "" {
-			if _, ok := causeByName[ev.Cause]; !ok {
-				d.errf(line, "unknown burst cause %q (circuit/software/cable/hardware)", ev.Cause)
-			}
-		}
+		return fmt.Errorf("unknown %s cause %q (circuit/software/cable/hardware)", ev.Kind, ev.Cause)
 	case EventChaos:
-		d.checkKeys(n, "chaos", "point", "mode", "count", "delay", "bytes", "skew")
-		for _, e := range n.entries {
-			switch e.key {
-			case "point":
-				ev.Point = d.str(e.val, "chaos.point")
-			case "mode":
-				ev.Mode = d.str(e.val, "chaos.mode")
-			case "count":
-				ev.Count = d.integer(e.val, "chaos.count")
-			case "delay":
-				ev.Delay = d.duration(e.val, "chaos.delay")
-			case "bytes":
-				ev.Bytes = d.integer(e.val, "chaos.bytes")
-			case "skew":
-				ev.Skew = d.duration(e.val, "chaos.skew")
-			}
+		if !slices.Contains(chaosPoints, ev.Point) {
+			return fmt.Errorf("unknown chaos point %q (known: %s)", ev.Point, strings.Join(chaosPoints, ", "))
 		}
-		if !knownPoints[ev.Point] {
-			d.errf(line, "unknown chaos point %q", ev.Point)
+		if m := faultinject.Mode(ev.Mode); !m.Valid() || m == faultinject.ModeOff {
+			return fmt.Errorf("unknown chaos mode %q (error/disk-full/torn/panic/slow/skew)", ev.Mode)
 		}
-		if !knownModes[ev.Mode] {
-			d.errf(line, "unknown chaos mode %q (error/disk-full/torn/panic/slow/skew)", ev.Mode)
-		}
-	case EventAdapt:
-		d.checkKeys(n, "adapt", "forced")
-		for _, e := range n.entries {
-			if e.key == "forced" {
-				ev.Forced = d.boolean(e.val, "adapt.forced")
-			}
-		}
-	case EventCheckpoint:
-		d.checkKeys(n, "checkpoint")
 	case EventDegrade:
-		d.checkKeys(n, "degrade", "mode")
-		for _, e := range n.entries {
-			if e.key == "mode" {
-				ev.DegradeMode = d.str(e.val, "degrade.mode")
-			}
-		}
-		switch ev.DegradeMode {
-		case "normal", "shed-scoring", "shed-learning":
-		default:
-			d.errf(line, "degrade.mode must be normal/shed-scoring/shed-learning, got %q", ev.DegradeMode)
+		if _, ok := degradeModes[ev.DegradeMode]; !ok {
+			return fmt.Errorf("degrade.mode must be normal/shed-scoring/shed-learning, got %q", ev.DegradeMode)
 		}
 	}
+	return nil
 }
 
-func (d *dec) decodeAssert(n *yNode, a *AssertSpec) {
-	if !d.want(n, yMap, "assert") {
-		return
-	}
-	d.checkKeys(n, "assert", "min_warnings", "max_warnings", "max_far_per_day",
-		"min_precision", "min_recall", "min_detected", "min_early_tickets",
-		"min_mean_lead_minutes", "min_false_alarms", "max_false_alarms",
-		"checkpoint_parity", "zero_drops", "lifecycle", "chaos", "metrics")
-	for _, e := range n.entries {
-		switch e.key {
-		case "min_warnings":
-			a.MinWarnings = d.intPtr(e.val, "assert.min_warnings")
-		case "max_warnings":
-			a.MaxWarnings = d.intPtr(e.val, "assert.max_warnings")
-		case "max_far_per_day":
-			a.MaxFARPerDay = d.f64Ptr(e.val, "assert.max_far_per_day")
-		case "min_precision":
-			a.MinPrecision = d.f64Ptr(e.val, "assert.min_precision")
-		case "min_recall":
-			a.MinRecall = d.f64Ptr(e.val, "assert.min_recall")
-		case "min_detected":
-			a.MinDetected = d.intPtr(e.val, "assert.min_detected")
-		case "min_early_tickets":
-			a.MinEarlyTickets = d.intPtr(e.val, "assert.min_early_tickets")
-		case "min_mean_lead_minutes":
-			a.MinMeanLeadMinutes = d.f64Ptr(e.val, "assert.min_mean_lead_minutes")
-		case "min_false_alarms":
-			a.MinFalseAlarms = d.intPtr(e.val, "assert.min_false_alarms")
-		case "max_false_alarms":
-			a.MaxFalseAlarms = d.intPtr(e.val, "assert.max_false_alarms")
-		case "checkpoint_parity":
-			a.CheckpointParity = d.boolean(e.val, "assert.checkpoint_parity")
-		case "zero_drops":
-			a.ZeroDrops = d.boolean(e.val, "assert.zero_drops")
-		case "lifecycle":
-			a.Lifecycle = d.decodeLifecycleAssert(e.val)
-		case "chaos":
-			a.Chaos = d.decodeChaosAsserts(e.val)
-		case "metrics":
-			a.Metrics = d.decodeMetricAsserts(e.val)
+// checkNames reports every name in the spec that the runner does not
+// know: an event's cause, fault point or mode, an assertion's breaker
+// state, fault point or metric.
+func (s *Spec) checkNames() error {
+	var errs []error
+	for i := range s.Timeline {
+		if err := s.Timeline[i].check(); err != nil {
+			errs = append(errs, fmt.Errorf("line %d: %w", s.Timeline[i].Line, err))
 		}
 	}
-}
-
-func (d *dec) decodeLifecycleAssert(n *yNode) *LifecycleAssert {
-	la := &LifecycleAssert{}
-	if !d.want(n, yMap, "assert.lifecycle") {
-		return la
+	a := &s.Assert
+	if la := a.Lifecycle; la != nil && la.Breaker != "" && la.Breaker != "closed" && la.Breaker != "open" {
+		errs = append(errs, fmt.Errorf("assert.lifecycle.breaker must be closed or open, got %q", la.Breaker))
 	}
-	d.checkKeys(n, "assert.lifecycle", "min_cycles", "min_promotions", "breaker")
-	for _, e := range n.entries {
-		switch e.key {
-		case "min_cycles":
-			la.MinCycles = d.intPtr(e.val, "min_cycles")
-		case "min_promotions":
-			la.MinPromotions = d.intPtr(e.val, "min_promotions")
-		case "breaker":
-			la.Breaker = d.str(e.val, "breaker")
-			if la.Breaker != "closed" && la.Breaker != "open" {
-				d.errf(e.line, "assert.lifecycle.breaker must be closed or open, got %q", la.Breaker)
+	for i, ca := range a.Chaos {
+		if !slices.Contains(chaosPoints, ca.Point) {
+			errs = append(errs, fmt.Errorf("assert.chaos[%d]: unknown chaos point %q (known: %s)", i, ca.Point, strings.Join(chaosPoints, ", ")))
+		}
+	}
+	for i, ma := range a.Metrics {
+		if _, ok := metricByName(ma.Name); !ok {
+			names := make([]string, len(metrics))
+			for j, m := range metrics {
+				names[j] = m.name
 			}
-		}
-	}
-	return la
-}
-
-func (d *dec) decodeChaosAsserts(n *yNode) []ChaosAssert {
-	if !d.want(n, ySeq, "assert.chaos") {
-		return nil
-	}
-	var out []ChaosAssert
-	for _, item := range n.items {
-		if !d.want(item, yMap, "assert.chaos entry") {
-			continue
-		}
-		d.checkKeys(item, "assert.chaos entry", "point", "min_fired")
-		ca := ChaosAssert{MinFired: 1}
-		for _, e := range item.entries {
-			switch e.key {
-			case "point":
-				ca.Point = d.str(e.val, "point")
-			case "min_fired":
-				ca.MinFired = uint64(d.integer(e.val, "min_fired"))
-			}
-		}
-		if !knownPoints[ca.Point] {
-			d.errf(item.line, "unknown chaos point %q", ca.Point)
-		}
-		out = append(out, ca)
-	}
-	return out
-}
-
-func (d *dec) decodeMetricAsserts(n *yNode) []MetricAssert {
-	if !d.want(n, ySeq, "assert.metrics") {
-		return nil
-	}
-	var out []MetricAssert
-	for _, item := range n.items {
-		if !d.want(item, yMap, "assert.metrics entry") {
-			continue
-		}
-		d.checkKeys(item, "assert.metrics entry", "name", "min", "max")
-		var ma MetricAssert
-		for _, e := range item.entries {
-			switch e.key {
-			case "name":
-				ma.Name = d.str(e.val, "name")
-			case "min":
-				ma.Min = d.f64Ptr(e.val, "min")
-			case "max":
-				ma.Max = d.f64Ptr(e.val, "max")
-			}
-		}
-		if !metricNameSet[ma.Name] {
-			d.errf(item.line, "unknown metric %q (known: %s)", ma.Name, strings.Join(MetricNames, ", "))
+			errs = append(errs, fmt.Errorf("assert.metrics[%d]: unknown metric %q (known: %s)", i, ma.Name, strings.Join(names, ", ")))
 		}
 		if ma.Min == nil && ma.Max == nil {
-			d.errf(item.line, "metric assertion needs min and/or max")
+			errs = append(errs, fmt.Errorf("assert.metrics[%d]: metric assertion needs min and/or max", i))
 		}
-		out = append(out, ma)
 	}
-	return out
+	return errors.Join(errs...)
 }
 
-// Validate checks cross-field consistency and compiles the fleet config
-// once to reuse nfvsim's own validation.
+// Validate checks the names the spec uses and its cross-field
+// consistency, and compiles the fleet config once to reuse nfvsim's own
+// validation.
 func (s *Spec) Validate() error {
+	if err := s.checkNames(); err != nil {
+		return err
+	}
 	f := &s.Fleet
 	switch {
 	case s.Name == "":
-		return errors.New("scenario: name is required")
+		return errors.New("scenario: must have a name")
 	case f.Months < 2:
 		return fmt.Errorf("scenario: fleet.months must be ≥ 2 (train + serve), got %d", f.Months)
 	case s.Train.Months < 1 || s.Train.Months >= f.Months:
@@ -858,29 +594,18 @@ func (s *Spec) Validate() error {
 		if ev.At < 0 || ev.At >= horizon {
 			return fmt.Errorf("scenario: line %d: event at %s is outside the %s horizon", ev.Line, ev.At, horizon)
 		}
-		switch ev.Kind {
-		case EventChaos, EventAdapt, EventCheckpoint, EventDegrade:
-			if ev.At < serveOffset {
-				return fmt.Errorf("scenario: line %d: %s event at %s is inside the training window (serve starts at %s)", ev.Line, ev.Kind, ev.At, serveOffset)
-			}
+		if _, sim := injectKinds[ev.Kind]; !sim && ev.At < serveOffset {
+			return fmt.Errorf("scenario: line %d: %s event at %s is inside the training window (serve starts at %s)", ev.Line, ev.Kind, ev.At, serveOffset)
 		}
-		if (ev.Kind == EventAdapt) && !s.Lifecycle.Enabled {
+		if ev.Kind == EventAdapt && !s.Lifecycle.Enabled {
 			return fmt.Errorf("scenario: line %d: adapt event requires lifecycle.enabled", ev.Line)
 		}
 	}
 	if s.Assert.Lifecycle != nil && !s.Lifecycle.Enabled {
 		return errors.New("scenario: assert.lifecycle requires lifecycle.enabled")
 	}
-	if s.Assert.CheckpointParity {
-		any := false
-		for i := range s.Timeline {
-			if s.Timeline[i].Kind == EventCheckpoint {
-				any = true
-			}
-		}
-		if !any {
-			return errors.New("scenario: assert.checkpoint_parity requires at least one checkpoint event in the timeline")
-		}
+	if s.Assert.CheckpointParity && !slices.ContainsFunc(s.Timeline, func(ev Event) bool { return ev.Kind == EventCheckpoint }) {
+		return errors.New("scenario: assert.checkpoint_parity requires at least one checkpoint event in the timeline")
 	}
 	// Compile and let nfvsim validate fleet parameters and injections
 	// (unknown vPE names, bad fractions, ...).
@@ -922,34 +647,29 @@ func (s *Spec) SimConfig() (nfvsim.Config, error) {
 	}
 	for i := range s.Timeline {
 		ev := &s.Timeline[i]
-		switch ev.Kind {
-		case EventFault, EventBurst:
-			inj := nfvsim.Injection{
-				At:         f.Start.Add(ev.At),
-				VPEs:       ev.VPEs,
-				Fraction:   ev.Fraction,
-				Duration:   ev.Duration,
-				Duplicates: ev.Duplicates,
-				Messages:   ev.Messages,
-				Repeat:     ev.Repeat,
-				Every:      ev.Every,
-			}
-			if ev.Kind == EventFault {
-				inj.Kind = nfvsim.InjectFault
-			} else {
-				inj.Kind = nfvsim.InjectBurst
-			}
-			if ev.Cause != "" {
-				c, ok := causeByName[ev.Cause]
-				if !ok {
-					return cfg, fmt.Errorf("scenario: line %d: unknown cause %q", ev.Line, ev.Cause)
-				}
-				inj.Cause = c
-			} else if ev.Kind == EventBurst {
-				inj.Cause = ticket.Software
-			}
-			cfg.Injections = append(cfg.Injections, inj)
+		kind, ok := injectKinds[ev.Kind]
+		if !ok {
+			continue
 		}
+		if err := ev.check(); err != nil {
+			return cfg, fmt.Errorf("scenario: line %d: %w", ev.Line, err)
+		}
+		cause, ok := causeByName[ev.Cause]
+		if !ok {
+			cause = ticket.Software // a burst with no cause
+		}
+		cfg.Injections = append(cfg.Injections, nfvsim.Injection{
+			Kind:       kind,
+			Cause:      cause,
+			At:         f.Start.Add(ev.At),
+			VPEs:       ev.VPEs,
+			Fraction:   ev.Fraction,
+			Duration:   ev.Duration,
+			Duplicates: ev.Duplicates,
+			Messages:   ev.Messages,
+			Repeat:     ev.Repeat,
+			Every:      ev.Every,
+		})
 	}
 	return cfg, nil
 }

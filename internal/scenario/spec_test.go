@@ -188,6 +188,9 @@ func TestSpecErrors(t *testing.T) {
 		{"bad metric", "name: x\nassert:\n  metrics:\n    - name: bogus\n      min: 1\n", "unknown metric"},
 		{"bad vpe name", "name: x\ntimeline:\n  - at: 40d\n    fault:\n      cause: circuit\n      vpes: [vpe99]\n", "vpe99"},
 		{"degrade bad mode", "name: x\ntimeline:\n  - at: 40d\n    degrade:\n      mode: sideways\n", "degrade.mode"},
+		{"unfired point bundle.load", "name: x\ntimeline:\n  - at: 40d\n    chaos:\n      point: bundle.load\n      mode: error\n", "unknown chaos point \"bundle.load\""},
+		{"unfired point spool.read", "name: x\nassert:\n  chaos:\n    - point: spool.read\n", "unknown chaos point \"spool.read\""},
+		{"negative min_fired", "name: x\nassert:\n  chaos:\n    - point: shard.score\n      min_fired: -1\n", "min_fired: not a non-negative integer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -33,7 +33,6 @@ type yNode struct {
 	line    int
 	kind    yKind
 	scalar  string
-	quoted  bool // scalar came from a quoted literal ("06" stays a string)
 	entries []yEntry
 	items   []*yNode
 }
@@ -87,11 +86,8 @@ func splitLines(src string) ([]yLine, error) {
 	var out []yLine
 	for i, raw := range strings.Split(src, "\n") {
 		num := i + 1
-		if strings.Contains(raw, "\t") {
-			trimmed := strings.TrimLeft(raw, " ")
-			if strings.HasPrefix(trimmed, "\t") || strings.Contains(raw[:len(raw)-len(strings.TrimLeft(raw, " \t"))], "\t") {
-				return nil, fmt.Errorf("line %d: tab in indentation (use spaces)", num)
-			}
+		if strings.Contains(raw[:len(raw)-len(strings.TrimLeft(raw, " \t"))], "\t") {
+			return nil, fmt.Errorf("line %d: tab in indentation (use spaces)", num)
 		}
 		text := stripComment(raw)
 		trimmed := strings.TrimRight(text, " \r")
@@ -166,16 +162,11 @@ func (p *yParser) parseMap(indent int) (*yNode, error) {
 		var val *yNode
 		if rest != "" {
 			val, err = scalarNode(rest, l.num)
-			if err != nil {
-				return nil, err
-			}
-		} else if p.pos < len(p.lines) && p.lines[p.pos].indent > indent {
-			val, err = p.parseBlock(p.lines[p.pos].indent)
-			if err != nil {
-				return nil, err
-			}
 		} else {
-			val = &yNode{line: l.num, kind: yScalar, scalar: ""}
+			val, err = p.nested(l.num, indent)
+		}
+		if err != nil {
+			return nil, err
 		}
 		node.entries = append(node.entries, yEntry{key: key, line: l.num, val: val})
 	}
@@ -193,41 +184,39 @@ func (p *yParser) parseSeq(indent int) (*yNode, error) {
 			}
 			break
 		}
-		rest := strings.TrimPrefix(strings.TrimPrefix(l.text, "-"), " ")
-		rest = strings.TrimLeft(rest, " ")
+		rest := strings.TrimLeft(l.text[1:], " ")
+		var item *yNode
+		var err error
 		switch {
 		case rest == "":
 			// "-" alone: nested block on the following deeper lines.
 			p.pos++
-			if p.pos >= len(p.lines) || p.lines[p.pos].indent <= indent {
-				node.items = append(node.items, &yNode{line: l.num, kind: yScalar, scalar: ""})
-				continue
-			}
-			item, err := p.parseBlock(p.lines[p.pos].indent)
-			if err != nil {
-				return nil, err
-			}
-			node.items = append(node.items, item)
+			item, err = p.nested(l.num, indent)
 		case isMappingStart(rest):
 			// Compact entry: "- key: v" opens a mapping whose further keys
 			// sit at the column where "key" starts.
 			childIndent := l.indent + (len(l.text) - len(rest))
 			p.lines[p.pos] = yLine{num: l.num, indent: childIndent, text: rest}
-			item, err := p.parseMap(childIndent)
-			if err != nil {
-				return nil, err
-			}
-			node.items = append(node.items, item)
+			item, err = p.parseMap(childIndent)
 		default:
 			p.pos++
-			item, err := scalarNode(rest, l.num)
-			if err != nil {
-				return nil, err
-			}
-			node.items = append(node.items, item)
+			item, err = scalarNode(rest, l.num)
 		}
+		if err != nil {
+			return nil, err
+		}
+		node.items = append(node.items, item)
 	}
 	return node, nil
+}
+
+// nested parses the block on the lines after line num that sit deeper
+// than indent; with none, the value on line num is an empty scalar.
+func (p *yParser) nested(num, indent int) (*yNode, error) {
+	if p.pos < len(p.lines) && p.lines[p.pos].indent > indent {
+		return p.parseBlock(p.lines[p.pos].indent)
+	}
+	return &yNode{line: num, kind: yScalar}, nil
 }
 
 // isMappingStart reports whether a sequence item body opens a mapping.
@@ -294,12 +283,12 @@ func scalarNode(s string, line int) (*yNode, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad quoted scalar %s: %v", line, s, err)
 		}
-		return &yNode{line: line, kind: yScalar, scalar: unq, quoted: true}, nil
+		return &yNode{line: line, kind: yScalar, scalar: unq}, nil
 	case strings.HasPrefix(s, "'"):
 		if len(s) < 2 || !strings.HasSuffix(s, "'") {
 			return nil, fmt.Errorf("line %d: unterminated single-quoted scalar %s", line, s)
 		}
-		return &yNode{line: line, kind: yScalar, scalar: strings.ReplaceAll(s[1:len(s)-1], "''", "'"), quoted: true}, nil
+		return &yNode{line: line, kind: yScalar, scalar: strings.ReplaceAll(s[1:len(s)-1], "''", "'")}, nil
 	case strings.HasPrefix(s, "|") || strings.HasPrefix(s, ">") || strings.HasPrefix(s, "&") || strings.HasPrefix(s, "*"):
 		return nil, fmt.Errorf("line %d: unsupported YAML feature in %q (block scalars and anchors are out of the subset)", line, s)
 	}
