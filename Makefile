@@ -18,8 +18,8 @@ test-race:
 	$(GO) test -race ./internal/...
 
 # Fault soak (race-enabled): scenarios/fault-soak.yaml through the shipped
-# stack — scoring panic and stall, worker crashes, disk-full checkpoint
-# and torn spool writes retried on the production path, a shed-learning
+# stack — scoring panic and stall, worker crashes, disk-full and torn
+# checkpoint writes retried on the production path, a shed-learning
 # excursion, injected cycle failures that open the adaptation breaker —
 # with its own assertions (lossless, checkpoint parity, every point
 # fired), then the same file with the chaos events removed: the per-host
@@ -56,11 +56,12 @@ bench-smoke:
 # RFC 3164 parser
 # against a time.Parse reference, the RFC 6587 octet-count reader against
 # hostile prefixes, the scenario DSL loader (seeded with every file under
-# scenarios/), and the three persistent-state decoders: the NFVB bundle
-# loader, the NFVC checkpoint restore and the NFVS lifecycle spool, each
-# fed its file as is and with the payload reframed under a valid checksum
-# (every input loads into a bundle, monitor or spool that validates and
-# serves, or is refused; none panics). Their seeds are whole files, which
+# scenarios/), and the persistent-state decoders: the NFVB bundle
+# loader, the NFVC checkpoint restore and the whole restart path (serve.New
+# over a checkpoint carrying a generation and a spool), each fed its file
+# as is and with the payload reframed under a valid checksum (every input
+# loads into a bundle, monitor or stack that validates and serves, or is
+# refused or quarantined; none panics). Their seeds are whole files, which
 # the fuzzer would otherwise spend the run minimizing, hence
 # -fuzzminimizetime. `go test -fuzz` takes one target and one package per
 # run. A failing input is written under the package's testdata/fuzz/ and
@@ -78,7 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzReadOctetLen$$' -fuzztime 10s
 	$(GO) test ./internal/bundle/ -run XXX -fuzz '^FuzzBundleLoad$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/ingest/ -run XXX -fuzz '^FuzzRestoreMonitor$$' -fuzztime 10s -fuzzminimizetime 1s
-	$(GO) test ./internal/lifecycle/ -run XXX -fuzz '^FuzzLoadSpool$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/serve/ -run XXX -fuzz '^FuzzRestartFile$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/scenario/ -run XXX -fuzz '^FuzzSpecLoad$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Reachability: every func in a non-test file of a library package that

@@ -5,9 +5,9 @@
 // (§5.1's ≥2-within-a-minute rule).
 //
 // The monitor is built to run continuously. With -checkpoint it snapshots
-// its online state (grown signature tree, per-vPE LSTM streams, warning
-// history, counters) atomically on an interval and at shutdown, and resumes
-// from the snapshot on the next start — a restart costs no warm-up. With
+// its online state (signature tree, per-vPE LSTM streams, warnings,
+// counters, serving model, -adapt spool) into one file on an interval and
+// at shutdown, and resumes from it on the next start — no warm-up. With
 // -model it serves a trained bundle and hot-reloads it on SIGHUP: a new
 // bundle that fails validation is rejected and the serving bundle stays
 // active (§4.4's monthly retraining loop, minus the downtime).
@@ -87,7 +87,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", time.Minute, "how often to write the checkpoint")
 	fs.StringVar(&o.admin, "admin", "", "admin HTTP listen address serving /metrics, /statusz, /spans, /slo, /healthz, /readyz, /debug/pprof (empty disables)")
 	fs.IntVar(&o.SpanBuffer, "span-buffer", d.SpanBuffer, "pipeline spans retained for /spans")
-	fs.IntVar(&o.SpanSample, "span-sample", d.SpanSample, "stage-clock sampling: 1 in N accepted messages carries a full span stage breakdown (warnings always get a span); 0 disables sampling — and with it the accept_verdict_latency SLO, which only observes sampled verdicts (/slo marks it inactive)")
+	fs.IntVar(&o.SpanSample, "span-sample", d.SpanSample, "stage-clock sampling: 1 in N accepted messages carries a full span stage breakdown (every anomalous verdict gets a span); 0 disables sampling — and with it the accept_verdict_latency SLO, which only observes sampled verdicts (/slo marks it inactive)")
 	fs.DurationVar(&o.LatencyBound, "slo-latency", d.LatencyBound, "accept→verdict latency bound for the accept_verdict_latency SLO")
 	fs.StringVar(&o.burnDir, "profile-on-burn", "", "directory for CPU profiles captured when an SLO fast window starts burning (empty disables)")
 	fs.BoolVar(&o.verbose, "v", false, "verbose (debug-level) logging")
@@ -96,7 +96,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&o.adapt, "adapt", false, "enable the online model lifecycle: drift detection, background fine-tuning, shadow-gated promotion (adds /models to the admin surface)")
 	fs.DurationVar(&o.adaptInterval, "adapt-interval", ld.Interval, "lifecycle cycle period (drift check + possible adaptation)")
 	fs.Float64Var(&o.adaptGate, "adapt-gate", ld.GateBudget, "promotion gate: max false-alarm rate a candidate may show on held-out spooled traffic")
-	fs.StringVar(&o.Spool, "adapt-spool", "", "spool file: recent normal windows are persisted here with the checkpoint and restored at startup (empty disables)")
 }
 
 func main() {
@@ -309,8 +308,8 @@ func (a *app) loadServing(model string, threshold float64, seed int64) (*bundle.
 
 // newApp loads the serving bundle and assembles the stack around it,
 // listeners bound but not started. /statusz names the file the stack
-// serves: the -model bundle, or the generation a previous run saved
-// beside the checkpoint when the stack serves that instead.
+// serves: the -model bundle, or the checkpoint when the stack serves the
+// generation it carries instead.
 func newApp(o options, logOut io.Writer) (*app, error) {
 	level := obs.LevelInfo
 	if o.verbose {

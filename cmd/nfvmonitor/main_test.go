@@ -468,8 +468,8 @@ func TestStatusLineLogsShardDrops(t *testing.T) {
 
 // TestStatuszNamesServedFile pins the /statusz bundle block to the file
 // the stack actually serves: the -model bundle on a first start, and the
-// generation saved beside the checkpoint once a restart after a promotion
-// serves that instead.
+// checkpoint once a restart after a promotion serves the generation it
+// carries instead.
 func TestStatuszNamesServedFile(t *testing.T) {
 	dir := t.TempDir()
 	tree, det := trainServing(t)
@@ -519,13 +519,13 @@ func TestStatuszNamesServedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer second.Close()
-	if got := served(second); got != ckpt+".model" || second.RestoredAt.IsZero() {
-		t.Fatalf("restart: /statusz names %q (restored %v), want %q", got, second.RestoredAt, ckpt+".model")
+	if got := served(second); got != ckpt || second.RestoredAt.IsZero() {
+		t.Fatalf("restart: /statusz names %q (restored %v), want %q", got, second.RestoredAt, ckpt)
 	}
 }
 
 // TestRestartTakesThresholdFlag: a restart that serves the generation
-// saved beside the checkpoint scores at the -threshold it was given, and
+// the checkpoint carries scores at the -threshold it was given, and
 // /statusz reports that threshold, not the one the promoting run had.
 func TestRestartTakesThresholdFlag(t *testing.T) {
 	dir := t.TempDir()

@@ -62,8 +62,8 @@ type Bundle struct {
 	TrainHist []map[int]float64
 	// Lineage identifies the trained bundle a generation descends from:
 	// the Fingerprint of the bundle a serving process loaded, as it was at
-	// load. internal/serve stamps it when it first serves a bundle and
-	// writes it into every generation it saves beside a checkpoint, so a
+	// load. internal/serve stamps it when it first serves a bundle, and
+	// every checkpoint carries it with the serving generation, so a
 	// restart can tell whether that generation descends from the bundle it
 	// is given. A bundle nfvtrain writes carries 0. Gob tolerates the field
 	// both ways, as for TrainHist.
@@ -182,7 +182,8 @@ func (b *Bundle) Validate() error {
 }
 
 // wire is the gob form: nested gob blobs keep the component formats
-// independent of the bundle layout.
+// independent of the bundle layout. A generation a checkpoint carries
+// leaves Tree empty: its tree is the checkpoint's.
 type wire struct {
 	Tree      []byte
 	Detectors [][]byte
@@ -198,32 +199,43 @@ func (b *Bundle) Save(w io.Writer) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	var wf wire
-	var buf bytes.Buffer
-	if err := b.Tree.Save(&buf); err != nil {
+	var tree bytes.Buffer
+	if err := b.Tree.Save(&tree); err != nil {
 		return fmt.Errorf("bundle: saving tree: %w", err)
 	}
-	wf.Tree = append([]byte(nil), buf.Bytes()...)
-	for i, d := range b.Detectors {
-		buf.Reset()
-		if err := d.Save(&buf); err != nil {
-			return fmt.Errorf("bundle: saving detector %d: %w", i, err)
-		}
-		wf.Detectors = append(wf.Detectors, append([]byte(nil), buf.Bytes()...))
+	payload, err := b.encode(tree.Bytes())
+	if err != nil {
+		return err
 	}
-	wf.Assign = b.Assign
-	wf.Threshold = b.Threshold
-	wf.TrainHist = b.TrainHist
-	wf.Lineage = b.Lineage
-
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&wf); err != nil {
-		return fmt.Errorf("bundle: encoding: %w", err)
-	}
-	if err := wireframe.Encode(w, Magic, Version, payload.Bytes()); err != nil {
+	if err := wireframe.Encode(w, Magic, Version, payload); err != nil {
 		return fmt.Errorf("bundle: %w", err)
 	}
 	return nil
+}
+
+// MarshalGeneration encodes b without its tree: the serving generation
+// as a checkpoint carries it beside the tree it cut.
+func (b *Bundle) MarshalGeneration() ([]byte, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return b.encode(nil)
+}
+
+func (b *Bundle) encode(tree []byte) ([]byte, error) {
+	wf := wire{Tree: tree, Assign: b.Assign, Threshold: b.Threshold, TrainHist: b.TrainHist, Lineage: b.Lineage}
+	for i, d := range b.Detectors {
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			return nil, fmt.Errorf("bundle: saving detector %d: %w", i, err)
+		}
+		wf.Detectors = append(wf.Detectors, buf.Bytes())
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&wf); err != nil {
+		return nil, fmt.Errorf("bundle: encoding: %w", err)
+	}
+	return payload.Bytes(), nil
 }
 
 // Load reconstructs and validates a bundle saved with Save. Input with a
@@ -238,13 +250,22 @@ func Load(r io.Reader) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bundle: %w", err)
 	}
+	return UnmarshalGeneration(payload, nil)
+}
+
+// UnmarshalGeneration decodes and validates a generation MarshalGeneration
+// encoded, over tree; a nil tree is loaded from the payload, as Save
+// wrote it.
+func UnmarshalGeneration(data []byte, tree *sigtree.Tree) (*Bundle, error) {
 	var wf wire
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
 		return nil, fmt.Errorf("bundle: decoding: %w", err)
 	}
-	tree, err := sigtree.Load(bytes.NewReader(wf.Tree))
-	if err != nil {
-		return nil, fmt.Errorf("bundle: loading tree: %w", err)
+	if tree == nil {
+		var err error
+		if tree, err = sigtree.Load(bytes.NewReader(wf.Tree)); err != nil {
+			return nil, fmt.Errorf("bundle: loading tree: %w", err)
+		}
 	}
 	b := &Bundle{Tree: tree, Assign: wf.Assign, Threshold: wf.Threshold, TrainHist: wf.TrainHist, Lineage: wf.Lineage}
 	for i, raw := range wf.Detectors {

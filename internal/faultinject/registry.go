@@ -1,8 +1,8 @@
 // Package faultinject is the runtime's fault-injection registry: named
-// points in production code — checkpoint and spool writes, spool and bundle
-// loads, shard drains and worker loops, the watchdog's clock, the
-// adaptation cycle — that tests, the fault-soak scenario and the /chaos
-// admin endpoint arm at runtime to fail, tear, fill, stall, panic or skew.
+// points in production code — checkpoint writes, bundle loads, shard
+// drains and worker loops, the watchdog's clock, the adaptation cycle —
+// that tests, the fault-soak scenario and the /chaos admin endpoint arm
+// at runtime to fail, tear, fill, stall, panic or skew.
 // A disarmed point costs one atomic pointer load, so the points ship in the
 // binary. Every arming is deterministic (a mode, a count, a byte offset),
 // so a failing test reproduces exactly. Tests arm a private Registry; a
@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -349,6 +351,7 @@ func (r *Registry) Snapshot() []PointStatus {
 //
 //	GET  /          — JSON snapshot of every point
 //	POST /arm?point=NAME&mode=MODE[&count=N][&delay=DUR][&bytes=N][&skew=DUR]
+//	                — NAME must be a registered point (400 lists them)
 //	POST /disarm[?point=NAME] — disarm one point, or all when omitted
 //
 // Mount it behind an admin-only listener; arming faults in production is a
@@ -374,6 +377,15 @@ func (r *Registry) Handler() http.Handler {
 		name := q.Get("point")
 		if name == "" {
 			http.Error(w, "point parameter required", http.StatusBadRequest)
+			return
+		}
+		var known []string // a point nothing registered can never fire
+		for _, p := range r.Snapshot() {
+			known = append(known, p.Name)
+		}
+		if !slices.Contains(known, name) {
+			http.Error(w, fmt.Sprintf("unknown point %q; known points: %s", name, strings.Join(known, ", ")),
+				http.StatusBadRequest)
 			return
 		}
 		a := Arming{Mode: Mode(q.Get("mode"))}

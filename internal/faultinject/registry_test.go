@@ -225,6 +225,9 @@ func TestChaosHandler(t *testing.T) {
 	post("/arm?point=ckpt.write&mode=torn&bytes=8&count=2", 200)
 	post("/arm?point=ckpt.write&mode=bogus", 400)
 	post("/arm?point=", 400)
+	if body := post("/arm?point=ckpt.wrte&mode=error", 400); !strings.Contains(body, "known points: ckpt.write") {
+		t.Fatalf("unknown point refused without naming the known ones: %q", body)
+	}
 
 	resp, err := srv.Client().Get(srv.URL + "/")
 	if err != nil {

@@ -5,13 +5,12 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"time"
 
 	"nfvpredict/internal/atomicfile"
+	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/detect"
-	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/sigtree"
 	"nfvpredict/internal/wireframe"
@@ -43,35 +42,43 @@ type hostWire struct {
 // checkpointWire is the gob payload of a checkpoint. Hosts are stored in
 // LRU order, least recently seen first, so a restored monitor evicts in
 // exactly the order the original would have — a requirement for the
-// kill-and-restore bit-identity guarantee.
+// kill-and-restore bit-identity guarantee. Generation (the served one,
+// over Tree) and Spool (Cut.Spool) are empty in checkpoints written before
+// they rode along; gob leaves absent fields zero, so the version stays 1.
 type checkpointWire struct {
-	Tree     []byte
-	Hosts    []hostWire
-	Warnings []detect.Warning
-	Messages uint64
-	Anoms    uint64
-	Evicted  uint64
-	Swaps    uint64
+	Tree       []byte
+	Hosts      []hostWire
+	Warnings   []detect.Warning
+	Messages   uint64
+	Anoms      uint64
+	Evicted    uint64
+	Swaps      uint64
+	Generation []byte
+	Spool      []byte
 }
 
-// Checkpoint snapshots the monitor's full online state — the grown
-// signature tree, every host's recurrent scoring stream, in-progress
-// anomaly clusters, warning history, and counters — so a restarted monitor
-// resumes scoring mid-stream instead of cold. The snapshot is taken with
-// every shard mutex held (a consistent cut across shards); encoding
-// happens outside the locks.
-//
-// Hosts are emitted in global least-recently-seen order (each host carries
-// a recency stamp, Monitor.seq), so the bytes a single-caller monitor
-// checkpoints are identical at any shard count — and identical to the
-// historical single-shard format.
-func (m *Monitor) Checkpoint(w io.Writer) error {
-	start := m.ckptSeconds.Start()
-	var spanStart time.Time
-	if m.cfg.Tracer != nil {
-		spanStart = time.Now()
-	}
-	var wf checkpointWire
+// A Cut is one consistent snapshot of the monitor's online state — the
+// grown signature tree, every host's recurrent scoring stream, in-progress
+// anomaly clusters, warning history, counters — and the generation it
+// served, so a restarted monitor resumes mid-stream instead of cold.
+type Cut struct {
+	// Spool rides along, opaque to the monitor: the lifecycle's spool and
+	// drift references, snapshotted just before the cut.
+	Spool []byte
+
+	m     *Monitor
+	start time.Time
+	cutNS int64
+	wf    checkpointWire
+}
+
+// Cut takes the snapshot with every shard mutex held, as SwapModel
+// installs a generation, so the streams and the generation agree. Hosts
+// are emitted in global least-recently-seen order (each host carries a
+// recency stamp, Monitor.seq), so the bytes a single-caller monitor
+// checkpoints are identical at any shard count.
+func (m *Monitor) Cut() (*Cut, error) {
+	c := &Cut{m: m, start: time.Now()}
 	type stamped struct {
 		hw  hostWire
 		seq uint64
@@ -84,9 +91,10 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 	m.treeMu.Unlock()
 	if err != nil {
 		m.unlockAll()
-		return fmt.Errorf("checkpoint: saving tree: %w", err)
+		return nil, fmt.Errorf("checkpoint: saving tree: %w", err)
 	}
-	wf.Tree = tb.Bytes()
+	c.wf.Tree = tb.Bytes()
+	gen := m.gen
 	var hosts []stamped
 	for _, sh := range m.shards {
 		for el := sh.lru.Back(); el != nil; el = el.Prev() {
@@ -101,21 +109,43 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 		}
 	}
 	m.warnMu.Lock()
-	wf.Warnings = append([]detect.Warning(nil), m.warnings...)
+	c.wf.Warnings = append([]detect.Warning(nil), m.warnings...)
 	m.warnMu.Unlock()
-	wf.Messages, wf.Anoms = m.messages.Value(), m.anoms.Value()
-	wf.Evicted, wf.Swaps = m.evicted.Value(), m.swaps.Value()
+	c.wf.Messages, c.wf.Anoms = m.messages.Value(), m.anoms.Value()
+	c.wf.Evicted, c.wf.Swaps = m.evicted.Value(), m.swaps.Value()
 	m.unlockAll()
 
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].seq < hosts[j].seq })
-	// Weights are immutable once served, so the fingerprints are taken
-	// outside the locks, once per detector.
+	// Weights are immutable once served, so the fingerprints (once per
+	// detector) and the generation are taken outside the locks.
 	fps := make(fingerprints)
-	wf.Hosts = make([]hostWire, len(hosts))
-	for i, h := range hosts {
-		wf.Hosts[i] = h.hw
-		wf.Hosts[i].Detector = fps.of(h.det)
+	for _, h := range hosts {
+		h.hw.Detector = fps.of(h.det)
+		c.wf.Hosts = append(c.wf.Hosts, h.hw)
 	}
+	if gen != nil {
+		if c.wf.Generation, err = m.marshalGeneration(gen); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+	}
+	c.cutNS = int64(time.Since(c.start))
+	return c, nil
+}
+
+// Checkpoint cuts the monitor and writes the cut to w.
+func (m *Monitor) Checkpoint(w io.Writer) error {
+	c, err := m.Cut()
+	if err != nil {
+		return err
+	}
+	return c.Encode(w)
+}
+
+// Encode writes the cut to w as a framed checkpoint; a retry writes the
+// same state again.
+func (c *Cut) Encode(w io.Writer) error {
+	start, m, wf := time.Now(), c.m, c.wf
+	wf.Spool = c.Spool
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&wf); err != nil {
 		return fmt.Errorf("checkpoint: encoding: %w", err)
@@ -123,25 +153,54 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 	if err := wireframe.Encode(w, CheckpointMagic, CheckpointVersion, payload.Bytes()); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	m.ckptSeconds.ObserveDuration(start)
+	total := c.cutNS + int64(time.Since(start))
+	m.ckptSeconds.Observe(time.Duration(total).Seconds())
 	m.ckptSaves.Inc()
 	if m.cfg.Tracer != nil {
 		// Checkpoints hold every shard lock; a span makes their cost
 		// visible next to the decision latencies they stall. MintID, not
 		// Accept: a checkpoint is not an accepted message and must not
 		// consume a sampling slot.
-		id := m.cfg.Tracer.MintID()
-		total := int64(time.Since(spanStart))
 		m.cfg.Tracer.Emit(obs.Span{
-			TraceID: id,
+			TraceID: m.cfg.Tracer.MintID(),
 			Kind:    obs.KindCheckpoint,
-			Time:    spanStart,
+			Time:    c.start,
 			Sampled: true,
 			TotalNS: total,
 			Stages:  obs.StageDurations{CheckpointNS: total},
 		})
 	}
 	return nil
+}
+
+// WriteFile writes the cut to path atomically (temp file + fsync +
+// rename): a crash or a failed write leaves the previous checkpoint
+// intact. The checkpoint.write fault point injects disk-full/torn/slow
+// failures inside that window.
+func (c *Cut) WriteFile(path string) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
+		return c.Encode(c.m.fpCkpt.Writer(w))
+	})
+}
+
+// genWire is the encoding of a served generation, which is immutable:
+// each is encoded once, or taken as read from the checkpoint it was
+// restored from. gob writes maps in no fixed order, so a restarted monitor
+// checkpoints the very bytes the one it resumes did.
+type genWire struct {
+	gen  *bundle.Bundle
+	data []byte
+}
+
+func (m *Monitor) marshalGeneration(gen *bundle.Bundle) ([]byte, error) {
+	if w := m.genWire.Load(); w != nil && w.gen == gen {
+		return w.data, nil
+	}
+	data, err := gen.MarshalGeneration()
+	if err == nil {
+		m.genWire.Store(&genWire{gen, data})
+	}
+	return data, err
 }
 
 // fingerprints caches detector weight fingerprints for one checkpoint or
@@ -157,17 +216,18 @@ func (f fingerprints) of(d *detect.LSTMDetector) uint64 {
 	return fp
 }
 
-// RestoreMonitor rebuilds a monitor from a checkpoint written by
-// Checkpoint. The detector resolver and callbacks are not part of the
-// snapshot and must be supplied again. A host whose stream was cut under
-// other weights than its detector now has (a fingerprint mismatch), or
-// under a different architecture, produces a descriptive error: the
-// caller should fall back to a cold start, as after a redeploy. A
-// checkpoint that recorded no fingerprint for a host restores its stream
-// into whatever detector serves it. Hosts whose resolver now returns nil
-// are dropped silently, matching what HandleMessage would do with their
-// next message.
-func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *detect.LSTMDetector, onWarning func(detect.Warning)) (*Monitor, error) {
+// Saved is a decoded checkpoint: one cut's monitor state, the generation
+// served at the cut (over Tree; nil when the checkpoint carries none) and
+// the Spool that rode along.
+type Saved struct {
+	Tree       *sigtree.Tree
+	Generation *bundle.Bundle
+	Spool      []byte
+	wf         checkpointWire
+}
+
+// LoadCheckpoint decodes a checkpoint.
+func LoadCheckpoint(r io.Reader) (*Saved, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: reading: %w", err)
@@ -176,14 +236,56 @@ func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *d
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var wf checkpointWire
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wf); err != nil {
+	s := &Saved{}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s.wf); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding: %w", err)
 	}
-	tree, err := sigtree.Load(bytes.NewReader(wf.Tree))
-	if err != nil {
+	if s.Tree, err = sigtree.Load(bytes.NewReader(s.wf.Tree)); err != nil {
 		return nil, fmt.Errorf("checkpoint: loading tree: %w", err)
 	}
+	if len(s.wf.Generation) > 0 {
+		if s.Generation, err = bundle.UnmarshalGeneration(s.wf.Generation, s.Tree); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+	}
+	s.Spool = s.wf.Spool
+	return s, nil
+}
+
+// Restore resumes a monitor serving gen, whose Tree must be s.Tree. The
+// callbacks are not part of the snapshot and must be supplied again. A
+// host whose stream was cut under other weights than gen now gives it (a
+// fingerprint mismatch), or under a different architecture, produces a
+// descriptive error: the caller should fall back to a cold start, as
+// after a redeploy. A host the checkpoint recorded no fingerprint for
+// restores its stream into whatever detector serves it. Hosts gen
+// resolves to no detector are dropped silently, matching what
+// HandleMessage would do with their next message.
+func (s *Saved) Restore(cfg MonitorConfig, gen *bundle.Bundle, onWarning func(detect.Warning)) (*Monitor, error) {
+	m, err := s.restore(cfg, gen.Tree, gen.DetectorFor, onWarning)
+	if err != nil {
+		return nil, err
+	}
+	m.gen = gen
+	if gen == s.Generation {
+		m.genWire.Store(&genWire{gen, s.wf.Generation})
+	}
+	return m, nil
+}
+
+// RestoreMonitor rebuilds a monitor from a checkpoint as Saved.Restore
+// does, under a detector resolver; the generation and spool the
+// checkpoint carries are not used.
+func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *detect.LSTMDetector, onWarning func(detect.Warning)) (*Monitor, error) {
+	s, err := LoadCheckpoint(r)
+	if err != nil {
+		return nil, err
+	}
+	return s.restore(cfg, s.Tree, resolve, onWarning)
+}
+
+func (s *Saved) restore(cfg MonitorConfig, tree *sigtree.Tree, resolve func(host string) *detect.LSTMDetector, onWarning func(detect.Warning)) (*Monitor, error) {
+	wf := &s.wf
 	m := NewMonitorWithResolver(cfg, tree, resolve, onWarning)
 	fps := make(fingerprints)
 	// Hosts arrive least recent first; PushFront in order (with fresh
@@ -222,45 +324,4 @@ func RestoreMonitor(r io.Reader, cfg MonitorConfig, resolve func(host string) *d
 	m.swaps.Store(wf.Swaps)
 	m.activeHosts.SetInt(int(m.hostCount.Load()))
 	return m, nil
-}
-
-// CheckpointFile writes the checkpoint to path atomically (temp file +
-// fsync + rename): a crash mid-checkpoint leaves the previous checkpoint
-// intact, never a torn file. The checkpoint.write fault point (when a
-// fault registry is wired) injects disk-full/torn/slow failures inside
-// the atomic-write window — the write fails, the temp file is discarded,
-// and the previous checkpoint generation survives untouched.
-func (m *Monitor) CheckpointFile(path string) error {
-	var fp *faultinject.Point
-	if m.cfg.Faults != nil {
-		fp = m.cfg.Faults.Point("checkpoint.write",
-			"Inside the atomic checkpoint write: disk-full/torn/slow failures that must never cost the previous generation.")
-	}
-	return atomicfile.Write(path, func(w io.Writer) error {
-		return m.Checkpoint(fp.Writer(w))
-	})
-}
-
-// TreeCopy returns a private copy of the serving tree, encoded under the
-// tree lock and decoded outside it: the tree a generation saved beside a
-// checkpoint carries, since the live one keeps growing.
-func (m *Monitor) TreeCopy() (*sigtree.Tree, error) {
-	var buf bytes.Buffer
-	m.treeMu.Lock()
-	err := m.tree.Save(&buf)
-	m.treeMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return sigtree.Load(&buf)
-}
-
-// RestoreMonitorFile restores a monitor from the checkpoint at path.
-func RestoreMonitorFile(path string, cfg MonitorConfig, resolve func(host string) *detect.LSTMDetector, onWarning func(detect.Warning)) (*Monitor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return RestoreMonitor(f, cfg, resolve, onWarning)
 }

@@ -305,7 +305,14 @@ func TestCheckpointFileTornWrite(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "monitor.ckpt")
-	if err := mon.CheckpointFile(path); err != nil {
+	checkpointFile := func() error {
+		c, err := mon.Cut()
+		if err != nil {
+			return err
+		}
+		return c.WriteFile(path)
+	}
+	if err := checkpointFile(); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)
@@ -318,14 +325,14 @@ func TestCheckpointFileTornWrite(t *testing.T) {
 	if err := faults.Arm("checkpoint.write", faultinject.Arming{Mode: faultinject.ModeTorn, Bytes: int64(len(good) / 3), Count: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.CheckpointFile(path); !errors.Is(err, faultinject.ErrInjected) {
+	if err := checkpointFile(); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("torn checkpoint write = %v, want the injected fault", err)
 	}
 	after, rerr := os.ReadFile(path)
 	if rerr != nil || !bytes.Equal(after, good) {
 		t.Fatal("torn write damaged the previous checkpoint")
 	}
-	if _, err := RestoreMonitorFile(path, mcfg, resolve, nil); err != nil {
+	if _, err := RestoreMonitor(bytes.NewReader(after), mcfg, resolve, nil); err != nil {
 		t.Fatalf("previous checkpoint no longer restores: %v", err)
 	}
 }

@@ -46,10 +46,10 @@ type MonitorConfig struct {
 	Watchdog time.Duration
 
 	// Faults, when set, registers the monitor's chaos fault points
-	// (shard.score, shard.worker, heartbeat.skew) in this registry so
+	// (shard.score, shard.worker, heartbeat.skew, checkpoint.write) so
 	// tests and the /chaos endpoint can inject scoring panics, slow
-	// drains, worker crashes, and skewed watchdog clocks. Nil wires no
-	// fault points (zero overhead beyond a nil check per drain).
+	// drains, worker crashes, skewed watchdog clocks and failed
+	// checkpoint writes. Nil wires none (a nil check per drain).
 	Faults *faultinject.Registry
 
 	// Metrics, when set, is the registry the monitor reports into
@@ -268,6 +268,14 @@ type Monitor struct {
 	shedMessages   *obs.Counter
 	degradeGauge   *obs.Gauge
 	hbAgeGauge     *obs.Gauge
+
+	// Checkpoint state, off the scoring path: gen is the generation
+	// served, when the monitor was given one, which its checkpoints carry
+	// (written under every shard mutex); fpCkpt is the checkpoint.write
+	// fault point.
+	gen     *bundle.Bundle
+	genWire atomic.Pointer[genWire]
+	fpCkpt  *faultinject.Point
 }
 
 // hostState is everything the monitor remembers about one vPE: its scoring
@@ -339,6 +347,8 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 			"In the shard worker loop before dequeue: panic/error crashes the worker with no message loss (supervisor food).")
 		m.fpSkew = cfg.Faults.Point("heartbeat.skew",
 			"Skews the watchdog's clock so healthy heartbeats read stale.")
+		m.fpCkpt = cfg.Faults.Point("checkpoint.write",
+			"Inside the atomic checkpoint write: disk-full/torn/slow failures that must never cost the previous generation.")
 	}
 	if cfg.Metrics != nil {
 		m.ckptSeconds = reg.Histogram("monitor_checkpoint_seconds",
@@ -378,6 +388,15 @@ func NewMonitorWithResolver(cfg MonitorConfig, tree *sigtree.Tree, resolve func(
 			lru:       list.New(),
 		}
 	}
+	return m
+}
+
+// NewMonitorWithBundle builds a monitor serving generation b: its tree,
+// and each host's cluster detector (b.DetectorFor). Its checkpoints carry
+// b.
+func NewMonitorWithBundle(cfg MonitorConfig, b *bundle.Bundle, onWarning func(detect.Warning)) *Monitor {
+	m := NewMonitorWithResolver(cfg, b.Tree, b.DetectorFor, onWarning)
+	m.gen = b
 	return m
 }
 
@@ -606,6 +625,7 @@ func (hs *hostState) explain(e *explanation, cluster int, threshold float64, siz
 // threshold.
 func (m *Monitor) SwapModel(b *bundle.Bundle) {
 	m.lockAll()
+	m.gen = b
 	m.treeMu.Lock()
 	m.tree = b.Tree
 	m.treeMu.Unlock()
@@ -623,25 +643,13 @@ func (m *Monitor) SwapModel(b *bundle.Bundle) {
 	m.unlockAll()
 }
 
-// Tree returns the serving signature tree. The tree is shared, mutable,
-// and guarded by the monitor's internal lock; the only safe uses of the
-// returned pointer are making it the Tree of a generation handed back to
-// SwapModel (a promotion keeps the current template space) and read-only
-// access while scoring is stopped.
-func (m *Monitor) Tree() *sigtree.Tree {
-	m.treeMu.Lock()
-	defer m.treeMu.Unlock()
-	return m.tree
-}
-
-// TreeFingerprint returns the serving tree's lineage fingerprint, computed
-// under the tree lock — the stamp persistent artifacts that record
-// template IDs (the lifecycle spool) carry, so a restart can verify the
-// IDs still mean what they meant when spooled.
-func (m *Monitor) TreeFingerprint() uint64 {
-	m.treeMu.Lock()
-	defer m.treeMu.Unlock()
-	return m.tree.Fingerprint()
+// Generation returns the generation the monitor serves, nil when it was
+// built from a tree and a resolver and never swapped.
+func (m *Monitor) Generation() *bundle.Bundle {
+	sh := m.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return m.gen
 }
 
 // Warnings returns a copy of all warnings emitted so far.
@@ -672,7 +680,9 @@ func (m *Monitor) Threshold() float64 {
 // same registry counters exported at /metrics, plus the serving tree's
 // symbol-table size and overflow count, which have no metric family.
 func (m *Monitor) Stats() MonitorStats {
-	tree := m.Tree()
+	m.treeMu.Lock()
+	tree := m.tree
+	m.treeMu.Unlock()
 	return MonitorStats{
 		Messages:        m.messages.Value(),
 		Anomalies:       m.anoms.Value(),

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"slices"
 
+	"nfvpredict/internal/cluster"
 	"nfvpredict/internal/resilience"
 )
 
@@ -27,13 +28,17 @@ type modelsView struct {
 type clusterView struct {
 	Cluster     int    `json:"cluster"`
 	Fingerprint uint64 `json:"fingerprint"`
+	// DriftReference is the histogram drift is judged against (template
+	// ID → count); absent until the cluster has one.
+	DriftReference cluster.Histogram `json:"drift_reference,omitempty"`
 }
 
 // Handler returns the lifecycle admin surface, meant to be mounted at
 // /models on the monitor's admin mux:
 //
-//	GET  /models          — serving generation, per-cluster fingerprints,
-//	                        pending candidates, audit log
+//	GET  /models          — serving generation, per-cluster fingerprints
+//	                        and drift references, pending candidates,
+//	                        audit log
 //	POST /models/promote  — promote pending candidates, bypassing the gate
 //	                        (409 when none are pending)
 //	POST /models/rollback — one-step rollback to the previous generation
@@ -55,7 +60,11 @@ func (m *Manager) Handler() http.Handler {
 			Generations: append([]Generation(nil), m.gens...),
 		}
 		for ci, d := range m.serving.Detectors {
-			view.Clusters = append(view.Clusters, clusterView{Cluster: ci, Fingerprint: d.Fingerprint()})
+			cv := clusterView{Cluster: ci, Fingerprint: d.Fingerprint()}
+			if ci < len(m.refs) {
+				cv.DriftReference = m.refs[ci]
+			}
+			view.Clusters = append(view.Clusters, cv)
 		}
 		for ci := range m.pending {
 			view.Pending = append(view.Pending, ci)

@@ -56,8 +56,8 @@ type Config struct {
 	// drift (the paper's monthly incremental update, §4.3); 0 disables
 	// scheduled adaptation (drift-triggered only).
 	AdaptEveryCycles int
-	// Faults, when set, registers the lifecycle's chaos fault points
-	// (lifecycle.cycle, spool.write, spool.read) in this registry.
+	// Faults, when set, registers the lifecycle's chaos fault point
+	// (lifecycle.cycle) in this registry.
 	Faults *faultinject.Registry
 	// Metrics, when set, receives the lifecycle_* instrument family and
 	// the candidate detectors' candidate_lstm_* training metrics.
@@ -229,10 +229,8 @@ type Manager struct {
 	breaker      *resilience.Breaker
 	shedLearning atomic.Bool
 
-	// Chaos fault points; nil (never firing) without cfg.Faults.
-	fpCycle  *faultinject.Point
-	fpSpoolW *faultinject.Point
-	fpSpoolR *faultinject.Point
+	// Chaos fault point; nil (never firing) without cfg.Faults.
+	fpCycle *faultinject.Point
 
 	lifeMu  sync.Mutex
 	running bool
@@ -249,7 +247,6 @@ type Manager struct {
 	skippedC     *obs.Counter
 	panicsC      *obs.Counter
 	breakerOpens *obs.Counter
-	spoolQuarC   *obs.Counter
 	breakerGauge *obs.Gauge
 	adaptSeconds *obs.Histogram
 	gateDelta    *obs.Histogram
@@ -292,16 +289,11 @@ func New(cfg Config, b *bundle.Bundle) *Manager {
 	m.skippedC = s.Counter("cycles_skipped_total", "Cycles skipped because learning was shed or the breaker was open.")
 	m.panicsC = s.Counter("cycle_panics_total", "Adaptation cycles that panicked (recovered; breaker failure).")
 	m.breakerOpens = s.Counter("breaker_opens_total", "Times the adaptation circuit breaker opened.")
-	m.spoolQuarC = s.Counter("spool_quarantines_total", "Corrupt spool files quarantined at restore (cold start taken instead).")
 	m.breakerGauge = s.Gauge("breaker_state", "Adaptation breaker state (0 closed, 1 open, 2 half-open).")
 	m.breaker = &resilience.Breaker{Threshold: breakerThreshold, Cooldown: breakerCooldown}
 	if cfg.Faults != nil {
 		m.fpCycle = cfg.Faults.Point("lifecycle.cycle",
 			"At the top of an adaptation cycle: error/panic failures feed the circuit breaker.")
-		m.fpSpoolW = cfg.Faults.Point("spool.write",
-			"Inside the atomic spool write: disk-full/torn failures that must never cost the previous spool.")
-		m.fpSpoolR = cfg.Faults.Point("spool.read",
-			"Before a spool restore: error/slow failures drill the retry-or-cold-start path.")
 	}
 	m.buildClusterInstruments(len(b.Detectors))
 	m.spools.Store(newSpoolSet(len(b.Detectors), cfg.WindowLen, cfg.SpoolPerCluster))
@@ -331,14 +323,13 @@ func (m *Manager) buildClusterInstruments(n int) {
 // Attach hands the Manager the monitor it promotes into. Separate from New
 // because construction is circular: the monitor needs Observe at build
 // time, the Manager needs the monitor for SwapModel. The serving
-// generation takes the monitor's live tree (after a checkpoint restore,
-// the checkpoint's), the template space candidates are trained in.
+// generation becomes the monitor's (after a restore, the checkpoint's, of
+// New's bundle's lineage); a monitor given none serves New's bundle.
 func (m *Manager) Attach(mon *ingest.Monitor) {
 	m.mu.Lock()
 	m.mon = mon
-	if tree := mon.Tree(); m.serving.Tree != tree {
-		m.serving = m.serving.Clone()
-		m.serving.Tree = tree
+	if g := mon.Generation(); g != nil {
+		m.serving = g
 	}
 	m.mu.Unlock()
 }
@@ -722,14 +713,17 @@ func (m *Manager) Rollback() error {
 	return nil
 }
 
-// SetServing replaces the serving generation after an external reload
-// (SIGHUP bundle reload in nfvmonitor). The caller has already swapped b
-// into the monitor; SetServing realigns lifecycle state: spools are
-// rebuilt (the new bundle's tree is a different template lineage), drift
-// references reset from b, and pending/previous generations are dropped
-// (they belong to the old lineage).
+// SetServing installs b after an external reload (SIGHUP bundle reload in
+// nfvmonitor), swapping it into the attached monitor under m.mu: spools
+// are rebuilt (the new bundle's tree is a different template lineage),
+// drift references reset from b, and pending/previous generations are
+// dropped (they belong to the old lineage).
 func (m *Manager) SetServing(b *bundle.Bundle) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.mon != nil {
+		m.mon.SwapModel(b)
+	}
 	m.serving = b
 	m.prev = nil
 	m.pending = make(map[int]*detect.LSTMDetector)
@@ -741,7 +735,6 @@ func (m *Manager) SetServing(b *bundle.Bundle) {
 		Time: time.Now(), Cluster: -1, Reason: "reload",
 		DriftCos: math.NaN(), Promoted: true,
 	})
-	m.mu.Unlock()
 	m.spools.Store(newSpoolSet(len(b.Detectors), m.cfg.WindowLen, m.cfg.SpoolPerCluster))
 }
 

@@ -1,11 +1,11 @@
 package lifecycle
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -392,44 +392,81 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
-// TestSpoolPersistRoundTrip: the spool survives a restart when the tree
-// lineage is unchanged, and is discarded when it moved.
+// restart rebuilds a manager and monitor from the checkpoint c encodes,
+// the way serve.New does: the generation it carries serves (sb over the
+// checkpoint's tree when it carries none), the monitor resumes, and the
+// spool, when one rode along, seeds the manager.
+func restart(t testing.TB, lcfg Config, sb *bundle.Bundle, c *ingest.Cut) (*Manager, *ingest.Monitor) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := ingest.LoadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := saved.Generation
+	if gen == nil {
+		gen = sb.Clone()
+		gen.Tree = saved.Tree
+	}
+	lm := New(lcfg, sb)
+	mcfg := ingest.DefaultMonitorConfig()
+	mcfg.Threshold = sb.Threshold
+	mcfg.ClusterOf = gen.ClusterOf
+	mcfg.OnScored = lm.Observe
+	mon, err := saved.Restore(mcfg, gen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm.Attach(mon)
+	if saved.Spool != nil {
+		sp, err := DecodeSpool(saved.Spool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lm.Seed(sp)
+	}
+	return lm, mon
+}
+
+// TestSpoolPersistRoundTrip: the spool rides along with the checkpoint
+// cut and survives a restart from it, however far the tree grows after
+// the cut; a checkpoint that carries no spool restarts it cold.
 func TestSpoolPersistRoundTrip(t *testing.T) {
 	sb, tree := testBundle(t)
 	lcfg := testLifecycleConfig()
 	lm, mon := buildStack(t, lcfg, sb, tree)
-	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
+	at := feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	depth := lm.Status().SpoolWindows[0]
 	if depth == 0 {
 		t.Fatal("no windows spooled")
 	}
-	path := filepath.Join(t.TempDir(), "spool.nfvs")
-	if err := lm.SaveSpool(path); err != nil {
+	c, err := lm.Cut()
+	if err != nil {
 		t.Fatal(err)
 	}
+	// The tree learns a template after the cut: the cut keeps its own.
+	mon.HandleMessage(logfmt.Message{Time: at, Host: "vpe01", Tag: "rpd",
+		Text: "a template the spool never saw before now"})
 
-	// Same lineage: the spool resumes.
-	lm2, _ := buildStack(t, lcfg, sb, tree)
-	if err := lm2.LoadSpool(path); err != nil {
-		t.Fatal(err)
-	}
+	lm2, mon2 := restart(t, lcfg, sb, c)
 	if got := lm2.Status().SpoolWindows[0]; got != depth {
 		t.Fatalf("restored %d windows, want %d", got, depth)
 	}
+	if msgs, _ := mon2.Counters(); msgs != 100 {
+		t.Fatalf("restored monitor at %d messages, the cut's 100", msgs)
+	}
 
-	// Lineage moved (the tree learned a new template): discard.
-	tree.Learn("a template the spool never saw before now")
-	lm3, _ := buildStack(t, lcfg, sb, tree)
-	if err := lm3.LoadSpool(path); err != nil {
+	// A checkpoint with no spool riding along: the spool starts cold.
+	bare, err := mon.Cut()
+	if err != nil {
 		t.Fatal(err)
 	}
+	lm3, _ := restart(t, lcfg, sb, bare)
 	if got := lm3.Status().SpoolWindows[0]; got != 0 {
-		t.Fatalf("stale-lineage spool was accepted: %d windows", got)
-	}
-
-	// A missing file is a clean cold start.
-	if err := lm3.LoadSpool(filepath.Join(t.TempDir(), "absent.nfvs")); err != nil {
-		t.Fatal(err)
+		t.Fatalf("a checkpoint without a spool restored %d windows", got)
 	}
 }
 
@@ -452,14 +489,11 @@ func TestSpoolKeepsPromotedDriftReference(t *testing.T) {
 	if reflect.DeepEqual(promoted, cluster.Histogram(sb.TrainHist[0])) {
 		t.Fatal("promotion did not re-reference the drift baseline")
 	}
-	path := filepath.Join(t.TempDir(), "spool.nfvs")
-	if err := lm.SaveSpool(path); err != nil {
+	c, err := lm.Cut()
+	if err != nil {
 		t.Fatal(err)
 	}
-	lm2, _ := buildStack(t, lcfg, sb, tree)
-	if err := lm2.LoadSpool(path); err != nil {
-		t.Fatal(err)
-	}
+	lm2, _ := restart(t, lcfg, sb, c)
 	if !reflect.DeepEqual(lm2.refs[0], promoted) {
 		t.Fatalf("restored drift reference %v, want the promoted %v", lm2.refs[0], promoted)
 	}

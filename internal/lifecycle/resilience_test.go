@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nfvpredict/internal/faultinject"
+	"nfvpredict/internal/ingest"
 )
 
 // TestBreakerOpensAndRecovers drives the adaptation breaker through its full
@@ -122,94 +123,64 @@ func TestShedLearningMode(t *testing.T) {
 	}
 }
 
-// TestSpoolCorruptQuarantine pins satellite #4: a truncated (torn) spool is
-// quarantined — renamed aside with the evidence preserved — and the manager
-// cold-starts instead of failing the process.
-func TestSpoolCorruptQuarantine(t *testing.T) {
-	sb, tree := testBundle(t)
-	lcfg := testLifecycleConfig()
-	lm, mon := buildStack(t, lcfg, sb, tree)
-	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
-	path := filepath.Join(t.TempDir(), "spool.nfvs")
-	if err := lm.SaveSpool(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the file: keep the header, drop the tail.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	lm2, _ := buildStack(t, lcfg, sb, tree)
-	if err := lm2.LoadSpool(path); err != nil {
-		t.Fatalf("corrupt spool load = %v, want nil (cold start)", err)
-	}
-	if got := lm2.spoolQuarC.Value(); got != 1 {
-		t.Fatalf("quarantine counter = %d, want 1", got)
-	}
-	if st := lm2.Status(); st.SpoolWindows[0] != 0 {
-		t.Fatalf("cold start expected, got %d windows", st.SpoolWindows[0])
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("quarantined evidence missing: %v", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt spool still in place: %v", err)
-	}
-
-	// The path is clear: the next save and load round-trip cleanly.
-	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 2, 0, 0, 0, 0, time.UTC))
-	if err := lm.SaveSpool(path); err != nil {
-		t.Fatal(err)
-	}
-	lm3, _ := buildStack(t, lcfg, sb, tree)
-	if err := lm3.LoadSpool(path); err != nil {
-		t.Fatal(err)
-	}
-	if st := lm3.Status(); st.SpoolWindows[0] == 0 {
-		t.Fatal("post-quarantine spool did not restore")
-	}
-}
-
 // TestSpoolTornWriteKeepsPrevious pins the atomic-write guarantee under an
-// injected torn write: the save fails, but the previous spool generation is
-// untouched and still restores.
+// injected torn write: the checkpoint the spool rides along with fails,
+// but the previous file is untouched and its spool still restores.
 func TestSpoolTornWriteKeepsPrevious(t *testing.T) {
 	sb, tree := testBundle(t)
 	reg := faultinject.NewRegistry()
 	lcfg := testLifecycleConfig()
-	lcfg.Faults = reg
-	lm, mon := buildStack(t, lcfg, sb, tree)
-	feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
-	path := filepath.Join(t.TempDir(), "spool.nfvs")
-	if err := lm.SaveSpool(path); err != nil {
+	lm := New(lcfg, sb)
+	mcfg := ingest.DefaultMonitorConfig()
+	mcfg.Threshold, mcfg.ClusterOf, mcfg.OnScored, mcfg.Faults = sb.Threshold, sb.ClusterOf, lm.Observe, reg
+	mon := ingest.NewMonitorWithResolver(mcfg, tree, sb.DetectorFor, nil)
+	lm.Attach(mon)
+	at := feedNormal(mon, "vpe01", 100, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
+	path := filepath.Join(t.TempDir(), "monitor.nfvc")
+	checkpoint := func() error {
+		c, err := lm.Cut()
+		if err != nil {
+			return err
+		}
+		return c.WriteFile(path)
+	}
+	if err := checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	want := lm.Status().SpoolWindows[0]
 
-	if err := reg.Arm("spool.write", faultinject.Arming{Mode: faultinject.ModeTorn, Bytes: 16, Count: 1}); err != nil {
+	feedNormal(mon, "vpe01", 100, at)
+	if err := reg.Arm("checkpoint.write", faultinject.Arming{Mode: faultinject.ModeTorn, Bytes: 16, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.SaveSpool(path); err == nil {
+	if err := checkpoint(); err == nil {
 		t.Fatal("torn save reported success")
 	}
 
-	lm2, _ := buildStack(t, lcfg, sb, tree)
-	if err := lm2.LoadSpool(path); err != nil {
-		t.Fatalf("previous spool unreadable after torn save: %v", err)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
+	saved, err := ingest.LoadCheckpoint(f)
+	if err != nil {
+		t.Fatalf("previous checkpoint unreadable after torn save: %v", err)
+	}
+	sp, err := DecodeSpool(saved.Spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm2, _ := buildStack(t, lcfg, sb, tree)
+	lm2.Seed(sp)
 	if got := lm2.Status().SpoolWindows[0]; got != want {
 		t.Fatalf("restored %d windows, want previous generation's %d", got, want)
 	}
 }
 
-// TestReloadRacesAdaptation is satellite #3: a hot reload (monitor swap +
-// SetServing, the SIGHUP path) racing in-flight forced cycles, spool saves,
-// and live scoring traffic. Run under -race; the invariant beyond
+// TestReloadRacesAdaptation is satellite #3: a hot reload (SetServing,
+// which swaps the monitor, the SIGHUP path) racing in-flight forced
+// cycles, checkpoint cuts with the spool riding along, and live scoring
+// traffic. Run under -race; the invariant beyond
 // race-freedom is that cycles against the replaced lineage abort rather than
 // promote.
 func TestReloadRacesAdaptation(t *testing.T) {
@@ -217,7 +188,7 @@ func TestReloadRacesAdaptation(t *testing.T) {
 	lcfg := testLifecycleConfig()
 	lm, mon := buildStack(t, lcfg, sb, tree)
 	feedNormal(mon, "vpe01", 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
-	spool := filepath.Join(t.TempDir(), "spool.nfvs")
+	path := filepath.Join(t.TempDir(), "monitor.nfvc")
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -250,23 +221,23 @@ func TestReloadRacesAdaptation(t *testing.T) {
 	}()
 
 	wg.Add(1)
-	go func() { // spool persistence
+	go func() { // checkpoints
 		defer wg.Done()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				lm.SaveSpool(spool)
+				if c, err := lm.Cut(); err == nil {
+					c.WriteFile(path)
+				}
 			}
 		}
 	}()
 
-	// Hot reloads: swap the monitor, then realign the lifecycle — the order
-	// nfvmonitor uses on SIGHUP.
+	// Hot reloads, as nfvmonitor does them on SIGHUP.
 	for i := 0; i < 6; i++ {
 		next := lm.Serving().Clone()
-		mon.SwapModel(next)
 		lm.SetServing(next)
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -42,12 +42,7 @@ type clusterSpool struct {
 	mu          sync.Mutex
 	windowLen   int
 	building    map[string]*building
-	ring        [][]features.Event // clean windows
-	next        int
-	count       int
-	qring       [][]features.Event // quarantined (burst-containing) windows
-	qnext       int
-	qcount      int
+	clean, quar windowRing // quar: burst-containing windows
 	hist        cluster.Histogram
 	events      uint64
 	quarantined uint64
@@ -57,10 +52,31 @@ func newClusterSpool(windowLen, perCluster int) *clusterSpool {
 	return &clusterSpool{
 		windowLen: windowLen,
 		building:  make(map[string]*building),
-		ring:      make([][]features.Event, perCluster),
-		qring:     make([][]features.Event, perCluster),
+		clean:     windowRing{w: make([][]features.Event, perCluster)},
+		quar:      windowRing{w: make([][]features.Event, perCluster)},
 		hist:      make(cluster.Histogram),
 	}
+}
+
+// windowRing keeps the latest len(w) completed windows.
+type windowRing struct {
+	w           [][]features.Event
+	next, count int
+}
+
+func (r *windowRing) push(w []features.Event) {
+	r.w[r.next] = w
+	r.next = (r.next + 1) % len(r.w)
+	r.count = min(r.count+1, len(r.w))
+}
+
+// windows copies the ring out, oldest first.
+func (r *windowRing) windows() [][]features.Event {
+	out := make([][]features.Event, 0, r.count)
+	for i := 0; i < r.count; i++ {
+		out = append(out, r.w[(r.next-r.count+i+len(r.w))%len(r.w)])
+	}
+	return out
 }
 
 // observe folds one scored message into the spool. O(1); runs under the
@@ -80,7 +96,7 @@ func (cs *clusterSpool) observe(host string, ev features.Event, burst bool) {
 	cs.hist.Add(ev.Template)
 	b := cs.building[host]
 	if b == nil {
-		if len(cs.building) >= maxBuildingFactor*len(cs.ring) {
+		if len(cs.building) >= maxBuildingFactor*len(cs.clean.w) {
 			cs.mu.Unlock()
 			return
 		}
@@ -95,32 +111,12 @@ func (cs *clusterSpool) observe(host string, ev features.Event, burst bool) {
 		delete(cs.building, host)
 		if b.dirty {
 			cs.quarantined++
-			cs.qring[cs.qnext] = b.events
-			cs.qnext = (cs.qnext + 1) % len(cs.qring)
-			if cs.qcount < len(cs.qring) {
-				cs.qcount++
-			}
+			cs.quar.push(b.events)
 		} else {
-			cs.ring[cs.next] = b.events
-			cs.next = (cs.next + 1) % len(cs.ring)
-			if cs.count < len(cs.ring) {
-				cs.count++
-			}
+			cs.clean.push(b.events)
 		}
 	}
 	cs.mu.Unlock()
-}
-
-func ringCopy(ring [][]features.Event, next, count int) [][]features.Event {
-	out := make([][]features.Event, 0, count)
-	start := next - count
-	if start < 0 {
-		start += len(ring)
-	}
-	for i := 0; i < count; i++ {
-		out = append(out, ring[(start+i)%len(ring)])
-	}
-	return out
 }
 
 // snapshot copies out the completed clean and quarantined windows (oldest
@@ -131,8 +127,7 @@ func ringCopy(ring [][]features.Event, next, count int) [][]features.Event {
 func (cs *clusterSpool) snapshot(resetHist bool) (clean, quarantined [][]features.Event, hist cluster.Histogram) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	clean = ringCopy(cs.ring, cs.next, cs.count)
-	quarantined = ringCopy(cs.qring, cs.qnext, cs.qcount)
+	clean, quarantined = cs.clean.windows(), cs.quar.windows()
 	hist = make(cluster.Histogram, len(cs.hist))
 	for k, v := range cs.hist {
 		hist[k] = v
@@ -147,7 +142,7 @@ func (cs *clusterSpool) snapshot(resetHist bool) (clean, quarantined [][]feature
 func (cs *clusterSpool) depth() int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return cs.count
+	return cs.clean.count
 }
 
 // quarantinedTotal reports the cumulative count of windows quarantined.
@@ -157,29 +152,19 @@ func (cs *clusterSpool) quarantinedTotal() uint64 {
 	return cs.quarantined
 }
 
-// seed refills the rings and histogram from a persisted snapshot (restart
+// seed refills the rings and histogram from a checkpoint's spool (restart
 // resume). Partial windows were not persisted; hosts start cold.
 func (cs *clusterSpool) seed(clean, quarantined [][]features.Event, hist cluster.Histogram) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	for _, w := range clean {
-		if len(w) == 0 {
-			continue
-		}
-		cs.ring[cs.next] = w
-		cs.next = (cs.next + 1) % len(cs.ring)
-		if cs.count < len(cs.ring) {
-			cs.count++
+		if len(w) > 0 {
+			cs.clean.push(w)
 		}
 	}
 	for _, w := range quarantined {
-		if len(w) == 0 {
-			continue
-		}
-		cs.qring[cs.qnext] = w
-		cs.qnext = (cs.qnext + 1) % len(cs.qring)
-		if cs.qcount < len(cs.qring) {
-			cs.qcount++
+		if len(w) > 0 {
+			cs.quar.push(w)
 		}
 	}
 	for k, v := range hist {

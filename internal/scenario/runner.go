@@ -320,7 +320,6 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 		lcfg.SpoolPerCluster = 64 // scenario scale: days of traffic, not a month
 		lcfg.MinWindows = spec.Lifecycle.MinWindows
 		so.Lifecycle = &lcfg
-		so.Spool = filepath.Join(dir, "lifecycle.nfvs")
 	}
 	st, err := serve.New(so)
 	if err != nil {
@@ -468,18 +467,18 @@ func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (strin
 		}
 		return fmt.Sprintf("cycle ran: promoted=%v", res.Promoted), nil
 	case EventCheckpoint:
-		liveMsgs, _ := st.Monitor.Counters()
-		liveWarn := st.Monitor.Warnings()
+		live := restartState(st)
 		if err := st.Checkpoint("scenario checkpoint event"); err != nil {
 			return "", fmt.Errorf("scenario: checkpoint exhausted retries: %w", err)
 		}
 		rep.Serve.CheckpointSaves++
-		// The restart: a second stack over the same options must resume
-		// from the files exactly where the live monitor stands, serving
-		// the generation Checkpoint saved beside the checkpoint.
+		// The restart: a second stack over the same options, lifecycle
+		// included but no faults, must resume from the file exactly where
+		// the live stack stands: counters, warnings, the generation it
+		// serves and its spool.
 		var restartLog bytes.Buffer
 		probe := so
-		probe.Faults, probe.Lifecycle = nil, nil
+		probe.Faults = nil
 		probe.Log = obs.NewLogger(&restartLog, obs.LevelWarn)
 		restarted, err := serve.New(probe)
 		if err != nil {
@@ -490,7 +489,7 @@ func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (strin
 			return "", fmt.Errorf("scenario: checkpoint on disk unrestorable: %s", restartLog.String())
 		}
 		rMsgs, _ := restarted.Monitor.Counters()
-		parity := rMsgs == liveMsgs && warningsEqual(liveWarn, restarted.Monitor.Warnings())
+		parity := restartState(restarted) == live
 		if !parity {
 			rep.Serve.CheckpointParity = false
 		}
@@ -502,17 +501,25 @@ func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (strin
 	return "", fmt.Errorf("scenario: unexpected runner event kind %q", ev.Kind)
 }
 
-// warningsEqual compares two warning sets ignoring order.
-func warningsEqual(a, b []detect.Warning) bool {
-	keys := func(ws []detect.Warning) []string {
-		out := make([]string, len(ws))
-		for i, w := range ws {
-			out[i] = fmt.Sprintf("%s|%d|%d", w.VPE, w.Time.UnixNano(), w.Size)
-		}
-		slices.Sort(out)
-		return out
+// restartState is what a restart must keep: the message counter, the
+// warning multiset, the served detectors' fingerprints and the
+// per-cluster spool depths.
+func restartState(st *serve.Stack) string {
+	msgs, _ := st.Monitor.Counters()
+	var warnings []string
+	for _, w := range st.Monitor.Warnings() {
+		warnings = append(warnings, fmt.Sprintf("%s|%d|%d", w.VPE, w.Time.UnixNano(), w.Size))
 	}
-	return slices.Equal(keys(a), keys(b))
+	slices.Sort(warnings)
+	var fps []uint64
+	for _, d := range st.Serving().Detectors {
+		fps = append(fps, d.Fingerprint())
+	}
+	var spool []int
+	if st.Lifecycle != nil {
+		spool = st.Lifecycle.Status().SpoolWindows
+	}
+	return fmt.Sprintf("messages %d warnings %v detectors %x spool %v", msgs, warnings, fps, spool)
 }
 
 // wireFeeder pushes messages over the TCP listener with RFC 6587 octet

@@ -185,15 +185,13 @@ type MetricAssert struct {
 
 // chaosPoints are the fault points a chaos event may arm: those the
 // serving stack evaluates on its own registry while the timeline runs.
-// bundle.load fires only on faultinject.Default, and spool.read only
-// while serve.New loads the spool, before any event.
+// bundle.load fires only on faultinject.Default.
 var chaosPoints = []string{
 	"checkpoint.write",
 	"heartbeat.skew",
 	"lifecycle.cycle",
 	"shard.score",
 	"shard.worker",
-	"spool.write",
 }
 
 // causeByName maps DSL cause names to ticket root causes.

@@ -15,7 +15,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"nfvpredict/internal/bundle"
@@ -34,7 +33,7 @@ type Options struct {
 	// host assignment, threshold — as cmd/nfvtrain writes it, the
 	// bootstrap trainer builds it and Reload swaps it. The stack takes it
 	// over: New stamps its Lineage when unset, and its Tree is the live
-	// tree a cold start grows. When Checkpoint+".model" holds a generation
+	// tree a cold start grows. When the checkpoint carries a generation
 	// of the same lineage, New serves that instead (see Checkpoint), at
 	// this bundle's threshold.
 	Bundle *bundle.Bundle
@@ -57,11 +56,11 @@ type Options struct {
 	// Faults, when set, makes the stack's fault points live in this
 	// registry and mounts it under /chaos/ on the admin surface.
 	Faults *faultinject.Registry
-	// Checkpoint is restored by New and written by Checkpoint; Spool is
-	// the lifecycle spool that rides along with it ("" disables either).
-	Checkpoint, Spool string
-	Log               *obs.Logger          // operational lines; nil drops them
-	OnWarning         func(detect.Warning) // fires once per warning signature
+	// Checkpoint is the restart file, restored by New and written by
+	// Checkpoint ("" disables both).
+	Checkpoint string
+	Log        *obs.Logger          // operational lines; nil drops them
+	OnWarning  func(detect.Warning) // fires once per warning signature
 }
 
 // DefaultOptions returns the shipped settings — the nfvmonitor flag
@@ -79,9 +78,9 @@ func DefaultOptions() Options {
 
 const sloTarget = 0.99 // the objective of each standing SLO
 
-// ioRetry is the retry policy for durable writes (checkpoint and spool):
-// transient faults are absorbed here, and the atomic write underneath
-// keeps the previous artifact through every failed attempt.
+// ioRetry is the retry policy for checkpoint writes: transient faults are
+// absorbed here, and the atomic write underneath keeps the previous file
+// through every failed attempt.
 var ioRetry = resilience.RetryPolicy{Attempts: 3, Base: 50 * time.Millisecond, Max: 2 * time.Second}
 
 // Stack is the assembled serving runtime; the exported fields are its
@@ -97,8 +96,9 @@ type Stack struct {
 
 	Monitor    *ingest.Monitor
 	RestoredAt time.Time // when New resumed Monitor from the checkpoint; zero after a cold start
-	// ModelFile is Checkpoint+".model" when New served the generation saved
-	// there in place of Options.Bundle, "" when it served Options.Bundle.
+	// ModelFile is Checkpoint when New served the generation the
+	// checkpoint carried in place of Options.Bundle, "" when it served
+	// Options.Bundle.
 	ModelFile string
 	Server    *ingest.Server
 	Lifecycle *lifecycle.Manager // nil unless Options.Lifecycle was set
@@ -109,16 +109,10 @@ type Stack struct {
 	// SLO fast window starts burning.
 	Profiler *obs.BurnProfiler
 
-	opts                                  Options
-	log                                   *obs.Logger
-	reloads, reloadFailures, ckptFailures *obs.Counter
-	lastCkptUnix                          *obs.Gauge
-
-	// genMu guards gen, the serving generation when no lifecycle is
-	// attached, and saved, the generation a restart would serve: the one
-	// last written beside the checkpoint, or the one New served.
-	genMu      sync.Mutex
-	gen, saved *bundle.Bundle
+	opts                                               Options
+	log                                                *obs.Logger
+	reloads, reloadFailures, ckptFailures, quarantines *obs.Counter
+	lastCkptUnix                                       *obs.Gauge
 }
 
 // New assembles the stack around opts.Bundle; listeners are
@@ -137,6 +131,8 @@ func New(opts Options) (*Stack, error) {
 		reloadFailures: reg.Counter("monitor_bundle_reload_failures_total",
 			"Rejected bundle hot reloads (load or validation failure)."),
 		ckptFailures: reg.Counter("monitor_checkpoint_failures_total", "Checkpoint writes that failed."),
+		quarantines: reg.Counter("monitor_checkpoint_quarantines_total",
+			"Checkpoints set aside at startup (undecodable, another lineage, or streams of other weights); a cold start was taken."),
 		lastCkptUnix: reg.Gauge("monitor_checkpoint_last_unix",
 			"Unix time of the last successful checkpoint write (0 = never)."),
 	}
@@ -161,13 +157,6 @@ func New(opts Options) (*Stack, error) {
 
 	mcfg := ingest.DefaultMonitorConfig()
 	b := stamp(opts.Bundle)
-	if g := s.savedGeneration(b.Lineage); g != nil {
-		// A generation replaces detectors, never the threshold: the one
-		// this run was given (-threshold or the bundle's recommendation)
-		// applies.
-		g.Threshold = b.Threshold
-		b = g
-	}
 	mcfg.Threshold = b.Threshold
 	mcfg.ClusterOf = b.ClusterOf
 	mcfg.Metrics, mcfg.Tracer = reg, s.Tracer
@@ -177,7 +166,8 @@ func New(opts Options) (*Stack, error) {
 		mcfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	// The lifecycle manager is built before the monitor because the monitor
-	// config needs its Observe hook; the monitor is attached just after.
+	// config needs its Observe hook; the monitor is attached just after,
+	// and its generation, of b's lineage, becomes the lifecycle's.
 	if opts.Lifecycle != nil {
 		lcfg := *opts.Lifecycle
 		lcfg.Metrics, lcfg.Tracer, lcfg.Faults = reg, s.Tracer, opts.Faults
@@ -185,10 +175,10 @@ func New(opts Options) (*Stack, error) {
 		mcfg.OnScored = s.Lifecycle.Observe
 	}
 	if _, serr := os.Stat(opts.Checkpoint); opts.Checkpoint != "" && serr == nil {
-		s.Monitor = s.restore(mcfg, b.DetectorFor)
+		s.Monitor = s.restore(mcfg, b)
 	}
 	if s.Monitor == nil {
-		s.Monitor = ingest.NewMonitorWithResolver(mcfg, b.Tree, b.DetectorFor, opts.OnWarning)
+		s.Monitor = ingest.NewMonitorWithBundle(mcfg, b, opts.OnWarning)
 	}
 	s.Degrader = resilience.NewDegrader(func(from, to resilience.Mode, reason string) {
 		s.SetDegrade(to, reason)
@@ -196,12 +186,7 @@ func New(opts Options) (*Stack, error) {
 	})
 	if s.Lifecycle != nil {
 		s.Lifecycle.Attach(s.Monitor)
-		if lerr := s.Lifecycle.LoadSpool(opts.Spool); lerr != nil {
-			s.log.Warn("spool unusable, starting cold", "path", opts.Spool, "err", lerr)
-		}
 	}
-	s.gen = b
-	s.saved = s.Serving()
 
 	// The listeners route each parsed message straight to its host's shard
 	// queue. Trace IDs are minted at frame accept so spans cover decode and
@@ -218,8 +203,7 @@ func New(opts Options) (*Stack, error) {
 
 // stamp records b's lineage, the whole bundle's fingerprint, the first
 // time a stack serves it: from then on the tree grows and the detectors
-// may be promoted as the stack serves. A generation saved with a
-// tree-only lineage, as older builds stamped it, matches no bundle.
+// may be promoted as the stack serves.
 func stamp(b *bundle.Bundle) *bundle.Bundle {
 	if b.Lineage == 0 {
 		b.Lineage = b.Fingerprint()
@@ -227,60 +211,25 @@ func stamp(b *bundle.Bundle) *bundle.Bundle {
 	return b
 }
 
-// savedGeneration returns the generation a previous run saved at
-// Checkpoint+".model" when it descends from the bundle of this lineage,
-// else nil: no file, a file of another lineage (a redeploy: a stale
-// generation must not outlive it), or a file that does not load. Either
-// kind of file is quarantined like an unusable checkpoint.
-func (s *Stack) savedGeneration(lineage uint64) *bundle.Bundle {
-	if s.opts.Checkpoint == "" {
-		return nil
-	}
-	path := s.opts.Checkpoint + ".model"
-	f, err := os.Open(path)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	g, err := bundle.Load(f)
-	if err == nil && g.Lineage != lineage {
-		err = fmt.Errorf("descends from bundle %016x, serving %016x", g.Lineage, lineage)
-	}
-	if err != nil {
-		if qpath, qerr := resilience.Quarantine(path); qerr != nil {
-			s.log.Warn("saved generation not served", "path", path, "err", err, "quarantine_err", qerr)
-		} else {
-			s.log.Warn("saved generation not served", "path", path, "err", err, "quarantined", qpath)
-		}
-		return nil
-	}
-	s.ModelFile = path
-	s.log.Info("serving the generation saved beside the checkpoint", "path", path,
-		"detectors", len(g.Detectors), "threshold", g.Threshold)
-	return g
-}
-
-// Serving returns the serving generation: the lifecycle's when one is
-// attached, else the bundle New or the last Reload installed.
+// Serving returns the serving generation, the monitor's: the lifecycle
+// installs each of its generations there.
 func (s *Stack) Serving() *bundle.Bundle {
-	if s.Lifecycle != nil {
-		return s.Lifecycle.Serving()
-	}
-	s.genMu.Lock()
-	defer s.genMu.Unlock()
-	return s.gen
+	return s.Monitor.Generation()
 }
 
-// restore resumes from the checkpoint file, or moves an unusable one aside
-// (so the next save does not overwrite the evidence) and returns nil.
-func (s *Stack) restore(mcfg ingest.MonitorConfig, resolve func(string) *detect.LSTMDetector) *ingest.Monitor {
+// restore resumes the monitor, and the spool when the lifecycle is on,
+// from the checkpoint file. Anything that keeps the file from restoring
+// whole moves it aside once (so the next save does not overwrite the
+// evidence), is counted, and returns nil: New starts cold.
+func (s *Stack) restore(mcfg ingest.MonitorConfig, b *bundle.Bundle) *ingest.Monitor {
 	path := s.opts.Checkpoint
-	mon, rerr := ingest.RestoreMonitorFile(path, mcfg, resolve, s.opts.OnWarning)
-	if rerr != nil {
+	mon, err := s.resume(path, mcfg, b)
+	if err != nil {
+		s.quarantines.Inc()
 		if qpath, qerr := resilience.Quarantine(path); qerr != nil {
-			s.log.Warn("checkpoint unusable, starting cold", "path", path, "err", rerr, "quarantine_err", qerr)
+			s.log.Warn("checkpoint unusable, starting cold", "path", path, "err", err, "quarantine_err", qerr)
 		} else {
-			s.log.Warn("checkpoint unusable, starting cold", "path", path, "err", rerr, "quarantined", qpath)
+			s.log.Warn("checkpoint unusable, starting cold", "path", path, "err", err, "quarantined", qpath)
 		}
 		return nil
 	}
@@ -289,6 +238,53 @@ func (s *Stack) restore(mcfg ingest.MonitorConfig, resolve func(string) *detect.
 	s.log.Info("restored checkpoint", "path", path,
 		"hosts", st.ActiveHosts, "messages", st.Messages, "warnings", st.Warnings)
 	return mon
+}
+
+// resume restores what the checkpoint at path holds. Its generation
+// serves when it descends from b (a redeployed bundle of another lineage
+// refuses it: a stale generation never outlives the deployment that
+// replaced it), at b's threshold: a generation replaces detectors, never
+// the threshold. A checkpoint that carries none serves b's detectors over
+// its tree, and its streams restore only if they were cut under those.
+func (s *Stack) resume(path string, mcfg ingest.MonitorConfig, b *bundle.Bundle) (*ingest.Monitor, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	saved, err := ingest.LoadCheckpoint(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	gen := saved.Generation
+	switch {
+	case gen == nil:
+		gen = b.Clone()
+		gen.Tree = saved.Tree
+	case gen.Lineage != b.Lineage:
+		return nil, fmt.Errorf("generation descends from bundle %016x, serving %016x", gen.Lineage, b.Lineage)
+	case gen.Threshold != b.Threshold:
+		gen = gen.Clone()
+		gen.Threshold = b.Threshold
+	}
+	var spool *lifecycle.Spool
+	if s.Lifecycle != nil && saved.Spool != nil {
+		if spool, err = lifecycle.DecodeSpool(saved.Spool); err != nil {
+			return nil, err
+		}
+	}
+	mcfg.ClusterOf = gen.ClusterOf
+	mon, err := saved.Restore(mcfg, gen, s.opts.OnWarning)
+	if err != nil {
+		return nil, err
+	}
+	if spool != nil {
+		s.Lifecycle.Seed(spool)
+	}
+	if saved.Generation != nil {
+		s.ModelFile = path
+	}
+	return mon, nil
 }
 
 // Start launches the lifecycle timer, the shard workers and the
@@ -311,22 +307,23 @@ func (s *Stack) Close() {
 	}
 }
 
-// Checkpoint writes Options.Checkpoint with retries and counts the outcome
-// ("" is a no-op). When the serving generation is not the one a restart
-// would serve (a promotion, rollback or reload happened since), it is
-// first written to Checkpoint+".model", stamped with its lineage, so the
-// weights the checkpointed streams ran under are on disk before the
-// streams are; New serves that file when the bundle it is given is of the
-// same lineage. The spool rides along so the artifacts agree on tree
-// lineage; a spool failure is logged and never fails the checkpoint.
+// Checkpoint writes Options.Checkpoint, the one restart file, with
+// retries and counts the outcome ("" is a no-op). The file holds one cut:
+// the monitor's state, the generation it served and, with the lifecycle
+// on, the spool and drift references (lifecycle.Manager.Cut). Every retry
+// writes the same cut; when all fail, the previous file survives whole.
 func (s *Stack) Checkpoint(reason string) error {
 	path := s.opts.Checkpoint
 	if path == "" {
 		return nil
 	}
-	err := s.saveGeneration()
+	cut := s.Monitor.Cut
+	if s.Lifecycle != nil {
+		cut = s.Lifecycle.Cut
+	}
+	c, err := cut()
 	if err == nil {
-		err = resilience.Retry(nil, ioRetry, func() error { return s.Monitor.CheckpointFile(path) })
+		err = resilience.Retry(nil, ioRetry, func() error { return c.WriteFile(path) })
 	}
 	if err != nil {
 		s.ckptFailures.Inc()
@@ -335,61 +332,23 @@ func (s *Stack) Checkpoint(reason string) error {
 	}
 	s.lastCkptUnix.SetTime(time.Now())
 	s.log.Debug("checkpoint written", "path", path, "reason", reason)
-	if spool := s.opts.Spool; s.Lifecycle != nil && spool != "" {
-		if serr := resilience.Retry(nil, ioRetry, func() error { return s.Lifecycle.SaveSpool(spool) }); serr != nil {
-			s.log.Error("spool save failed", "path", spool, "err", serr)
-		} else {
-			s.log.Debug("spool written", "path", spool, "reason", reason)
-		}
-	}
 	return nil
 }
 
-// Reload swaps a validated bundle in: the monitor first, then the
-// lifecycle is realigned to the new template lineage (spools rebuilt,
-// drift references reset, pending and previous generations dropped). The
-// stack takes b over as New does Options.Bundle.
+// Reload swaps a validated bundle in: through the lifecycle when one is
+// attached, which realigns itself to the new template lineage (spools
+// rebuilt, drift references reset, pending and previous generations
+// dropped), else straight into the monitor. The stack takes b over as New
+// does Options.Bundle.
 func (s *Stack) Reload(b *bundle.Bundle) {
-	s.Monitor.SwapModel(stamp(b))
+	stamp(b)
 	if s.Lifecycle != nil {
 		s.Lifecycle.SetServing(b)
+	} else {
+		s.Monitor.SwapModel(b)
 	}
-	s.genMu.Lock()
-	s.gen = b
-	s.genMu.Unlock()
 	s.reloads.Inc()
 	s.Health.SetCondition("bundle", true, "")
-}
-
-// saveGeneration writes the serving generation to Checkpoint+".model"
-// unless it is the one a restart would already serve. Its tree is a copy
-// of the monitor's live tree, taken under the tree lock; the file is
-// written outside it. A promotion landing between this write and the
-// checkpoint's leaves streams cut under weights the file does not hold:
-// the restart refuses them and starts cold on the saved generation, and
-// the next checkpoint saves the new one.
-func (s *Stack) saveGeneration() error {
-	g := s.Serving()
-	s.genMu.Lock()
-	saved := s.saved
-	s.genMu.Unlock()
-	if g == saved {
-		return nil
-	}
-	snap := g.Clone()
-	var err error
-	if snap.Tree, err = s.Monitor.TreeCopy(); err != nil {
-		return fmt.Errorf("serve: copying the serving tree: %w", err)
-	}
-	path := s.opts.Checkpoint + ".model"
-	if err := resilience.Retry(nil, ioRetry, func() error { return snap.SaveFile(path) }); err != nil {
-		return err
-	}
-	s.genMu.Lock()
-	s.saved = g
-	s.genMu.Unlock()
-	s.log.Info("serving generation saved", "path", path, "detectors", len(g.Detectors))
-	return nil
 }
 
 // RejectReload records a bundle that failed to load or validate: counted,

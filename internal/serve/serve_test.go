@@ -32,7 +32,7 @@ var normalTexts = []string{
 
 // testOptions is DefaultOptions on loopback port 0, two shards, around a
 // small model trained on a cyclic corpus.
-func testOptions(t *testing.T) Options {
+func testOptions(t testing.TB) Options {
 	t.Helper()
 	o := DefaultOptions()
 	o.Bundle = trainedBundle(t, 6)
@@ -42,7 +42,7 @@ func testOptions(t *testing.T) Options {
 
 // trainedBundle is a small model trained for epochs over the cyclic
 // corpus; every call grows the same tree.
-func trainedBundle(t *testing.T, epochs int) *bundle.Bundle {
+func trainedBundle(t testing.TB, epochs int) *bundle.Bundle {
 	t.Helper()
 	tree := sigtree.New()
 	var stream []features.Event
@@ -245,5 +245,29 @@ func TestRestoreOrQuarantine(t *testing.T) {
 	feed(third, 8)
 	if msgs, _ := third.Monitor.Counters(); msgs != 12 {
 		t.Fatalf("cold-started stack does not serve: %d messages", msgs)
+	}
+}
+
+// TestChaosRefusesUnknownPoint: GET /chaos/ lists checkpoint.write from
+// the start, before any checkpoint, and arming a misspelt point is refused
+// with the points that exist rather than accepted to never fire.
+func TestChaosRefusesUnknownPoint(t *testing.T) {
+	o := testOptions(t)
+	o.Faults = faultinject.NewRegistry()
+	mux := newStack(t, o).AdminMux(nil)
+	do := func(method, path string) (int, string) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		return rec.Code, rec.Body.String()
+	}
+	if _, body := do("GET", "/chaos/"); !strings.Contains(body, `"checkpoint.write"`) {
+		t.Fatalf("GET /chaos/ does not list checkpoint.write: %s", body)
+	}
+	if code, body := do("POST", "/chaos/arm?point=chekpoint.write&mode=error"); code != 400 ||
+		!strings.Contains(body, "checkpoint.write, heartbeat.skew, shard.score, shard.worker") {
+		t.Fatalf("arming a misspelt point: %d %q", code, body)
+	}
+	if code, body := do("POST", "/chaos/arm?point=checkpoint.write&mode=error&count=1"); code != 200 {
+		t.Fatalf("arming checkpoint.write: %d %q", code, body)
 	}
 }

@@ -423,9 +423,8 @@ func isVariableCount(digits, hexLetters, otherLetters, dots, slashes, colons, da
 // Fingerprint returns an FNV-1a hash over the tree's exact template set —
 // every template's ID, token sequence, and match count. Two trees
 // fingerprint equal iff they would assign identical template IDs to
-// identical inputs and have seen the same history, so artifacts that
-// record template IDs (the lifecycle spool) can detect at load time that
-// they were written against this very tree and not some other lineage.
+// identical inputs and have seen the same history; bundle.Fingerprint,
+// a model's lineage, folds it in.
 // The fingerprint changes as the tree learns (growth and wildcard merges
 // both count), matching the tree's not-concurrency-safe contract: compute
 // it under whatever lock guards Learn. Symbol IDs are deliberately
