@@ -10,11 +10,15 @@
 // at shutdown, and resumes from it on the next start — no warm-up. With
 // -model it serves a trained bundle and hot-reloads it on SIGHUP: a new
 // bundle that fails validation is rejected and the serving bundle stays
-// active (§4.4's monthly retraining loop, minus the downtime).
+// active (§4.4's monthly retraining loop, minus the downtime). A bundle
+// that recommends no threshold serves at -threshold, at start and on
+// reload alike.
 //
-// With -admin the monitor serves an HTTP observability surface: /metrics
-// (Prometheus text; ?format=json for JSON), /statusz (JSON status snapshot
-// including the serving bundle and last checkpoint), /spans (recent
+// With -admin the monitor serves the serving stack's HTTP observability
+// surface: /metrics (Prometheus text; ?format=json for JSON), /statusz
+// (serve.Stack.Status, built per request from the live stack: the serving
+// bundle's file, live template count and threshold, the checkpoint's
+// path and last save, counters, lifecycle, degradation), /spans (recent
 // decision spans; ?anomalous=1 keeps the ones explaining an anomaly
 // verdict), /slo, /healthz + /readyz (503 while degraded, e.g. after a
 // rejected hot reload), and the pprof suite under /debug/pprof/.
@@ -39,14 +43,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	"nfvpredict"
 	"nfvpredict/internal/bundle"
 	"nfvpredict/internal/faultinject"
-	"nfvpredict/internal/ingest"
 	"nfvpredict/internal/lifecycle"
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/pipeline"
@@ -108,123 +110,27 @@ func main() {
 	}
 }
 
-// app is the running process: the assembled serving stack plus the status
-// only this binary reports on /statusz. It exists (as opposed to locals in
-// run) so tests can drive the admin endpoints and the hot-reload path.
+// app is the running process: the assembled serving stack plus what only
+// this binary needs. It exists (as opposed to locals in run) so tests can
+// drive the admin endpoints and the hot-reload path.
 type app struct {
 	*serve.Stack
-	log     *obs.Logger
-	started time.Time
-	chaos   bool // mirrors -chaos
-
-	mu     sync.Mutex
-	bundle bundleStatus
-	ckpt   ckptStatus
+	log       *obs.Logger
+	threshold float64 // -threshold, for a bundle that recommends none
 }
 
-// bundleStatus describes the serving model for /statusz.
-type bundleStatus struct {
-	Path          string    `json:"path,omitempty"`
-	FormatVersion uint32    `json:"format_version,omitempty"`
-	LoadedAt      time.Time `json:"loaded_at,omitempty"`
-	Detectors     int       `json:"detectors"`
-	Templates     int       `json:"templates"`
-	Threshold     float64   `json:"threshold"`
-	Bootstrap     bool      `json:"bootstrap,omitempty"`
-}
-
-// ckptStatus describes checkpoint activity for /statusz.
-type ckptStatus struct {
-	Path       string    `json:"path,omitempty"`
-	LastSave   time.Time `json:"last_saved_at,omitempty"`
-	LastError  string    `json:"last_error,omitempty"`
-	RestoredAt time.Time `json:"restored_at,omitempty"`
-}
-
-// resilienceStatus is the /statusz resilience section: degradation mode
-// and why, supervision counters, the named health conditions, and whether
-// chaos fault injection is armed into this process.
-type resilienceStatus struct {
-	DegradeMode    string          `json:"degrade_mode"`
-	DegradeReason  string          `json:"degrade_reason,omitempty"`
-	WorkerRestarts uint64          `json:"worker_restarts"`
-	WatchdogKicks  uint64          `json:"watchdog_kicks"`
-	ShardPanics    uint64          `json:"shard_panics"`
-	Conditions     []obs.Condition `json:"conditions"`
-	ChaosEnabled   bool            `json:"chaos_enabled,omitempty"`
-}
-
-// statusDoc is the /statusz document.
-type statusDoc struct {
-	Now       time.Time `json:"now"`
-	UptimeSec float64   `json:"uptime_sec"`
-	// Build identifies the running binary (module version, VCS revision,
-	// go version) so a fleet operator can tell instances apart.
-	Build      obs.BuildInfo       `json:"build"`
-	Ready      bool                `json:"ready"`
-	Reason     string              `json:"reason,omitempty"`
-	Bundle     bundleStatus        `json:"bundle"`
-	Checkpoint ckptStatus          `json:"checkpoint"`
-	Monitor    ingest.MonitorStats `json:"monitor"`
-	Ingest     ingest.Stats        `json:"ingest"`
-	Spans      uint64              `json:"spans_total"`
-	SLOs       []obs.SLOStatus     `json:"slos,omitempty"`
-	Lifecycle  *lifecycle.Status   `json:"lifecycle,omitempty"`
-	Resilience resilienceStatus    `json:"resilience"`
-}
-
-// status builds the /statusz document.
-func (a *app) status() any {
-	a.mu.Lock()
-	b, c := a.bundle, a.ckpt
-	a.mu.Unlock()
-	c.RestoredAt = a.RestoredAt
-	ready, reason := a.Health.Ready()
-	mst := a.Monitor.Stats()
-	b.Threshold = a.Monitor.Threshold()
-	doc := statusDoc{
-		Now:        time.Now(),
-		UptimeSec:  time.Since(a.started).Seconds(),
-		Build:      obs.GetBuildInfo(),
-		Ready:      ready,
-		Reason:     reason,
-		Bundle:     b,
-		Checkpoint: c,
-		Monitor:    mst,
-		Ingest:     a.Server.Stats(),
-		Spans:      a.Spans.Total(),
-		SLOs:       a.SLOs.Statuses(),
-		Resilience: resilienceStatus{
-			DegradeMode:    a.Degrader.Mode().String(),
-			WorkerRestarts: mst.WorkerRestarts,
-			WatchdogKicks:  mst.WatchdogKicks,
-			ShardPanics:    mst.ShardPanics,
-			Conditions:     a.Health.Conditions(),
-			ChaosEnabled:   a.chaos,
-		},
+// load reads the bundle file, to serve at its own threshold when it
+// recommends one (an nfvtrain bundle does), else at -threshold. Startup
+// and the SIGHUP reload both load through it.
+func (a *app) load(model string) (*bundle.Bundle, error) {
+	b, err := bundle.LoadFile(model)
+	if err != nil {
+		return nil, err
 	}
-	if a.Lifecycle != nil {
-		st := a.Lifecycle.Status()
-		doc.Lifecycle = &st
+	if b.Threshold <= 0 {
+		b.Threshold = a.threshold
 	}
-	if a.Degrader.Mode() != resilience.ModeNormal {
-		doc.Resilience.DegradeReason = a.Degrader.Reason()
-	}
-	return doc
-}
-
-// setLoaded records a loaded bundle as the serving model in /statusz.
-func (a *app) setLoaded(path string, b *bundle.Bundle, threshold float64) {
-	a.mu.Lock()
-	a.bundle = bundleStatus{
-		Path:          path,
-		FormatVersion: bundle.Version,
-		LoadedAt:      time.Now(),
-		Detectors:     len(b.Detectors),
-		Templates:     b.Tree.Len(),
-		Threshold:     threshold,
-	}
-	a.mu.Unlock()
+	return b, nil
 }
 
 // reload re-reads the bundle file and swaps it in. Transient load failures
@@ -234,7 +140,7 @@ func (a *app) reload(model string) error {
 	var b *bundle.Bundle
 	err := resilience.Retry(nil, resilience.RetryPolicy{Attempts: 3, Base: 50 * time.Millisecond}, func() error {
 		var lerr error
-		b, lerr = bundle.LoadFile(model)
+		b, lerr = a.load(model)
 		return lerr
 	})
 	if err != nil {
@@ -243,44 +149,22 @@ func (a *app) reload(model string) error {
 		return err
 	}
 	a.Reload(b)
-	a.setLoaded(model, b, b.Threshold)
 	a.log.Info("hot-reloaded bundle", "model", model,
 		"detectors", len(b.Detectors), "templates", b.Tree.Len(), "threshold", b.Threshold)
 	return nil
 }
 
-// saveCheckpoint checkpoints the stack, recording the outcome for /statusz.
-func (a *app) saveCheckpoint(path, reason string) {
-	if path == "" {
-		return
-	}
-	err := a.Checkpoint(reason)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ckpt.Path, a.ckpt.LastError = path, ""
-	if err != nil {
-		a.ckpt.LastError = err.Error()
-	} else {
-		a.ckpt.LastSave = time.Now()
-	}
-}
-
 // loadServing returns the bundle to serve: the -model file, or without
-// one a single fleet-wide model bootstrap-trained on a simulated month.
-// Either way it serves at its own threshold when it recommends one (an
-// nfvtrain bundle does), else at the -threshold flag.
-func (a *app) loadServing(model string, threshold float64, seed int64) (*bundle.Bundle, error) {
+// one a single fleet-wide model bootstrap-trained on a simulated month,
+// served at -threshold.
+func (a *app) loadServing(model string, seed int64) (*bundle.Bundle, error) {
 	if model != "" {
-		b, err := bundle.LoadFile(model)
+		b, err := a.load(model)
 		if err != nil {
 			return nil, err
 		}
-		if b.Threshold <= 0 {
-			b.Threshold = threshold
-		}
 		a.log.Info("loaded bundle", "model", model, "detectors", len(b.Detectors),
 			"templates", b.Tree.Len(), "threshold", b.Threshold)
-		a.setLoaded(model, b, b.Threshold)
 		return b, nil
 	}
 	a.log.Info("bootstrapping detector on simulated training archive")
@@ -298,27 +182,22 @@ func (a *app) loadServing(model string, threshold float64, seed int64) (*bundle.
 	if err != nil {
 		return nil, err
 	}
-	b.Threshold = threshold
+	b.Threshold = a.threshold
 	a.log.Info("detector trained", "vpes", len(b.Assign), "templates", b.Tree.Len())
-	a.mu.Lock()
-	a.bundle = bundleStatus{Bootstrap: true, LoadedAt: time.Now(), Detectors: 1, Templates: b.Tree.Len(), Threshold: threshold}
-	a.mu.Unlock()
 	return b, nil
 }
 
 // newApp loads the serving bundle and assembles the stack around it,
-// listeners bound but not started. /statusz names the file the stack
-// serves: the -model bundle, or the checkpoint when the stack serves the
-// generation it carries instead.
+// listeners bound but not started.
 func newApp(o options, logOut io.Writer) (*app, error) {
 	level := obs.LevelInfo
 	if o.verbose {
 		level = obs.LevelDebug
 	}
-	a := &app{log: obs.NewLogger(logOut, level), started: time.Now(), chaos: o.chaos}
+	a := &app{log: obs.NewLogger(logOut, level), threshold: o.threshold}
 	so := o.Options
 	var err error
-	if so.Bundle, err = a.loadServing(o.model, o.threshold, o.seed); err != nil {
+	if so.Bundle, err = a.loadServing(o.model, o.seed); err != nil {
 		return nil, err
 	}
 	so.Log = a.log
@@ -341,10 +220,6 @@ func newApp(o options, logOut io.Writer) (*app, error) {
 	}
 	if a.Stack, err = serve.New(so); err != nil {
 		return nil, err
-	}
-	if a.ModelFile != "" {
-		g := a.Serving()
-		a.setLoaded(a.ModelFile, g, g.Threshold)
 	}
 	if o.model == "" {
 		a.Serving().Detectors[0].SetMetrics(a.Registry, "")
@@ -383,7 +258,7 @@ func run(o options) error {
 		if lerr != nil {
 			return fmt.Errorf("admin listener: %w", lerr)
 		}
-		admin := &http.Server{Handler: a.AdminMux(a.status)}
+		admin := &http.Server{Handler: a.AdminMux()}
 		go func() {
 			if serr := admin.Serve(ln); serr != nil && serr != http.ErrServerClosed {
 				a.log.Error("admin server failed", "err", serr)
@@ -420,7 +295,7 @@ func run(o options) error {
 			// Stop the listeners, drain the shard queues, then checkpoint
 			// the fully-drained state.
 			a.Close()
-			a.saveCheckpoint(o.Checkpoint, "shutdown")
+			a.Checkpoint("shutdown")
 			a.logCounters("shutting down")
 			return nil
 		case <-hup:
@@ -429,10 +304,10 @@ func run(o options) error {
 				continue
 			}
 			if a.reload(o.model) == nil {
-				a.saveCheckpoint(o.Checkpoint, "post-reload")
+				a.Checkpoint("post-reload")
 			}
 		case <-ckptTick:
-			a.saveCheckpoint(o.Checkpoint, "interval")
+			a.Checkpoint("interval")
 		case <-degradeTick.C:
 			a.SampleDegrade()
 		case <-status.C:

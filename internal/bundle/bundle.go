@@ -68,6 +68,11 @@ type Bundle struct {
 	// is given. A bundle nfvtrain writes carries 0. Gob tolerates the field
 	// both ways, as for TrainHist.
 	Lineage uint64
+	// Source is the file this generation was read from: the bundle
+	// LoadFile read, or the checkpoint a restarted stack serves it from;
+	// "" for one trained in process. It is not serialized, so it is not
+	// part of Fingerprint, and Clone (every promotion) carries it.
+	Source string
 }
 
 // Fingerprint identifies the trained model: FNV-1a over the tree's
@@ -287,10 +292,11 @@ func (b *Bundle) SaveFile(path string) error {
 	return atomicfile.Write(path, b.Save)
 }
 
-// LoadFile loads and validates the bundle at path. The bundle.load fault
-// point (process-wide registry) can inject load failures to drill the
-// hot-reload rejection path: a failed load must leave the serving model
-// untouched and flip readiness, never crash the monitor.
+// LoadFile loads and validates the bundle at path and records path as its
+// Source. The bundle.load fault point (process-wide registry) can inject
+// load failures to drill the hot-reload rejection path: a failed load must
+// leave the serving model untouched and flip readiness, never crash the
+// monitor.
 func LoadFile(path string) (*Bundle, error) {
 	if err := faultinject.Default.Point("bundle.load",
 		"Before reading a model bundle: error/slow failures drill the hot-reload rejection path.").Fire(); err != nil {
@@ -301,5 +307,10 @@ func LoadFile(path string) (*Bundle, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	b, err := Load(f)
+	if err != nil {
+		return nil, err
+	}
+	b.Source = path
+	return b, nil
 }

@@ -241,6 +241,9 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	if loaded.Threshold != b.Threshold {
 		t.Fatalf("threshold: %v", loaded.Threshold)
 	}
+	if loaded.Source != path || loaded.Clone().Source != path || loaded.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("Source %q (clone %q) must name the file and stay out of the fingerprint", loaded.Source, loaded.Clone().Source)
+	}
 	// Corrupt the file on disk; LoadFile must reject it and a re-save must
 	// restore it.
 	raw, err := os.ReadFile(path)

@@ -171,7 +171,7 @@ func (d *LSTMDetector) Model() *nn.SequenceModel { return d.model }
 // moments, RNG, and scratch are all copied or fresh). The clone starts
 // with fresh optimizer moments and a Seed-reset RNG, like a detector
 // loaded from disk, and carries no metrics registry — call SetMetrics on
-// it (e.g. through an obs.Scope prefix) if its training should be
+// it (with a prefix naming the candidate) if its training should be
 // observable. Cloning an untrained detector returns an untrained detector.
 func (d *LSTMDetector) Clone() *LSTMDetector {
 	out := NewLSTMDetector(d.cfg)

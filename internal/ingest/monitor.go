@@ -676,6 +676,14 @@ func (m *Monitor) Threshold() float64 {
 	return sh.threshold
 }
 
+// Templates returns the serving tree's template count, read under the
+// tree lock: current, and race-clean while the shards learn.
+func (m *Monitor) Templates() int {
+	m.treeMu.Lock()
+	defer m.treeMu.Unlock()
+	return m.tree.Len()
+}
+
 // Stats returns a snapshot of all monitor counters — a thin view over the
 // same registry counters exported at /metrics, plus the serving tree's
 // symbol-table size and overflow count, which have no metric family.

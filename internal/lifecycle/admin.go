@@ -3,26 +3,17 @@ package lifecycle
 import (
 	"encoding/json"
 	"net/http"
-	"slices"
 
 	"nfvpredict/internal/cluster"
-	"nfvpredict/internal/resilience"
 )
 
-// modelsView is the GET /models response.
+// modelsView is the GET /models response: the lifecycle Status and the
+// serving generation's models, read under one hold of m.mu.
 type modelsView struct {
-	Generation  int           `json:"generation"`
+	Status
 	Threshold   float64       `json:"threshold"`
 	Clusters    []clusterView `json:"clusters"`
-	Pending     []int         `json:"pending_clusters"`
-	CanRollback bool          `json:"can_rollback"`
 	Generations []Generation  `json:"generations"`
-	Spool       []int         `json:"spool_windows"`
-	// Breaker is the adaptation circuit breaker: while open, timer cycles
-	// are skipped (POST /models/adapt still forces one — the operator probe).
-	Breaker resilience.BreakerStatus `json:"breaker"`
-	// ShedLearning reports the degradation controller's learning-shed state.
-	ShedLearning bool `json:"shed_learning"`
 }
 
 type clusterView struct {
@@ -54,9 +45,8 @@ func (m *Manager) Handler() http.Handler {
 		}
 		m.mu.Lock()
 		view := modelsView{
-			Generation:  m.generation,
+			Status:      m.statusLocked(),
 			Threshold:   m.serving.Threshold,
-			CanRollback: m.prev != nil,
 			Generations: append([]Generation(nil), m.gens...),
 		}
 		for ci, d := range m.serving.Detectors {
@@ -66,17 +56,7 @@ func (m *Manager) Handler() http.Handler {
 			}
 			view.Clusters = append(view.Clusters, cv)
 		}
-		for ci := range m.pending {
-			view.Pending = append(view.Pending, ci)
-		}
 		m.mu.Unlock()
-		view.Breaker = m.breaker.Status()
-		view.ShedLearning = m.shedLearning.Load()
-		slices.Sort(view.Pending)
-		ss := m.spools.Load()
-		for _, cs := range ss.clusters {
-			view.Spool = append(view.Spool, cs.depth())
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -273,23 +273,22 @@ func New(cfg Config, b *bundle.Bundle) *Manager {
 		reg = obs.NewRegistry()
 	}
 	m.reg = reg
-	s := reg.Scope("lifecycle_")
-	m.cyclesC = s.Counter("cycles_total", "Lifecycle cycles run (timer + forced).")
-	m.adaptsC = s.Counter("adaptations_total", "Candidate fine-tunes started (adapt + update modes).")
-	m.promosC = s.Counter("promotions_total", "Candidates promoted to serving.")
-	m.rejectsC = s.Counter("rejections_total", "Candidates rejected by the false-alarm gate.")
-	m.rollbacksC = s.Counter("rollbacks_total", "One-step rollbacks to the previous generation.")
-	m.driftC = s.Counter("drift_total", "Cycles in which a cluster's live distribution read as drifted.")
-	m.quarC = s.Counter("windows_quarantined_total", "Completed windows quarantined for containing burst (fault-proximate) traffic.")
-	m.adaptSeconds = s.Histogram("adapt_seconds", "Wall time of one candidate fine-tune (training only).",
+	m.cyclesC = reg.Counter("lifecycle_cycles_total", "Lifecycle cycles run (timer + forced).")
+	m.adaptsC = reg.Counter("lifecycle_adaptations_total", "Candidate fine-tunes started (adapt + update modes).")
+	m.promosC = reg.Counter("lifecycle_promotions_total", "Candidates promoted to serving.")
+	m.rejectsC = reg.Counter("lifecycle_rejections_total", "Candidates rejected by the false-alarm gate.")
+	m.rollbacksC = reg.Counter("lifecycle_rollbacks_total", "One-step rollbacks to the previous generation.")
+	m.driftC = reg.Counter("lifecycle_drift_total", "Cycles in which a cluster's live distribution read as drifted.")
+	m.quarC = reg.Counter("lifecycle_windows_quarantined_total", "Completed windows quarantined for containing burst (fault-proximate) traffic.")
+	m.adaptSeconds = reg.Histogram("lifecycle_adapt_seconds", "Wall time of one candidate fine-tune (training only).",
 		obs.ExpBuckets(0.01, 4, 10))
-	m.gateDelta = s.Histogram("gate_delta", "Candidate minus stale false-alarm rate at the gate (negative = candidate better).",
+	m.gateDelta = reg.Histogram("lifecycle_gate_delta", "Candidate minus stale false-alarm rate at the gate (negative = candidate better).",
 		obs.LinearBuckets(-0.5, 0.05, 21))
-	m.genGauge = s.Gauge("generation", "Monotonic serving-model generation number.")
-	m.skippedC = s.Counter("cycles_skipped_total", "Cycles skipped because learning was shed or the breaker was open.")
-	m.panicsC = s.Counter("cycle_panics_total", "Adaptation cycles that panicked (recovered; breaker failure).")
-	m.breakerOpens = s.Counter("breaker_opens_total", "Times the adaptation circuit breaker opened.")
-	m.breakerGauge = s.Gauge("breaker_state", "Adaptation breaker state (0 closed, 1 open, 2 half-open).")
+	m.genGauge = reg.Gauge("lifecycle_generation", "Monotonic serving-model generation number.")
+	m.skippedC = reg.Counter("lifecycle_cycles_skipped_total", "Cycles skipped because learning was shed or the breaker was open.")
+	m.panicsC = reg.Counter("lifecycle_cycle_panics_total", "Adaptation cycles that panicked (recovered; breaker failure).")
+	m.breakerOpens = reg.Counter("lifecycle_breaker_opens_total", "Times the adaptation circuit breaker opened.")
+	m.breakerGauge = reg.Gauge("lifecycle_breaker_state", "Adaptation breaker state (0 closed, 1 open, 2 half-open).")
 	m.breaker = &resilience.Breaker{Threshold: breakerThreshold, Cooldown: breakerCooldown}
 	if cfg.Faults != nil {
 		m.fpCycle = cfg.Faults.Point("lifecycle.cycle",
@@ -787,20 +786,33 @@ func (m *Manager) recordLocked(g Generation) {
 	}
 }
 
-// Status is the lifecycle summary surfaced on /statusz.
+// Status is the lifecycle summary surfaced on /statusz and, with the
+// models themselves, on GET /models.
 type Status struct {
-	Generation   int                      `json:"generation"`
-	Cycles       int                      `json:"cycles"`
-	Pending      []int                    `json:"pending_clusters"`
-	SpoolWindows []int                    `json:"spool_windows"`
-	CanRollback  bool                     `json:"can_rollback"`
-	Breaker      resilience.BreakerStatus `json:"breaker"`
-	ShedLearning bool                     `json:"shed_learning"`
+	Generation   int   `json:"generation"`
+	Cycles       int   `json:"cycles"`
+	Pending      []int `json:"pending_clusters"`
+	SpoolWindows []int `json:"spool_windows"`
+	CanRollback  bool  `json:"can_rollback"`
+	// Breaker is the adaptation circuit breaker: while open, timer cycles
+	// are skipped (POST /models/adapt still forces one — the operator
+	// probe).
+	Breaker resilience.BreakerStatus `json:"breaker"`
+	// ShedLearning reports the degradation controller's learning-shed
+	// state.
+	ShedLearning bool `json:"shed_learning"`
 }
 
 // Status reports the lifecycle's current shape.
 func (m *Manager) Status() Status {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.statusLocked()
+}
+
+// statusLocked is Status for a caller that holds m.mu: one hold, so a
+// promotion cannot land between the generation and the rest.
+func (m *Manager) statusLocked() Status {
 	st := Status{
 		Generation:   m.generation,
 		Cycles:       m.cycleNum,
@@ -811,10 +823,8 @@ func (m *Manager) Status() Status {
 	for ci := range m.pending {
 		st.Pending = append(st.Pending, ci)
 	}
-	m.mu.Unlock()
 	slices.Sort(st.Pending)
-	ss := m.spools.Load()
-	for _, cs := range ss.clusters {
+	for _, cs := range m.spools.Load().clusters {
 		st.SpoolWindows = append(st.SpoolWindows, cs.depth())
 	}
 	return st

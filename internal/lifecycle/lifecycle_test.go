@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -338,20 +339,38 @@ func TestAdminEndpoints(t *testing.T) {
 	resp.Body.Close()
 
 	var view modelsView
+	var keys map[string]json.RawMessage
 	get := func() {
 		resp, err := http.Get(srv.URL + "/models")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		view = modelsView{}
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, keys = modelsView{}, nil
+		if err := json.Unmarshal(body, &view); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &keys); err != nil {
 			t.Fatal(err)
 		}
 	}
 	get()
-	if len(view.Pending) != 1 || view.Generation != 0 || len(view.Clusters) != 1 {
+	if len(view.Pending) != 1 || view.Generation != 0 || len(view.Clusters) != 1 || view.Cycles != 1 {
 		t.Fatalf("GET /models after rejected cycle: %+v", view)
+	}
+	// The lifecycle Status, every key of it, and the models beside it.
+	for _, k := range []string{"generation", "cycles", "pending_clusters", "spool_windows", "can_rollback",
+		"breaker", "shed_learning", "threshold", "clusters", "generations"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("GET /models lacks %q", k)
+		}
+	}
+	if len(keys) != 10 {
+		t.Errorf("GET /models has %d keys, want 10", len(keys))
 	}
 	if len(view.Generations) == 0 || view.Generations[0].GatePassed {
 		t.Fatalf("audit log: %+v", view.Generations)

@@ -17,10 +17,10 @@ import (
 //
 // so burn 1.0 spends the budget exactly at the sustainable rate, and burn
 // 14.4 over a 5-minute window — the classic fast-page threshold — spends a
-// 30-day budget in ~2 days. Each SLO tracks two windows: a fast window
-// (default 5m) that catches sharp regressions within seconds, and a slow
-// window (default 1h) that confirms sustained ones; the degradation
-// controller keys off the fast window, alert policy off both.
+// 30-day budget in ~2 days. Each SLO tracks two windows: a 5m fast window
+// that catches sharp regressions within seconds, and a 1h slow window that
+// confirms sustained ones; the degradation controller keys off the fast
+// window, alert policy off both.
 //
 // Windows are rings of fixed-duration buckets in monotonic time (the
 // process clock, immune to wall-clock steps). Recording is lock-free —
@@ -38,53 +38,35 @@ var processEpoch = time.Now()
 // monotonicNS returns nanoseconds since process start.
 func monotonicNS() int64 { return int64(time.Since(processEpoch)) }
 
+// Every objective is evaluated the same way: a fast window that catches
+// sharp regressions within seconds and a slow window that confirms
+// sustained ones, each burning above its threshold (the SRE-workbook
+// multiwindow pair), each a ring of bucketsPerWindow buckets (10s buckets
+// on the fast window).
+const (
+	fastWindow       = 5 * time.Minute
+	slowWindow       = time.Hour
+	fastBurn         = 14.4
+	slowBurn         = 6.0
+	bucketsPerWindow = 30
+)
+
 // SLOConfig declares one objective; zero fields take defaults.
 type SLOConfig struct {
 	// Name identifies the objective ("accept_verdict_latency").
 	Name string
 	// Description explains what good/bad mean for this objective.
 	Description string
-	// Target is the objective's good-ratio target in (0,1), e.g. 0.99.
+	// Target is the objective's good-ratio target in (0,1), e.g. 0.99
+	// (the default).
 	Target float64
-	// FastWindow/SlowWindow are the burn evaluation windows
-	// (defaults 5m / 1h).
-	FastWindow, SlowWindow time.Duration
-	// FastBurn/SlowBurn are the burn-rate thresholds above which each
-	// window reads as burning (defaults 14.4 / 6 — the SRE-workbook
-	// multiwindow pair).
-	FastBurn, SlowBurn float64
-	// BucketsPerWindow sets ring resolution (default 30: 10s buckets on
-	// a 5m fast window).
-	BucketsPerWindow int
 	// NowNS overrides the monotonic clock (tests).
 	NowNS func() int64
 }
 
-// DefaultFastBurn and DefaultSlowBurn are the burn-rate thresholds when
-// the config leaves them zero.
-const (
-	DefaultFastBurn = 14.4
-	DefaultSlowBurn = 6.0
-)
-
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Target <= 0 || c.Target >= 1 {
 		c.Target = 0.99
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 5 * time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = time.Hour
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = DefaultFastBurn
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = DefaultSlowBurn
-	}
-	if c.BucketsPerWindow <= 0 {
-		c.BucketsPerWindow = 30
 	}
 	if c.NowNS == nil {
 		c.NowNS = monotonicNS
@@ -106,12 +88,8 @@ type burnWindow struct {
 	buckets  []sloBucket
 }
 
-func newBurnWindow(window time.Duration, buckets int) *burnWindow {
-	bNS := int64(window) / int64(buckets)
-	if bNS < int64(time.Millisecond) {
-		bNS = int64(time.Millisecond)
-	}
-	return &burnWindow{bucketNS: bNS, buckets: make([]sloBucket, buckets)}
+func newBurnWindow(window time.Duration) *burnWindow {
+	return &burnWindow{bucketNS: int64(window) / bucketsPerWindow, buckets: make([]sloBucket, bucketsPerWindow)}
 }
 
 // record adds counts into the current bucket.
@@ -162,8 +140,8 @@ func NewSLO(cfg SLOConfig) *SLO {
 	cfg = cfg.withDefaults()
 	return &SLO{
 		cfg:  cfg,
-		fast: newBurnWindow(cfg.FastWindow, cfg.BucketsPerWindow),
-		slow: newBurnWindow(cfg.SlowWindow, cfg.BucketsPerWindow),
+		fast: newBurnWindow(fastWindow),
+		slow: newBurnWindow(slowWindow),
 	}
 }
 
@@ -249,8 +227,8 @@ func (s *SLO) Status() SLOStatus {
 		Name:        s.cfg.Name,
 		Description: s.cfg.Description,
 		Target:      s.cfg.Target,
-		Fast:        s.windowStatus(s.fast, s.cfg.FastWindow, s.cfg.FastBurn, budget, now),
-		Slow:        s.windowStatus(s.slow, s.cfg.SlowWindow, s.cfg.SlowBurn, budget, now),
+		Fast:        s.windowStatus(s.fast, fastWindow, fastBurn, budget, now),
+		Slow:        s.windowStatus(s.slow, slowWindow, slowBurn, budget, now),
 	}
 	st.Burning = st.Fast.Burning && st.Slow.Burning
 	st.Inactive = st.Fast.Good+st.Fast.Bad+st.Slow.Good+st.Slow.Bad == 0
@@ -264,7 +242,7 @@ func (s *SLO) FastBurning() bool {
 		return false
 	}
 	now := s.cfg.NowNS()
-	st := s.windowStatus(s.fast, s.cfg.FastWindow, s.cfg.FastBurn, 1-s.cfg.Target, now)
+	st := s.windowStatus(s.fast, fastWindow, fastBurn, 1-s.cfg.Target, now)
 	return st.Burning
 }
 

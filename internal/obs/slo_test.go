@@ -31,7 +31,7 @@ func TestSLOBurnMath(t *testing.T) {
 	if st.Fast.Burning || st.Slow.Burning || st.Burning {
 		t.Fatalf("burning at burn 2.0: %+v", st)
 	}
-	if st.Fast.BurnThreshold != DefaultFastBurn || st.Slow.BurnThreshold != DefaultSlowBurn {
+	if st.Fast.BurnThreshold != fastBurn || st.Slow.BurnThreshold != slowBurn {
 		t.Fatalf("thresholds = %v/%v", st.Fast.BurnThreshold, st.Slow.BurnThreshold)
 	}
 
@@ -87,16 +87,27 @@ func TestSLOEmptyWindow(t *testing.T) {
 	}
 }
 
+// TestSLOBucketRotation walks the fast window's 10s buckets on the fake
+// clock: counts stay in the window for 29 more buckets, leave it on the
+// 30th, and the recycled ring slot starts from zero.
 func TestSLOBucketRotation(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
-	s := NewSLO(SLOConfig{Name: "rot", FastWindow: time.Second, BucketsPerWindow: 10, NowNS: clk.now})
+	s := NewSLO(SLOConfig{Name: "rot", NowNS: clk.now})
 	s.RecordN(0, 10)
 	if st := s.Status(); st.Fast.Bad != 10 {
 		t.Fatalf("bad = %d", st.Fast.Bad)
 	}
+	const bucket = fastWindow / bucketsPerWindow
+	if bucket != 10*time.Second {
+		t.Fatalf("fast-window bucket = %v, want 10s", bucket)
+	}
+	clk.advance(fastWindow - bucket)
+	if st := s.Status(); st.Fast.Bad != 10 {
+		t.Fatalf("bad = %d one bucket before the window closes", st.Fast.Bad)
+	}
 	// A full window later the old bucket is outside the range even before
 	// any recorder recycles it.
-	clk.advance(2 * time.Second)
+	clk.advance(bucket)
 	if st := s.Status(); st.Fast.Bad != 0 {
 		t.Fatalf("expired bad = %d", st.Fast.Bad)
 	}
@@ -146,12 +157,14 @@ func TestSLOSet(t *testing.T) {
 	}
 }
 
+// TestSLODefaults reads the default target and the shared window and
+// burn constants back through Status.
 func TestSLODefaults(t *testing.T) {
-	cfg := SLOConfig{}.withDefaults()
-	if cfg.Target != 0.99 || cfg.FastWindow != 5*time.Minute || cfg.SlowWindow != time.Hour {
-		t.Fatalf("defaults = %+v", cfg)
+	st := NewSLO(SLOConfig{Name: "defaults"}).Status()
+	if st.Target != 0.99 || st.Fast.Window != "5m0s" || st.Slow.Window != "1h0m0s" {
+		t.Fatalf("defaults = %+v", st)
 	}
-	if cfg.FastBurn != 14.4 || cfg.SlowBurn != 6.0 || cfg.BucketsPerWindow != 30 {
-		t.Fatalf("defaults = %+v", cfg)
+	if st.Fast.BurnThreshold != 14.4 || st.Slow.BurnThreshold != 6.0 {
+		t.Fatalf("defaults = %+v", st)
 	}
 }

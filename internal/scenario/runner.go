@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"nfvpredict/internal/bundle"
@@ -146,31 +145,6 @@ func WriteTrace(w io.Writer, tr *nfvsim.Trace) error {
 		}
 	}
 	return lw.Flush()
-}
-
-// runState is the mutable status behind /statusz during a run.
-type runState struct {
-	mu     sync.Mutex
-	phase  string
-	events []EventReport
-}
-
-func (rs *runState) setPhase(p string) {
-	rs.mu.Lock()
-	rs.phase = p
-	rs.mu.Unlock()
-}
-
-func (rs *runState) addEvent(e EventReport) {
-	rs.mu.Lock()
-	rs.events = append(rs.events, e)
-	rs.mu.Unlock()
-}
-
-func (rs *runState) snapshot() (string, []EventReport) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.phase, append([]EventReport(nil), rs.events...)
 }
 
 // Run executes a scenario end-to-end: simulate the fleet, train the
@@ -329,30 +303,13 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 	defer st.Close()
 	mon, srv, lm := st.Monitor, st.Server, st.Lifecycle
 
-	// Admin surface: the stack's own (/metrics, /spans, /slo, ...),
-	// with the scenario-run metadata (name, phase, executed events) next to
-	// the live stack counters as its /statusz document.
-	rs := &runState{phase: "serve"}
+	// Admin surface: the stack's own, the one nfvmonitor serves.
 	if spec.Serve.Admin {
 		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {
 			return nil, fmt.Errorf("scenario: admin listener: %w", lerr)
 		}
-		admin := &http.Server{Handler: st.AdminMux(func() any {
-			phase, events := rs.snapshot()
-			doc := map[string]any{
-				"scenario": spec.Name,
-				"seed":     spec.Seed,
-				"phase":    phase,
-				"events":   events,
-				"monitor":  mon.Stats(),
-				"ingest":   srv.Stats(),
-			}
-			if lm != nil {
-				doc["lifecycle"] = lm.Status()
-			}
-			return doc
-		})}
+		admin := &http.Server{Handler: st.AdminMux()}
 		go admin.Serve(ln)
 		defer admin.Close()
 		logf("scenario %s: admin surface on %s", spec.Name, ln.Addr())
@@ -393,9 +350,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 		if err != nil {
 			return nil, err
 		}
-		er := EventReport{At: ev.At.String(), Kind: ev.Kind, Detail: detail}
-		rep.Events = append(rep.Events, er)
-		rs.addEvent(er)
+		rep.Events = append(rep.Events, EventReport{At: ev.At.String(), Kind: ev.Kind, Detail: detail})
 		logf("scenario %s: event %s at %s: %s", spec.Name, ev.Kind, ev.At, detail)
 	}
 	if err := feeder.send(msgs[cursor:]); err != nil {
@@ -404,7 +359,6 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 	if err := feeder.drain(); err != nil {
 		return nil, err
 	}
-	rs.setPhase("eval")
 
 	sst := srv.Stats()
 	mst := mon.Stats()

@@ -112,16 +112,21 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if len(rep.Events) != 4 {
 		t.Fatalf("runner events %d, want 4 (chaos, checkpoint, 2 degrade): %+v", len(rep.Events), rep.Events)
 	}
-	// /statusz carried the scenario metadata while the run was live.
+	// /statusz is the stack's own document, nfvmonitor's: readiness, the
+	// monitor's counters and the run's checkpoint file.
 	var status struct {
-		Scenario string `json:"scenario"`
-		Phase    string `json:"phase"`
+		Ready      *bool           `json:"ready"`
+		Monitor    json.RawMessage `json:"monitor"`
+		Checkpoint struct {
+			Path string `json:"path"`
+		} `json:"checkpoint"`
 	}
 	if err := json.Unmarshal(statusBody, &status); err != nil {
 		t.Fatalf("statusz decode: %v (%s)", err, statusBody)
 	}
-	if status.Scenario != "e2e-test" || status.Phase != "serve" {
-		t.Fatalf("statusz metadata: %+v", status)
+	if status.Ready == nil || !*status.Ready || len(status.Monitor) == 0 ||
+		filepath.Base(status.Checkpoint.Path) != "monitor.nfvc" || !strings.Contains(status.Checkpoint.Path, "nfvscen-") {
+		t.Fatalf("statusz is not the stack's document: %s", statusBody)
 	}
 	// The report is the -json surface: it must round-trip.
 	b, err := json.Marshal(rep)

@@ -74,7 +74,7 @@ func verdicts(s *Stack, n int) []obs.Span {
 func servedFingerprints(t *testing.T, s *Stack) []uint64 {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.AdminMux(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/models", nil))
+	s.AdminMux().ServeHTTP(rec, httptest.NewRequest("GET", "/models", nil))
 	var view struct {
 		Clusters []struct {
 			Fingerprint uint64 `json:"fingerprint"`
@@ -209,8 +209,8 @@ func TestRedeployColdStarts(t *testing.T) {
 			}
 			newFP := redeploy.Bundle.Detectors[0].Fingerprint()
 			s := newStack(t, redeploy)
-			if s.ModelFile != "" || s.Serving().Detectors[0].Fingerprint() != newFP {
-				t.Fatalf("a bundle of another lineage did not win: ModelFile=%q", s.ModelFile)
+			if s.Serving().Source != "" || s.Serving().Detectors[0].Fingerprint() != newFP {
+				t.Fatalf("a bundle of another lineage did not win: Source=%q", s.Serving().Source)
 			}
 			if got := servedFingerprints(t, s); len(got) != 1 || got[0] != newFP {
 				t.Fatalf("/models serves %x, want %x", got, newFP)
@@ -250,8 +250,8 @@ func TestRevertAfterRedeployServesOwnWeights(t *testing.T) {
 	}
 
 	back := newStack(t, o)
-	if back.ModelFile != "" {
-		t.Fatalf("reverting to A serves the saved generation %q", back.ModelFile)
+	if back.Serving().Source != "" {
+		t.Fatalf("reverting to A serves the saved generation %q", back.Serving().Source)
 	}
 	if got := servedFingerprints(t, back); len(got) != 1 || got[0] != ownFP {
 		t.Fatalf("reverting to A serves %x, want A's own %x (promoted was %x)", got, ownFP, promoted)
@@ -269,8 +269,8 @@ func TestRestartKeepsOperatorThreshold(t *testing.T) {
 	restart.Bundle = o.Bundle.Clone()
 	restart.Bundle.Threshold = 7
 	s := newStack(t, restart)
-	if s.ModelFile == "" || s.RestoredAt.IsZero() {
-		t.Fatalf("restart did not serve the saved generation: ModelFile=%q", s.ModelFile)
+	if s.Serving().Source == "" || s.RestoredAt.IsZero() {
+		t.Fatalf("restart did not serve the saved generation: Source=%q", s.Serving().Source)
 	}
 	if got := s.Monitor.Threshold(); got != 7 {
 		t.Fatalf("monitor threshold %v after a restart at 7", got)
@@ -285,7 +285,7 @@ func TestRestartKeepsOperatorThreshold(t *testing.T) {
 func clusterModels(t *testing.T, s *Stack) string {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.AdminMux(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/models", nil))
+	s.AdminMux().ServeHTTP(rec, httptest.NewRequest("GET", "/models", nil))
 	var view struct {
 		Clusters json.RawMessage `json:"clusters"`
 	}
@@ -485,8 +485,8 @@ func TestParentCheckpointRestores(t *testing.T) {
 			t.Fatalf("parent checkpoint restored %d messages, %d warnings (restored %v); it holds 400 and 2",
 				msgs, len(s.Monitor.Warnings()), !s.RestoredAt.IsZero())
 		}
-		if s.ModelFile != "" {
-			t.Fatalf("a checkpoint without a generation served %q", s.ModelFile)
+		if s.Serving().Source != "" {
+			t.Fatalf("a checkpoint without a generation served %q", s.Serving().Source)
 		}
 		if got := s.Lifecycle.Status().SpoolWindows[0]; got != 0 {
 			t.Fatalf("the spool file beside the checkpoint was read: %d windows", got)

@@ -15,6 +15,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"nfvpredict/internal/bundle"
@@ -96,12 +97,8 @@ type Stack struct {
 
 	Monitor    *ingest.Monitor
 	RestoredAt time.Time // when New resumed Monitor from the checkpoint; zero after a cold start
-	// ModelFile is Checkpoint when New served the generation the
-	// checkpoint carried in place of Options.Bundle, "" when it served
-	// Options.Bundle.
-	ModelFile string
-	Server    *ingest.Server
-	Lifecycle *lifecycle.Manager // nil unless Options.Lifecycle was set
+	Server     *ingest.Server
+	Lifecycle  *lifecycle.Manager // nil unless Options.Lifecycle was set
 	// Degrader steps the stack between normal / shed-learning /
 	// shed-scoring from the samples SampleDegrade feeds it.
 	Degrader *resilience.Degrader
@@ -113,6 +110,12 @@ type Stack struct {
 	log                                                *obs.Logger
 	reloads, reloadFailures, ckptFailures, quarantines *obs.Counter
 	lastCkptUnix                                       *obs.Gauge
+	started                                            time.Time // New's start: /statusz uptime
+
+	// mu guards what /statusz reports of the last Reload and Checkpoint.
+	mu                sync.Mutex
+	loadedAt, savedAt time.Time
+	saveErr           string
 }
 
 // New assembles the stack around opts.Bundle; listeners are
@@ -135,7 +138,9 @@ func New(opts Options) (*Stack, error) {
 			"Checkpoints set aside at startup (undecodable, another lineage, or streams of other weights); a cold start was taken."),
 		lastCkptUnix: reg.Gauge("monitor_checkpoint_last_unix",
 			"Unix time of the last successful checkpoint write (0 = never)."),
+		started: time.Now(),
 	}
+	s.loadedAt = s.started
 	n := 1
 	if opts.SpanSample <= 0 {
 		n = 0
@@ -244,8 +249,9 @@ func (s *Stack) restore(mcfg ingest.MonitorConfig, b *bundle.Bundle) *ingest.Mon
 // serves when it descends from b (a redeployed bundle of another lineage
 // refuses it: a stale generation never outlives the deployment that
 // replaced it), at b's threshold: a generation replaces detectors, never
-// the threshold. A checkpoint that carries none serves b's detectors over
-// its tree, and its streams restore only if they were cut under those.
+// the threshold; its Source is then path. A checkpoint that carries none
+// serves b's detectors over its tree, and its streams restore only if
+// they were cut under those.
 func (s *Stack) resume(path string, mcfg ingest.MonitorConfig, b *bundle.Bundle) (*ingest.Monitor, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -273,6 +279,9 @@ func (s *Stack) resume(path string, mcfg ingest.MonitorConfig, b *bundle.Bundle)
 			return nil, err
 		}
 	}
+	if saved.Generation != nil {
+		gen.Source = path
+	}
 	mcfg.ClusterOf = gen.ClusterOf
 	mon, err := saved.Restore(mcfg, gen, s.opts.OnWarning)
 	if err != nil {
@@ -280,9 +289,6 @@ func (s *Stack) resume(path string, mcfg ingest.MonitorConfig, b *bundle.Bundle)
 	}
 	if spool != nil {
 		s.Lifecycle.Seed(spool)
-	}
-	if saved.Generation != nil {
-		s.ModelFile = path
 	}
 	return mon, nil
 }
@@ -308,10 +314,11 @@ func (s *Stack) Close() {
 }
 
 // Checkpoint writes Options.Checkpoint, the one restart file, with
-// retries and counts the outcome ("" is a no-op). The file holds one cut:
-// the monitor's state, the generation it served and, with the lifecycle
-// on, the spool and drift references (lifecycle.Manager.Cut). Every retry
-// writes the same cut; when all fail, the previous file survives whole.
+// retries, and counts the outcome and records it for Status ("" is a
+// no-op). The file holds one cut: the monitor's state, the generation it
+// served and, with the lifecycle on, the spool and drift references
+// (lifecycle.Manager.Cut). Every retry writes the same cut; when all
+// fail, the previous file survives whole.
 func (s *Stack) Checkpoint(reason string) error {
 	path := s.opts.Checkpoint
 	if path == "" {
@@ -325,12 +332,20 @@ func (s *Stack) Checkpoint(reason string) error {
 	if err == nil {
 		err = resilience.Retry(nil, ioRetry, func() error { return c.WriteFile(path) })
 	}
+	now := time.Now()
+	s.mu.Lock()
+	if err != nil {
+		s.saveErr = err.Error()
+	} else {
+		s.savedAt, s.saveErr = now, ""
+	}
+	s.mu.Unlock()
 	if err != nil {
 		s.ckptFailures.Inc()
 		s.log.Error("checkpoint failed", "path", path, "reason", reason, "err", err)
 		return err
 	}
-	s.lastCkptUnix.SetTime(time.Now())
+	s.lastCkptUnix.SetTime(now)
 	s.log.Debug("checkpoint written", "path", path, "reason", reason)
 	return nil
 }
@@ -349,6 +364,9 @@ func (s *Stack) Reload(b *bundle.Bundle) {
 	}
 	s.reloads.Inc()
 	s.Health.SetCondition("bundle", true, "")
+	s.mu.Lock()
+	s.loadedAt = time.Now()
+	s.mu.Unlock()
 }
 
 // RejectReload records a bundle that failed to load or validate: counted,
@@ -401,13 +419,98 @@ func (s *Stack) SampleDegrade() {
 	}
 }
 
+// Status is the /statusz document. Stack.Status builds it from the live
+// components on every request, so no part of it is a copy that can go
+// stale.
+type Status struct {
+	Now       time.Time `json:"now"`
+	UptimeSec float64   `json:"uptime_sec"`
+	// Build identifies the running binary (module version, VCS revision,
+	// go version) so a fleet operator can tell instances apart.
+	Build  obs.BuildInfo `json:"build"`
+	Ready  bool          `json:"ready"`
+	Reason string        `json:"reason,omitempty"`
+	// Bundle is the serving generation: the file it came from ("" and
+	// Bootstrap when it was trained in process), when it was installed,
+	// and its live template count and threshold.
+	Bundle struct {
+		Path          string    `json:"path,omitempty"`
+		FormatVersion uint32    `json:"format_version,omitempty"`
+		LoadedAt      time.Time `json:"loaded_at,omitempty"`
+		Detectors     int       `json:"detectors"`
+		Templates     int       `json:"templates"`
+		Threshold     float64   `json:"threshold"`
+		Bootstrap     bool      `json:"bootstrap,omitempty"`
+	} `json:"bundle"`
+	Checkpoint struct {
+		Path       string    `json:"path,omitempty"`
+		LastSave   time.Time `json:"last_saved_at,omitempty"`
+		LastError  string    `json:"last_error,omitempty"`
+		RestoredAt time.Time `json:"restored_at,omitempty"`
+	} `json:"checkpoint"`
+	Monitor   ingest.MonitorStats `json:"monitor"`
+	Ingest    ingest.Stats        `json:"ingest"`
+	Spans     uint64              `json:"spans_total"`
+	SLOs      []obs.SLOStatus     `json:"slos,omitempty"`
+	Lifecycle *lifecycle.Status   `json:"lifecycle,omitempty"`
+	// Resilience is the degrade mode the monitor enforces (with the
+	// Degrader's reason while the Degrader is off normal), the
+	// supervision counters, the named health conditions, and whether
+	// fault injection is armed into this process.
+	Resilience struct {
+		DegradeMode    string          `json:"degrade_mode"`
+		DegradeReason  string          `json:"degrade_reason,omitempty"`
+		WorkerRestarts uint64          `json:"worker_restarts"`
+		WatchdogKicks  uint64          `json:"watchdog_kicks"`
+		ShardPanics    uint64          `json:"shard_panics"`
+		Conditions     []obs.Condition `json:"conditions"`
+		ChaosEnabled   bool            `json:"chaos_enabled,omitempty"`
+	} `json:"resilience"`
+}
+
+// Status builds the /statusz document.
+func (s *Stack) Status() Status {
+	st := Status{Now: time.Now(), Build: obs.GetBuildInfo(), Monitor: s.Monitor.Stats(),
+		Ingest: s.Server.Stats(), Spans: s.Spans.Total(), SLOs: s.SLOs.Statuses()}
+	st.UptimeSec = st.Now.Sub(s.started).Seconds()
+	st.Ready, st.Reason = s.Health.Ready()
+
+	gen := s.Serving()
+	b := &st.Bundle
+	b.Path, b.Bootstrap = gen.Source, gen.Source == ""
+	if gen.Source != "" {
+		b.FormatVersion = bundle.Version
+	}
+	b.Detectors, b.Templates, b.Threshold = len(gen.Detectors), s.Monitor.Templates(), s.Monitor.Threshold()
+
+	c := &st.Checkpoint
+	c.Path, c.RestoredAt = s.opts.Checkpoint, s.RestoredAt
+	s.mu.Lock()
+	b.LoadedAt, c.LastSave, c.LastError = s.loadedAt, s.savedAt, s.saveErr
+	s.mu.Unlock()
+
+	if s.Lifecycle != nil {
+		lst := s.Lifecycle.Status()
+		st.Lifecycle = &lst
+	}
+	r := &st.Resilience
+	r.DegradeMode = st.Monitor.DegradeMode
+	if s.Degrader.Mode() != resilience.ModeNormal {
+		r.DegradeReason = s.Degrader.Reason()
+	}
+	r.WorkerRestarts, r.WatchdogKicks, r.ShardPanics = st.Monitor.WorkerRestarts, st.Monitor.WatchdogKicks, st.Monitor.ShardPanics
+	r.Conditions = s.Health.Conditions()
+	r.ChaosEnabled = s.opts.Faults != nil
+	return st
+}
+
 // AdminMux assembles the admin surface over the stack's own registry,
-// rings, SLO set and health, with status as the /statusz document; plus
+// rings, SLO set and health, with Status as the /statusz document; plus
 // /models, /models/{adapt,promote,rollback} with the lifecycle and
 // /chaos/, /chaos/{arm,disarm} with a fault registry.
-func (s *Stack) AdminMux(status func() any) *http.ServeMux {
+func (s *Stack) AdminMux() *http.ServeMux {
 	mux := obs.NewAdminMux(obs.AdminConfig{Registry: s.Registry, Spans: s.Spans,
-		SLO: s.SLOs, Health: s.Health, Status: status})
+		SLO: s.SLOs, Health: s.Health, Status: func() any { return s.Status() }})
 	if s.Lifecycle != nil {
 		h := s.Lifecycle.Handler()
 		mux.Handle("/models", h)

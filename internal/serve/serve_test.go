@@ -184,7 +184,7 @@ func TestSurfaceGolden(t *testing.T) {
 		}
 		sort.Strings(fams)
 		fmt.Fprintf(&doc, "== %s: metric families (2 shards)\n%s\n", v.name, strings.Join(fams, "\n"))
-		mux := s.AdminMux(nil)
+		mux := s.AdminMux()
 		fmt.Fprintf(&doc, "== %s: admin routes\n", v.name)
 		for _, p := range probePaths {
 			_, pat := mux.Handler(httptest.NewRequest("GET", p, nil))
@@ -254,7 +254,7 @@ func TestRestoreOrQuarantine(t *testing.T) {
 func TestChaosRefusesUnknownPoint(t *testing.T) {
 	o := testOptions(t)
 	o.Faults = faultinject.NewRegistry()
-	mux := newStack(t, o).AdminMux(nil)
+	mux := newStack(t, o).AdminMux()
 	do := func(method, path string) (int, string) {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
