@@ -91,14 +91,17 @@ func main() {
 		}
 	}
 
-	// 5. Wait for the pipeline to drain, then report.
+	// 5. Wait until the listener has counted every datagram (UDP may lose
+	//    some, so for at most 10 s), then until the monitor has judged
+	//    every message it accepted, and report.
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		msgs, _ := mon.Counters()
-		if int(msgs)+int(srv.Stats().ShardDropped) >= sent {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
+	for st := srv.Stats(); st.Received+st.Malformed+st.ShardDropped < uint64(sent) && time.Now().Before(deadline); st = srv.Stats() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := mon.Settle(ctx); err != nil {
+		log.Fatal(err)
 	}
 	msgs, anoms := mon.Counters()
 	sst := srv.Stats()

@@ -39,14 +39,7 @@ func (c *collector) count() int {
 
 func (c *collector) waitFor(t *testing.T, n int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.count() >= n {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %d messages, have %d", n, c.count())
+	waitUntil(t, fmt.Sprintf("%d messages reach the sink", n), func() bool { return c.count() >= n })
 }
 
 func startServer(t *testing.T) (*Server, *collector) {
@@ -116,13 +109,7 @@ func TestUDPMalformed(t *testing.T) {
 	fmt.Fprint(conn, "this is not syslog")
 	fmt.Fprint(conn, sampleLine(1))
 	col.waitFor(t, 1)
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.Stats().Malformed == 1 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(t, "the malformed datagram is counted", func() bool { return srv.Stats().Malformed == 1 })
 	if st := srv.Stats(); st.Malformed != 1 || st.Received != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -423,16 +410,7 @@ func TestTCPOctetCountOversizeFrame(t *testing.T) {
 	// Oversize frame length: the connection must be dropped as malformed
 	// without crashing the server.
 	fmt.Fprintf(conn, "999999 junk")
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.Stats().Malformed >= 1 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.Stats().Malformed == 0 {
-		t.Fatal("oversize frame not counted as malformed")
-	}
+	waitUntil(t, "the oversize frame is counted as malformed", func() bool { return srv.Stats().Malformed >= 1 })
 	// The server still accepts new connections afterwards.
 	conn2, err := net.Dial("tcp", srv.TCPAddr().String())
 	if err != nil {

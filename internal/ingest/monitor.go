@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"container/list"
+	"context"
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -144,7 +146,9 @@ func DefaultMonitorConfig() MonitorConfig {
 
 // MonitorStats is a snapshot of the monitor's cumulative counters.
 type MonitorStats struct {
-	// Messages is the number of messages ingested.
+	// Messages counts messages whose drain has learned their templates;
+	// it moves before the drain scores them, so it does not say that
+	// scoring finished: Monitor.Settle does.
 	Messages uint64
 	// Anomalies is the number of messages scored above the threshold.
 	Anomalies uint64
@@ -235,6 +239,13 @@ type Monitor struct {
 	running bool
 	stop    chan struct{}
 	wg      sync.WaitGroup
+	// workers counts live worker goroutines, superseded ones included.
+	workers atomic.Int32
+	// settlers counts waiting Settle callers; while it is nonzero the end
+	// of a drain or of a worker closes settled to wake them.
+	settlers atomic.Int32
+	settleMu sync.Mutex
+	settled  chan struct{}
 
 	// degrade holds the current resilience.Mode. Shed-scoring is enforced
 	// in shard.process (templates keep learning, scores are skipped);
@@ -511,8 +522,10 @@ func (m *Monitor) spawnWorker(sh *shard, stop <-chan struct{}) {
 	gen := sh.gen.Load()
 	sh.hb.Beat()
 	m.wg.Add(1)
+	m.workers.Add(1)
 	go func() {
 		defer m.wg.Done()
+		defer func() { m.workers.Add(-1); m.notifySettle() }()
 		restart := resilience.NewBackoff(time.Millisecond, time.Second, 0.5, 0)
 		for {
 			if !sh.runOnce(stop, gen) {
@@ -585,6 +598,61 @@ func (m *Monitor) Stop() {
 	close(m.stop)
 	m.lifeMu.Unlock()
 	m.wg.Wait()
+}
+
+// Settle returns once every message the monitor accepted onto its shard
+// queues before the call has finished its drain, however the drain ended:
+// scored (its counters, OnScored call, warning and span done), shed under
+// ModeShedScoring, lost to a scoring fault or a worker panic, or scored
+// late by a worker the watchdog superseded. It waits on the drains
+// themselves, not on a clock, and returns ctx.Err() when ctx ends first.
+// With no worker running it returns at once: nil when nothing accepted is
+// left to judge, an error when messages are still queued. HandleMessage
+// needs no barrier: it returns with its message judged.
+func (m *Monitor) Settle(ctx context.Context) error {
+	want := make([]uint64, len(m.shards))
+	for i, sh := range m.shards {
+		want[i] = sh.q.accepted()
+	}
+	m.settlers.Add(1)
+	defer m.settlers.Add(-1)
+	for {
+		m.settleMu.Lock()
+		if m.settled == nil {
+			m.settled = make(chan struct{})
+		}
+		wake := m.settled
+		m.settleMu.Unlock()
+		var pending uint64
+		for i, sh := range m.shards {
+			pending += want[i] - min(want[i], sh.q.judged.Load())
+		}
+		if pending == 0 {
+			return nil
+		}
+		if m.workers.Load() == 0 {
+			return fmt.Errorf("ingest: %d accepted messages unjudged and no shard worker running", pending)
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// notifySettle wakes the waiting Settle callers, if any: a drain nobody
+// settles pays one atomic load.
+func (m *Monitor) notifySettle() {
+	if m.settlers.Load() == 0 {
+		return
+	}
+	m.settleMu.Lock()
+	if m.settled != nil {
+		close(m.settled)
+		m.settled = nil
+	}
+	m.settleMu.Unlock()
 }
 
 // record appends one scored message to the host's fixed context ring.

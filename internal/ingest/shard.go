@@ -77,6 +77,11 @@ type shardQueue struct {
 	// parked is set by a worker about to wait on wake and cleared by the
 	// push that wakes it.
 	parked bool
+	// taken counts the messages workers have taken in drains, so taken+n
+	// is every message the queue ever accepted; judged counts those whose
+	// drain has ended, however it ended (Monitor.Settle waits on it).
+	taken  uint64
+	judged atomic.Uint64
 	// wake holds at most one wake-up; sends never block, and a token left
 	// over from a worker that stopped only costs its successor one spurious
 	// turn of the loop.
@@ -139,6 +144,7 @@ func (q *shardQueue) take(b *drainBuf) bool {
 		q.head -= len(q.ring)
 	}
 	q.n -= k
+	q.taken += uint64(k)
 	depth := q.n
 	q.mu.Unlock()
 	q.depth.SetInt(depth)
@@ -158,6 +164,14 @@ func (q *shardQueue) size() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.n
+}
+
+// accepted returns how many messages the queue has ever taken in: those
+// drained so far and those still queued.
+func (q *shardQueue) accepted() uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.taken + uint64(q.n)
 }
 
 // drainBuf is the scratch for one drain: the messages taken from the queue
@@ -369,13 +383,14 @@ func (sh *shard) observeAnomaly(hs *hostState, at time.Time) (size int, warned b
 // into shardPanics: it is a scoring-path fault either way, and the
 // degradation controller keys off that counter.
 func (sh *shard) runOnce(stop <-chan struct{}, gen uint64) (abnormal bool) {
+	var b drainBuf // worker-owned scratch; see drainBuf
 	defer func() {
 		if r := recover(); r != nil {
 			sh.m.shardPanics.Inc()
 			abnormal = true
 		}
+		sh.judged(&b) // the drain a panic cut short, if any
 	}()
-	var b drainBuf // worker-owned scratch; see drainBuf
 	for {
 		if sh.gen.Load() != gen {
 			// Superseded by a watchdog replacement. If this worker was
@@ -390,6 +405,7 @@ func (sh *shard) runOnce(stop <-chan struct{}, gen uint64) (abnormal bool) {
 		}
 		if sh.q.take(&b) {
 			sh.consume(&b)
+			sh.judged(&b)
 			continue
 		}
 		select {
@@ -400,6 +416,7 @@ func (sh *shard) runOnce(stop <-chan struct{}, gen uint64) (abnormal bool) {
 			// messages out of order.
 			for sh.gen.Load() == gen && sh.q.take(&b) {
 				sh.consume(&b)
+				sh.judged(&b)
 			}
 			return false
 		}
@@ -426,6 +443,17 @@ func (sh *shard) consume(b *drainBuf) {
 		}
 	}()
 	sh.process(b)
+}
+
+// judged marks the drain in b as ended, however it ended, and empties b:
+// its messages count for Settle once their verdicts, counters and spans
+// are done, or the panic that lost them is counted.
+func (sh *shard) judged(b *drainBuf) {
+	if n := len(b.msgs); n > 0 {
+		b.msgs = b.msgs[:0]
+		sh.q.judged.Add(uint64(n))
+		sh.m.notifySettle()
+	}
 }
 
 // process is the one place a message is templated, scored and judged.

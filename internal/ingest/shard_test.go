@@ -145,10 +145,7 @@ func TestAsyncShardedCompleteness(t *testing.T) {
 			time.Sleep(time.Millisecond) // full queue: wait for the worker
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && async.Stats().Messages < uint64(len(msgs)) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	settle(t, async)
 	async.Stop()
 
 	sa, aa := sync.Stats(), async.Stats()
@@ -356,16 +353,13 @@ func TestShardLifecycleConcurrency(t *testing.T) {
 	}
 	// The monitor restarts cleanly after a full stop.
 	mon.Start()
+	defer mon.Stop()
 	before := mon.Stats().Messages // read first: the worker may drain the message at once
 	if !mon.Enqueue(msgs[0]) {
 		t.Fatal("enqueue after restart refused")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && mon.Stats().Messages == before {
-		time.Sleep(2 * time.Millisecond)
-	}
-	mon.Stop()
-	if mon.Stats().Messages == before {
+	settle(t, mon)
+	if mon.Stats().Messages != before+1 {
 		t.Fatal("restarted workers not draining")
 	}
 }
@@ -407,10 +401,8 @@ func TestServerShardRouting(t *testing.T) {
 		}
 		at = at.Add(time.Second)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && mon.Stats().Messages < total {
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitUntil(t, "the listener counts every datagram", func() bool { return srv.Stats().Received >= total })
+	settle(t, mon)
 	if got := mon.Stats().Messages; got != total {
 		t.Fatalf("scored %d of %d routed messages", got, total)
 	}
@@ -460,14 +452,10 @@ func TestTCPQuietPeerIsServed(t *testing.T) {
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	// The listener counts a batch just after handing it over, so the
-	// verdicts can overtake the count.
-	deadline := time.Now().Add(10 * time.Second)
-	for verdicts.Load() < 3 || srv.Stats().Received < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of 3 verdicts from a quiet open connection; server %+v", verdicts.Load(), srv.Stats())
-		}
-		time.Sleep(time.Millisecond)
+	waitUntil(t, "the listener counts 3 frames", func() bool { return srv.Stats().Received >= 3 })
+	settle(t, mon)
+	if got := verdicts.Load(); got != 3 {
+		t.Fatalf("%d of 3 verdicts from a quiet open connection", got)
 	}
 }
 
@@ -627,9 +615,8 @@ func BenchmarkServerHandoffShed(b *testing.B) {
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	for done() < b.N {
-		time.Sleep(50 * time.Microsecond)
-	}
+	waitUntil(b, "the listener counts every frame", func() bool { return srv.Stats().Received >= uint64(b.N) })
+	settle(b, mon)
 	b.StopTimer()
 	if st := srv.Stats(); st.ShardDropped != 0 || st.Malformed != 0 {
 		b.Fatalf("server stats: %+v", st)

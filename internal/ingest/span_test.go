@@ -220,10 +220,7 @@ func TestAsyncShardedSpans(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && async.Stats().Messages < uint64(len(msgs)) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	settle(t, async)
 	async.Stop()
 
 	ra, aa := ref.Stats(), async.Stats()
@@ -340,10 +337,7 @@ func TestServerDropSLOAndTraceStamp(t *testing.T) {
 	// The queued messages carry stamped trace contexts; score one and the
 	// span's decode stage is the listener-side parse time.
 	mon.Start()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && mon.Stats().Messages < 4 {
-		time.Sleep(2 * time.Millisecond)
-	}
+	settle(t, mon)
 	mon.Stop()
 	spans := ring.Query(obs.SpanQuery{})
 	if len(spans) != 4 {
@@ -400,13 +394,8 @@ func TestServerWireStampsAndFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := uint64(len(msgs))
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && (mon.Stats().Messages < total || drops.Status().Fast.Good < total) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	// A drain counts its messages before it scores them: stop the workers
-	// so the last drain's spans are in the ring before it is read.
-	mon.Stop()
+	waitUntil(t, "the listener counts the burst", func() bool { return drops.Status().Fast.Good >= total })
+	settle(t, mon)
 	elapsed := time.Since(sent)
 	if st, good := srv.Stats(), drops.Status().Fast.Good; st.Received != total || good != st.Received {
 		t.Fatalf("open connection: drop SLO good %d, received %d of %d", good, st.Received, total)
@@ -437,10 +426,7 @@ func TestServerWireStampsAndFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	deadline = time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && drops.Status().Fast.Good <= total {
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitUntil(t, "the connection-end flush", func() bool { return drops.Status().Fast.Good > total })
 	if st, good := srv.Stats(), drops.Status().Fast.Good; st.Received != total+1 || good != st.Received {
 		t.Fatalf("closed connection: drop SLO good %d, received %d of %d", good, st.Received, total+1)
 	}
@@ -630,10 +616,7 @@ func TestConcurrentMetricsScrapeDuringScoring(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && mon.Stats().Messages < uint64(len(msgs)) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	settle(t, mon)
 	close(done)
 	wg.Wait()
 	mon.Stop()

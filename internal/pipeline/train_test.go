@@ -9,6 +9,7 @@ import (
 	"nfvpredict/internal/cluster"
 	"nfvpredict/internal/detect"
 	"nfvpredict/internal/nfvsim"
+	"nfvpredict/internal/obs"
 	"nfvpredict/internal/ticket"
 )
 
@@ -112,20 +113,27 @@ func TestNoCleanDataRule(t *testing.T) {
 		t.Fatal("Update did not give the starved group its first training")
 	}
 
-	// The shipping half: one fleet-wide cluster, every vPE starved.
-	for i, v := range ds.VPEs[1:] {
+	// The shipping half: one of two clusters starved. With the run
+	// observed, no cluster's detector has run an epoch after the refusal.
+	cfg.KMin, cfg.KMax = 2, 2
+	cfg.Metrics = obs.NewRegistry()
+	_, shipped, err := ClusterFleet(ds, cfg, ds.MonthStart(0), ds.MonthStart(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range shipped[0] {
 		ds.Tickets = append(ds.Tickets, ticket.Ticket{
 			ID: 9002 + i, VPE: v, Cause: ticket.Circuit, DuplicateOf: -1,
 			Report: ds.MonthStart(0).Add(24 * time.Hour), Repair: ds.MonthStart(1),
 		})
 	}
-	cfg.Variant = Baseline
-	t0 := time.Now()
 	_, err = TrainModels(ds, cfg, 1)
-	if err == nil || !strings.Contains(err.Error(), "cluster 0") || !strings.Contains(err.Error(), starved) {
+	if err == nil || !strings.Contains(err.Error(), "cluster 0") || !strings.Contains(err.Error(), shipped[0][0]) {
 		t.Fatalf("TrainModels on a starved cluster: %v", err)
 	}
-	if d := time.Since(t0); d > time.Second {
-		t.Errorf("refused after %v: the check must come before training", d)
+	for name, n := range cfg.Metrics.Snapshot().Counters {
+		if strings.HasSuffix(name, "_lstm_epochs_total") && n != 0 {
+			t.Errorf("%s = %d after the refusal: the check must come before training", name, n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -31,8 +32,9 @@ import (
 type Options struct {
 	// Log, when set, receives one line per phase and timeline event.
 	Log *log.Logger
-	// AdminUp, when set, is called with the admin listener's address once
-	// /statusz is live (the serve phase), before any traffic flows.
+	// AdminUp, when set, runs beside the serve phase with the admin
+	// listener's address once /statusz is live; the phase keeps the admin
+	// surface open until it returns.
 	AdminUp func(addr net.Addr)
 }
 
@@ -153,7 +155,7 @@ func WriteTrace(w io.Writer, tr *nfvsim.Trace) error {
 // warnings against the ticket store, and check the declared assertions.
 //
 // A non-nil error means the harness itself failed (listener, training,
-// drain deadline); assertion failures are reported via Report.Passed and
+// settle deadline); assertion failures are reported via Report.Passed and
 // Report.Assertions.
 func Run(spec *Spec, opts Options) (*Report, error) {
 	rep := &Report{
@@ -314,7 +316,12 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 		defer admin.Close()
 		logf("scenario %s: admin surface on %s", spec.Name, ln.Addr())
 		if opts.AdminUp != nil {
-			opts.AdminUp(ln.Addr())
+			up := make(chan struct{})
+			go func() {
+				defer close(up)
+				opts.AdminUp(ln.Addr())
+			}()
+			defer func() { <-up }() // before admin.Close
 		}
 	}
 
@@ -326,7 +333,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 	feeder := &wireFeeder{w: bufio.NewWriter(conn), srv: srv, mon: mon}
 
 	// Runner-side events split the serve stream into segments; each event
-	// executes against a fully drained stack.
+	// executes against a settled stack: every message sent before it judged.
 	baseGen := 0
 	if lm != nil {
 		baseGen = lm.Generation()
@@ -343,7 +350,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 			return nil, err
 		}
 		cursor = upTo
-		if err := feeder.drain(); err != nil {
+		if err := feeder.flushAndSettle(); err != nil {
 			return nil, err
 		}
 		detail, err := execEvent(ev, st, so, rep)
@@ -356,7 +363,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 	if err := feeder.send(msgs[cursor:]); err != nil {
 		return nil, err
 	}
-	if err := feeder.drain(); err != nil {
+	if err := feeder.flushAndSettle(); err != nil {
 		return nil, err
 	}
 
@@ -395,7 +402,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 	return &summary, nil
 }
 
-// execEvent runs one runner-side timeline event against the drained stack
+// execEvent runs one runner-side timeline event against the settled stack
 // st, which was built from so.
 func execEvent(ev *Event, st *serve.Stack, so serve.Options, rep *Report) (string, error) {
 	switch ev.Kind {
@@ -478,8 +485,7 @@ func restartState(st *serve.Stack) string {
 
 // wireFeeder pushes messages over the TCP listener with RFC 6587 octet
 // framing, pacing so the shard queues can never overflow: after each chunk
-// it waits until the server has accepted everything sent and the shard
-// queues are empty. Zero drops is a harness invariant, not luck.
+// it settles the stack. Zero drops is a harness invariant, not luck.
 type wireFeeder struct {
 	w    *bufio.Writer
 	srv  *ingest.Server
@@ -507,45 +513,25 @@ func (f *wireFeeder) send(msgs []logfmt.Message) error {
 	return nil
 }
 
-// flushAndSettle waits until the server has consumed every sent frame and
-// the shard queues are empty again.
+// flushAndSettle flushes the connection, waits until the listener has
+// counted every sent frame (it counts a frame after handing it to the
+// shard queues), then waits until the monitor has judged every message it
+// accepted. Chaos faults can wedge a worker for hundreds of ms, so the
+// deadline is generous.
 func (f *wireFeeder) flushAndSettle() error {
 	if err := f.w.Flush(); err != nil {
 		return err
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		st := f.srv.Stats()
-		if st.Received+st.Malformed >= f.sent && f.mon.QueueFrac() == 0 {
-			return nil
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for st := f.srv.Stats(); st.Received+st.Malformed < f.sent; st = f.srv.Stats() {
+		if ctx.Err() != nil {
+			return fmt.Errorf("scenario: wire feed never settled: sent=%d stats=%+v", f.sent, st)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	return fmt.Errorf("scenario: wire feed never settled: sent=%d stats=%+v", f.sent, f.srv.Stats())
-}
-
-// drain settles the wire and then waits for the monitor's processed count
-// to go stable — chaos faults can wedge a worker for hundreds of ms, so
-// the deadline is generous.
-func (f *wireFeeder) drain() error {
-	if err := f.flushAndSettle(); err != nil {
-		return err
+	if err := f.mon.Settle(ctx); err != nil {
+		return fmt.Errorf("scenario: monitor never settled: %w; stats %+v", err, f.mon.Stats())
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	stable := 0
-	var last uint64
-	for time.Now().Before(deadline) {
-		msgs, _ := f.mon.Counters()
-		if f.mon.QueueFrac() == 0 && msgs == last {
-			stable++
-			if stable >= 3 {
-				return nil
-			}
-		} else {
-			stable = 0
-		}
-		last = msgs
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("scenario: queues never drained: stats %+v", f.mon.Stats())
+	return nil
 }

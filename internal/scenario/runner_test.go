@@ -253,9 +253,8 @@ func TestRunnerRestartAfterPromotion(t *testing.T) {
 // serving stack's own: while e2eDoc's serve phase runs,
 // /spans?anomalous=1 explains the burst host's verdicts, /spans holds
 // pipeline spans, and /slo lists the three standing objectives with the
-// two per-message ones counting. The surface closes when the phase
-// returns, so the poller runs beside the replay and latches the first
-// time all three hold.
+// two per-message ones counting. The phase keeps the surface open until
+// the poller returns, which it does the first time all three hold.
 func TestRunnerAdminIsLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack scenario run")
@@ -266,7 +265,7 @@ func TestRunnerAdminIsLive(t *testing.T) {
 	}
 	verdict := make(chan string, 1)
 	if _, err := Run(spec, Options{AdminUp: func(addr net.Addr) {
-		go func() { verdict <- pollAdmin(fmt.Sprintf("http://%s", addr)) }()
+		verdict <- pollAdmin(fmt.Sprintf("http://%s", addr))
 	}}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -276,7 +275,7 @@ func TestRunnerAdminIsLive(t *testing.T) {
 }
 
 // pollAdmin polls the three endpoints until each shows live data ("") or
-// the surface goes away (what was still missing).
+// 10 s pass or the surface goes away (what was still missing).
 func pollAdmin(base string) string {
 	var traces struct {
 		Spans []struct{ Explain *json.RawMessage }
@@ -289,7 +288,7 @@ func pollAdmin(base string) string {
 		}
 	}
 	missing := "never polled"
-	for ; ; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		for path, into := range map[string]any{"/spans?host=vpe01&anomalous=1": &traces, "/spans": &spans, "/slo": &slo} {
 			resp, err := http.Get(base + path)
 			if err != nil {
@@ -319,6 +318,7 @@ func pollAdmin(base string) string {
 			return ""
 		}
 	}
+	return "10 s with " + missing
 }
 
 // divergenceBound is the ceiling on how far injected faults may move the

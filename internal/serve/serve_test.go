@@ -112,11 +112,17 @@ func TestEveryAnomalyExplained(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for s.Monitor.Stats().Messages < uint64(sent) {
+		for st := s.Server.Stats(); st.Received+st.Malformed < uint64(sent); st = s.Server.Stats() {
 			if time.Now().After(deadline) {
-				t.Fatalf("scored %d of %d messages sent", s.Monitor.Stats().Messages, sent)
+				t.Fatalf("the listener counted %+v of %d frames sent", st, sent)
 			}
 			time.Sleep(time.Millisecond)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := s.Monitor.Settle(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 
