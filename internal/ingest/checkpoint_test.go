@@ -54,59 +54,6 @@ func monitorTraffic(hosts []string, n int) []logfmt.Message {
 	return out
 }
 
-// TestCheckpointKillAndRestore is the tentpole acceptance test: feed half
-// the traffic, checkpoint, "kill" the monitor, restore a new one, feed the
-// other half to both — warnings and counters must match bit for bit.
-func TestCheckpointKillAndRestore(t *testing.T) {
-	tree, det := trainMonitorDetector(t)
-	resolve := func(string) *detect.LSTMDetector { return det }
-	mcfg := DefaultMonitorConfig()
-	mcfg.Threshold = 4
-
-	msgs := monitorTraffic([]string{"vpe01", "vpe02", "vpe03"}, 60)
-	cut := len(msgs) / 2
-
-	// Uninterrupted run.
-	ref := NewMonitorWithResolver(mcfg, cloneTree(t, tree), resolve, nil)
-	for _, m := range msgs {
-		ref.HandleMessage(m)
-	}
-
-	// Interrupted run: checkpoint at the cut, restore, replay the tail.
-	mon := NewMonitorWithResolver(mcfg, cloneTree(t, tree), resolve, nil)
-	for _, m := range msgs[:cut] {
-		mon.HandleMessage(m)
-	}
-	var ckpt bytes.Buffer
-	if err := mon.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreMonitor(bytes.NewReader(ckpt.Bytes()), mcfg, resolve, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs[cut:] {
-		restored.HandleMessage(m)
-	}
-
-	a, b := ref.Stats(), restored.Stats()
-	if a.Messages != b.Messages || a.Anomalies != b.Anomalies || a.Warnings != b.Warnings {
-		t.Fatalf("restored run diverged: ref=%+v restored=%+v", a, b)
-	}
-	wa, wb := ref.Warnings(), restored.Warnings()
-	if len(wa) == 0 {
-		t.Fatal("test traffic produced no warnings; burst not anomalous enough")
-	}
-	for i := range wa {
-		if wa[i] != wb[i] {
-			t.Fatalf("warning %d differs: %+v vs %+v", i, wa[i], wb[i])
-		}
-	}
-	if b.Messages != uint64(len(msgs)) {
-		t.Fatalf("restored counters lost history: %d of %d", b.Messages, len(msgs))
-	}
-}
-
 // TestRestoreCheckpointWithSavedAt restores a checkpoint in the earlier
 // wire form, which also carried a SavedAt timestamp that nothing read: gob
 // skips the field, so an old checkpoint resumes with the same counters and

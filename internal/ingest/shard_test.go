@@ -19,160 +19,6 @@ import (
 	"nfvpredict/internal/sigtree"
 )
 
-// TestShardedSyncEquivalence is the sharding contract for the synchronous
-// path: the same message sequence fed through HandleMessage by a single
-// caller must yield identical warnings — and byte-identical checkpoints —
-// at 1 and at 8 shards. Sharding redistributes state; it must not change a
-// single scored bit.
-func TestShardedSyncEquivalence(t *testing.T) {
-	tree, det := trainMonitorDetector(t)
-	msgs := monitorTraffic([]string{"vpe01", "vpe02", "vpe03", "vpe04", "vpe05"}, 40)
-
-	run := func(shards int) (*Monitor, []byte) {
-		mcfg := DefaultMonitorConfig()
-		mcfg.Threshold = 4
-		mcfg.Shards = shards
-		mon := NewMonitorWithResolver(mcfg, cloneTree(t, tree), func(string) *detect.LSTMDetector { return det }, nil)
-		for _, m := range msgs {
-			mon.HandleMessage(m)
-		}
-		var buf bytes.Buffer
-		if err := mon.Checkpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return mon, buf.Bytes()
-	}
-
-	mon1, ckpt1 := run(1)
-	mon8, ckpt8 := run(8)
-
-	w1, w8 := mon1.Warnings(), mon8.Warnings()
-	if len(w1) == 0 {
-		t.Fatal("traffic produced no warnings; test has no teeth")
-	}
-	if len(w1) != len(w8) {
-		t.Fatalf("warning counts differ: %d vs %d", len(w1), len(w8))
-	}
-	for i := range w1 {
-		if w1[i] != w8[i] {
-			t.Fatalf("warning %d differs: %+v vs %+v", i, w1[i], w8[i])
-		}
-	}
-	s1, s8 := mon1.Stats(), mon8.Stats()
-	if s1.Messages != s8.Messages || s1.Anomalies != s8.Anomalies || s1.ActiveHosts != s8.ActiveHosts {
-		t.Fatalf("stats diverge: %+v vs %+v", s1, s8)
-	}
-	if !bytes.Equal(ckpt1, ckpt8) {
-		t.Fatalf("checkpoints not byte-identical across shard counts (%d vs %d bytes)", len(ckpt1), len(ckpt8))
-	}
-}
-
-// TestShardedKillAndRestore runs the kill-and-restore scenario on a sharded
-// monitor, restoring onto a different shard count than the checkpoint was
-// written at: the host hash is stable, so state redistributes cleanly and
-// warnings and counters match an uninterrupted run exactly.
-func TestShardedKillAndRestore(t *testing.T) {
-	tree, det := trainMonitorDetector(t)
-	resolve := func(string) *detect.LSTMDetector { return det }
-	msgs := monitorTraffic([]string{"vpe01", "vpe02", "vpe03"}, 60)
-	cut := len(msgs) / 2
-
-	mcfg := DefaultMonitorConfig()
-	mcfg.Threshold = 4
-	mcfg.Shards = 8
-
-	ref := NewMonitorWithResolver(mcfg, cloneTree(t, tree), resolve, nil)
-	for _, m := range msgs {
-		ref.HandleMessage(m)
-	}
-
-	mon := NewMonitorWithResolver(mcfg, cloneTree(t, tree), resolve, nil)
-	for _, m := range msgs[:cut] {
-		mon.HandleMessage(m)
-	}
-	var ckpt bytes.Buffer
-	if err := mon.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	rcfg := mcfg
-	rcfg.Shards = 3 // restore onto a different shard count
-	restored, err := RestoreMonitor(bytes.NewReader(ckpt.Bytes()), rcfg, resolve, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs[cut:] {
-		restored.HandleMessage(m)
-	}
-
-	a, b := ref.Stats(), restored.Stats()
-	if a.Messages != b.Messages || a.Anomalies != b.Anomalies || a.Warnings != b.Warnings {
-		t.Fatalf("restored sharded run diverged: ref=%+v restored=%+v", a, b)
-	}
-	wa, wb := ref.Warnings(), restored.Warnings()
-	if len(wa) == 0 {
-		t.Fatal("no warnings produced")
-	}
-	for i := range wa {
-		if wa[i] != wb[i] {
-			t.Fatalf("warning %d differs: %+v vs %+v", i, wa[i], wb[i])
-		}
-	}
-}
-
-// TestAsyncShardedCompleteness drives the async path (Enqueue + workers)
-// and checks nothing is lost or double-counted: every accepted message is
-// scored, and per-host scoring matches the synchronous reference (same
-// anomaly and warning totals, same warning set).
-func TestAsyncShardedCompleteness(t *testing.T) {
-	tree, det := trainMonitorDetector(t)
-	resolve := func(string) *detect.LSTMDetector { return det }
-	hosts := []string{"vpe01", "vpe02", "vpe03", "vpe04"}
-	msgs := monitorTraffic(hosts, 50)
-
-	mcfg := DefaultMonitorConfig()
-	mcfg.Threshold = 4
-	sync := NewMonitorWithResolver(mcfg, cloneTree(t, tree), resolve, nil)
-	for _, m := range msgs {
-		sync.HandleMessage(m)
-	}
-
-	acfg := mcfg
-	acfg.Shards = 4
-	async := NewMonitorWithResolver(acfg, cloneTree(t, tree), resolve, nil)
-	async.Start()
-	for _, m := range msgs {
-		for !async.Enqueue(m) {
-			time.Sleep(time.Millisecond) // full queue: wait for the worker
-		}
-	}
-	settle(t, async)
-	async.Stop()
-
-	sa, aa := sync.Stats(), async.Stats()
-	if aa.Messages != uint64(len(msgs)) {
-		t.Fatalf("async lost messages: %d of %d", aa.Messages, len(msgs))
-	}
-	if sa.Anomalies != aa.Anomalies || sa.Warnings != aa.Warnings {
-		t.Fatalf("async scoring diverged: sync=%+v async=%+v", sa, aa)
-	}
-	// Warning order across hosts depends on worker interleaving; the set
-	// must match exactly.
-	ws, wa := sync.Warnings(), async.Warnings()
-	if len(ws) == 0 || len(ws) != len(wa) {
-		t.Fatalf("warning sets differ in size: %d vs %d", len(ws), len(wa))
-	}
-	seen := make(map[detect.Warning]int)
-	for _, w := range ws {
-		seen[w]++
-	}
-	for _, w := range wa {
-		if seen[w] == 0 {
-			t.Fatalf("async produced warning the sync run did not: %+v", w)
-		}
-		seen[w]--
-	}
-}
-
 // evictingTraffic visits six hosts two at a time — block i interleaves
 // hosts i and i+1 for four normal rounds, then host i bursts three
 // anomalies — so that under a host cap of 3 a host is evicted two blocks after
@@ -456,6 +302,49 @@ func TestTCPQuietPeerIsServed(t *testing.T) {
 	settle(t, mon)
 	if got := verdicts.Load(); got != 3 {
 		t.Fatalf("%d of 3 verdicts from a quiet open connection", got)
+	}
+}
+
+// refusing is a ShardSink that refuses every fifth message.
+type refusing struct{ n atomic.Int64 }
+
+func (r *refusing) Enqueue(logfmt.Message) bool { return r.n.Add(1)%5 != 0 }
+
+// TestTCPEOFMeansHandedOver is the socket barrier: a sender that
+// half-closes its connection and reads to EOF finds every frame it sent
+// counted (received, malformed or refused by its shard queue) with no
+// wait, over twenty connections.
+func TestTCPEOFMeansHandedOver(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.UDPAddr, cfg.Sharded = "", &refusing{}
+	srv, err := NewServer(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start(context.Background())
+	defer srv.Close()
+	var frames []byte
+	for i := 0; i < 250; i++ {
+		line := sampleLine(i)
+		if i%97 == 0 {
+			line = "no priority, no header"
+		}
+		frames = fmt.Appendf(frames, "%d %s", len(line), line)
+	}
+	for sent := uint64(250); sent <= 20*250; sent += 250 {
+		conn, err := net.Dial("tcp", srv.TCPAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		halfClose(t, conn)
+		conn.Close()
+		if st := srv.Stats(); st.Received+st.Malformed+st.ShardDropped != sent || st.Malformed == 0 || st.ShardDropped == 0 {
+			t.Fatalf("at EOF the listener counted %d received + %d malformed + %d refused of %d sent",
+				st.Received, st.Malformed, st.ShardDropped, sent)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -325,12 +324,7 @@ func servePhase(spec *Spec, opts Options, rep *Report, tr *nfvsim.Trace, b *bund
 		}
 	}
 
-	conn, err := net.Dial("tcp", srv.TCPAddr().String())
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	feeder := &wireFeeder{w: bufio.NewWriter(conn), srv: srv, mon: mon}
+	feeder := &wireFeeder{addr: srv.TCPAddr().String(), mon: mon}
 
 	// Runner-side events split the serve stream into segments; each event
 	// executes against a settled stack: every message sent before it judged.
@@ -484,13 +478,14 @@ func restartState(st *serve.Stack) string {
 }
 
 // wireFeeder pushes messages over the TCP listener with RFC 6587 octet
-// framing, pacing so the shard queues can never overflow: after each chunk
-// it settles the stack. Zero drops is a harness invariant, not luck.
+// framing, one connection per chunk, pacing so the shard queues can never
+// overflow: after each chunk it settles the stack. Zero drops is a
+// harness invariant, not luck.
 type wireFeeder struct {
-	w    *bufio.Writer
-	srv  *ingest.Server
-	mon  *ingest.Monitor
-	sent uint64
+	addr   string
+	mon    *ingest.Monitor
+	frames bytes.Buffer // framed messages not yet sent
+	sent   uint64
 }
 
 // chunkSize is well under DefaultShardQueue so even a pathological
@@ -500,9 +495,7 @@ const chunkSize = 256
 func (f *wireFeeder) send(msgs []logfmt.Message) error {
 	for i := range msgs {
 		line := msgs[i].Format3164()
-		if _, err := fmt.Fprintf(f.w, "%d %s", len(line), line); err != nil {
-			return err
-		}
+		fmt.Fprintf(&f.frames, "%d %s", len(line), line)
 		f.sent++
 		if f.sent%chunkSize == 0 {
 			if err := f.flushAndSettle(); err != nil {
@@ -513,25 +506,44 @@ func (f *wireFeeder) send(msgs []logfmt.Message) error {
 	return nil
 }
 
-// flushAndSettle flushes the connection, waits until the listener has
-// counted every sent frame (it counts a frame after handing it to the
-// shard queues), then waits until the monitor has judged every message it
-// accepted. Chaos faults can wedge a worker for hundreds of ms, so the
-// deadline is generous.
+// flushAndSettle sends the framed messages on a connection of their own,
+// half-closes it and reads to EOF, then waits until the monitor has judged
+// every message it accepted. The listener hands its pending frames to the
+// shards before every socket read and when the connection ends, and
+// closes the connection only after that: at EOF every frame sent has been
+// counted and handed over. Chaos faults can wedge a worker for hundreds of
+// ms, so the deadline is generous.
 func (f *wireFeeder) flushAndSettle() error {
-	if err := f.w.Flush(); err != nil {
-		return err
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for st := f.srv.Stats(); st.Received+st.Malformed < f.sent; st = f.srv.Stats() {
-		if ctx.Err() != nil {
-			return fmt.Errorf("scenario: wire feed never settled: sent=%d stats=%+v", f.sent, st)
+	if f.frames.Len() > 0 {
+		if err := f.deliver(ctx); err != nil {
+			return fmt.Errorf("scenario: wire feed of %d messages: %w", f.sent, err)
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 	if err := f.mon.Settle(ctx); err != nil {
 		return fmt.Errorf("scenario: monitor never settled: %w; stats %+v", err, f.mon.Stats())
 	}
 	return nil
+}
+
+// deliver writes the framed messages on a new connection, half-closes it
+// and reads until the listener closes it.
+func (f *wireFeeder) deliver(ctx context.Context) error {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", f.addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	deadline, _ := ctx.Deadline()
+	conn.SetDeadline(deadline)
+	if _, err := f.frames.WriteTo(conn); err != nil {
+		return err
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, conn)
+	return err
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -19,7 +18,6 @@ import (
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/lifecycle"
 	"nfvpredict/internal/logfmt"
-	"nfvpredict/internal/obs"
 	"nfvpredict/internal/sigtree"
 )
 
@@ -35,7 +33,7 @@ func adaptOptions(t testing.TB) Options {
 	return o
 }
 
-// traffic scores n messages from three vPEs, starting at at: the cyclic
+// traffic scores n messages from eight vPEs, starting at at: the cyclic
 // corpus, with a burst of unseen messages on one vPE every 200 messages.
 // It returns the time after the last message.
 func traffic(s *Stack, n int, at time.Time) time.Time {
@@ -46,27 +44,26 @@ func traffic(s *Stack, n int, at time.Time) time.Time {
 	return at
 }
 
+// trafficTrace is traffic's first n messages from 2018-03-01, 3 s apart.
+func trafficTrace(n int) []logfmt.Message {
+	msgs := make([]logfmt.Message, n)
+	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i := range msgs {
+		msgs[i] = trafficMessage(i, at)
+		at = at.Add(3 * time.Second)
+	}
+	return msgs
+}
+
 // trafficMessage is traffic's i-th message, at at.
 func trafficMessage(i int, at time.Time) logfmt.Message {
-	hosts := []string{"vpe01", "vpe02", "vpe03"}
-	host := hosts[i%len(hosts)]
-	text := normalTexts[(i/len(hosts))%len(normalTexts)]
+	host := fmt.Sprintf("vpe%02d", 1+i%8)
+	text := normalTexts[(i/8)%len(normalTexts)]
 	if k := i % 200; k >= 190 {
-		host = hosts[(i/200)%len(hosts)]
+		host = fmt.Sprintf("vpe%02d", 1+(i/200)%8)
 		text = fmt.Sprintf("unexpected fabric drop alarm code %d on plane %d", k, i/200)
 	}
 	return logfmt.Message{Time: at, Host: host, Tag: "rpd", Text: text}
-}
-
-// verdicts returns the newest n decision spans, newest first, keeping only
-// the verdict: host, template, score, anomaly and warning.
-func verdicts(s *Stack, n int) []obs.Span {
-	spans := s.Spans.Query(obs.SpanQuery{N: n, Kind: obs.KindDecision})
-	for i, sp := range spans {
-		spans[i] = obs.Span{Host: sp.Host, Template: sp.Template, Score: sp.Score,
-			Anomalous: sp.Anomalous, Warning: sp.Warning}
-	}
-	return spans
 }
 
 // servedFingerprints reads GET /models: the serving generation's
@@ -88,62 +85,6 @@ func servedFingerprints(t *testing.T, s *Stack) []uint64 {
 		fps = append(fps, c.Fingerprint)
 	}
 	return fps
-}
-
-// TestRestartKeepsPromotedGeneration is the restart contract across a
-// promotion: adapt, force a promotion, checkpoint, and build a second
-// stack over the same options. It serves the promoted weights, and the
-// next 1000 messages score bit for bit as on the stack that never stopped.
-func TestRestartKeepsPromotedGeneration(t *testing.T) {
-	o := adaptOptions(t)
-	origFP := o.Bundle.Detectors[0].Fingerprint()
-	live := newStack(t, o)
-	at := traffic(live, 300, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
-	if res := live.Lifecycle.TriggerCycle(true); !res.Promoted {
-		t.Fatalf("forced cycle did not promote: %+v", res)
-	}
-	at = traffic(live, 100, at) // streams now run under the promoted weights
-	if err := live.Checkpoint("test"); err != nil {
-		t.Fatal(err)
-	}
-	want := servedFingerprints(t, live)
-	if len(want) != 1 || want[0] == origFP {
-		t.Fatalf("promotion did not change the served weights: %x", want)
-	}
-
-	restarted := newStack(t, o)
-	if restarted.RestoredAt.IsZero() {
-		t.Fatal("checkpoint on disk was not restored")
-	}
-	if got := servedFingerprints(t, restarted); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restart serves %x, the live stack %x", got, want)
-	}
-
-	traffic(live, 1000, at)
-	traffic(restarted, 1000, at)
-	lv, rv := verdicts(live, 1000), verdicts(restarted, 1000)
-	if len(lv) != 1000 || len(rv) != 1000 {
-		t.Fatalf("span rings hold %d and %d verdicts", len(lv), len(rv))
-	}
-	for i := range lv {
-		if math.Float64bits(lv[i].Score) != math.Float64bits(rv[i].Score) || lv[i] != rv[i] {
-			t.Fatalf("verdict %d after the restart differs:\n live      %+v\n restarted %+v", i, lv[i], rv[i])
-		}
-	}
-	lw, rw := live.Monitor.Warnings(), restarted.Monitor.Warnings()
-	if len(lw) == 0 || !reflect.DeepEqual(lw, rw) {
-		t.Fatalf("warnings differ: live %d, restarted %d", len(lw), len(rw))
-	}
-	var lc, rc bytes.Buffer
-	if err := live.Monitor.Checkpoint(&lc); err != nil {
-		t.Fatal(err)
-	}
-	if err := restarted.Monitor.Checkpoint(&rc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lc.Bytes(), rc.Bytes()) {
-		t.Fatal("the restarted monitor's state diverged from the live one's")
-	}
 }
 
 // otherBundle trains a model of another lineage than testOptions': fewer

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -18,7 +17,6 @@ import (
 	"nfvpredict/internal/faultinject"
 	"nfvpredict/internal/features"
 	"nfvpredict/internal/lifecycle"
-	"nfvpredict/internal/logfmt"
 	"nfvpredict/internal/obs"
 	"nfvpredict/internal/sigtree"
 )
@@ -40,10 +38,29 @@ func testOptions(t testing.TB) Options {
 	return o
 }
 
+// trained holds each trainedBundle model, saved: training is
+// deterministic, so each epoch count trains once.
+var trained = map[int][]byte{}
+
 // trainedBundle is a small model trained for epochs over the cyclic
-// corpus; every call grows the same tree.
+// corpus. Every call returns its own copy, whose tree a stack may grow.
 func trainedBundle(t testing.TB, epochs int) *bundle.Bundle {
 	t.Helper()
+	if _, ok := trained[epochs]; !ok {
+		var buf bytes.Buffer
+		if err := trainBundle(t, epochs).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		trained[epochs] = buf.Bytes()
+	}
+	b, err := bundle.Load(bytes.NewReader(trained[epochs]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func trainBundle(t testing.TB, epochs int) *bundle.Bundle {
 	tree := sigtree.New()
 	var stream []features.Event
 	base := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -70,19 +87,6 @@ func newStack(t *testing.T, o Options) *Stack {
 	return s
 }
 
-// feed scores n healthy messages, then a four-message anomaly burst.
-func feed(s *Stack, n int) {
-	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < n+4; i++ {
-		text := normalTexts[i%len(normalTexts)]
-		if i >= n {
-			text = fmt.Sprintf("unexpected fabric drop alarm code %d on plane %d", 7+i, i)
-		}
-		s.Monitor.HandleMessage(logfmt.Message{Time: at, Host: "vpe01", Tag: "rpd", Text: text})
-		at = at.Add(2 * time.Second)
-	}
-}
-
 // TestEveryAnomalyExplained: on the shipped route — octet-counted TCP
 // frames into the listener, four scoring shards, the default 1-in-16
 // stage sampling — every anomalous verdict leaves exactly one decision
@@ -93,38 +97,7 @@ func TestEveryAnomalyExplained(t *testing.T) {
 	o.UDPAddr, o.TCPAddr, o.Shards, o.SpanBuffer = "", "127.0.0.1:0", 4, 4096
 	s := newStack(t, o)
 	s.Start(context.Background())
-	conn, err := net.Dial("tcp", s.Server.TCPAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	const n = 2000
-	at := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	for sent := 0; sent < n; {
-		var chunk bytes.Buffer
-		for end := sent + 250; sent < end; sent++ {
-			m := trafficMessage(sent, at)
-			line := m.Format3164()
-			fmt.Fprintf(&chunk, "%d %s", len(line), line)
-			at = at.Add(3 * time.Second)
-		}
-		if _, err := conn.Write(chunk.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for st := s.Server.Stats(); st.Received+st.Malformed < uint64(sent); st = s.Server.Stats() {
-			if time.Now().After(deadline) {
-				t.Fatalf("the listener counted %+v of %d frames sent", st, sent)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := s.Monitor.Settle(ctx)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	variant{drive: socketDrive}.feed(t, s, trafficTrace(2000), 0, 2000)
 
 	anomalies := s.Registry.Snapshot().Counters["monitor_anomalies_total"]
 	explained := s.Spans.Query(obs.SpanQuery{AnomalousOnly: true})
@@ -220,7 +193,7 @@ func TestRestoreOrQuarantine(t *testing.T) {
 	if !first.RestoredAt.IsZero() {
 		t.Fatal("fresh stack claims a restore")
 	}
-	feed(first, 60)
+	traffic(first, 200, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	if err := first.Checkpoint("test"); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +221,7 @@ func TestRestoreOrQuarantine(t *testing.T) {
 	if _, err := os.Stat(o.Checkpoint + ".corrupt"); err != nil {
 		t.Fatalf("corrupt checkpoint was not quarantined: %v", err)
 	}
-	feed(third, 8)
+	traffic(third, 12, time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
 	if msgs, _ := third.Monitor.Counters(); msgs != 12 {
 		t.Fatalf("cold-started stack does not serve: %d messages", msgs)
 	}
